@@ -125,13 +125,13 @@ bench-json:
 	$(GO) run ./cmd/capsweep -insts 200000 -bench-json BENCH_caps.json
 
 # Regenerates BENCH_speed.json: serial-vs-tuned wall-clock for every
-# benchmark (the tuned side runs 8 tick workers with idle-cycle skip; both
+# benchmark (the tuned side runs 2 tick workers with idle-cycle skip; both
 # sides must finish with identical cycle/instruction counts or the build
 # fails). `capsprof speed-diff` against the committed copy gates a >20%
 # speedup regression — the comparison is on speedup ratios, so it holds
 # across machines of different absolute speed.
 speed-bench:
-	$(GO) run ./cmd/capsweep -insts 200000 -workers 8 -idle-skip \
+	$(GO) run ./cmd/capsweep -insts 200000 -workers 2 -idle-skip \
 		-speed-json /tmp/caps-speed.json
 	$(GO) run ./cmd/capsprof speed-diff BENCH_speed.json /tmp/caps-speed.json
 

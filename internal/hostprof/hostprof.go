@@ -70,6 +70,15 @@ const PhaseLoop = "loop"
 // rounded up to a power of two so the hot-path test is one mask compare.
 const DefaultSampleEvery = 64
 
+// OutlierStepNS bounds one sampled step's wall-clock when the profiler
+// samples fewer than every step. A step costs microseconds; one above the
+// bound absorbed a host stall (a GC pause, a descheduling), and
+// multiplying it by the sample period would bill that stall to the run
+// SampleEvery times over. Such a step is left out of the extrapolation and
+// counted in Profile.OutlierSteps; its time stays in the run wall-clock,
+// where the loop bucket absorbs it.
+const OutlierStepNS = 1_000_000
+
 // Context records the host the run executed on — everything a reader
 // needs to decide whether two wall-clock measurements are comparable.
 type Context struct {
@@ -137,8 +146,15 @@ type Profiler struct {
 	sampling  bool  // current step is sampled (workers read it post-barrier-handoff)
 	stepStart int64
 	mark      int64
-	phaseNS   [NumPhases]int64 // raw sampled ns per phase
-	sampledNS int64            // raw sampled ns, all phases
+	phaseNS   [NumPhases]int64 // raw sampled ns per phase, kept steps only
+	sampledNS int64            // raw sampled ns, all phases, kept steps only
+	// stepNS, stepBusy and stepTicks hold the current sampled step's spans
+	// until EndStep keeps them or drops the step as an outlier.
+	stepNS    [NumPhases]int64
+	stepBusy  []int64
+	stepTicks []int64
+	outliers  int64 // sampled steps dropped above OutlierStepNS
+	outlierNS int64 // their total wall-clock
 
 	startNS int64 // Run start, ns since epoch
 	wallNS  int64 // Run wall-clock, set by Finish
@@ -148,8 +164,9 @@ type Profiler struct {
 	ctx   Context
 	bench string
 
-	// Per-worker busy time and tick counts on sampled steps; slot w is
-	// written only by worker w.
+	// Per-worker busy time and tick counts on kept sampled steps; slot w
+	// of stepBusy/stepTicks is written only by worker w, and EndStep folds
+	// them in after the barrier.
 	workerBusy  []int64
 	workerTicks []int64
 	// Per-SM tick-duration EWMA (alpha 1/8) over sampled steps; slot i is
@@ -190,6 +207,8 @@ func (p *Profiler) Init(numSMs, workers int, idleSkip bool) {
 	p.ctx = CaptureContext(workers, idleSkip)
 	p.workerBusy = make([]int64, workers)
 	p.workerTicks = make([]int64, workers)
+	p.stepBusy = make([]int64, workers)
+	p.stepTicks = make([]int64, workers)
 	p.smEWMA = make([]int64, numSMs)
 	p.sm = make([]SMProf, numSMs)
 
@@ -288,6 +307,10 @@ func (p *Profiler) BeginStep() bool {
 		return false
 	}
 	p.sampling = true
+	// A step that errored out never reached EndStep: drop its spans.
+	p.stepNS = [NumPhases]int64{}
+	clear(p.stepBusy)
+	clear(p.stepTicks)
 	now := p.clock()
 	p.stepStart = now
 	p.mark = now
@@ -307,19 +330,33 @@ func (p *Profiler) Sampling() bool { return p != nil && p.sampling }
 //caps:hotpath
 func (p *Profiler) MarkPhase(ph Phase) {
 	now := p.clock()
-	p.phaseNS[ph] += now - p.mark
+	p.stepNS[ph] += now - p.mark
 	p.mark = now
 }
 
-// EndStep closes the sampled step, billing the final span to ph.
+// EndStep closes the sampled step, billing the final span to ph, and
+// keeps the step's spans unless it is an outlier (see OutlierStepNS).
 //
 //caps:hotpath
 func (p *Profiler) EndStep(ph Phase) {
 	now := p.clock()
-	p.phaseNS[ph] += now - p.mark
-	p.sampledNS += now - p.stepStart
-	p.sampled++
+	p.stepNS[ph] += now - p.mark
 	p.sampling = false
+	d := now - p.stepStart
+	if p.every > 1 && d > OutlierStepNS {
+		p.outliers++
+		p.outlierNS += d
+		return
+	}
+	for i, ns := range p.stepNS {
+		p.phaseNS[i] += ns
+	}
+	for w := range p.stepBusy {
+		p.workerBusy[w] += p.stepBusy[w]
+		p.workerTicks[w] += p.stepTicks[w]
+	}
+	p.sampledNS += d
+	p.sampled++
 }
 
 // SMTick records one timed SM tick on a sampled step: ns of busy time for
@@ -336,8 +373,8 @@ func (p *Profiler) SMTick(smID, w int, ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	p.workerBusy[w] += ns
-	p.workerTicks[w]++
+	p.stepBusy[w] += ns
+	p.stepTicks[w]++
 	e := p.smEWMA[smID]
 	if e == 0 {
 		e = ns

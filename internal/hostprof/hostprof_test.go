@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // --- sampling machinery ---
@@ -147,6 +148,57 @@ var spinSink int64
 func spin(n int) {
 	for i := 0; i < n; i++ {
 		spinSink += int64(i * i)
+	}
+}
+
+// One sampled step that absorbs a host stall must not be multiplied by the
+// sample period: it is dropped from the extrapolation and counted, and the
+// phase buckets still sum exactly to the wall-clock.
+func TestOutlierStepIsNotExtrapolated(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	run := func(every int64) *Profile {
+		p := New(every)
+		p.Init(1, 1, false)
+		p.Start()
+		for step := int64(1); step <= 4*every; step++ {
+			if !p.BeginStep() {
+				continue
+			}
+			p.MarkPhase(PhaseOther)
+			start := p.Clock()
+			spin(200)
+			if step == every+1 {
+				time.Sleep(stall) // the second sampled step is descheduled
+			}
+			p.SMTick(0, 0, p.Clock()-start)
+			p.MarkPhase(PhaseSM)
+			p.EndStep(PhaseCommit)
+		}
+		p.Finish()
+		return p.Build("CNV", "caps")
+	}
+
+	pr := run(64)
+	if pr.OutlierSteps < 1 || pr.OutlierNS < int64(stall) {
+		t.Fatalf("outliers = %d (%dns), want the %v stall counted", pr.OutlierSteps, pr.OutlierNS, stall)
+	}
+	if pr.SampledSteps+pr.OutlierSteps != 4 {
+		t.Errorf("kept %d + outliers %d sampled steps, want 4", pr.SampledSteps, pr.OutlierSteps)
+	}
+	if pr.EstimatedNS >= pr.WallNS {
+		t.Errorf("estimate %dns >= wall %dns: the stall was extrapolated", pr.EstimatedNS, pr.WallNS)
+	}
+	if pr.Workers[0].Ticks != pr.SampledSteps {
+		t.Errorf("worker ticks = %d, want one per kept step (%d)", pr.Workers[0].Ticks, pr.SampledSteps)
+	}
+	if err := pr.Validate(1.0); err != nil {
+		t.Errorf("profile with an outlier fails its exact invariants: %v", err)
+	}
+
+	// Sampling every step multiplies nothing, so a stalled step is real
+	// time and stays in.
+	if pr := run(1); pr.OutlierSteps != 0 || pr.SampledSteps != 4 {
+		t.Errorf("every=1: outliers=%d sampled=%d, want 0/4", pr.OutlierSteps, pr.SampledSteps)
 	}
 }
 

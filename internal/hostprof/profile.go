@@ -18,11 +18,15 @@ type Profile struct {
 	// WallNS is the measured run wall-clock (Start..Finish). EstimatedNS
 	// is the extrapolation of the sampled step spans to all steps; the
 	// difference is the Run-loop residue reported as the "loop" phase.
-	WallNS      int64 `json:"wall_ns"`
-	EstimatedNS int64 `json:"estimated_ns"`
-	Steps       int64 `json:"steps"`
+	WallNS       int64 `json:"wall_ns"`
+	EstimatedNS  int64 `json:"estimated_ns"`
+	Steps        int64 `json:"steps"`
 	SampledSteps int64 `json:"sampled_steps"`
-	SampleEvery int64 `json:"sample_every"`
+	SampleEvery  int64 `json:"sample_every"`
+	// OutlierSteps counts sampled steps left out of the extrapolation
+	// because they ran past OutlierStepNS; OutlierNS is their wall-clock.
+	OutlierSteps int64 `json:"outlier_steps"`
+	OutlierNS    int64 `json:"outlier_ns"`
 
 	// ClockCostNS is the calibrated cost of one monotonic-clock read,
 	// subtracted from per-tick spans and the SM phase (sampled steps pay
@@ -106,6 +110,8 @@ func (p *Profiler) Build(bench, prefetcher string) *Profile {
 		Steps:        p.steps,
 		SampledSteps: p.sampled,
 		SampleEvery:  p.every,
+		OutlierSteps: p.outliers,
+		OutlierNS:    p.outlierNS,
 		ClockCostNS:  p.clockCost,
 	}
 
@@ -233,6 +239,9 @@ func (pr *Profile) Validate(tol float64) error {
 		return fmt.Errorf("hostprof: non-positive wall-clock %dns (run not finished?)", pr.WallNS)
 	}
 	if pr.SampledSteps == 0 {
+		if pr.OutlierSteps > 0 {
+			return fmt.Errorf("hostprof: no sampled steps: all %d ran past the %dns outlier bound", pr.OutlierSteps, OutlierStepNS)
+		}
 		return fmt.Errorf("hostprof: no sampled steps (run shorter than sample period %d?)", pr.SampleEvery)
 	}
 	var sum int64

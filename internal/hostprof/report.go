@@ -24,6 +24,10 @@ func (pr *Profile) WriteText(w io.Writer) error {
 		c.GoVersion, c.GOOS, c.GOARCH, c.NumCPU, c.GOMAXPROCS, c.Workers, c.IdleSkip)
 	fmt.Fprintf(&b, "  wall %.2fms over %d steps (%d sampled, every %d)\n",
 		float64(pr.WallNS)/1e6, pr.Steps, pr.SampledSteps, pr.SampleEvery)
+	if pr.OutlierSteps > 0 {
+		fmt.Fprintf(&b, "  %d sampled steps over the %.0fms outlier bound left out of the extrapolation (%.2fms)\n",
+			pr.OutlierSteps, float64(OutlierStepNS)/1e6, float64(pr.OutlierNS)/1e6)
+	}
 
 	b.WriteString("  phases:\n")
 	for _, ph := range pr.Phases {

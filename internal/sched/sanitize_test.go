@@ -31,25 +31,25 @@ func TestSanitizerCatchesDuplicateReadySlot(t *testing.T) {
 	s := NewPAS(8, true)
 	s.OnActivate(0, true)
 	s.OnActivate(1, false)
-	if err := s.CheckInvariants(10, []int{0, 1}); err != nil {
+	if err := s.CheckInvariants(10, newFakeView(), []int{0, 1}); err != nil {
 		t.Fatalf("healthy PAS queues tripped the sanitizer: %v", err)
 	}
 	s.ForceReady(0) // slot 0 now queued twice
-	wantSchedViolation(t, s.CheckInvariants(11, []int{0, 1}), "queued twice")
+	wantSchedViolation(t, s.CheckInvariants(11, newFakeView(), []int{0, 1}), "queued twice")
 }
 
 func TestSanitizerCatchesGhostSlot(t *testing.T) {
 	s := NewTwoLevel(4)
 	s.OnActivate(2, false)
 	s.ForceReady(9) // queued, but 9 is not live on the SM
-	wantSchedViolation(t, s.CheckInvariants(3, []int{2}), "not live")
+	wantSchedViolation(t, s.CheckInvariants(3, newFakeView(), []int{2}), "not live")
 }
 
 func TestSanitizerCatchesLostSlot(t *testing.T) {
 	s := NewTwoLevel(4)
 	s.OnActivate(5, false)
 	s.OnFinish(5) // dequeued everywhere, but the SM still lists it live
-	wantSchedViolation(t, s.CheckInvariants(4, []int{5}), "missing from both queues")
+	wantSchedViolation(t, s.CheckInvariants(4, newFakeView(), []int{5}), "missing from both queues")
 }
 
 // TestOnlyPASActsOnLeadingMark pins the OnActivate contract down across
@@ -110,5 +110,42 @@ func TestSanitizerCatchesReadyOverflow(t *testing.T) {
 	for _, slot := range slots {
 		s.ForceReady(slot) // bypasses the refill bound
 	}
-	wantSchedViolation(t, s.CheckInvariants(5, slots), "bound is 2")
+	wantSchedViolation(t, s.CheckInvariants(5, newFakeView(), slots), "bound is 2")
+}
+
+// TestSanitizerCatchesMissedUnblockGen proves the dry-refill memo audit
+// fires: a view that unblocks a pending warp without advancing UnblockGen
+// (an SM site that forgot its bump) leaves the memo claiming every pending
+// slot is blocked, which CheckInvariants must report.
+func TestSanitizerCatchesMissedUnblockGen(t *testing.T) {
+	s := NewPAS(2, true)
+	v := newFakeView()
+	slots := []int{0, 1, 2, 3}
+	for _, slot := range slots {
+		s.OnActivate(slot, slot == 0)
+		v.blocked[slot] = true
+	}
+	if got := s.Pick(1, v); got != -1 {
+		t.Fatalf("Pick = %d with every warp blocked, want -1", got)
+	}
+	if err := s.CheckInvariants(1, v, slots); err != nil {
+		t.Fatalf("armed memo over an all-blocked pending queue tripped the sanitizer: %v", err)
+	}
+	delete(v.blocked, 2) // unblocked, but the generation did not move
+	wantSchedViolation(t, s.CheckInvariants(2, v, slots), "dry-refill memo")
+	v.gen++ // the bump the view owed: the memo is stale, not wrong
+	if err := s.CheckInvariants(3, v, slots); err != nil {
+		t.Fatalf("stale memo after a generation bump tripped the sanitizer: %v", err)
+	}
+	if got := s.Pick(3, v); got != 2 {
+		t.Errorf("Pick = %d after the bump, want the unblocked slot 2", got)
+	}
+}
+
+func TestSanitizerCatchesUnbasedDrift(t *testing.T) {
+	s := NewPAS(4, true)
+	s.OnActivate(0, true)
+	s.OnActivate(1, false)
+	s.unbased++ // a leading warp the flags do not record
+	wantSchedViolation(t, s.CheckInvariants(1, newFakeView(), []int{0, 1}), "unbased counter")
 }

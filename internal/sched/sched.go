@@ -12,7 +12,6 @@ package sched
 import (
 	"encoding/binary"
 	"hash"
-	"sort"
 
 	"caps/internal/invariant"
 	"caps/internal/obs"
@@ -27,6 +26,12 @@ type View interface {
 	// queue only promotes warps that are not blocked ("any ready warp
 	// waiting in the pending queue is moved to the ready queue").
 	Blocked(slot int) bool
+	// UnblockGen returns a counter the view advances at every transition
+	// that can turn a Blocked slot unblocked (a warp's last outstanding
+	// load returning, a barrier releasing, a CTA launch). Extra advances
+	// are harmless; a missed one lets TwoLevel's dry-refill memo skip a
+	// promotion, which its CheckInvariants reports.
+	UnblockGen() uint64
 }
 
 // Scheduler selects which warp issues next.
@@ -348,11 +353,15 @@ type TwoLevel struct {
 	interleaved  bool
 	wakeup       bool
 
-	ready    []int // slots in issue priority order
-	pending  []int // slots waiting for promotion
-	leading  map[int]bool
-	baseDone map[int]bool // leading warp has issued its first load
-	rr       int          // round-robin cursor within the ready queue
+	ready   []int // slots in issue priority order
+	pending []int // slots waiting for promotion
+	// flags holds each slot's slotKnown/slotLeading/slotBaseDone bits,
+	// grown on demand to the highest slot activated. unbased counts the
+	// slots whose flags satisfy isUnbased: while it is zero, PAS skips its
+	// leading-warp scans.
+	flags   []uint8
+	unbased int
+	rr      int // round-robin cursor within the ready queue
 	// groupCounts is the interleaved variant's per-group occupancy
 	// scratch, preallocated so refill stays off the allocator.
 	groupCounts []int
@@ -368,6 +377,13 @@ type TwoLevel struct {
 	stallLeading bool
 	stallCost    StallCost
 
+	// dry/dryGen memoise a refill that found nothing promotable: while the
+	// view's UnblockGen still equals dryGen and pending has gained no slot,
+	// every pending slot is still blocked, so refill and Quiescent skip the
+	// rescan. Derived state, excluded from HashState.
+	dry    bool
+	dryGen uint64
+
 	// Observability (nil-safe). lastNow is the cycle most recently pushed
 	// via ObsTick (or Pick); OnLongLatency/OnWake have no time parameter,
 	// so their events are stamped with it.
@@ -379,8 +395,7 @@ type TwoLevel struct {
 // NewTwoLevel creates the baseline two-level scheduler with the given ready
 // queue size.
 func NewTwoLevel(readySize int) *TwoLevel {
-	return &TwoLevel{name: "tlv", readySize: readySize,
-		leading: map[int]bool{}, baseDone: map[int]bool{}}
+	return &TwoLevel{name: "tlv", readySize: readySize}
 }
 
 // NewPAS creates the paper's Prefetch-Aware Scheduler. wakeup enables the
@@ -388,7 +403,7 @@ func NewTwoLevel(readySize int) *TwoLevel {
 // evaluates CAPS without it.
 func NewPAS(readySize int, wakeup bool) *TwoLevel {
 	return &TwoLevel{name: "pas", readySize: readySize, leadingFirst: true,
-		wakeup: wakeup, leading: map[int]bool{}, baseDone: map[int]bool{}}
+		wakeup: wakeup}
 }
 
 // NewTwoLevelInterleaved creates ORCH's grouped two-level scheduler with
@@ -398,8 +413,7 @@ func NewTwoLevelInterleaved(readySize, groups int) *TwoLevel {
 		groups = 1
 	}
 	return &TwoLevel{name: "tlv-grouped", readySize: readySize, interleaved: true,
-		groups: groups, groupCounts: make([]int, groups),
-		leading: map[int]bool{}, baseDone: map[int]bool{}}
+		groups: groups, groupCounts: make([]int, groups)}
 }
 
 // Name implements Scheduler.
@@ -418,12 +432,60 @@ func (s *TwoLevel) AttachObs(sink *obs.Sink, smID int) {
 // cycle and break per-track timestamp monotonicity in exported traces.
 func (s *TwoLevel) ObsTick(now int64) { s.lastNow = now }
 
+// Per-slot flag bits in TwoLevel.flags.
+const (
+	// slotKnown: the slot was activated and has not finished.
+	slotKnown uint8 = 1 << iota
+	// slotLeading: the slot holds its CTA's leading warp (set only while
+	// known).
+	slotLeading
+	// slotBaseDone: the leading warp has issued its base-address load. The
+	// mark outlives OnFinish and is cleared by the slot's next OnActivate.
+	slotBaseDone
+)
+
+// isUnbased reports whether f marks a live leading warp that has not yet
+// issued its base-address load — the warps PAS prioritises.
+func isUnbased(f uint8) bool { return f&(slotLeading|slotBaseDone) == slotLeading }
+
+// flagsOf returns the slot's flag bits (zero for a slot never activated).
+func (s *TwoLevel) flagsOf(slot int) uint8 {
+	if slot < len(s.flags) {
+		return s.flags[slot]
+	}
+	return 0
+}
+
+// setFlags stores the slot's flag bits and keeps unbased in step.
+func (s *TwoLevel) setFlags(slot int, f uint8) {
+	for slot >= len(s.flags) {
+		s.flags = append(s.flags, 0) //caps:alloc-ok grows once to the highest warp slot the SM activates
+	}
+	if isUnbased(s.flags[slot]) {
+		s.unbased--
+	}
+	if isUnbased(f) {
+		s.unbased++
+	}
+	s.flags[slot] = f
+}
+
+// pushPending appends a slot to the pending queue. The new slot may be
+// promotable, so the dry-refill memo no longer holds.
+func (s *TwoLevel) pushPending(slot int) {
+	s.pending = append(s.pending, slot) //caps:alloc-ok pending queue capacity converges to the SM's warp-slot count
+	s.dry = false
+}
+
 // OnActivate implements Scheduler. New warps enter the pending queue; the
 // refill step promotes them (leading warps first under PAS).
 func (s *TwoLevel) OnActivate(slot int, leading bool) {
-	s.leading[slot] = leading
-	delete(s.baseDone, slot)
-	s.pending = append(s.pending, slot)
+	f := slotKnown
+	if leading {
+		f |= slotLeading
+	}
+	s.setFlags(slot, f)
+	s.pushPending(slot)
 }
 
 func removeSlot(q []int, slot int) ([]int, bool) {
@@ -438,7 +500,9 @@ func removeSlot(q []int, slot int) ([]int, bool) {
 
 // OnFinish implements Scheduler.
 func (s *TwoLevel) OnFinish(slot int) {
-	defer delete(s.leading, slot)
+	if f := s.flagsOf(slot); f != 0 {
+		s.setFlags(slot, f&^(slotKnown|slotLeading))
+	}
 	var ok bool
 	if s.ready, ok = removeSlot(s.ready, slot); ok {
 		return
@@ -449,19 +513,15 @@ func (s *TwoLevel) OnFinish(slot int) {
 // refill promotes pending warps into free ready-queue slots. Only warps
 // that are not blocked on memory or a barrier are promotable; among those,
 // PAS prefers leading warps that have not yet computed their CTA's base
-// address, and ORCH's grouped variant balances fetch groups.
+// address, and ORCH's grouped variant balances fetch groups. A pass that
+// finds nothing promotable arms the dry-refill memo.
 func (s *TwoLevel) refill(v View) {
 	for len(s.ready) < s.readySize {
+		if s.dry && s.dryGen == v.UnblockGen() {
+			return
+		}
 		idx := -1
-		switch {
-		case s.leadingFirst:
-			for i, slot := range s.pending {
-				if s.leading[slot] && !s.baseDone[slot] && !v.Blocked(slot) {
-					idx = i
-					break
-				}
-			}
-		case s.interleaved:
+		if s.interleaved {
 			// Prefer the promotable warp from the least-represented fetch
 			// group (group = slot mod groups), so consecutive warps land
 			// in different scheduling groups.
@@ -481,23 +541,36 @@ func (s *TwoLevel) refill(v View) {
 					bestCnt, idx = counts[g], i
 				}
 			}
-		}
-		if idx == -1 {
+		} else {
+			// One pass: the first unblocked slot, unless PAS finds an
+			// unblocked leading warp without its base further on.
+			scanLeading := s.leadingFirst && s.unbased > 0
 			for i, slot := range s.pending {
-				if !v.Blocked(slot) {
+				if v.Blocked(slot) {
+					continue
+				}
+				if idx == -1 {
+					idx = i
+					if !scanLeading {
+						break
+					}
+				}
+				if isUnbased(s.flags[slot]) {
 					idx = i
 					break
 				}
 			}
 		}
 		if idx == -1 {
+			s.dry, s.dryGen = true, v.UnblockGen()
 			return
 		}
 		slot := s.pending[idx]
 		copy(s.pending[idx:], s.pending[idx+1:])
 		s.pending = s.pending[:len(s.pending)-1]
 		s.sink.SchedPromote(s.lastNow, s.smID, slot)
-		if s.leadingFirst && s.leading[slot] && !s.baseDone[slot] {
+		f := s.flags[slot]
+		if s.leadingFirst && isUnbased(f) {
 			s.sink.PickOutcome(s.lastNow, s.smID, slot, obs.PickLeadingPromoted)
 			// Front-insert in place: the old prepend built a fresh slice
 			// on every leading-warp promotion.
@@ -505,7 +578,7 @@ func (s *TwoLevel) refill(v View) {
 			copy(s.ready[1:], s.ready)
 			s.ready[0] = slot
 		} else {
-			if s.leadingFirst && s.leading[slot] {
+			if s.leadingFirst && f&slotLeading != 0 {
 				// A leading warp past its base-address computation refills
 				// in plain round-robin order: the PAS priority was bypassed.
 				s.sink.PickOutcome(s.lastNow, s.smID, slot, obs.PickLeadingBypassed)
@@ -528,9 +601,9 @@ func (s *TwoLevel) Pick(now int64, v View) int {
 	if n == 0 {
 		return -1
 	}
-	if s.leadingFirst {
+	if s.leadingFirst && s.unbased > 0 {
 		for _, slot := range s.ready {
-			if s.leading[slot] && !s.baseDone[slot] && v.Eligible(slot) {
+			if isUnbased(s.flags[slot]) && v.Eligible(slot) {
 				return slot
 			}
 		}
@@ -549,9 +622,10 @@ func (s *TwoLevel) Pick(now int64, v View) int {
 // still runs refill, so the scheduler is quiescent only when refill would
 // promote nothing — either the ready queue is full, or no pending warp is
 // promotable. (The round-robin cursor moves only on a successful issue,
-// and lastNow is an event-stamp cache outside the hashed state.)
+// and lastNow is an event-stamp cache outside the hashed state.) A scan
+// that finds every pending warp blocked arms the dry-refill memo.
 func (s *TwoLevel) Quiescent(v View) bool {
-	if len(s.ready) >= s.readySize {
+	if len(s.ready) >= s.readySize || s.dry && s.dryGen == v.UnblockGen() {
 		return true
 	}
 	for _, slot := range s.pending {
@@ -559,6 +633,7 @@ func (s *TwoLevel) Quiescent(v View) bool {
 			return false
 		}
 	}
+	s.dry, s.dryGen = true, v.UnblockGen()
 	return true
 }
 
@@ -573,9 +648,9 @@ func (s *TwoLevel) BeginStall(v StallView) (picks, ok bool) {
 		return false, false
 	}
 	s.stallLeading = false
-	if s.leadingFirst {
+	if s.leadingFirst && s.unbased > 0 {
 		for _, slot := range s.ready {
-			if s.leading[slot] && !s.baseDone[slot] && v.Eligible(slot) {
+			if isUnbased(s.flags[slot]) && v.Eligible(slot) {
 				if !v.StallPickable(slot) {
 					return false, false
 				}
@@ -632,8 +707,8 @@ func (s *TwoLevel) StallCost() StallCost { return s.stallCost }
 // load is its base-address computation; past that point it no longer holds
 // issue priority.
 func (s *TwoLevel) OnLongLatency(slot int) {
-	if s.leading[slot] {
-		s.baseDone[slot] = true
+	if f := s.flagsOf(slot); f&slotLeading != 0 {
+		s.setFlags(slot, f|slotBaseDone)
 	}
 	var ok bool
 	if s.ready, ok = removeSlot(s.ready, slot); !ok {
@@ -641,7 +716,7 @@ func (s *TwoLevel) OnLongLatency(slot int) {
 	}
 	s.sink.SchedDemote(s.lastNow, s.smID, slot)
 	s.sink.PickOutcome(s.lastNow, s.smID, slot, obs.PickDemoteLongLatency)
-	s.pending = append(s.pending, slot) //caps:alloc-ok pending queue capacity converges to the SM's warp-slot count
+	s.pushPending(slot)
 }
 
 // OnWake implements Scheduler: with wake-up enabled, promote the slot from
@@ -658,7 +733,7 @@ func (s *TwoLevel) OnWake(slot int) bool {
 		// Push one ready warp forcibly into the pending queue (paper §V-A).
 		victimIdx := len(s.ready) - 1
 		for i := len(s.ready) - 1; i >= 0; i-- {
-			if !s.leading[s.ready[i]] {
+			if s.flags[s.ready[i]]&slotLeading == 0 {
 				victimIdx = i
 				break
 			}
@@ -668,7 +743,7 @@ func (s *TwoLevel) OnWake(slot int) bool {
 		s.ready = s.ready[:len(s.ready)-1]
 		s.sink.SchedDemote(s.lastNow, s.smID, victim)
 		s.sink.PickOutcome(s.lastNow, s.smID, victim, obs.PickDemoteDisplaced)
-		s.pending = append(s.pending, victim) //caps:alloc-ok pending queue capacity converges to the SM's warp-slot count
+		s.pushPending(victim)
 	}
 	s.ready = append(s.ready, slot) //caps:alloc-ok ready queue capacity converges to readySize
 	return true
@@ -676,8 +751,9 @@ func (s *TwoLevel) OnWake(slot int) bool {
 
 // HashState folds the scheduler's architectural state — queue contents and
 // order, the round-robin cursor, and the leading/base-done marks — into h
-// for the determinism harness's periodic checkpoints. Map iteration is made
-// order-independent by folding slots in index order.
+// for the determinism harness's periodic checkpoints: every known slot in
+// ascending order with its leading bit, then every base-done slot in
+// ascending order.
 func (s *TwoLevel) HashState(h hash.Hash64) {
 	var buf [8]byte
 	word := func(v uint64) {
@@ -693,26 +769,20 @@ func (s *TwoLevel) HashState(h hash.Hash64) {
 		word(uint64(slot))
 	}
 	word(uint64(s.rr))
-	keys := make([]int, 0, len(s.leading)+len(s.baseDone))
-	for slot := range s.leading { //simcheck:allow detlint — collected then sorted below
-		keys = append(keys, slot)
-	}
-	sort.Ints(keys)
-	for _, slot := range keys {
-		word(uint64(slot))
-		if s.leading[slot] {
-			word(1)
-		} else {
-			word(0)
+	for slot, f := range s.flags {
+		if f&slotKnown != 0 {
+			word(uint64(slot))
+			if f&slotLeading != 0 {
+				word(1)
+			} else {
+				word(0)
+			}
 		}
 	}
-	keys = keys[:0]
-	for slot := range s.baseDone { //simcheck:allow detlint — collected then sorted below
-		keys = append(keys, slot)
-	}
-	sort.Ints(keys)
-	for _, slot := range keys {
-		word(uint64(slot))
+	for slot, f := range s.flags {
+		if f&slotBaseDone != 0 {
+			word(uint64(slot))
+		}
 	}
 }
 
@@ -724,11 +794,17 @@ func (s *TwoLevel) PendingSlots() []int { return append([]int(nil), s.pending...
 
 // IsLeading reports whether the slot is currently marked as its CTA's
 // leading warp (sanitizer and test hook).
-func (s *TwoLevel) IsLeading(slot int) bool { return s.leading[slot] }
+func (s *TwoLevel) IsLeading(slot int) bool { return s.flagsOf(slot)&slotLeading != 0 }
 
 // ForceLeading overrides a slot's leading mark. It exists only so sanitizer
 // tests can corrupt the scheduler's view; the simulator never calls it.
-func (s *TwoLevel) ForceLeading(slot int, leading bool) { s.leading[slot] = leading }
+func (s *TwoLevel) ForceLeading(slot int, leading bool) {
+	f := s.flagsOf(slot)&^slotLeading | slotKnown
+	if leading {
+		f |= slotLeading
+	}
+	s.setFlags(slot, f)
+}
 
 // ForceReady appends a slot to the ready queue unconditionally. Sanitizer
 // test hook: it can violate the queue bound or duplicate a slot on purpose.
@@ -736,10 +812,12 @@ func (s *TwoLevel) ForceReady(slot int) { s.ready = append(s.ready, slot) }
 
 // CheckInvariants audits the two-level queue discipline (sanitizer entry
 // point, called by the SM once per cycle when invariant checking is on):
-// the ready queue respects its bound, no slot is queued twice, and the
-// ready and pending queues exactly partition the set of registered slots.
-// registered lists the slots whose warps are live on the SM.
-func (s *TwoLevel) CheckInvariants(now int64, registered []int) error {
+// the ready queue respects its bound, no slot is queued twice, the ready
+// and pending queues exactly partition the set of registered slots, the
+// unbased counter matches the per-slot flags, and an armed dry-refill memo
+// still holds in v (every pending slot blocked). registered lists the
+// slots whose warps are live on the SM.
+func (s *TwoLevel) CheckInvariants(now int64, v View, registered []int) error {
 	comp := "sched/" + s.name
 	if len(s.ready) > s.readySize {
 		return invariant.Errorf(comp, now, "ready queue holds %d slots, bound is %d",
@@ -770,6 +848,25 @@ func (s *TwoLevel) CheckInvariants(now int64, registered []int) error {
 	for _, slot := range registered {
 		if !seen.has(slot) {
 			return invariant.Errorf(comp, now, "live warp slot %d missing from both queues", slot)
+		}
+	}
+	unbased := 0
+	for _, f := range s.flags {
+		if isUnbased(f) {
+			unbased++
+		}
+	}
+	if unbased != s.unbased {
+		return invariant.Errorf(comp, now, "unbased counter (%d) disagrees with the slot flags (%d unbased leading warps)",
+			s.unbased, unbased)
+	}
+	if s.dry && s.dryGen == v.UnblockGen() {
+		for _, slot := range s.pending {
+			if !v.Blocked(slot) {
+				return invariant.Errorf(comp, now,
+					"dry-refill memo armed at unblock generation %d but pending slot %d is unblocked (an unblock did not advance UnblockGen)",
+					s.dryGen, slot)
+			}
 		}
 	}
 	return nil

@@ -2,10 +2,13 @@ package sched
 
 import "testing"
 
-// fakeView is a scriptable sched.View.
+// fakeView is a scriptable sched.View. Tests block a slot by writing
+// blocked directly and unblock it through unblock, which advances the
+// unblock generation as the View contract requires.
 type fakeView struct {
 	ineligible map[int]bool
 	blocked    map[int]bool
+	gen        uint64
 }
 
 func newFakeView() *fakeView {
@@ -14,6 +17,12 @@ func newFakeView() *fakeView {
 
 func (v *fakeView) Eligible(slot int) bool { return !v.ineligible[slot] && !v.blocked[slot] }
 func (v *fakeView) Blocked(slot int) bool  { return v.blocked[slot] }
+func (v *fakeView) UnblockGen() uint64     { return v.gen }
+
+func (v *fakeView) unblock(slot int) {
+	delete(v.blocked, slot)
+	v.gen++
+}
 
 func TestLRRRoundRobin(t *testing.T) {
 	s := NewLRR(4)
@@ -139,7 +148,7 @@ func TestTwoLevelDoesNotPromoteBlockedWarps(t *testing.T) {
 		t.Errorf("ready holds %d blocked warps, want 0", got)
 	}
 	// Unblock one pending warp: it must be promoted and picked.
-	v.blocked[3] = false
+	v.unblock(3)
 	if got := s.Pick(2, v); got != 3 {
 		t.Errorf("Pick = %d, want 3 after unblock", got)
 	}

@@ -93,8 +93,20 @@ func TestStepAllocsSteadyState(t *testing.T) {
 
 type allEligible struct{}
 
-func (allEligible) Eligible(int) bool { return true }
-func (allEligible) Blocked(int) bool  { return false }
+func (allEligible) Eligible(int) bool  { return true }
+func (allEligible) Blocked(int) bool   { return false }
+func (allEligible) UnblockGen() uint64 { return 0 }
+
+// churnView blocks the warps a test demotes and unblocks them explicitly,
+// advancing the unblock generation as the SM does.
+type churnView struct {
+	blocked [16]bool
+	gen     uint64
+}
+
+func (v *churnView) Eligible(slot int) bool { return !v.blocked[slot] }
+func (v *churnView) Blocked(slot int) bool  { return v.blocked[slot] }
+func (v *churnView) UnblockGen() uint64     { return v.gen }
 
 // TestTwoLevelPickAllocs exercises the scheduler's ready/pending churn
 // (Pick, demotion, wake) after the queues have reached their converged
@@ -121,6 +133,48 @@ func TestTwoLevelPickAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("TwoLevel Pick/demote/wake allocates %.2f objects/cycle, want 0", avg)
+	}
+}
+
+// TestPASDryRefillAllocs churns PAS with most pending warps blocked: every
+// pick demotes and blocks its warp, and one blocked warp is released every
+// fourth cycle, so Picks alternate between real refills and the dry-refill
+// memo. Both paths must stay allocation-free.
+func TestPASDryRefillAllocs(t *testing.T) {
+	s := sched.NewPAS(8, true)
+	v := &churnView{}
+	for slot := 0; slot < len(v.blocked); slot++ {
+		s.OnActivate(slot, slot%4 == 0)
+	}
+	next := 0
+	churn := func(now int64) {
+		if now%4 == 0 {
+			for i := range v.blocked {
+				slot := (next + i) % len(v.blocked)
+				if v.blocked[slot] {
+					v.blocked[slot] = false
+					v.gen++
+					s.OnWake(slot)
+					next = slot + 1
+					break
+				}
+			}
+		}
+		if slot := s.Pick(now, v); slot >= 0 {
+			v.blocked[slot] = true
+			s.OnLongLatency(slot)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		churn(int64(i))
+	}
+	now := int64(1000)
+	avg := testing.AllocsPerRun(500, func() {
+		churn(now)
+		now++
+	})
+	if avg != 0 {
+		t.Errorf("PAS Pick/demote/wake with dry refills allocates %.2f objects/cycle, want 0", avg)
 	}
 }
 

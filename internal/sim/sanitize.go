@@ -78,7 +78,7 @@ func (sm *SM) checkInvariants(now int64) error {
 			}
 		}
 		sm.sanSlots = registered
-		if err := tl.CheckInvariants(now, registered); err != nil {
+		if err := tl.CheckInvariants(now, sm, registered); err != nil {
 			return err
 		}
 		// Leading-warp marks must be unique per CTA: only the CTA's warp 0

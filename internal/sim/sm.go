@@ -172,6 +172,13 @@ type SM struct {
 	perturbAt   int64
 	perturbedAt int64
 
+	// unblockGen backs sched.View.UnblockGen: it advances at every site
+	// that can turn a Blocked warp unblocked — a blocking warp's last
+	// outstanding load returning (acceptResponses, or an L1 hit in
+	// pumpLSU), a barrier releasing, and LaunchCTA. Derived state for the
+	// scheduler's dry-refill memo, excluded from state hashes.
+	unblockGen uint64
+
 	nowCache int64
 	addrBuf  []uint64
 }
@@ -264,6 +271,7 @@ func (sm *SM) FreeCTASlot() int {
 // LaunchCTA places a CTA into the given slot and activates its warps.
 func (sm *SM) LaunchCTA(slot, ctaID int) {
 	sm.wake(wakeLaunch) // fresh warps can issue immediately: end any sleep window
+	sm.unblockGen++
 	coord := sm.kernel.Grid.Coord(ctaID)
 	sm.ctas[slot] = ctaState{
 		active:    true,
@@ -297,6 +305,9 @@ func (sm *SM) Blocked(slot int) bool {
 	w := &sm.warps[slot]
 	return !w.active || w.finished || w.waitLoad || w.atBarrier
 }
+
+// UnblockGen implements sched.View.
+func (sm *SM) UnblockGen() uint64 { return sm.unblockGen }
 
 // StallPickable implements sched.StallView: during a stall-replay
 // snapshot, a Pick returning slot is provably a mutation-free structural
@@ -588,6 +599,7 @@ func (sm *SM) acceptResponses(now int64) error {
 							// The data return unblocks the warp: it is
 							// promotable again on the next refill.
 							sm.snk.PickOutcome(now, sm.id, ws.slot, obs.PickWakeupData)
+							sm.unblockGen++
 						}
 						ws.waitLoad = false
 					}
@@ -667,6 +679,7 @@ func (sm *SM) pumpLSU(now int64) {
 		if g.warp.outstanding == 0 {
 			if g.warp.waitLoad {
 				sm.snk.WarpStallEnd(now, sm.id, g.warp.slot)
+				sm.unblockGen++
 			}
 			g.warp.waitLoad = false
 			// The warp is promotable again — this cycle's issue stage must
@@ -844,6 +857,7 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 		sm.snk.WarpBarrier(now, sm.id, w.slot, w.ctaID)
 		if cta.barrierCnt == cta.warpsLeft {
 			cta.barrierCnt = 0
+			sm.unblockGen++
 			for i := 0; i < cta.warpCount; i++ {
 				ws := &sm.warps[cta.warpBase+i]
 				if ws.active && !ws.finished {
