@@ -165,11 +165,11 @@ func benchFlightRun(b *testing.B, record bool) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opt := sim.Options{Prefetcher: "caps", Obs: sim.NewSink(cfg, false, 0)}
+		opts := []sim.Option{sim.WithPrefetcher("caps"), sim.WithObs(sim.NewSink(cfg, false, 0))}
 		if record {
-			opt.Flight = sim.NewFlightRecorder(cfg)
+			opts = append(opts, sim.WithFlight(sim.NewFlightRecorder(cfg)))
 		}
-		g, err := sim.New(cfg, k, opt)
+		g, err := sim.New(cfg, k, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}

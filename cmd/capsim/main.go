@@ -102,6 +102,10 @@ func run() int {
 			*schedFlg, strings.Join(sched.Names(), ", "))
 		return 2
 	}
+	if *beat > sim.MaxProgressEvery {
+		fmt.Fprintf(os.Stderr, "capsim: -beat %d exceeds the maximum %d\n", *beat, sim.MaxProgressEvery)
+		return 2
+	}
 
 	o := config.Overrides{
 		MaxCTAsPerSM:  *ctas,

@@ -72,8 +72,8 @@ func host(args []string) int {
 }
 
 // hostDiff gates host-time regressions between two hostprof profiles:
-// wall-clock blowup, phase-share shifts, worker-utilization drops, and
-// skip-efficiency drops past their thresholds exit 1. Context mismatches
+// wall-clock blowup, phase-share shifts and worker-utilization drops
+// past their thresholds exit 1. Context mismatches
 // (different machine, worker count, idle-skip setting) are printed as
 // warnings first — they usually explain the regression.
 func hostDiff(args []string) int {
@@ -82,7 +82,6 @@ func hostDiff(args []string) int {
 	fs.Float64Var(&th.WallFrac, "wall", 0, "max fractional wall-clock increase (0 = default)")
 	fs.Float64Var(&th.PhaseShareAbs, "phase", 0, "max absolute phase-share increase (0 = default)")
 	fs.Float64Var(&th.UtilAbs, "util", 0, "max absolute mean-utilization drop (0 = default)")
-	fs.Float64Var(&th.SkipAbs, "skip", 0, "max absolute skip-efficiency drop (0 = default)")
 	pos := parseArgs(fs, args)
 	if len(pos) != 2 {
 		fmt.Fprintln(os.Stderr, "capsprof host-diff: need <base> and <current> host-profile JSON paths")

@@ -107,9 +107,9 @@ func usage() {
       -hostprof-dir): phase/worker/skip attribution as text, or a
       self-contained HTML report; -profile joins the run's CPI stack in
 
-  capsprof host-diff <base.host.json> <current.host.json> [-wall|-phase|-util|-skip frac]
-      compare two host profiles and exit 1 on wall-clock, phase-share,
-      utilization, or skip-efficiency regressions past thresholds
+  capsprof host-diff <base.host.json> <current.host.json> [-wall|-phase|-util frac]
+      compare two host profiles and exit 1 on wall-clock, phase-share
+      or utilization regressions past thresholds
 
   capsprof mem <run.mem.json> [-html out.html]
       render a memory-hierarchy profile (capsim -memlens, capsweep

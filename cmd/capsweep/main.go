@@ -249,7 +249,7 @@ func main() {
 
 	figures := map[string]func(){
 		"1": func() {
-			t, err := experiments.Figure1(cfg, 10)
+			t, err := experiments.Figure1(cfg, 10, sf.SimOptions()...)
 			if err != nil {
 				fail(err)
 				return

@@ -39,11 +39,11 @@ func main() {
 		loads, indirect)
 
 	for _, pf := range []string{"none", "inter", "caps"} {
-		opt := sim.Options{Prefetcher: pf}
+		opts := []sim.Option{sim.WithPrefetcher(pf)}
 		if pf == "caps" {
-			opt.Scheduler = config.SchedPAS
+			opts = append(opts, sim.WithScheduler(config.SchedPAS))
 		}
-		g, err := sim.New(cfg, bfs, opt)
+		g, err := sim.New(cfg, bfs, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}

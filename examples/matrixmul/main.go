@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := sim.New(cfg, mm, sim.Options{Prefetcher: "caps", Scheduler: config.SchedPAS})
+	g, err := sim.New(cfg, mm, sim.WithPrefetcher("caps"), sim.WithScheduler(config.SchedPAS))
 	if err != nil {
 		log.Fatal(err)
 	}

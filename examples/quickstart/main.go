@@ -24,17 +24,16 @@ func main() {
 	}
 
 	// Baseline: two-level warp scheduler, no prefetching.
-	base, err := run(cfg, kernel, sim.Options{Prefetcher: "none"})
+	base, err := run(cfg, kernel, sim.WithPrefetcher("none"))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// CAPS: the CTA-aware prefetcher paired with the prefetch-aware
 	// scheduler, exactly as the paper evaluates it.
-	caps, err := run(cfg, kernel, sim.Options{
-		Prefetcher: "caps",
-		Scheduler:  config.SchedPAS,
-	})
+	caps, err := run(cfg, kernel,
+		sim.WithPrefetcher("caps"),
+		sim.WithScheduler(config.SchedPAS))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,8 +47,8 @@ func main() {
 	fmt.Printf("prefetch distance    : %.0f cycles\n", caps.MeanPrefetchDistance())
 }
 
-func run(cfg config.GPUConfig, k *kernels.Kernel, opt sim.Options) (statsLike, error) {
-	g, err := sim.New(cfg, k, opt)
+func run(cfg config.GPUConfig, k *kernels.Kernel, opts ...sim.Option) (statsLike, error) {
+	g, err := sim.New(cfg, k, opts...)
 	if err != nil {
 		return nil, err
 	}

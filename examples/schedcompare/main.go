@@ -29,7 +29,7 @@ func main() {
 	for _, sc := range []config.SchedulerKind{
 		config.SchedLRR, config.SchedTwoLevel, config.SchedPAS,
 	} {
-		g, err := sim.New(cfg, kernel, sim.Options{Prefetcher: "caps", Scheduler: sc})
+		g, err := sim.New(cfg, kernel, sim.WithPrefetcher("caps"), sim.WithScheduler(sc))
 		if err != nil {
 			log.Fatal(err)
 		}

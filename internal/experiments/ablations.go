@@ -25,7 +25,7 @@ func runWith(cfg config.GPUConfig, bench, pf string) (*stats.Sim, error) {
 		return nil, err
 	}
 	cfg = config.Derive(cfg, config.Overrides{Scheduler: SchedulerFor(pf)})
-	g, err := sim.New(cfg, k, sim.Options{Prefetcher: pf})
+	g, err := sim.New(cfg, k, sim.WithPrefetcher(pf))
 	if err != nil {
 		return nil, err
 	}

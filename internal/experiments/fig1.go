@@ -5,7 +5,7 @@ import (
 
 	"caps/internal/config"
 	"caps/internal/kernels"
-	"caps/internal/prefetch"
+	"caps/internal/obs"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
@@ -21,53 +21,36 @@ import (
 // pairs where the prediction matches, and gap(d) is the mean cycle gap
 // between the two executions. Accuracy collapses once d crosses the CTA
 // boundary (matrixMul has 8 warps per CTA).
-func Figure1(cfg config.GPUConfig, maxDistance int) (*stats.Table, error) {
+//
+// The trace is folded from the EvLoadIssue event stream, so opts may pick
+// any executor (sim.WithWorkers, sim.WithIdleSkip): the table is identical.
+// Figure 1's own prefetcher and sink are applied after opts.
+func Figure1(cfg config.GPUConfig, maxDistance int, opts ...sim.Option) (*stats.Table, error) {
 	if maxDistance <= 0 {
 		maxDistance = 10
 	}
-	type rec struct {
-		addr  uint64
-		cycle int64
-		seen  bool
-	}
-	type streamKey struct {
-		sm int
-		pc uint32
-	}
-	streams := make(map[streamKey][]rec)
-
 	kernel, err := kernels.ByAbbr("MM")
 	if err != nil {
 		return nil, err
 	}
-	tracer := func(obs *prefetch.Observation) {
-		if obs.Iter != 0 || obs.Indirect {
-			return // first execution per warp only, as in the paper's trace
-		}
-		k := streamKey{sm: obs.SMID, pc: obs.PC}
-		s := streams[k]
-		if s == nil {
-			s = make([]rec, cfg.MaxWarpsPerSM)
-			streams[k] = s
-		}
-		if obs.WarpSlot < len(s) && !s[obs.WarpSlot].seen {
-			s[obs.WarpSlot] = rec{addr: obs.Addrs[0], cycle: obs.Now, seen: true}
-		}
-	}
-
 	cfg.Scheduler = config.SchedTwoLevel
-	g, err := sim.New(cfg, kernel, sim.Options{Prefetcher: "none", Tracer: tracer})
+	fold := &fig1Fold{warps: cfg.MaxWarpsPerSM, streams: make(map[fig1Key][]fig1Rec)}
+	snk := sim.NewSink(cfg, false, 0)
+	snk.Attach(fold)
+	opts = append(opts[:len(opts):len(opts)], sim.WithPrefetcher("none"), sim.WithObs(snk))
+	g, err := sim.New(cfg, kernel, opts...)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := g.Run(); err != nil {
 		return nil, err
 	}
+	streams := fold.streams
 
 	// Iterate streams in a fixed order everywhere below. The aggregations
 	// happen to be commutative sums today, but map order leaking into a
 	// figure is exactly the bug class detlint exists to keep out.
-	keys := make([]streamKey, 0, len(streams))
+	keys := make([]fig1Key, 0, len(streams))
 	for k := range streams {
 		keys = append(keys, k)
 	}
@@ -133,4 +116,41 @@ func Figure1(cfg config.GPUConfig, maxDistance int) (*stats.Table, error) {
 		t.AddRow(fmtF(float64(d), 0), fmtF(acc, 3), fmtF(gap, 1))
 	}
 	return t, nil
+}
+
+type fig1Rec struct {
+	addr  uint64
+	cycle int64
+	seen  bool
+}
+
+type fig1Key struct {
+	sm int
+	pc uint32
+}
+
+// fig1Fold is Figure 1's trace: an obs consumer keeping the first
+// execution of each direct load PC by each warp slot on each SM.
+type fig1Fold struct {
+	warps   int
+	streams map[fig1Key][]fig1Rec
+}
+
+// WantsKind implements obs.KindFilter: only load issues reach the fold.
+func (f *fig1Fold) WantsKind(k obs.Kind) bool { return k == obs.EvLoadIssue }
+
+// Consume implements obs.Consumer.
+func (f *fig1Fold) Consume(e obs.Event) {
+	if e.Kind != obs.EvLoadIssue || e.Arg == 1 {
+		return // indirect loads have no inter-warp stride
+	}
+	k := fig1Key{sm: int(e.Track), pc: e.PC}
+	s := f.streams[k]
+	if s == nil {
+		s = make([]fig1Rec, f.warps)
+		f.streams[k] = s
+	}
+	if w := int(e.Warp); w < len(s) && !s[w].seen {
+		s[w] = fig1Rec{addr: e.Addr, cycle: e.Cycle, seen: true}
+	}
 }

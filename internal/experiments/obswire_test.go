@@ -127,7 +127,7 @@ func TestAbortedRunLeavesInspectableTrail(t *testing.T) {
 		WithRunStore(store, func(k RunKey, err error) { t.Errorf("store hook %s: %v", k.Name(), err) }),
 		WithTelemetry(hub),
 		WithFlight(flightDir, func(k RunKey, err error) { t.Errorf("flight hook %s: %v", k.Name(), err) }),
-		WithSimOptions(func(_ RunKey, o *sim.Options) { o.InjectViolation = 2000 }),
+		WithRunOptions(sim.WithInjectViolation(2000)),
 	)
 	k := PrefetcherKey("MM", "caps")
 	if _, err := s.Run(k); err == nil {

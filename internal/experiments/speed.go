@@ -26,7 +26,7 @@ type SpeedEntry struct {
 	Speedup      float64 `json:"speedup"`
 
 	// Host is the tuned run's hostprof breakdown (phase milliseconds,
-	// per-worker utilization, SM imbalance, skip efficiency) — the "why"
+	// per-worker utilization, SM imbalance) — the "why"
 	// behind the speedup number. Absolute milliseconds vary by machine;
 	// the shares and ratios are what speed-diff readers compare.
 	Host *hostprof.Breakdown `json:"host,omitempty"`

@@ -90,10 +90,8 @@ type Suite struct {
 	flightDir string
 	flightErr func(RunKey, error)
 
-	// simOpt decorators (WithSimOptions) tune each run's sim.Options after
-	// the suite has filled in the prefetcher, sink, and flight recorder;
-	// runOpts (WithRunOptions) are functional options appended after them.
-	simOpt  []func(RunKey, *sim.Options)
+	// runOpts (WithRunOptions) are simulator options appended after the
+	// suite's own prefetcher, sink, lens and flight-recorder options.
 	runOpts []sim.Option
 
 	// hostProf (WithHostProf) hands every run a wall-clock self-profiler;
@@ -360,19 +358,13 @@ func WithFlight(dir string, onErr func(RunKey, error)) Option {
 	}
 }
 
-// WithSimOptions registers a decorator applied to every run's sim.Options
-// just before the simulator is constructed — after the suite has set the
-// prefetcher, sink, and flight recorder. It is the escape hatch for
-// per-run tuning the suite has no dedicated option for: the watchdog
-// window, the progress beat, or fault injection in tests. Overwriting
-// Obs or Flight here bypasses the suite's own plumbing; don't.
-func WithSimOptions(fn func(RunKey, *sim.Options)) Option {
-	return func(s *Suite) { s.simOpt = append(s.simOpt, fn) }
-}
-
 // WithRunOptions appends functional simulator options (sim.WithWorkers,
 // sim.WithIdleSkip, ...) to every run. They apply after the suite's own
-// settings and any WithSimOptions decorators, so they win conflicts.
+// settings, so they win conflicts; that also makes them the hook for
+// per-run knobs the suite has no dedicated option for (the watchdog
+// window, the progress beat, fault injection in tests). Overriding the
+// sink or the flight recorder here bypasses the suite's own plumbing;
+// don't.
 func WithRunOptions(opts ...sim.Option) Option {
 	return func(s *Suite) { s.runOpts = append(s.runOpts, opts...) }
 }
@@ -483,11 +475,11 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 	if s.schedLens {
 		sl = schedlens.ForConfig(s.configFor(k))
 	}
-	opt := sim.Options{Prefetcher: k.Prefetch, Obs: snk, HostProf: hp, MemLens: ml, SchedLens: sl}
+	opts := []sim.Option{sim.WithPrefetcher(k.Prefetch), sim.WithObs(snk),
+		sim.WithHostProf(hp), sim.WithMemLens(ml), sim.WithSchedLens(sl)}
 	var dumpPath string // set by OnDump (same goroutine, inside g.Run)
 	if s.flightDir != "" {
-		opt.Flight = sim.NewFlightRecorder(s.configFor(k))
-		opt.OnDump = func(d *flight.Dump) {
+		onDump := func(d *flight.Dump) {
 			path := filepath.Join(s.flightDir, k.Name()+".flight.jsonl")
 			if werr := d.WriteFile(path); werr != nil {
 				if s.flightErr != nil {
@@ -497,11 +489,9 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 			}
 			dumpPath = path
 		}
+		opts = append(opts, sim.WithFlight(sim.NewFlightRecorder(s.configFor(k))), sim.WithOnDump(onDump))
 	}
-	for _, fn := range s.simOpt {
-		fn(k, &opt)
-	}
-	g, err := sim.New(s.configFor(k), kernel, append([]sim.Option{opt}, s.runOpts...)...)
+	g, err := sim.New(s.configFor(k), kernel, append(opts, s.runOpts...)...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, err)
 	}

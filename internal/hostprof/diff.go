@@ -15,8 +15,6 @@ type Thresholds struct {
 	PhaseShareAbs float64
 	// UtilAbs flags mean worker utilization dropping by more than this.
 	UtilAbs float64
-	// SkipAbs flags skip efficiency dropping by more than this.
-	SkipAbs float64
 }
 
 func (t Thresholds) withDefaults() Thresholds {
@@ -28,9 +26,6 @@ func (t Thresholds) withDefaults() Thresholds {
 	}
 	if t.UtilAbs == 0 {
 		t.UtilAbs = 0.10
-	}
-	if t.SkipAbs == 0 {
-		t.SkipAbs = 0.10
 	}
 	return t
 }
@@ -92,16 +87,6 @@ func Diff(base, cur *Profile, t Thresholds) []Regression {
 			Detail:    fmt.Sprintf("mean worker utilization dropped %.1f points", (bu-cu)*100),
 			Base:      bu,
 			Cur:       cu,
-		})
-	}
-
-	bs, cs := base.Skip.Efficiency, cur.Skip.Efficiency
-	if bs > 0 && bs-cs > t.SkipAbs {
-		regs = append(regs, Regression{
-			Dimension: "skip",
-			Detail:    fmt.Sprintf("skip efficiency dropped %.1f points", (bs-cs)*100),
-			Base:      bs,
-			Cur:       cs,
 		})
 	}
 	return regs

@@ -174,10 +174,6 @@ type Profiler struct {
 	smEWMA []int64
 	sm     []SMProf
 
-	// Whole-GPU fast-forward accounting (executor goroutine only).
-	jumps         int64
-	skippedCycles int64
-
 	// Scheduler replay cost, gathered from sched.StallCoster at Close.
 	replayFlushes int64
 	replayPicks   int64
@@ -384,17 +380,6 @@ func (p *Profiler) SMTick(smID, w int, ns int64) {
 	p.smEWMA[smID] = e
 }
 
-// Jump records one whole-GPU fast-forward of k cycles.
-//
-//caps:hotpath
-func (p *Profiler) Jump(k int64) {
-	if p == nil {
-		return
-	}
-	p.jumps++
-	p.skippedCycles += k
-}
-
 // AddReplayCost accumulates scheduler stall-replay cost (flushed batched
 // StallTick calls and the Pick equivalents they replayed), gathered from
 // sched.StallCoster implementations when the run closes.
@@ -413,7 +398,6 @@ type Live struct {
 	WallNS             int64
 	CyclesPerSec       int64
 	WorkerUtilPermille int64 // mean worker busy share of the sampled SM phase
-	SkipPermille       int64 // skipped cycles per mille of all simulated cycles
 }
 
 // LiveStats snapshots the run so far; cycle is the current simulated
@@ -429,9 +413,6 @@ func (p *Profiler) LiveStats(cycle int64) Live {
 		l.CyclesPerSec = int64(float64(cycle) / (float64(wall) / 1e9))
 	}
 	l.WorkerUtilPermille = int64(meanWorkerUtil(p.workerBusy, p.phaseNS[PhaseSM]) * 1000)
-	if total := cycle; total > 0 {
-		l.SkipPermille = p.skippedCycles * 1000 / total
-	}
 	return l
 }
 

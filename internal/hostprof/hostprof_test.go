@@ -93,7 +93,6 @@ func TestDrivenProfilerBuildsValidProfile(t *testing.T) {
 		p.MarkPhase(PhaseSM)
 		p.EndStep(PhaseCommit)
 	}
-	p.Jump(100)
 	p.AddReplayCost(3, 7)
 	p.Finish()
 
@@ -129,15 +128,11 @@ func TestDrivenProfilerBuildsValidProfile(t *testing.T) {
 			t.Errorf("SM %d tick EWMA = %d, want > 0", sm.ID, sm.TickEWMANS)
 		}
 	}
-	if pr.Skip.Jumps != 1 || pr.Skip.SkippedCycles != 100 {
-		t.Errorf("skip ledger jumps=%d skipped=%d, want 1/100", pr.Skip.Jumps, pr.Skip.SkippedCycles)
+	if pr.Skip.TickedSteps != 50 || pr.Skip.SkippedCycles != 0 {
+		t.Errorf("skip ledger ticked=%d skipped=%d, want 50/0", pr.Skip.TickedSteps, pr.Skip.SkippedCycles)
 	}
 	if pr.Skip.ReplayFlushes != 3 || pr.Skip.ReplayPicks != 7 {
 		t.Errorf("replay cost = %d/%d, want 3/7", pr.Skip.ReplayFlushes, pr.Skip.ReplayPicks)
-	}
-	wantEff := 100.0 / 150.0
-	if d := pr.Skip.Efficiency - wantEff; d > 1e-9 || d < -1e-9 {
-		t.Errorf("skip efficiency = %v, want %v", pr.Skip.Efficiency, wantEff)
 	}
 }
 
@@ -319,7 +314,6 @@ func TestBreakdownCondensesProfile(t *testing.T) {
 		{ID: 2, TickEWMANS: 200},
 		{ID: 3, TickEWMANS: 0}, // untimed SM: excluded
 	}
-	p.Skip.Efficiency = 0.753
 	b := p.Breakdown()
 	if got := b.PhaseMS["sm"]; got != 0.0 { // 500ns rounds to 0.00ms
 		t.Errorf("sm phase ms = %v, want 0", got)
@@ -335,9 +329,6 @@ func TestBreakdownCondensesProfile(t *testing.T) {
 	// EWMAs 100,100,200: mean 133.33, max 200 -> imbalance 50%.
 	if b.ImbalancePct != 50.0 {
 		t.Errorf("imbalance = %v%%, want 50%%", b.ImbalancePct)
-	}
-	if b.SkipEfficiency != 0.75 {
-		t.Errorf("skip efficiency = %v, want 0.75", b.SkipEfficiency)
 	}
 }
 
@@ -364,7 +355,7 @@ func TestProfileFileRoundTrip(t *testing.T) {
 	p.Host = CaptureContext(4, true)
 	p.Workers = []Worker{{ID: 0, BusyNS: 10, WaitNS: 2, Ticks: 5, Util: 0.83}}
 	p.SMs = []SMTime{{ID: 0, TickEWMANS: 42, SMProf: SMProf{FullWindows: 3, AbortFill: 1}}}
-	p.Skip = Skip{Jumps: 2, SkippedCycles: 99, TickedSteps: 100, Efficiency: 0.497}
+	p.Skip = Skip{TickedSteps: 100, FullWindows: 3, StallReplayCycles: 40}
 
 	path := t.TempDir() + "/host.json"
 	if err := p.WriteFile(path); err != nil {
@@ -399,7 +390,6 @@ func diffPair(mut func(*Profile)) (*Profile, *Profile) {
 	mk := func() *Profile {
 		p := validProfile()
 		p.Workers = []Worker{{ID: 0, Util: 0.9}, {ID: 1, Util: 0.7}}
-		p.Skip.Efficiency = 0.6
 		for i := range p.Phases {
 			p.Phases[i].Share = float64(p.Phases[i].NS) / float64(p.WallNS)
 		}
@@ -456,12 +446,6 @@ func TestDiffTable(t *testing.T) {
 			Thresholds{},
 			[]string{"worker-util"},
 		},
-		{
-			"skip efficiency drop",
-			func(p *Profile) { p.Skip.Efficiency = 0.3 },
-			Thresholds{},
-			[]string{"skip"},
-		},
 	} {
 		base, cur := diffPair(tc.mut)
 		regs := Diff(base, cur, tc.th)
@@ -493,11 +477,10 @@ func TestDiffSkipsWallOnZeroWallClock(t *testing.T) {
 }
 
 func TestDiffSkipsUtilAndSkipGatesOnZeroBaseline(t *testing.T) {
-	// A serial baseline (no workers timed, no skip) must not flag a serial
-	// current run — zero-vs-zero is not a drop.
+	// A serial baseline (no workers timed, no skip windows) must not flag a
+	// serial current run — zero-vs-zero is not a drop.
 	base, cur := diffPair(func(p *Profile) {})
 	base.Workers, cur.Workers = nil, nil
-	base.Skip.Efficiency, cur.Skip.Efficiency = 0, 0
 	if regs := Diff(base, cur, Thresholds{}); len(regs) != 0 {
 		t.Errorf("serial pair produced regressions: %v", regs)
 	}
@@ -541,7 +524,6 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	if p.Sampling() {
 		t.Error("nil profiler reported sampling")
 	}
-	p.Jump(5)
 	p.AddReplayCost(1, 2)
 	if sp := p.SMProf(0); sp != nil {
 		t.Error("nil profiler returned an SM ledger")
@@ -582,13 +564,12 @@ func TestLiveStatsReportsProgress(t *testing.T) {
 		t.Errorf("live stats before Start = %+v, want zero", got)
 	}
 	p.Start()
-	p.Jump(250)
 	spin(5000)
 	l := p.LiveStats(1000)
 	if l.WallNS <= 0 {
 		t.Errorf("live wall = %d, want > 0", l.WallNS)
 	}
-	if l.SkipPermille != 250 {
-		t.Errorf("skip permille = %d, want 250 (250/1000 cycles)", l.SkipPermille)
+	if l.CyclesPerSec <= 0 {
+		t.Errorf("live cycles/s = %d, want > 0", l.CyclesPerSec)
 	}
 }

@@ -69,11 +69,13 @@ type SMTime struct {
 	SMProf
 }
 
-// Skip is the whole-run fast-forward ledger: how much simulated time was
-// jumped instead of ticked, window/abort tallies summed over SMs, and the
+// Skip is the whole-run fast-forward ledger: the ticked steps, the per-SM
+// sleep and stall-replay window/abort tallies summed over SMs, and the
 // replay cost billed to the schedulers.
 type Skip struct {
-	Jumps         int64 `json:"jumps"`
+	// SkippedCycles is always 0: every cycle is a ticked step since the
+	// whole-GPU jump was removed. It stays in the schema for readers that
+	// still report it (the benchmark harness's layer metrics).
 	SkippedCycles int64 `json:"skipped_cycles"`
 	TickedSteps   int64 `json:"ticked_steps"`
 
@@ -90,10 +92,6 @@ type Skip struct {
 
 	ReplayFlushes int64 `json:"replay_flushes"`
 	ReplayPicks   int64 `json:"replay_picks"`
-
-	// Efficiency is skipped/(skipped+ticked) — the fraction of simulated
-	// cycles the whole-GPU jump removed from the Step loop.
-	Efficiency float64 `json:"efficiency"`
 }
 
 // Build assembles the Profile after the run has finished (GPU.Close has
@@ -194,8 +192,6 @@ func (p *Profiler) Build(bench, prefetcher string) *Profile {
 	}
 
 	s := &pr.Skip
-	s.Jumps = p.jumps
-	s.SkippedCycles = p.skippedCycles
 	s.TickedSteps = p.steps
 	s.ReplayFlushes = p.replayFlushes
 	s.ReplayPicks = p.replayPicks
@@ -210,9 +206,6 @@ func (p *Profiler) Build(bench, prefetcher string) *Profile {
 		s.FullSleepCycles += sp.FullSleepCycles
 		s.IssueSleepCycles += sp.IssueSleepCycles
 		s.StallReplayCycles += sp.StallReplayCycles
-	}
-	if tot := s.SkippedCycles + s.TickedSteps; tot > 0 {
-		s.Efficiency = float64(s.SkippedCycles) / float64(tot)
 	}
 	return pr
 }
@@ -271,12 +264,11 @@ func (pr *Profile) Validate(tol float64) error {
 
 // Breakdown is the compact per-run summary committed into
 // BENCH_speed.json entries: phase milliseconds, per-worker utilization,
-// the SM tick-time imbalance, and the skip efficiency.
+// and the SM tick-time imbalance.
 type Breakdown struct {
-	PhaseMS        map[string]float64 `json:"phase_ms"`
-	WorkerUtil     []float64          `json:"worker_util"`
-	ImbalancePct   float64            `json:"imbalance_pct"`
-	SkipEfficiency float64            `json:"skip_efficiency"`
+	PhaseMS      map[string]float64 `json:"phase_ms"`
+	WorkerUtil   []float64          `json:"worker_util"`
+	ImbalancePct float64            `json:"imbalance_pct"`
 }
 
 // Breakdown condenses the profile for embedding in speed reports.
@@ -292,7 +284,6 @@ func (pr *Profile) Breakdown() *Breakdown {
 		b.WorkerUtil = append(b.WorkerUtil, round2(w.Util))
 	}
 	b.ImbalancePct = round2(pr.Imbalance() * 100)
-	b.SkipEfficiency = round2(pr.Skip.Efficiency)
 	return b
 }
 

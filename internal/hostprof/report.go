@@ -51,8 +51,7 @@ func (pr *Profile) WriteText(w io.Writer) error {
 	}
 
 	s := pr.Skip
-	fmt.Fprintf(&b, "  skip: %d jumps, %d cycles skipped vs %d ticked (efficiency %.1f%%)\n",
-		s.Jumps, s.SkippedCycles, s.TickedSteps, s.Efficiency*100)
+	fmt.Fprintf(&b, "  skip: %d cycles ticked\n", s.TickedSteps)
 	fmt.Fprintf(&b, "        windows full %d / issue %d / stall %d; aborts fill %d / launch %d / retire %d\n",
 		s.FullWindows, s.IssueWindows, s.StallWindows, s.AbortFill, s.AbortLaunch, s.AbortRetire)
 	fmt.Fprintf(&b, "        slept cycles full %d / issue %d / stall-replay %d; replay cost %d flushes, %d picks\n",
@@ -159,8 +158,6 @@ svg.chart { display: block; margin: 1em 0; }
 	b.WriteString("<h2>Fast-forward</h2>\n<table><tr><th></th><th>count</th></tr>\n")
 	s := pr.Skip
 	for _, row := range [][2]interface{}{
-		{"whole-GPU jumps", s.Jumps},
-		{"cycles skipped", s.SkippedCycles},
 		{"cycles ticked", s.TickedSteps},
 		{"full windows", s.FullWindows},
 		{"issue windows", s.IssueWindows},
@@ -173,7 +170,7 @@ svg.chart { display: block; margin: 1em 0; }
 	} {
 		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td></tr>\n", row[0], row[1])
 	}
-	fmt.Fprintf(&b, "<tr><td>skip efficiency</td><td>%.1f%%</td></tr>\n</table>\n", s.Efficiency*100)
+	b.WriteString("</table>\n")
 
 	// Unified host×sim view.
 	if sim != nil {
@@ -188,8 +185,8 @@ svg.chart { display: block; margin: 1em 0; }
 }
 
 // writeJoined renders the unified view: the SM phase's extrapolated
-// wall-clock split by the simulated stall-stack shares. Bulk-credited
-// (skipped) cycles carry stall classes but near-zero host cost, so the
+// wall-clock split by the simulated stall-stack shares. Slept and
+// replayed cycles carry stall classes but near-zero host cost, so the
 // split reads as "of the time the host spent ticking SMs, which simulated
 // behavior was being modeled" — an attribution, not a causal measurement.
 func (pr *Profile) writeJoined(b *strings.Builder, sim *profile.Profile) error {
@@ -228,7 +225,7 @@ func (pr *Profile) writeJoined(b *strings.Builder, sim *profile.Profile) error {
 		[]profile.ChartSeries{{Name: "ms", Color: "#4878a8", Values: ms}}, nil); err != nil {
 		return err
 	}
-	b.WriteString("<p class=\"note\">host cost attributed proportionally to simulated cycle-class shares; bulk-credited skipped cycles keep their class but cost ~0 host time, so classes the fast-forward absorbs are over-weighted here.</p>\n")
+	b.WriteString("<p class=\"note\">host cost attributed proportionally to simulated cycle-class shares; slept and replayed cycles keep their class but cost ~0 host time, so classes the fast-forward absorbs are over-weighted here.</p>\n")
 	return nil
 }
 

@@ -125,15 +125,14 @@ func CheckSeries(cfg config.GPUConfig, bench string, every int64, opts ...sim.Op
 	if err != nil {
 		return 0, 0, err
 	}
-	pf := sim.Build(opts...).Prefetcher
 	if len(a) != len(b) {
-		return 0, 0, fmt.Errorf("determinism: %s/%s: checkpoint counts diverged across identical runs: %d vs %d",
-			bench, pf, len(a), len(b))
+		return 0, 0, fmt.Errorf("determinism: %s: checkpoint counts diverged across identical runs: %d vs %d",
+			bench, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return 0, 0, fmt.Errorf("determinism: %s/%s: checkpoint at cycle %d diverged across identical runs: %#x vs %#x",
-				bench, pf, a[i].Cycle, a[i].Hash, b[i].Hash)
+			return 0, 0, fmt.Errorf("determinism: %s: checkpoint at cycle %d diverged across identical runs: %#x vs %#x",
+				bench, a[i].Cycle, a[i].Hash, b[i].Hash)
 		}
 	}
 	return len(a), a[len(a)-1].Hash, nil

@@ -75,8 +75,8 @@ func Check(cfg config.GPUConfig, bench string, opts ...sim.Option) (uint64, erro
 		return 0, err
 	}
 	if h1 != h2 {
-		return 0, fmt.Errorf("determinism: %s/%s: state hash diverged across identical runs: %#x vs %#x",
-			bench, sim.Build(opts...).Prefetcher, h1, h2)
+		return 0, fmt.Errorf("determinism: %s: state hash diverged across identical runs: %#x vs %#x",
+			bench, h1, h2)
 	}
 	return h1, nil
 }

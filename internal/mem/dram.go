@@ -253,33 +253,6 @@ func (ch *DRAMChannel) Tick(now int64) []*Request {
 	return done
 }
 
-// NextEventCycle returns the earliest future cycle at which this channel
-// can do any work: the first in-service completion, or the first cycle a
-// queued command's bank becomes ready (the bus only delays data, never
-// command issue). Returns now when work is possible immediately and
-// MaxInt64 when the channel is idle.
-func (ch *DRAMChannel) NextEventCycle(now int64) int64 {
-	next := maxCycle
-	for _, s := range ch.inService {
-		if s.finishAt <= now {
-			return now
-		}
-		if s.finishAt < next {
-			next = s.finishAt
-		}
-	}
-	for _, q := range ch.queue {
-		r := ch.banks[q.bank].readyAt
-		if r <= now {
-			return now
-		}
-		if r < next {
-			next = r
-		}
-	}
-	return next
-}
-
 // Idle reports whether the channel has no queued or in-flight work.
 func (ch *DRAMChannel) Idle() bool {
 	return len(ch.queue) == 0 && len(ch.inService) == 0

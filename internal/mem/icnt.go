@@ -69,18 +69,8 @@ func (f *fifo) len() int { return len(f.items) }
 // free returns the remaining queue capacity.
 func (f *fifo) free() int { return f.cap - len(f.items) }
 
-// nextReady returns the head's delivery cycle, or maxCycle when empty.
-// Requests enter with now + a constant latency and now is monotonic, so
-// the head's readyAt is the queue's minimum.
-func (f *fifo) nextReady() int64 {
-	if len(f.items) == 0 {
-		return maxCycle
-	}
-	return f.items[0].readyAt
-}
-
-// maxCycle is the "no scheduled event" sentinel for the idle fast-forward
-// bounds (math.MaxInt64 without the import).
+// maxCycle is the "no scheduled event" sentinel (math.MaxInt64 without
+// the import).
 const maxCycle = int64(^uint64(0) >> 1)
 
 // Interconnect is the full crossbar: one request queue per partition and
@@ -132,24 +122,6 @@ func (ic *Interconnect) PopForSM(now int64, sm int) *Request {
 // the parallel tick's congestion precheck compares it against the worst
 // case the SM phase could push this cycle.
 func (ic *Interconnect) FreeToPartition(part int) int { return ic.toPart[part].free() }
-
-// NextReady returns the earliest delivery cycle across every queue (both
-// directions), or MaxInt64 when the crossbar is empty — the interconnect's
-// bound for the idle fast-forward.
-func (ic *Interconnect) NextReady() int64 {
-	next := maxCycle
-	for _, f := range ic.toPart {
-		if r := f.nextReady(); r < next {
-			next = r
-		}
-	}
-	for _, f := range ic.toSM {
-		if r := f.nextReady(); r < next {
-			next = r
-		}
-	}
-	return next
-}
 
 // PendingToPartition reports the queued request count for a partition.
 func (ic *Interconnect) PendingToPartition(part int) int { return ic.toPart[part].len() }

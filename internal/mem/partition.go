@@ -303,28 +303,6 @@ func (p *Partition) DeliverFromDRAM(now int64, r *Request) error {
 	return nil
 }
 
-// NextEventCycle returns the earliest future cycle at which this partition
-// can do any work on its own, now when it has work immediately (or work
-// whose timing depends on another component, like a DRAM-full miss-queue
-// drain), or MaxInt64 when only new input could wake it. The idle
-// fast-forward may jump the clock only past cycles where every such bound
-// is in the future.
-func (p *Partition) NextEventCycle(now int64) int64 {
-	if len(p.retryQ) > 0 || p.l2.MissQueueLen() > 0 {
-		return now
-	}
-	next := maxCycle
-	for _, h := range p.hitPipe {
-		if h.readyAt <= now {
-			return now
-		}
-		if h.readyAt < next {
-			next = h.readyAt
-		}
-	}
-	return next
-}
-
 // Idle reports whether the partition holds no pending work.
 func (p *Partition) Idle() bool {
 	return len(p.hitPipe) == 0 && len(p.retryQ) == 0 &&

@@ -165,20 +165,3 @@ func (s *Sink) applyEvent(e Event) {
 		s.CycleClass(c, t, CycleClass(e.Arg))
 	}
 }
-
-// HasCycleStream reports whether a consumer of the per-cycle EvCycleClass
-// stream is attached. The idle fast-forward checks it: bulk-credited
-// cycles produce no per-cycle events, which would break consumers (the
-// capsprof stall stacks) that validate one event per SM per cycle.
-func (s *Sink) HasCycleStream() bool { return s != nil && len(s.cycleStream) > 0 }
-
-// CycleClassBulk attributes n consecutive cycles of one SM to the same
-// stall-stack bucket in a single counter add — the idle fast-forward's
-// accounting for skipped cycles. No stream event is constructed (the skip
-// never runs while a cycle-stream consumer is attached).
-func (s *Sink) CycleClassBulk(sm int, class CycleClass, n int64) {
-	if s == nil || !s.smOK(sm) || class >= NumCycleClasses {
-		return
-	}
-	s.sm[sm].cycleClass[class].Add(n)
-}

@@ -32,7 +32,7 @@ func TestStallStackInvariantAllBenchmarks(t *testing.T) {
 			snk := sim.NewSink(cfg, false, 0)
 			col := profile.NewCollector(cfg.NumSMs)
 			snk.Attach(col)
-			g, err := sim.New(cfg, k, sim.Options{Prefetcher: "caps", Obs: snk})
+			g, err := sim.New(cfg, k, sim.WithPrefetcher("caps"), sim.WithObs(snk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestProfileDeterminism(t *testing.T) {
 		if attach {
 			snk.Attach(profile.NewCollector(cfg.NumSMs))
 		}
-		g, err := sim.New(cfg, k, sim.Options{Prefetcher: "caps", Obs: snk})
+		g, err := sim.New(cfg, k, sim.WithPrefetcher("caps"), sim.WithObs(snk))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,8 +57,8 @@ type Scheduler interface {
 // Quiescer is implemented by schedulers that can prove an idle cycle is a
 // pure no-op: when Quiescent returns true and no warp is eligible, a Pick
 // this cycle would return -1 without mutating any state the determinism
-// hashes cover. The idle fast-forward (sim.WithIdleSkip) may only jump
-// over an SM's cycles while its scheduler is quiescent; schedulers that do
+// hashes cover. The idle fast-forward (sim.WithIdleSkip) may only sleep
+// through an SM's cycles while its scheduler is quiescent; schedulers that do
 // not implement the interface are conservatively never skipped.
 type Quiescer interface {
 	Quiescent(v View) bool

@@ -70,9 +70,9 @@ type ctaRec struct {
 //	p := col.Build(schedlens.Meta{...})
 //	err := p.Validate(st)
 //
-// It deliberately does not implement obs.StreamFilter as a cycle-class
-// subscriber: WantsCycleClass returns false, so attaching a Collector
-// never disables the executor's whole-GPU idle fast-forward.
+// It implements obs.StreamFilter to decline the cycle-class stream:
+// WantsCycleClass returns false, so the sink never constructs per-cycle
+// events on its behalf.
 type Collector struct {
 	cfg Config
 
@@ -143,7 +143,7 @@ var _ obs.KindFilter = (*Collector)(nil)
 
 // WantsCycleClass opts out of the per-SM-per-cycle class stream: schedlens
 // needs none of it, and subscribing would force the executor to keep
-// constructing it (and disable the idle fast-forward's whole-GPU jump).
+// constructing it.
 func (c *Collector) WantsCycleClass() bool { return false }
 
 // WantsKind implements obs.KindFilter: the sink drops the collector from

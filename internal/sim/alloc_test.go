@@ -62,7 +62,7 @@ func allocKernel() *kernels.Kernel {
 // requires GPU.Step to be allocation-free.
 func TestStepAllocsSteadyState(t *testing.T) {
 	cfg := tinyConfig()
-	g, err := New(cfg, allocKernel(), Options{Prefetcher: "caps"})
+	g, err := New(cfg, allocKernel(), WithPrefetcher("caps"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestInitialDispatchRoundRobin(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumSMs = 3
 	cfg.MaxCTAsPerSM = 2
-	g, err := New(cfg, tinyKernel(12), Options{})
+	g, err := New(cfg, tinyKernel(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDemandDrivenReplacement(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumSMs = 3
 	cfg.MaxCTAsPerSM = 2
-	g, err := New(cfg, tinyKernel(12), Options{})
+	g, err := New(cfg, tinyKernel(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDemandDrivenReplacement(t *testing.T) {
 func TestNonConsecutiveCTAsPerSM(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumSMs = 5
-	g, err := New(cfg, tinyKernel(64), Options{})
+	g, err := New(cfg, tinyKernel(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNonConsecutiveCTAsPerSM(t *testing.T) {
 // TestStallAccounting sanity-checks cycle bookkeeping: issue + stall cycles
 // cover the SM-cycles where warps were live.
 func TestStallAccounting(t *testing.T) {
-	st := runTiny(t, tinyConfig(), tinyKernel(16), Options{})
+	st := runTiny(t, tinyConfig(), tinyKernel(16))
 	if st.IssueCycles == 0 {
 		t.Error("no issue cycles recorded")
 	}
@@ -101,7 +101,7 @@ func TestStallAccounting(t *testing.T) {
 func TestConcurrentCTALimitRespected(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxCTAsPerSM = 1
-	g, err := New(cfg, tinyKernel(8), Options{})
+	g, err := New(cfg, tinyKernel(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMultiAccessIndirectLoads(t *testing.T) {
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	st := runTiny(t, tinyConfig(), k, Options{Prefetcher: "caps", Scheduler: config.SchedPAS})
+	st := runTiny(t, tinyConfig(), k, WithPrefetcher("caps"), WithScheduler(config.SchedPAS))
 	if st.CTAsDone != 8 {
 		t.Fatalf("CTAsDone = %d, want 8", st.CTAsDone)
 	}

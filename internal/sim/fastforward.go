@@ -7,102 +7,29 @@ import (
 	"caps/internal/sched"
 )
 
-// Idle-cycle fast-forward (WithIdleSkip) works at two levels.
+// Idle-cycle fast-forward (WithIdleSkip) works per SM.
 //
-// Per-SM sleep: at the end of a tick that issued nothing, the SM caches
-// how long its issue stage is provably dead (trySleep). Two windows nest:
-// the issue sleep (issueBound: quiescent scheduler, no warp eligible
-// before the bound) lets Tick skip the scheduler scan while the memory
-// pipes keep ticking — the dominant case in memory-saturated phases,
-// where the LSU head replays reservation fails for thousands of cycles —
-// and the full sleep (skipBound: additionally empty LSU/store/prefetch/
-// miss queues) short-circuits the whole tick right after acceptResponses.
-// Fills, CTA launches and pumpLSU retiring a warp's last access void both
-// windows (SM.wake), and every slept cycle records exactly the stall
-// cycle and stall-stack class the full pipeline would have. Workloads
-// where one SM streams memory while the rest wait spend their idle
-// SM-cycles here, skipping the scheduler scan that dominates them.
+// Sleep: at the end of a tick that issued nothing, the SM caches how long
+// its issue stage is provably dead (trySleep). Two windows nest: the
+// issue sleep (issueBound: quiescent scheduler, no warp eligible before
+// the bound) lets Tick skip the scheduler scan while the memory pipes
+// keep ticking — the dominant case in memory-saturated phases, where the
+// LSU head replays reservation fails for thousands of cycles — and the
+// full sleep (additionally empty LSU/store/prefetch/miss queues)
+// short-circuits the whole tick right after acceptResponses. Fills, CTA
+// launches and pumpLSU retiring a warp's last access void both windows
+// (SM.wake), and every slept cycle records exactly the stall cycle and
+// stall-stack class the full pipeline would have. Workloads where one SM
+// streams memory while the rest wait spend their idle SM-cycles here,
+// skipping the scheduler scan that dominates them.
 //
-// Whole-GPU jump: at the top of Step, when every SM is asleep and the
-// interconnect, partitions and DRAM channels all report their earliest
-// scheduled event strictly in the future, the clock jumps to the earliest
-// bound in a single step, bulk-crediting the skipped cycles with exactly
-// the statistics the serial loop would have recorded for them (Cycles,
-// per-SM StallCycles, the stall-stack class). Jumps clamp to the
-// Progress-beat boundary, MaxCycle and the synthetic violation cycle, so
-// liveness beats, caps and flight smoke behave identically with or
-// without the skip. State hashes and statistics are bit-identical either
-// way at both levels.
+// Stall replay (tryStallReplay) covers the structural stall the sleep
+// windows cannot: warps stay eligible but nothing can move, so Tick
+// replays the cycle's constant deltas in O(1).
 //
-// idleWake is pure: the clock writes live in GPU.Step, the one entry point
-// allowed to advance the timebase.
-
-// idleWake returns the cycle the clock may jump to, or now when any
-// component could do work before then (no skip). It never permits a jump
-// while a per-cycle stream consumer is attached: capsprof's stall stacks
-// are validated against one EvCycleClass per SM per cycle, which bulk
-// crediting would break (the per-SM sleep path emits that event every
-// cycle and so stays active even then).
-func (g *GPU) idleWake(now int64) int64 {
-	if g.snk.HasCycleStream() {
-		return now
-	}
-	if g.injectAt > 0 && g.injectAt <= now {
-		return now
-	}
-	wake := int64(math.MaxInt64)
-	for _, sm := range g.sms {
-		// The sleep window is the skipBound verdict, cached by trySleep and
-		// voided by fills and CTA launches; an awake SM may do work this
-		// cycle, so no jump.
-		if sm.idleUntil <= now {
-			return now
-		}
-		if sm.idleUntil < wake {
-			wake = sm.idleUntil
-		}
-	}
-	if b := g.icnt.NextReady(); b <= now {
-		return now
-	} else if b < wake {
-		wake = b
-	}
-	for _, p := range g.parts {
-		b := p.NextEventCycle(now)
-		if b <= now {
-			return now
-		}
-		if b < wake {
-			wake = b
-		}
-	}
-	for _, d := range g.drams {
-		b := d.NextEventCycle(now)
-		if b <= now {
-			return now
-		}
-		if b < wake {
-			wake = b
-		}
-	}
-	// Clamp to the next beat-executing cycle (the cycle whose Step fires
-	// the Progress/poll beat) so beats land on exactly the same cycles as
-	// a run without idle-skip; likewise the cycle cap and the synthetic
-	// violation cycle.
-	if b := ((now + 1 + g.beatMask) &^ g.beatMask) - 1; b < wake {
-		wake = b
-	}
-	if g.cfg.MaxCycle > 0 && g.cfg.MaxCycle < wake {
-		wake = g.cfg.MaxCycle
-	}
-	if g.injectAt > 0 && g.injectAt < wake {
-		wake = g.injectAt
-	}
-	if wake < now {
-		return now
-	}
-	return wake
-}
+// Every cycle still executes a GPU.Step, so beats, caps and the per-cycle
+// event stream land exactly as without the option, and state hashes and
+// statistics are bit-identical either way.
 
 // trySleep caches the sleep verdicts so subsequent ticks can short-circuit
 // (see the package comment above): the issue sleep whenever the issue
@@ -208,20 +135,7 @@ func (sm *SM) tryStallReplay(now int64) {
 	}
 }
 
-// skipBound reports whether this SM's next tick is provably a no-op and,
-// if so, the first future cycle it can do work on its own (MaxInt64 when
-// only an external memory event can wake it). The conditions mirror the
-// tick pipeline stage by stage: nothing to drain (stores, LSU, misses,
-// prefetch queue), nothing the scheduler would issue, and a scheduler
-// whose failed Pick mutates no architectural state (sched.Quiescer).
-func (sm *SM) skipBound(now int64) (int64, bool) {
-	if len(sm.lsuQ) > 0 || len(sm.storeQ) > 0 || len(sm.prefQ) > 0 || sm.l1.MissQueueLen() > 0 {
-		return 0, false
-	}
-	return sm.issueBound(now)
-}
-
-// issueBound is skipBound's issue-stage half: it reports whether a Pick
+// issueBound is the sleep verdict's issue-stage half: it reports whether a Pick
 // this cycle (and, absent new wake events, on every following cycle up to
 // the bound) is provably a failed no-op — a quiescent scheduler with no
 // warp eligible before the bound. Memory pipes are not consulted: a
@@ -247,20 +161,6 @@ func (sm *SM) issueBound(now int64) (int64, bool) {
 		}
 	}
 	return bound, true
-}
-
-// accountSkipped bulk-credits k skipped no-op cycles with exactly what the
-// serial loop records for each of them: one stall cycle per cycle while
-// warps are live, and the per-cycle stall-stack class. The class is
-// constant across the window because nothing in its inputs changes on a
-// no-op cycle.
-func (sm *SM) accountSkipped(k int64) {
-	if sm.liveWarps > 0 {
-		sm.st.StallCycles += k
-	}
-	if sm.snk != nil {
-		sm.snk.CycleClassBulk(sm.id, sm.skipClass(), k)
-	}
 }
 
 // skipClass is classifyCycle specialized to a provably idle cycle: nothing

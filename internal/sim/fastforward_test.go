@@ -6,134 +6,6 @@ import (
 	"caps/internal/config"
 )
 
-// The whole-GPU jump (idleWake) must clamp to three boundaries — the
-// progress beat, the cycle cap, and the synthetic-violation cycle — so a
-// skipping run fires its beats, stops, and dies on exactly the same cycles
-// as one that ticks every cycle. These tests drive idleWake directly on a
-// freshly built (undispatched, so memory-idle) machine with hand-set sleep
-// windows, pinning each clamp's arithmetic one boundary at a time.
-
-// idleGPU builds a skipping GPU whose every component is idle, with all
-// SM sleep windows ending at bound. MaxCycle 0 disables the cap unless a
-// test sets it.
-func idleGPU(t *testing.T, bound int64, opt Options) *GPU {
-	t.Helper()
-	cfg := tinyConfig()
-	cfg.MaxCycle = 0
-	opt.IdleSkip = true
-	g, err := New(cfg, tinyKernel(2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { g.Close() })
-	for _, sm := range g.sms {
-		sm.idleUntil = bound
-	}
-	return g
-}
-
-func TestIdleWakeClampsToBeat(t *testing.T) {
-	// beatMask 255: from cycle 0 the last pre-beat cycle is 255 (cycle 256
-	// executes the beat), so a window ending far beyond must clamp there.
-	g := idleGPU(t, 100_000, Options{ProgressEvery: 256})
-	if wake := g.idleWake(0); wake != 255 {
-		t.Errorf("idleWake(0) = %d, want 255 (beat clamp)", wake)
-	}
-	// From mid-window the clamp is the same boundary, not a new stride.
-	if wake := g.idleWake(100); wake != 255 {
-		t.Errorf("idleWake(100) = %d, want 255 (beat clamp)", wake)
-	}
-	// At the boundary itself there is nothing left to skip before the beat:
-	// cycle 255 must tick so the beat at 256 fires — no jump.
-	if wake := g.idleWake(255); wake != 255 {
-		t.Errorf("idleWake(255) = %d, want 255 (no jump across a due beat)", wake)
-	}
-	// One cycle past the beat, the clamp moves one whole beat forward: the
-	// boundary is applied exactly once per beat window.
-	if wake := g.idleWake(256); wake != 511 {
-		t.Errorf("idleWake(256) = %d, want 511 (next beat clamp)", wake)
-	}
-}
-
-func TestIdleWakeClampsToMaxCycle(t *testing.T) {
-	g := idleGPU(t, 100_000, Options{ProgressEvery: 1 << 30})
-	g.cfg.MaxCycle = 1000
-	if wake := g.idleWake(0); wake != 1000 {
-		t.Errorf("idleWake(0) = %d, want 1000 (MaxCycle clamp)", wake)
-	}
-	// Step must treat a cap-clamped jump as termination: the capped serial
-	// loop stops after cycle MaxCycle-1, so cycle 1000 never executes.
-	if err := g.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if g.cycle != 1000 {
-		t.Errorf("cycle after capped jump = %d, want 1000", g.cycle)
-	}
-	if g.st.Cycles != 1000 {
-		t.Errorf("credited cycles after capped jump = %d, want 1000", g.st.Cycles)
-	}
-}
-
-func TestIdleWakeClampsToInjectCycle(t *testing.T) {
-	g := idleGPU(t, 100_000, Options{ProgressEvery: 1 << 30, InjectViolation: 777})
-	if wake := g.idleWake(0); wake != 777 {
-		t.Errorf("idleWake(0) = %d, want 777 (inject clamp)", wake)
-	}
-	// Once the clock reaches the violation cycle no further jump may pass
-	// it: idleWake pins to now.
-	if wake := g.idleWake(777); wake != 777 {
-		t.Errorf("idleWake(777) = %d, want 777 (no jump past a due violation)", wake)
-	}
-	// The jump lands on the violation cycle and the same Step raises it —
-	// exactly like the serial run's Step at cycle 777, with the same 777
-	// cycles credited (0..776 skipped).
-	err := g.Step()
-	if err == nil {
-		t.Fatal("Step jumping onto the injected cycle returned nil, want the synthetic violation")
-	}
-	if g.cycle != 777 {
-		t.Errorf("cycle at the injected violation = %d, want 777", g.cycle)
-	}
-	if g.st.Cycles != 777 {
-		t.Errorf("credited cycles at the injected violation = %d, want 777", g.st.Cycles)
-	}
-}
-
-func TestIdleWakeZeroAndOneCycleWindows(t *testing.T) {
-	// A window that has already expired (bound == now) is a no-skip: the SM
-	// may do work this cycle, Step must tick normally.
-	g := idleGPU(t, 0, Options{ProgressEvery: 256})
-	if wake := g.idleWake(0); wake != 0 {
-		t.Errorf("idleWake with expired windows = %d, want 0 (no jump)", wake)
-	}
-	// A one-cycle window (bound == now+1) jumps exactly one cycle — the
-	// degenerate skip equals a single ticked idle cycle.
-	for _, sm := range g.sms {
-		sm.idleUntil = 1
-	}
-	if wake := g.idleWake(0); wake != 1 {
-		t.Errorf("idleWake with one-cycle windows = %d, want 1", wake)
-	}
-	cyclesBefore := g.st.Cycles
-	if err := g.Step(); err != nil {
-		t.Fatal(err)
-	}
-	// The jump credits the skipped cycle and the landing cycle ticks: one
-	// Step, two cycles total, same as two serial Steps through idle cycles.
-	if got := g.st.Cycles - cyclesBefore; got != 2 {
-		t.Errorf("cycles credited by a 1-jump Step = %d, want 2 (1 skipped + 1 ticked)", got)
-	}
-}
-
-func TestIdleWakeAwakeSMBlocksJump(t *testing.T) {
-	g := idleGPU(t, 100_000, Options{ProgressEvery: 256})
-	// One awake SM (expired window) pins the whole GPU: no jump.
-	g.sms[0].idleUntil = 0
-	if wake := g.idleWake(0); wake != 0 {
-		t.Errorf("idleWake with one awake SM = %d, want 0 (no jump)", wake)
-	}
-}
-
 // Per-SM windows must never open with a bound of now+1 — a one-cycle
 // window's first fast-path cycle would already be the wake cycle, so
 // trySleep rejects it (window-length-1 no-op). This pins the boundary the
@@ -142,7 +14,7 @@ func TestTrySleepRejectsOneCycleWindow(t *testing.T) {
 	cfg := tinyConfig()
 	// LRR is unconditionally quiescent, so the window length alone decides.
 	cfg.Scheduler = config.SchedLRR
-	g, err := New(cfg, tinyKernel(2), Options{IdleSkip: true})
+	g, err := New(cfg, tinyKernel(2), WithIdleSkip())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,12 @@ func mustKernel(t *testing.T, abbr string) *kernels.Kernel {
 func TestInjectViolationProducesDump(t *testing.T) {
 	cfg := flightTestConfig(t)
 	var dump *flight.Dump
-	g, err := New(cfg, mustKernel(t, "MM"), Options{
-		Prefetcher:      "caps",
-		Flight:          NewFlightRecorder(cfg),
-		OnDump:          func(d *flight.Dump) { dump = d },
-		InjectViolation: 2_000,
-	})
+	g, err := New(cfg, mustKernel(t, "MM"),
+		WithPrefetcher("caps"),
+		WithFlight(NewFlightRecorder(cfg)),
+		WithOnDump(func(d *flight.Dump) { dump = d }),
+		WithInjectViolation(2_000),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestInjectViolationProducesDump(t *testing.T) {
 func TestWatchdogFiresOnTinyThreshold(t *testing.T) {
 	cfg := flightTestConfig(t)
 	var dump *flight.Dump
-	g, err := New(cfg, mustKernel(t, "MM"), Options{
-		Prefetcher:     "caps",
-		Flight:         NewFlightRecorder(cfg),
-		OnDump:         func(d *flight.Dump) { dump = d },
-		ProgressEvery:  16,
-		WatchdogCycles: 64, // any real memory stall exceeds this
-	})
+	g, err := New(cfg, mustKernel(t, "MM"),
+		WithPrefetcher("caps"),
+		WithFlight(NewFlightRecorder(cfg)),
+		WithOnDump(func(d *flight.Dump) { dump = d }),
+		WithProgressEvery(16),
+		WithWatchdogCycles(64), // any real memory stall exceeds this
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWatchdogFiresOnTinyThreshold(t *testing.T) {
 // ErrInterrupted and partial statistics intact.
 func TestRequestStopInterruptsRun(t *testing.T) {
 	cfg := flightTestConfig(t)
-	g, err := New(cfg, mustKernel(t, "MM"), Options{Prefetcher: "caps", ProgressEvery: 16})
+	g, err := New(cfg, mustKernel(t, "MM"), WithPrefetcher("caps"), WithProgressEvery(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestRequestStopInterruptsRun(t *testing.T) {
 func TestRequestDumpMidRun(t *testing.T) {
 	cfg := flightTestConfig(t)
 	var dumps []*flight.Dump
-	g, err := New(cfg, mustKernel(t, "MM"), Options{
-		Prefetcher:    "caps",
-		Flight:        NewFlightRecorder(cfg),
-		OnDump:        func(d *flight.Dump) { dumps = append(dumps, d) },
-		ProgressEvery: 16,
-	})
+	g, err := New(cfg, mustKernel(t, "MM"),
+		WithPrefetcher("caps"),
+		WithFlight(NewFlightRecorder(cfg)),
+		WithOnDump(func(d *flight.Dump) { dumps = append(dumps, d) }),
+		WithProgressEvery(16),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestRequestDumpMidRun(t *testing.T) {
 func TestPanicEmitsDump(t *testing.T) {
 	cfg := flightTestConfig(t)
 	var dump *flight.Dump
-	g, err := New(cfg, mustKernel(t, "MM"), Options{
-		Prefetcher: "caps",
-		Flight:     NewFlightRecorder(cfg),
-		OnDump:     func(d *flight.Dump) { dump = d },
-	})
+	g, err := New(cfg, mustKernel(t, "MM"),
+		WithPrefetcher("caps"),
+		WithFlight(NewFlightRecorder(cfg)),
+		WithOnDump(func(d *flight.Dump) { dump = d }),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPanicEmitsDump(t *testing.T) {
 // the requested cycle and report where.
 func TestPerturbPrefetchFiresOnce(t *testing.T) {
 	cfg := flightTestConfig(t)
-	g, err := New(cfg, mustKernel(t, "MM"), Options{Prefetcher: "caps", PerturbPrefetchAt: 500})
+	g, err := New(cfg, mustKernel(t, "MM"), WithPrefetcher("caps"), WithPerturbPrefetchAt(500))
 	if err != nil {
 		t.Fatal(err)
 	}

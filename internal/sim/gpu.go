@@ -20,12 +20,16 @@ import (
 	"caps/internal/stats"
 )
 
-// DefaultProgressEvery is the EvProgress beat period when Options leaves it
-// zero: frequent enough that a live /metrics scrape or SSE stream tracks
-// the run, rare enough to be free. The same clock paces the stop/dump
+// DefaultProgressEvery is the EvProgress beat period when
+// WithProgressEvery leaves it zero: frequent enough that a live /metrics
+// scrape or SSE stream tracks the run, rare enough to be free. The same clock paces the stop/dump
 // request polls and is the base the determinism harness's checkpoint
 // interval rounds to.
 const DefaultProgressEvery int64 = 1 << 13
+
+// MaxProgressEvery is the longest beat period WithProgressEvery accepts:
+// the largest power of two an int64 holds, which the period rounds up to.
+const MaxProgressEvery int64 = 1 << 62
 
 // DefaultWatchdogCycles is how long the forward-progress watchdog waits
 // for an instruction to retire before declaring the run hung.
@@ -74,9 +78,6 @@ type GPU struct {
 	pool       *smPool
 	partDemand []int
 
-	// idleSkip enables the Run-loop idle-cycle fast-forward.
-	idleSkip bool
-
 	// hprof is the optional wall-clock self-profiler (WithHostProf); nil
 	// costs one branch per step. It observes only — no simulator state
 	// reads it back.
@@ -110,10 +111,14 @@ func NewSink(cfg config.GPUConfig, trace bool, traceCap int) *obs.Sink {
 }
 
 // New builds a GPU for one kernel run. Configuration arrives as functional
-// options (WithPrefetcher, WithWorkers, ...); the legacy Options struct
-// still satisfies Option during its deprecation window.
+// options (WithPrefetcher, WithWorkers, ...).
 func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) {
-	opt := Build(opts...)
+	var opt options
+	for _, op := range opts {
+		if op != nil {
+			op(&opt)
+		}
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
 	}
@@ -124,62 +129,59 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		return nil, fmt.Errorf("sim: L1 line size %d must match kernels.LineBytes %d",
 			cfg.L1.LineBytes, kernels.LineBytes)
 	}
-	if opt.Scheduler != "" {
-		cfg.Scheduler = opt.Scheduler
+	beat, err := ceilPow2(opt.progressEvery, DefaultProgressEvery)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Prefetcher == "" {
-		opt.Prefetcher = "none"
+	if opt.scheduler != "" {
+		cfg.Scheduler = opt.scheduler
+	}
+	if opt.prefetcher == "" {
+		opt.prefetcher = "none"
 	}
 	// The flight recorder rides the observability event stream; a run that
 	// asked for one without a sink gets a metrics-only sink to carry it.
-	if opt.Flight != nil {
-		if opt.Obs == nil {
-			opt.Obs = NewSink(cfg, false, 0)
+	if opt.flight != nil {
+		if opt.sink == nil {
+			opt.sink = NewSink(cfg, false, 0)
 		}
-		opt.Obs.Attach(opt.Flight)
+		opt.sink.Attach(opt.flight)
 	}
 	// The memlens collector rides the same stream; it declines the
-	// per-cycle class feed, so attaching it never disables the idle
-	// fast-forward's whole-GPU jump.
-	if opt.MemLens != nil {
-		if opt.Obs == nil {
-			opt.Obs = NewSink(cfg, false, 0)
+	// per-cycle class feed.
+	if opt.memLens != nil {
+		if opt.sink == nil {
+			opt.sink = NewSink(cfg, false, 0)
 		}
-		opt.Obs.Attach(opt.MemLens)
+		opt.sink.Attach(opt.memLens)
 	}
 	// The schedlens collector shares the same sink (trace, memlens and
 	// schedlens compose on one stream); it too declines the per-cycle
 	// class feed.
-	if opt.SchedLens != nil {
-		if opt.Obs == nil {
-			opt.Obs = NewSink(cfg, false, 0)
+	if opt.schedLens != nil {
+		if opt.sink == nil {
+			opt.sink = NewSink(cfg, false, 0)
 		}
-		opt.Obs.Attach(opt.SchedLens)
+		opt.sink.Attach(opt.schedLens)
 	}
 	// ORCH is LAP paired with the prefetch-aware grouped scheduler
 	// (Jog ISCA'13); selecting it swaps the two-level scheduler for the
 	// group-interleaved variant.
-	interleaved := opt.Prefetcher == "orch" && cfg.Scheduler == config.SchedTwoLevel
+	interleaved := opt.prefetcher == "orch" && cfg.Scheduler == config.SchedTwoLevel
 
 	st := &stats.Sim{}
-	g := &GPU{cfg: cfg, kernel: k, st: st, snk: opt.Obs,
-		flight:   opt.Flight,
-		onDump:   opt.OnDump,
-		beatMask: ceilPow2(opt.ProgressEvery, DefaultProgressEvery) - 1,
-		watchdog: opt.WatchdogCycles,
-		injectAt: opt.InjectViolation,
-		prefName: opt.Prefetcher,
+	g := &GPU{cfg: cfg, kernel: k, st: st, snk: opt.sink,
+		flight:   opt.flight,
+		onDump:   opt.onDump,
+		beatMask: beat - 1,
+		watchdog: opt.watchdogCycles,
+		injectAt: opt.injectViolation,
+		prefName: opt.prefetcher,
 	}
 	if g.watchdog == 0 {
 		g.watchdog = DefaultWatchdogCycles
 	}
-	g.idleSkip = opt.IdleSkip
-	// The tracer hook is one shared closure the staged SM phase cannot
-	// isolate, so it pins the run to the serial tick.
-	g.workers = opt.Workers
-	if g.workers < 1 || opt.Tracer != nil {
-		g.workers = 1
-	}
+	g.workers = max(opt.workers, 1)
 	if g.workers > cfg.NumSMs {
 		g.workers = cfg.NumSMs
 	}
@@ -192,22 +194,22 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	}
 	g.partDemand = make([]int, cfg.NumPartitions)
 	if g.workers > 1 {
-		opt.Obs.EnableStaging()
+		opt.sink.EnableStaging()
 	}
-	g.hprof = opt.HostProf
-	g.hprof.Init(cfg.NumSMs, g.workers, opt.IdleSkip)
+	g.hprof = opt.hostProf
+	g.hprof.Init(cfg.NumSMs, g.workers, opt.idleSkip)
 	g.icnt = mem.NewInterconnect(cfg.NumSMs, cfg.NumPartitions, cfg.ICNTQueue, cfg.ICNTLatency, cfg.ICNTWidth)
 
 	g.drams = make([]*mem.DRAMChannel, cfg.DRAM.Channels)
 	for i := range g.drams {
 		g.drams[i] = mem.NewDRAMChannel(cfg, st)
-		g.drams[i].AttachObs(opt.Obs, i)
+		g.drams[i].AttachObs(opt.sink, i)
 	}
 	g.parts = make([]*mem.Partition, cfg.NumPartitions)
 	for i := range g.parts {
 		g.parts[i] = mem.NewPartition(i, cfg, g.drams[i%cfg.DRAM.Channels], g.icnt, st)
-		g.parts[i].AttachObs(opt.Obs)
-		if opt.IdleSkip {
+		g.parts[i].AttachObs(opt.sink)
+		if opt.idleSkip {
 			g.parts[i].EnableStallReplay()
 		}
 	}
@@ -216,7 +218,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	g.shards = make([]stats.Sim, cfg.NumSMs)
 	for i := range g.sms {
 		shard := &g.shards[i]
-		pf, err := prefetch.New(opt.Prefetcher, cfg, shard)
+		pf, err := prefetch.New(opt.prefetcher, cfg, shard)
 		if err != nil {
 			return nil, err
 		}
@@ -225,13 +227,12 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 			return nil, err
 		}
 		g.sms[i] = newSM(i, cfg, k, sc, pf, g.icnt, shard, g.requestDispatch)
-		g.sms[i].idleSkipOn = opt.IdleSkip
-		g.sms[i].Tracer = opt.Tracer
+		g.sms[i].idleSkipOn = opt.idleSkip
 		g.sms[i].hprof = g.hprof.SMProf(i)
-		g.sms[i].AttachObs(opt.Obs)
+		g.sms[i].AttachObs(opt.sink)
 	}
-	if opt.PerturbPrefetchAt > 0 {
-		g.sms[0].perturbAt = opt.PerturbPrefetchAt
+	if opt.perturbPrefetchAt > 0 {
+		g.sms[0].perturbAt = opt.perturbPrefetchAt
 	}
 
 	g.initialDispatch()
@@ -239,16 +240,20 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 }
 
 // ceilPow2 rounds v up to a power of two so Run's beat check stays a mask
-// test; def replaces a non-positive v.
-func ceilPow2(v, def int64) int64 {
+// test; def replaces a non-positive v. A v above MaxProgressEvery has no
+// int64 power of two to round to and is rejected.
+func ceilPow2(v, def int64) (int64, error) {
 	if v <= 0 {
 		v = def
+	}
+	if v > MaxProgressEvery {
+		return 0, fmt.Errorf("sim: progress period %d exceeds the maximum %d", v, MaxProgressEvery)
 	}
 	p := int64(1)
 	for p < v {
 		p <<= 1
 	}
-	return p
+	return p, nil
 }
 
 // newScheduler resolves cfg.Scheduler through the sched registry. ORCH's
@@ -324,33 +329,14 @@ func (g *GPU) Partitions() []*mem.Partition { return g.parts }
 // Run aborts on it.
 //
 // When a host profiler is attached, sampled steps bill their wall-clock
-// to the hostprof phases at the boundaries marked below: the idle-wake
-// scan and injection check to PhaseOther, the DRAM/partition prologue to
-// PhaseMem, the SM ticks (serial or staged) to PhaseSM, and the commit
-// tail — staged drains, CTA dispatch, cycle bookkeeping — to PhaseCommit.
+// to the hostprof phases at the boundaries marked below: the injection
+// check to PhaseOther, the DRAM/partition prologue to PhaseMem, the SM
+// ticks (serial or staged) to PhaseSM, and the commit tail — staged
+// drains, CTA dispatch, cycle bookkeeping — to PhaseCommit.
 // A step that errors out abandons its sample (only EndStep completes one),
 // keeping error paths free of accounting branches.
 func (g *GPU) Step() error {
 	sampled := g.hprof.BeginStep()
-	if g.idleSkip {
-		if wake := g.idleWake(g.cycle); wake > g.cycle {
-			k := wake - g.cycle
-			g.hprof.Jump(k)
-			g.cycle = wake
-			g.st.Cycles += k
-			for _, sm := range g.sms {
-				sm.accountSkipped(k)
-			}
-			// A jump clamped to the cycle cap must not execute that cycle:
-			// a capped serial run stops after cycle MaxCycle-1.
-			if g.cfg.MaxCycle > 0 && wake >= g.cfg.MaxCycle {
-				if sampled {
-					g.hprof.EndStep(hostprof.PhaseOther)
-				}
-				return nil
-			}
-		}
-	}
 	if g.injectAt > 0 && g.cycle >= g.injectAt {
 		g.injectAt = 0
 		return invariant.Errorf("inject", g.cycle, "synthetic violation (WithInjectViolation)")
@@ -524,8 +510,6 @@ func (g *GPU) Run() (*stats.Sim, error) {
 		}
 		// The beat: liveness Progress event plus the cross-goroutine
 		// stop/dump request polls (one mask test per cycle otherwise).
-		// Step's idle fast-forward clamps its jumps to the beat boundary,
-		// so the beat fires on the same cycles with or without idle-skip.
 		if g.cycle&g.beatMask == 0 {
 			if g.snk != nil {
 				if g.hprof != nil {
@@ -558,8 +542,7 @@ func (g *GPU) Run() (*stats.Sim, error) {
 // sampleQueues emits one EvQueueSample per memory-system queue: L1 MSHR
 // occupancy and pending interconnect responses per SM, L2 MSHR occupancy
 // and pending interconnect requests per partition, and the command-queue
-// depth per DRAM channel. Run calls it on the progress beat — cycles the
-// executor visits with or without the idle fast-forward — so occupancy
+// depth per DRAM channel. Run calls it on the progress beat, so occupancy
 // percentiles are comparable across executor configurations. It runs
 // outside the staged SM phase, so samples need no staging.
 func (g *GPU) sampleQueues() {

@@ -29,7 +29,7 @@ func benchHostProf(b *testing.B, mk func() *hostprof.Profiler) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := New(cfg, k, Options{Prefetcher: "caps", HostProf: mk()})
+		g, err := New(cfg, k, WithPrefetcher("caps"), WithHostProf(mk()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestHostProfOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(hp *hostprof.Profiler) time.Duration {
-		g, err := New(cfg, k, Options{Prefetcher: "caps", HostProf: hp})
+		g, err := New(cfg, k, WithPrefetcher("caps"), WithHostProf(hp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestHostProfPreservesSimState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := New(cfg, k, Options{Prefetcher: "caps", HostProf: hp})
+		g, err := New(cfg, k, WithPrefetcher("caps"), WithHostProf(hp))
 		if err != nil {
 			t.Fatal(err)
 		}

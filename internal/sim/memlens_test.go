@@ -12,8 +12,7 @@ import (
 // Attaching a memlens collector must leave simulated state untouched —
 // same stats hash, same cycle count — across the executor configurations
 // that matter: serial and parallel ticking, with and without the idle
-// fast-forward. The collector declines the per-cycle class stream, so
-// the whole-GPU jump stays armed even while it is attached.
+// fast-forward.
 func TestMemLensPreservesSimState(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")

@@ -29,7 +29,7 @@ func runWithSink(t *testing.T, cfg config.GPUConfig, snk *obs.Sink) (*GPU, *stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(cfg, k, Options{Prefetcher: "caps", Obs: snk})
+	g, err := New(cfg, k, WithPrefetcher("caps"), WithObs(snk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func benchObs(b *testing.B, mk func(config.GPUConfig) *obs.Sink) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := New(cfg, k, Options{Prefetcher: "caps", Obs: mk(cfg)})
+		g, err := New(cfg, k, WithPrefetcher("caps"), WithObs(mk(cfg)))
 		if err != nil {
 			b.Fatal(err)
 		}

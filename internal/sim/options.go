@@ -6,7 +6,6 @@ import (
 	"caps/internal/hostprof"
 	"caps/internal/memlens"
 	"caps/internal/obs"
-	"caps/internal/prefetch"
 	"caps/internal/schedlens"
 )
 
@@ -19,66 +18,44 @@ import (
 //		sim.WithObs(snk))
 //
 // Options compose left to right: a later option overrides an earlier one
-// that touches the same knob. The legacy Options struct also implements
-// Option (see its deprecation note), so pre-redesign call sites keep
-// compiling for one release.
-type Option interface {
-	apply(*Options)
-}
+// that touches the same knob.
+type Option func(*options)
 
-// optionFunc adapts a plain closure to the Option interface.
-type optionFunc func(*Options)
-
-func (f optionFunc) apply(o *Options) { f(o) }
-
-// Build resolves a list of options into the final Options value. Harnesses
-// (determinism, experiments) use it to inspect what a run was configured
-// with without re-parsing the option list.
-func Build(opts ...Option) Options {
-	var o Options
-	for _, op := range opts {
-		if op != nil {
-			op.apply(&o)
-		}
-	}
-	return o
-}
-
-// Modify returns an option that edits the resolved Options in place. It is
-// the bridge for decorator hooks (experiments.WithSimOptions) that predate
-// the functional-options API and still want struct-level access.
-func Modify(fn func(*Options)) Option {
-	return optionFunc(func(o *Options) {
-		if fn != nil {
-			fn(o)
-		}
-	})
+// options is the resolved configuration for one run; each field is set by
+// the With* option of the same name (sink by WithObs).
+type options struct {
+	prefetcher        string
+	scheduler         config.SchedulerKind
+	sink              *obs.Sink
+	flight            *flight.Recorder
+	onDump            func(*flight.Dump)
+	progressEvery     int64
+	watchdogCycles    int64
+	injectViolation   int64
+	perturbPrefetchAt int64
+	workers           int
+	idleSkip          bool
+	hostProf          *hostprof.Profiler
+	memLens           *memlens.Collector
+	schedLens         *schedlens.Collector
 }
 
 // WithPrefetcher selects a registered prefetcher by name ("none", "caps",
 // "intra", "inter", "lap", "nlp", "orch", ...). Unset defaults to "none".
 func WithPrefetcher(name string) Option {
-	return optionFunc(func(o *Options) { o.Prefetcher = name })
+	return func(o *options) { o.prefetcher = name }
 }
 
 // WithScheduler overrides cfg.Scheduler for this run when non-empty.
 func WithScheduler(k config.SchedulerKind) Option {
-	return optionFunc(func(o *Options) { o.Scheduler = k })
-}
-
-// WithTracer attaches a per-demand-load observation hook (the Fig. 1
-// analysis). A tracer pins the run to the serial tick path: the hook is a
-// single shared closure the parallel SM phase cannot stage, so WithWorkers
-// is ignored while a tracer is set.
-func WithTracer(fn func(obs *prefetch.Observation)) Option {
-	return optionFunc(func(o *Options) { o.Tracer = fn })
+	return func(o *options) { o.scheduler = k }
 }
 
 // WithObs attaches an observability sink: metrics and (if the sink was
 // built with tracing) cycle-stamped events from every simulator layer. A
 // nil sink costs one branch per event site.
 func WithObs(s *obs.Sink) Option {
-	return optionFunc(func(o *Options) { o.Obs = s })
+	return func(o *options) { o.sink = s }
 }
 
 // WithFlight attaches a black-box flight recorder (see internal/flight):
@@ -86,34 +63,34 @@ func WithObs(s *obs.Sink) Option {
 // the run dies. When no sink is attached a metrics-only sink is created to
 // carry the event stream. Use NewFlightRecorder to size one for the config.
 func WithFlight(r *flight.Recorder) Option {
-	return optionFunc(func(o *Options) { o.Flight = r })
+	return func(o *options) { o.flight = r }
 }
 
 // WithOnDump registers the callback that receives every black box the run
 // writes (violation, panic, watchdog, dump request, or explicit DumpNow).
 func WithOnDump(fn func(*flight.Dump)) Option {
-	return optionFunc(func(o *Options) { o.OnDump = fn })
+	return func(o *options) { o.onDump = fn }
 }
 
 // WithProgressEvery paces the EvProgress beat, the stop/dump-request polls
 // and the watchdog check, in cycles; rounded up to a power of two. Zero
-// selects DefaultProgressEvery. The idle fast-forward clamps its jumps to
-// the same beat so liveness behavior is identical with or without it.
+// selects DefaultProgressEvery; New rejects a period above
+// MaxProgressEvery, which has no int64 power of two to round up to.
 func WithProgressEvery(cycles int64) Option {
-	return optionFunc(func(o *Options) { o.ProgressEvery = cycles })
+	return func(o *options) { o.progressEvery = cycles }
 }
 
 // WithWatchdogCycles aborts the run when no instruction retires for this
 // many cycles. Zero selects DefaultWatchdogCycles; negative disables the
 // watchdog.
 func WithWatchdogCycles(cycles int64) Option {
-	return optionFunc(func(o *Options) { o.WatchdogCycles = cycles })
+	return func(o *options) { o.watchdogCycles = cycles }
 }
 
 // WithInjectViolation raises a synthetic invariant violation once the GPU
 // reaches the given cycle — the flight-smoke hook.
 func WithInjectViolation(cycle int64) Option {
-	return optionFunc(func(o *Options) { o.InjectViolation = cycle })
+	return func(o *options) { o.injectViolation = cycle }
 }
 
 // WithPerturbPrefetchAt arms a one-shot perturbation on SM 0: the first
@@ -121,7 +98,7 @@ func WithInjectViolation(cycle int64) Option {
 // shifted by one line. Divergence-localizer tests use it to plant a known
 // first-divergent cycle.
 func WithPerturbPrefetchAt(cycle int64) Option {
-	return optionFunc(func(o *Options) { o.PerturbPrefetchAt = cycle })
+	return func(o *options) { o.perturbPrefetchAt = cycle }
 }
 
 // WithWorkers ticks SMs on n goroutines inside each Step: workers tick
@@ -135,7 +112,7 @@ func WithPerturbPrefetchAt(cycle int64) Option {
 // stepped manually with n > 1 owns a worker pool — call Close when done
 // with it (Run does so automatically).
 func WithWorkers(n int) Option {
-	return optionFunc(func(o *Options) { o.Workers = n })
+	return func(o *options) { o.workers = n }
 }
 
 // WithHostProf attaches a wall-clock self-profiler (see internal/hostprof):
@@ -146,7 +123,7 @@ func WithWorkers(n int) Option {
 // bit-identical with or without it. Call p.Build after the run (Run
 // finalizes the profiler through Close) for the finished Profile.
 func WithHostProf(p *hostprof.Profiler) Option {
-	return optionFunc(func(o *Options) { o.HostProf = p })
+	return func(o *options) { o.hostProf = p }
 }
 
 // WithMemLens attaches a streaming memory-hierarchy profiler (see
@@ -154,13 +131,12 @@ func WithHostProf(p *hostprof.Profiler) Option {
 // prefetch timeliness histograms, sampled reuse distances per cache
 // level, and DRAM/interconnect locality. The collector rides the obs
 // event stream — when no sink is attached one is created to carry it —
-// and opts out of the per-cycle class stream, so the idle fast-forward's
-// whole-GPU jump stays active and results are bit-identical with or
-// without it. Call c.Build after the run for the finished Profile and
+// and opts out of the per-cycle class stream; results are bit-identical
+// with or without it. Call c.Build after the run for the finished Profile and
 // Profile.Validate(st) to prove the fold reconciles with the run's
 // statistics. Size the collector with memlens.ForConfig(cfg).
 func WithMemLens(c *memlens.Collector) Option {
-	return optionFunc(func(o *Options) { o.MemLens = c })
+	return func(o *options) { o.memLens = c }
 }
 
 // WithSchedLens attaches a streaming scheduler/CTA-decision profiler (see
@@ -168,137 +144,22 @@ func WithMemLens(c *memlens.Collector) Option {
 // provenance (PickOutcome counters), CAP/DIST prediction-table dynamics
 // and leading-warp effectiveness. Like memlens it rides the obs event
 // stream — sharing the auto-created sink with any other attached
-// consumer — and opts out of the per-cycle class stream, so the idle
-// fast-forward's whole-GPU jump stays active and results are
+// consumer — and opts out of the per-cycle class stream; results are
 // bit-identical with or without it. Call c.Build after the run for the
 // finished Profile and Profile.Validate(st) to prove the fold reconciles
 // with the run's statistics. Size the collector with
 // schedlens.ForConfig(cfg).
 func WithSchedLens(c *schedlens.Collector) Option {
-	return optionFunc(func(o *Options) { o.SchedLens = c })
+	return func(o *options) { o.schedLens = c }
 }
 
-// WithIdleSkip enables idle-cycle fast-forward (see internal/sim
-// fastforward.go). Per SM, a tick that proves itself a no-op caches a
-// sleep window, and every tick inside it short-circuits past the
-// scheduler scan; whole-GPU, when every SM is asleep and the earliest
-// scheduled memory event — interconnect delivery, L2 pipe maturation,
-// DRAM completion — is k cycles away, the clock jumps those k cycles in
-// one step, bulk-crediting the skipped cycles to the same stall-stack
-// buckets the serial loop would have recorded. Statistics and state
-// hashes are bit-identical to a run without it. The whole-GPU jump
-// disables itself while a per-cycle stream consumer (capsprof) is
-// attached, which needs one EvCycleClass per SM per cycle; the per-SM
-// sleep emits that event each cycle and stays active.
+// WithIdleSkip enables idle-cycle fast-forward (see fastforward.go). Per
+// SM, a tick that proves itself a no-op caches a sleep window and every
+// tick inside it short-circuits past the scheduler scan; a structural
+// stall whose cycles are provably identical replays in O(1) per cycle, in
+// the SMs and in the L2 partitions. Every cycle still executes a Step, so
+// beats, caps and per-cycle events land exactly where they would without
+// it, and statistics and state hashes are bit-identical.
 func WithIdleSkip() Option {
-	return optionFunc(func(o *Options) { o.IdleSkip = true })
-}
-
-// Options is the resolved configuration for one run. New code should use
-// the functional options above; Build turns an option list back into an
-// Options value for inspection.
-//
-// Deprecated: constructing Options directly is a pre-redesign idiom kept
-// for one release. Options implements Option — sim.New(cfg, k,
-// Options{...}) still compiles — with merge semantics: only its non-zero
-// fields override the options accumulated so far.
-type Options struct {
-	Prefetcher string // registered prefetcher name ("none", "caps", ...)
-	// Scheduler overrides cfg.Scheduler when non-empty.
-	Scheduler config.SchedulerKind
-	// Tracer observes every demand load (Fig. 1 analysis). Optional.
-	// Setting it forces Workers to 1 (see WithTracer).
-	Tracer func(obs *prefetch.Observation)
-	// Obs, when non-nil, receives metrics and (if the sink was built with
-	// tracing) cycle-stamped events from every simulator layer. A nil sink
-	// costs one branch per event site.
-	Obs *obs.Sink
-	// Flight attaches a black-box recorder (see internal/flight): the last
-	// N events per unit, dumped with a machine-state snapshot when the run
-	// dies. When Obs is nil a metrics-only sink is created to carry the
-	// event stream. Use NewFlightRecorder to size one for the config.
-	Flight *flight.Recorder
-	// OnDump receives the black box whenever one is written (violation,
-	// panic, watchdog, dump request, or an explicit DumpNow).
-	OnDump func(*flight.Dump)
-	// ProgressEvery paces the EvProgress beat, the stop/dump-request polls
-	// and the watchdog check, in cycles; rounded up to a power of two.
-	// Zero selects DefaultProgressEvery.
-	ProgressEvery int64
-	// WatchdogCycles aborts the run when no instruction retires for this
-	// many cycles. Zero selects DefaultWatchdogCycles; negative disables
-	// the watchdog.
-	WatchdogCycles int64
-	// InjectViolation, when positive, raises a synthetic invariant
-	// violation once the GPU reaches that cycle — the flight-smoke hook.
-	InjectViolation int64
-	// PerturbPrefetchAt, when positive, arms a one-shot perturbation on
-	// SM 0: the first prefetch candidate enqueued at or after that cycle
-	// has its line address shifted by one line. Divergence-localizer
-	// tests use it to plant a known first-divergent cycle.
-	PerturbPrefetchAt int64
-	// Workers is the intra-run SM tick parallelism (see WithWorkers).
-	Workers int
-	// IdleSkip enables idle-cycle fast-forward (see WithIdleSkip).
-	IdleSkip bool
-	// HostProf attaches a wall-clock self-profiler (see WithHostProf).
-	HostProf *hostprof.Profiler
-	// MemLens attaches a streaming memory-hierarchy profiler (see
-	// WithMemLens).
-	MemLens *memlens.Collector
-	// SchedLens attaches a streaming scheduler/CTA-decision profiler (see
-	// WithSchedLens).
-	SchedLens *schedlens.Collector
-}
-
-// apply implements Option for the legacy struct: each non-zero field
-// overrides the value accumulated so far, so sim.New(cfg, k, Options{...})
-// behaves exactly as it did before the functional-options redesign while
-// still composing with With* options.
-func (legacy Options) apply(o *Options) {
-	if legacy.Prefetcher != "" {
-		o.Prefetcher = legacy.Prefetcher
-	}
-	if legacy.Scheduler != "" {
-		o.Scheduler = legacy.Scheduler
-	}
-	if legacy.Tracer != nil {
-		o.Tracer = legacy.Tracer
-	}
-	if legacy.Obs != nil {
-		o.Obs = legacy.Obs
-	}
-	if legacy.Flight != nil {
-		o.Flight = legacy.Flight
-	}
-	if legacy.OnDump != nil {
-		o.OnDump = legacy.OnDump
-	}
-	if legacy.ProgressEvery != 0 {
-		o.ProgressEvery = legacy.ProgressEvery
-	}
-	if legacy.WatchdogCycles != 0 {
-		o.WatchdogCycles = legacy.WatchdogCycles
-	}
-	if legacy.InjectViolation != 0 {
-		o.InjectViolation = legacy.InjectViolation
-	}
-	if legacy.PerturbPrefetchAt != 0 {
-		o.PerturbPrefetchAt = legacy.PerturbPrefetchAt
-	}
-	if legacy.Workers != 0 {
-		o.Workers = legacy.Workers
-	}
-	if legacy.IdleSkip {
-		o.IdleSkip = true
-	}
-	if legacy.HostProf != nil {
-		o.HostProf = legacy.HostProf
-	}
-	if legacy.MemLens != nil {
-		o.MemLens = legacy.MemLens
-	}
-	if legacy.SchedLens != nil {
-		o.SchedLens = legacy.SchedLens
-	}
+	return func(o *options) { o.idleSkip = true }
 }

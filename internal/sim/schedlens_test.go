@@ -15,8 +15,7 @@ import (
 // Attaching a schedlens collector must leave simulated state untouched —
 // same stats hash, same cycle count — across the executor configurations
 // that matter: serial and parallel ticking, with and without the idle
-// fast-forward. Like memlens, the collector declines the per-cycle class
-// stream, so the whole-GPU jump stays armed even while it is attached.
+// fast-forward.
 func TestSchedLensPreservesSimState(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
@@ -169,7 +168,7 @@ func TestSchedLensComposesWithTraceAndMemLens(t *testing.T) {
 	sl := schedlens.ForConfig(cfg)
 	snk.Attach(ml)
 	snk.Attach(sl)
-	g, err := New(cfg, k, Options{Prefetcher: "caps", Obs: snk})
+	g, err := New(cfg, k, WithPrefetcher("caps"), WithObs(snk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"caps/internal/config"
 	"caps/internal/kernels"
-	"caps/internal/prefetch"
+	"caps/internal/obs"
 	"caps/internal/stats"
 )
 
@@ -43,9 +44,9 @@ func tinyKernel(gridX int) *kernels.Kernel {
 	return k
 }
 
-func runTiny(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, opt Options) *stats.Sim {
+func runTiny(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) *stats.Sim {
 	t.Helper()
-	g, err := New(cfg, k, opt)
+	g, err := New(cfg, k, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func runTiny(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, opt Options)
 
 func TestTinyKernelCompletes(t *testing.T) {
 	k := tinyKernel(8)
-	st := runTiny(t, tinyConfig(), k, Options{})
+	st := runTiny(t, tinyConfig(), k)
 	if st.CTAsDone != 8 {
 		t.Errorf("CTAsDone = %d, want 8", st.CTAsDone)
 	}
@@ -79,8 +80,8 @@ func TestTinyKernelCompletes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	for _, pf := range []string{"none", "caps"} {
-		a := runTiny(t, tinyConfig(), tinyKernel(32), Options{Prefetcher: pf})
-		b := runTiny(t, tinyConfig(), tinyKernel(32), Options{Prefetcher: pf})
+		a := runTiny(t, tinyConfig(), tinyKernel(32), WithPrefetcher(pf))
+		b := runTiny(t, tinyConfig(), tinyKernel(32), WithPrefetcher(pf))
 		if *a != *b {
 			t.Errorf("%s: two identical runs diverged:\n%v\nvs\n%v", pf, a, b)
 		}
@@ -91,7 +92,7 @@ func TestSchedulersAllComplete(t *testing.T) {
 	for _, sc := range []config.SchedulerKind{
 		config.SchedLRR, config.SchedGTO, config.SchedTwoLevel, config.SchedPAS,
 	} {
-		st := runTiny(t, tinyConfig(), tinyKernel(16), Options{Scheduler: sc})
+		st := runTiny(t, tinyConfig(), tinyKernel(16), WithScheduler(sc))
 		if st.CTAsDone != 16 {
 			t.Errorf("%s: CTAsDone = %d, want 16", sc, st.CTAsDone)
 		}
@@ -100,7 +101,7 @@ func TestSchedulersAllComplete(t *testing.T) {
 
 func TestPrefetchersAllComplete(t *testing.T) {
 	for _, pf := range []string{"none", "intra", "inter", "mta", "nlp", "lap", "orch", "caps"} {
-		st := runTiny(t, tinyConfig(), tinyKernel(16), Options{Prefetcher: pf})
+		st := runTiny(t, tinyConfig(), tinyKernel(16), WithPrefetcher(pf))
 		if st.CTAsDone != 16 {
 			t.Errorf("%s: CTAsDone = %d, want 16", pf, st.CTAsDone)
 		}
@@ -124,7 +125,7 @@ func TestBarrierKernelCompletes(t *testing.T) {
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	st := runTiny(t, tinyConfig(), k, Options{})
+	st := runTiny(t, tinyConfig(), k)
 	if st.CTAsDone != 4 {
 		t.Errorf("CTAsDone = %d, want 4 (barrier deadlock?)", st.CTAsDone)
 	}
@@ -148,7 +149,7 @@ func TestLoopKernelIterationCount(t *testing.T) {
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	st := runTiny(t, tinyConfig(), k, Options{})
+	st := runTiny(t, tinyConfig(), k)
 	// 2 CTAs × 1 warp × 5 iterations, one line each.
 	if st.DemandAccesses != 10 {
 		t.Errorf("DemandAccesses = %d, want 10", st.DemandAccesses)
@@ -158,7 +159,7 @@ func TestLoopKernelIterationCount(t *testing.T) {
 func TestMaxInstsCapStopsRun(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxInsts = 50
-	st := runTiny(t, cfg, tinyKernel(256), Options{})
+	st := runTiny(t, cfg, tinyKernel(256))
 	if st.Instructions < 50 || st.Instructions > 200 {
 		t.Errorf("Instructions = %d, want close to the 50-instruction cap", st.Instructions)
 	}
@@ -171,7 +172,7 @@ func TestDemandDrivenDispatch(t *testing.T) {
 	// More CTAs than slots: every CTA must still execute exactly once.
 	cfg := tinyConfig()
 	cfg.MaxCTAsPerSM = 2
-	st := runTiny(t, cfg, tinyKernel(64), Options{})
+	st := runTiny(t, cfg, tinyKernel(64))
 	if st.CTAsDone != 64 {
 		t.Errorf("CTAsDone = %d, want 64", st.CTAsDone)
 	}
@@ -180,7 +181,7 @@ func TestDemandDrivenDispatch(t *testing.T) {
 func TestCTAsLimitedByWarpContexts(t *testing.T) {
 	cfg := tinyConfig()
 	// 48 warps / 2 warps per CTA = 24, further limited by MaxCTAsPerSM=8.
-	g, err := New(cfg, tinyKernel(64), Options{})
+	g, err := New(cfg, tinyKernel(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestCTAsLimitedByWarpContexts(t *testing.T) {
 	// A 16-warp CTA allows only 3 slots (48/16).
 	big := tinyKernel(8)
 	big.Block = kernels.Dim3{X: 512}
-	g2, err := New(cfg, big, Options{})
+	g2, err := New(cfg, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestCAPSPipelineProducesUsefulPrefetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := tinyConfig()
-	st := runTiny(t, cfg, k, Options{Prefetcher: "caps", Scheduler: config.SchedPAS})
+	st := runTiny(t, cfg, k, WithPrefetcher("caps"), WithScheduler(config.SchedPAS))
 	if st.PrefIssued == 0 {
 		t.Fatal("CAPS issued no prefetches on a stride-friendly kernel")
 	}
@@ -247,13 +248,13 @@ func TestEagerWakeupCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.MaxInsts = 60_000
-	st := runTiny(t, cfg, k, Options{Prefetcher: "caps", Scheduler: config.SchedPAS})
+	st := runTiny(t, cfg, k, WithPrefetcher("caps"), WithScheduler(config.SchedPAS))
 	if st.WakeupPromotions == 0 {
 		t.Error("PAS eager wake-up never fired on CNV")
 	}
 	// And with wake-up disabled it must never fire.
 	cfg.PrefetchWakeup = false
-	st = runTiny(t, cfg, k, Options{Prefetcher: "caps", Scheduler: config.SchedPAS})
+	st = runTiny(t, cfg, k, WithPrefetcher("caps"), WithScheduler(config.SchedPAS))
 	if st.WakeupPromotions != 0 {
 		t.Errorf("wake-ups fired despite PrefetchWakeup=false: %d", st.WakeupPromotions)
 	}
@@ -262,13 +263,13 @@ func TestEagerWakeupCounted(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumSMs = 0
-	if _, err := New(cfg, tinyKernel(4), Options{}); err == nil {
+	if _, err := New(cfg, tinyKernel(4)); err == nil {
 		t.Error("New accepted an invalid config")
 	}
 }
 
 func TestUnknownPrefetcherRejected(t *testing.T) {
-	if _, err := New(tinyConfig(), tinyKernel(4), Options{Prefetcher: "bogus"}); err == nil {
+	if _, err := New(tinyConfig(), tinyKernel(4), WithPrefetcher("bogus")); err == nil {
 		t.Error("New accepted an unknown prefetcher")
 	}
 }
@@ -277,13 +278,13 @@ func TestLineSizeMismatchRejected(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.L1.LineBytes = 64
 	cfg.L2.LineBytes = 64
-	if _, err := New(cfg, tinyKernel(4), Options{}); err == nil {
+	if _, err := New(cfg, tinyKernel(4)); err == nil {
 		t.Error("New accepted a line size differing from kernels.LineBytes")
 	}
 }
 
 func TestORCHUsesGroupedScheduler(t *testing.T) {
-	g, err := New(tinyConfig(), tinyKernel(8), Options{Prefetcher: "orch"})
+	g, err := New(tinyConfig(), tinyKernel(8), WithPrefetcher("orch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,24 +293,57 @@ func TestORCHUsesGroupedScheduler(t *testing.T) {
 	}
 }
 
+// loadTracer counts the EvLoadIssue stream, the one channel a per-load
+// analysis (Figure 1, memlens) observes demand loads through.
+type loadTracer struct {
+	t    *testing.T
+	seen int64
+}
+
+func (lt *loadTracer) Consume(e obs.Event) {
+	if e.Kind != obs.EvLoadIssue {
+		return
+	}
+	lt.seen++
+	if e.Addr == 0 {
+		lt.t.Error("load issue without an address")
+	}
+}
+
 func TestTracerObservesLoads(t *testing.T) {
-	var seen int64
-	g, err := New(tinyConfig(), tinyKernel(8), Options{
-		Tracer: func(o *prefetch.Observation) {
-			seen++
-			if len(o.Addrs) == 0 {
-				t.Error("tracer observation without addresses")
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
+	cfg := tinyConfig()
+	snk := NewSink(cfg, false, 0)
+	lt := &loadTracer{t: t}
+	snk.Attach(lt)
+	runTiny(t, cfg, tinyKernel(8), WithObs(snk))
 	// 8 CTAs × 2 warps × 1 load.
-	if seen != 16 {
-		t.Errorf("tracer saw %d loads, want 16", seen)
+	if lt.seen != 16 {
+		t.Errorf("tracer saw %d loads, want 16", lt.seen)
+	}
+}
+
+// A progress period above MaxProgressEvery has no int64 power of two to
+// round up to; New must reject it instead of looping forever.
+func TestNewRejectsOversizedProgressEvery(t *testing.T) {
+	for _, tc := range []struct {
+		every int64
+		ok    bool
+	}{
+		{MaxProgressEvery, true},
+		{MaxProgressEvery + 1, false},
+		{math.MaxInt64, false},
+	} {
+		g, err := New(tinyConfig(), tinyKernel(4), WithProgressEvery(tc.every))
+		if tc.ok {
+			if err != nil {
+				t.Errorf("WithProgressEvery(%d): %v", tc.every, err)
+			} else if g.beatMask != MaxProgressEvery-1 {
+				t.Errorf("WithProgressEvery(%d): beat mask %#x, want %#x", tc.every, g.beatMask, MaxProgressEvery-1)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("WithProgressEvery(%d) accepted, want an error", tc.every)
+		}
 	}
 }

@@ -67,10 +67,6 @@ type SM struct {
 	activeCTAs int
 	liveWarps  int
 
-	// Tracer, when set, observes every demand load issue (used by the
-	// Fig. 1 analysis).
-	Tracer func(obs *prefetch.Observation)
-
 	// snk is the observability sink (nil when disabled; every call is
 	// nil-safe). schedClock, when the scheduler supports it, receives the
 	// current cycle at the top of each Tick so scheduler-internal events
@@ -109,7 +105,8 @@ type SM struct {
 	// built WithIdleSkip). Two cached verdicts, both derived state that is
 	// recomputed on wake and excluded from state hashes:
 	//
-	// idleUntil caches the skipBound verdict from the last full tick: for
+	// idleUntil caches trySleep's full-sleep verdict from the last full
+	// tick (issueBound plus empty LSU/store/prefetch/miss queues): for
 	// every cycle strictly below it the whole tick pipeline is provably a
 	// no-op unless a fill arrives, so Tick short-circuits right after
 	// acceptResponses. sleepClass is the stall-stack class each slept cycle
@@ -166,7 +163,7 @@ type SM struct {
 	hprof *hostprof.SMProf
 
 	// perturbAt arms the one-shot divergence-test perturbation
-	// (sim.Options.PerturbPrefetchAt): the first prefetch candidate that
+	// (WithPerturbPrefetchAt): the first prefetch candidate that
 	// can actually enqueue at or after that cycle is shifted by one line.
 	// perturbedAt records the cycle it fired.
 	perturbAt   int64
@@ -355,7 +352,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 		return 0, err
 	}
 	if now < sm.idleUntil {
-		// Asleep: the last full tick proved (skipBound) that every cycle
+		// Asleep: the last full tick proved (trySleep) that every cycle
 		// before idleUntil is a no-op unless a fill arrives, and
 		// acceptResponses above just cancelled the window if one did. Record
 		// exactly what the full pipeline records on such a cycle — one stall
@@ -902,10 +899,6 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 			Iter:        iter,
 			Addrs:       addrs,
 			Indirect:    spec.Indirect,
-		}
-		if sm.Tracer != nil {
-			sm.Tracer(&obs) //caps:alloc-ok analysis hook, set only by the Fig.1 trace harness //caps:shared-sync trace-hook
-
 		}
 		for _, c := range sm.pref.OnLoad(&obs) {
 			sm.enqueuePrefetch(now, c)

@@ -87,7 +87,7 @@ func TestWarpEligibility(t *testing.T) {
 }
 
 func TestGPUDoneSemantics(t *testing.T) {
-	g, err := New(tinyConfig(), tinyKernel(4), Options{})
+	g, err := New(tinyConfig(), tinyKernel(4))
 	if err != nil {
 		t.Fatal(err)
 	}

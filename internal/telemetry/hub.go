@@ -51,12 +51,11 @@ type Progress struct {
 	FlightDump  string `json:"flight_dump,omitempty"`
 
 	// Host-time stats, present only while a host profiler (sim.WithHostProf)
-	// feeds the run's RunProgress consumer. Utilization and skip efficiency
-	// are permille integers so the JSON stays float-free like the samples.
+	// feeds the run's RunProgress consumer. Utilization is a permille
+	// integer so the JSON stays float-free like the samples.
 	WallMS             int64 `json:"wall_ms,omitempty"`
 	CyclesPerSec       int64 `json:"cycles_per_sec,omitempty"`
 	WorkerUtilPermille int64 `json:"worker_util_permille,omitempty"`
-	SkipPermille       int64 `json:"skip_permille,omitempty"`
 }
 
 // runState is one run's latest progress and metric snapshot. hostStats
@@ -143,7 +142,6 @@ func (h *Hub) publish(meta RunMeta, cycles, instructions int64, ipc float64, don
 		p.WallMS = host.WallNS / 1e6
 		p.CyclesPerSec = host.CyclesPerSec
 		p.WorkerUtilPermille = host.WorkerUtilPermille
-		p.SkipPermille = host.SkipPermille
 	}
 
 	h.mu.Lock()
@@ -158,7 +156,6 @@ func (h *Hub) publish(meta RunMeta, cycles, instructions int64, ipc float64, don
 		p.WallMS = st.prog.WallMS
 		p.CyclesPerSec = st.prog.CyclesPerSec
 		p.WorkerUtilPermille = st.prog.WorkerUtilPermille
-		p.SkipPermille = st.prog.SkipPermille
 	}
 	st.hostStats = st.hostStats || host != nil
 	msg := sseMessage(p)
@@ -282,7 +279,6 @@ func (h *Hub) MergedSamples() []obs.Sample {
 				obs.Sample{Name: "caps_run_wall_ms", Labels: rendered, LabelSet: l, Kind: obs.SampleGauge, Value: st.prog.WallMS},
 				obs.Sample{Name: "caps_run_cycles_per_sec", Labels: rendered, LabelSet: l, Kind: obs.SampleGauge, Value: st.prog.CyclesPerSec},
 				obs.Sample{Name: "caps_run_worker_util_permille", Labels: rendered, LabelSet: l, Kind: obs.SampleGauge, Value: st.prog.WorkerUtilPermille},
-				obs.Sample{Name: "caps_run_skip_efficiency_permille", Labels: rendered, LabelSet: l, Kind: obs.SampleGauge, Value: st.prog.SkipPermille},
 			)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 //
 // When the run carries a host profiler (sim.WithHostProf), attach it with
 // AttachHostProf: each beat then also publishes live host-time stats (wall
-// clock, cycles/sec, worker utilization, skip efficiency). Reading the
+// clock, cycles/sec, worker utilization). Reading the
 // profiler here is safe for the same reason the registry snapshot is — the
 // beat executes between steps on the simulation goroutine, after the
 // barrier has ordered every worker write. Without the profiler reference
