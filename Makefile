@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build lint test simbench-check race race-smoke determinism trace-smoke profile-smoke serve-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke bench-json speed-bench results check bench
+.PHONY: build fmt-check lint test simbench-check race race-smoke determinism trace-smoke profile-smoke serve-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke bench-json speed-bench results check bench
 
 build:
 	$(GO) build ./...
+
+# Fails on any Go file gofmt would rewrite. The analyzer fixtures under
+# testdata/ are exempt: their // want comments assert exact positions.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # -mode=all runs the per-package suite (detlint, cyclelint, statlint) plus
 # the module-wide call-graph analyzers (hotlint, isolint). hotlint/isolint
@@ -156,7 +162,7 @@ results:
 	$(GO) run ./cmd/capsweep -insts 250000 -fig 12,13,14a,14b,15 >> results_all.txt
 	$(GO) run ./cmd/capsweep -insts 250000 -benches CNV,MM,MRQ,BFS -fig 11 >> results_all.txt
 
-check: build lint test simbench-check race-smoke determinism trace-smoke profile-smoke serve-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke
+check: build fmt-check lint test simbench-check race-smoke determinism trace-smoke profile-smoke serve-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -176,6 +176,10 @@ func cmdBisect(args []string) int {
 		fmt.Fprintln(os.Stderr, "capscope bisect: -perturb CYCLE is required (the seeded divergence point)")
 		return 2
 	}
+	if *every > sim.MaxProgressEvery {
+		fmt.Fprintf(os.Stderr, "capscope bisect: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
+		return 2
+	}
 
 	cfg := config.Default()
 	cfg.MaxInsts = *insts

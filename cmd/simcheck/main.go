@@ -72,6 +72,10 @@ func main() {
 			inventory:      *inventory,
 		}))
 	case "determinism":
+		if *every > sim.MaxProgressEvery {
+			fmt.Fprintf(os.Stderr, "simcheck: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
+			os.Exit(2)
+		}
 		os.Exit(checkDeterminism(strings.Split(*benches, ","), *insts, *every))
 	case "tracecheck":
 		os.Exit(checkTraces(flag.Args()))

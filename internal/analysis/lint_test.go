@@ -116,9 +116,9 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 // narrowing a scope should be a conscious diff.
 func TestScopes(t *testing.T) {
 	cases := []struct {
-		a    *analysis.Analyzer
-		in   []string
-		out  []string
+		a   *analysis.Analyzer
+		in  []string
+		out []string
 	}{
 		{analysis.Detlint,
 			[]string{"caps/internal/sim", "caps/internal/mem", "caps/internal/stats", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/cmd/capsim", "caps/cmd/capsweep"},

@@ -253,6 +253,7 @@ func (c *CAPS) OnLoad(obs *prefetch.Observation) []prefetch.Candidate {
 
 // onLoad is OnLoad with the candidate buffer threaded through: out must
 // arrive empty and is returned (possibly regrown) so its capacity is kept.
+//
 //caps:shared-sync stats-reduce
 func (c *CAPS) onLoad(obs *prefetch.Observation, out []prefetch.Candidate) []prefetch.Candidate {
 	// Indirect accesses are detected by register-origin tracing and

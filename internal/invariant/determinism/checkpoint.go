@@ -42,20 +42,6 @@ type Divergence struct {
 	WindowA, WindowB *flight.Dump
 }
 
-// ceilPow2 rounds v up to a power of two (minimum def), mirroring how
-// sim.WithProgressEvery is quantized — the checkpoint clock and the
-// progress beat share a base so one mask test serves both.
-func ceilPow2(v, def int64) int64 {
-	if v <= 0 {
-		v = def
-	}
-	p := int64(1)
-	for p < v {
-		p <<= 1
-	}
-	return p
-}
-
 // runner wraps a GPU with the Run-loop termination conditions so the
 // harness can step one cycle at a time (GPU.Run owns the loop otherwise).
 type runner struct {
@@ -88,10 +74,16 @@ func (r *runner) done() bool {
 func (r *runner) hash() uint64 { return StateHash(r.g, r.g.Stats()) }
 
 // CheckpointRun simulates one benchmark to completion, sampling StateHash
-// every `every` cycles (rounded up to a power of two). The returned series
-// ends with one final sample at the finishing cycle.
+// every `every` cycles, rounded up to a power of two the way
+// sim.WithProgressEvery rounds the progress beat: the checkpoint clock and
+// the beat share a base so one mask test serves both. An interval above
+// sim.MaxProgressEvery is rejected. The returned series ends with one
+// final sample at the finishing cycle.
 func CheckpointRun(cfg config.GPUConfig, bench string, every int64, opts ...sim.Option) ([]Checkpoint, error) {
-	every = ceilPow2(every, sim.DefaultProgressEvery)
+	every, err := sim.ProgressPeriod(every)
+	if err != nil {
+		return nil, fmt.Errorf("determinism: %s: %w", bench, err)
+	}
 	opts = append(opts[:len(opts):len(opts)], sim.WithProgressEvery(every))
 	r, err := newRunner(cfg, bench, opts...)
 	if err != nil {
@@ -146,9 +138,13 @@ func CheckSeries(cfg config.GPUConfig, bench string, every int64, opts ...sim.Op
 // compares hashes after every single cycle; the first mismatch names the
 // divergent cycle and both flight windows are dumped around it.
 //
-// A nil Divergence with a nil error means the two sides never diverged.
+// The interval rounds and is bounded as in CheckpointRun. A nil Divergence
+// with a nil error means the two sides never diverged.
 func Bisect(bench string, a, b Side, every int64) (*Divergence, error) {
-	every = ceilPow2(every, sim.DefaultProgressEvery)
+	every, err := sim.ProgressPeriod(every)
+	if err != nil {
+		return nil, fmt.Errorf("determinism: %s: %w", bench, err)
+	}
 	optsA := append(a.Opts[:len(a.Opts):len(a.Opts)], sim.WithProgressEvery(every))
 	optsB := append(b.Opts[:len(b.Opts):len(b.Opts)], sim.WithProgressEvery(every))
 

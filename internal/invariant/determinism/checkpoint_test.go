@@ -1,6 +1,7 @@
 package determinism
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -171,4 +172,30 @@ func mustKernel(t *testing.T, abbr string) *kernels.Kernel {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// A checkpoint interval above sim.MaxProgressEvery has no int64 power of
+// two to round up to; both entry points must reject it rather than loop.
+func TestCheckpointIntervalBound(t *testing.T) {
+	cfg := checkpointConfig()
+	cfg.MaxInsts = 2_000
+	side := Side{Label: "a", Cfg: cfg, Opts: []sim.Option{sim.WithPrefetcher("none")}}
+	for _, tc := range []struct {
+		every int64
+		ok    bool
+	}{
+		{sim.MaxProgressEvery, true},
+		{sim.MaxProgressEvery + 1, false},
+		{math.MaxInt64, false},
+	} {
+		cps, err := CheckpointRun(cfg, "MM", tc.every)
+		if tc.ok != (err == nil) {
+			t.Errorf("CheckpointRun(every=%d): err = %v, want ok=%v", tc.every, err, tc.ok)
+		} else if tc.ok && len(cps) != 1 {
+			t.Errorf("CheckpointRun(every=%d): %d checkpoints, want only the final one", tc.every, len(cps))
+		}
+		if _, err := Bisect("MM", side, side, tc.every); tc.ok != (err == nil) {
+			t.Errorf("Bisect(every=%d): err = %v, want ok=%v", tc.every, err, tc.ok)
+		}
+	}
 }

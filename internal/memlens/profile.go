@@ -70,13 +70,13 @@ func (h Histo) Percentile(p float64) int64 {
 // PCAddr is one load PC's address-structure verdict: how much of its
 // access stream the affine θ(CTA) + Δ·warpInCTA model explains.
 type PCAddr struct {
-	PC           uint32  `json:"pc"`
-	Observations int64   `json:"observations"`
-	Indirect     int64   `json:"indirect"`
-	Anchors      int64   `json:"anchors"` // first obs per (CTA, iteration): defines θ
-	Explained    int64   `json:"explained"`
-	Unexplained  int64   `json:"unexplained"`
-	Delta        int64   `json:"delta"` // majority-vote warp stride (bytes)
+	PC           uint32 `json:"pc"`
+	Observations int64  `json:"observations"`
+	Indirect     int64  `json:"indirect"`
+	Anchors      int64  `json:"anchors"` // first obs per (CTA, iteration): defines θ
+	Explained    int64  `json:"explained"`
+	Unexplained  int64  `json:"unexplained"`
+	Delta        int64  `json:"delta"` // majority-vote warp stride (bytes)
 	// ExplainedFrac is explained/(explained+unexplained): the fraction of
 	// *testable* observations the affine model predicts exactly.
 	ExplainedFrac float64 `json:"explained_frac"`
@@ -152,12 +152,12 @@ type BankStat struct {
 
 // QueueStat is one sampled queue's occupancy distribution.
 type QueueStat struct {
-	Queue   string `json:"queue"`
-	Samples int64  `json:"samples"`
+	Queue   string  `json:"queue"`
+	Samples int64   `json:"samples"`
 	Mean    float64 `json:"mean"`
-	P50     int64  `json:"p50"`
-	P90     int64  `json:"p90"`
-	P99     int64  `json:"p99"`
+	P50     int64   `json:"p50"`
+	P90     int64   `json:"p90"`
+	P99     int64   `json:"p99"`
 }
 
 // Locality is the DRAM/interconnect profile: row-buffer behaviour per

@@ -230,7 +230,7 @@ func TestConsumerSeesAllEventsIncludingCycleClass(t *testing.T) {
 	s.Attach(&c)
 	s.CTALaunch(0, 0, 0)
 	s.WarpStallBegin(1, 0, 0)
-	s.WarpStallEnd(5, 0, 0)   // over the trace cap: dropped from trace, not from consumers
+	s.WarpStallEnd(5, 0, 0)        // over the trace cap: dropped from trace, not from consumers
 	s.CycleClass(6, 0, CycleIssue) // never buffered, streamed only
 	if s.Trace().Len() != 2 || s.Trace().Dropped() != 1 {
 		t.Fatalf("trace len=%d dropped=%d, want 2/1", s.Trace().Len(), s.Trace().Dropped())

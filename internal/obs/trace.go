@@ -290,11 +290,11 @@ type QueueKind uint8
 
 // Sampled queues.
 const (
-	QueueL1MSHR    QueueKind = iota // per-SM L1 MSHR occupancy
-	QueueIcntToSM                   // interconnect responses pending toward one SM
-	QueueIcntToPart                 // interconnect requests pending toward one partition
-	QueueL2MSHR                     // per-partition L2 MSHR occupancy
-	QueueDRAM                       // per-channel DRAM scheduler queue depth
+	QueueL1MSHR     QueueKind = iota // per-SM L1 MSHR occupancy
+	QueueIcntToSM                    // interconnect responses pending toward one SM
+	QueueIcntToPart                  // interconnect requests pending toward one partition
+	QueueL2MSHR                      // per-partition L2 MSHR occupancy
+	QueueDRAM                        // per-channel DRAM scheduler queue depth
 
 	NumQueueKinds // sentinel
 )
@@ -416,17 +416,17 @@ type TableOp uint8
 
 // CAP/DIST table operations.
 const (
-	TableDistFill     TableOp = iota // DIST entry allocated for a new PC
-	TableDistHit                     // DIST lookup matched the PC
-	TableDistReclaim                 // disabled DIST entry reclaimed for a new PC (aliasing)
-	TableDistFull                    // DIST allocation rejected: table full
-	TableDistDisable                 // mispredict streak crossed the threshold; entry disabled
-	TableVerifyOK                    // CAP address verification matched
-	TableVerifyBad                   // CAP address verification mismatched
-	TableCTAFill                     // CAP (PerCTA) entry filled for a CTA/PC
-	TableCTAHit                      // CAP lookup matched the CTA/PC
-	TableCTAEvict                    // CAP LRU eviction of a live entry (aliasing collision)
-	TableCTAInvalidate               // CAP entry invalidated on stride-detection failure
+	TableDistFill      TableOp = iota // DIST entry allocated for a new PC
+	TableDistHit                      // DIST lookup matched the PC
+	TableDistReclaim                  // disabled DIST entry reclaimed for a new PC (aliasing)
+	TableDistFull                     // DIST allocation rejected: table full
+	TableDistDisable                  // mispredict streak crossed the threshold; entry disabled
+	TableVerifyOK                     // CAP address verification matched
+	TableVerifyBad                    // CAP address verification mismatched
+	TableCTAFill                      // CAP (PerCTA) entry filled for a CTA/PC
+	TableCTAHit                       // CAP lookup matched the CTA/PC
+	TableCTAEvict                     // CAP LRU eviction of a live entry (aliasing collision)
+	TableCTAInvalidate                // CAP entry invalidated on stride-detection failure
 
 	numTableOps // sentinel
 )

@@ -23,25 +23,25 @@ const (
 // Entry is one run's index row: everything a table, query or dedup check
 // needs without reading the full record back from the log.
 type Entry struct {
-	ID         string  `json:"id"`
-	ConfigHash string  `json:"config_hash"`
-	GitRev     string  `json:"git_rev,omitempty"`
-	CreatedAt  int64   `json:"created_at"`
-	Bench      string  `json:"bench"`
-	Prefetcher string  `json:"prefetcher"`
-	Scheduler  string  `json:"scheduler"`
-	MaxInsts   int64   `json:"max_insts,omitempty"`
-	Cycles     int64   `json:"cycles"`
-	Instructions int64 `json:"instructions"`
-	IPC        float64 `json:"ipc"`
-	Coverage   float64 `json:"coverage"`
-	Accuracy   float64 `json:"accuracy"`
-	HasProfile bool    `json:"has_profile"`
-	Aborted    bool    `json:"aborted,omitempty"`
-	AbortReason string `json:"abort_reason,omitempty"`
-	FlightDump string  `json:"flight_dump,omitempty"`
-	Offset     int64   `json:"offset"`
-	Length     int64   `json:"length"`
+	ID           string  `json:"id"`
+	ConfigHash   string  `json:"config_hash"`
+	GitRev       string  `json:"git_rev,omitempty"`
+	CreatedAt    int64   `json:"created_at"`
+	Bench        string  `json:"bench"`
+	Prefetcher   string  `json:"prefetcher"`
+	Scheduler    string  `json:"scheduler"`
+	MaxInsts     int64   `json:"max_insts,omitempty"`
+	Cycles       int64   `json:"cycles"`
+	Instructions int64   `json:"instructions"`
+	IPC          float64 `json:"ipc"`
+	Coverage     float64 `json:"coverage"`
+	Accuracy     float64 `json:"accuracy"`
+	HasProfile   bool    `json:"has_profile"`
+	Aborted      bool    `json:"aborted,omitempty"`
+	AbortReason  string  `json:"abort_reason,omitempty"`
+	FlightDump   string  `json:"flight_dump,omitempty"`
+	Offset       int64   `json:"offset"`
+	Length       int64   `json:"length"`
 }
 
 // dedupKey mirrors Record.DedupKey (aborted runs live under their own key).

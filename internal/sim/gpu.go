@@ -129,7 +129,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		return nil, fmt.Errorf("sim: L1 line size %d must match kernels.LineBytes %d",
 			cfg.L1.LineBytes, kernels.LineBytes)
 	}
-	beat, err := ceilPow2(opt.progressEvery, DefaultProgressEvery)
+	beat, err := ProgressPeriod(opt.progressEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -239,12 +239,13 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	return g, nil
 }
 
-// ceilPow2 rounds v up to a power of two so Run's beat check stays a mask
-// test; def replaces a non-positive v. A v above MaxProgressEvery has no
-// int64 power of two to round to and is rejected.
-func ceilPow2(v, def int64) (int64, error) {
+// ProgressPeriod is the beat period WithProgressEvery(v) runs at: v rounded
+// up to a power of two, so Run's beat check stays a mask test, with
+// DefaultProgressEvery for a non-positive v. A v above MaxProgressEvery has
+// no int64 power of two to round to and is rejected.
+func ProgressPeriod(v int64) (int64, error) {
 	if v <= 0 {
-		v = def
+		v = DefaultProgressEvery
 	}
 	if v > MaxProgressEvery {
 		return 0, fmt.Errorf("sim: progress period %d exceeds the maximum %d", v, MaxProgressEvery)

@@ -8,12 +8,11 @@ import (
 
 // Parallel SM ticking. isolint proves SM.Tick writes only SM-owned state
 // except at the annotated sync points (stats-reduce, icnt-queues,
-// obs-metrics/-consumers/-trace, trace-hook, addrgen, cta-dispatch). The
-// parallel Step makes every one of those either SM-private (per-SM stats
-// shards), staged (interconnect pushes, obs events, CTA-dispatch requests
-// buffered into per-SM lanes) or forced serial (the tracer hook), so
-// workers can tick disjoint SM shards concurrently and a single-threaded
-// commit phase replays the lanes in fixed SM order. The result is
+// obs-metrics/-consumers/-trace, addrgen, cta-dispatch). The parallel Step
+// makes every one of those either SM-private (per-SM stats shards) or
+// staged (interconnect pushes, obs events, CTA-dispatch requests buffered
+// into per-SM lanes), so workers can tick disjoint SM shards concurrently
+// and a single-threaded commit phase replays the lanes in fixed SM order. The result is
 // bit-identical to the serial tick at any worker count — same state
 // hashes, same statistics, same event stream.
 
