@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check lint test simbench-check race race-smoke determinism trace-smoke profile-smoke serve-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke bench-json speed-bench results check bench
+.PHONY: build fmt-check lint test simbench-check race race-smoke determinism trace-smoke profile-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke bench-json speed-bench results check bench
 
 build:
 	$(GO) build ./...
@@ -64,14 +64,6 @@ profile-smoke:
 		-profile /tmp/caps-prof-b.json
 	$(GO) run ./cmd/capsprof diff /tmp/caps-prof-a.json /tmp/caps-prof-b.json
 	$(GO) run ./cmd/capsprof report /tmp/caps-prof-a.json -html /tmp/caps-prof-a.html
-
-# End-to-end telemetry + run-store smoke test, run fully in-process by
-# capsd (no curl, no fixed ports): two short runs with the telemetry server
-# live, /metrics validated by the strict Prometheus parser, one SSE event
-# read off /events, both runs stored, and the diff gate checked to pass a
-# clean pair and catch an injected IPC regression.
-serve-smoke:
-	$(GO) run ./cmd/capsd smoke
 
 # End-to-end flight-recorder smoke test, run fully in-process by capscope:
 # a synthetic invariant violation must abort the run, produce a black-box
@@ -162,7 +154,7 @@ results:
 	$(GO) run ./cmd/capsweep -insts 250000 -fig 12,13,14a,14b,15 >> results_all.txt
 	$(GO) run ./cmd/capsweep -insts 250000 -benches CNV,MM,MRQ,BFS -fig 11 >> results_all.txt
 
-check: build fmt-check lint test simbench-check race-smoke determinism trace-smoke profile-smoke serve-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke
+check: build fmt-check lint test simbench-check race-smoke determinism trace-smoke profile-smoke flight-smoke hostprof-smoke memlens-smoke schedlens-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

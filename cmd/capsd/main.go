@@ -1,25 +1,28 @@
-// Command capsd is the fleet-side companion to capsim/capsweep: it serves
-// a live dashboard over the persistent run store and queries, compares and
-// garbage-collects stored runs.
+// Command capsd queries, compares and garbage-collects the persistent run
+// store that capsim and capsweep write with -store.
 //
 // Usage:
 //
-//	capsd serve  [-addr :8080] [-store .caps/runs] [-baseline BENCH_caps.json]
 //	capsd ls     [-store DIR] [-bench MM] [-prefetch caps] [-all]
 //	capsd show   [-store DIR] [-json] [-html out.html] <id>
-//	capsd diff   [-store DIR] <base-id> <cur-id>       # exit 1 on regression
+//	capsd diff   [-store DIR] [-ipc-frac F] <base-id> <cur-id>
 //	capsd gc     [-store DIR]
-//	capsd scrape <url>                                  # fetch+validate /metrics
-//	capsd events [-n 1] <url>                           # print SSE events
-//	capsd smoke                                         # in-process CI gate
 //
 // Run IDs may be abbreviated to any unique prefix (as printed by ls).
+//
+// Exit status: 0 when the command succeeds and finds nothing, 1 only when
+// diff finds a regression, 2 on a usage error (unknown command, bad flag,
+// wrong argument count, unknown run id) or a store error (missing,
+// unreadable or unwritable store). A CI gate on `capsd diff` can therefore
+// tell a typo from a regression.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,69 +31,64 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		usage()
+		usage(stderr)
 		return 2
 	}
 	cmd, rest := args[0], args[1:]
+	var regressed bool
 	var err error
 	switch cmd {
-	case "serve":
-		err = cmdServe(rest)
 	case "ls":
-		err = cmdLs(rest)
+		err = cmdLs(rest, stdout, stderr)
 	case "show":
-		err = cmdShow(rest)
+		err = cmdShow(rest, stdout, stderr)
 	case "diff":
-		var regressed bool
-		regressed, err = cmdDiff(rest)
-		if err == nil && regressed {
-			return 1
-		}
+		regressed, err = cmdDiff(rest, stdout, stderr)
 	case "gc":
-		err = cmdGC(rest)
-	case "scrape":
-		err = cmdScrape(rest)
-	case "events":
-		err = cmdEvents(rest)
-	case "smoke":
-		err = cmdSmoke(rest)
+		err = cmdGC(rest, stdout, stderr)
 	case "-h", "-help", "--help", "help":
-		usage()
+		usage(stderr)
 		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "capsd: unknown command %q\n", cmd)
-		usage()
+		fmt.Fprintf(stderr, "capsd: unknown command %q\n", cmd)
+		usage(stderr)
 		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsd:", err)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		fmt.Fprintln(stderr, "capsd:", err)
+		return 2
+	case regressed:
 		return 1
 	}
 	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: capsd <command> [flags]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: capsd <command> [flags]
 
 commands:
-  serve    serve the run-store dashboard (run table, IPC charts vs baseline)
   ls       list stored runs
   show     print one stored run (-json for the full record, -html for a report)
   diff     compare two stored runs; exit 1 when the second regresses
   gc       drop superseded records from the store log
-  scrape   fetch a /metrics URL and validate the Prometheus exposition
-  events   subscribe to an /events URL and print SSE events
-  smoke    in-process serve+store+diff smoke test (CI gate)`)
+
+exit status: 0 clean, 1 diff regression, 2 usage or store error`)
 }
 
-// storeFlag registers the shared -store flag on fs.
-func storeFlag(fs *flag.FlagSet) *string {
-	return fs.String("store", runstore.DefaultDir, "run store directory")
+// newFlags returns a subcommand's flag set, reporting to stderr, with the
+// shared -store flag registered.
+func newFlags(name string, stderr io.Writer) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs, fs.String("store", runstore.DefaultDir, "run store directory")
 }
 
 func openStore(dir string) (*runstore.Store, error) {
@@ -100,9 +98,8 @@ func openStore(dir string) (*runstore.Store, error) {
 	return runstore.Open(dir)
 }
 
-func cmdLs(args []string) error {
-	fs := flag.NewFlagSet("ls", flag.ContinueOnError)
-	dir := storeFlag(fs)
+func cmdLs(args []string, stdout, stderr io.Writer) error {
+	fs, dir := newFlags("ls", stderr)
 	bench := fs.String("bench", "", "filter by benchmark")
 	pf := fs.String("prefetch", "", "filter by prefetcher")
 	all := fs.Bool("all", false, "include superseded records")
@@ -115,30 +112,25 @@ func cmdLs(args []string) error {
 	}
 	entries := store.List(runstore.Query{Bench: *bench, Prefetcher: *pf, All: *all})
 	if len(entries) == 0 {
-		fmt.Println("no stored runs")
+		fmt.Fprintln(stdout, "no stored runs")
 		return nil
 	}
-	fmt.Printf("%-16s %-5s %-8s %-5s %12s %8s %8s %8s %-12s %s\n",
+	fmt.Fprintf(stdout, "%-16s %-5s %-8s %-5s %12s %8s %8s %8s %-12s %s\n",
 		"ID", "BENCH", "PREFETCH", "SCHED", "CYCLES", "IPC", "COVER", "ACCUR", "GITREV", "CREATED")
 	for _, e := range entries {
-		rev := e.GitRev
-		if rev == "" {
-			rev = "-"
-		}
 		mark := ""
 		if e.Aborted {
 			mark = "  ABORTED"
 		}
-		fmt.Printf("%-16s %-5s %-8s %-5s %12d %8.4f %8.4f %8.4f %-12s %s%s\n",
+		fmt.Fprintf(stdout, "%-16s %-5s %-8s %-5s %12d %8.4f %8.4f %8.4f %-12s %s%s\n",
 			e.ID, e.Bench, e.Prefetcher, e.Scheduler, e.Cycles, e.IPC, e.Coverage, e.Accuracy,
-			rev, time.Unix(e.CreatedAt, 0).UTC().Format("2006-01-02 15:04"), mark)
+			orDash(e.GitRev), time.Unix(e.CreatedAt, 0).UTC().Format("2006-01-02 15:04"), mark)
 	}
 	return nil
 }
 
-func cmdShow(args []string) error {
-	fs := flag.NewFlagSet("show", flag.ContinueOnError)
-	dir := storeFlag(fs)
+func cmdShow(args []string, stdout, stderr io.Writer) error {
+	fs, dir := newFlags("show", stderr)
 	asJSON := fs.Bool("json", false, "print the full record as JSON")
 	htmlOut := fs.String("html", "", "write the run's profile report (capsprof HTML) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -156,26 +148,26 @@ func cmdShow(args []string) error {
 		return err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rec)
 	}
-	fmt.Printf("run       %s\n", rec.ID)
-	fmt.Printf("bench     %s  prefetch=%s  sched=%s\n", rec.Bench, rec.Prefetcher, rec.Scheduler)
-	fmt.Printf("config    %s  gitrev=%s  created=%s\n", rec.ConfigHash, orDash(rec.GitRev),
+	fmt.Fprintf(stdout, "run       %s\n", rec.ID)
+	fmt.Fprintf(stdout, "bench     %s  prefetch=%s  sched=%s\n", rec.Bench, rec.Prefetcher, rec.Scheduler)
+	fmt.Fprintf(stdout, "config    %s  gitrev=%s  created=%s\n", rec.ConfigHash, orDash(rec.GitRev),
 		time.Unix(rec.CreatedAt, 0).UTC().Format(time.RFC3339))
-	fmt.Printf("cycles    %d\ninsts     %d\nipc       %.4f\ncoverage  %.4f\naccuracy  %.4f\n",
+	fmt.Fprintf(stdout, "cycles    %d\ninsts     %d\nipc       %.4f\ncoverage  %.4f\naccuracy  %.4f\n",
 		rec.Cycles, rec.Instructions, rec.IPC, rec.Coverage, rec.Accuracy)
 	if rec.Aborted {
-		fmt.Printf("aborted   %s\n", orDash(rec.AbortReason))
+		fmt.Fprintf(stdout, "aborted   %s\n", orDash(rec.AbortReason))
 		if rec.FlightDump != "" {
-			fmt.Printf("flight    %s  (decode with: capscope decode %s)\n", rec.FlightDump, rec.FlightDump)
+			fmt.Fprintf(stdout, "flight    %s  (decode with: capscope decode %s)\n", rec.FlightDump, rec.FlightDump)
 		}
 	}
 	if rec.Profile == nil {
-		fmt.Println("profile   (none)")
+		fmt.Fprintln(stdout, "profile   (none)")
 	} else {
-		fmt.Printf("profile   %d PCs, %d CTAs, %d SM stacks\n",
+		fmt.Fprintf(stdout, "profile   %d PCs, %d CTAs, %d SM stacks\n",
 			len(rec.Profile.PCs), len(rec.Profile.CTAs), len(rec.Profile.SMs))
 	}
 	if *htmlOut != "" {
@@ -193,7 +185,7 @@ func cmdShow(args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *htmlOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *htmlOut)
 	}
 	return nil
 }
@@ -207,9 +199,8 @@ func orDash(s string) string {
 
 // cmdDiff compares two stored runs with the capsprof gate. The returned
 // bool reports whether any metric regressed (the caller exits 1).
-func cmdDiff(args []string) (bool, error) {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	dir := storeFlag(fs)
+func cmdDiff(args []string, stdout, stderr io.Writer) (bool, error) {
+	fs, dir := newFlags("diff", stderr)
 	ipcFrac := fs.Float64("ipc-frac", profile.DefaultThresholds().IPCFrac, "max tolerated fractional IPC drop")
 	if err := fs.Parse(args); err != nil {
 		return false, err
@@ -231,31 +222,27 @@ func cmdDiff(args []string) (bool, error) {
 	}
 	th := profile.DefaultThresholds()
 	th.IPCFrac = *ipcFrac
-	regs := diffRecords(base, cur, th)
-	fmt.Printf("base %s  %s/%s  ipc=%.4f\ncur  %s  %s/%s  ipc=%.4f\n",
+	regs := profile.Diff(profileOf(base), profileOf(cur), th)
+	fmt.Fprintf(stdout, "base %s  %s/%s  ipc=%.4f\ncur  %s  %s/%s  ipc=%.4f\n",
 		base.ID, base.Bench, base.Prefetcher, base.IPC,
 		cur.ID, cur.Bench, cur.Prefetcher, cur.IPC)
 	if base.Profile == nil || cur.Profile == nil {
-		fmt.Println("note: one side has no stored profile; headline metrics only, stall stacks not gated")
+		fmt.Fprintln(stdout, "note: one side has no stored profile; headline metrics only, stall stacks not gated")
 	}
 	if len(regs) == 0 {
-		fmt.Println("no regressions")
+		fmt.Fprintln(stdout, "no regressions")
 		return false, nil
 	}
-	fmt.Printf("%d regression(s):\n", len(regs))
+	fmt.Fprintf(stdout, "%d regression(s):\n", len(regs))
 	for _, r := range regs {
-		fmt.Println("  " + r.String())
+		fmt.Fprintln(stdout, "  "+r.String())
 	}
 	return true, nil
 }
 
-// diffRecords runs profile.Diff over two stored runs, synthesizing a
-// headline-only profile when a record was stored without one so the gate
-// still covers IPC/coverage/accuracy.
-func diffRecords(base, cur *runstore.Record, th profile.Thresholds) []profile.Regression {
-	return profile.Diff(profileOf(base), profileOf(cur), th)
-}
-
+// profileOf returns the record's stored profile, or synthesizes a
+// headline-only one when the record was stored without it, so the diff
+// gate still covers IPC, coverage and accuracy.
 func profileOf(r *runstore.Record) *profile.Profile {
 	if r.Profile != nil {
 		return r.Profile
@@ -270,9 +257,8 @@ func profileOf(r *runstore.Record) *profile.Profile {
 	}
 }
 
-func cmdGC(args []string) error {
-	fs := flag.NewFlagSet("gc", flag.ContinueOnError)
-	dir := storeFlag(fs)
+func cmdGC(args []string, stdout, stderr io.Writer) error {
+	fs, dir := newFlags("gc", stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -284,6 +270,6 @@ func cmdGC(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dropped %d superseded record(s), %d live\n", removed, store.Len())
+	fmt.Fprintf(stdout, "dropped %d superseded record(s), %d live\n", removed, store.Len())
 	return nil
 }

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,7 +23,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"caps/internal/config"
 	"caps/internal/energy"
@@ -40,7 +38,6 @@ import (
 	"caps/internal/sched"
 	"caps/internal/schedlens"
 	"caps/internal/sim"
-	"caps/internal/telemetry"
 )
 
 func main() {
@@ -65,7 +62,6 @@ func run() int {
 		profOut   = flag.String("profile", "", "write a capsprof profile JSON (stall stacks + per-PC ledger) to this file")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile of the simulator itself to this file")
-		serveAdr  = flag.String("serve", "", "serve live telemetry (/metrics, /events, /debug/pprof) on this address while the run executes")
 		storeDir  = flag.String("store", "", "record the completed run (stats + profile) into this run store directory (see capsd)")
 		flightOut = flag.String("flight", "", "attach a flight recorder and write its black box (JSONL, see capscope) to this file when the run dies or SIGQUIT arrives")
 		watchdog  = flag.Int64("watchdog", 0, "abort when no instruction retires for this many cycles (0 = default, negative = off)")
@@ -141,7 +137,7 @@ func run() int {
 
 	var snk *obs.Sink
 	var col *profile.Collector
-	if *traceOut != "" || *metOut != "" || *profOut != "" || *serveAdr != "" || *storeDir != "" {
+	if *traceOut != "" || *metOut != "" || *profOut != "" || *storeDir != "" {
 		snk = sim.NewSink(cfg, *traceOut != "", obs.DefaultTraceCap)
 	}
 	if *profOut != "" || *storeDir != "" {
@@ -159,24 +155,6 @@ func run() int {
 	var slens *schedlens.Collector
 	if *slensOut != "" {
 		slens = schedlens.ForConfig(cfg)
-	}
-	runID := fmt.Sprintf("%s-%s-%s", k.Abbr, *pf, cfg.Scheduler)
-	var srv *telemetry.Server
-	if *serveAdr != "" {
-		srv = telemetry.NewServer(*serveAdr)
-		addr, err := srv.Start()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsim:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "capsim: telemetry on http://%s\n", addr)
-		meta := telemetry.RunMeta{ID: runID, Bench: k.Abbr, Prefetcher: *pf,
-			Scheduler: string(cfg.Scheduler), MaxInsts: cfg.MaxInsts}
-		rp := telemetry.NewRunProgress(srv.Hub(), meta, snk.Registry())
-		if hprof != nil {
-			rp.AttachHostProf(hprof)
-		}
-		snk.Attach(rp)
 	}
 	opts := []sim.Option{sim.WithPrefetcher(*pf), sim.WithObs(snk),
 		sim.WithProgressEvery(*beat), sim.WithWatchdogCycles(*watchdog)}
@@ -242,20 +220,6 @@ func run() int {
 			exitCode = 130
 		}
 		fmt.Fprintln(os.Stderr, "capsim:", err)
-	}
-	if srv != nil {
-		meta := telemetry.RunMeta{ID: runID, Bench: k.Abbr, Prefetcher: *pf,
-			Scheduler: string(cfg.Scheduler), MaxInsts: cfg.MaxInsts}
-		if aborted {
-			srv.Hub().RunAborted(meta, st.Cycles, st.Instructions, abortReason, dumpPath, snk.Snapshot())
-		} else {
-			srv.Hub().RunDone(meta, st.Cycles, st.Instructions, st.IPC(), snk.Snapshot())
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck // exiting anyway
-		}()
 	}
 	fmt.Printf("%s  prefetch=%s  sched=%s\n", k.Abbr, *pf, cfg.Scheduler)
 	fmt.Print(st.String())

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"caps/internal/config"
 	"caps/internal/experiments"
@@ -30,7 +28,6 @@ import (
 	"caps/internal/schedlens"
 	"caps/internal/sim"
 	"caps/internal/stats"
-	"caps/internal/telemetry"
 )
 
 func main() {
@@ -47,7 +44,6 @@ func main() {
 		profileDir = flag.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
 		benchJSON  = flag.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
 		speedJSON  = flag.String("speed-json", "", "time every benchmark serial-vs-tuned (-workers/-idle-skip), verify identical stats, write BENCH_speed.json-style timings to this file, then exit")
-		serveAddr  = flag.String("serve", "", "serve live telemetry (/metrics, /events, /debug/pprof) on this address while the sweep runs")
 		storeDir   = flag.String("store", "", "record every completed run (stats + profile) into this run store directory (see capsd)")
 		flightDir  = flag.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
 		hprofDir   = flag.String("hostprof-dir", "", "self-profile every run's executor wall-clock and write <dir>/<run>.host.json (see capsprof host)")
@@ -129,21 +125,6 @@ func main() {
 		))
 	}
 	exitCode := 0
-	if *serveAddr != "" {
-		srv := telemetry.NewServer(*serveAddr)
-		addr, err := srv.Start()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "capsweep: telemetry on http://%s\n", addr)
-		opts = append(opts, experiments.WithTelemetry(srv.Hub()))
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck // exiting anyway
-		}()
-	}
 	if *storeDir != "" {
 		store, err := runstore.Open(*storeDir)
 		if err != nil {

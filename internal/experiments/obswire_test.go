@@ -9,7 +9,6 @@ import (
 	"caps/internal/config"
 	"caps/internal/runstore"
 	"caps/internal/sim"
-	"caps/internal/telemetry"
 )
 
 func TestRunKeyName(t *testing.T) {
@@ -26,42 +25,6 @@ func TestRunKeyName(t *testing.T) {
 		if got := c.k.Name(); got != c.want {
 			t.Errorf("Name(%+v) = %q, want %q", c.k, got, c.want)
 		}
-	}
-}
-
-// TestWithTelemetry drives a real (tiny) simulation through the telemetry
-// hub and checks that progress beats and the final done event arrive.
-func TestWithTelemetry(t *testing.T) {
-	cfg := config.Default()
-	cfg.MaxInsts = 40_000
-	hub := telemetry.NewHub()
-	s := NewSuite(cfg, WithBenches([]string{"MM"}), WithTelemetry(hub))
-	k := PrefetcherKey("MM", "caps")
-	st, err := s.Run(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := hub.Runs()
-	if len(runs) != 1 {
-		t.Fatalf("hub has %d runs, want 1: %+v", len(runs), runs)
-	}
-	p := runs[0]
-	if p.Run != "MM-caps-pas" || !p.Done {
-		t.Errorf("final progress wrong: %+v", p)
-	}
-	if p.Cycles != st.Cycles || p.Instructions != st.Instructions {
-		t.Errorf("final progress (%d cycles, %d insts) != stats (%d, %d)",
-			p.Cycles, p.Instructions, st.Cycles, st.Instructions)
-	}
-	// The merged scrape must include real simulator counters.
-	found := false
-	for _, smp := range hub.MergedSamples() {
-		if smp.Name == "cta_launch_total" && smp.Value > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("merged samples missing simulator counters")
 	}
 }
 
@@ -113,7 +76,7 @@ func TestWithRunStore(t *testing.T) {
 // TestAbortedRunLeavesInspectableTrail drives the whole post-mortem chain
 // through the suite: an injected invariant violation kills the run, the
 // flight recorder dumps its black box, the run store keeps an ABORTED
-// record pointing at the dump, and telemetry publishes the abort.
+// record pointing at the dump.
 func TestAbortedRunLeavesInspectableTrail(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 60_000
@@ -122,10 +85,8 @@ func TestAbortedRunLeavesInspectableTrail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub()
 	s := NewSuite(cfg, WithBenches([]string{"MM"}),
 		WithRunStore(store, func(k RunKey, err error) { t.Errorf("store hook %s: %v", k.Name(), err) }),
-		WithTelemetry(hub),
 		WithFlight(flightDir, func(k RunKey, err error) { t.Errorf("flight hook %s: %v", k.Name(), err) }),
 		WithRunOptions(sim.WithInjectViolation(2000)),
 	)
@@ -159,11 +120,6 @@ func TestAbortedRunLeavesInspectableTrail(t *testing.T) {
 	}
 	if rec.Profile != nil {
 		t.Errorf("aborted record carries a profile; cycle accounting is only valid for completed runs")
-	}
-
-	runs := hub.Runs()
-	if len(runs) != 1 || !runs[0].Aborted || runs[0].FlightDump != wantDump {
-		t.Errorf("telemetry missing the abort: %+v", runs)
 	}
 }
 

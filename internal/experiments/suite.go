@@ -22,7 +22,6 @@ import (
 	"caps/internal/schedlens"
 	"caps/internal/sim"
 	"caps/internal/stats"
-	"caps/internal/telemetry"
 )
 
 // Prefetchers lists the evaluated prefetchers in the paper's figure order.
@@ -50,7 +49,7 @@ type RunKey struct {
 
 // Name builds a filesystem- and label-safe identifier for the run, e.g.
 // "MM-caps-pas" or "CNV-lap-tlv-ctas2-nowakeup". It is the run's identity
-// in exported trace/profile filenames, telemetry streams and run tables.
+// in exported trace/profile filenames and run tables.
 func (k RunKey) Name() string {
 	name := fmt.Sprintf("%s-%s-%s", k.Bench, k.Prefetch, k.Scheduler)
 	if k.MaxCTAs > 0 {
@@ -73,8 +72,8 @@ type Suite struct {
 	benches []string
 
 	// Observability plumbing: newSink (WithObs) builds a per-run sink
-	// before the simulation; attach hooks (WithTelemetry, WithRunStore)
-	// decorate that sink with consumers; runDone hooks receive the sink
+	// before the simulation; attach hooks (WithRunStore) decorate that
+	// sink with consumers; runDone hooks receive the sink
 	// afterwards together with the run's statistics. runFail hooks fire
 	// instead of runDone when a started run dies (interrupt, invariant
 	// violation, watchdog), with the partial stats, the error, and the
@@ -95,13 +94,11 @@ type Suite struct {
 	runOpts []sim.Option
 
 	// hostProf (WithHostProf) hands every run a wall-clock self-profiler;
-	// hostDone hooks receive the built profile after a successful run.
-	// hprofs holds each in-flight run's profiler (set before attach hooks so
-	// WithTelemetry can stream live stats); hostProfiles keeps the built
-	// profiles for HostProfile and the run-store attach. Both under mu.
+	// hostDone hooks receive the built profile after a successful run, and
+	// hostProfiles keeps it for HostProfile and the run-store attach. Under
+	// mu.
 	hostProf     bool
 	hostDone     []func(RunKey, *hostprof.Profile)
-	hprofs       map[RunKey]*hostprof.Profiler
 	hostProfiles map[RunKey]*hostprof.Profile
 
 	// memLens (WithMemLens) hands every run a streaming memory-hierarchy
@@ -161,38 +158,6 @@ func WithObs(newSink func(RunKey) *obs.Sink, runDone func(RunKey, *obs.Sink, *st
 		if runDone != nil {
 			s.runDone = append(s.runDone, runDone)
 		}
-	}
-}
-
-// WithTelemetry publishes every run's live progress and metric snapshots
-// into hub: an obs.Consumer streams EvProgress beats (registry snapshots
-// taken on the simulation goroutine, so the lock-free registry is never
-// read concurrently), and run completion posts the final state with the
-// authoritative IPC. Composes with WithObs and WithRunStore.
-func WithTelemetry(hub *telemetry.Hub) Option {
-	return func(s *Suite) {
-		meta := func(k RunKey) telemetry.RunMeta {
-			return telemetry.RunMeta{
-				ID:         k.Name(),
-				Bench:      k.Bench,
-				Prefetcher: k.Prefetch,
-				Scheduler:  string(k.Scheduler),
-				MaxInsts:   s.configFor(k).MaxInsts,
-			}
-		}
-		s.attach = append(s.attach, func(k RunKey, snk *obs.Sink) {
-			rp := telemetry.NewRunProgress(hub, meta(k), snk.Registry())
-			if hp := s.hostProfiler(k); hp != nil {
-				rp.AttachHostProf(hp)
-			}
-			snk.Attach(rp)
-		})
-		s.runDone = append(s.runDone, func(k RunKey, snk *obs.Sink, st *stats.Sim) {
-			hub.RunDone(meta(k), st.Cycles, st.Instructions, st.IPC(), snk.Snapshot())
-		})
-		s.runFail = append(s.runFail, func(k RunKey, snk *obs.Sink, st *stats.Sim, runErr error, dump string) {
-			hub.RunAborted(meta(k), st.Cycles, st.Instructions, runErr.Error(), dump, snk.Snapshot())
-		})
 	}
 }
 
@@ -267,9 +232,9 @@ func WithRunStore(store *runstore.Store, onErr func(RunKey, error)) Option {
 // fast-forward attribution at the default sampling rate. fn — optional —
 // receives each successful run's built profile (capsweep writes it to
 // -hostprof-dir); the profile is also retained for HostProfile. Composes
-// with WithTelemetry (beats gain live host stats) and WithRunStore (stored
-// records carry the host profile). Profiling never feeds back into the
-// simulation: cycles, hashes, and BENCH_caps.json stay bit-identical.
+// with WithRunStore (stored records carry the host profile). Profiling
+// never feeds back into the simulation: cycles, hashes, and
+// BENCH_caps.json stay bit-identical.
 func WithHostProf(fn func(RunKey, *hostprof.Profile)) Option {
 	return func(s *Suite) {
 		s.hostProf = true
@@ -339,14 +304,6 @@ func (s *Suite) HostProfile(k RunKey) *hostprof.Profile {
 	return s.hostProfiles[k]
 }
 
-// hostProfiler returns the in-flight run's profiler (nil outside runOnce or
-// without WithHostProf); WithTelemetry uses it to attach live host stats.
-func (s *Suite) hostProfiler(k RunKey) *hostprof.Profiler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hprofs[k]
-}
-
 // WithFlight attaches a flight recorder to every run; a run that dies
 // (invariant violation, watchdog, panic) leaves its black box at
 // "<dir>/<run-name>.flight.jsonl" for capscope decode. onErr (may be nil)
@@ -377,7 +334,6 @@ func NewSuite(cfg config.GPUConfig, opts ...Option) *Suite {
 		cache:         make(map[RunKey]*stats.Sim),
 		failures:      make(map[RunKey]error),
 		running:       make(map[RunKey]*sim.GPU),
-		hprofs:        make(map[RunKey]*hostprof.Profiler),
 		hostProfiles:  make(map[RunKey]*hostprof.Profile),
 		memProfiles:   make(map[RunKey]*memlens.Profile),
 		schedProfiles: make(map[RunKey]*schedlens.Profile),
@@ -446,26 +402,16 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 		snk = s.newSink(k)
 	}
 	if snk == nil && len(s.attach) > 0 {
-		// Attach-only observability (telemetry, run store): a plain
-		// metrics sink, no trace buffer.
+		// Attach-only observability (run store): a plain metrics sink, no
+		// trace buffer.
 		snk = sim.NewSink(s.configFor(k), false, 0)
-	}
-	var hp *hostprof.Profiler
-	if s.hostProf {
-		// Registered before the attach hooks run, so WithTelemetry's
-		// RunProgress can pick the profiler up for live stats.
-		hp = hostprof.New(hostprof.DefaultSampleEvery)
-		s.mu.Lock()
-		s.hprofs[k] = hp
-		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			delete(s.hprofs, k)
-			s.mu.Unlock()
-		}()
 	}
 	for _, hook := range s.attach {
 		hook(k, snk)
+	}
+	var hp *hostprof.Profiler
+	if s.hostProf {
+		hp = hostprof.New(hostprof.DefaultSampleEvery)
 	}
 	var ml *memlens.Collector
 	if s.memLens {

@@ -23,10 +23,13 @@ const (
 	ReasonManual     Reason = "manual"
 )
 
-// Format identifies the dump file type; Version gates decoding.
+// Format identifies the dump file type; Version gates decoding. Events
+// carry obs.Kind as a bare integer, so any renumbering of the Kind enum
+// bumps Version: version 2 dropped the run.host_time kind, which shifted
+// the codes of every kind after it.
 const (
 	Format  = "caps-flight"
-	Version = 1
+	Version = 2
 )
 
 // WarpSnapshot is one warp context's state at dump time.

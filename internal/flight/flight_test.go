@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"caps/internal/obs"
@@ -106,11 +107,18 @@ func TestDumpRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsWrongFormat(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString(`{"format":"nope","version":1}` + "\n")); err == nil {
-		t.Error("Read accepted a non-flight format")
-	}
-	if _, err := Read(bytes.NewBufferString(`{"format":"caps-flight","version":99}` + "\n")); err == nil {
-		t.Error("Read accepted an unknown version")
+	for _, c := range []struct{ dump, want string }{
+		{`{"format":"nope","version":2}`, `not a flight dump (format "nope"`},
+		{`{"format":"caps-flight","version":99}`, "dump version 99, this build reads 2"},
+		// Version 1 numbered obs.Kind with run.host_time at 30, so its
+		// kind 31 (a sched.pick event) would decode as cta.phase here.
+		{`{"format":"caps-flight","version":1}` + "\n" + `{"Cycle":5,"Kind":31,"Track":0}`,
+			"dump version 1, this build reads 2"},
+	} {
+		_, err := Read(bytes.NewBufferString(c.dump + "\n"))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Read(%s) = %v, want an error containing %q", c.dump, err, c.want)
+		}
 	}
 }
 

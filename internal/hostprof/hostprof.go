@@ -270,15 +270,6 @@ func (p *Profiler) Start() {
 	p.startNS = p.clock()
 }
 
-// Elapsed returns wall-clock ns since Start (0 before Start and on nil).
-// The Run loop stamps the beat's EvHostTime event with it.
-func (p *Profiler) Elapsed() int64 {
-	if p == nil || !p.started {
-		return 0
-	}
-	return p.clock() - p.startNS
-}
-
 // Finish closes the run's wall-clock span. Idempotent; GPU.Close calls it
 // on every exit path.
 func (p *Profiler) Finish() {
@@ -389,45 +380,4 @@ func (p *Profiler) AddReplayCost(flushes, picks int64) {
 	}
 	p.replayFlushes += flushes
 	p.replayPicks += picks
-}
-
-// Live is the cheap mid-run snapshot behind the telemetry gauges. Safe to
-// take on the executor goroutine between steps (the barrier has ordered
-// every worker write by then).
-type Live struct {
-	WallNS             int64
-	CyclesPerSec       int64
-	WorkerUtilPermille int64 // mean worker busy share of the sampled SM phase
-}
-
-// LiveStats snapshots the run so far; cycle is the current simulated
-// cycle. Nil-safe (returns zeros).
-func (p *Profiler) LiveStats(cycle int64) Live {
-	if p == nil || !p.started {
-		return Live{}
-	}
-	wall := p.clock() - p.startNS
-	var l Live
-	l.WallNS = wall
-	if wall > 0 {
-		l.CyclesPerSec = int64(float64(cycle) / (float64(wall) / 1e9))
-	}
-	l.WorkerUtilPermille = int64(meanWorkerUtil(p.workerBusy, p.phaseNS[PhaseSM]) * 1000)
-	return l
-}
-
-// meanWorkerUtil is the mean over workers of busy/(sampled SM-phase ns).
-func meanWorkerUtil(busy []int64, smPhaseNS int64) float64 {
-	if len(busy) == 0 || smPhaseNS <= 0 {
-		return 0
-	}
-	var sum float64
-	for _, b := range busy {
-		u := float64(b) / float64(smPhaseNS)
-		if u > 1 {
-			u = 1
-		}
-		sum += u
-	}
-	return sum / float64(len(busy))
 }

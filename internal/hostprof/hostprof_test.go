@@ -531,12 +531,6 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	if got := p.Context(); got != (Context{}) {
 		t.Errorf("nil profiler context = %+v, want zero", got)
 	}
-	if got := p.Elapsed(); got != 0 {
-		t.Errorf("nil profiler elapsed = %d, want 0", got)
-	}
-	if got := p.LiveStats(100); got != (Live{}) {
-		t.Errorf("nil profiler live stats = %+v, want zero", got)
-	}
 	if pr := p.Build("MM", "caps"); pr != nil {
 		t.Error("nil profiler built a profile")
 	}
@@ -554,22 +548,5 @@ func TestSMProfOutOfRange(t *testing.T) {
 	}
 	if sp := p.SMProf(1); sp == nil {
 		t.Error("in-range SMProf returned nil")
-	}
-}
-
-func TestLiveStatsReportsProgress(t *testing.T) {
-	p := New(1)
-	p.Init(1, 1, true)
-	if got := p.LiveStats(10); got != (Live{}) {
-		t.Errorf("live stats before Start = %+v, want zero", got)
-	}
-	p.Start()
-	spin(5000)
-	l := p.LiveStats(1000)
-	if l.WallNS <= 0 {
-		t.Errorf("live wall = %d, want > 0", l.WallNS)
-	}
-	if l.CyclesPerSec <= 0 {
-		t.Errorf("live cycles/s = %d, want > 0", l.CyclesPerSec)
 	}
 }

@@ -191,9 +191,9 @@ func (r *Registry) Histogram(name string, bucketWidth int64, n int, labels ...La
 	return h
 }
 
-// SampleKind identifies what a snapshot sample was expanded from, so text
-// renderers (Prometheus exposition, dashboards) can group families and emit
-// the right # TYPE line without re-parsing metric names.
+// SampleKind identifies what a snapshot sample was expanded from, so readers
+// can tell counters from gauges and histogram expansions without parsing
+// metric names.
 type SampleKind uint8
 
 // Sample kinds.
@@ -207,45 +207,28 @@ const (
 
 // Sample is one metric value in a snapshot.
 type Sample struct {
-	Name     string  // metric family name (with _bucket/_sum/_count suffix for histograms)
-	Labels   string  // rendered label set, "" when unlabeled
-	LabelSet []Label // structured labels (le included for buckets)
-	Kind     SampleKind
-	Value    int64
+	Name   string // metric family name (with _bucket/_sum/_count suffix for histograms)
+	Labels string // rendered label set, "" when unlabeled
+	Kind   SampleKind
+	Value  int64
 }
 
 // FullName returns name+labels.
 func (s Sample) FullName() string { return s.Name + s.Labels }
 
-// Family returns the metric family the sample belongs to: the name itself
-// for counters and gauges, the name with its _bucket/_sum/_count suffix
-// stripped for histogram expansions.
-func (s Sample) Family() string {
-	switch s.Kind {
-	case SampleBucket:
-		return strings.TrimSuffix(s.Name, "_bucket")
-	case SampleHistSum:
-		return strings.TrimSuffix(s.Name, "_sum")
-	case SampleHistCount:
-		return strings.TrimSuffix(s.Name, "_count")
-	default:
-		return s.Name
-	}
-}
-
 // Snapshot returns a point-in-time copy of every metric, in deterministic
 // order: sorted by name, then by rendered label set, regardless of
 // registration order. Histograms expand into per-bucket samples
 // (le="<upper>" plus le="+Inf" for overflow) and _sum/_count samples,
-// Prometheus style. Scrapes and golden tests rely on the ordering being
-// stable across runs.
+// Prometheus style. The CSV export and golden tests rely on the ordering
+// being stable across runs.
 func (r *Registry) Snapshot() []Sample {
 	var out []Sample
 	for _, c := range r.counters {
-		out = append(out, Sample{Name: c.name, Labels: labelString(c.labels), LabelSet: c.labels, Kind: SampleCounter, Value: c.v})
+		out = append(out, Sample{Name: c.name, Labels: labelString(c.labels), Kind: SampleCounter, Value: c.v})
 	}
 	for _, g := range r.gauges {
-		out = append(out, Sample{Name: g.name, Labels: labelString(g.labels), LabelSet: g.labels, Kind: SampleGauge, Value: g.v})
+		out = append(out, Sample{Name: g.name, Labels: labelString(g.labels), Kind: SampleGauge, Value: g.v})
 	}
 	for _, h := range r.hists {
 		cum := int64(0)
@@ -253,12 +236,12 @@ func (r *Registry) Snapshot() []Sample {
 			cum += c
 			le := Label{Key: "le", Value: fmt.Sprintf("%d", int64(i+1)*h.bucketWidth)}
 			ls := append(append([]Label(nil), h.labels...), le)
-			out = append(out, Sample{Name: h.name + "_bucket", Labels: labelString(ls), LabelSet: ls, Kind: SampleBucket, Value: cum})
+			out = append(out, Sample{Name: h.name + "_bucket", Labels: labelString(ls), Kind: SampleBucket, Value: cum})
 		}
 		inf := append(append([]Label(nil), h.labels...), Label{Key: "le", Value: "+Inf"})
-		out = append(out, Sample{Name: h.name + "_bucket", Labels: labelString(inf), LabelSet: inf, Kind: SampleBucket, Value: cum + h.overflow})
-		out = append(out, Sample{Name: h.name + "_sum", Labels: labelString(h.labels), LabelSet: h.labels, Kind: SampleHistSum, Value: h.sum})
-		out = append(out, Sample{Name: h.name + "_count", Labels: labelString(h.labels), LabelSet: h.labels, Kind: SampleHistCount, Value: h.total})
+		out = append(out, Sample{Name: h.name + "_bucket", Labels: labelString(inf), Kind: SampleBucket, Value: cum + h.overflow})
+		out = append(out, Sample{Name: h.name + "_sum", Labels: labelString(h.labels), Kind: SampleHistSum, Value: h.sum})
+		out = append(out, Sample{Name: h.name + "_count", Labels: labelString(h.labels), Kind: SampleHistCount, Value: h.total})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -269,14 +252,14 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// SumCounters returns the summed value of every counter in the family
-// (across all label sets). Tests use it to reconcile obs counters against
-// stats.Sim totals.
-func (r *Registry) SumCounters(name string) int64 {
+// SumCounters returns the summed value of every counter sample in the
+// family (across all label sets). Tests use it to reconcile obs counters
+// against stats.Sim totals.
+func SumCounters(samples []Sample, name string) int64 {
 	var sum int64
-	for _, c := range r.counters {
-		if c.name == name {
-			sum += c.v
+	for _, s := range samples {
+		if s.Kind == SampleCounter && s.Name == name {
+			sum += s.Value
 		}
 	}
 	return sum
@@ -291,22 +274,6 @@ func WriteCSV(w io.Writer, samples []Sample) error {
 		// Labels contain commas and quotes; CSV-quote the field.
 		lab := strings.ReplaceAll(s.Labels, `"`, `""`)
 		if _, err := fmt.Fprintf(w, "%s,\"%s\",%d\n", s.Name, lab, s.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteText dumps a snapshot in an aligned, human-readable layout.
-func WriteText(w io.Writer, samples []Sample) error {
-	width := 0
-	for _, s := range samples {
-		if n := len(s.FullName()); n > width {
-			width = n
-		}
-	}
-	for _, s := range samples {
-		if _, err := fmt.Fprintf(w, "%-*s %d\n", width, s.FullName(), s.Value); err != nil {
 			return err
 		}
 	}

@@ -46,7 +46,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.DemandLatency(0, 100)
 	s.Attach(nil)
 	s.RunDone(42)
-	if s.Registry() != nil || s.Trace() != nil || s.Snapshot() != nil {
+	if s.Trace() != nil || s.Snapshot() != nil {
 		t.Fatal("nil sink accessors must return nil")
 	}
 }
@@ -63,23 +63,23 @@ func TestCountersAndSnapshot(t *testing.T) {
 	s.MemAccess(11, DomPart, 0, 3, 1, 7, 0x1000, AccessHit, true)
 	s.RunDone(100)
 
-	if got := s.Registry().SumCounters("load_issue_total"); got != 1 {
+	if got := SumCounters(s.Snapshot(), "load_issue_total"); got != 1 {
 		t.Fatalf("load_issue_total = %d, want 1", got)
 	}
-	if got := s.Registry().SumCounters("l1_access_total"); got != 1 {
+	if got := SumCounters(s.Snapshot(), "l1_access_total"); got != 1 {
 		t.Fatalf("l1_access_total = %d, want 1", got)
 	}
-	if got := s.Registry().SumCounters("l2_access_total"); got != 1 {
+	if got := SumCounters(s.Snapshot(), "l2_access_total"); got != 1 {
 		t.Fatalf("l2_access_total = %d, want 1", got)
 	}
 
-	if got := s.Registry().SumCounters("pref_candidate_total"); got != 2 {
+	if got := SumCounters(s.Snapshot(), "pref_candidate_total"); got != 2 {
 		t.Fatalf("pref_candidate_total = %d, want 2", got)
 	}
-	if got := s.Registry().SumCounters("pref_admit_total"); got != 1 {
+	if got := SumCounters(s.Snapshot(), "pref_admit_total"); got != 1 {
 		t.Fatalf("pref_admit_total = %d, want 1", got)
 	}
-	if got := s.Registry().SumCounters("pref_drop_total"); got != 1 {
+	if got := SumCounters(s.Snapshot(), "pref_drop_total"); got != 1 {
 		t.Fatalf("pref_drop_total = %d, want 1", got)
 	}
 
@@ -139,7 +139,7 @@ func TestTraceCapCountsDrops(t *testing.T) {
 		t.Fatalf("dropped %d events, want 3", s.Trace().Dropped())
 	}
 	// Metrics keep counting past the trace cap.
-	if got := s.Registry().SumCounters("warp_stall_begin_total"); got != 5 {
+	if got := SumCounters(s.Snapshot(), "warp_stall_begin_total"); got != 5 {
 		t.Fatalf("warp_stall_begin_total = %d, want 5", got)
 	}
 }
@@ -319,6 +319,71 @@ func TestEnumStringsExhaustive(t *testing.T) {
 	check("PickOutcome", NumPickOutcomes, func(i int) string { return PickOutcome(i).String() })
 	check("CTAPhase", NumCTAPhases, func(i int) string { return CTAPhase(i).String() })
 	check("TableOp", NumTableOps, func(i int) string { return TableOp(i).String() })
+}
+
+// TestSnapshotDeterministicOrder registers metrics in a deliberately
+// scrambled order and requires Snapshot to come back sorted by (name,
+// labels) — the property the CSV export and golden tests depend on.
+func TestSnapshotDeterministicOrder(t *testing.T) {
+	build := func(order []int) []Sample {
+		r := NewRegistry()
+		reg := []func(){
+			func() { r.Counter("zz_total", Label{Key: "sm", Value: "1"}) },
+			func() { r.Counter("aa_total") },
+			func() { r.Gauge("mm_gauge") },
+			func() { r.Counter("zz_total", Label{Key: "sm", Value: "0"}) },
+			func() { r.Histogram("hh_cycles", 10, 3) },
+		}
+		for _, i := range order {
+			reg[i]()
+		}
+		return r.Snapshot()
+	}
+	a := build([]int{0, 1, 2, 3, 4})
+	b := build([]int{4, 3, 2, 1, 0})
+	if len(a) != len(b) {
+		t.Fatalf("snapshot lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].FullName() != b[i].FullName() || a[i].Kind != b[i].Kind {
+			t.Fatalf("sample %d differs across registration orders: %q vs %q", i, a[i].FullName(), b[i].FullName())
+		}
+	}
+	for i := 1; i < len(a); i++ {
+		prev, cur := a[i-1], a[i]
+		if cur.Name < prev.Name || (cur.Name == prev.Name && cur.Labels < prev.Labels) {
+			t.Fatalf("snapshot not sorted at %d: %q after %q", i, cur.FullName(), prev.FullName())
+		}
+	}
+}
+
+// TestSampleKinds checks that every snapshot sample is tagged with what it
+// was expanded from, and that SumCounters reads only counter samples.
+func TestSampleKinds(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total").Add(3)
+	r.Gauge("x_gauge").Set(7)
+	h := r.Histogram("lat_cycles", 100, 2)
+	h.Observe(50)
+	want := map[string]SampleKind{
+		"x_total":           SampleCounter,
+		"x_gauge":           SampleGauge,
+		"lat_cycles_bucket": SampleBucket,
+		"lat_cycles_sum":    SampleHistSum,
+		"lat_cycles_count":  SampleHistCount,
+	}
+	snap := r.Snapshot()
+	for _, s := range snap {
+		if k, ok := want[s.Name]; !ok || s.Kind != k {
+			t.Errorf("sample %s: kind %d, want %d (known: %v)", s.FullName(), s.Kind, k, ok)
+		}
+	}
+	if got := SumCounters(snap, "x_total"); got != 3 {
+		t.Errorf("SumCounters(x_total) = %d, want 3", got)
+	}
+	if got := SumCounters(snap, "x_gauge"); got != 0 {
+		t.Errorf("SumCounters(x_gauge) = %d, want 0: gauges are not counters", got)
+	}
 }
 
 func TestWriteCSVFullSnapshot(t *testing.T) {

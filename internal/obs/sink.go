@@ -220,15 +220,6 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// Registry exposes the metric registry (nil-safe: returns nil when
-// disabled).
-func (s *Sink) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // Trace exposes the event buffer (nil when tracing is disabled).
 func (s *Sink) Trace() *Trace {
 	if s == nil {
@@ -277,7 +268,7 @@ func (s *Sink) emit(e Event) {
 		s.trace.Append(e)
 	}
 	for _, c := range s.byKind[e.Kind] {
-		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, telemetry) //caps:shared-sync obs-consumers
+		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
 
 	}
 }
@@ -290,7 +281,7 @@ func (s *Sink) emit(e Event) {
 //caps:hotpath
 func (s *Sink) emitStream(e Event) {
 	for _, c := range s.byKind[e.Kind] {
-		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, telemetry) //caps:shared-sync obs-consumers
+		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
 
 	}
 }
@@ -308,12 +299,11 @@ func (s *Sink) RunDone(cycle int64) {
 }
 
 // Progress records an in-flight liveness beat: the simulator calls it every
-// few thousand cycles so live scrapers see the cycle gauge advance and
-// streaming consumers (telemetry progress publishers) learn the current
-// instruction count without touching run state. Stream-only — the bounded
-// trace buffer never sees it — and a no-op beyond the gauge store when no
-// consumer is attached, so enabling a sink without telemetry changes
-// nothing observable at end of run.
+// few thousand cycles so the cycle gauge advances and streaming consumers
+// (the flight recorder) learn the current instruction count without
+// touching run state. Stream-only — the bounded trace buffer never sees it
+// — and a no-op beyond the gauge store when no consumer is attached, so it
+// changes nothing observable at end of run.
 func (s *Sink) Progress(cycle, instructions int64) {
 	if s == nil {
 		return
@@ -322,19 +312,6 @@ func (s *Sink) Progress(cycle, instructions int64) {
 	if len(s.byKind[EvProgress]) > 0 {
 		s.emitStream(Event{Cycle: cycle, Kind: EvProgress, Dom: DomSM, Track: -1, Warp: -1, CTA: -1, Val: instructions})
 	}
-}
-
-// HostTime records the run's wall-clock position in nanoseconds at a
-// liveness beat — emitted just before the beat's Progress event when a
-// host profiler (sim.WithHostProf) is attached, so streaming consumers
-// can pair the simulated clock with the host clock (cycles/sec gauges).
-// Stream-only like Progress, and pure observation: the wall-clock value
-// rides the event stream but never reaches simulator state.
-func (s *Sink) HostTime(cycle, ns int64) {
-	if s == nil || len(s.byKind[EvHostTime]) == 0 {
-		return
-	}
-	s.emitStream(Event{Cycle: cycle, Kind: EvHostTime, Dom: DomSM, Track: -1, Warp: -1, CTA: -1, Val: ns})
 }
 
 // ---------------------------------------------------- warp/CTA lifecycle ----
@@ -424,7 +401,7 @@ func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass) {
 	if len(s.cycleStream) > 0 {
 		e := Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class)}
 		for _, c := range s.cycleStream {
-			c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, telemetry) //caps:shared-sync obs-consumers
+			c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
 
 		}
 	}

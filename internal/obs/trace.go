@@ -67,7 +67,6 @@ const (
 	EvCycleClass
 	EvQueueSample
 	EvProgress
-	EvHostTime
 	EvPickOutcome
 	EvCTAPhase
 	EvTableOp
@@ -108,7 +107,6 @@ var kindNames = [numKinds]string{
 	EvCycleClass:     "sm.cycle_class",
 	EvQueueSample:    "queue.sample",
 	EvProgress:       "run.progress",
-	EvHostTime:       "run.host_time",
 	EvPickOutcome:    "sched.pick",
 	EvCTAPhase:       "cta.phase",
 	EvTableOp:        "caps.table",

@@ -49,7 +49,7 @@ func TestStallStackInvariantAllBenchmarks(t *testing.T) {
 				t.Fatal("run retired no cycles; invariant vacuous")
 			}
 			// The profile must agree with the sink's own counters.
-			want := snk.Registry().SumCounters("sm_cycle_class_total")
+			want := obs.SumCounters(snk.Snapshot(), "sm_cycle_class_total")
 			var got int64
 			for c := obs.CycleClass(0); c < obs.NumCycleClasses; c++ {
 				got += p.StallStack[c.String()]

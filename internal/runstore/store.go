@@ -85,9 +85,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) logPath() string   { return filepath.Join(s.dir, logName) }
 func (s *Store) indexPath() string { return filepath.Join(s.dir, indexName) }
 

@@ -21,10 +21,10 @@ import (
 )
 
 // DefaultProgressEvery is the EvProgress beat period when
-// WithProgressEvery leaves it zero: frequent enough that a live /metrics
-// scrape or SSE stream tracks the run, rare enough to be free. The same clock paces the stop/dump
-// request polls and is the base the determinism harness's checkpoint
-// interval rounds to.
+// WithProgressEvery leaves it zero: frequent enough that an interrupt or a
+// dump request is answered promptly, rare enough to be free. The same clock
+// paces the stop/dump request polls and is the base the determinism
+// harness's checkpoint interval rounds to.
 const DefaultProgressEvery int64 = 1 << 13
 
 // MaxProgressEvery is the longest beat period WithProgressEvery accepts:
@@ -513,9 +513,6 @@ func (g *GPU) Run() (*stats.Sim, error) {
 		// stop/dump request polls (one mask test per cycle otherwise).
 		if g.cycle&g.beatMask == 0 {
 			if g.snk != nil {
-				if g.hprof != nil {
-					g.snk.HostTime(g.cycle, g.hprof.Elapsed())
-				}
 				g.snk.Progress(g.cycle, g.insts)
 				g.sampleQueues()
 			}

@@ -93,7 +93,7 @@ func TestObsReconcilesWithStats(t *testing.T) {
 	snk := NewSink(cfg, false, 0)
 	_, st := runWithSink(t, cfg, snk)
 
-	reg := snk.Registry()
+	snap := snk.Snapshot()
 	checks := []struct {
 		metric string
 		want   int64
@@ -107,19 +107,19 @@ func TestObsReconcilesWithStats(t *testing.T) {
 		{"warp_finish_total", st.WarpsDone},
 	}
 	for _, c := range checks {
-		if got := reg.SumCounters(c.metric); got != c.want {
+		if got := obs.SumCounters(snap, c.metric); got != c.want {
 			t.Errorf("%s = %d, stats say %d", c.metric, got, c.want)
 		}
 	}
 	// Every SM classifies every cycle exactly once, so the cycle-class
 	// counters across all SMs sum to NumSMs × Cycles.
-	if got, want := reg.SumCounters("sm_cycle_class_total"), int64(cfg.NumSMs)*st.Cycles; got != want {
+	if got, want := obs.SumCounters(snap, "sm_cycle_class_total"), int64(cfg.NumSMs)*st.Cycles; got != want {
 		t.Errorf("sm_cycle_class_total = %d, want NumSMs*Cycles = %d", got, want)
 	}
 	// Stall runs pair up; at most the final in-flight run per warp may be
 	// missing its end when the run hits an instruction cap.
-	begins := reg.SumCounters("warp_stall_begin_total")
-	ends := reg.SumCounters("warp_stall_end_total")
+	begins := obs.SumCounters(snap, "warp_stall_begin_total")
+	ends := obs.SumCounters(snap, "warp_stall_end_total")
 	if begins == 0 || ends > begins {
 		t.Errorf("stall begin/end = %d/%d, want begins > 0 and ends <= begins", begins, ends)
 	}
