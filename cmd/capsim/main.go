@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -41,65 +42,74 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is main's body; keeping it a function lets deferred cleanups (pprof
-// stop/flush) execute before the process exits.
-func run() int {
+// stop/flush) execute before the process exits, and lets tests drive the
+// command line. It returns the exit status: 0 for a completed run, 1 for a
+// failed or aborted one, 2 for a usage error, 130 for an interrupt.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench     = flag.String("bench", "CNV", "benchmark abbreviation (see -list)")
-		pf        = flag.String("prefetch", "none", "prefetcher (see -list)")
-		schedFlg  = flag.String("sched", "", "scheduler: "+strings.Join(sched.Names(), ", ")+" (default: tlv; pas for caps)")
-		ctas      = flag.Int("ctas", 0, "override max concurrent CTAs per SM")
-		insts     = flag.Int64("insts", 0, "override instruction cap (0 = config default)")
-		noWake    = flag.Bool("nowakeup", false, "disable PAS eager warp wake-up")
-		list      = flag.Bool("list", false, "list benchmarks, prefetchers and schedulers")
-		showCfg   = flag.Bool("config", false, "print the GPU configuration and exit")
-		eEnergy   = flag.Bool("energy", false, "print the energy breakdown")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
-		metOut    = flag.String("metrics", "", "write the metrics snapshot as CSV to this file")
-		profOut   = flag.String("profile", "", "write a capsprof profile JSON (stall stacks + per-PC ledger) to this file")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile of the simulator itself to this file")
-		storeDir  = flag.String("store", "", "record the completed run (stats + profile) into this run store directory (see capsd)")
-		flightOut = flag.String("flight", "", "attach a flight recorder and write its black box (JSONL, see capscope) to this file when the run dies or SIGQUIT arrives")
-		watchdog  = flag.Int64("watchdog", 0, "abort when no instruction retires for this many cycles (0 = default, negative = off)")
-		beat      = flag.Int64("beat", 0, "progress-beat / watchdog-poll period in cycles, rounded to a power of two (0 = default 8192)")
-		hprofOut  = flag.String("hostprof", "", "self-profile the executor's wall-clock (phase/worker/skip attribution) and write the host profile JSON to this file; a text report goes to stderr")
-		mlensOut  = flag.String("memlens", "", "profile the memory hierarchy (θ/Δ address structure, prefetch timeliness, reuse, DRAM locality) and write the memory profile JSON to this file; a text report goes to stderr")
-		slensOut  = flag.String("schedlens", "", "profile scheduler and CTA decisions (CTA timelines, pick outcomes, CAP/DIST table dynamics, leading-warp effectiveness) and write the scheduler profile JSON to this file; a text report goes to stderr")
+		bench     = fs.String("bench", "CNV", "benchmark abbreviation (see -list)")
+		pf        = fs.String("prefetch", "none", "prefetcher (see -list)")
+		schedFlg  = fs.String("sched", "", "scheduler: "+strings.Join(sched.Names(), ", ")+" (default: tlv; pas for caps)")
+		ctas      = fs.Int("ctas", 0, "override max concurrent CTAs per SM")
+		insts     = fs.Int64("insts", 0, "override instruction cap (0 = config default)")
+		noWake    = fs.Bool("nowakeup", false, "disable PAS eager warp wake-up")
+		list      = fs.Bool("list", false, "list benchmarks, prefetchers and schedulers")
+		showCfg   = fs.Bool("config", false, "print the GPU configuration and exit")
+		eEnergy   = fs.Bool("energy", false, "print the energy breakdown")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
+		metOut    = fs.String("metrics", "", "write the metrics snapshot as CSV to this file")
+		profOut   = fs.String("profile", "", "write a capsprof profile JSON (stall stacks + per-PC ledger) to this file")
+		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
+		memProf   = fs.String("memprofile", "", "write a pprof heap profile of the simulator itself to this file")
+		storeDir  = fs.String("store", "", "record the completed run (stats + profile) into this run store directory (see capsd)")
+		flightOut = fs.String("flight", "", "attach a flight recorder and write its black box (JSONL, see capscope) to this file when the run dies or SIGQUIT arrives")
+		watchdog  = fs.Int64("watchdog", 0, "abort when no instruction retires for this many cycles (0 = default, negative = off)")
+		beat      = fs.Int64("beat", 0, "progress-beat / watchdog-poll period in cycles, rounded to a power of two (0 = default 8192)")
+		hprofOut  = fs.String("hostprof", "", "self-profile the executor's wall-clock (phase/worker/skip attribution) and write the host profile JSON to this file; a text report goes to stderr")
+		mlensOut  = fs.String("memlens", "", "profile the memory hierarchy (θ/Δ address structure, prefetch timeliness, reuse, DRAM locality) and write the memory profile JSON to this file; a text report goes to stderr")
+		slensOut  = fs.String("schedlens", "", "profile scheduler and CTA decisions (CTA timelines, pick outcomes, CAP/DIST table dynamics, leading-warp effectiveness) and write the scheduler profile JSON to this file; a text report goes to stderr")
 	)
-	sf := experiments.AddSimFlags(flag.CommandLine)
-	flag.Parse()
+	sf := experiments.AddSimFlags(fs)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
 
 	cfg := config.Default()
 	if *list {
-		fmt.Println("benchmarks:")
+		fmt.Fprintln(stdout, "benchmarks:")
 		for _, k := range kernels.All() {
-			fmt.Printf("  %-4s %s (%s)\n", k.Abbr, k.Name, k.Suite)
+			fmt.Fprintf(stdout, "  %-4s %s (%s)\n", k.Abbr, k.Name, k.Suite)
 		}
-		fmt.Println("prefetchers:", prefetch.Names())
-		fmt.Println("schedulers:", sched.Names())
+		fmt.Fprintln(stdout, "prefetchers:", prefetch.Names())
+		fmt.Fprintln(stdout, "schedulers:", sched.Names())
 		return 0
 	}
 	if *showCfg {
-		fmt.Print(cfg.TableString())
+		fmt.Fprint(stdout, cfg.TableString())
 		return 0
 	}
 
 	if !contains(prefetch.Names(), *pf) {
-		fmt.Fprintf(os.Stderr, "capsim: unknown prefetcher %q (registered: %s)\n",
+		fmt.Fprintf(stderr, "capsim: unknown prefetcher %q (registered: %s)\n",
 			*pf, strings.Join(prefetch.Names(), ", "))
 		return 2
 	}
 	if *schedFlg != "" && !contains(sched.Names(), *schedFlg) {
-		fmt.Fprintf(os.Stderr, "capsim: unknown scheduler %q (registered: %s)\n",
+		fmt.Fprintf(stderr, "capsim: unknown scheduler %q (registered: %s)\n",
 			*schedFlg, strings.Join(sched.Names(), ", "))
 		return 2
 	}
 	if *beat > sim.MaxProgressEvery {
-		fmt.Fprintf(os.Stderr, "capsim: -beat %d exceeds the maximum %d\n", *beat, sim.MaxProgressEvery)
+		fmt.Fprintf(stderr, "capsim: -beat %d exceeds the maximum %d\n", *beat, sim.MaxProgressEvery)
 		return 2
 	}
 
@@ -117,19 +127,19 @@ func run() int {
 
 	k, err := kernels.ByAbbr(*bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsim:", err)
+		fmt.Fprintln(stderr, "capsim:", err)
 		return 2
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: cpuprofile:", err)
+			fmt.Fprintln(stderr, "capsim: cpuprofile:", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: cpuprofile:", err)
+			fmt.Fprintln(stderr, "capsim: cpuprofile:", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -173,16 +183,16 @@ func run() int {
 		opts = append(opts, sim.WithFlight(sim.NewFlightRecorder(cfg)),
 			sim.WithOnDump(func(d *flight.Dump) {
 				if err := d.WriteFile(*flightOut); err != nil {
-					fmt.Fprintln(os.Stderr, "capsim: flight:", err)
+					fmt.Fprintln(stderr, "capsim: flight:", err)
 					return
 				}
 				dumpPath = *flightOut
-				fmt.Fprintf(os.Stderr, "capsim: flight dump (%s) written to %s\n", d.Header.Reason, *flightOut)
+				fmt.Fprintf(stderr, "capsim: flight dump (%s) written to %s\n", d.Header.Reason, *flightOut)
 			}))
 	}
 	g, err := sim.New(cfg, k, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsim:", err)
+		fmt.Fprintln(stderr, "capsim:", err)
 		return 1
 	}
 
@@ -203,7 +213,7 @@ func run() int {
 			default:
 				interrupted = true
 				g.RequestStop()
-				fmt.Fprintln(os.Stderr, "capsim: interrupt — stopping at next beat (^C again to kill)")
+				fmt.Fprintln(stderr, "capsim: interrupt — stopping at next beat (^C again to kill)")
 			}
 		}
 	}()
@@ -219,31 +229,31 @@ func run() int {
 			abortReason = "interrupted"
 			exitCode = 130
 		}
-		fmt.Fprintln(os.Stderr, "capsim:", err)
+		fmt.Fprintln(stderr, "capsim:", err)
 	}
-	fmt.Printf("%s  prefetch=%s  sched=%s\n", k.Abbr, *pf, cfg.Scheduler)
-	fmt.Print(st.String())
+	fmt.Fprintf(stdout, "%s  prefetch=%s  sched=%s\n", k.Abbr, *pf, cfg.Scheduler)
+	fmt.Fprint(stdout, st.String())
 	if *eEnergy {
 		b := energy.Estimate(energy.DefaultParams(), cfg, st, *pf == "caps")
-		fmt.Printf("energy: total=%.4f J  alu=%.4f shared=%.4f l1=%.4f l2=%.4f icnt=%.4f dram=%.4f caps=%.6f static=%.4f\n",
+		fmt.Fprintf(stdout, "energy: total=%.4f J  alu=%.4f shared=%.4f l1=%.4f l2=%.4f icnt=%.4f dram=%.4f caps=%.6f static=%.4f\n",
 			b.Total(), b.ALU, b.Shared, b.L1, b.L2, b.ICNT, b.DRAM, b.CAPS, b.Static)
 	}
 	if *traceOut != "" {
 		if err := writeFile(*traceOut, func(f *os.File) error {
 			return obs.WriteChromeTrace(f, snk)
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: trace:", err)
+			fmt.Fprintln(stderr, "capsim: trace:", err)
 			return 1
 		}
 		if n := snk.Trace().Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "capsim: trace buffer full, dropped %d events (raise obs.DefaultTraceCap)\n", n)
+			fmt.Fprintf(stderr, "capsim: trace buffer full, dropped %d events (raise obs.DefaultTraceCap)\n", n)
 		}
 	}
 	if *metOut != "" {
 		if err := writeFile(*metOut, func(f *os.File) error {
 			return obs.WriteCSV(f, snk.Snapshot())
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: metrics:", err)
+			fmt.Fprintln(stderr, "capsim: metrics:", err)
 			return 1
 		}
 	}
@@ -254,13 +264,13 @@ func run() int {
 		meta := profile.Meta{Bench: k.Abbr, Prefetcher: *pf, Scheduler: string(cfg.Scheduler), SMs: cfg.NumSMs}
 		prof, err = col.Build(meta, st)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: profile:", err)
+			fmt.Fprintln(stderr, "capsim: profile:", err)
 			return 1
 		}
 	}
 	if *profOut != "" {
 		if err := prof.WriteFile(*profOut); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: profile:", err)
+			fmt.Fprintln(stderr, "capsim: profile:", err)
 			return 1
 		}
 	}
@@ -273,16 +283,16 @@ func run() int {
 		hostProf = hprof.Build(k.Abbr, *pf)
 		if !aborted {
 			if err := hostProf.Validate(hostprof.DefaultTolerance); err != nil {
-				fmt.Fprintln(os.Stderr, "capsim: hostprof: accounting invariant violated:", err)
+				fmt.Fprintln(stderr, "capsim: hostprof: accounting invariant violated:", err)
 				return 1
 			}
 		}
 		if err := hostProf.WriteFile(*hprofOut); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: hostprof:", err)
+			fmt.Fprintln(stderr, "capsim: hostprof:", err)
 			return 1
 		}
-		if err := hostProf.WriteText(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: hostprof:", err)
+		if err := hostProf.WriteText(stderr); err != nil {
+			fmt.Fprintln(stderr, "capsim: hostprof:", err)
 			return 1
 		}
 	}
@@ -294,16 +304,16 @@ func run() int {
 		memLens = mlens.Build(memlens.Meta{Bench: k.Abbr, Prefetcher: *pf, Cycles: st.Cycles})
 		if !aborted {
 			if err := memLens.Validate(st); err != nil {
-				fmt.Fprintln(os.Stderr, "capsim: memlens: accounting invariant violated:", err)
+				fmt.Fprintln(stderr, "capsim: memlens: accounting invariant violated:", err)
 				return 1
 			}
 		}
 		if err := memLens.WriteFile(*mlensOut); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: memlens:", err)
+			fmt.Fprintln(stderr, "capsim: memlens:", err)
 			return 1
 		}
-		if err := memLens.WriteText(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: memlens:", err)
+		if err := memLens.WriteText(stderr); err != nil {
+			fmt.Fprintln(stderr, "capsim: memlens:", err)
 			return 1
 		}
 	}
@@ -315,23 +325,23 @@ func run() int {
 			Scheduler: string(cfg.Scheduler), Cycles: st.Cycles})
 		if !aborted {
 			if err := schedLens.Validate(st); err != nil {
-				fmt.Fprintln(os.Stderr, "capsim: schedlens: accounting invariant violated:", err)
+				fmt.Fprintln(stderr, "capsim: schedlens: accounting invariant violated:", err)
 				return 1
 			}
 		}
 		if err := schedLens.WriteFile(*slensOut); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: schedlens:", err)
+			fmt.Fprintln(stderr, "capsim: schedlens:", err)
 			return 1
 		}
-		if err := schedLens.WriteText(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: schedlens:", err)
+		if err := schedLens.WriteText(stderr); err != nil {
+			fmt.Fprintln(stderr, "capsim: schedlens:", err)
 			return 1
 		}
 	}
 	if *storeDir != "" {
 		store, err := runstore.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: store:", err)
+			fmt.Fprintln(stderr, "capsim: store:", err)
 			return 1
 		}
 		rec := runstore.NewRecord(cfg, k.Abbr, *pf, st, prof)
@@ -349,13 +359,13 @@ func run() int {
 		}
 		id, dup, err := store.Put(rec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: store:", err)
+			fmt.Fprintln(stderr, "capsim: store:", err)
 			return 1
 		}
 		if dup {
-			fmt.Printf("stored: %s (unchanged, deduplicated)\n", id)
+			fmt.Fprintf(stdout, "stored: %s (unchanged, deduplicated)\n", id)
 		} else {
-			fmt.Printf("stored: %s\n", id)
+			fmt.Fprintf(stdout, "stored: %s\n", id)
 		}
 	}
 	if *memProf != "" {
@@ -363,7 +373,7 @@ func run() int {
 		if err := writeFile(*memProf, func(f *os.File) error {
 			return pprof.WriteHeapProfile(f)
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "capsim: memprofile:", err)
+			fmt.Fprintln(stderr, "capsim: memprofile:", err)
 			return 1
 		}
 	}

@@ -16,12 +16,15 @@ import (
 // checks the profile's accounting invariants and exits non-zero when they
 // don't hold.
 func host(args []string) int {
-	fs := flag.NewFlagSet("host", flag.ExitOnError)
+	fs := flag.NewFlagSet("host", flag.ContinueOnError)
 	htmlOut := fs.String("html", "", "write a self-contained HTML report to this file")
 	simProf := fs.String("profile", "", "join this capsprof profile JSON into the HTML report")
 	validate := fs.Bool("validate", false, "check accounting invariants (phase sum, sampling coverage)")
 	tol := fs.Float64("tolerance", hostprof.DefaultTolerance, "sampling-coverage tolerance for -validate")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 1 {
 		fmt.Fprintln(os.Stderr, "capsprof host: need exactly one host-profile JSON path")
 		return 2
@@ -77,12 +80,15 @@ func host(args []string) int {
 // (different machine, worker count, idle-skip setting) are printed as
 // warnings first — they usually explain the regression.
 func hostDiff(args []string) int {
-	fs := flag.NewFlagSet("host-diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("host-diff", flag.ContinueOnError)
 	var th hostprof.Thresholds // zero fields fall back to hostprof defaults
 	fs.Float64Var(&th.WallFrac, "wall", 0, "max fractional wall-clock increase (0 = default)")
 	fs.Float64Var(&th.PhaseShareAbs, "phase", 0, "max absolute phase-share increase (0 = default)")
 	fs.Float64Var(&th.UtilAbs, "util", 0, "max absolute mean-utilization drop (0 = default)")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 2 {
 		fmt.Fprintln(os.Stderr, "capsprof host-diff: need <base> and <current> host-profile JSON paths")
 		return 2
@@ -90,12 +96,12 @@ func hostDiff(args []string) int {
 	base, err := hostprof.ReadFile(pos[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	cur, err := hostprof.ReadFile(pos[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	for _, w := range hostprof.ContextMismatch(base.Host, cur.Host) {
 		fmt.Printf("warning: host context mismatch: %s\n", w)

@@ -16,14 +16,17 @@
 //	capsprof sched run.sched.json [-html report.html]
 //	capsprof sched-diff base.sched.json cur.sched.json
 //
-// diff exits 1 when any metric regresses past its threshold, 0 otherwise —
-// wire it into CI after a sweep to turn perf eyeballing into a gate.
+// diff exits 1 when any metric regresses past its threshold, 0 otherwise,
+// and 2 on a usage error or an input it cannot load — wire it into CI
+// after a sweep to turn perf eyeballing into a gate. The other -diff
+// subcommands share the contract.
 // speed-diff does the same for simulator wall-clock speedups (capsweep
 // -speed-json): it compares base-vs-tuned speedup ratios, so the gate
 // holds even when the two reports come from machines of different speeds.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,18 +75,30 @@ func run(args []string) int {
 
 // parseArgs runs fs over args but, unlike flag's default, keeps going after
 // positional arguments so `capsprof report run.json -html out.html` works.
-// It returns the positional arguments in order.
-func parseArgs(fs *flag.FlagSet, args []string) []string {
+// It returns the positional arguments in order, or the flag error.
+func parseArgs(fs *flag.FlagSet, args []string) ([]string, error) {
 	var pos []string
 	for {
-		fs.Parse(args)
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
 		rest := fs.Args()
 		if len(rest) == 0 {
-			return pos
+			return pos, nil
 		}
 		pos = append(pos, rest[0])
 		args = rest[1:]
 	}
+}
+
+// flagExit is the exit status for a flag error parseArgs returned: 0 when
+// the user asked for -h (flag has already printed the defaults), 2 for a
+// usage error.
+func flagExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 func usage() {
@@ -134,10 +149,13 @@ func usage() {
 }
 
 func report(args []string) int {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	htmlOut := fs.String("html", "", "write the HTML report to this file (default: <profile>.html)")
 	jsonOut := fs.String("json", "", "re-emit the normalized profile JSON to this file")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 1 {
 		fmt.Fprintln(os.Stderr, "capsprof report: need exactly one profile JSON path")
 		return 2
@@ -182,13 +200,16 @@ func report(args []string) int {
 }
 
 func diff(args []string) int {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	th := profile.DefaultThresholds()
 	fs.Float64Var(&th.IPCFrac, "ipc", th.IPCFrac, "max fractional IPC drop")
 	fs.Float64Var(&th.StallFrac, "stall", th.StallFrac, "max absolute stall-share increase per bucket")
 	fs.Float64Var(&th.CoverageAbs, "coverage", th.CoverageAbs, "max absolute coverage drop")
 	fs.Float64Var(&th.AccuracyAbs, "accuracy", th.AccuracyAbs, "max absolute accuracy drop")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 2 {
 		fmt.Fprintln(os.Stderr, "capsprof diff: need <base> and <current> paths")
 		return 2
@@ -196,12 +217,12 @@ func diff(args []string) int {
 	base, err := profile.ReadBaseline(pos[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	cur, err := profile.ReadBaseline(pos[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 
 	var regs []profile.Regression
@@ -212,7 +233,7 @@ func diff(args []string) int {
 		regs, err = profile.DiffBench(base.Bench, cur.Profile, th)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "capsprof:", err)
-			return 1
+			return 2
 		}
 	case base.Bench != nil && cur.Bench != nil:
 		regs = profile.DiffBenchReports(base.Bench, cur.Bench, th)
@@ -233,9 +254,12 @@ func diff(args []string) int {
 }
 
 func speedDiff(args []string) int {
-	fs := flag.NewFlagSet("speed-diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("speed-diff", flag.ContinueOnError)
 	tol := fs.Float64("tolerance", 0.20, "max fractional speedup drop before failing")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 2 {
 		fmt.Fprintln(os.Stderr, "capsprof speed-diff: need <base> and <current> BENCH_speed.json paths")
 		return 2
@@ -243,12 +267,12 @@ func speedDiff(args []string) int {
 	base, err := experiments.ReadSpeedReport(pos[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	cur, err := experiments.ReadSpeedReport(pos[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	for _, w := range experiments.HostMismatch(base, cur) {
 		fmt.Printf("warning: host context mismatch: %s\n", w)

@@ -15,9 +15,12 @@ import (
 // level, and DRAM/queue locality — with ledger-truncation warnings
 // surfaced in both renderings.
 func mem(args []string) int {
-	fs := flag.NewFlagSet("mem", flag.ExitOnError)
+	fs := flag.NewFlagSet("mem", flag.ContinueOnError)
 	htmlOut := fs.String("html", "", "write a self-contained HTML report to this file")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 1 {
 		fmt.Fprintln(os.Stderr, "capsprof mem: need exactly one memory-profile JSON path")
 		return 2
@@ -57,14 +60,17 @@ func mem(args []string) int {
 // sampled-reuse fraction per level, and bank spread dropping past their
 // thresholds exit 1. Only drops gate — an improvement never fails.
 func memDiff(args []string) int {
-	fs := flag.NewFlagSet("mem-diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("mem-diff", flag.ContinueOnError)
 	var th memlens.Thresholds // zero fields fall back to memlens defaults
 	fs.Float64Var(&th.ExplainedAbs, "explained", 0, "max absolute θ/Δ explained-fraction drop (0 = default)")
 	fs.Float64Var(&th.AccurateAbs, "accurate", 0, "max absolute accurate-prefetch-share drop (0 = default)")
 	fs.Float64Var(&th.RowHitAbs, "rowhit", 0, "max absolute row-buffer hit-rate drop (0 = default)")
 	fs.Float64Var(&th.ReuseFracAbs, "reuse", 0, "max absolute sampled-reuse-fraction drop per level (0 = default)")
 	fs.Float64Var(&th.BankSpreadAbs, "spread", 0, "max absolute bank-spread drop (0 = default)")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 2 {
 		fmt.Fprintln(os.Stderr, "capsprof mem-diff: need <base> and <current> memory-profile JSON paths")
 		return 2
@@ -72,12 +78,12 @@ func memDiff(args []string) int {
 	base, err := memlens.ReadFile(pos[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	cur, err := memlens.ReadFile(pos[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	regs := memlens.Diff(base, cur, th)
 	if len(regs) == 0 {

@@ -16,9 +16,12 @@ import (
 // dynamics, and leading-warp effectiveness — with ledger-truncation
 // warnings surfaced in both renderings.
 func sched(args []string) int {
-	fs := flag.NewFlagSet("sched", flag.ExitOnError)
+	fs := flag.NewFlagSet("sched", flag.ContinueOnError)
 	htmlOut := fs.String("html", "", "write a self-contained HTML report (inline SVG CTA timelines) to this file")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 1 {
 		fmt.Fprintln(os.Stderr, "capsprof sched: need exactly one scheduler-profile JSON path")
 		return 2
@@ -58,14 +61,17 @@ func sched(args []string) int {
 // CAP/DIST hit rates, and per-SM CTA-retire balance dropping past their
 // thresholds exit 1. Only drops gate — an improvement never fails.
 func schedDiff(args []string) int {
-	fs := flag.NewFlagSet("sched-diff", flag.ExitOnError)
+	fs := flag.NewFlagSet("sched-diff", flag.ContinueOnError)
 	var th schedlens.Thresholds // zero fields fall back to schedlens defaults
 	fs.Float64Var(&th.EffectivenessAbs, "effectiveness", 0, "max absolute leading-warp-effectiveness drop (0 = default)")
 	fs.Float64Var(&th.PromotedAbs, "promoted", 0, "max absolute leading-promoted-fraction drop (0 = default)")
 	fs.Float64Var(&th.CTAHitAbs, "ctahit", 0, "max absolute CAP hit-rate drop (0 = default)")
 	fs.Float64Var(&th.DistHitAbs, "disthit", 0, "max absolute DIST hit-rate drop (0 = default)")
 	fs.Float64Var(&th.BalanceAbs, "balance", 0, "max absolute per-SM retire-balance drop (0 = default)")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return flagExit(err)
+	}
 	if len(pos) != 2 {
 		fmt.Fprintln(os.Stderr, "capsprof sched-diff: need <base> and <current> scheduler-profile JSON paths")
 		return 2
@@ -73,12 +79,12 @@ func schedDiff(args []string) int {
 	base, err := schedlens.ReadFile(pos[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	cur, err := schedlens.ReadFile(pos[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		return 2
 	}
 	regs := schedlens.Diff(base, cur, th)
 	if len(regs) == 0 {

@@ -477,13 +477,15 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 	return AccessResult{Outcome: MissNew}
 }
 
-// ReplayResFail re-emits the reservation-fail event a full Access would
-// produce for a demand request replayed against a provably fail-bound cache
-// (line absent, not in flight, and either no free demand MSHR — queue=false
-// — or a full miss queue, queue=true, matching Access's check order),
-// without touching cache state. The structural-stall replays call it in
-// place of an Access whose fail outcome is already known, so traces stay
-// bit-identical to a run that presents the doomed request every cycle.
+// ReplayResFail records the reservation fail a full Access would produce
+// for a demand request replayed against a provably fail-bound cache (line
+// absent, not in flight, and either no free demand MSHR — queue=false — or
+// a full miss queue, queue=true, matching Access's check order), without
+// touching cache state. The structural-stall replays call it in place of
+// an Access whose fail outcome is already known, so counters and any
+// subscribed event stream match a run that presents the doomed request
+// every cycle; with EvResFail dead (no trace, staging or subscriber) the
+// sink only bumps the counter.
 //
 //caps:hotpath
 func (c *Cache) ReplayResFail(now int64, lineAddr uint64, queue bool) {
@@ -493,11 +495,6 @@ func (c *Cache) ReplayResFail(now int64, lineAddr uint64, queue bool) {
 // MissQueueFull reports whether the outgoing miss queue is at capacity, in
 // which case a new (unmergeable) miss fails with ResFailQueue.
 func (c *Cache) MissQueueFull() bool { return len(c.missQ) >= c.cfg.MissQueue }
-
-// HasObs reports whether an observability sink is attached. Replay fast
-// paths whose only remaining effect is re-emitting events may skip the
-// emission loop entirely when it is not.
-func (c *Cache) HasObs() bool { return c.sink != nil }
 
 // newEntry returns a recycled (or new) MSHR entry with empty waiters.
 func (c *Cache) newEntry(lineAddr uint64) *mshrEntry {

@@ -156,13 +156,19 @@ func (p *Partition) Tick(now int64) error {
 	// Replay accesses that previously failed, oldest first, then accept
 	// new traffic from the interconnect.
 	if p.retryStalled && len(p.retryQ) > 0 {
-		quiet := len(p.fillLines) == 0 && !p.l2.HasObs() &&
+		// With no fill to look at and no reservation open, every demand
+		// replay is a proven reservation fail. Unless something receives
+		// EvResFail events, its only effect is one counter per retry, so
+		// count them in one call instead of walking the queue: the label
+		// is replayStalled's, and the MSHR count cannot change without
+		// an access.
+		quiet := len(p.fillLines) == 0 && !p.l2.sink.Live(obs.EvResFail) &&
 			!(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
-		if !quiet {
+		if quiet {
+			p.l2.sink.PartResFails(p.ID, p.l2.MSHRsFree() > 0, len(p.retryQ))
+		} else {
 			p.replayStalled(now)
 		}
-		// Otherwise every demand replay is a proven no-op: a reservation
-		// fail whose only effect is an event on a sink that is not attached.
 	} else {
 		// A verdict over an empty queue is void; dropping it also stops
 		// DeliverFromDRAM from growing fillLines while nothing walks them.

@@ -23,7 +23,7 @@ func BenchmarkPartitionStoreBacklog(b *testing.B) {
 		b.Run(impl.name, func(b *testing.B) {
 			cfg := config.Default()
 			cfg.ICNTLatency = 1
-			l := &backlogLoad{rig: newDiffRig(cfg, impl.ref, true, false), rng: rand.New(rand.NewSource(1))}
+			l := &backlogLoad{rig: newDiffRig(cfg, impl.ref, true, noSink), rng: rand.New(rand.NewSource(1))}
 			for now := int64(0); now < backlogWarmup; now++ {
 				l.cycle(now)
 			}

@@ -32,6 +32,27 @@ type eventRecorder struct{ evs []obs.Event }
 
 func (e *eventRecorder) Consume(ev obs.Event) { e.evs = append(e.evs, ev) }
 
+// quietRecorder keeps every event except reservation fails, which it
+// declines, so EvResFail is dead on its sink and only counters see fails.
+type quietRecorder struct{ eventRecorder }
+
+func (*quietRecorder) WantsKind(k obs.Kind) bool { return k != obs.EvResFail }
+
+// sinkMode is what observes the rig's partitions.
+type sinkMode int
+
+const (
+	noSink      sinkMode = iota
+	allEvents            // a recorder subscribed to every kind
+	resFailDead          // a recorder that declines EvResFail
+)
+
+// String names the subtests; the first two keep their sink=false and
+// sink=true names from when the sink was a bool.
+func (m sinkMode) String() string {
+	return [...]string{"false", "true", "resfail-dead"}[m]
+}
+
 // diffRig is two partitions sharing one DRAM channel, like partitions i and
 // i+6 of Table III, behind one interconnect.
 type diffRig struct {
@@ -39,6 +60,7 @@ type diffRig struct {
 	ic    *Interconnect
 	dram  *DRAMChannel
 	parts [2]partitionUnit
+	snk   *obs.Sink
 	rec   *eventRecorder
 }
 
@@ -58,16 +80,23 @@ func diffConfig() config.GPUConfig {
 	return cfg
 }
 
-func newDiffRig(cfg config.GPUConfig, ref, stallReplay, sink bool) *diffRig {
+func newDiffRig(cfg config.GPUConfig, ref, stallReplay bool, sink sinkMode) *diffRig {
 	d := &diffRig{st: &stats.Sim{}}
 	d.ic = NewInterconnect(cfg.NumSMs, cfg.NumPartitions, cfg.ICNTQueue, cfg.ICNTLatency, cfg.ICNTWidth)
 	d.dram = NewDRAMChannel(cfg, d.st)
 	var snk *obs.Sink
-	if sink {
+	if sink != noSink {
 		snk = obs.New(obs.Config{SMs: cfg.NumSMs, Partitions: 2, Channels: 1})
-		d.rec = &eventRecorder{}
-		snk.Attach(d.rec)
+		if sink == allEvents {
+			d.rec = &eventRecorder{}
+			snk.Attach(d.rec)
+		} else {
+			q := &quietRecorder{}
+			d.rec = &q.eventRecorder
+			snk.Attach(q)
+		}
 		d.dram.AttachObs(snk, 0)
+		d.snk = snk
 	}
 	for i := range d.parts {
 		if ref {
@@ -180,7 +209,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 	cfg.CheckInvariants = true
 	const ticks = 8000
 	for _, stall := range []bool{false, true} {
-		for _, sink := range []bool{false, true} {
+		for _, sink := range []sinkMode{noSink, allEvents, resFailDead} {
 			t.Run(fmt.Sprintf("stallReplay=%v/sink=%v", stall, sink), func(t *testing.T) {
 				for seed := int64(1); seed <= 4; seed++ {
 					script := diffScript(seed, ticks)
@@ -196,11 +225,21 @@ func TestPartitionMatchesReference(t *testing.T) {
 						if !reflect.DeepEqual(got.st, ref.st) {
 							t.Fatalf("seed %d cycle %d: stats diverged\n got: %+v\nwant: %+v", seed, now, *got.st, *ref.st)
 						}
-						if sink {
+						if sink != noSink {
 							if !reflect.DeepEqual(got.rec.evs, ref.rec.evs) {
 								t.Fatalf("seed %d cycle %d: events diverged\n got: %+v\nwant: %+v", seed, now, got.rec.evs, ref.rec.evs)
 							}
 							got.rec.evs, ref.rec.evs = got.rec.evs[:0], ref.rec.evs[:0]
+							// The reference walks its frozen retries one
+							// counter at a time; Partition counts them in
+							// bulk when EvResFail is dead. Snapshots are
+							// slow, so compare them every 100 ticks (the
+							// last tick included).
+							if now%100 == 99 {
+								if g, w := got.snk.Snapshot(), ref.snk.Snapshot(); !reflect.DeepEqual(g, w) {
+									t.Fatalf("seed %d cycle %d: counters diverged\n got: %+v\nwant: %+v", seed, now, g, w)
+								}
+							}
 						}
 						cov.observe(got.parts[0].(*Partition))
 					}

@@ -120,7 +120,7 @@ func (p *refPartition) Tick(now int64) error {
 	// traffic from the interconnect.
 	if p.retryStalled && len(p.retryQ) > 0 {
 		quiet := (p.storeRetries == 0 || p.dram.Full()) && len(p.fillLines) == 0 &&
-			!p.l2.HasObs() && !(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
+			p.l2.sink == nil && !(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
 		if !quiet {
 			p.replayStalled(now)
 		}

@@ -283,11 +283,11 @@ var _ obs.StreamFilter = (*Collector)(nil)
 func (c *Collector) WantsCycleClass() bool { return false }
 
 // WantsKind implements obs.KindFilter: the sink drops the collector from
-// the dispatch lists of every kind the Consume switch would discard.
-// This is load-bearing for the overhead budget — reservation fails alone
-// (EvResFail) outnumber every folded kind combined on cache-thrashing
-// benchmarks, and without the filter each one costs an interface call
-// just to fall through the switch.
+// the dispatch lists of every kind the Consume switch would discard. A
+// kind no attached consumer wants is dead and costs only its counter, so
+// declining reservation fails (EvResFail, which outnumber every folded
+// kind combined on cache-thrashing benchmarks) spares the run building
+// them at all, not just the interface call per event.
 func (c *Collector) WantsKind(k obs.Kind) bool {
 	switch k {
 	case obs.EvLoadIssue, obs.EvMemAccess,

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.MSHRMerge(1, DomPart, 0, 0x80)
 	s.MSHRConvert(1, 0, 0x80)
 	s.ResFail(1, DomSM, 0, 0x80, true)
+	s.PartResFails(0, true, 3)
 	s.LoadIssue(1, 0, 0, 0, 1, 1, 0x80, false)
 	s.MemAccess(1, DomSM, 0, 0, 0, 1, 0x80, AccessHit, false)
 	s.QueueSample(1, DomSM, 0, QueueL1MSHR, 3)
@@ -46,7 +48,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.DemandLatency(0, 100)
 	s.Attach(nil)
 	s.RunDone(42)
-	if s.Trace() != nil || s.Snapshot() != nil {
+	if s.Trace() != nil || s.Snapshot() != nil || s.Live(EvResFail) {
 		t.Fatal("nil sink accessors must return nil")
 	}
 }
@@ -509,4 +511,130 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total")
 	r.Counter("x_total")
+}
+
+// fireEveryHook calls each counting hook once, on SM 0, partition 0 and
+// channel 0, with both reservation-fail labels at both cache levels.
+func fireEveryHook(s *Sink) {
+	s.CTALaunch(1, 0, 0)
+	s.WarpDispatch(1, 0, 0, 0)
+	s.WarpStallBegin(1, 0, 0)
+	s.WarpStallEnd(2, 0, 0)
+	s.CycleClass(2, 0, CycleIssue)
+	s.WarpBarrier(2, 0, 0, 0)
+	s.SchedPromote(2, 0, 0)
+	s.SchedDemote(2, 0, 0)
+	s.SchedWakeup(2, 0, 0)
+	s.PickOutcome(2, 0, 0, PickLeadingPromoted)
+	s.CTAPhase(2, 0, 0, CTAPhaseLaunch)
+	s.TableOp(2, 0, 0, 1, TableDistFill)
+	s.DistAlloc(2, 0, 1)
+	s.PerCTAFill(2, 0, 0, 1)
+	s.PrefCandidate(3, 0, 0, 0, 1, 0x80, -1)
+	s.PrefDrop(3, 0, 0, 1, 0x100, DropStale)
+	s.PrefAdmit(3, 0, 0, 0, 1, 0x80)
+	s.PrefFill(4, 0, 0, 1, 0x80)
+	s.PrefConsume(5, 0, 0, 0, 1, 0x80, 2)
+	s.PrefLate(5, 0, 1, 0x180)
+	s.PrefEarlyEvict(5, 0, 1, 0x200)
+	s.LoadIssue(5, 0, 0, 0, 1, 1, 0x80, true)
+	for _, dom := range []Domain{DomSM, DomPart} {
+		s.MemAccess(6, dom, 0, 0, 0, 1, 0x80, AccessMissNew, false)
+		s.MSHRAlloc(6, dom, 0, 0x80, true)
+		s.MSHRMerge(6, dom, 0, 0x80)
+		s.ResFail(6, dom, 0, 0x80, false)
+		s.ResFail(6, dom, 0, 0x80, true)
+	}
+	s.MSHRConvert(6, 0, 0x80)
+	s.QueueSample(7, DomPart, 0, QueueL2MSHR, 3)
+	s.RowHit(7, 0, 1, 0x80)
+	s.RowMiss(7, 0, 1, 0x80)
+	s.CTAFinish(8, 0, 0)
+	s.WarpFinish(8, 0, 0)
+}
+
+// TestDeadKindStillCounts pins the subscription rule's other half: a hook
+// whose kind has no receiver skips the event but never its counter, so a
+// metrics-only sink snapshots exactly what a fully subscribed or traced
+// one does.
+func TestDeadKindStillCounts(t *testing.T) {
+	cfg := Config{SMs: 1, Partitions: 1, Channels: 1}
+	dead := New(cfg)
+	for k := Kind(0); k < numKinds; k++ {
+		if dead.Live(k) {
+			t.Fatalf("%v live on a sink with no trace, staging or consumer", k)
+		}
+	}
+	fireEveryHook(dead)
+
+	all := New(cfg)
+	var c collectConsumer
+	all.Attach(&c)
+	fireEveryHook(all)
+
+	traced := New(Config{SMs: 1, Partitions: 1, Channels: 1, Trace: true})
+	fireEveryHook(traced)
+
+	for _, n := range []string{"l1_resfail_total", "l2_resfail_total", "l1_access_total", "l2_mshr_alloc_total", "dram_row_hit_total", "sm_cycle_class_total"} {
+		if SumCounters(dead.Snapshot(), n) == 0 {
+			t.Errorf("dead sink left %s at zero", n)
+		}
+	}
+	want := all.Snapshot()
+	if got := dead.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("dead-kind snapshot differs from the subscribed one\n got: %v\nwant: %v", got, want)
+	}
+	if got := traced.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("traced snapshot differs from the subscribed one\n got: %v\nwant: %v", got, want)
+	}
+	if len(c.events) == 0 || traced.Trace().Len() == 0 {
+		t.Fatal("live sinks saw no events")
+	}
+
+	// The bulk entry adds to the same counters ResFail does, per label.
+	dead.PartResFails(0, false, 5)
+	dead.PartResFails(0, true, 2)
+	dead.PartResFails(1, true, 9) // no such partition: ignored
+	for i := 0; i < 5; i++ {
+		all.ResFail(9, DomPart, 0, 0x80, false)
+	}
+	all.ResFail(9, DomPart, 0, 0x80, true)
+	all.ResFail(9, DomPart, 0, 0x80, true)
+	if got, want := dead.Snapshot(), all.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PartResFails disagrees with per-event ResFail\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// TestKindLiveness pins when a kind is live: with a trace, with staging
+// armed, or once a consumer subscribed to it attaches.
+func TestKindLiveness(t *testing.T) {
+	var nilSink *Sink
+	if nilSink.Live(EvResFail) {
+		t.Fatal("a nil sink reports a live kind")
+	}
+	s := New(Config{SMs: 1, Partitions: 1})
+	s.Attach(&kindConsumer{want: map[Kind]bool{EvLoadIssue: true}})
+	for k := Kind(0); k < numKinds; k++ {
+		if got := s.Live(k); got != (k == EvLoadIssue) {
+			t.Fatalf("after a load-issue subscriber: Live(%v) = %v", k, got)
+		}
+	}
+	s.Attach(&collectConsumer{})
+	for k := Kind(0); k < numKinds; k++ {
+		if !s.Live(k) {
+			t.Fatalf("%v dead with a catch-all consumer attached", k)
+		}
+	}
+
+	traced := New(Config{SMs: 1, Trace: true})
+	staged := New(Config{SMs: 1})
+	staged.EnableStaging()
+	for k := Kind(0); k < numKinds; k++ {
+		if !traced.Live(k) || !staged.Live(k) {
+			t.Fatalf("%v: live with trace %v, with staging %v; want both", k, traced.Live(k), staged.Live(k))
+		}
+	}
+	if s.Live(numKinds) {
+		t.Fatal("out-of-range kind reported live")
+	}
 }

@@ -14,8 +14,25 @@ type Config struct {
 	TraceCap int
 }
 
+// cacheMetrics is the counter block of one cache: an SM's L1 (inside
+// smMetrics) or one L2 slice.
+type cacheMetrics struct {
+	mshrAlloc, mshrMerge      *Counter
+	resFailMSHR, resFailQueue *Counter
+	access                    [NumAccessClasses]*Counter
+}
+
+// resFail picks the reservation-fail counter for ResFail's label.
+func (m *cacheMetrics) resFail(queueFull bool) *Counter {
+	if queueFull {
+		return m.resFailQueue
+	}
+	return m.resFailMSHR
+}
+
 // smMetrics is the per-SM counter block.
 type smMetrics struct {
+	cacheMetrics
 	ctaLaunch, ctaFinish                   *Counter
 	warpDispatch, warpBarrier, warpFinish  *Counter
 	warpStallBegin, warpStallEnd           *Counter
@@ -28,17 +45,8 @@ type smMetrics struct {
 	prefConsume, prefLate, prefEarlyEvict  *Counter
 	prefDrop                               [numDropReasons]*Counter
 	cycleClass                             [NumCycleClasses]*Counter
-	mshrAlloc, mshrMerge, mshrConvert      *Counter
-	resFailMSHR, resFailQueue              *Counter
+	mshrConvert                            *Counter
 	loadIssue                              *Counter
-	access                                 [NumAccessClasses]*Counter
-}
-
-// partMetrics is the per-partition (L2 slice) counter block.
-type partMetrics struct {
-	mshrAlloc, mshrMerge      *Counter
-	resFailMSHR, resFailQueue *Counter
-	access                    [NumAccessClasses]*Counter
 }
 
 // chanMetrics is the per-DRAM-channel counter block.
@@ -56,6 +64,11 @@ type chanMetrics struct {
 // how disabled observability stays within its <=2% budget: hook sites pay
 // one nil check and nothing else.
 //
+// Subscription: an event kind with no receiver costs only its counter. A
+// kind is live while the sink traces, stages, or has a consumer subscribed
+// to it (see KindFilter); a hook for a dead kind updates its counter and
+// builds no Event, so a metrics-only sink pays counter increments alone.
+//
 //caps:shared observability
 type Sink struct {
 	cfg   Config
@@ -72,18 +85,21 @@ type Sink struct {
 	// subset that wants EvCycleClass (see StreamFilter): the per-SM-per-cycle
 	// firehose is only constructed when someone will fold it. byKind holds
 	// the subscriber list per event kind (see KindFilter): emit dispatches
-	// each event only to consumers that will fold its kind, so a collector
-	// ignoring, say, EvResFail never pays an interface call for one.
+	// each event only to consumers that will fold its kind.
 	consumers   []Consumer
 	cycleStream []Consumer
 	byKind      [numKinds][]Consumer
+
+	// live marks the kinds that have a receiver (see Live); refreshLive
+	// derives it whenever a receiver is added.
+	live [numKinds]bool
 
 	cyclesG   *Gauge
 	prefDist  *Histogram
 	demandLat *Histogram
 
 	sm   []smMetrics
-	part []partMetrics
+	part []cacheMetrics // one per L2 slice
 	ch   []chanMetrics
 }
 
@@ -108,11 +124,14 @@ type StreamFilter interface {
 // KindFilter is an optional Consumer refinement: a consumer that folds
 // only a subset of event kinds declares the subset here, and the sink
 // drops it from the dispatch lists of every kind it declines — the
-// declined kinds then cost it nothing, not even the interface call.
-// Complements StreamFilter, which additionally gates *construction* of
-// the per-cycle EvCycleClass event. WantsKind is consulted once per kind
-// at Attach time and must be pure. Consumers that don't implement the
-// interface receive everything.
+// declined kinds then cost it nothing, not even the interface call. A kind
+// every consumer declines (with no trace and no staging) is dead: its
+// hooks update their counters and build no Event at all, and the
+// simulator may skip work whose only product is such events (the L2
+// partition's frozen retry walk). Complements StreamFilter, which
+// additionally gates *construction* of the per-cycle EvCycleClass event.
+// WantsKind is consulted once per kind at Attach time and must be pure.
+// Consumers that don't implement the interface receive everything.
 type KindFilter interface {
 	WantsKind(k Kind) bool
 }
@@ -175,7 +194,7 @@ func New(cfg Config) *Sink {
 			m.access[a] = s.reg.Counter("l1_access_total", l, Label{Key: "outcome", Value: a.String()})
 		}
 	}
-	s.part = make([]partMetrics, cfg.Partitions)
+	s.part = make([]cacheMetrics, cfg.Partitions)
 	for i := range s.part {
 		l := Label{Key: "part", Value: itoa(i)}
 		m := &s.part[i]
@@ -193,7 +212,30 @@ func New(cfg Config) *Sink {
 		s.ch[i].rowHit = s.reg.Counter("dram_row_hit_total", l)
 		s.ch[i].rowMiss = s.reg.Counter("dram_row_miss_total", l)
 	}
+	s.refreshLive()
 	return s
+}
+
+// refreshLive re-derives the per-kind liveness table; New, Attach and
+// EnableStaging call it, so it is fixed before the first simulated cycle.
+func (s *Sink) refreshLive() {
+	for k := range s.live {
+		s.live[k] = s.trace != nil || s.stage != nil || len(s.byKind[k]) > 0
+	}
+}
+
+// Live reports whether events of kind k have a receiver: the trace, the
+// parallel staging lanes, or a subscribed consumer. False on a nil sink.
+func (s *Sink) Live(k Kind) bool {
+	return s != nil && k < numKinds && s.live[k]
+}
+
+// bit encodes a hook's boolean argument in Event.Arg.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // itoa avoids strconv for the tiny ids used in labels (also keeps the
@@ -257,6 +299,7 @@ func (s *Sink) Attach(c Consumer) {
 			s.cycleStream = append(s.cycleStream, c)
 		}
 	}
+	s.refreshLive()
 }
 
 // emit is on the hot path: every observability hook funnels through it
@@ -284,6 +327,28 @@ func (s *Sink) emitStream(e Event) {
 		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
 
 	}
+}
+
+// post stages e, or emits it when the sink is not staging, and reports
+// whether it was staged: a staged hook leaves its counters to the replay.
+func (s *Sink) post(e Event) bool {
+	if s.stageEvent(e) {
+		return true
+	}
+	s.emit(e)
+	return false
+}
+
+// cache returns the counter block of an L1 (DomSM) or an L2 slice
+// (DomPart), or nil for an unknown domain or unit.
+func (s *Sink) cache(dom Domain, track int) *cacheMetrics {
+	switch {
+	case dom == DomSM && s.smOK(track):
+		return &s.sm[track].cacheMetrics
+	case dom == DomPart && s.partOK(track):
+		return &s.part[track]
+	}
+	return nil
 }
 
 func (s *Sink) smOK(sm int) bool  { return sm >= 0 && sm < len(s.sm) }
@@ -321,12 +386,10 @@ func (s *Sink) CTALaunch(cycle int64, sm, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)}
-	if s.stageEvent(e) {
+	if s.live[EvCTALaunch] && s.post(Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)}) {
 		return
 	}
 	s.sm[sm].ctaLaunch.Inc()
-	s.emit(e)
 }
 
 // CTAFinish records the last warp of a CTA retiring.
@@ -334,12 +397,10 @@ func (s *Sink) CTAFinish(cycle int64, sm, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)}
-	if s.stageEvent(e) {
+	if s.live[EvCTAFinish] && s.post(Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)}) {
 		return
 	}
 	s.sm[sm].ctaFinish.Inc()
-	s.emit(e)
 }
 
 // WarpDispatch records a warp context activating.
@@ -347,12 +408,10 @@ func (s *Sink) WarpDispatch(cycle int64, sm, warpSlot, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)}
-	if s.stageEvent(e) {
+	if s.live[EvWarpDispatch] && s.post(Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)}) {
 		return
 	}
 	s.sm[sm].warpDispatch.Inc()
-	s.emit(e)
 }
 
 // WarpStallBegin records a warp entering a memory-wait stall run (it
@@ -363,12 +422,10 @@ func (s *Sink) WarpStallBegin(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}
-	if s.stageEvent(e) {
+	if s.live[EvWarpStallBegin] && s.post(Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
 		return
 	}
 	s.sm[sm].warpStallBegin.Inc()
-	s.emit(e)
 }
 
 // WarpStallEnd records the matching end of a stall run: the warp's last
@@ -377,12 +434,10 @@ func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}
-	if s.stageEvent(e) {
+	if s.live[EvWarpStallEnd] && s.post(Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
 		return
 	}
 	s.sm[sm].warpStallEnd.Inc()
-	s.emit(e)
 }
 
 // CycleClass attributes one SM cycle to its stall-stack bucket. This is
@@ -412,12 +467,10 @@ func (s *Sink) WarpBarrier(cycle int64, sm, warpSlot, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)}
-	if s.stageEvent(e) {
+	if s.live[EvWarpBarrier] && s.post(Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)}) {
 		return
 	}
 	s.sm[sm].warpBarrier.Inc()
-	s.emit(e)
 }
 
 // WarpFinish records a warp retiring.
@@ -425,12 +478,10 @@ func (s *Sink) WarpFinish(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}
-	if s.stageEvent(e) {
+	if s.live[EvWarpFinish] && s.post(Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
 		return
 	}
 	s.sm[sm].warpFinish.Inc()
-	s.emit(e)
 }
 
 // ------------------------------------------------- scheduler transitions ----
@@ -440,12 +491,10 @@ func (s *Sink) SchedPromote(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}
-	if s.stageEvent(e) {
+	if s.live[EvSchedPromote] && s.post(Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
 		return
 	}
 	s.sm[sm].schedPromote.Inc()
-	s.emit(e)
 }
 
 // SchedDemote records a warp leaving the ready queue on a long-latency op.
@@ -453,12 +502,10 @@ func (s *Sink) SchedDemote(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}
-	if s.stageEvent(e) {
+	if s.live[EvSchedDemote] && s.post(Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
 		return
 	}
 	s.sm[sm].schedDemote.Inc()
-	s.emit(e)
 }
 
 // SchedWakeup records an eager prefetch wake-up promotion (PAS, §V-A).
@@ -466,12 +513,10 @@ func (s *Sink) SchedWakeup(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}
-	if s.stageEvent(e) {
+	if s.live[EvSchedWakeup] && s.post(Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
 		return
 	}
 	s.sm[sm].schedWakeup.Inc()
-	s.emit(e)
 }
 
 // PickOutcome records one classified scheduler decision (see the
@@ -483,12 +528,10 @@ func (s *Sink) PickOutcome(cycle int64, sm, warpSlot int, o PickOutcome) {
 	if s == nil || !s.smOK(sm) || o >= numPickOutcomes {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)}
-	if s.stageEvent(e) {
+	if s.live[EvPickOutcome] && s.post(Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)}) {
 		return
 	}
 	s.sm[sm].pickOutcome[o].Inc()
-	s.emit(e)
 }
 
 // CTAPhase records one CTA lifetime transition (launch → first-issue →
@@ -498,12 +541,10 @@ func (s *Sink) CTAPhase(cycle int64, sm, cta int, p CTAPhase) {
 	if s == nil || !s.smOK(sm) || p >= numCTAPhases {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)}
-	if s.stageEvent(e) {
+	if s.live[EvCTAPhase] && s.post(Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)}) {
 		return
 	}
 	s.sm[sm].ctaPhase[p].Inc()
-	s.emit(e)
 }
 
 // TableOp records one CAPS prediction-table operation on the DIST (per-PC)
@@ -513,12 +554,10 @@ func (s *Sink) TableOp(cycle int64, sm, cta int, pc uint32, op TableOp) {
 	if s == nil || !s.smOK(sm) || op >= numTableOps {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)}
-	if s.stageEvent(e) {
+	if s.live[EvTableOp] && s.post(Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)}) {
 		return
 	}
 	s.sm[sm].tableOp[op].Inc()
-	s.emit(e)
 }
 
 // ----------------------------------------------------- prefetch lifecycle ----
@@ -528,12 +567,10 @@ func (s *Sink) DistAlloc(cycle int64, sm int, pc uint32) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc}
-	if s.stageEvent(e) {
+	if s.live[EvDistAlloc] && s.post(Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc}) {
 		return
 	}
 	s.sm[sm].distAlloc.Inc()
-	s.emit(e)
 }
 
 // PerCTAFill records a CTA's leading warp registering its base-address
@@ -542,12 +579,10 @@ func (s *Sink) PerCTAFill(cycle int64, sm, cta int, pc uint32) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc}
-	if s.stageEvent(e) {
+	if s.live[EvPerCTAFill] && s.post(Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc}) {
 		return
 	}
 	s.sm[sm].perCTAFill.Inc()
-	s.emit(e)
 }
 
 // PrefCandidate records one generated prefetch candidate entering the SM's
@@ -559,12 +594,10 @@ func (s *Sink) PrefCandidate(cycle int64, sm, warpSlot, cta int, pc uint32, addr
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)}
-	if s.stageEvent(e) {
+	if s.live[EvPrefCandidate] && s.post(Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)}) {
 		return
 	}
 	s.sm[sm].prefCandidate.Inc()
-	s.emit(e)
 }
 
 // PrefDrop records a candidate discarded before doing useful work; cta is
@@ -573,12 +606,10 @@ func (s *Sink) PrefDrop(cycle int64, sm, cta int, pc uint32, addr uint64, reason
 	if s == nil || !s.smOK(sm) || reason >= numDropReasons {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)}
-	if s.stageEvent(e) {
+	if s.live[EvPrefDrop] && s.post(Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)}) {
 		return
 	}
 	s.sm[sm].prefDrop[reason].Inc()
-	s.emit(e)
 }
 
 // PrefAdmit records a prefetch miss admitted into L1 and sent to memory;
@@ -587,12 +618,10 @@ func (s *Sink) PrefAdmit(cycle int64, sm, warpSlot, cta int, pc uint32, addr uin
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr}
-	if s.stageEvent(e) {
+	if s.live[EvPrefAdmit] && s.post(Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr}) {
 		return
 	}
 	s.sm[sm].prefAdmit.Inc()
-	s.emit(e)
 }
 
 // PrefFill records a prefetched line installing into L1.
@@ -600,12 +629,10 @@ func (s *Sink) PrefFill(cycle int64, sm, warpSlot int, pc uint32, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr}
-	if s.stageEvent(e) {
+	if s.live[EvPrefFill] && s.post(Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr}) {
 		return
 	}
 	s.sm[sm].prefFill.Inc()
-	s.emit(e)
 }
 
 // PrefConsume records the first demand hit on a prefetched line; cta is
@@ -615,13 +642,11 @@ func (s *Sink) PrefConsume(cycle int64, sm, warpSlot, cta int, pc uint32, addr u
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance}
-	if s.stageEvent(e) {
+	if s.live[EvPrefConsume] && s.post(Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance}) {
 		return
 	}
 	s.sm[sm].prefConsume.Inc()
 	s.prefDist.Observe(distance)
-	s.emit(e)
 }
 
 // PrefLate records a demand access merging into an in-flight prefetch
@@ -630,12 +655,10 @@ func (s *Sink) PrefLate(cycle int64, sm int, pc uint32, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr}
-	if s.stageEvent(e) {
+	if s.live[EvPrefLate] && s.post(Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr}) {
 		return
 	}
 	s.sm[sm].prefLate.Inc()
-	s.emit(e)
 }
 
 // PrefEarlyEvict records a prefetched line evicted before any demand use
@@ -644,12 +667,10 @@ func (s *Sink) PrefEarlyEvict(cycle int64, sm int, pc uint32, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr}
-	if s.stageEvent(e) {
+	if s.live[EvPrefEarlyEvict] && s.post(Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr}) {
 		return
 	}
 	s.sm[sm].prefEarlyEvict.Inc()
-	s.emit(e)
 }
 
 // ------------------------------------------------------- memory system ----
@@ -663,16 +684,10 @@ func (s *Sink) LoadIssue(cycle int64, sm, warpSlot, cta, warpInCTA int, pc uint3
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	var arg uint8
-	if indirect {
-		arg = 1
-	}
-	e := Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: arg}
-	if s.stageEvent(e) {
+	if s.live[EvLoadIssue] && s.post(Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: bit(indirect)}) {
 		return
 	}
 	s.sm[sm].loadIssue.Inc()
-	s.emit(e)
 }
 
 // MemAccess records one *accepted* cache access (hit, new miss, or merge)
@@ -685,32 +700,25 @@ func (s *Sink) MemAccess(cycle int64, dom Domain, track, warpSlot, cta int, pc u
 	if s == nil || class >= NumAccessClasses {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)}
-	if s.stageEvent(e) {
+	m := s.cache(dom, track)
+	if m == nil {
 		return
 	}
-	switch dom {
-	case DomSM:
-		if !s.smOK(track) {
+	if s.live[EvMemAccess] {
+		e := Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)}
+		if s.stageEvent(e) {
 			return
 		}
-		s.sm[track].access[class].Inc()
-	case DomPart:
-		if !s.partOK(track) {
-			return
-		}
-		s.part[track].access[class].Inc()
-	default:
-		return
+		s.emitStream(e)
 	}
-	s.emitStream(e)
+	m.access[class].Inc()
 }
 
 // QueueSample records one memory-system queue depth (Event.Val) observed at
 // a progress beat. Beats fire on the same cycles with or without idle
 // fast-forward, so sampled occupancy distributions are executor-invariant.
 func (s *Sink) QueueSample(cycle int64, dom Domain, track int, q QueueKind, depth int) {
-	if s == nil || q >= NumQueueKinds {
+	if s == nil || q >= NumQueueKinds || !s.live[EvQueueSample] {
 		return
 	}
 	s.emit(Event{Cycle: cycle, Kind: EvQueueSample, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Arg: uint8(q), Val: int64(depth)})
@@ -722,29 +730,14 @@ func (s *Sink) MSHRAlloc(cycle int64, dom Domain, track int, addr uint64, prefet
 	if s == nil {
 		return
 	}
-	var arg uint8
-	if prefetch {
-		arg = 1
-	}
-	e := Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: arg}
-	if s.stageEvent(e) {
+	m := s.cache(dom, track)
+	if m == nil {
 		return
 	}
-	switch dom {
-	case DomSM:
-		if !s.smOK(track) {
-			return
-		}
-		s.sm[track].mshrAlloc.Inc()
-	case DomPart:
-		if !s.partOK(track) {
-			return
-		}
-		s.part[track].mshrAlloc.Inc()
-	default:
+	if s.live[EvMSHRAlloc] && s.post(Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(prefetch)}) {
 		return
 	}
-	s.emit(e)
+	m.mshrAlloc.Inc()
 }
 
 // MSHRMerge records a request merging into an in-flight MSHR.
@@ -752,25 +745,14 @@ func (s *Sink) MSHRMerge(cycle int64, dom Domain, track int, addr uint64) {
 	if s == nil {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr}
-	if s.stageEvent(e) {
+	m := s.cache(dom, track)
+	if m == nil {
 		return
 	}
-	switch dom {
-	case DomSM:
-		if !s.smOK(track) {
-			return
-		}
-		s.sm[track].mshrMerge.Inc()
-	case DomPart:
-		if !s.partOK(track) {
-			return
-		}
-		s.part[track].mshrMerge.Inc()
-	default:
+	if s.live[EvMSHRMerge] && s.post(Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr}) {
 		return
 	}
-	s.emit(e)
+	m.mshrMerge.Inc()
 }
 
 // MSHRConvert records a demand merge converting a prefetch-only MSHR into a
@@ -779,12 +761,10 @@ func (s *Sink) MSHRConvert(cycle int64, sm int, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	e := Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr}
-	if s.stageEvent(e) {
+	if s.live[EvMSHRConvert] && s.post(Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr}) {
 		return
 	}
 	s.sm[sm].mshrConvert.Inc()
-	s.emit(e)
 }
 
 // ResFail records a reservation failure (no MSHR, or miss queue full when
@@ -793,37 +773,25 @@ func (s *Sink) ResFail(cycle int64, dom Domain, track int, addr uint64, queueFul
 	if s == nil {
 		return
 	}
-	var arg uint8
-	if queueFull {
-		arg = 1
-	}
-	e := Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: arg}
-	if s.stageEvent(e) {
+	m := s.cache(dom, track)
+	if m == nil {
 		return
 	}
-	switch dom {
-	case DomSM:
-		if !s.smOK(track) {
-			return
-		}
-		if queueFull {
-			s.sm[track].resFailQueue.Inc()
-		} else {
-			s.sm[track].resFailMSHR.Inc()
-		}
-	case DomPart:
-		if !s.partOK(track) {
-			return
-		}
-		if queueFull {
-			s.part[track].resFailQueue.Inc()
-		} else {
-			s.part[track].resFailMSHR.Inc()
-		}
-	default:
+	if s.live[EvResFail] && s.post(Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(queueFull)}) {
 		return
 	}
-	s.emit(e)
+	m.resFail(queueFull).Inc()
+}
+
+// PartResFails counts n reservation failures at L2 slice part in one call,
+// labelled as ResFail labels them. It builds no events, so it is only for
+// callers that have checked EvResFail is dead (see Live): the L2
+// partition's frozen retry queue, whose every replay is a proven fail.
+func (s *Sink) PartResFails(part int, queueFull bool, n int) {
+	if s == nil || !s.partOK(part) {
+		return
+	}
+	s.part[part].resFail(queueFull).Add(int64(n))
 }
 
 // RowHit records a DRAM row-buffer hit on a channel; bank is the serviced
@@ -834,7 +802,9 @@ func (s *Sink) RowHit(cycle int64, ch, bank int, addr uint64) {
 		return
 	}
 	s.ch[ch].rowHit.Inc()
-	s.emit(Event{Cycle: cycle, Kind: EvRowHit, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+	if s.live[EvRowHit] {
+		s.emit(Event{Cycle: cycle, Kind: EvRowHit, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+	}
 }
 
 // RowMiss records a DRAM row activation (row miss or cold row) on a
@@ -844,7 +814,9 @@ func (s *Sink) RowMiss(cycle int64, ch, bank int, addr uint64) {
 		return
 	}
 	s.ch[ch].rowMiss.Inc()
-	s.emit(Event{Cycle: cycle, Kind: EvRowMiss, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+	if s.live[EvRowMiss] {
+		s.emit(Event{Cycle: cycle, Kind: EvRowMiss, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+	}
 }
 
 // DemandLatency feeds the demand round-trip latency histogram; sm is the

@@ -21,7 +21,9 @@ type stageState struct {
 
 // EnableStaging arms staging support (idempotent, nil-safe). The GPU calls
 // it once at construction when workers > 1; without it every hook stays on
-// its zero-overhead serial path.
+// its zero-overhead serial path. Staging makes every kind live: a hook on a
+// worker goroutine must park its event even when only the counter will
+// see it at replay.
 func (s *Sink) EnableStaging() {
 	if s == nil || s.stage != nil {
 		return
@@ -30,6 +32,7 @@ func (s *Sink) EnableStaging() {
 		ev:  make([][]Event, len(s.sm)),
 		lat: make([][]int64, len(s.sm)),
 	}
+	s.refreshLive()
 }
 
 // StageBegin diverts DomSM hooks into the staging lanes until StageEnd.

@@ -65,6 +65,21 @@ func NewCollector(numSMs int) *Collector {
 }
 
 var _ obs.Consumer = (*Collector)(nil)
+var _ obs.KindFilter = (*Collector)(nil)
+
+// WantsKind implements obs.KindFilter: exactly the kinds the Consume switch
+// folds. Declining the rest keeps them dead on a sink with no other
+// subscriber, so a profiled run does not build, say, the tens of millions
+// of reservation-fail events a memory-bound benchmark produces.
+func (c *Collector) WantsKind(k obs.Kind) bool {
+	switch k {
+	case obs.EvCycleClass, obs.EvPrefCandidate, obs.EvPrefDrop,
+		obs.EvPrefAdmit, obs.EvPrefFill, obs.EvPrefConsume,
+		obs.EvPrefLate, obs.EvPrefEarlyEvict:
+		return true
+	}
+	return false
+}
 
 // pcLedger returns the ledger for a load PC, or nil once the cap is hit.
 func (c *Collector) pcLedger(pc uint32) *ledger {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -263,5 +264,20 @@ func TestCollectorBoundsLedgers(t *testing.T) {
 	}
 	if c.truncPCs != 10 {
 		t.Fatalf("truncated events = %d, want 10", c.truncPCs)
+	}
+}
+
+// TestWantsKindMatchesConsume feeds one event of every kind to a fresh
+// collector and requires WantsKind to accept exactly the kinds that
+// changed its state: declining a folded kind would silently drop it from
+// profiles, and accepting an ignored one would keep it live on the sink.
+func TestWantsKindMatchesConsume(t *testing.T) {
+	for k := obs.Kind(0); !strings.Contains(k.String(), "("); k++ {
+		c := NewCollector(1)
+		c.Consume(obs.Event{Kind: k, Track: 0, Warp: 0, CTA: 0, PC: 7, Addr: 0x80, Val: 1})
+		changed := !reflect.DeepEqual(c, NewCollector(1))
+		if got := c.WantsKind(k); got != changed {
+			t.Errorf("WantsKind(%v) = %v, but consuming one changed the collector: %v", k, got, changed)
+		}
 	}
 }
