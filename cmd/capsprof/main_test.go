@@ -11,6 +11,7 @@ import (
 	"caps/internal/profile"
 	"caps/internal/schedlens"
 	"caps/internal/sim"
+	"caps/internal/stats"
 )
 
 // lensFiles are the profiles one short run wrote, plus a copy of each with
@@ -21,10 +22,17 @@ type lensFiles struct {
 	sched, schedBad string
 }
 
-// writeProfiles runs MM under CAPS with capsprof, memlens and schedlens
-// attached and writes each profile, then a copy with its gated headline
-// metric halved.
-func writeProfiles(t *testing.T, dir string) lensFiles {
+// shortRun is one short MM run under CAPS with capsprof, memlens and
+// schedlens attached: the run every test in this package reads.
+type shortRun struct {
+	cfg config.GPUConfig
+	st  *stats.Sim
+	col *profile.Collector
+	ml  *memlens.Collector
+	sl  *schedlens.Collector
+}
+
+func runMM(t *testing.T) shortRun {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Scheduler = config.SchedPAS
@@ -46,6 +54,15 @@ func writeProfiles(t *testing.T, dir string) lensFiles {
 		t.Fatal(err)
 	}
 	g.Close()
+	return shortRun{cfg: cfg, st: st, col: col, ml: ml, sl: sl}
+}
+
+// writeProfiles writes each profile of the short run, then a copy with its
+// gated headline metric halved.
+func writeProfiles(t *testing.T, dir string) lensFiles {
+	t.Helper()
+	r := runMM(t)
+	cfg, st, col, ml, sl := r.cfg, r.st, r.col, r.ml, r.sl
 
 	f := lensFiles{}
 	path := func(name string) string { return filepath.Join(dir, name) }
