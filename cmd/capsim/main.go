@@ -29,16 +29,15 @@ import (
 	"caps/internal/energy"
 	"caps/internal/experiments"
 	"caps/internal/flight"
-	"caps/internal/hostprof"
 	"caps/internal/kernels"
-	"caps/internal/memlens"
+	"caps/internal/lenses"
 	"caps/internal/obs"
 	"caps/internal/prefetch"
 	"caps/internal/profile"
 	"caps/internal/runstore"
 	"caps/internal/sched"
-	"caps/internal/schedlens"
 	"caps/internal/sim"
+	"caps/internal/stats"
 )
 
 func main() {
@@ -71,10 +70,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flightOut = fs.String("flight", "", "attach a flight recorder and write its black box (JSONL, see capscope) to this file when the run dies or SIGQUIT arrives")
 		watchdog  = fs.Int64("watchdog", 0, "abort when no instruction retires for this many cycles (0 = default, negative = off)")
 		beat      = fs.Int64("beat", 0, "progress-beat / watchdog-poll period in cycles, rounded to a power of two (0 = default 8192)")
-		hprofOut  = fs.String("hostprof", "", "self-profile the executor's wall-clock (phase/worker/skip attribution) and write the host profile JSON to this file; a text report goes to stderr")
-		mlensOut  = fs.String("memlens", "", "profile the memory hierarchy (θ/Δ address structure, prefetch timeliness, reuse, DRAM locality) and write the memory profile JSON to this file; a text report goes to stderr")
-		slensOut  = fs.String("schedlens", "", "profile scheduler and CTA decisions (CTA timelines, pick outcomes, CAP/DIST table dynamics, leading-warp effectiveness) and write the scheduler profile JSON to this file; a text report goes to stderr")
 	)
+	lensOut := make([]*string, len(lenses.All))
+	for i, l := range lenses.All {
+		lensOut[i] = fs.String(l.Flag, "", l.SimUsage)
+	}
 	sf := experiments.AddSimFlags(fs)
 	switch err := fs.Parse(args); {
 	case errors.Is(err, flag.ErrHelp):
@@ -154,28 +154,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		col = profile.NewCollector(cfg.NumSMs)
 		snk.Attach(col)
 	}
-	var hprof *hostprof.Profiler
-	if *hprofOut != "" {
-		hprof = hostprof.New(hostprof.DefaultSampleEvery)
-	}
-	var mlens *memlens.Collector
-	if *mlensOut != "" {
-		mlens = memlens.ForConfig(cfg)
-	}
-	var slens *schedlens.Collector
-	if *slensOut != "" {
-		slens = schedlens.ForConfig(cfg)
-	}
 	opts := []sim.Option{sim.WithPrefetcher(*pf), sim.WithObs(snk),
 		sim.WithProgressEvery(*beat), sim.WithWatchdogCycles(*watchdog)}
-	if hprof != nil {
-		opts = append(opts, sim.WithHostProf(hprof))
-	}
-	if mlens != nil {
-		opts = append(opts, sim.WithMemLens(mlens))
-	}
-	if slens != nil {
-		opts = append(opts, sim.WithSchedLens(slens))
+	builds := make([]func(lenses.Run, *stats.Sim) lenses.Profile, len(lenses.All))
+	for i, l := range lenses.All {
+		if *lensOut[i] != "" {
+			var opt sim.Option
+			opt, builds[i] = l.Attach(cfg)
+			opts = append(opts, opt)
+		}
 	}
 	opts = append(opts, sf.SimOptions()...)
 	var dumpPath string
@@ -274,69 +261,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	var hostProf *hostprof.Profile
-	if hprof != nil {
-		// g.Run's deferred Close finalized the profiler; an aborted run's
-		// host profile is still written (the wall-clock spent is real), but
-		// only a completed one is validated — partial runs can legitimately
-		// sit outside the sampling-coverage tolerance.
-		hostProf = hprof.Build(k.Abbr, *pf)
+	// A lens profile is written even for an aborted run (the wall-clock
+	// spent and the folded events are real), but only a completed one must
+	// validate: a partial run legitimately has prefetches and stores in
+	// flight, and can sit outside hostprof's sampling-coverage tolerance.
+	label := lenses.Run{Bench: k.Abbr, Prefetcher: *pf, Scheduler: string(cfg.Scheduler)}
+	lensProfs := make([]lenses.Profile, len(lenses.All))
+	for i, l := range lenses.All {
+		if builds[i] == nil {
+			continue
+		}
+		p := builds[i](label, st)
 		if !aborted {
-			if err := hostProf.Validate(hostprof.DefaultTolerance); err != nil {
-				fmt.Fprintln(stderr, "capsim: hostprof: accounting invariant violated:", err)
+			if err := l.Validate(p, st); err != nil {
+				fmt.Fprintf(stderr, "capsim: %s: accounting invariant violated: %v\n", l.Flag, err)
 				return 1
 			}
 		}
-		if err := hostProf.WriteFile(*hprofOut); err != nil {
-			fmt.Fprintln(stderr, "capsim: hostprof:", err)
+		if err := p.WriteFile(*lensOut[i]); err != nil {
+			fmt.Fprintf(stderr, "capsim: %s: %v\n", l.Flag, err)
 			return 1
 		}
-		if err := hostProf.WriteText(stderr); err != nil {
-			fmt.Fprintln(stderr, "capsim: hostprof:", err)
+		if err := p.WriteText(stderr); err != nil {
+			fmt.Fprintf(stderr, "capsim: %s: %v\n", l.Flag, err)
 			return 1
 		}
-	}
-	var memLens *memlens.Profile
-	if mlens != nil {
-		// An aborted run's profile is still written (the folded events are
-		// real observations), but only a completed one must reconcile —
-		// partial runs legitimately have prefetches and stores in flight.
-		memLens = mlens.Build(memlens.Meta{Bench: k.Abbr, Prefetcher: *pf, Cycles: st.Cycles})
-		if !aborted {
-			if err := memLens.Validate(st); err != nil {
-				fmt.Fprintln(stderr, "capsim: memlens: accounting invariant violated:", err)
-				return 1
-			}
-		}
-		if err := memLens.WriteFile(*mlensOut); err != nil {
-			fmt.Fprintln(stderr, "capsim: memlens:", err)
-			return 1
-		}
-		if err := memLens.WriteText(stderr); err != nil {
-			fmt.Fprintln(stderr, "capsim: memlens:", err)
-			return 1
-		}
-	}
-	var schedLens *schedlens.Profile
-	if slens != nil {
-		// Same contract as memlens: an aborted run's profile is written,
-		// only a completed one must reconcile.
-		schedLens = slens.Build(schedlens.Meta{Bench: k.Abbr, Prefetcher: *pf,
-			Scheduler: string(cfg.Scheduler), Cycles: st.Cycles})
-		if !aborted {
-			if err := schedLens.Validate(st); err != nil {
-				fmt.Fprintln(stderr, "capsim: schedlens: accounting invariant violated:", err)
-				return 1
-			}
-		}
-		if err := schedLens.WriteFile(*slensOut); err != nil {
-			fmt.Fprintln(stderr, "capsim: schedlens:", err)
-			return 1
-		}
-		if err := schedLens.WriteText(stderr); err != nil {
-			fmt.Fprintln(stderr, "capsim: schedlens:", err)
-			return 1
-		}
+		lensProfs[i] = p
 	}
 	if *storeDir != "" {
 		store, err := runstore.Open(*storeDir)
@@ -348,14 +298,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if aborted {
 			rec.MarkAborted(abortReason, dumpPath)
 		}
-		if hostProf != nil {
-			rec.AttachHost(hostProf)
-		}
-		if memLens != nil {
-			rec.AttachMem(memLens)
-		}
-		if schedLens != nil {
-			rec.AttachSched(schedLens)
+		for i, p := range lensProfs {
+			if p != nil {
+				if err := rec.AttachLens(lenses.All[i].Name, p); err != nil {
+					fmt.Fprintln(stderr, "capsim: store:", err)
+					return 1
+				}
+			}
 		}
 		id, dup, err := store.Put(rec)
 		if err != nil {

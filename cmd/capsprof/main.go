@@ -29,48 +29,69 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"caps/internal/experiments"
+	"caps/internal/lenses"
 	"caps/internal/profile"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+// run is main's body, driven directly by the tests. It returns the exit
+// status: 0 clean, 1 for a regression or a failed check, 2 for a usage
+// error or an input that cannot be loaded.
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		usage()
+		usage(stderr)
 		return 2
 	}
-	switch args[0] {
+	sub, args := args[0], args[1:]
+	switch sub {
 	case "report":
-		return report(args[1:])
+		return report(args, stdout, stderr)
 	case "diff":
-		return diff(args[1:])
+		return diff(args, stdout, stderr)
 	case "speed-diff":
-		return speedDiff(args[1:])
-	case "host":
-		return host(args[1:])
-	case "host-diff":
-		return hostDiff(args[1:])
-	case "mem":
-		return mem(args[1:])
-	case "mem-diff":
-		return memDiff(args[1:])
-	case "sched":
-		return sched(args[1:])
-	case "sched-diff":
-		return schedDiff(args[1:])
+		return speedDiff(args, stdout, stderr)
 	case "-h", "--help", "help":
-		usage()
+		usage(stderr)
 		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "capsprof: unknown subcommand %q\n", args[0])
-		usage()
-		return 2
 	}
+	for _, l := range lenses.All {
+		switch sub {
+		case l.Name:
+			return show(l, args, stdout, stderr)
+		case l.Name + "-diff":
+			return lensDiff(l, args, stdout, stderr)
+		}
+	}
+	fmt.Fprintf(stderr, "capsprof: unknown subcommand %q\n", sub)
+	usage(stderr)
+	return 2
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// newFlagSet builds a subcommand's flag set, reporting to stderr.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
 }
 
 // parseArgs runs fs over args but, unlike flag's default, keeps going after
@@ -101,8 +122,8 @@ func flagExit(err error) int {
 	return 2
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
+func usage(w io.Writer) {
+	fmt.Fprint(w, `usage:
   capsprof report <profile.json> [-html out.html] [-json out.json]
       render a self-contained HTML report (stall-stack SVGs, per-PC ledger)
       and/or re-emit the normalized profile JSON
@@ -116,40 +137,14 @@ func usage() {
       benchmark's (or the aggregate) serial-vs-tuned speedup fell more
       than the tolerance fraction below the baseline's; host-context
       mismatches between the reports are printed as warnings
-
-  capsprof host <run.host.json> [-html out.html] [-profile run.profile.json] [-validate]
-      render a wall-clock self-profile (capsim -hostprof, capsweep
-      -hostprof-dir): phase/worker/skip attribution as text, or a
-      self-contained HTML report; -profile joins the run's CPI stack in
-
-  capsprof host-diff <base.host.json> <current.host.json> [-wall|-phase|-util frac]
-      compare two host profiles and exit 1 on wall-clock, phase-share
-      or utilization regressions past thresholds
-
-  capsprof mem <run.mem.json> [-html out.html]
-      render a memory-hierarchy profile (capsim -memlens, capsweep
-      -memlens-dir): θ/Δ address structure per load PC, prefetch
-      timeliness, reuse distance per cache level, DRAM/queue locality
-
-  capsprof mem-diff <base.mem.json> <current.mem.json> [-explained|-accurate|-rowhit|-reuse|-spread abs]
-      compare two memory profiles and exit 1 on explainability,
-      prefetch-accuracy, row-hit-rate, reuse, or bank-spread drops
-      past thresholds
-
-  capsprof sched <run.sched.json> [-html out.html]
-      render a scheduler/CTA-decision profile (capsim -schedlens,
-      capsweep -schedlens-dir): CTA lifetime timelines, pick-outcome
-      provenance, CAP/DIST table dynamics, leading-warp effectiveness
-
-  capsprof sched-diff <base.sched.json> <current.sched.json> [-effectiveness|-promoted|-ctahit|-disthit|-balance abs]
-      compare two scheduler profiles and exit 1 on leading-warp
-      effectiveness, promotion-fraction, table-hit-rate, or CTA-balance
-      drops past thresholds
 `)
+	for _, l := range lenses.All {
+		fmt.Fprint(w, "\n"+l.Help)
+	}
 }
 
-func report(args []string) int {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+func report(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("report", stderr)
 	htmlOut := fs.String("html", "", "write the HTML report to this file (default: <profile>.html)")
 	jsonOut := fs.String("json", "", "re-emit the normalized profile JSON to this file")
 	pos, err := parseArgs(fs, args)
@@ -157,50 +152,40 @@ func report(args []string) int {
 		return flagExit(err)
 	}
 	if len(pos) != 1 {
-		fmt.Fprintln(os.Stderr, "capsprof report: need exactly one profile JSON path")
+		fmt.Fprintln(stderr, "capsprof report: need exactly one profile JSON path")
 		return 2
 	}
 	path := pos[0]
 	p, err := profile.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
+		fmt.Fprintln(stderr, "capsprof:", err)
+		return 2
 	}
 	out := *htmlOut
 	if out == "" {
 		out = path + ".html"
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
+	if err := writeFile(out, func(w io.Writer) error { return profile.WriteHTML(w, p) }); err != nil {
+		fmt.Fprintln(stderr, "capsprof:", err)
 		return 1
 	}
-	if err := profile.WriteHTML(f, p); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
-		return 1
-	}
-	fmt.Printf("wrote %s (%s/%s, %d cycles, %d PCs)\n", out, p.Meta.Bench, p.Meta.Prefetcher, p.TotalCycles, len(p.PCs))
+	fmt.Fprintf(stdout, "wrote %s (%s/%s, %d cycles, %d PCs)\n", out, p.Meta.Bench, p.Meta.Prefetcher, p.TotalCycles, len(p.PCs))
 	if p.TruncatedPCs > 0 || p.TruncatedCTAs > 0 {
-		fmt.Fprintf(os.Stderr, "capsprof report: WARNING: ledger cap reached — %d PC and %d CTA events uncounted; per-PC/per-CTA tables understate activity\n",
+		fmt.Fprintf(stderr, "capsprof report: WARNING: ledger cap reached — %d PC and %d CTA events uncounted; per-PC/per-CTA tables understate activity\n",
 			p.TruncatedPCs, p.TruncatedCTAs)
 	}
 	if *jsonOut != "" {
 		if err := p.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "capsprof:", err)
+			fmt.Fprintln(stderr, "capsprof:", err)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
 	}
 	return 0
 }
 
-func diff(args []string) int {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
+func diff(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("diff", stderr)
 	th := profile.DefaultThresholds()
 	fs.Float64Var(&th.IPCFrac, "ipc", th.IPCFrac, "max fractional IPC drop")
 	fs.Float64Var(&th.StallFrac, "stall", th.StallFrac, "max absolute stall-share increase per bucket")
@@ -211,17 +196,17 @@ func diff(args []string) int {
 		return flagExit(err)
 	}
 	if len(pos) != 2 {
-		fmt.Fprintln(os.Stderr, "capsprof diff: need <base> and <current> paths")
+		fmt.Fprintln(stderr, "capsprof diff: need <base> and <current> paths")
 		return 2
 	}
 	base, err := profile.ReadBaseline(pos[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
+		fmt.Fprintln(stderr, "capsprof:", err)
 		return 2
 	}
 	cur, err := profile.ReadBaseline(pos[1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
+		fmt.Fprintln(stderr, "capsprof:", err)
 		return 2
 	}
 
@@ -232,59 +217,59 @@ func diff(args []string) int {
 	case base.Bench != nil && cur.Profile != nil:
 		regs, err = profile.DiffBench(base.Bench, cur.Profile, th)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsprof:", err)
+			fmt.Fprintln(stderr, "capsprof:", err)
 			return 2
 		}
 	case base.Bench != nil && cur.Bench != nil:
 		regs = profile.DiffBenchReports(base.Bench, cur.Bench, th)
 	default:
-		fmt.Fprintln(os.Stderr, "capsprof: a full profile cannot baseline a bench report (swap the arguments)")
+		fmt.Fprintln(stderr, "capsprof: a full profile cannot baseline a bench report (swap the arguments)")
 		return 2
 	}
 
 	if len(regs) == 0 {
-		fmt.Println("capsprof diff: no regressions")
+		fmt.Fprintln(stdout, "capsprof diff: no regressions")
 		return 0
 	}
-	fmt.Printf("capsprof diff: %d regression(s):\n", len(regs))
+	fmt.Fprintf(stdout, "capsprof diff: %d regression(s):\n", len(regs))
 	for _, r := range regs {
-		fmt.Println("  " + r.String())
+		fmt.Fprintln(stdout, "  "+r.String())
 	}
 	return 1
 }
 
-func speedDiff(args []string) int {
-	fs := flag.NewFlagSet("speed-diff", flag.ContinueOnError)
+func speedDiff(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("speed-diff", stderr)
 	tol := fs.Float64("tolerance", 0.20, "max fractional speedup drop before failing")
 	pos, err := parseArgs(fs, args)
 	if err != nil {
 		return flagExit(err)
 	}
 	if len(pos) != 2 {
-		fmt.Fprintln(os.Stderr, "capsprof speed-diff: need <base> and <current> BENCH_speed.json paths")
+		fmt.Fprintln(stderr, "capsprof speed-diff: need <base> and <current> BENCH_speed.json paths")
 		return 2
 	}
 	base, err := experiments.ReadSpeedReport(pos[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
+		fmt.Fprintln(stderr, "capsprof:", err)
 		return 2
 	}
 	cur, err := experiments.ReadSpeedReport(pos[1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsprof:", err)
+		fmt.Fprintln(stderr, "capsprof:", err)
 		return 2
 	}
 	for _, w := range experiments.HostMismatch(base, cur) {
-		fmt.Printf("warning: host context mismatch: %s\n", w)
+		fmt.Fprintf(stdout, "warning: host context mismatch: %s\n", w)
 	}
 	msgs := experiments.DiffSpeed(base, cur, *tol)
 	if len(msgs) == 0 {
-		fmt.Printf("capsprof speed-diff: no regressions (aggregate %.2fx, baseline %.2fx)\n", cur.Speedup, base.Speedup)
+		fmt.Fprintf(stdout, "capsprof speed-diff: no regressions (aggregate %.2fx, baseline %.2fx)\n", cur.Speedup, base.Speedup)
 		return 0
 	}
-	fmt.Printf("capsprof speed-diff: %d regression(s):\n", len(msgs))
+	fmt.Fprintf(stdout, "capsprof speed-diff: %d regression(s):\n", len(msgs))
 	for _, m := range msgs {
-		fmt.Println("  " + m)
+		fmt.Fprintln(stdout, "  "+m)
 	}
 	return 1
 }

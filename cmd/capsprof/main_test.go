@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"caps/internal/config"
+	"caps/internal/hostprof"
 	"caps/internal/kernels"
 	"caps/internal/memlens"
 	"caps/internal/profile"
@@ -20,6 +22,7 @@ type lensFiles struct {
 	prof, profBad   string
 	mem, memBad     string
 	sched, schedBad string
+	host, hostBad   string
 }
 
 // shortRun is one short MM run under CAPS with capsprof, memlens and
@@ -97,12 +100,21 @@ func writeProfiles(t *testing.T, dir string) lensFiles {
 	must(sp.WriteFile(f.sched))
 	sp.Table.DistHitRate /= 2
 	must(sp.WriteFile(f.schedBad))
+
+	// hostprof measures wall-clock, so its profiles come from the golden
+	// fixture rather than from the run.
+	hp, err := hostprof.ReadFile(filepath.Join(goldenDir, "MM-caps-pas.host.json"))
+	must(err)
+	f.host, f.hostBad = path("run.host.json"), path("bad.host.json")
+	must(hp.WriteFile(f.host))
+	hp.WallNS *= 2
+	must(hp.WriteFile(f.hostBad))
 	return f
 }
 
-// TestRunExitCodes pins the regression gates' exit contract: 0 when
-// clean, 1 only for a regression past threshold, 2 for a usage error or
-// an input that cannot be loaded.
+// TestRunExitCodes pins the exit contract of the regression gates and the
+// report subcommands: 0 when clean, 1 only for a regression past threshold
+// or a failed check, 2 for a usage error or an input that cannot be loaded.
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	f := writeProfiles(t, dir)
@@ -146,11 +158,47 @@ func TestRunExitCodes(t *testing.T) {
 		{"sched-diff bad flag", []string{"sched-diff", "-bogus", f.sched, f.sched}, 2},
 		{"sched-diff missing file", []string{"sched-diff", f.sched, missing}, 2},
 		{"sched-diff unparsable file", []string{"sched-diff", garbage, f.sched}, 2},
+
+		{"host-diff self", []string{"host-diff", f.host, f.host}, 0},
+		{"host-diff regression", []string{"host-diff", f.host, f.hostBad}, 1},
+		{"host-diff improvement", []string{"host-diff", f.hostBad, f.host}, 0},
+		{"host-diff loose threshold", []string{"host-diff", "-wall", "2", f.host, f.hostBad}, 0},
+		{"host-diff one path", []string{"host-diff", f.host}, 2},
+		{"host-diff bad flag", []string{"host-diff", "-bogus", f.host, f.host}, 2},
+		{"host-diff missing file", []string{"host-diff", f.host, missing}, 2},
+		{"host-diff unparsable file", []string{"host-diff", garbage, f.host}, 2},
+
+		{"report html", []string{"report", f.prof, "-html", filepath.Join(dir, "report.html")}, 0},
+		{"report no path", []string{"report"}, 2},
+		{"report missing file", []string{"report", missing}, 2},
+		{"report unparsable file", []string{"report", garbage}, 2},
+
+		{"host text", []string{"host", f.host}, 0},
+		{"host html joined", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", f.prof}, 0},
+		{"host validate", []string{"host", "-validate", "-tolerance", "0.9", f.host}, 0},
+		{"host validate fails", []string{"host", "-validate", "-tolerance", "0.0001", f.hostBad}, 1},
+		{"host no path", []string{"host"}, 2},
+		{"host missing file", []string{"host", missing}, 2},
+		{"host unparsable file", []string{"host", garbage}, 2},
+		{"host missing join", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", missing}, 2},
+
+		{"mem text", []string{"mem", f.mem}, 0},
+		{"mem html", []string{"mem", f.mem, "-html", filepath.Join(dir, "mem.html")}, 0},
+		{"mem no path", []string{"mem"}, 2},
+		{"mem missing file", []string{"mem", missing}, 2},
+		{"mem unparsable file", []string{"mem", garbage}, 2},
+
+		{"sched text", []string{"sched", f.sched}, 0},
+		{"sched html", []string{"sched", f.sched, "-html", filepath.Join(dir, "sched.html")}, 0},
+		{"sched no path", []string{"sched"}, 2},
+		{"sched missing file", []string{"sched", missing}, 2},
+		{"sched unparsable file", []string{"sched", garbage}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := run(c.args); got != c.code {
-				t.Errorf("run(%q) = %d, want %d", c.args, got, c.code)
+			var stdout, stderr bytes.Buffer
+			if got := run(c.args, &stdout, &stderr); got != c.code {
+				t.Errorf("run(%q) = %d, want %d\nstdout:\n%s\nstderr:\n%s", c.args, got, c.code, &stdout, &stderr)
 			}
 		})
 	}

@@ -10,48 +10,78 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"caps/internal/config"
 	"caps/internal/experiments"
-	"caps/internal/hostprof"
-	"caps/internal/memlens"
+	"caps/internal/lenses"
 	"caps/internal/obs"
 	"caps/internal/profile"
 	"caps/internal/runstore"
-	"caps/internal/schedlens"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's body, on its own flag set so tests can drive the command
+// line. It returns the exit status: 0 for a clean sweep, 1 when any run or
+// output failed, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	// Warm's workers report per-run failures concurrently.
+	stderr = &lockedWriter{w: stderr}
+	fs := flag.NewFlagSet("capsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig        = flag.String("fig", "", "comma-separated figures to regenerate: 1, 4, 10, 11, 12, 13, 14a, 14b, 15")
-		table      = flag.String("table", "", "table to regenerate: 1, 2, 3, 4")
-		abl        = flag.String("ablation", "", "ablation to run: tables, buffer, threshold, wakeup, occupancy")
-		all        = flag.Bool("all", false, "regenerate every figure and table")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		insts      = flag.Int64("insts", 0, "override the per-run instruction cap")
-		par        = flag.Int("par", 0, "parallel simulations (default: GOMAXPROCS)")
-		benches    = flag.String("benches", "", "comma-separated benchmark subset (default: all 16)")
-		traceDir   = flag.String("trace-dir", "", "write a Chrome trace + metrics CSV per run into this directory")
-		profileDir = flag.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
-		benchJSON  = flag.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
-		speedJSON  = flag.String("speed-json", "", "time every benchmark serial-vs-tuned (-workers/-idle-skip), verify identical stats, write BENCH_speed.json-style timings to this file, then exit")
-		storeDir   = flag.String("store", "", "record every completed run (stats + profile) into this run store directory (see capsd)")
-		flightDir  = flag.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
-		hprofDir   = flag.String("hostprof-dir", "", "self-profile every run's executor wall-clock and write <dir>/<run>.host.json (see capsprof host)")
-		mlensDir   = flag.String("memlens-dir", "", "profile every run's memory hierarchy and write <dir>/<run>.mem.json (see capsprof mem)")
-		slensDir   = flag.String("schedlens-dir", "", "profile every run's scheduler/CTA decisions and write <dir>/<run>.sched.json (see capsprof sched)")
+		fig        = fs.String("fig", "", "comma-separated figures to regenerate: 1, 4, 10, 11, 12, 13, 14a, 14b, 15")
+		table      = fs.String("table", "", "table to regenerate: 1, 2, 3, 4")
+		abl        = fs.String("ablation", "", "ablation to run: tables, buffer, threshold, wakeup, occupancy")
+		all        = fs.Bool("all", false, "regenerate every figure and table")
+		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		insts      = fs.Int64("insts", 0, "override the per-run instruction cap")
+		par        = fs.Int("par", 0, "parallel simulations (default: GOMAXPROCS)")
+		benches    = fs.String("benches", "", "comma-separated benchmark subset (default: all 16)")
+		traceDir   = fs.String("trace-dir", "", "write a Chrome trace + metrics CSV per run into this directory")
+		profileDir = fs.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
+		benchJSON  = fs.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
+		speedJSON  = fs.String("speed-json", "", "time every benchmark serial-vs-tuned (-workers/-idle-skip), verify identical stats, write BENCH_speed.json-style timings to this file, then exit")
+		storeDir   = fs.String("store", "", "record every completed run (stats + profile) into this run store directory (see capsd)")
+		flightDir  = fs.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
 	)
-	sf := experiments.AddSimFlags(flag.CommandLine)
-	flag.Parse()
+	lensDirs := make([]*string, len(lenses.All))
+	for i, l := range lenses.All {
+		lensDirs[i] = fs.String(l.Flag+"-dir", "", l.SweepUsage)
+	}
+	sf := experiments.AddSimFlags(fs)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	// failed marks a sweep that lost a run or an output; Warm's workers set
+	// it concurrently.
+	var failed atomic.Bool
+	for _, dir := range append([]*string{traceDir, profileDir, flightDir}, lensDirs...) {
+		if *dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
+			fmt.Fprintln(stderr, "capsweep:", err)
+			return 1
+		}
+	}
 
 	cfg := config.Default()
 	if *insts > 0 {
@@ -63,17 +93,16 @@ func main() {
 	}
 	if *speedJSON != "" {
 		rep, err := experiments.BuildSpeedReport(cfg, benchList, sf)
+		if err == nil {
+			err = rep.WriteFile(*speedJSON)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "capsweep:", err)
+			return 1
 		}
-		if err := rep.WriteFile(*speedJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d benchmarks, aggregate speedup %.2fx at workers=%d idle-skip=%v)\n",
+		fmt.Fprintf(stdout, "wrote %s (%d benchmarks, aggregate speedup %.2fx at workers=%d idle-skip=%v)\n",
 			*speedJSON, len(rep.Entries), rep.Speedup, rep.Workers, rep.IdleSkip)
-		return
+		return 0
 	}
 	// -workers/-idle-skip reach every run; suite parallelism derates to
 	// GOMAXPROCS/workers unless -par pins it explicitly.
@@ -82,15 +111,6 @@ func main() {
 		opts = append(opts, experiments.WithBenches(benchList))
 	}
 	if *traceDir != "" || *profileDir != "" {
-		for _, dir := range []string{*traceDir, *profileDir} {
-			if dir == "" {
-				continue
-			}
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "capsweep:", err)
-				os.Exit(1)
-			}
-		}
 		// Warm's workers run concurrently, so the sink→collector pairing is
 		// kept in a mutex-guarded map keyed by the (unique, memoized) RunKey.
 		var mu sync.Mutex
@@ -110,7 +130,7 @@ func main() {
 			func(k experiments.RunKey, s *obs.Sink, st *stats.Sim) {
 				if *traceDir != "" {
 					if err := exportRun(*traceDir, k, s); err != nil {
-						fmt.Fprintln(os.Stderr, "capsweep: trace export:", err)
+						fmt.Fprintln(stderr, "capsweep: trace export:", err)
 					}
 				}
 				if *profileDir != "" {
@@ -118,66 +138,37 @@ func main() {
 					col := collectors[k]
 					mu.Unlock()
 					if err := exportProfile(*profileDir, cfg, k, col, st); err != nil {
-						fmt.Fprintln(os.Stderr, "capsweep: profile export:", err)
+						fmt.Fprintln(stderr, "capsweep: profile export:", err)
 					}
 				}
 			},
 		))
 	}
-	exitCode := 0
 	if *storeDir != "" {
 		store, err := runstore.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "capsweep:", err)
+			return 1
 		}
 		opts = append(opts, experiments.WithRunStore(store, func(k experiments.RunKey, err error) {
-			fmt.Fprintf(os.Stderr, "capsweep: store %s: %v\n", k.Name(), err)
-			exitCode = 1
+			fmt.Fprintf(stderr, "capsweep: store %s: %v\n", k.Name(), err)
+			failed.Store(true)
 		}))
 	}
 	if *flightDir != "" {
-		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
-		}
 		opts = append(opts, experiments.WithFlight(*flightDir, func(k experiments.RunKey, err error) {
-			fmt.Fprintf(os.Stderr, "capsweep: flight %s: %v\n", k.Name(), err)
+			fmt.Fprintf(stderr, "capsweep: flight %s: %v\n", k.Name(), err)
 		}))
 	}
-	if *hprofDir != "" {
-		if err := os.MkdirAll(*hprofDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
+	for i, l := range lenses.All {
+		dir := *lensDirs[i]
+		if dir == "" {
+			continue
 		}
-		opts = append(opts, experiments.WithHostProf(func(k experiments.RunKey, hp *hostprof.Profile) {
-			if err := hp.WriteFile(filepath.Join(*hprofDir, k.Name()+".host.json")); err != nil {
-				fmt.Fprintf(os.Stderr, "capsweep: hostprof %s: %v\n", k.Name(), err)
-				exitCode = 1
-			}
-		}))
-	}
-	if *mlensDir != "" {
-		if err := os.MkdirAll(*mlensDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
-		}
-		opts = append(opts, experiments.WithMemLens(func(k experiments.RunKey, mp *memlens.Profile) {
-			if err := mp.WriteFile(filepath.Join(*mlensDir, k.Name()+".mem.json")); err != nil {
-				fmt.Fprintf(os.Stderr, "capsweep: memlens %s: %v\n", k.Name(), err)
-				exitCode = 1
-			}
-		}))
-	}
-	if *slensDir != "" {
-		if err := os.MkdirAll(*slensDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
-		}
-		opts = append(opts, experiments.WithSchedLens(func(k experiments.RunKey, sp *schedlens.Profile) {
-			if err := sp.WriteFile(filepath.Join(*slensDir, k.Name()+".sched.json")); err != nil {
-				fmt.Fprintf(os.Stderr, "capsweep: schedlens %s: %v\n", k.Name(), err)
-				exitCode = 1
+		opts = append(opts, experiments.WithLens(l, func(k experiments.RunKey, p lenses.Profile) {
+			if err := p.WriteFile(filepath.Join(dir, k.Name()+l.Suffix)); err != nil {
+				fmt.Fprintf(stderr, "capsweep: %s %s: %v\n", l.Flag, k.Name(), err)
+				failed.Store(true)
 			}
 		}))
 	}
@@ -189,43 +180,52 @@ func main() {
 	// the process outright.
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt)
+	defer func() {
+		signal.Stop(sigCh)
+		close(sigCh)
+	}()
 	go func() {
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "capsweep: interrupt: stopping in-flight runs (press ^C again to kill)")
+		if _, ok := <-sigCh; !ok {
+			return
+		}
+		fmt.Fprintln(stderr, "capsweep: interrupt: stopping in-flight runs (press ^C again to kill)")
 		suite.Interrupt()
-		<-sigCh
-		os.Exit(130)
+		if _, ok := <-sigCh; ok {
+			os.Exit(130)
+		}
 	}()
 
 	if *benchJSON != "" {
 		rep, err := suite.BuildBenchReport()
+		if err == nil {
+			err = rep.WriteFile(*benchJSON)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "capsweep:", err)
+			return 1
 		}
-		if err := rep.WriteFile(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "capsweep:", err)
-			os.Exit(1)
+		fmt.Fprintf(stdout, "wrote %s (%d benchmarks)\n", *benchJSON, len(rep.Benchmarks))
+		if failed.Load() {
+			return 1
 		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", *benchJSON, len(rep.Benchmarks))
-		return
+		return 0
 	}
 
 	emit := func(title string, t *stats.Table) {
-		fmt.Printf("== %s ==\n", title)
+		fmt.Fprintf(stdout, "== %s ==\n", title)
 		if *csv {
-			fmt.Print(t.CSV())
+			fmt.Fprint(stdout, t.CSV())
 		} else {
-			fmt.Print(t.String())
+			fmt.Fprint(stdout, t.String())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	// fail reports a driver error and marks the sweep partially failed, but
 	// does not exit: remaining figures still run, and the failure summary
 	// at the end carries the non-zero verdict.
 	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "capsweep:", err)
-		exitCode = 1
+		fmt.Fprintln(stderr, "capsweep:", err)
+		failed.Store(true)
 	}
 
 	figures := map[string]func(){
@@ -300,9 +300,9 @@ func main() {
 		},
 	}
 	tables := map[string]func(){
-		"1": func() { fmt.Printf("== Table I ==\n%s\n", experiments.TableI(cfg)) },
-		"2": func() { fmt.Printf("== Table II ==\n%s\n", experiments.TableII(cfg)) },
-		"3": func() { fmt.Printf("== Table III ==\n%s\n", experiments.TableIII(cfg)) },
+		"1": func() { fmt.Fprintf(stdout, "== Table I ==\n%s\n", experiments.TableI(cfg)) },
+		"2": func() { fmt.Fprintf(stdout, "== Table II ==\n%s\n", experiments.TableII(cfg)) },
+		"3": func() { fmt.Fprintf(stdout, "== Table III ==\n%s\n", experiments.TableIII(cfg)) },
 		"4": func() { emit("Table IV: workloads", experiments.TableIV()) },
 	}
 
@@ -355,22 +355,23 @@ func main() {
 		ran = true
 	}
 	if !ran {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	// Partial-failure summary: drivers keep going past a broken run, but a
 	// sweep that lost any run reports what failed and exits non-zero.
 	if fails := suite.Failures(); len(fails) > 0 {
-		fmt.Fprintf(os.Stderr, "capsweep: %d run(s) failed:\n", len(fails))
+		fmt.Fprintf(stderr, "capsweep: %d run(s) failed:\n", len(fails))
 		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "  %-30s %v\n", f.Key.Name(), f.Err)
+			fmt.Fprintf(stderr, "  %-30s %v\n", f.Key.Name(), f.Err)
 		}
-		exitCode = 1
+		failed.Store(true)
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
+	if failed.Load() {
+		return 1
 	}
+	return 0
 }
 
 // exportRun writes <dir>/<run>.trace.json (Chrome trace-event format) and
@@ -412,4 +413,17 @@ func exportProfile(dir string, cfg config.GPUConfig, k experiments.RunKey,
 		return err
 	}
 	return p.WriteFile(filepath.Join(dir, k.Name()+".profile.json"))
+}
+
+// lockedWriter serializes writes to w: Warm's workers report per-run
+// failures concurrently.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -20,7 +20,7 @@ import (
 var Cyclelint = &Analyzer{
 	Name:  "cyclelint",
 	Doc:   "reports narrowing of int64 cycle values, reassignment of now, and cycle-state writes outside Tick/Step",
-	Scope: scopeOf("sim", "mem", "sched", "core", "prefetch", "obs", "profile", "hostprof", "memlens", "schedlens", "flight", "experiments", "cmd"),
+	Scope: scopeOf("sim", "mem", "sched", "core", "prefetch", "obs", "profile", "hostprof", "memlens", "schedlens", "lens", "lenses", "flight", "experiments", "cmd"),
 	Run:   runCyclelint,
 }
 

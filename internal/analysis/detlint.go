@@ -19,7 +19,7 @@ import (
 var Detlint = &Analyzer{
 	Name:  "detlint",
 	Doc:   "reports nondeterminism sources: unordered map iteration, wall-clock time, global rand, pointer-keyed maps",
-	Scope: scopeOf("sim", "mem", "sched", "prefetch", "stats", "core", "experiments", "obs", "profile", "hostprof", "memlens", "schedlens", "flight", "cmd"),
+	Scope: scopeOf("sim", "mem", "sched", "prefetch", "stats", "core", "experiments", "obs", "profile", "hostprof", "memlens", "schedlens", "lens", "lenses", "flight", "cmd"),
 	Run:   runDetlint,
 }
 

@@ -121,13 +121,13 @@ func TestScopes(t *testing.T) {
 		out []string
 	}{
 		{analysis.Detlint,
-			[]string{"caps/internal/sim", "caps/internal/mem", "caps/internal/stats", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/cmd/capsim", "caps/cmd/capsweep"},
+			[]string{"caps/internal/sim", "caps/internal/mem", "caps/internal/stats", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/internal/lens", "caps/internal/lenses", "caps/cmd/capsim", "caps/cmd/capsweep"},
 			[]string{"caps/internal/kernels", "caps/internal/analysis"}},
 		{analysis.Cyclelint,
-			[]string{"caps/internal/sim", "caps/internal/core", "caps/internal/sched", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/cmd/capscope"},
+			[]string{"caps/internal/sim", "caps/internal/core", "caps/internal/sched", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/internal/lens", "caps/internal/lenses", "caps/cmd/capscope"},
 			[]string{"caps/internal/stats", "caps/internal/analysis"}},
 		{analysis.Statlint,
-			[]string{"caps/internal/mem", "caps/internal/prefetch", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/cmd/capsd"},
+			[]string{"caps/internal/mem", "caps/internal/prefetch", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/internal/lens", "caps/internal/lenses", "caps/cmd/capsd"},
 			[]string{"caps/internal/stats", "caps/internal/kernels"}},
 	}
 	for _, tc := range cases {

@@ -30,7 +30,7 @@ import (
 var Statlint = &Analyzer{
 	Name:  "statlint",
 	Doc:   "reports non-monotonic stats.Sim writes outside internal/stats and context-free panics in hot paths",
-	Scope: scopeOf("sim", "mem", "sched", "core", "prefetch", "experiments", "obs", "profile", "hostprof", "memlens", "schedlens", "flight", "cmd"),
+	Scope: scopeOf("sim", "mem", "sched", "core", "prefetch", "experiments", "obs", "profile", "hostprof", "memlens", "schedlens", "lens", "lenses", "flight", "cmd"),
 	Run:   runStatlint,
 }
 

@@ -6,6 +6,7 @@ import (
 	"caps/internal/config"
 	"caps/internal/hostprof"
 	"caps/internal/kernels"
+	"caps/internal/lenses"
 )
 
 // The acceptance bar for the host profiler: a profile built from every one
@@ -25,16 +26,16 @@ func TestHostProfValidatesOnAllBenchmarks(t *testing.T) {
 		cfg.MaxInsts = 60_000
 		cfg.MaxCycle = 3_000_000
 		var got *hostprof.Profile
-		s := NewSuite(cfg, WithHostProf(func(k RunKey, hp *hostprof.Profile) { got = hp }))
+		s := NewSuite(cfg, WithLens(lenses.Host, func(k RunKey, p lenses.Profile) { got = p.(*hostprof.Profile) }))
 		key := PrefetcherKey(abbr, "caps")
 		if _, err := s.Run(key); err != nil {
 			t.Fatalf("%s: %v", abbr, err)
 		}
 		if got == nil {
-			t.Fatalf("%s: WithHostProf hook did not fire", abbr)
+			t.Fatalf("%s: WithLens hook did not fire", abbr)
 		}
-		if s.HostProfile(key) != got {
-			t.Errorf("%s: HostProfile returned a different profile than the hook", abbr)
+		if s.Profile(key, lenses.Host.Name) != got {
+			t.Errorf("%s: Profile returned a different profile than the hook", abbr)
 		}
 		return got, got.Validate(1.0)
 	}

@@ -10,6 +10,7 @@ import (
 	"caps/internal/config"
 	"caps/internal/hostprof"
 	"caps/internal/kernels"
+	"caps/internal/lens"
 	"caps/internal/sim"
 )
 
@@ -127,13 +128,7 @@ func BuildSpeedReport(cfg config.GPUConfig, benches []string, f *SimFlags) (*Spe
 }
 
 // WriteFile persists the report as indented JSON (the committed artifact).
-func (r *SpeedReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (r *SpeedReport) WriteFile(path string) error { return lens.WriteFile(path, r) }
 
 // ReadSpeedReport loads a BENCH_speed.json produced by WriteFile.
 func ReadSpeedReport(path string) (*SpeedReport, error) {

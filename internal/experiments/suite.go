@@ -13,13 +13,11 @@ import (
 
 	"caps/internal/config"
 	"caps/internal/flight"
-	"caps/internal/hostprof"
 	"caps/internal/kernels"
-	"caps/internal/memlens"
+	"caps/internal/lenses"
 	"caps/internal/obs"
 	"caps/internal/profile"
 	"caps/internal/runstore"
-	"caps/internal/schedlens"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
@@ -93,29 +91,11 @@ type Suite struct {
 	// suite's own prefetcher, sink, lens and flight-recorder options.
 	runOpts []sim.Option
 
-	// hostProf (WithHostProf) hands every run a wall-clock self-profiler;
-	// hostDone hooks receive the built profile after a successful run, and
-	// hostProfiles keeps it for HostProfile and the run-store attach. Under
-	// mu.
-	hostProf     bool
-	hostDone     []func(RunKey, *hostprof.Profile)
-	hostProfiles map[RunKey]*hostprof.Profile
-
-	// memLens (WithMemLens) hands every run a streaming memory-hierarchy
-	// profiler; memDone hooks receive the built profile after a successful
-	// run, and memProfiles keeps it for MemProfile and the run-store
-	// attach. Under mu.
-	memLens     bool
-	memDone     []func(RunKey, *memlens.Profile)
-	memProfiles map[RunKey]*memlens.Profile
-
-	// schedLens (WithSchedLens) hands every run a streaming scheduler/CTA-
-	// decision profiler; schedDone hooks receive the built profile after a
-	// successful run, and schedProfiles keeps it for SchedProfile and the
-	// run-store attach. Under mu.
-	schedLens     bool
-	schedDone     []func(RunKey, *schedlens.Profile)
-	schedProfiles map[RunKey]*schedlens.Profile
+	// lenses (WithLens) ride every run in registration order; each
+	// completed run's built profiles are kept in profiles for Profile and
+	// the run-store attach. Under mu.
+	lenses   []*suiteLens
+	profiles map[profileKey]lenses.Profile
 
 	// stopped flips when Interrupt is called; running tracks in-flight
 	// GPUs so the interrupt can reach them.
@@ -196,14 +176,12 @@ func WithRunStore(store *runstore.Store, onErr func(RunKey, error)) Option {
 				p = built
 			}
 			rec := runstore.NewRecord(cfg, k.Bench, k.Prefetch, st, p)
-			if hpr := s.HostProfile(k); hpr != nil {
-				rec.AttachHost(hpr)
-			}
-			if mp := s.MemProfile(k); mp != nil {
-				rec.AttachMem(mp)
-			}
-			if sp := s.SchedProfile(k); sp != nil {
-				rec.AttachSched(sp)
+			for _, sl := range s.lenses {
+				if lp := s.Profile(k, sl.Name); lp != nil {
+					if err := rec.AttachLens(sl.Name, lp); err != nil && onErr != nil {
+						onErr(k, err)
+					}
+				}
 			}
 			if _, _, err := store.Put(rec); err != nil && onErr != nil {
 				onErr(k, err)
@@ -227,81 +205,37 @@ func WithRunStore(store *runstore.Store, onErr func(RunKey, error)) Option {
 	}
 }
 
-// WithHostProf self-profiles every run's executor wall-clock with an
-// internal/hostprof profiler (sim.WithHostProf): phase, worker, and
-// fast-forward attribution at the default sampling rate. fn — optional —
-// receives each successful run's built profile (capsweep writes it to
-// -hostprof-dir); the profile is also retained for HostProfile. Composes
-// with WithRunStore (stored records carry the host profile). Profiling
-// never feeds back into the simulation: cycles, hashes, and
-// BENCH_caps.json stay bit-identical.
-func WithHostProf(fn func(RunKey, *hostprof.Profile)) Option {
-	return func(s *Suite) {
-		s.hostProf = true
-		if fn != nil {
-			s.hostDone = append(s.hostDone, fn)
-		}
-	}
+// suiteLens is one registry lens riding every run, with the hook that
+// receives its profiles.
+type suiteLens struct {
+	*lenses.Lens
+	done func(RunKey, lenses.Profile)
 }
 
-// WithMemLens profiles every run's memory hierarchy with an
-// internal/memlens collector (sim.WithMemLens): per-load-PC θ/Δ address
-// structure, prefetch timeliness, sampled reuse distances, and
-// DRAM/interconnect locality. fn — optional — receives each successful
-// run's built profile (capsweep writes it to -memlens-dir); the profile
-// is also retained for MemProfile and attached to stored records under
-// WithRunStore. The collector declines the per-cycle class stream, so
-// cycles, hashes, and BENCH_caps.json stay bit-identical — with or
-// without the idle fast-forward.
-func WithMemLens(fn func(RunKey, *memlens.Profile)) Option {
-	return func(s *Suite) {
-		s.memLens = true
-		if fn != nil {
-			s.memDone = append(s.memDone, fn)
-		}
-	}
+// profileKey addresses one lens profile of one run.
+type profileKey struct {
+	run  RunKey
+	lens string
 }
 
-// MemProfile returns the built memory profile of a completed run, or nil
-// if the run hasn't finished or WithMemLens wasn't set.
-func (s *Suite) MemProfile(k RunKey) *memlens.Profile {
+// WithLens attaches l (see internal/lenses) to every run; attach each lens
+// once. fn — optional — receives each successful run's built profile
+// (capsweep writes it to the lens's -dir); the profile is also retained
+// for Profile and attached to stored records under WithRunStore. A profile
+// that fails its Validate fails the run: the fold is an instrumentation
+// bug, not a result to store silently wrong. A Timed lens is the exception
+// — its check is statistical, so the profile is kept unvalidated. Lenses
+// only observe: cycles, hashes and BENCH_caps.json stay bit-identical.
+func WithLens(l *lenses.Lens, fn func(RunKey, lenses.Profile)) Option {
+	return func(s *Suite) { s.lenses = append(s.lenses, &suiteLens{Lens: l, done: fn}) }
+}
+
+// Profile returns the named lens profile of a completed run, or nil if the
+// run hasn't finished or the lens wasn't attached.
+func (s *Suite) Profile(k RunKey, lens string) lenses.Profile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.memProfiles[k]
-}
-
-// WithSchedLens profiles every run's scheduler and CTA decisions with an
-// internal/schedlens collector (sim.WithSchedLens): CTA lifetime
-// timelines, PickOutcome decision provenance, CAP/DIST table dynamics and
-// leading-warp effectiveness. fn — optional — receives each successful
-// run's built profile (capsweep writes it to -schedlens-dir); the profile
-// is also retained for SchedProfile and attached to stored records under
-// WithRunStore. The collector declines the per-cycle class stream, so
-// cycles, hashes, and BENCH_caps.json stay bit-identical — with or
-// without the idle fast-forward.
-func WithSchedLens(fn func(RunKey, *schedlens.Profile)) Option {
-	return func(s *Suite) {
-		s.schedLens = true
-		if fn != nil {
-			s.schedDone = append(s.schedDone, fn)
-		}
-	}
-}
-
-// SchedProfile returns the built scheduler profile of a completed run, or
-// nil if the run hasn't finished or WithSchedLens wasn't set.
-func (s *Suite) SchedProfile(k RunKey) *schedlens.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.schedProfiles[k]
-}
-
-// HostProfile returns the built host profile of a completed run, or nil if
-// the run hasn't finished or WithHostProf wasn't set.
-func (s *Suite) HostProfile(k RunKey) *hostprof.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hostProfiles[k]
+	return s.profiles[profileKey{k, lens}]
 }
 
 // WithFlight attaches a flight recorder to every run; a run that dies
@@ -329,14 +263,12 @@ func WithRunOptions(opts ...sim.Option) Option {
 // NewSuite creates a suite over the given base configuration.
 func NewSuite(cfg config.GPUConfig, opts ...Option) *Suite {
 	s := &Suite{
-		cfg:           cfg,
-		parallelism:   runtime.GOMAXPROCS(0),
-		cache:         make(map[RunKey]*stats.Sim),
-		failures:      make(map[RunKey]error),
-		running:       make(map[RunKey]*sim.GPU),
-		hostProfiles:  make(map[RunKey]*hostprof.Profile),
-		memProfiles:   make(map[RunKey]*memlens.Profile),
-		schedProfiles: make(map[RunKey]*schedlens.Profile),
+		cfg:         cfg,
+		parallelism: runtime.GOMAXPROCS(0),
+		cache:       make(map[RunKey]*stats.Sim),
+		failures:    make(map[RunKey]error),
+		running:     make(map[RunKey]*sim.GPU),
+		profiles:    make(map[profileKey]lenses.Profile),
 	}
 	for _, o := range opts {
 		o(s)
@@ -409,20 +341,13 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 	for _, hook := range s.attach {
 		hook(k, snk)
 	}
-	var hp *hostprof.Profiler
-	if s.hostProf {
-		hp = hostprof.New(hostprof.DefaultSampleEvery)
+	opts := []sim.Option{sim.WithPrefetcher(k.Prefetch), sim.WithObs(snk)}
+	builds := make([]func(lenses.Run, *stats.Sim) lenses.Profile, len(s.lenses))
+	for i, sl := range s.lenses {
+		var opt sim.Option
+		opt, builds[i] = sl.Attach(s.configFor(k))
+		opts = append(opts, opt)
 	}
-	var ml *memlens.Collector
-	if s.memLens {
-		ml = memlens.ForConfig(s.configFor(k))
-	}
-	var sl *schedlens.Collector
-	if s.schedLens {
-		sl = schedlens.ForConfig(s.configFor(k))
-	}
-	opts := []sim.Option{sim.WithPrefetcher(k.Prefetch), sim.WithObs(snk),
-		sim.WithHostProf(hp), sim.WithMemLens(ml), sim.WithSchedLens(sl)}
 	var dumpPath string // set by OnDump (same goroutine, inside g.Run)
 	if s.flightDir != "" {
 		onDump := func(d *flight.Dump) {
@@ -465,45 +390,21 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 		}
 		return nil, err
 	}
-	if hp != nil {
-		// Build before the runDone hooks so WithRunStore's record sees the
-		// profile. g.Run's deferred Close already finalized the profiler.
-		pr := hp.Build(k.Bench, k.Prefetch)
-		s.mu.Lock()
-		s.hostProfiles[k] = pr
-		s.mu.Unlock()
-		for _, fn := range s.hostDone {
-			fn(k, pr)
-		}
-	}
-	if ml != nil {
-		// Build before the runDone hooks so WithRunStore's record sees the
-		// profile; a fold that fails reconciliation is an instrumentation
-		// bug, surfaced as a run failure rather than stored silently wrong.
-		p := ml.Build(memlens.Meta{Bench: k.Bench, Prefetcher: k.Prefetch, Cycles: st.Cycles})
-		if verr := p.Validate(st); verr != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, verr)
+	// Build before the runDone hooks so WithRunStore's record sees the
+	// profiles.
+	run := lenses.Run{Bench: k.Bench, Prefetcher: k.Prefetch, Scheduler: string(s.configFor(k).Scheduler)}
+	for i, sl := range s.lenses {
+		p := builds[i](run, st)
+		if !sl.Timed {
+			if verr := sl.Validate(p, st); verr != nil {
+				return nil, fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, verr)
+			}
 		}
 		s.mu.Lock()
-		s.memProfiles[k] = p
+		s.profiles[profileKey{k, sl.Name}] = p
 		s.mu.Unlock()
-		for _, fn := range s.memDone {
-			fn(k, p)
-		}
-	}
-	if sl != nil {
-		// Same contract as memlens: build before the runDone hooks, and a
-		// fold that fails reconciliation is an instrumentation bug.
-		p := sl.Build(schedlens.Meta{Bench: k.Bench, Prefetcher: k.Prefetch,
-			Scheduler: string(s.configFor(k).Scheduler), Cycles: st.Cycles})
-		if verr := p.Validate(st); verr != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, verr)
-		}
-		s.mu.Lock()
-		s.schedProfiles[k] = p
-		s.mu.Unlock()
-		for _, fn := range s.schedDone {
-			fn(k, p)
+		if sl.done != nil {
+			sl.done(k, p)
 		}
 	}
 	if snk != nil {

@@ -3,6 +3,8 @@ package hostprof
 import (
 	"fmt"
 	"math"
+
+	"caps/internal/lens"
 )
 
 // Thresholds gate a host-profile comparison, mirroring the profile.Diff
@@ -18,41 +20,23 @@ type Thresholds struct {
 }
 
 func (t Thresholds) withDefaults() Thresholds {
-	if t.WallFrac == 0 {
-		t.WallFrac = 0.25
-	}
-	if t.PhaseShareAbs == 0 {
-		t.PhaseShareAbs = 0.05
-	}
-	if t.UtilAbs == 0 {
-		t.UtilAbs = 0.10
-	}
+	t.WallFrac = lens.Or(t.WallFrac, 0.25)
+	t.PhaseShareAbs = lens.Or(t.PhaseShareAbs, 0.05)
+	t.UtilAbs = lens.Or(t.UtilAbs, 0.10)
 	return t
-}
-
-// Regression is one gated finding from Diff.
-type Regression struct {
-	Dimension string  `json:"dimension"`
-	Detail    string  `json:"detail"`
-	Base      float64 `json:"base"`
-	Cur       float64 `json:"cur"`
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%-12s %s (base %.3g, cur %.3g)", r.Dimension, r.Detail, r.Base, r.Cur)
 }
 
 // Diff compares two host profiles of the same run shape and returns the
 // regressions past the thresholds. Wall-clock comparisons are skipped
 // when either side is zero or non-finite (a truncated or mis-clocked
 // profile must not gate on a NaN ratio).
-func Diff(base, cur *Profile, t Thresholds) []Regression {
+func Diff(base, cur *Profile, t Thresholds) []lens.Regression {
 	t = t.withDefaults()
-	var regs []Regression
+	var regs []lens.Regression
 
 	bw, cw := float64(base.WallNS), float64(cur.WallNS)
 	if finitePos(bw) && finitePos(cw) && cw > bw*(1+t.WallFrac) {
-		regs = append(regs, Regression{
+		regs = append(regs, lens.Regression{
 			Dimension: "wall",
 			Detail:    fmt.Sprintf("wall-clock grew %.1f%%", (cw/bw-1)*100),
 			Base:      bw / 1e6,
@@ -71,7 +55,7 @@ func Diff(base, cur *Profile, t Thresholds) []Regression {
 			if d < 0 {
 				dir = "shrank"
 			}
-			regs = append(regs, Regression{
+			regs = append(regs, lens.Regression{
 				Dimension: "phase",
 				Detail:    fmt.Sprintf("%s share %s %.1f points", ph.Name, dir, math.Abs(d)*100),
 				Base:      b,
@@ -82,7 +66,7 @@ func Diff(base, cur *Profile, t Thresholds) []Regression {
 
 	bu, cu := meanUtil(base), meanUtil(cur)
 	if bu > 0 && bu-cu > t.UtilAbs {
-		regs = append(regs, Regression{
+		regs = append(regs, lens.Regression{
 			Dimension: "worker-util",
 			Detail:    fmt.Sprintf("mean worker utilization dropped %.1f points", (bu-cu)*100),
 			Base:      bu,

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"caps/internal/lens"
 )
 
 // --- sampling machinery ---
@@ -400,7 +402,7 @@ func diffPair(mut func(*Profile)) (*Profile, *Profile) {
 	return base, cur
 }
 
-func dims(regs []Regression) []string {
+func dims(regs []lens.Regression) []string {
 	var d []string
 	for _, r := range regs {
 		d = append(d, r.Dimension)

@@ -1,9 +1,9 @@
 package hostprof
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+
+	"caps/internal/lens"
 )
 
 // Profile is the finished host-time attribution for one run: the sampled
@@ -314,23 +314,7 @@ func (pr *Profile) Imbalance() float64 {
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
 // WriteFile writes the profile as indented JSON.
-func (pr *Profile) WriteFile(path string) error {
-	data, err := json.MarshalIndent(pr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (pr *Profile) WriteFile(path string) error { return lens.WriteFile(path, pr) }
 
 // ReadFile loads a profile written by WriteFile.
-func ReadFile(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var pr Profile
-	if err := json.Unmarshal(data, &pr); err != nil {
-		return nil, fmt.Errorf("hostprof: parse %s: %w", path, err)
-	}
-	return &pr, nil
-}
+func ReadFile(path string) (*Profile, error) { return lens.ReadFile[Profile](path, "hostprof") }

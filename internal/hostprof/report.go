@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"caps/internal/lens"
 	"caps/internal/profile"
 )
 
@@ -77,19 +78,7 @@ func (pr *Profile) hottestSM() int {
 // wall-clock go, and which simulated behavior caused it.
 func (pr *Profile) WriteHTML(w io.Writer, sim *profile.Profile) error {
 	var b strings.Builder
-	title := "capsprof host: " + pr.Bench
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(title))
-	b.WriteString(`<style>
-body { font-family: system-ui, sans-serif; margin: 2em auto; max-width: 780px; color: #222; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #ddd; padding: 4px 10px; text-align: right; font-size: 13px; }
-th:first-child, td:first-child { text-align: left; }
-svg.chart { display: block; margin: 1em 0; }
-.note { color: #666; font-size: 12px; }
-</style></head><body>
-`)
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(title))
+	lens.WriteHead(&b, "capsprof host: "+pr.Bench, false)
 	c := pr.Host
 	fmt.Fprintf(&b, "<p class=\"note\">%s %s/%s · %d cpus · GOMAXPROCS %d · workers %d · idle-skip %v · wall %.2fms · %d steps (%d sampled, every %d)</p>\n",
 		html.EscapeString(c.GoVersion), c.GOOS, c.GOARCH, c.NumCPU, c.GOMAXPROCS, c.Workers, c.IdleSkip,
@@ -103,8 +92,8 @@ svg.chart { display: block; margin: 1em 0; }
 		labels[i] = ph.Name
 		vals[i] = float64(ph.NS) / 1e6
 	}
-	if err := profile.WriteBarChartSVG(&b, "phase wall-clock (ms)", labels,
-		[]profile.ChartSeries{{Name: "ms", Color: "#4878a8", Values: vals}}, nil); err != nil {
+	if err := lens.WriteBarChartSVG(&b, "phase wall-clock (ms)", labels,
+		[]lens.ChartSeries{{Name: "ms", Color: "#4878a8", Values: vals}}, nil); err != nil {
 		return err
 	}
 
@@ -119,8 +108,8 @@ svg.chart { display: block; margin: 1em 0; }
 			busy[i] = float64(wk.BusyNS) / 1e6
 			wait[i] = float64(wk.WaitNS) / 1e6
 		}
-		if err := profile.WriteBarChartSVG(&b, "worker busy vs barrier wait (ms)", wl,
-			[]profile.ChartSeries{
+		if err := lens.WriteBarChartSVG(&b, "worker busy vs barrier wait (ms)", wl,
+			[]lens.ChartSeries{
 				{Name: "busy", Color: "#55a868", Values: busy},
 				{Name: "wait", Color: "#c44e52", Values: wait},
 			}, nil); err != nil {
@@ -143,12 +132,12 @@ svg.chart { display: block; margin: 1em 0; }
 				n++
 			}
 		}
-		var refs []profile.RefLine
+		var refs []lens.RefLine
 		if n > 0 {
-			refs = []profile.RefLine{{Name: "mean", Color: "#937860", Value: mean / float64(n)}}
+			refs = []lens.RefLine{{Name: "mean", Color: "#937860", Value: mean / float64(n)}}
 		}
-		if err := profile.WriteBarChartSVG(&b, "per-SM tick duration EWMA (ns)", sl,
-			[]profile.ChartSeries{{Name: "ns", Color: "#8172b2", Values: ewma}}, refs); err != nil {
+		if err := lens.WriteBarChartSVG(&b, "per-SM tick duration EWMA (ns)", sl,
+			[]lens.ChartSeries{{Name: "ns", Color: "#8172b2", Values: ewma}}, refs); err != nil {
 			return err
 		}
 		fmt.Fprintf(&b, "<p class=\"note\">imbalance (max−mean)/mean: %.1f%%</p>\n", pr.Imbalance()*100)
@@ -221,8 +210,8 @@ func (pr *Profile) writeJoined(b *strings.Builder, sim *profile.Profile) error {
 			html.EscapeString(name), sim.StallStack[name], share*100, hostMS)
 	}
 	b.WriteString("</table>\n")
-	if err := profile.WriteBarChartSVG(b, "SM-phase host time by cycle class (ms)", labels,
-		[]profile.ChartSeries{{Name: "ms", Color: "#4878a8", Values: ms}}, nil); err != nil {
+	if err := lens.WriteBarChartSVG(b, "SM-phase host time by cycle class (ms)", labels,
+		[]lens.ChartSeries{{Name: "ms", Color: "#4878a8", Values: ms}}, nil); err != nil {
 		return err
 	}
 	b.WriteString("<p class=\"note\">host cost attributed proportionally to simulated cycle-class shares; slept and replayed cycles keep their class but cost ~0 host time, so classes the fast-forward absorbs are over-weighted here.</p>\n")

@@ -1,4 +1,4 @@
-package profile
+package lens
 
 import (
 	"encoding/xml"

@@ -1,9 +1,6 @@
 package memlens
 
-import (
-	"fmt"
-	"math"
-)
+import "caps/internal/lens"
 
 // Thresholds gate a memory-profile comparison (the capsprof mem-diff
 // gate). A regression is reported only past the threshold for its
@@ -29,49 +26,12 @@ type Thresholds struct {
 }
 
 func (t Thresholds) withDefaults() Thresholds {
-	if t.ExplainedAbs == 0 {
-		t.ExplainedAbs = 0.02
-	}
-	if t.AccurateAbs == 0 {
-		t.AccurateAbs = 0.02
-	}
-	if t.RowHitAbs == 0 {
-		t.RowHitAbs = 0.05
-	}
-	if t.ReuseFracAbs == 0 {
-		t.ReuseFracAbs = 0.05
-	}
-	if t.BankSpreadAbs == 0 {
-		t.BankSpreadAbs = 0.05
-	}
+	t.ExplainedAbs = lens.Or(t.ExplainedAbs, 0.02)
+	t.AccurateAbs = lens.Or(t.AccurateAbs, 0.02)
+	t.RowHitAbs = lens.Or(t.RowHitAbs, 0.05)
+	t.ReuseFracAbs = lens.Or(t.ReuseFracAbs, 0.05)
+	t.BankSpreadAbs = lens.Or(t.BankSpreadAbs, 0.05)
 	return t
-}
-
-// Regression is one gated finding from Diff.
-type Regression struct {
-	Dimension string  `json:"dimension"`
-	Detail    string  `json:"detail"`
-	Base      float64 `json:"base"`
-	Cur       float64 `json:"cur"`
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%-12s %s (base %.3g, cur %.3g)", r.Dimension, r.Detail, r.Base, r.Cur)
-}
-
-// accurateFrac is accurate consumes over fills — the timeliness headline.
-func accurateFrac(p *Profile) float64 {
-	if p.Timeliness.Fills == 0 {
-		return 0
-	}
-	return float64(p.Timeliness.Consumes) / float64(p.Timeliness.Fills)
-}
-
-func reuseFrac(r ReuseLevel) float64 {
-	if r.Sampled == 0 {
-		return 0
-	}
-	return float64(r.Reused) / float64(r.Sampled)
 }
 
 // Diff compares two memory profiles of the same benchmark and returns
@@ -79,40 +39,29 @@ func reuseFrac(r ReuseLevel) float64 {
 // in any dimension passes); dimensions absent on either side — no
 // prefetches, no DRAM traffic — are skipped rather than treated as a
 // regression to zero.
-func Diff(base, cur *Profile, t Thresholds) []Regression {
+func Diff(base, cur *Profile, t Thresholds) []lens.Regression {
 	t = t.withDefaults()
-	var regs []Regression
-
-	drop := func(dim, what string, b, c, abs float64) {
-		if b > 0 && b-c > abs && !math.IsNaN(c) {
-			regs = append(regs, Regression{
-				Dimension: dim,
-				Detail:    fmt.Sprintf("%s dropped %.1f points", what, (b-c)*100),
-				Base:      b,
-				Cur:       c,
-			})
-		}
-	}
+	var regs []lens.Regression
 
 	if base.AddrStructure.ExplainedFrac > 0 || cur.AddrStructure.ExplainedFrac > 0 {
-		drop("addr", "θ/Δ explained fraction",
+		regs = lens.Drop(regs, "addr", "θ/Δ explained fraction",
 			base.AddrStructure.ExplainedFrac, cur.AddrStructure.ExplainedFrac, t.ExplainedAbs)
 	}
 	if base.Timeliness.Fills > 0 && cur.Timeliness.Fills > 0 {
-		drop("timeliness", "accurate-prefetch share of fills",
-			accurateFrac(base), accurateFrac(cur), t.AccurateAbs)
+		regs = lens.Drop(regs, "timeliness", "accurate-prefetch share of fills",
+			lens.Frac(base.Timeliness.Consumes, base.Timeliness.Fills), lens.Frac(cur.Timeliness.Consumes, cur.Timeliness.Fills), t.AccurateAbs)
 	}
 	if base.Locality.RowHits+base.Locality.RowMisses > 0 && cur.Locality.RowHits+cur.Locality.RowMisses > 0 {
-		drop("dram", "row-buffer hit rate",
+		regs = lens.Drop(regs, "dram", "row-buffer hit rate",
 			base.Locality.RowHitRate, cur.Locality.RowHitRate, t.RowHitAbs)
-		drop("dram", "bank spread",
+		regs = lens.Drop(regs, "dram", "bank spread",
 			base.Locality.BankSpread, cur.Locality.BankSpread, t.BankSpreadAbs)
 	}
 	for _, br := range base.Reuse {
 		for _, cr := range cur.Reuse {
 			if br.Level == cr.Level && br.Sampled > 0 && cr.Sampled > 0 {
-				drop("reuse", br.Level+" sampled-reuse fraction",
-					reuseFrac(br), reuseFrac(cr), t.ReuseFracAbs)
+				regs = lens.Drop(regs, "reuse", br.Level+" sampled-reuse fraction",
+					lens.Frac(br.Reused, br.Sampled), lens.Frac(cr.Reused, cr.Sampled), t.ReuseFracAbs)
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 
 	"caps/internal/config"
+	"caps/internal/lens"
 	"caps/internal/obs"
 )
 
@@ -32,26 +33,6 @@ const (
 // starts a reuse observation. Counter-based, so two runs of the same
 // workload sample identical lines.
 const reuseSampleEvery = 64
-
-// histBuckets is the size of the log2 histograms (covers any int64).
-const histBuckets = 64
-
-// hist is a log2-bucketed histogram: value v lands in bucket
-// bits.Len64(v), so bucket i holds values in [2^(i-1), 2^i).
-type hist struct {
-	counts [histBuckets]int64
-	sum    int64
-	n      int64
-}
-
-func (h *hist) observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bits.Len64(uint64(v))]++
-	h.sum += v
-	h.n++
-}
 
 // anchor is the first (warpInCTA, addr) observation of a (PC, CTA) pair:
 // it defines that CTA's base address θ for the PC.
@@ -76,7 +57,7 @@ type pcState struct {
 	deltaVotes   int64
 	anchorByCTA  map[int32]anchor
 	truncAnchors int64
-	residual     [histBuckets]int64 // log2 |addr - predicted| of unexplained obs
+	residual     [lens.Buckets]int64 // log2 |addr - predicted| of unexplained obs
 
 	// Prefetch timeliness per PC.
 	prefAdmits   int64
@@ -133,7 +114,7 @@ type reuseLevel struct {
 	sampled  int64
 	reused   int64
 	trunc    int64
-	hist     hist
+	hist     lens.Hist
 }
 
 func newReuseLevel(tracks int) reuseLevel {
@@ -155,7 +136,7 @@ func (r *reuseLevel) fold(track int16, line uint64) {
 	if r.filter[slot] != 0 {
 		if at, ok := r.tracked[k]; ok {
 			r.reused++
-			r.hist.observe(idx - at)
+			r.hist.Observe(idx - at)
 			delete(r.tracked, k) // one-shot: first reuse closes the observation
 			// A slot saturated at 255 stays put: its delete history is
 			// unknowable, and an overstated count only costs a map probe.
@@ -184,18 +165,11 @@ type bankStat struct {
 	hits, misses int64
 }
 
-// Collector is the streaming memory-hierarchy profiler. Attach it to a
-// sink before the first simulated cycle:
-//
-//	col := memlens.NewCollector(memlens.Config{...})
-//	snk.Attach(col)
-//	... run ...
-//	p := col.Build(memlens.Meta{...})
-//	err := p.Validate(st)
-//
-// It implements obs.StreamFilter to decline the cycle-class stream:
-// WantsCycleClass returns false, so the sink never constructs per-cycle
-// events on its behalf.
+// Collector is the streaming memory-hierarchy profiler. Attach it before
+// the first simulated cycle (sim.WithMemLens), Build its Profile after the run
+// and Validate that against the run's statistics; internal/lenses does all
+// three. It implements obs.StreamFilter to decline the cycle-class stream,
+// so the sink never constructs per-cycle events on its behalf.
 type Collector struct {
 	cfg Config
 
@@ -213,9 +187,9 @@ type Collector struct {
 	consumes    int64
 	lates       int64
 	earlyEvicts int64
-	issueToFill hist
-	fillToUse   hist
-	issueToUse  hist
+	issueToFill lens.Hist
+	fillToUse   lens.Hist
+	issueToUse  lens.Hist
 
 	l1Reuse reuseLevel
 	l2Reuse reuseLevel
@@ -223,7 +197,7 @@ type Collector struct {
 	banks     []bankStat // [channel*BanksPerChannel + bank]
 	rowHits   int64
 	rowMisses int64
-	queues    [obs.NumQueueKinds]hist
+	queues    [obs.NumQueueKinds]lens.Hist
 
 	// Exact reconciliation tallies (Profile.Validate vs stats.Sim). The
 	// pref dimension splits demand from prefetch requests.
@@ -242,18 +216,8 @@ type Config struct {
 
 // NewCollector builds a collector sized for the machine.
 func NewCollector(cfg Config) *Collector {
-	if cfg.SMs < 0 {
-		cfg.SMs = 0
-	}
-	if cfg.Partitions < 0 {
-		cfg.Partitions = 0
-	}
-	if cfg.Channels < 0 {
-		cfg.Channels = 0
-	}
-	if cfg.Banks < 0 {
-		cfg.Banks = 0
-	}
+	cfg.SMs, cfg.Partitions = max(cfg.SMs, 0), max(cfg.Partitions, 0)
+	cfg.Channels, cfg.Banks = max(cfg.Channels, 0), max(cfg.Banks, 0)
 	return &Collector{
 		cfg:     cfg,
 		pcs:     make(map[uint32]*pcState),
@@ -350,18 +314,18 @@ func (c *Collector) Consume(e obs.Event) {
 		if ln, ok := c.pref[k]; ok && ln.fillCycle == 0 {
 			ln.fillCycle = e.Cycle
 			c.pref[k] = ln
-			c.issueToFill.observe(e.Cycle - ln.admitCycle)
+			c.issueToFill.Observe(e.Cycle - ln.admitCycle)
 		}
 		if s := c.pcLedger(e.PC); s != nil {
 			s.prefFills++
 		}
 	case obs.EvPrefConsume:
 		c.consumes++
-		c.issueToUse.observe(e.Val)
+		c.issueToUse.Observe(e.Val)
 		k := prefKey{sm: e.Track, addr: e.Addr}
 		if ln, ok := c.pref[k]; ok {
 			if ln.fillCycle > 0 {
-				c.fillToUse.observe(e.Cycle - ln.fillCycle)
+				c.fillToUse.Observe(e.Cycle - ln.fillCycle)
 			}
 			delete(c.pref, k)
 		}
@@ -392,7 +356,7 @@ func (c *Collector) Consume(e obs.Event) {
 		}
 	case obs.EvQueueSample:
 		if int(e.Arg) < int(obs.NumQueueKinds) {
-			c.queues[e.Arg].observe(e.Val)
+			c.queues[e.Arg].Observe(e.Val)
 		}
 	}
 }

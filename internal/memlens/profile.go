@@ -1,12 +1,10 @@
 package memlens
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
 	"sort"
 
+	"caps/internal/lens"
 	"caps/internal/obs"
 	"caps/internal/stats"
 )
@@ -16,55 +14,6 @@ type Meta struct {
 	Bench      string `json:"bench,omitempty"`
 	Prefetcher string `json:"prefetcher,omitempty"`
 	Cycles     int64  `json:"cycles"`
-}
-
-// HistBucket is one non-empty log2 histogram bucket: Count values were
-// <= Le (and greater than the previous bucket's Le).
-type HistBucket struct {
-	Le    int64 `json:"le"`
-	Count int64 `json:"count"`
-}
-
-// Histo is an exported log2-bucketed histogram.
-type Histo struct {
-	Buckets []HistBucket `json:"buckets,omitempty"`
-	Count   int64        `json:"count"`
-	Mean    float64      `json:"mean"`
-}
-
-func (h *hist) export() Histo {
-	out := Histo{Count: h.n}
-	if h.n > 0 {
-		out.Mean = float64(h.sum) / float64(h.n)
-	}
-	for i, n := range h.counts {
-		if n == 0 {
-			continue
-		}
-		le := int64(math.MaxInt64)
-		if i < 63 {
-			le = (int64(1) << i) - 1 // bucket i holds values with bits.Len == i
-		}
-		out.Buckets = append(out.Buckets, HistBucket{Le: le, Count: n})
-	}
-	return out
-}
-
-// Percentile returns the upper bound of the bucket containing the p-th
-// percentile (0 < p <= 1) — an upper estimate, exact to log2 resolution.
-func (h Histo) Percentile(p float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(p * float64(h.Count)))
-	var seen int64
-	for _, b := range h.Buckets {
-		seen += b.Count
-		if seen >= rank {
-			return b.Le
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1].Le
 }
 
 // PCAddr is one load PC's address-structure verdict: how much of its
@@ -121,9 +70,9 @@ type Timeliness struct {
 	// Useless is fills never consumed nor early-evicted: still resident,
 	// unused, when the run ended (clamped at 0).
 	Useless        int64          `json:"useless"`
-	IssueToFill    Histo          `json:"issue_to_fill"`
-	FillToUse      Histo          `json:"fill_to_use"`
-	IssueToUse     Histo          `json:"issue_to_use"`
+	IssueToFill    lens.Histo     `json:"issue_to_fill"`
+	FillToUse      lens.Histo     `json:"fill_to_use"`
+	IssueToUse     lens.Histo     `json:"issue_to_use"`
 	PCs            []PCTimeliness `json:"pcs,omitempty"`
 	TruncatedLines int64          `json:"truncated_lines,omitempty"`
 }
@@ -133,13 +82,13 @@ type Timeliness struct {
 // L1, per partition for L2) between a sampled touch of a line and the next
 // touch of that line.
 type ReuseLevel struct {
-	Level     string `json:"level"`
-	Accesses  int64  `json:"accesses"`
-	Sampled   int64  `json:"sampled"`
-	Reused    int64  `json:"reused"`
-	NoReuse   int64  `json:"no_reuse"` // sampled lines never touched again
-	Truncated int64  `json:"truncated,omitempty"`
-	Hist      Histo  `json:"hist"`
+	Level     string     `json:"level"`
+	Accesses  int64      `json:"accesses"`
+	Sampled   int64      `json:"sampled"`
+	Reused    int64      `json:"reused"`
+	NoReuse   int64      `json:"no_reuse"` // sampled lines never touched again
+	Truncated int64      `json:"truncated,omitempty"`
+	Hist      lens.Histo `json:"hist"`
 }
 
 // BankStat is one (channel, bank) row-buffer tally.
@@ -220,7 +169,7 @@ func (c *Collector) Build(meta Meta) *Profile {
 				Explained:        s.explained,
 				Unexplained:      s.unexplained,
 				Delta:            s.delta,
-				ResidualEntropy:  entropy(s.residual[:]),
+				ResidualEntropy:  lens.Entropy(s.residual[:]),
 				TruncatedAnchors: s.truncAnchors,
 			}
 			if t := s.explained + s.unexplained; t > 0 {
@@ -263,9 +212,9 @@ func (c *Collector) Build(meta Meta) *Profile {
 	if tl.Useless < 0 {
 		tl.Useless = 0
 	}
-	tl.IssueToFill = c.issueToFill.export()
-	tl.FillToUse = c.fillToUse.export()
-	tl.IssueToUse = c.issueToUse.export()
+	tl.IssueToFill = c.issueToFill.Export()
+	tl.FillToUse = c.fillToUse.Export()
+	tl.IssueToUse = c.issueToUse.Export()
 	tl.TruncatedLines = c.truncPref
 
 	// Reuse.
@@ -284,7 +233,7 @@ func (c *Collector) Build(meta Meta) *Profile {
 			Reused:    lv.r.reused,
 			NoReuse:   lv.r.sampled - lv.r.reused,
 			Truncated: lv.r.trunc,
-			Hist:      lv.r.hist.export(),
+			Hist:      lv.r.hist.Export(),
 		})
 	}
 
@@ -307,9 +256,9 @@ func (c *Collector) Build(meta Meta) *Profile {
 		})
 		bankAcc = append(bankAcc, b.hits+b.misses)
 	}
-	lc.BankSpread = normEntropy(bankAcc, len(c.banks))
+	lc.BankSpread = lens.NormEntropy(bankAcc, len(c.banks))
 	for q := obs.QueueKind(0); q < obs.NumQueueKinds; q++ {
-		h := c.queues[q].export()
+		h := c.queues[q].Export()
 		if h.Count == 0 {
 			continue
 		}
@@ -338,36 +287,6 @@ func (c *Collector) Build(meta Meta) *Profile {
 		rc.L2Hits += c.l2Access[p][obs.AccessHit]
 	}
 	return p
-}
-
-// entropy computes the Shannon entropy (bits) of a count distribution.
-func entropy(counts []int64) float64 {
-	var tot int64
-	for _, n := range counts {
-		tot += n
-	}
-	if tot == 0 {
-		return 0
-	}
-	var h float64
-	for _, n := range counts {
-		if n == 0 {
-			continue
-		}
-		pr := float64(n) / float64(tot)
-		h -= pr * math.Log2(pr)
-	}
-	return h
-}
-
-// normEntropy is entropy normalized by the maximum for `slots` outcomes
-// (1.0 = perfectly even spread).
-func normEntropy(counts []int64, slots int) float64 {
-	if slots <= 1 {
-		return 0
-	}
-	h := entropy(counts)
-	return h / math.Log2(float64(slots))
 }
 
 // Validate checks the profile's exact reconciliation invariants against
@@ -411,23 +330,7 @@ func (p *Profile) Validate(st *stats.Sim) error {
 }
 
 // WriteFile writes the profile as indented JSON.
-func (p *Profile) WriteFile(path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (p *Profile) WriteFile(path string) error { return lens.WriteFile(path, p) }
 
 // ReadFile loads a profile written by WriteFile.
-func ReadFile(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("memlens: parse %s: %w", path, err)
-	}
-	return &p, nil
-}
+func ReadFile(path string) (*Profile, error) { return lens.ReadFile[Profile](path, "memlens") }

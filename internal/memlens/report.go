@@ -6,7 +6,7 @@ import (
 	"io"
 	"strings"
 
-	"caps/internal/profile"
+	"caps/internal/lens"
 )
 
 // WriteText renders the profile as an aligned terminal report.
@@ -24,7 +24,7 @@ func (p *Profile) WriteText(w io.Writer) error {
 	for _, pc := range a.PCs {
 		fmt.Fprintf(&b, "    pc %#06x: %8d obs  Δ=%-6d explained %5.1f%%  indirect %5.1f%%  residual-entropy %.2f bits\n",
 			pc.PC, pc.Observations, pc.Delta, pc.ExplainedFrac*100,
-			frac(pc.Indirect, pc.Observations)*100, pc.ResidualEntropy)
+			lens.Frac(pc.Indirect, pc.Observations)*100, pc.ResidualEntropy)
 	}
 	if a.TruncatedPCs > 0 {
 		fmt.Fprintf(&b, "    WARNING: %d load-PC observations dropped (ledger cap %d)\n", a.TruncatedPCs, maxPCs)
@@ -43,7 +43,7 @@ func (p *Profile) WriteText(w io.Writer) error {
 
 	for _, r := range p.Reuse {
 		fmt.Fprintf(&b, "  %s reuse: %d accesses, %d sampled, %d reused (%.1f%%), mean interval %.0f accesses (p50≤%d p90≤%d)\n",
-			r.Level, r.Accesses, r.Sampled, r.Reused, frac(r.Reused, r.Sampled)*100,
+			r.Level, r.Accesses, r.Sampled, r.Reused, lens.Frac(r.Reused, r.Sampled)*100,
 			r.Hist.Mean, r.Hist.Percentile(0.50), r.Hist.Percentile(0.90))
 		if r.Truncated > 0 {
 			fmt.Fprintf(&b, "    WARNING: %d reuse samples skipped (tracking cap %d)\n", r.Truncated, maxTracked)
@@ -61,31 +61,11 @@ func (p *Profile) WriteText(w io.Writer) error {
 	return err
 }
 
-func frac(n, d int64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
-}
-
 // WriteHTML renders the profile as a self-contained HTML report with
 // inline SVG charts.
 func (p *Profile) WriteHTML(w io.Writer) error {
 	var b strings.Builder
-	title := "capsprof mem: " + p.Meta.Bench
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(title))
-	b.WriteString(`<style>
-body { font-family: system-ui, sans-serif; margin: 2em auto; max-width: 780px; color: #222; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #ddd; padding: 4px 10px; text-align: right; font-size: 13px; }
-th:first-child, td:first-child { text-align: left; }
-svg.chart { display: block; margin: 1em 0; }
-.note { color: #666; font-size: 12px; }
-.warn { color: #b33; font-size: 13px; font-weight: bold; }
-</style></head><body>
-`)
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(title))
+	lens.WriteHead(&b, "capsprof mem: "+p.Meta.Bench, true)
 	fmt.Fprintf(&b, "<p class=\"note\">%s · %d cycles</p>\n", html.EscapeString(p.Meta.Prefetcher), p.Meta.Cycles)
 
 	// Address structure.
@@ -101,13 +81,13 @@ svg.chart { display: block; margin: 1em 0; }
 		for i, pc := range a.PCs {
 			labels[i] = fmt.Sprintf("%#x", pc.PC)
 			expl[i] = pc.ExplainedFrac * 100
-			ind[i] = frac(pc.Indirect, pc.Observations) * 100
+			ind[i] = lens.Frac(pc.Indirect, pc.Observations) * 100
 			fmt.Fprintf(&b, "<tr><td>%#06x</td><td>%d</td><td>%d</td><td>%.1f%%</td><td>%.1f%%</td><td>%.2f bits</td></tr>\n",
 				pc.PC, pc.Observations, pc.Delta, expl[i], ind[i], pc.ResidualEntropy)
 		}
 		b.WriteString("</table>\n")
-		if err := profile.WriteBarChartSVG(&b, "per-PC affine explainability (%)", labels,
-			[]profile.ChartSeries{
+		if err := lens.WriteBarChartSVG(&b, "per-PC affine explainability (%)", labels,
+			[]lens.ChartSeries{
 				{Name: "explained", Color: "#55a868", Values: expl},
 				{Name: "indirect", Color: "#c44e52", Values: ind},
 			}, nil); err != nil {
@@ -138,13 +118,13 @@ svg.chart { display: block; margin: 1em 0; }
 	b.WriteString("</table>\n")
 	for _, h := range []struct {
 		name string
-		h    Histo
+		h    lens.Histo
 	}{
 		{"issue→fill latency (cycles)", t.IssueToFill},
 		{"fill→first-use latency (cycles)", t.FillToUse},
 		{"issue→first-use distance (cycles)", t.IssueToUse},
 	} {
-		if err := writeHistSVG(&b, h.name, h.h); err != nil {
+		if err := lens.WriteHistSVG(&b, h.name, h.h); err != nil {
 			return err
 		}
 	}
@@ -157,8 +137,8 @@ svg.chart { display: block; margin: 1em 0; }
 	b.WriteString("<h2>Reuse distance</h2>\n")
 	for _, r := range p.Reuse {
 		fmt.Fprintf(&b, "<p>%s: %d accesses, %d sampled (every %dth untracked line), %d reused (%.1f%%).</p>\n",
-			html.EscapeString(r.Level), r.Accesses, r.Sampled, int64(reuseSampleEvery), r.Reused, frac(r.Reused, r.Sampled)*100)
-		if err := writeHistSVG(&b, r.Level+" reuse interval (accesses between touches)", r.Hist); err != nil {
+			html.EscapeString(r.Level), r.Accesses, r.Sampled, int64(reuseSampleEvery), r.Reused, lens.Frac(r.Reused, r.Sampled)*100)
+		if err := lens.WriteHistSVG(&b, r.Level+" reuse interval (accesses between touches)", r.Hist); err != nil {
 			return err
 		}
 		if r.Truncated > 0 {
@@ -180,8 +160,8 @@ svg.chart { display: block; margin: 1em 0; }
 			hits[i] = float64(bk.Hits)
 			misses[i] = float64(bk.Misses)
 		}
-		if err := profile.WriteBarChartSVG(&b, "row-buffer outcomes per bank", labels,
-			[]profile.ChartSeries{
+		if err := lens.WriteBarChartSVG(&b, "row-buffer outcomes per bank", labels,
+			[]lens.ChartSeries{
 				{Name: "hits", Color: "#55a868", Values: hits},
 				{Name: "misses", Color: "#c44e52", Values: misses},
 			}, nil); err != nil {
@@ -201,20 +181,4 @@ svg.chart { display: block; margin: 1em 0; }
 	b.WriteString("</body></html>\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// writeHistSVG renders one log2 histogram as a bar chart (bucket upper
-// bounds on the x axis).
-func writeHistSVG(b *strings.Builder, title string, h Histo) error {
-	if h.Count == 0 {
-		return nil
-	}
-	labels := make([]string, len(h.Buckets))
-	vals := make([]float64, len(h.Buckets))
-	for i, bk := range h.Buckets {
-		labels[i] = fmt.Sprintf("≤%d", bk.Le)
-		vals[i] = float64(bk.Count)
-	}
-	return profile.WriteBarChartSVG(b, fmt.Sprintf("%s — mean %.0f over %d", title, h.Mean, h.Count), labels,
-		[]profile.ChartSeries{{Name: "count", Color: "#4878a8", Values: vals}}, nil)
 }

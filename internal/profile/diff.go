@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"caps/internal/lens"
 	"caps/internal/obs"
 )
 
@@ -120,19 +121,7 @@ type BenchReport struct {
 }
 
 // WriteFile writes the report to path, keys sorted by encoding/json.
-func (r *BenchReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *BenchReport) WriteFile(path string) error { return lens.WriteFile(path, r) }
 
 func benchHeadline(m BenchMetrics) headlineMetrics {
 	return headlineMetrics{ipc: m.IPC, coverage: m.Coverage, accuracy: m.Accuracy}

@@ -26,10 +26,7 @@ import (
 	"fmt"
 
 	"caps/internal/config"
-	"caps/internal/hostprof"
-	"caps/internal/memlens"
 	"caps/internal/profile"
-	"caps/internal/schedlens"
 	"caps/internal/stats"
 )
 
@@ -64,23 +61,12 @@ type Record struct {
 	Stats   *stats.Sim       `json:"stats,omitempty"`
 	Profile *profile.Profile `json:"profile,omitempty"`
 
-	// Host is the run's wall-clock self-profile (sim.WithHostProf),
-	// persisted beside the simulated profile so host-time regressions can
-	// be diffed from the history exactly like CPI stacks. Wall-clock varies
-	// run to run, so Host is excluded from the content address — two runs
-	// of the same tree and config still dedup to one record.
-	Host *hostprof.Profile `json:"host_profile,omitempty"`
-
-	// Mem is the run's memory-hierarchy profile (sim.WithMemLens). The
-	// fold is deterministic, but whether a collector was attached is not
-	// part of the run's identity — like Host it is excluded from the
-	// content address, so runs with and without profiling dedup together.
-	Mem *memlens.Profile `json:"mem_profile,omitempty"`
-
-	// Sched is the run's scheduler/CTA-decision profile
-	// (sim.WithSchedLens). Deterministic like Mem and likewise excluded
-	// from the content address.
-	Sched *schedlens.Profile `json:"sched_profile,omitempty"`
+	// Lenses holds the run's lens profiles (see internal/lenses) as JSON,
+	// keyed by lens name ("host", "mem", "sched"). Whether a lens was
+	// attached is not part of the run's identity, and a host profile's
+	// wall-clock varies run to run, so lenses are excluded from the content
+	// address: runs with and without them still dedup to one record.
+	Lenses map[string]json.RawMessage `json:"lenses,omitempty"`
 }
 
 // NewRecord builds a record from a finished run. profile may be nil (no
@@ -115,9 +101,7 @@ func (r *Record) contentID() string {
 	clone := *r
 	clone.ID = ""
 	clone.CreatedAt = 0
-	clone.Host = nil // wall-clock is not content: identical reruns must dedup
-	clone.Mem = nil  // attachment choice is not content either
-	clone.Sched = nil
+	clone.Lenses = nil // attachment choice and wall-clock are not content
 	data, err := json.Marshal(&clone)
 	if err != nil {
 		// Record is a tree of marshalable values; unreachable, but an
@@ -138,25 +122,18 @@ func (r *Record) MarkAborted(reason, dumpPath string) *Record {
 	return r
 }
 
-// AttachHost adds the run's host profile. The content address is
-// unchanged (Host is excluded from it), so attaching never re-addresses.
-func (r *Record) AttachHost(hp *hostprof.Profile) *Record {
-	r.Host = hp
-	return r
-}
-
-// AttachMem adds the run's memory-hierarchy profile. Like AttachHost it
-// never re-addresses the record.
-func (r *Record) AttachMem(mp *memlens.Profile) *Record {
-	r.Mem = mp
-	return r
-}
-
-// AttachSched adds the run's scheduler/CTA-decision profile. Like
-// AttachHost it never re-addresses the record.
-func (r *Record) AttachSched(sp *schedlens.Profile) *Record {
-	r.Sched = sp
-	return r
+// AttachLens stores a lens profile under its name. Lenses are excluded
+// from the content address, so attaching never re-addresses the record.
+func (r *Record) AttachLens(name string, p any) error {
+	data, err := json.Marshal(p)
+	if err != nil {
+		return err
+	}
+	if r.Lenses == nil {
+		r.Lenses = make(map[string]json.RawMessage)
+	}
+	r.Lenses[name] = data
+	return nil
 }
 
 // DedupKey is the identity under which newer records supersede older ones.

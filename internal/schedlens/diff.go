@@ -1,9 +1,6 @@
 package schedlens
 
-import (
-	"fmt"
-	"math"
-)
+import "caps/internal/lens"
 
 // Thresholds gate a scheduler-profile comparison (the capsprof sched-diff
 // gate). A regression is reported only past the threshold for its
@@ -28,34 +25,12 @@ type Thresholds struct {
 }
 
 func (t Thresholds) withDefaults() Thresholds {
-	if t.EffectivenessAbs == 0 {
-		t.EffectivenessAbs = 0.02
-	}
-	if t.PromotedAbs == 0 {
-		t.PromotedAbs = 0.02
-	}
-	if t.CTAHitAbs == 0 {
-		t.CTAHitAbs = 0.02
-	}
-	if t.DistHitAbs == 0 {
-		t.DistHitAbs = 0.02
-	}
-	if t.BalanceAbs == 0 {
-		t.BalanceAbs = 0.05
-	}
+	t.EffectivenessAbs = lens.Or(t.EffectivenessAbs, 0.02)
+	t.PromotedAbs = lens.Or(t.PromotedAbs, 0.02)
+	t.CTAHitAbs = lens.Or(t.CTAHitAbs, 0.02)
+	t.DistHitAbs = lens.Or(t.DistHitAbs, 0.02)
+	t.BalanceAbs = lens.Or(t.BalanceAbs, 0.05)
 	return t
-}
-
-// Regression is one gated finding from Diff.
-type Regression struct {
-	Dimension string  `json:"dimension"`
-	Detail    string  `json:"detail"`
-	Base      float64 `json:"base"`
-	Cur       float64 `json:"cur"`
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%-12s %s (base %.3g, cur %.3g)", r.Dimension, r.Detail, r.Base, r.Cur)
 }
 
 // Diff compares two scheduler profiles of the same benchmark and returns
@@ -63,37 +38,26 @@ func (r Regression) String() string {
 // any dimension passes); dimensions absent on either side — no anchored
 // candidates under a baseline prefetcher, no PAS refills under LRR — are
 // skipped rather than treated as a regression to zero.
-func Diff(base, cur *Profile, t Thresholds) []Regression {
+func Diff(base, cur *Profile, t Thresholds) []lens.Regression {
 	t = t.withDefaults()
-	var regs []Regression
-
-	drop := func(dim, what string, b, c, abs float64) {
-		if b > 0 && b-c > abs && !math.IsNaN(c) {
-			regs = append(regs, Regression{
-				Dimension: dim,
-				Detail:    fmt.Sprintf("%s dropped %.1f points", what, (b-c)*100),
-				Base:      b,
-				Cur:       c,
-			})
-		}
-	}
+	var regs []lens.Regression
 
 	if base.LeadingWarp.Anchored > 0 && cur.LeadingWarp.Anchored > 0 {
-		drop("leading", "leading-warp effectiveness",
+		regs = lens.Drop(regs, "leading", "leading-warp effectiveness",
 			base.LeadingWarp.Effectiveness, cur.LeadingWarp.Effectiveness, t.EffectivenessAbs)
 	}
 	bp, cp := base.Picks, cur.Picks
 	if bp.Promotes > 0 && cp.Promotes > 0 {
-		drop("picks", "leading-promoted fraction of refills",
+		regs = lens.Drop(regs, "picks", "leading-promoted fraction of refills",
 			bp.LeadingPromotedFrac, cp.LeadingPromotedFrac, t.PromotedAbs)
 	}
 	bt, ct := base.Table, cur.Table
 	if len(bt.Ops) > 0 && len(ct.Ops) > 0 {
-		drop("table", "CAP (per-CTA) hit rate", bt.CTAHitRate, ct.CTAHitRate, t.CTAHitAbs)
-		drop("table", "DIST hit rate", bt.DistHitRate, ct.DistHitRate, t.DistHitAbs)
+		regs = lens.Drop(regs, "table", "CAP (per-CTA) hit rate", bt.CTAHitRate, ct.CTAHitRate, t.CTAHitAbs)
+		regs = lens.Drop(regs, "table", "DIST hit rate", bt.DistHitRate, ct.DistHitRate, t.DistHitAbs)
 	}
 	if base.Timelines.Retires > 0 && cur.Timelines.Retires > 0 {
-		drop("balance", "per-SM CTA-retire balance",
+		regs = lens.Drop(regs, "balance", "per-SM CTA-retire balance",
 			base.Timelines.Balance, cur.Timelines.Balance, t.BalanceAbs)
 	}
 	return regs

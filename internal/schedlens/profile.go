@@ -1,12 +1,10 @@
 package schedlens
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
 	"sort"
 
+	"caps/internal/lens"
 	"caps/internal/obs"
 	"caps/internal/stats"
 )
@@ -17,55 +15,6 @@ type Meta struct {
 	Prefetcher string `json:"prefetcher,omitempty"`
 	Scheduler  string `json:"scheduler,omitempty"`
 	Cycles     int64  `json:"cycles"`
-}
-
-// HistBucket is one non-empty log2 histogram bucket: Count values were
-// <= Le (and greater than the previous bucket's Le).
-type HistBucket struct {
-	Le    int64 `json:"le"`
-	Count int64 `json:"count"`
-}
-
-// Histo is an exported log2-bucketed histogram.
-type Histo struct {
-	Buckets []HistBucket `json:"buckets,omitempty"`
-	Count   int64        `json:"count"`
-	Mean    float64      `json:"mean"`
-}
-
-func (h *hist) export() Histo {
-	out := Histo{Count: h.n}
-	if h.n > 0 {
-		out.Mean = float64(h.sum) / float64(h.n)
-	}
-	for i, n := range h.counts {
-		if n == 0 {
-			continue
-		}
-		le := int64(math.MaxInt64)
-		if i < 63 {
-			le = (int64(1) << i) - 1 // bucket i holds values with bits.Len == i
-		}
-		out.Buckets = append(out.Buckets, HistBucket{Le: le, Count: n})
-	}
-	return out
-}
-
-// Percentile returns the upper bound of the bucket containing the p-th
-// percentile (0 < p <= 1) — an upper estimate, exact to log2 resolution.
-func (h Histo) Percentile(p float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(p * float64(h.Count)))
-	var seen int64
-	for _, b := range h.Buckets {
-		seen += b.Count
-		if seen >= rank {
-			return b.Le
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1].Le
 }
 
 // CTATimeline is one tracked CTA's lifetime record. Phase cycles are -1
@@ -94,10 +43,10 @@ type Timelines struct {
 	Drains      int64 `json:"drains"`
 	Retires     int64 `json:"retires"`
 
-	LaunchToFirstIssue Histo `json:"launch_to_first_issue"`
-	LaunchToBaseReady  Histo `json:"launch_to_base_ready"`
-	DrainToRetire      Histo `json:"drain_to_retire"`
-	Lifetime           Histo `json:"lifetime"`
+	LaunchToFirstIssue lens.Histo `json:"launch_to_first_issue"`
+	LaunchToBaseReady  lens.Histo `json:"launch_to_base_ready"`
+	DrainToRetire      lens.Histo `json:"drain_to_retire"`
+	Lifetime           lens.Histo `json:"lifetime"`
 
 	PerSMRetires []int64 `json:"per_sm_retires,omitempty"`
 	// Balance is the normalized entropy of retires over SMs: 1.0 means
@@ -150,11 +99,11 @@ type TableDynamics struct {
 	// MispredictStreaks histograms runs of consecutive verify_bad per SM,
 	// closed by the next verify_ok; MaxMispredictStreak includes streaks
 	// still open at run end.
-	MispredictStreaks   Histo `json:"mispredict_streaks"`
-	MaxMispredictStreak int64 `json:"max_mispredict_streak"`
+	MispredictStreaks   lens.Histo `json:"mispredict_streaks"`
+	MaxMispredictStreak int64      `json:"max_mispredict_streak"`
 	// CAPOccupancy samples the live-entry estimate (fills minus
 	// evictions/invalidations) at every CAP mutation.
-	CAPOccupancy Histo `json:"cap_occupancy"`
+	CAPOccupancy lens.Histo `json:"cap_occupancy"`
 }
 
 // LeadingWarp is the leading-warp effectiveness profile: of the prefetch
@@ -226,21 +175,21 @@ func (c *Collector) Build(meta Meta) *Profile {
 		return recs[i].id < recs[j].id
 	})
 
-	var toIssue, toBase, toRetire, life hist
+	var toIssue, toBase, toRetire, life lens.Hist
 	var lastRetire, secondLast int64 = -1, -1
 	tl.TailSM, tl.TailCTA = -1, -1
 	for _, ir := range recs {
 		r := ir.r
 		if r.firstIssue >= 0 {
-			toIssue.observe(r.firstIssue - r.launch)
+			toIssue.Observe(r.firstIssue - r.launch)
 		}
 		if r.baseReady >= 0 {
-			toBase.observe(r.baseReady - r.launch)
+			toBase.Observe(r.baseReady - r.launch)
 		}
 		if r.retire >= 0 {
-			life.observe(r.retire - r.launch)
+			life.Observe(r.retire - r.launch)
 			if r.drain >= 0 {
-				toRetire.observe(r.retire - r.drain)
+				toRetire.Observe(r.retire - r.drain)
 			}
 			if r.retire > lastRetire {
 				secondLast = lastRetire
@@ -251,20 +200,18 @@ func (c *Collector) Build(meta Meta) *Profile {
 			}
 		}
 	}
-	tl.LaunchToFirstIssue = toIssue.export()
-	tl.LaunchToBaseReady = toBase.export()
-	tl.DrainToRetire = toRetire.export()
-	tl.Lifetime = life.export()
+	tl.LaunchToFirstIssue = toIssue.Export()
+	tl.LaunchToBaseReady = toBase.Export()
+	tl.DrainToRetire = toRetire.Export()
+	tl.Lifetime = life.Export()
 	if lastRetire >= 0 {
 		tl.LastRetire = lastRetire
 		if secondLast >= 0 {
 			tl.TailCycles = lastRetire - secondLast
 		}
 	}
-	for _, n := range c.perSMRetires {
-		tl.PerSMRetires = append(tl.PerSMRetires, n)
-	}
-	tl.Balance = normEntropy(c.perSMRetires, len(c.perSMRetires))
+	tl.PerSMRetires = append([]int64(nil), c.perSMRetires...)
+	tl.Balance = lens.NormEntropy(c.perSMRetires, len(c.perSMRetires))
 
 	export := recs
 	if len(export) > maxExportCTAs {
@@ -321,9 +268,9 @@ func (c *Collector) Build(meta Meta) *Profile {
 	if t := bad + c.tableOps[obs.TableVerifyOK]; t > 0 {
 		tb.VerifyBadRate = float64(bad) / float64(t)
 	}
-	tb.MispredictStreaks = c.streakHist.export()
+	tb.MispredictStreaks = c.streakHist.Export()
 	tb.MaxMispredictStreak = c.maxStreak
-	tb.CAPOccupancy = c.capOccupancy.export()
+	tb.CAPOccupancy = c.capOccupancy.Export()
 
 	// Leading-warp effectiveness.
 	lw := &p.LeadingWarp
@@ -348,35 +295,6 @@ func (c *Collector) Build(meta Meta) *Profile {
 	rc.VerifyOK = c.tableOps[obs.TableVerifyOK]
 	rc.VerifyBad = c.tableOps[obs.TableVerifyBad]
 	return p
-}
-
-// entropy computes the Shannon entropy (bits) of a count distribution.
-func entropy(counts []int64) float64 {
-	var tot int64
-	for _, n := range counts {
-		tot += n
-	}
-	if tot == 0 {
-		return 0
-	}
-	var h float64
-	for _, n := range counts {
-		if n == 0 {
-			continue
-		}
-		pr := float64(n) / float64(tot)
-		h -= pr * math.Log2(pr)
-	}
-	return h
-}
-
-// normEntropy is entropy normalized by the maximum for `slots` outcomes
-// (1.0 = perfectly even spread).
-func normEntropy(counts []int64, slots int) float64 {
-	if slots <= 1 {
-		return 0
-	}
-	return entropy(counts) / math.Log2(float64(slots))
 }
 
 // Validate checks the profile's exact reconciliation invariants against
@@ -430,23 +348,7 @@ func (p *Profile) Validate(st *stats.Sim) error {
 }
 
 // WriteFile writes the profile as indented JSON.
-func (p *Profile) WriteFile(path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (p *Profile) WriteFile(path string) error { return lens.WriteFile(path, p) }
 
 // ReadFile loads a profile written by WriteFile.
-func ReadFile(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("schedlens: parse %s: %w", path, err)
-	}
-	return &p, nil
-}
+func ReadFile(path string) (*Profile, error) { return lens.ReadFile[Profile](path, "schedlens") }

@@ -6,7 +6,7 @@ import (
 	"io"
 	"strings"
 
-	"caps/internal/profile"
+	"caps/internal/lens"
 )
 
 // WriteText renders the profile as an aligned terminal report.
@@ -68,31 +68,11 @@ func (p *Profile) WriteText(w io.Writer) error {
 	return err
 }
 
-func frac(n, d int64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
-}
-
 // WriteHTML renders the profile as a self-contained HTML report with
 // inline SVG charts, including the per-CTA lifetime timelines.
 func (p *Profile) WriteHTML(w io.Writer) error {
 	var b strings.Builder
-	title := "capsprof sched: " + p.Meta.Bench
-	b.WriteString("<!doctype html>\n<html><head><meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(title))
-	b.WriteString(`<style>
-body { font-family: system-ui, sans-serif; margin: 2em auto; max-width: 780px; color: #222; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #ddd; padding: 4px 10px; text-align: right; font-size: 13px; }
-th:first-child, td:first-child { text-align: left; }
-svg.chart { display: block; margin: 1em 0; }
-.note { color: #666; font-size: 12px; }
-.warn { color: #b33; font-size: 13px; font-weight: bold; }
-</style></head><body>
-`)
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(title))
+	lens.WriteHead(&b, "capsprof sched: "+p.Meta.Bench, true)
 	fmt.Fprintf(&b, "<p class=\"note\">%s · %s · %d cycles</p>\n",
 		html.EscapeString(p.Meta.Prefetcher), html.EscapeString(p.Meta.Scheduler), p.Meta.Cycles)
 
@@ -116,14 +96,14 @@ svg.chart { display: block; margin: 1em 0; }
 	}
 	for _, h := range []struct {
 		name string
-		h    Histo
+		h    lens.Histo
 	}{
 		{"launch→first-issue latency (cycles)", tl.LaunchToFirstIssue},
 		{"launch→base-ready latency (cycles)", tl.LaunchToBaseReady},
 		{"drain→retire tail (cycles)", tl.DrainToRetire},
 		{"CTA lifetime (cycles)", tl.Lifetime},
 	} {
-		if err := writeHistSVG(&b, h.name, h.h); err != nil {
+		if err := lens.WriteHistSVG(&b, h.name, h.h); err != nil {
 			return err
 		}
 	}
@@ -149,10 +129,10 @@ svg.chart { display: block; margin: 1em 0; }
 		if err := writeCountsSVG(&b, "table operations", tb.Ops); err != nil {
 			return err
 		}
-		if err := writeHistSVG(&b, "mispredict streak length", tb.MispredictStreaks); err != nil {
+		if err := lens.WriteHistSVG(&b, "mispredict streak length", tb.MispredictStreaks); err != nil {
 			return err
 		}
-		if err := writeHistSVG(&b, "CAP occupancy at mutation", tb.CAPOccupancy); err != nil {
+		if err := lens.WriteHistSVG(&b, "CAP occupancy at mutation", tb.CAPOccupancy); err != nil {
 			return err
 		}
 	}
@@ -164,8 +144,8 @@ svg.chart { display: block; margin: 1em 0; }
 		fmt.Fprintf(&b, "<p>%d prefetch candidates; %d anchored — %d (%.1f%%) seeded by the designated leading warp, %d re-anchored by trailing warps. %.1f%% of launched CTAs established a θ/Δ base.</p>\n",
 			lw.Candidates, lw.Anchored, lw.SeededByLeading, lw.Effectiveness*100, lw.Reanchored, lw.BaseReadyFrac*100)
 		if lw.Anchored > 0 {
-			if err := profile.WriteBarChartSVG(&b, "θ/Δ seed attribution", []string{"leading warp", "re-anchor"},
-				[]profile.ChartSeries{{Name: "candidates", Color: "#4878a8",
+			if err := lens.WriteBarChartSVG(&b, "θ/Δ seed attribution", []string{"leading warp", "re-anchor"},
+				[]lens.ChartSeries{{Name: "candidates", Color: "#4878a8",
 					Values: []float64{float64(lw.SeededByLeading), float64(lw.Reanchored)}}}, nil); err != nil {
 				return err
 			}
@@ -263,22 +243,6 @@ func writeCountsSVG(b *strings.Builder, title string, counts []OutcomeCount) err
 		labels[i] = c.Name
 		vals[i] = float64(c.Count)
 	}
-	return profile.WriteBarChartSVG(b, title, labels,
-		[]profile.ChartSeries{{Name: "count", Color: "#4878a8", Values: vals}}, nil)
-}
-
-// writeHistSVG renders one log2 histogram as a bar chart (bucket upper
-// bounds on the x axis).
-func writeHistSVG(b *strings.Builder, title string, h Histo) error {
-	if h.Count == 0 {
-		return nil
-	}
-	labels := make([]string, len(h.Buckets))
-	vals := make([]float64, len(h.Buckets))
-	for i, bk := range h.Buckets {
-		labels[i] = fmt.Sprintf("≤%d", bk.Le)
-		vals[i] = float64(bk.Count)
-	}
-	return profile.WriteBarChartSVG(b, fmt.Sprintf("%s — mean %.0f over %d", title, h.Mean, h.Count), labels,
-		[]profile.ChartSeries{{Name: "count", Color: "#4878a8", Values: vals}}, nil)
+	return lens.WriteBarChartSVG(b, title, labels,
+		[]lens.ChartSeries{{Name: "count", Color: "#4878a8", Values: vals}}, nil)
 }

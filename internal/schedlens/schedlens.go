@@ -18,9 +18,8 @@
 package schedlens
 
 import (
-	"math/bits"
-
 	"caps/internal/config"
+	"caps/internal/lens"
 	"caps/internal/obs"
 )
 
@@ -33,26 +32,6 @@ const (
 	maxExportCTAs = 256  // timeline records exported into the Profile JSON
 )
 
-// histBuckets is the size of the log2 histograms (covers any int64).
-const histBuckets = 64
-
-// hist is a log2-bucketed histogram: value v lands in bucket
-// bits.Len64(v), so bucket i holds values in [2^(i-1), 2^i).
-type hist struct {
-	counts [histBuckets]int64
-	sum    int64
-	n      int64
-}
-
-func (h *hist) observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bits.Len64(uint64(v))]++
-	h.sum += v
-	h.n++
-}
-
 // ctaRec is one CTA's tracked lifetime: the cycle each phase fired (-1
 // until observed) plus its prefetch-seed attribution tallies.
 type ctaRec struct {
@@ -61,18 +40,11 @@ type ctaRec struct {
 	seedLead, seedRe                             int64
 }
 
-// Collector is the streaming scheduler/CTA-decision profiler. Attach it
-// to a sink before the first simulated cycle:
-//
-//	col := schedlens.NewCollector(schedlens.Config{...})
-//	snk.Attach(col)
-//	... run ...
-//	p := col.Build(schedlens.Meta{...})
-//	err := p.Validate(st)
-//
-// It implements obs.StreamFilter to decline the cycle-class stream:
-// WantsCycleClass returns false, so the sink never constructs per-cycle
-// events on its behalf.
+// Collector is the streaming scheduler/CTA-decision profiler. Attach it before
+// the first simulated cycle (sim.WithSchedLens), Build its Profile after the run
+// and Validate that against the run's statistics; internal/lenses does all
+// three. It implements obs.StreamFilter to decline the cycle-class stream,
+// so the sink never constructs per-cycle events on its behalf.
 type Collector struct {
 	cfg Config
 
@@ -97,9 +69,9 @@ type Collector struct {
 	// next verify_ok (each SM's CAPS engine verifies independently).
 	streak       []int64
 	maxStreak    int64
-	streakHist   hist
+	streakHist   lens.Hist
 	capLive      int64 // live CAP entries estimate: fills - evictions
-	capOccupancy hist
+	capOccupancy lens.Hist
 
 	candidates int64
 	anchored   int64 // SeedWarp >= 0
@@ -121,9 +93,7 @@ type Config struct {
 
 // NewCollector builds a collector sized for the machine.
 func NewCollector(cfg Config) *Collector {
-	if cfg.SMs < 0 {
-		cfg.SMs = 0
-	}
+	cfg.SMs = max(cfg.SMs, 0)
 	return &Collector{
 		cfg:          cfg,
 		ctas:         make(map[int32]*ctaRec, maxCTAs),
@@ -266,17 +236,17 @@ func (c *Collector) foldTable(e obs.Event) {
 		}
 	case obs.TableVerifyOK:
 		if sm := int(e.Track); sm >= 0 && sm < len(c.streak) && c.streak[sm] > 0 {
-			c.streakHist.observe(c.streak[sm])
+			c.streakHist.Observe(c.streak[sm])
 			c.streak[sm] = 0
 		}
 	case obs.TableCTAFill:
 		c.capLive++
-		c.capOccupancy.observe(c.capLive)
+		c.capOccupancy.Observe(c.capLive)
 	case obs.TableCTAEvict, obs.TableCTAInvalidate:
 		if c.capLive > 0 {
 			c.capLive--
 		}
-		c.capOccupancy.observe(c.capLive)
+		c.capOccupancy.Observe(c.capLive)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"caps/internal/lens"
 	"caps/internal/obs"
 	"caps/internal/stats"
 )
@@ -358,14 +359,14 @@ func TestDiffGatesDrops(t *testing.T) {
 }
 
 func TestHistPercentiles(t *testing.T) {
-	var h hist
+	var h lens.Hist
 	for i := 0; i < 90; i++ {
-		h.observe(1)
+		h.Observe(1)
 	}
 	for i := 0; i < 10; i++ {
-		h.observe(1000)
+		h.Observe(1000)
 	}
-	e := h.export()
+	e := h.Export()
 	if e.Percentile(0.50) != 1 || e.Percentile(0.90) != 1 {
 		t.Fatalf("p50=%d p90=%d, want 1/1", e.Percentile(0.50), e.Percentile(0.90))
 	}

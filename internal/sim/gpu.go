@@ -147,22 +147,13 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		}
 		opt.sink.Attach(opt.flight)
 	}
-	// The memlens collector rides the same stream; it declines the
-	// per-cycle class feed.
-	if opt.memLens != nil {
+	// The lens collectors (memlens, schedlens) share the same stream; they
+	// decline the per-cycle class feed.
+	for _, c := range opt.lenses {
 		if opt.sink == nil {
 			opt.sink = NewSink(cfg, false, 0)
 		}
-		opt.sink.Attach(opt.memLens)
-	}
-	// The schedlens collector shares the same sink (trace, memlens and
-	// schedlens compose on one stream); it too declines the per-cycle
-	// class feed.
-	if opt.schedLens != nil {
-		if opt.sink == nil {
-			opt.sink = NewSink(cfg, false, 0)
-		}
-		opt.sink.Attach(opt.schedLens)
+		opt.sink.Attach(c)
 	}
 	// ORCH is LAP paired with the prefetch-aware grouped scheduler
 	// (Jog ISCA'13); selecting it swaps the two-level scheduler for the

@@ -36,8 +36,9 @@ type options struct {
 	workers           int
 	idleSkip          bool
 	hostProf          *hostprof.Profiler
-	memLens           *memlens.Collector
-	schedLens         *schedlens.Collector
+	// lenses are the streaming profilers riding the obs event stream
+	// (WithMemLens, WithSchedLens), attached in option order.
+	lenses []obs.Consumer
 }
 
 // WithPrefetcher selects a registered prefetcher by name ("none", "caps",
@@ -126,31 +127,29 @@ func WithHostProf(p *hostprof.Profiler) Option {
 	return func(o *options) { o.hostProf = p }
 }
 
-// WithMemLens attaches a streaming memory-hierarchy profiler (see
-// internal/memlens): per-load-PC θ/Δ address-structure decomposition,
-// prefetch timeliness histograms, sampled reuse distances per cache
-// level, and DRAM/interconnect locality. The collector rides the obs
-// event stream — when no sink is attached one is created to carry it —
-// and opts out of the per-cycle class stream; results are bit-identical
-// with or without it. Call c.Build after the run for the finished Profile and
-// Profile.Validate(st) to prove the fold reconciles with the run's
-// statistics. Size the collector with memlens.ForConfig(cfg).
+// WithMemLens attaches a memory-hierarchy lens (see internal/memlens) to
+// the obs event stream, creating a metrics-only sink when the run has
+// none. It declines the per-cycle class stream and only observes: results
+// are bit-identical with or without it. Size the collector with
+// memlens.ForConfig(cfg); a nil collector attaches nothing.
 func WithMemLens(c *memlens.Collector) Option {
-	return func(o *options) { o.memLens = c }
+	return func(o *options) {
+		if c != nil {
+			o.lenses = append(o.lenses, c)
+		}
+	}
 }
 
-// WithSchedLens attaches a streaming scheduler/CTA-decision profiler (see
-// internal/schedlens): per-CTA lifetime timelines, scheduler decision
-// provenance (PickOutcome counters), CAP/DIST prediction-table dynamics
-// and leading-warp effectiveness. Like memlens it rides the obs event
-// stream — sharing the auto-created sink with any other attached
-// consumer — and opts out of the per-cycle class stream; results are
-// bit-identical with or without it. Call c.Build after the run for the
-// finished Profile and Profile.Validate(st) to prove the fold reconciles
-// with the run's statistics. Size the collector with
-// schedlens.ForConfig(cfg).
+// WithSchedLens attaches a scheduler/CTA-decision lens (see
+// internal/schedlens) exactly as WithMemLens attaches memlens. Size the
+// collector with schedlens.ForConfig(cfg); a nil collector attaches
+// nothing.
 func WithSchedLens(c *schedlens.Collector) Option {
-	return func(o *options) { o.schedLens = c }
+	return func(o *options) {
+		if c != nil {
+			o.lenses = append(o.lenses, c)
+		}
+	}
 }
 
 // WithIdleSkip enables idle-cycle fast-forward (see fastforward.go). Per
