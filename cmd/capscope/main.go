@@ -12,8 +12,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -26,33 +28,53 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	if len(os.Args) < 2 {
-		usage()
+// run is main's body, with each subcommand on its own flag set so tests
+// can drive the command line. It returns the exit status: 0 clean, 1 a
+// failed run or unreadable dump, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
 		return 2
 	}
-	switch os.Args[1] {
+	c := cli{stdout, stderr}
+	switch args[0] {
 	case "decode":
-		return cmdDecode(os.Args[2:])
+		return c.decode(args[1:])
 	case "bisect":
-		return cmdBisect(os.Args[2:])
+		return c.bisect(args[1:])
 	case "smoke":
-		return cmdSmoke(os.Args[2:])
+		return c.smoke(args[1:])
 	case "-h", "-help", "--help", "help":
-		usage()
+		usage(stderr)
 		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "capscope: unknown command %q\n\n", os.Args[1])
-		usage()
+		fmt.Fprintf(stderr, "capscope: unknown command %q\n\n", args[0])
+		usage(stderr)
 		return 2
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `capscope: flight-recorder black boxes and divergence localization
+// cli carries the command's two streams to the subcommands.
+type cli struct{ stdout, stderr io.Writer }
+
+// parse parses a subcommand's flags, reporting the exit status to return
+// at once (0 for -h, 2 for a bad flag) when parsing ends the command.
+func (c cli) parse(fs *flag.FlagSet, args []string) (int, bool) {
+	fs.SetOutput(c.stderr)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
+	case err != nil:
+		return 2, false
+	}
+	return 0, true
+}
+
+func usage(w io.Writer) {
+	fmt.Fprint(w, `capscope: flight-recorder black boxes and divergence localization
 
   capscope decode [-trace FILE] <dump.flight.jsonl>
       summarize a flight dump; -trace re-renders its event window as a
@@ -71,68 +93,70 @@ func usage() {
 `)
 }
 
-// cmdDecode summarizes a dump and optionally re-renders it as a Chrome trace.
-func cmdDecode(args []string) int {
-	fs := flag.NewFlagSet("capscope decode", flag.ExitOnError)
+// decode summarizes a dump and optionally re-renders it as a Chrome trace.
+func (c cli) decode(args []string) int {
+	fs := flag.NewFlagSet("capscope decode", flag.ContinueOnError)
 	traceOut := fs.String("trace", "", "write the dump's event window as a Chrome trace-event file")
 	machine := fs.Bool("machine", true, "print the per-SM machine-state snapshot")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if code, ok := c.parse(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "capscope decode: exactly one dump file required")
+		fmt.Fprintln(c.stderr, "capscope decode: exactly one dump file required")
 		return 2
 	}
 	d, err := flight.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capscope:", err)
+		fmt.Fprintln(c.stderr, "capscope:", err)
 		return 1
 	}
-	printSummary(d)
+	printSummary(c.stdout, d)
 	if *machine && d.Header.Machine != nil {
-		printMachine(d.Header.Machine)
+		printMachine(c.stdout, d.Header.Machine)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capscope:", err)
+			fmt.Fprintln(c.stderr, "capscope:", err)
 			return 1
 		}
 		if err := d.WriteChromeTrace(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "capscope:", err)
+			fmt.Fprintln(c.stderr, "capscope:", err)
 			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "capscope:", err)
+			fmt.Fprintln(c.stderr, "capscope:", err)
 			return 1
 		}
-		fmt.Printf("wrote %s (%d events)\n", *traceOut, len(d.Events))
+		fmt.Fprintf(c.stdout, "wrote %s (%d events)\n", *traceOut, len(d.Events))
 	}
 	return 0
 }
 
-func printSummary(d *flight.Dump) {
+func printSummary(w io.Writer, d *flight.Dump) {
 	h := &d.Header
-	fmt.Printf("reason        %s\n", h.Reason)
+	fmt.Fprintf(w, "reason        %s\n", h.Reason)
 	if h.Message != "" {
-		fmt.Printf("message       %s\n", h.Message)
+		fmt.Fprintf(w, "message       %s\n", h.Message)
 	}
-	fmt.Printf("run           %s/%s/%s\n", orDash(h.Bench), orDash(h.Prefetcher), orDash(h.Scheduler))
-	fmt.Printf("cycle         %d\n", h.Cycle)
-	fmt.Printf("instructions  %d\n", h.Instructions)
-	fmt.Printf("geometry      %d SMs, %d partitions, %d channels\n", h.SMs, h.Partitions, h.Channels)
-	fmt.Printf("events        %d (overwritten %d)\n", h.Events, h.Overwritten)
+	fmt.Fprintf(w, "run           %s/%s/%s\n", orDash(h.Bench), orDash(h.Prefetcher), orDash(h.Scheduler))
+	fmt.Fprintf(w, "cycle         %d\n", h.Cycle)
+	fmt.Fprintf(w, "instructions  %d\n", h.Instructions)
+	fmt.Fprintf(w, "geometry      %d SMs, %d partitions, %d channels\n", h.SMs, h.Partitions, h.Channels)
+	fmt.Fprintf(w, "events        %d (overwritten %d)\n", h.Events, h.Overwritten)
 	if h.SynthesizedEnds > 0 || h.OrphanEnds > 0 {
-		fmt.Printf("stall repair  %d ends synthesized, %d orphan ends dropped\n", h.SynthesizedEnds, h.OrphanEnds)
+		fmt.Fprintf(w, "stall repair  %d ends synthesized, %d orphan ends dropped\n", h.SynthesizedEnds, h.OrphanEnds)
 	}
 }
 
-func printMachine(m *flight.MachineState) {
-	fmt.Printf("machine state at cycle %d:\n", m.Cycle)
-	fmt.Printf("  %-4s %5s %5s %5s %6s %5s %6s %6s %6s  %s\n",
+func printMachine(w io.Writer, m *flight.MachineState) {
+	fmt.Fprintf(w, "machine state at cycle %d:\n", m.Cycle)
+	fmt.Fprintf(w, "  %-4s %5s %5s %5s %6s %5s %6s %6s %6s  %s\n",
 		"SM", "WARPS", "CTAS", "LSU", "STORE", "PREF", "MSHR", "PFMSHR", "MISSQ", "SCHED READY/PENDING")
 	for i := range m.SMs {
 		s := &m.SMs[i]
-		fmt.Printf("  %-4d %5d %5d %5d %6d %5d %6d %6d %6d  %d/%d\n",
+		fmt.Fprintf(w, "  %-4d %5d %5d %5d %6d %5d %6d %6d %6d  %d/%d\n",
 			s.ID, s.LiveWarps, s.ActiveCTAs, s.LSUQueue, s.StoreQueue, s.PrefQueue,
 			s.MSHRs, s.PrefetchMSHRs, s.MissQueue, len(s.ReadyQueue), len(s.PendingQueue))
 	}
@@ -140,16 +164,16 @@ func printMachine(m *flight.MachineState) {
 	// warps still waiting on loads or barriers on each SM.
 	for i := range m.SMs {
 		s := &m.SMs[i]
-		for _, w := range s.Warps {
-			if !w.WaitLoad && !w.AtBarrier {
+		for _, ws := range s.Warps {
+			if !ws.WaitLoad && !ws.AtBarrier {
 				continue
 			}
 			state := "wait-load"
-			if w.AtBarrier {
+			if ws.AtBarrier {
 				state = "at-barrier"
 			}
-			fmt.Printf("  sm %d warp %d cta %d pc %#x: %s (outstanding %d, busy-until %d)\n",
-				s.ID, w.Slot, w.CTA, w.PC, state, w.Outstanding, w.BusyUntil)
+			fmt.Fprintf(w, "  sm %d warp %d cta %d pc %#x: %s (outstanding %d, busy-until %d)\n",
+				s.ID, ws.Slot, ws.CTA, ws.PC, state, ws.Outstanding, ws.BusyUntil)
 		}
 	}
 }
@@ -161,23 +185,25 @@ func orDash(s string) string {
 	return s
 }
 
-// cmdBisect seeds a single-cycle prefetch perturbation into side B and asks
+// bisect seeds a single-cycle prefetch perturbation into side B and asks
 // the localizer for the exact first divergent cycle.
-func cmdBisect(args []string) int {
-	fs := flag.NewFlagSet("capscope bisect", flag.ExitOnError)
+func (c cli) bisect(args []string) int {
+	fs := flag.NewFlagSet("capscope bisect", flag.ContinueOnError)
 	bench := fs.String("bench", "MM", "benchmark abbreviation")
 	pf := fs.String("prefetch", "caps", "prefetcher for both sides")
 	insts := fs.Int64("insts", 200_000, "per-run instruction cap")
 	every := fs.Int64("every", 4096, "checkpoint interval in cycles (rounded up to a power of two)")
 	perturb := fs.Int64("perturb", 0, "perturb side B's first prefetch at or after this cycle (required)")
 	outDir := fs.String("out", "", "write both sides' flight windows into this directory")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if code, ok := c.parse(fs, args); !ok {
+		return code
+	}
 	if *perturb <= 0 {
-		fmt.Fprintln(os.Stderr, "capscope bisect: -perturb CYCLE is required (the seeded divergence point)")
+		fmt.Fprintln(c.stderr, "capscope bisect: -perturb CYCLE is required (the seeded divergence point)")
 		return 2
 	}
 	if *every > sim.MaxProgressEvery {
-		fmt.Fprintf(os.Stderr, "capscope bisect: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
+		fmt.Fprintf(c.stderr, "capscope bisect: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
 		return 2
 	}
 
@@ -188,19 +214,19 @@ func cmdBisect(args []string) int {
 
 	d, err := determinism.Bisect(*bench, a, b, *every)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capscope:", err)
+		fmt.Fprintln(c.stderr, "capscope:", err)
 		return 1
 	}
 	if d == nil {
-		fmt.Printf("%s: no divergence (the perturbation never fired or never changed state)\n", *bench)
+		fmt.Fprintf(c.stdout, "%s: no divergence (the perturbation never fired or never changed state)\n", *bench)
 		return 0
 	}
-	fmt.Printf("%s: first divergent cycle %d (checkpoint window ending at %d, interval %d)\n",
+	fmt.Fprintf(c.stdout, "%s: first divergent cycle %d (checkpoint window ending at %d, interval %d)\n",
 		d.Bench, d.Cycle, d.CheckpointCycle, d.Every)
-	fmt.Printf("  state hash A %#016x\n  state hash B %#016x\n", d.HashA, d.HashB)
+	fmt.Fprintf(c.stdout, "  state hash A %#016x\n  state hash B %#016x\n", d.HashA, d.HashB)
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "capscope:", err)
+			fmt.Fprintln(c.stderr, "capscope:", err)
 			return 1
 		}
 		for _, side := range []struct {
@@ -212,29 +238,31 @@ func cmdBisect(args []string) int {
 			}
 			path := filepath.Join(*outDir, fmt.Sprintf("%s-%s.flight.jsonl", *bench, side.label))
 			if err := side.dump.WriteFile(path); err != nil {
-				fmt.Fprintln(os.Stderr, "capscope:", err)
+				fmt.Fprintln(c.stderr, "capscope:", err)
 				return 1
 			}
-			fmt.Printf("  wrote %s (%d events)\n", path, len(side.dump.Events))
+			fmt.Fprintf(c.stdout, "  wrote %s (%d events)\n", path, len(side.dump.Events))
 		}
 	}
 	return 0
 }
 
-// cmdSmoke exercises the whole dump pipeline in-process: a synthetic
+// smoke exercises the whole dump pipeline in-process: a synthetic
 // invariant violation must produce a dump that writes, reads back, and
 // re-renders as a Chrome trace the validator accepts.
-func cmdSmoke(args []string) int {
-	fs := flag.NewFlagSet("capscope smoke", flag.ExitOnError)
+func (c cli) smoke(args []string) int {
+	fs := flag.NewFlagSet("capscope smoke", flag.ContinueOnError)
 	keep := fs.String("keep", "", "keep the smoke dump at this path instead of a temp file")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if code, ok := c.parse(fs, args); !ok {
+		return code
+	}
 
 	cfg := config.Default()
 	cfg.NumSMs = 4
 	cfg.MaxInsts = 200_000
 	k, err := kernels.ByAbbr("MM")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke:", err)
+		fmt.Fprintln(c.stderr, "capscope smoke:", err)
 		return 1
 	}
 
@@ -246,23 +274,23 @@ func cmdSmoke(args []string) int {
 		sim.WithInjectViolation(20_000),
 	)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke:", err)
+		fmt.Fprintln(c.stderr, "capscope smoke:", err)
 		return 1
 	}
 	if _, err := g.Run(); err == nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke: injected violation did not abort the run")
+		fmt.Fprintln(c.stderr, "capscope smoke: injected violation did not abort the run")
 		return 1
 	}
 	if dump == nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke: abort produced no flight dump")
+		fmt.Fprintln(c.stderr, "capscope smoke: abort produced no flight dump")
 		return 1
 	}
 	if dump.Header.Reason != flight.ReasonViolation {
-		fmt.Fprintf(os.Stderr, "capscope smoke: dump reason %q, want %q\n", dump.Header.Reason, flight.ReasonViolation)
+		fmt.Fprintf(c.stderr, "capscope smoke: dump reason %q, want %q\n", dump.Header.Reason, flight.ReasonViolation)
 		return 1
 	}
 	if len(dump.Events) == 0 {
-		fmt.Fprintln(os.Stderr, "capscope smoke: dump carries no events")
+		fmt.Fprintln(c.stderr, "capscope smoke: dump carries no events")
 		return 1
 	}
 
@@ -270,7 +298,7 @@ func cmdSmoke(args []string) int {
 	if path == "" {
 		f, err := os.CreateTemp("", "capscope-smoke-*.flight.jsonl")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "capscope smoke:", err)
+			fmt.Fprintln(c.stderr, "capscope smoke:", err)
 			return 1
 		}
 		path = f.Name()
@@ -278,12 +306,12 @@ func cmdSmoke(args []string) int {
 		defer os.Remove(path)
 	}
 	if err := dump.WriteFile(path); err != nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke:", err)
+		fmt.Fprintln(c.stderr, "capscope smoke:", err)
 		return 1
 	}
 	back, err := flight.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke: round-trip:", err)
+		fmt.Fprintln(c.stderr, "capscope smoke: round-trip:", err)
 		return 1
 	}
 	// Header holds a *MachineState, so compare value copies with the
@@ -292,21 +320,21 @@ func cmdSmoke(args []string) int {
 	ha.Machine, hb.Machine = nil, nil
 	if len(back.Events) != len(dump.Events) || ha != hb ||
 		back.Header.Machine == nil || len(back.Header.Machine.SMs) != cfg.NumSMs {
-		fmt.Fprintln(os.Stderr, "capscope smoke: round-trip mismatch: decoded dump differs from original")
+		fmt.Fprintln(c.stderr, "capscope smoke: round-trip mismatch: decoded dump differs from original")
 		return 1
 	}
 
 	var buf bytes.Buffer
 	if err := back.WriteChromeTrace(&buf); err != nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke: chrome export:", err)
+		fmt.Fprintln(c.stderr, "capscope smoke: chrome export:", err)
 		return 1
 	}
 	sum, err := obs.ValidateChromeTrace(&buf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capscope smoke: chrome validate:", err)
+		fmt.Fprintln(c.stderr, "capscope smoke: chrome validate:", err)
 		return 1
 	}
-	fmt.Printf("capscope smoke ok: violation at cycle %d -> dump (%d events, %d stall ends synthesized) -> decode -> chrome trace (%d events, %d/%d stall pairs)\n",
+	fmt.Fprintf(c.stdout, "capscope smoke ok: violation at cycle %d -> dump (%d events, %d stall ends synthesized) -> decode -> chrome trace (%d events, %d/%d stall pairs)\n",
 		dump.Header.Cycle, len(dump.Events), dump.Header.SynthesizedEnds, sum.Events, sum.StallBegins, sum.StallEnds)
 	return 0
 }

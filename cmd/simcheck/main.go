@@ -36,8 +36,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,37 +55,56 @@ import (
 const baselineName = "SIMCHECK_BASELINE"
 
 func main() {
-	mode := flag.String("mode", "lint", "lint, hotlint, isolint, all, determinism or tracecheck")
-	benches := flag.String("benches", "STE,BFS,MM,CP", "determinism mode: comma-separated benchmark abbreviations")
-	insts := flag.Int64("insts", 60_000, "determinism mode: per-run instruction cap (0 = full run)")
-	every := flag.Int64("every", 0, "determinism mode: also compare periodic state-hash checkpoints every N cycles (0 = final hash only)")
-	baseline := flag.String("baseline", "", "hotlint/isolint: ratchet baseline file (default <module root>/"+baselineName+")")
-	updateBaseline := flag.Bool("update-baseline", false, "hotlint/isolint: rewrite the baseline to the current findings and exit")
-	inventory := flag.Bool("inventory", false, "isolint: print the //caps:shared-sync sync-point inventory")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's body, on its own flag set so tests can drive the command
+// line. It returns the exit status: 0 clean, 1 findings (lint diagnostics,
+// a determinism divergence or sanitizer violation, a bad trace), 2 usage
+// or load errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "lint", "lint, hotlint, isolint, all, determinism or tracecheck")
+	benches := fs.String("benches", "STE,BFS,MM,CP", "determinism mode: comma-separated benchmark abbreviations")
+	insts := fs.Int64("insts", 60_000, "determinism mode: per-run instruction cap (0 = full run)")
+	every := fs.Int64("every", 0, "determinism mode: also compare periodic state-hash checkpoints every N cycles (0 = final hash only)")
+	baseline := fs.String("baseline", "", "hotlint/isolint: ratchet baseline file (default <module root>/"+baselineName+")")
+	updateBaseline := fs.Bool("update-baseline", false, "hotlint/isolint: rewrite the baseline to the current findings and exit")
+	inventory := fs.Bool("inventory", false, "isolint: print the //caps:shared-sync sync-point inventory")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	out := output{stdout, stderr}
 
 	switch *mode {
 	case "lint":
-		os.Exit(lint())
+		return out.lint()
 	case "hotlint", "isolint", "all":
-		os.Exit(lintModule(*mode, modeOpts{
+		return out.lintModule(*mode, modeOpts{
 			baseline:       *baseline,
 			updateBaseline: *updateBaseline,
 			inventory:      *inventory,
-		}))
+		})
 	case "determinism":
 		if *every > sim.MaxProgressEvery {
-			fmt.Fprintf(os.Stderr, "simcheck: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "simcheck: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
+			return 2
 		}
-		os.Exit(checkDeterminism(strings.Split(*benches, ","), *insts, *every))
+		return out.checkDeterminism(strings.Split(*benches, ","), *insts, *every)
 	case "tracecheck":
-		os.Exit(checkTraces(flag.Args()))
+		return out.checkTraces(fs.Args())
 	default:
-		fmt.Fprintf(os.Stderr, "simcheck: unknown mode %q (want lint, hotlint, isolint, all, determinism or tracecheck)\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "simcheck: unknown mode %q (want lint, hotlint, isolint, all, determinism or tracecheck)\n", *mode)
+		return 2
 	}
 }
+
+// output carries the command's two streams to the modes.
+type output struct{ stdout, stderr io.Writer }
 
 type modeOpts struct {
 	baseline       string
@@ -108,22 +129,22 @@ func loadPkgs() (string, []*analysis.Package, error) {
 }
 
 // lint runs the per-package analyzer suite.
-func lint() int {
+func (o output) lint() int {
 	_, pkgs, err := loadPkgs()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simcheck:", err)
+		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
 	diags, err := analysis.Check(pkgs, analysis.All())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simcheck:", err)
+		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
 	for _, d := range diags {
-		fmt.Println(d)
+		fmt.Fprintln(o.stdout, d)
 	}
 	if n := len(diags); n > 0 {
-		fmt.Fprintf(os.Stderr, "simcheck: %d finding(s)\n", n)
+		fmt.Fprintf(o.stderr, "simcheck: %d finding(s)\n", n)
 		return 1
 	}
 	return 0
@@ -132,10 +153,10 @@ func lint() int {
 // lintModule runs the module-level analyzers (hotlint/isolint) against the
 // ratchet baseline; -mode=all additionally runs the per-package suite
 // (which is never baselined — it must stay clean outright).
-func lintModule(mode string, opts modeOpts) int {
+func (o output) lintModule(mode string, opts modeOpts) int {
 	root, pkgs, err := loadPkgs()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simcheck:", err)
+		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
 	var analyzers []*analysis.ModuleAnalyzer
@@ -149,7 +170,7 @@ func lintModule(mode string, opts modeOpts) int {
 	}
 	mdiags, err := analysis.CheckModule(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simcheck:", err)
+		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
 	basePath := opts.baseline
@@ -158,45 +179,45 @@ func lintModule(mode string, opts modeOpts) int {
 	}
 	if opts.updateBaseline {
 		if err := analysis.WriteBaseline(basePath, mdiags); err != nil {
-			fmt.Fprintln(os.Stderr, "simcheck:", err)
+			fmt.Fprintln(o.stderr, "simcheck:", err)
 			return 2
 		}
-		fmt.Printf("simcheck: baseline %s rewritten with %d finding(s)\n", basePath, len(mdiags))
+		fmt.Fprintf(o.stdout, "simcheck: baseline %s rewritten with %d finding(s)\n", basePath, len(mdiags))
 		return 0
 	}
 	base, err := analysis.LoadBaseline(basePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "simcheck:", err)
+		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
 	kept, stale := analysis.ApplyBaseline(mdiags, base)
 	for _, s := range stale {
-		fmt.Fprintln(os.Stderr, "simcheck: stale baseline: "+s)
+		fmt.Fprintln(o.stderr, "simcheck: stale baseline: "+s)
 	}
 
 	var pkgDiags []analysis.Diagnostic
 	if mode == "all" {
 		pkgDiags, err = analysis.Check(pkgs, analysis.All())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "simcheck:", err)
+			fmt.Fprintln(o.stderr, "simcheck:", err)
 			return 2
 		}
 	}
 	for _, d := range pkgDiags {
-		fmt.Println(d)
+		fmt.Fprintln(o.stdout, d)
 	}
 	for _, d := range kept {
-		fmt.Println(d)
+		fmt.Fprintln(o.stdout, d)
 	}
 	if opts.inventory {
 		inv := analysis.SharedInventory(pkgs)
-		fmt.Printf("# shared-sync inventory: %d touch point(s) the parallel-tick barrier must serialize\n", len(inv))
+		fmt.Fprintf(o.stdout, "# shared-sync inventory: %d touch point(s) the parallel-tick barrier must serialize\n", len(inv))
 		for _, p := range inv {
-			fmt.Printf("%-14s %s:%d\t%s\t%s\n", p.Phase, p.Pos.Filename, p.Pos.Line, p.Func, p.Desc)
+			fmt.Fprintf(o.stdout, "%-14s %s:%d\t%s\t%s\n", p.Phase, p.Pos.Filename, p.Pos.Line, p.Func, p.Desc)
 		}
 	}
 	if n := len(kept) + len(pkgDiags); n > 0 {
-		fmt.Fprintf(os.Stderr, "simcheck: %d un-baselined finding(s)\n", n)
+		fmt.Fprintf(o.stderr, "simcheck: %d un-baselined finding(s)\n", n)
 		return 1
 	}
 	return 0
@@ -208,7 +229,7 @@ func lintModule(mode string, opts modeOpts) int {
 // With every > 0 the whole periodic checkpoint series is compared, not
 // just the final hash, so a transient divergence that happens to cancel
 // out by the end still fails the gate.
-func checkDeterminism(benches []string, insts, every int64) int {
+func (o output) checkDeterminism(benches []string, insts, every int64) int {
 	cfg := config.Default()
 	cfg.NumSMs = 4
 	cfg.MaxInsts = insts
@@ -224,20 +245,20 @@ func checkDeterminism(benches []string, insts, every int64) int {
 			if every > 0 {
 				n, h, err := determinism.CheckSeries(cfg, b, every, opt...)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "simcheck: %s/%s: %v\n", b, pf, err)
+					fmt.Fprintf(o.stderr, "simcheck: %s/%s: %v\n", b, pf, err)
 					failed = true
 					continue
 				}
-				fmt.Printf("%-6s %-5s reproducible (%d checkpoints, state hash %#016x)\n", b, pf, n, h)
+				fmt.Fprintf(o.stdout, "%-6s %-5s reproducible (%d checkpoints, state hash %#016x)\n", b, pf, n, h)
 				continue
 			}
 			h, err := determinism.Check(cfg, b, opt...)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "simcheck: %s/%s: %v\n", b, pf, err)
+				fmt.Fprintf(o.stderr, "simcheck: %s/%s: %v\n", b, pf, err)
 				failed = true
 				continue
 			}
-			fmt.Printf("%-6s %-5s reproducible (state hash %#016x)\n", b, pf, h)
+			fmt.Fprintf(o.stdout, "%-6s %-5s reproducible (state hash %#016x)\n", b, pf, h)
 		}
 	}
 	if failed {
@@ -247,27 +268,27 @@ func checkDeterminism(benches []string, insts, every int64) int {
 }
 
 // checkTraces validates each Chrome trace file and prints its census.
-func checkTraces(paths []string) int {
+func (o output) checkTraces(paths []string) int {
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "simcheck: tracecheck needs at least one trace file")
+		fmt.Fprintln(o.stderr, "simcheck: tracecheck needs at least one trace file")
 		return 2
 	}
 	failed := false
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "simcheck:", err)
+			fmt.Fprintln(o.stderr, "simcheck:", err)
 			failed = true
 			continue
 		}
 		sum, err := obs.ValidateChromeTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "simcheck: %s: %v\n", p, err)
+			fmt.Fprintf(o.stderr, "simcheck: %s: %v\n", p, err)
 			failed = true
 			continue
 		}
-		fmt.Printf("%s: %d events on %d tracks (%d SM), %d sched events, %d complete prefetch lifecycles, %d dropped\n",
+		fmt.Fprintf(o.stdout, "%s: %d events on %d tracks (%d SM), %d sched events, %d complete prefetch lifecycles, %d dropped\n",
 			p, sum.Events, sum.Tracks, sum.SMTracks, sum.SchedEvents, sum.PrefLifecycle, sum.Dropped)
 	}
 	if failed {

@@ -132,3 +132,38 @@ func TestIdleSkipPreservesStatsAndHash(t *testing.T) {
 		}
 	}
 }
+
+// The memory-bound kernels spend their runs where the wake cycles act —
+// partitions and DRAM channels skipped between events, stalled retry
+// queues asleep, SMs in stall replay — so the idle-skip series must match
+// the plain serial one there too, with the sanitizer auditing every
+// skipped partition tick and the DRAM completion order. The run uses the
+// full Table III SM count: four SMs never back the twelve L2 slices' MSHR
+// files up, so their retry queues would never stall and sleep.
+func TestIdleSkipSeriesMemoryBound(t *testing.T) {
+	cfg := config.Default()
+	cfg.MaxInsts = 30_000
+	cfg.CheckInvariants = true
+	base := []sim.Option{sim.WithPrefetcher("caps"), sim.WithScheduler(SchedulerFor("caps"))}
+	for _, bench := range []string{"BFS", "LPS", "JC1"} {
+		plain, err := CheckpointRun(cfg, bench, 2048, base...)
+		if err != nil {
+			t.Fatalf("%s plain: %v", bench, err)
+		}
+		skipping, err := CheckpointRun(cfg, bench, 2048, append(base[:len(base):len(base)], sim.WithIdleSkip())...)
+		if err != nil {
+			t.Fatalf("%s idle-skip: %v", bench, err)
+		}
+		if len(skipping) != len(plain) {
+			t.Errorf("%s: %d checkpoints with idle-skip, %d without", bench, len(skipping), len(plain))
+			continue
+		}
+		for i := range plain {
+			if skipping[i] != plain[i] {
+				t.Errorf("%s: checkpoint at cycle %d hashed %#x with idle-skip, %#x without",
+					bench, plain[i].Cycle, skipping[i].Hash, plain[i].Hash)
+				break
+			}
+		}
+	}
+}

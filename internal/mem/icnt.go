@@ -11,12 +11,17 @@ type icntPkt struct {
 	req     *Request
 }
 
-// fifo is a bounded FIFO with latency and per-cycle pop budget.
+// fifo is a bounded FIFO with latency and per-cycle pop budget, kept as a
+// ring over a slice of its hardware capacity so a pop moves no packets.
+// headAt caches the head packet's readyAt (maxCycle when empty): packets
+// enter in readyAt order, so nothing is deliverable before it, and the
+// receivers' due checks read it instead of the ring.
 //
 //caps:shared interconnect
 type fifo struct {
 	items   []icntPkt
-	cap     int
+	head, n int
+	headAt  int64
 	latency int64
 	width   int
 
@@ -25,17 +30,25 @@ type fifo struct {
 }
 
 func newFifo(capacity, latency, width int) *fifo {
-	return &fifo{items: make([]icntPkt, 0, capacity), cap: capacity, latency: int64(latency), width: width}
+	return &fifo{items: make([]icntPkt, capacity), headAt: maxCycle, latency: int64(latency), width: width}
 }
 
 // push enqueues a request; it reports false when the queue is full.
 //
 //caps:shared-sync icnt-queues
 func (f *fifo) push(now int64, r *Request) bool {
-	if len(f.items) >= f.cap {
+	if f.n >= len(f.items) {
 		return false
 	}
-	f.items = append(f.items, icntPkt{readyAt: now + f.latency, req: r}) //caps:alloc-ok queue is preallocated to its hardware capacity; the full check above bounds it
+	i := f.head + f.n
+	if i >= len(f.items) {
+		i -= len(f.items)
+	}
+	f.items[i] = icntPkt{readyAt: now + f.latency, req: r}
+	if f.n == 0 {
+		f.headAt = now + f.latency
+	}
+	f.n++
 	return true
 }
 
@@ -44,7 +57,7 @@ func (f *fifo) push(now int64, r *Request) bool {
 //
 //caps:shared-sync icnt-queues
 func (f *fifo) pop(now int64) *Request {
-	if len(f.items) == 0 {
+	if now < f.headAt {
 		return nil
 	}
 	if now != f.lastPopCycle {
@@ -54,20 +67,27 @@ func (f *fifo) pop(now int64) *Request {
 	if f.poppedThis >= f.width {
 		return nil
 	}
-	head := f.items[0]
-	if head.readyAt > now {
-		return nil
+	h := &f.items[f.head]
+	r := h.req
+	h.req = nil
+	f.head++
+	if f.head == len(f.items) {
+		f.head = 0
 	}
-	copy(f.items, f.items[1:])
-	f.items = f.items[:len(f.items)-1]
+	f.n--
+	if f.n == 0 {
+		f.headAt = maxCycle
+	} else {
+		f.headAt = f.items[f.head].readyAt
+	}
 	f.poppedThis++
-	return head.req
+	return r
 }
 
-func (f *fifo) len() int { return len(f.items) }
+func (f *fifo) len() int { return f.n }
 
 // free returns the remaining queue capacity.
-func (f *fifo) free() int { return f.cap - len(f.items) }
+func (f *fifo) free() int { return len(f.items) - f.n }
 
 // maxCycle is the "no scheduled event" sentinel (math.MaxInt64 without
 // the import).
@@ -107,6 +127,10 @@ func (ic *Interconnect) PushToPartition(now int64, r *Request) bool {
 func (ic *Interconnect) PopForPartition(now int64, part int) *Request {
 	return ic.toPart[part].pop(now)
 }
+
+// ResponseReady reports whether a response toward the SM has served its
+// latency by now: SM.Tick drains its inbox only then.
+func (ic *Interconnect) ResponseReady(now int64, sm int) bool { return now >= ic.toSM[sm].headAt }
 
 // PushToSM sends a response back toward its SM; false means congestion.
 func (ic *Interconnect) PushToSM(now int64, r *Request) bool {

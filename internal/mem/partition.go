@@ -36,6 +36,16 @@ type Partition struct {
 
 	hitPipe []timedResp // L2 hits waiting out the L2 latency
 	ic      *Interconnect
+	inbox   *fifo // ic's request queue toward this partition
+
+	// wakeAt is the earliest cycle at which the partition's held work
+	// needs a Tick: the earliest hitPipe readyAt (congestion retries
+	// included), or the next cycle while the retry queue needs a real
+	// walk (see retryQuiet). Tick sets it, queueHit and DeliverFromDRAM
+	// lower it, and Due adds the two wake sources other units control: a
+	// ready inbox head, and a miss queue or store FIFO the DRAM channel
+	// has room for. Derived state, excluded from determinism hashes.
+	wakeAt int64
 
 	// Accepted requests the partition cannot serve yet wait in two queues,
 	// each ordered by seq: retryQ holds demand and prefetch requests that
@@ -105,6 +115,7 @@ func NewPartition(id int, g config.GPUConfig, dram *DRAMChannel, ic *Interconnec
 		dram:           dram,
 		st:             st,
 		ic:             ic,
+		inbox:          ic.toPart[id],
 		acceptPerCycle: g.ICNTWidth,
 	}
 }
@@ -118,23 +129,61 @@ func (p *Partition) AttachObs(s *obs.Sink) {
 	p.l2.AttachObs(s, obs.DomPart, p.ID)
 }
 
+// Due reports whether a Tick at now can change the partition's state: its
+// wake cycle has come, a request in its inbox has served the interconnect
+// latency, or its miss queue or store FIFO holds work the DRAM channel
+// has room for. On any other cycle Tick is a no-op and the GPU skips it.
+func (p *Partition) Due(now int64) bool {
+	return now >= p.wakeAt || now >= p.inbox.headAt ||
+		(p.l2.MissQueueLen() > 0 || p.storeHead < len(p.stores)) && !p.dram.Full()
+}
+
+// CheckSkip audits a tick the GPU skipped because Due reported nothing
+// due at now, under the L2 slice's sanitizer label. Due reads the inbox
+// and the DRAM channel directly; the rest of the quiet predicate rests
+// on wakeAt, so the audit rechecks it from the queues: no hit response
+// ready and no retry needing a walk. A breach means a stale wake cycle.
+func (p *Partition) CheckSkip(now int64) error {
+	comp := p.l2.Label()
+	for _, h := range p.hitPipe {
+		if h.readyAt <= now {
+			return invariant.Errorf(comp, now, "tick skipped with the hit response for line %#x ready since %d (wake cycle %d)",
+				h.req.LineAddr, h.readyAt, p.wakeAt)
+		}
+	}
+	if len(p.retryQ) > 0 && !p.retryQuiet() {
+		return invariant.Errorf(comp, now, "tick skipped with %d queued retries that need a walk (wake cycle %d)", len(p.retryQ), p.wakeAt)
+	}
+	return nil
+}
+
+// retryQuiet reports whether replaying the retry queue is a no-op: the
+// stalled-retry verdict holds, no fill or open reservation voids it, and
+// with no sink attached the proven fails it replays are counted nowhere.
+func (p *Partition) retryQuiet() bool {
+	return p.retryStalled && p.l2.sink == nil && len(p.fillLines) == 0 &&
+		!(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
+}
+
 // Tick advances the partition one cycle. DRAM channels are ticked
 // separately (they are shared between partitions); completed DRAM reads are
 // delivered to the owning partition via DeliverFromDRAM. The returned error
 // is the first invariant violation detected by the sanitizer (nil when
 // checking is disabled or the partition is healthy).
 func (p *Partition) Tick(now int64) error {
-	// Send matured L2 hits back through the interconnect.
+	// Send matured L2 hits back through the interconnect; the rest set the
+	// wake cycle, which hits queued later in this tick can only lower.
 	out := p.hitPipe[:0]
+	p.wakeAt = maxCycle
 	for _, h := range p.hitPipe {
-		if h.readyAt <= now {
-			if !p.ic.PushToSM(now, h.req) {
-				h.readyAt = now + 1 // network congested; retry next cycle
-				out = append(out, h)
-			}
-		} else {
-			out = append(out, h)
+		if h.readyAt <= now && p.ic.PushToSM(now, h.req) {
+			continue
 		}
+		if h.readyAt <= now {
+			h.readyAt = now + 1 // network congested; retry next cycle
+		}
+		p.wakeAt = min(p.wakeAt, h.readyAt)
+		out = append(out, h)
 	}
 	p.hitPipe = out
 
@@ -185,7 +234,7 @@ func (p *Partition) Tick(now int64) error {
 	}
 	p.replayStores(now, math.MaxUint64)
 	for i := 0; i < p.acceptPerCycle; i++ {
-		r := p.ic.PopForPartition(now, p.ID)
+		r := p.inbox.pop(now)
 		if r == nil {
 			break
 		}
@@ -200,6 +249,9 @@ func (p *Partition) Tick(now int64) error {
 	}
 	if p.stallReplayOn && !p.retryStalled && len(p.retryQ) > 0 {
 		p.retryStalled = p.retriesStalled()
+	}
+	if len(p.retryQ) > 0 && !p.retryQuiet() {
+		p.wakeAt = now + 1
 	}
 	if p.l2.sanitize {
 		if err := p.checkQueues(now); err != nil {
@@ -344,8 +396,7 @@ func (p *Partition) access(now int64, r *Request) bool {
 	switch res.Outcome {
 	case Hit:
 		p.st.L2Hits++
-		p.hitPipe = append(p.hitPipe, timedResp{readyAt: now + int64(p.l2.cfg.HitLatency), req: r}) //caps:alloc-ok capacity converges to the peak in-flight hit responses
-
+		p.queueHit(now, r)
 	case MissNew, MissMerged:
 		// MissNew sits in the L2 miss queue until DRAM accepts it;
 		// MissMerged waits on the existing MSHR. Nothing more to do.
@@ -401,14 +452,25 @@ func (p *Partition) DeliverFromDRAM(now int64, r *Request) error {
 	if p.retryStalled {
 		p.fillLines = append(p.fillLines, r.LineAddr)
 	}
+	// The freed MSHR may open a reservation for the queued retries.
+	if len(p.retryQ) > 0 {
+		p.wakeAt = min(p.wakeAt, now)
+	}
 	fill, err := p.l2.Fill(now, r.LineAddr)
 	if err != nil {
 		return err
 	}
 	for _, w := range fill.Waiters {
-		p.hitPipe = append(p.hitPipe, timedResp{readyAt: now + int64(p.l2.cfg.HitLatency), req: w})
+		p.queueHit(now, w)
 	}
 	return nil
+}
+
+// queueHit sends r back toward its SM once the L2 hit latency has passed.
+func (p *Partition) queueHit(now int64, r *Request) {
+	ready := now + int64(p.l2.cfg.HitLatency)
+	p.hitPipe = append(p.hitPipe, timedResp{readyAt: ready, req: r}) //caps:alloc-ok capacity converges to the peak in-flight hit responses
+	p.wakeAt = min(p.wakeAt, ready)
 }
 
 // Idle reports whether the partition holds no pending work.

@@ -15,7 +15,9 @@ import (
 // The differential test drives Partition and the verbatim refPartition with
 // one seeded traffic script and requires identical observable behaviour
 // after every tick: events, stats, L2 state, responses toward the SMs, DRAM
-// completions and idleness.
+// completions and idleness. In its gated mode the Partition rig ticks its
+// DRAM channel and partitions only when they are due, as GPU.Step does,
+// while the reference still ticks every unit on every cycle.
 
 // partitionUnit is the subset of the partition API the harness drives.
 type partitionUnit interface {
@@ -62,6 +64,9 @@ type diffRig struct {
 	parts [2]partitionUnit
 	snk   *obs.Sink
 	rec   *eventRecorder
+	gated bool // tick only the units that are due (Partition rigs only)
+	skips int  // partition ticks the gated rig skipped
+	slept int  // of those, skips over a non-empty retry queue
 }
 
 const diffSMs = 4
@@ -176,14 +181,29 @@ func (d *diffRig) tick(t *testing.T, now int64, op *diffOp) (trace []string) {
 		r := op.inject[i]
 		trace = append(trace, fmt.Sprintf("push %s %v", reqKey(&r), d.ic.PushToPartition(now, &r)))
 	}
-	for _, r := range d.dram.Tick(now) {
-		trace = append(trace, "dram "+reqKey(r))
-		if err := d.parts[r.Partition].DeliverFromDRAM(now, r); err != nil {
+	if !d.gated || d.dram.Due(now) {
+		for _, r := range d.dram.Tick(now) {
+			trace = append(trace, "dram "+reqKey(r))
+			if err := d.parts[r.Partition].DeliverFromDRAM(now, r); err != nil {
+				t.Fatalf("cycle %d: %v", now, err)
+			}
+		}
+		if err := d.dram.SanitizerErr(); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
 	}
 	for i, p := range d.parts {
-		if err := p.Tick(now); err != nil {
+		var err error
+		if pp, ok := p.(*Partition); ok && d.gated && !pp.Due(now) {
+			d.skips++
+			if len(pp.retryQ) > 0 {
+				d.slept++
+			}
+			err = pp.CheckSkip(now)
+		} else {
+			err = p.Tick(now)
+		}
+		if err != nil {
 			t.Fatalf("cycle %d partition %d: %v", now, i, err)
 		}
 	}
@@ -207,50 +227,67 @@ func (d *diffRig) tick(t *testing.T, now int64, op *diffOp) (trace []string) {
 func TestPartitionMatchesReference(t *testing.T) {
 	cfg := diffConfig()
 	cfg.CheckInvariants = true
+	for _, gated := range []bool{false, true} {
+		for _, stall := range []bool{false, true} {
+			for _, sink := range []sinkMode{noSink, allEvents, resFailDead} {
+				name := fmt.Sprintf("stallReplay=%v/sink=%v", stall, sink)
+				if gated {
+					name = "gated/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					matchReference(t, cfg, gated, stall, sink)
+				})
+			}
+		}
+	}
+}
+
+// matchReference runs TestPartitionMatchesReference's comparison for one
+// mode over four seeded scripts.
+func matchReference(t *testing.T, cfg config.GPUConfig, gated, stall bool, sink sinkMode) {
 	const ticks = 8000
-	for _, stall := range []bool{false, true} {
-		for _, sink := range []sinkMode{noSink, allEvents, resFailDead} {
-			t.Run(fmt.Sprintf("stallReplay=%v/sink=%v", stall, sink), func(t *testing.T) {
-				for seed := int64(1); seed <= 4; seed++ {
-					script := diffScript(seed, ticks)
-					ref := newDiffRig(cfg, true, stall, sink)
-					got := newDiffRig(cfg, false, stall, sink)
-					var cov backlogCoverage
-					for now := int64(0); now < ticks; now++ {
-						wantTr := ref.tick(t, now, &script[now])
-						gotTr := got.tick(t, now, &script[now])
-						if !reflect.DeepEqual(gotTr, wantTr) {
-							t.Fatalf("seed %d cycle %d: observable state diverged\n got: %v\nwant: %v", seed, now, gotTr, wantTr)
-						}
-						if !reflect.DeepEqual(got.st, ref.st) {
-							t.Fatalf("seed %d cycle %d: stats diverged\n got: %+v\nwant: %+v", seed, now, *got.st, *ref.st)
-						}
-						if sink != noSink {
-							if !reflect.DeepEqual(got.rec.evs, ref.rec.evs) {
-								t.Fatalf("seed %d cycle %d: events diverged\n got: %+v\nwant: %+v", seed, now, got.rec.evs, ref.rec.evs)
-							}
-							got.rec.evs, ref.rec.evs = got.rec.evs[:0], ref.rec.evs[:0]
-							// The reference walks its frozen retries one
-							// counter at a time; Partition counts them in
-							// bulk when EvResFail is dead. Snapshots are
-							// slow, so compare them every 100 ticks (the
-							// last tick included).
-							if now%100 == 99 {
-								if g, w := got.snk.Snapshot(), ref.snk.Snapshot(); !reflect.DeepEqual(g, w) {
-									t.Fatalf("seed %d cycle %d: counters diverged\n got: %+v\nwant: %+v", seed, now, g, w)
-								}
-							}
-						}
-						cov.observe(got.parts[0].(*Partition))
-					}
-					// The script must back both queues up and drain them
-					// again, or the comparison proves little about the
-					// replay order.
-					if cov.storeDrains < 3 || cov.retryDrains < 1 || (stall && cov.stalledTicks == 0) {
-						t.Fatalf("seed %d: traffic too tame: %+v", seed, cov)
+	for seed := int64(1); seed <= 4; seed++ {
+		script := diffScript(seed, ticks)
+		ref := newDiffRig(cfg, true, stall, sink)
+		got := newDiffRig(cfg, false, stall, sink)
+		got.gated = gated
+		got.dram.EnableSanitizer("DRAM[0]")
+		var cov backlogCoverage
+		for now := int64(0); now < ticks; now++ {
+			wantTr := ref.tick(t, now, &script[now])
+			gotTr := got.tick(t, now, &script[now])
+			if !reflect.DeepEqual(gotTr, wantTr) {
+				t.Fatalf("seed %d cycle %d: observable state diverged\n got: %v\nwant: %v", seed, now, gotTr, wantTr)
+			}
+			if !reflect.DeepEqual(got.st, ref.st) {
+				t.Fatalf("seed %d cycle %d: stats diverged\n got: %+v\nwant: %+v", seed, now, *got.st, *ref.st)
+			}
+			if sink != noSink {
+				if !reflect.DeepEqual(got.rec.evs, ref.rec.evs) {
+					t.Fatalf("seed %d cycle %d: events diverged\n got: %+v\nwant: %+v", seed, now, got.rec.evs, ref.rec.evs)
+				}
+				got.rec.evs, ref.rec.evs = got.rec.evs[:0], ref.rec.evs[:0]
+				// The reference walks its frozen retries one counter at
+				// a time; Partition counts them in bulk when EvResFail
+				// is dead. Snapshots are slow, so compare them every
+				// 100 ticks (the last tick included).
+				if now%100 == 99 {
+					if g, w := got.snk.Snapshot(), ref.snk.Snapshot(); !reflect.DeepEqual(g, w) {
+						t.Fatalf("seed %d cycle %d: counters diverged\n got: %+v\nwant: %+v", seed, now, g, w)
 					}
 				}
-			})
+			}
+			cov.observe(got.parts[0].(*Partition))
+		}
+		// The script must back both queues up and drain them
+		// again, or the comparison proves little about the
+		// replay order.
+		if cov.storeDrains < 3 || cov.retryDrains < 1 || (stall && cov.stalledTicks == 0) {
+			t.Fatalf("seed %d: traffic too tame: %+v", seed, cov)
+		}
+		// A stalled retry queue sleeps only when no sink counts its fails.
+		if gated && (got.skips == 0 || stall && sink == noSink && got.slept == 0) {
+			t.Fatalf("seed %d: the gated rig skipped too little: %d skips, %d over stalled retries", seed, got.skips, got.slept)
 		}
 	}
 }

@@ -196,3 +196,56 @@ func TestPartitionSanitizerCatchesStoresBehindFreeChannel(t *testing.T) {
 	p.stores = append(p.stores, queued{seq: 1, req: &Request{LineAddr: 0, Kind: Store}})
 	wantViolation(t, p.checkQueues(1), "DRAM queue with free slots")
 }
+
+// TestPartitionSanitizerCatchesStaleWake plants a hit response that is due
+// while the wake cycle claims nothing is: the GPU would skip the tick and
+// strand the response, and the skip audit must say so.
+func TestPartitionSanitizerCatchesStaleWake(t *testing.T) {
+	p := sanitizedPartition(t)
+	p.hitPipe = append(p.hitPipe, timedResp{readyAt: 3, req: demandReq(0)})
+	p.wakeAt = maxCycle // stale: the response is ready at 3
+	if p.Due(3) {
+		t.Fatal("a partition with a stale wake cycle reports itself due")
+	}
+	v := wantViolation(t, p.CheckSkip(3), "tick skipped with the hit response for line 0x0")
+	if v.Component != "L2[0]" || v.Cycle != 3 {
+		t.Errorf("violation at %s cycle %d, want L2[0] cycle 3", v.Component, v.Cycle)
+	}
+}
+
+// TestPartitionSanitizerCatchesSleepingRetries puts a retry that needs a
+// real walk (no stalled-retry verdict) behind a stale wake cycle.
+func TestPartitionSanitizerCatchesSleepingRetries(t *testing.T) {
+	p := sanitizedPartition(t)
+	p.retryQ = append(p.retryQ, queued{seq: 1, req: demandReq(0)})
+	p.wakeAt = maxCycle
+	wantViolation(t, p.CheckSkip(5), "1 queued retries that need a walk")
+}
+
+// TestDRAMSanitizerCatchesServiceOrder breaks the in-service FIFO's finish
+// order, which head-only completion relies on; the next issue's audit must
+// report it under the channel's label.
+func TestDRAMSanitizerCatchesServiceOrder(t *testing.T) {
+	ch, _, cfg := dramUnderTest()
+	ch.EnableSanitizer("DRAM[0]")
+	rowBytes := uint64(cfg.DRAM.RowBytes)
+	for b := uint64(0); b < 3; b++ {
+		ch.Push(0, &Request{LineAddr: b * rowBytes, Kind: Demand}) // one read per bank
+	}
+	now := int64(0)
+	for ; len(ch.inService)-ch.svcHead < 2; now++ {
+		ch.Tick(now)
+	}
+	if err := ch.SanitizerErr(); err != nil {
+		t.Fatalf("healthy channel tripped the audit: %v", err)
+	}
+	head := &ch.inService[ch.svcHead]
+	head.finishAt = ch.inService[ch.svcHead+1].finishAt + 100 // corrupt: head finishes last
+	for ; ch.QueueLen() > 0; now++ {
+		ch.Tick(now)
+	}
+	v := wantViolation(t, ch.SanitizerErr(), "before the read ahead of it")
+	if v.Component != "DRAM[0]" {
+		t.Errorf("component = %q, want DRAM[0]", v.Component)
+	}
+}

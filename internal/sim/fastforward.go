@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"caps/internal/obs"
 	"caps/internal/sched"
 )
@@ -114,15 +112,12 @@ func (sm *SM) tryStallReplay(now int64) {
 	}
 	// The pattern holds until a busy warp's latency expires and changes the
 	// eligibility set (blocked warps only change via wake events).
-	bound := int64(math.MaxInt64)
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if !w.active || w.finished || w.atBarrier || w.waitLoad || w.busyUntil <= now {
-			continue
+	bound := gateNever
+	for _, g := range sm.gate {
+		if g <= now {
+			g = gateNever // eligible now: no expiry ahead
 		}
-		if w.busyUntil < bound {
-			bound = w.busyUntil
-		}
+		bound = min(bound, g)
 	}
 	if bound <= now+1 {
 		return
@@ -146,19 +141,13 @@ func (sm *SM) issueBound(now int64) (int64, bool) {
 	if !ok || !q.Quiescent(sm) {
 		return 0, false
 	}
-	bound := int64(math.MaxInt64)
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if !w.active || w.finished || w.atBarrier || w.waitLoad {
-			continue
-		}
-		if w.busyUntil <= now {
+	bound := gateNever
+	for _, g := range sm.gate {
+		if g <= now {
 			// An eligible warp: the scheduler can issue this cycle.
 			return 0, false
 		}
-		if w.busyUntil < bound {
-			bound = w.busyUntil
-		}
+		bound = min(bound, g)
 	}
 	return bound, true
 }

@@ -29,6 +29,7 @@ func TestTrySleepRejectsOneCycleWindow(t *testing.T) {
 			continue
 		}
 		w.busyUntil = 1
+		sm.regate(w)
 	}
 	sm.trySleep(0)
 	if sm.issueIdleUntil > 1 || sm.idleUntil > 1 {
@@ -42,6 +43,7 @@ func TestTrySleepRejectsOneCycleWindow(t *testing.T) {
 			continue
 		}
 		w.busyUntil = 2
+		sm.regate(w)
 	}
 	sm.trySleep(0)
 	if sm.issueIdleUntil != 2 {

@@ -195,6 +195,9 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	for i := range g.drams {
 		g.drams[i] = mem.NewDRAMChannel(cfg, st)
 		g.drams[i].AttachObs(opt.sink, i)
+		if cfg.CheckInvariants {
+			g.drams[i].EnableSanitizer(fmt.Sprintf("DRAM[%d]", i))
+		}
 	}
 	g.parts = make([]*mem.Partition, cfg.NumPartitions)
 	for i := range g.parts {
@@ -337,15 +340,29 @@ func (g *GPU) Step() error {
 		g.hprof.MarkPhase(hostprof.PhaseOther)
 	}
 	now := g.cycle
+	// The memory units tick only when due (DESIGN §14): a skipped tick is
+	// provably a no-op, and under the sanitizer each skip is audited.
 	for _, ch := range g.drams {
+		if !ch.Due(now) {
+			continue
+		}
 		for _, r := range ch.Tick(now) {
 			if err := g.parts[r.Partition].DeliverFromDRAM(now, r); err != nil {
 				return err
 			}
 		}
+		if err := ch.SanitizerErr(); err != nil {
+			return err
+		}
 	}
 	for _, p := range g.parts {
-		if err := p.Tick(now); err != nil {
+		var err error
+		if p.Due(now) {
+			err = p.Tick(now)
+		} else if g.cfg.CheckInvariants {
+			err = p.CheckSkip(now)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,8 @@ const sanitizeStride = 16
 //
 //   - the L1's MSHR and miss-queue accounting (delegated to mem.Cache),
 //   - warp/CTA population counters against the warp contexts,
-//   - waiting warps really have outstanding memory accesses,
+//   - waiting warps really have outstanding memory accesses, and every
+//     warp's issue gate matches its context,
 //   - the prefetch queue and its dedup index agree,
 //   - two-level/PAS ready+pending queues partition the live warp set with
 //     no duplicates, and leading-warp marks are unique per CTA,
@@ -47,6 +48,9 @@ func (sm *SM) checkInvariants(now int64) error {
 		}
 		if w.waitLoad && w.outstanding == 0 {
 			return invariant.Errorf(comp, now, "warp slot %d waits on memory with no outstanding access", i)
+		}
+		if want := gateOf(w); sm.gate[i] != want {
+			return invariant.Errorf(comp, now, "warp slot %d issue gate %d disagrees with its context (%d)", i, sm.gate[i], want)
 		}
 	}
 	if live != sm.liveWarps {

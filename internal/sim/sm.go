@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"caps/internal/config"
 	"caps/internal/hostprof"
@@ -44,6 +45,13 @@ type SM struct {
 
 	warps []warpState
 	ctas  []ctaState
+
+	// gate is the warps' dense issue gate: gate[slot] is the warp's
+	// busyUntil while it can issue, and gateNever while it is inactive,
+	// finished, at a barrier or waiting on a load. Eligible, Blocked and
+	// the fast-forward bound scans read only the gate; every write to a
+	// field it derives from is followed by regate.
+	gate []int64
 
 	sched sched.Scheduler
 	pref  prefetch.Prefetcher
@@ -199,6 +207,7 @@ func newSM(id int, cfg config.GPUConfig, k *kernels.Kernel, sc sched.Scheduler,
 		warpsPerCTA: wpc,
 		ctaSlots:    slots,
 		warps:       make([]warpState, slots*wpc),
+		gate:        make([]int64, slots*wpc),
 		ctas:        make([]ctaState, slots),
 		sched:       sc,
 		pref:        pf,
@@ -212,6 +221,7 @@ func newSM(id int, cfg config.GPUConfig, k *kernels.Kernel, sc sched.Scheduler,
 	}
 	for i := range sm.warps {
 		sm.warps[i].slot = i
+		sm.gate[i] = gateNever
 	}
 	// Resolve the scheduler's stall-replay capability once; tryStallReplay
 	// runs on every failed-issue tick and the repeated interface assertion
@@ -284,6 +294,7 @@ func (sm *SM) LaunchCTA(slot, ctaID int) {
 	for w := 0; w < sm.warpsPerCTA; w++ {
 		ws := &sm.warps[slot*sm.warpsPerCTA+w]
 		ws.reset(slot, ctaID, coord, w, len(sm.kernel.Loads))
+		sm.regate(ws)
 		sm.sched.OnActivate(ws.slot, w == 0)
 		sm.snk.WarpDispatch(sm.nowCache, sm.id, ws.slot, ctaID)
 	}
@@ -291,17 +302,28 @@ func (sm *SM) LaunchCTA(slot, ctaID int) {
 	sm.liveWarps += sm.warpsPerCTA
 }
 
-// Eligible implements sched.View; nowCache holds the current cycle during
-// Tick so the View interface does not need a time parameter.
-func (sm *SM) Eligible(slot int) bool {
-	return sm.warps[slot].eligible(sm.nowCache)
+// gateNever is the issue gate of a warp that cannot issue until an event
+// (a launch, a fill, a barrier release) re-gates it.
+const gateNever = int64(math.MaxInt64)
+
+// regate recomputes w's issue gate from its context; it follows every
+// write to active, finished, atBarrier, waitLoad or busyUntil.
+func (sm *SM) regate(w *warpState) { sm.gate[w.slot] = gateOf(w) }
+
+// gateOf is the issue gate w's context implies (see SM.gate).
+func gateOf(w *warpState) int64 {
+	if !w.active || w.finished || w.atBarrier || w.waitLoad {
+		return gateNever
+	}
+	return w.busyUntil
 }
 
+// Eligible implements sched.View; nowCache holds the current cycle during
+// Tick so the View interface does not need a time parameter.
+func (sm *SM) Eligible(slot int) bool { return sm.gate[slot] <= sm.nowCache }
+
 // Blocked implements sched.View: the warp waits on memory or a barrier.
-func (sm *SM) Blocked(slot int) bool {
-	w := &sm.warps[slot]
-	return !w.active || w.finished || w.waitLoad || w.atBarrier
-}
+func (sm *SM) Blocked(slot int) bool { return sm.gate[slot] == gateNever }
 
 // UnblockGen implements sched.View.
 func (sm *SM) UnblockGen() uint64 { return sm.unblockGen }
@@ -348,8 +370,10 @@ func (sm *SM) Tick(now int64) (int, error) {
 	if sm.schedClock != nil {
 		sm.schedClock.ObsTick(now)
 	}
-	if err := sm.acceptResponses(now); err != nil {
-		return 0, err
+	if sm.ic.ResponseReady(now, sm.id) {
+		if err := sm.acceptResponses(now); err != nil {
+			return 0, err
+		}
 	}
 	if now < sm.idleUntil {
 		// Asleep: the last full tick proved (trySleep) that every cycle
@@ -599,6 +623,7 @@ func (sm *SM) acceptResponses(now int64) error {
 							sm.unblockGen++
 						}
 						ws.waitLoad = false
+						sm.regate(ws)
 					}
 				}
 			case mem.Prefetch:
@@ -679,6 +704,7 @@ func (sm *SM) pumpLSU(now int64) {
 				sm.unblockGen++
 			}
 			g.warp.waitLoad = false
+			sm.regate(g.warp)
 			// The warp is promotable again — this cycle's issue stage must
 			// see it, so any cached sleep window is void.
 			sm.wake(wakeRetire)
@@ -809,11 +835,13 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 	switch in.Kind {
 	case kernels.OpCompute:
 		w.busyUntil = now + int64(in.Latency)
+		sm.regate(w)
 		w.pc++
 		sm.st.ALUOps++
 
 	case kernels.OpShared:
 		w.busyUntil = now + int64(in.Latency)
+		sm.regate(w)
 		w.pc++
 		sm.st.SharedMemOps++
 
@@ -821,6 +849,7 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 		w.pc++
 		if w.outstanding > 0 {
 			w.waitLoad = true
+			sm.regate(w)
 			sm.snk.WarpStallBegin(now, sm.id, w.slot)
 			// The warp now waits on memory: demote it so the two-level
 			// ready queue stays populated with runnable warps.
@@ -849,6 +878,7 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 	case kernels.OpBarrier:
 		cta := &sm.ctas[w.ctaSlot]
 		w.atBarrier = true
+		sm.regate(w)
 		cta.barrierCnt++
 		w.pc++
 		sm.snk.WarpBarrier(now, sm.id, w.slot, w.ctaID)
@@ -859,6 +889,7 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 				ws := &sm.warps[cta.warpBase+i]
 				if ws.active && !ws.finished {
 					ws.atBarrier = false
+					sm.regate(ws)
 				}
 			}
 		} else {
@@ -909,6 +940,7 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 			// A dependent use follows immediately: the warp stalls on the
 			// long-latency load and leaves the two-level ready queue.
 			w.waitLoad = true
+			sm.regate(w)
 			sm.snk.WarpStallBegin(now, sm.id, w.slot)
 			sm.sched.OnLongLatency(w.slot)
 			if w.warpInCTA == 0 {
@@ -1002,6 +1034,7 @@ func (sm *SM) markBaseReady(now int64, w *warpState) {
 func (sm *SM) finishWarp(w *warpState) {
 	w.finished = true
 	w.active = false
+	sm.regate(w)
 	sm.liveWarps--
 	sm.st.WarpsDone++
 	sm.sched.OnFinish(w.slot)

@@ -61,12 +61,6 @@ func (w *warpState) reset(ctaSlot, ctaID int, coord kernels.Dim3, warpInCTA, num
 	w.atBarrier = false
 }
 
-// eligible reports whether the warp can issue at the given cycle.
-func (w *warpState) eligible(now int64) bool {
-	return w.active && !w.finished && !w.atBarrier && !w.waitLoad &&
-		w.busyUntil <= now
-}
-
 // ctaState tracks one CTA slot on an SM.
 type ctaState struct {
 	active     bool

@@ -57,32 +57,52 @@ func TestWarpResetReusesIterBuffer(t *testing.T) {
 	}
 }
 
+// TestWarpEligibility drives a warp through each blocking state with the
+// gate's setter and checks what the scheduler's view reads off the gate.
 func TestWarpEligibility(t *testing.T) {
-	w := warpState{}
-	w.reset(0, 0, kernels.Dim3{}, 0, 1)
-	if !w.eligible(10) {
+	g, err := New(tinyConfig(), tinyKernel(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := g.sms[0]
+	w := &sm.warps[0]
+	sm.nowCache = 10
+	if !sm.Eligible(0) || sm.Blocked(0) {
 		t.Fatal("fresh warp should be eligible")
 	}
 	w.busyUntil = 15
-	if w.eligible(10) {
-		t.Error("busy warp must not be eligible")
+	sm.regate(w)
+	if sm.Eligible(0) || sm.Blocked(0) {
+		t.Error("busy warp must be ineligible but not blocked")
 	}
-	if !w.eligible(15) {
+	sm.nowCache = 15
+	if !sm.Eligible(0) {
 		t.Error("warp should be eligible once busyUntil passes")
 	}
-	w.waitLoad = true
-	if w.eligible(20) {
-		t.Error("load-blocked warp must not be eligible")
+	sm.nowCache = 20
+	for _, tc := range []struct {
+		name string
+		set  func(bool)
+	}{
+		{"load-blocked", func(b bool) { w.waitLoad = b }},
+		{"barrier-blocked", func(b bool) { w.atBarrier = b }},
+		{"finished", func(b bool) { w.finished = b }},
+		{"inactive", func(b bool) { w.active = !b }},
+	} {
+		tc.set(true)
+		sm.regate(w)
+		if sm.Eligible(0) || !sm.Blocked(0) {
+			t.Errorf("%s warp must be ineligible and blocked", tc.name)
+		}
+		tc.set(false)
+		sm.regate(w)
+		if !sm.Eligible(0) {
+			t.Errorf("warp no longer %s should be eligible again", tc.name)
+		}
 	}
-	w.waitLoad = false
-	w.atBarrier = true
-	if w.eligible(20) {
-		t.Error("barrier-blocked warp must not be eligible")
-	}
-	w.atBarrier = false
-	w.finished = true
-	if w.eligible(20) {
-		t.Error("finished warp must not be eligible")
+	// The one-CTA grid launches slots 0 and 1 only.
+	if last := len(sm.warps) - 1; last < 2 || !sm.Blocked(last) {
+		t.Error("a never-launched slot must read as blocked")
 	}
 }
 
