@@ -130,6 +130,35 @@ func CheckSeries(cfg config.GPUConfig, bench string, every int64, opts ...sim.Op
 	return len(a), a[len(a)-1].Hash, nil
 }
 
+// CheckIdleSkip holds the idle fast-forward to the plain executor: it runs
+// the benchmark with invariant checking enabled, once plainly and once
+// with sim.WithIdleSkip, and compares the two checkpoint series (every <= 0
+// samples at sim.DefaultProgressEvery). Under the sanitizer the fast
+// path's own audits run too: every skipped L2 partition tick and every
+// settled SM window. It returns the number of checkpoints and the final
+// hash; the error names the first cycle at which the series part.
+func CheckIdleSkip(cfg config.GPUConfig, bench string, every int64, opts ...sim.Option) (int, uint64, error) {
+	cfg.CheckInvariants = true
+	plain, err := CheckpointRun(cfg, bench, every, opts...)
+	if err != nil {
+		return 0, 0, err
+	}
+	skip, err := CheckpointRun(cfg, bench, every, append(opts[:len(opts):len(opts)], sim.WithIdleSkip())...)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := range min(len(plain), len(skip)) {
+		if plain[i] != skip[i] {
+			return 0, 0, fmt.Errorf("determinism: %s: idle-skip checkpoint at cycle %d diverged from the plain run's (%d): %#x vs %#x",
+				bench, skip[i].Cycle, plain[i].Cycle, skip[i].Hash, plain[i].Hash)
+		}
+	}
+	if len(plain) != len(skip) {
+		return 0, 0, fmt.Errorf("determinism: %s: idle-skip run took %d checkpoints, the plain run %d", bench, len(skip), len(plain))
+	}
+	return len(plain), plain[len(plain)-1].Hash, nil
+}
+
 // Bisect dual-runs two sides in lockstep and localizes their first state
 // divergence to an exact cycle. Phase one steps both machines together,
 // comparing StateHash every `every` cycles until a checkpoint disagrees

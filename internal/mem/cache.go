@@ -99,7 +99,7 @@ type mshrEntry struct {
 type Cache struct {
 	cfg   config.CacheConfig
 	sets  [][]cacheLine
-	mshrs map[uint64]*mshrEntry
+	mshrs mshrTable
 	missQ []*Request
 
 	// entryFree recycles MSHR entries (with their waiter-slice capacity)
@@ -116,11 +116,15 @@ type Cache struct {
 	protectPrefetched bool
 
 	// prefetchPool sizes the prefetch request buffer: prefetch-only
-	// misses are tracked in the MSHR map but occupy these entries rather
+	// misses are tracked in the MSHR table but occupy these entries rather
 	// than demand MSHRs (0 disables prefetch misses entirely).
 	prefetchPool int
 	prefetchOnly int // current prefetch-only entries
 	converted    int // prefetch entries a demand merged into, still outstanding
+
+	// tableRefusals counts accesses refused because the MSHR table had no
+	// free slot, which the admission bounds rule out (see Access).
+	tableRefusals int
 
 	setShift uint64
 	setMask  uint64
@@ -211,7 +215,10 @@ func (c *Cache) CheckInvariants(now int64) error {
 		return err
 	}
 	tagged, conv := 0, 0
-	for _, e := range c.mshrs { //simcheck:allow detlint order-insensitive count
+	for _, e := range c.mshrs.slots {
+		if e == nil {
+			continue
+		}
 		if e.prefetchOnly {
 			tagged++
 		}
@@ -228,7 +235,7 @@ func (c *Cache) CheckInvariants(now int64) error {
 			c.converted, conv)
 	}
 	for _, r := range c.missQ {
-		if _, ok := c.mshrs[r.LineAddr]; !ok {
+		if c.mshrs.get(r.LineAddr) == nil {
 			return invariant.Errorf(c.Label(), now, "queued miss for line %#x has no MSHR", r.LineAddr)
 		}
 	}
@@ -242,21 +249,25 @@ func (c *Cache) checkBounds(now int64) error {
 	if pool < 0 {
 		pool = 0
 	}
-	admitted := len(c.mshrs) - c.prefetchOnly - c.converted
+	outstanding := c.mshrs.len()
+	admitted := outstanding - c.prefetchOnly - c.converted
 	switch {
+	case c.tableRefusals > 0:
+		return invariant.Errorf(c.Label(), now, "MSHR table full: %d accesses refused at %d entries",
+			c.tableRefusals, outstanding)
 	case c.prefetchOnly < 0:
 		return invariant.Errorf(c.Label(), now, "prefetch-only MSHR count is negative (%d)", c.prefetchOnly)
 	case c.converted < 0:
 		return invariant.Errorf(c.Label(), now, "converted MSHR count is negative (%d)", c.converted)
-	case c.prefetchOnly > len(c.mshrs):
+	case c.prefetchOnly > outstanding:
 		return invariant.Errorf(c.Label(), now, "prefetch-only MSHRs (%d) exceed total outstanding MSHRs (%d)",
-			c.prefetchOnly, len(c.mshrs))
+			c.prefetchOnly, outstanding)
 	case pool > 0 && c.prefetchOnly > pool:
 		return invariant.Errorf(c.Label(), now, "prefetch-only MSHRs (%d) exceed the prefetch buffer (%d entries)",
 			c.prefetchOnly, pool)
 	case admitted < 0:
 		return invariant.Errorf(c.Label(), now, "demand-admitted MSHRs (%d) negative: %d outstanding, %d prefetch-only, %d converted",
-			admitted, len(c.mshrs), c.prefetchOnly, c.converted)
+			admitted, outstanding, c.prefetchOnly, c.converted)
 	case admitted > c.cfg.MSHREntries:
 		return invariant.Errorf(c.Label(), now, "demand-admitted MSHRs (%d) exceed MSHREntries (%d)",
 			admitted, c.cfg.MSHREntries)
@@ -268,8 +279,8 @@ func (c *Cache) checkBounds(now int64) error {
 }
 
 // HashState folds the cache's architectural state — resident lines, MSHR
-// occupancy and the miss queue — into h for the determinism harness. Map
-// iteration is made order-independent by sorting the MSHR keys first.
+// occupancy and the miss queue — into h for the determinism harness. The
+// MSHR keys are sorted first, so the hash is independent of table layout.
 func (c *Cache) HashState(h hash.Hash64) {
 	var buf [8]byte
 	word := func(v uint64) {
@@ -296,13 +307,15 @@ func (c *Cache) HashState(h hash.Hash64) {
 			word(bits)
 		}
 	}
-	keys := make([]uint64, 0, len(c.mshrs))
-	for k := range c.mshrs {
-		keys = append(keys, k)
+	keys := make([]uint64, 0, c.mshrs.len())
+	for _, e := range c.mshrs.slots {
+		if e != nil {
+			keys = append(keys, e.lineAddr)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		e := c.mshrs[k]
+		e := c.mshrs.get(k)
 		word(k)
 		word(uint64(len(e.waiters)))
 		if e.prefetchOnly {
@@ -340,7 +353,7 @@ func NewCacheWithPrefetchPool(cfg config.CacheConfig, protectPrefetched bool, pr
 		protectPrefetched: protectPrefetched,
 		prefetchPool:      prefetchPool,
 		sets:              make([][]cacheLine, sets),
-		mshrs:             make(map[uint64]*mshrEntry, cfg.MSHREntries),
+		mshrs:             newMSHRTable(cfg.MSHREntries + max(prefetchPool, 0)),
 		missQ:             make([]*Request, 0, cfg.MissQueue),
 	}
 	for i := range c.sets {
@@ -381,12 +394,11 @@ func (c *Cache) Probe(lineAddr uint64) bool {
 
 // InFlight reports whether the line has an allocated MSHR.
 func (c *Cache) InFlight(lineAddr uint64) bool {
-	_, ok := c.mshrs[lineAddr]
-	return ok
+	return c.mshrs.get(lineAddr) != nil
 }
 
 // MSHRsFree returns the number of unallocated demand MSHRs.
-func (c *Cache) MSHRsFree() int { return c.cfg.MSHREntries - (len(c.mshrs) - c.prefetchOnly) }
+func (c *Cache) MSHRsFree() int { return c.cfg.MSHREntries - (c.mshrs.len() - c.prefetchOnly) }
 
 // MissQueueLen returns the current depth of the outgoing miss queue.
 func (c *Cache) MissQueueLen() int { return len(c.missQ) }
@@ -423,7 +435,7 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 		}
 	}
 	// Miss: merge into an in-flight MSHR if present.
-	if e, ok := c.mshrs[req.LineAddr]; ok {
+	if e := c.mshrs.get(req.LineAddr); e != nil {
 		e.waiters = append(e.waiters, req) //caps:alloc-ok waiter capacity is retained across entry recycling and converges to the peak merge depth
 		res := AccessResult{Outcome: MissMerged}
 		c.sink.MSHRMerge(now, c.sinkDom, c.sinkID, req.LineAddr)
@@ -453,7 +465,7 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 			c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, false)
 			return AccessResult{Outcome: ResFailMSHR}
 		}
-	} else if len(c.mshrs)-c.prefetchOnly >= c.cfg.MSHREntries {
+	} else if c.mshrs.len()-c.prefetchOnly >= c.cfg.MSHREntries {
 		c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, false)
 		return AccessResult{Outcome: ResFailMSHR}
 	}
@@ -461,8 +473,18 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 		c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, true)
 		return AccessResult{Outcome: ResFailQueue}
 	}
+	if c.mshrs.full() {
+		// Unreachable while the admission checks above hold: the table has
+		// mshrLoadFactor slots per admissible entry. Reject the access like
+		// any reservation fail, so it replays; the sanitizer's bound check
+		// reports the refusal.
+		c.tableRefusals++
+		c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, false)
+		return AccessResult{Outcome: ResFailMSHR}
+	}
 	c.sink.MSHRAlloc(now, c.sinkDom, c.sinkID, req.LineAddr, usePool)
 	e := c.newEntry(req.LineAddr)
+	c.mshrs.put(e)
 	e.waiters = append(e.waiters, req) //caps:alloc-ok waiter capacity is retained across entry recycling and converges to the peak merge depth
 	if usePool {
 		e.prefetchOnly = true
@@ -471,7 +493,6 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 		e.prefWarp = req.WarpSlot
 		e.prefIssueCycle = req.IssueCycle
 	}
-	c.mshrs[req.LineAddr] = e
 	c.missQ = append(c.missQ, req) //caps:alloc-ok missQ is preallocated to cfg.MissQueue; the bound check above holds it there
 	c.sink.MemAccess(now, c.sinkDom, c.sinkID, req.WarpSlot, -1, req.PC, req.LineAddr, obs.AccessMissNew, req.Kind == Prefetch)
 	return AccessResult{Outcome: MissNew}
@@ -545,8 +566,8 @@ func (c *Cache) Fill(now int64, lineAddr uint64) (FillResult, error) {
 		defer c.audit(now) //caps:alloc-ok sanitizer cordon: auditing runs only under CheckInvariants
 
 	}
-	e, ok := c.mshrs[lineAddr]
-	if !ok {
+	e := c.mshrs.del(lineAddr)
+	if e == nil {
 		return FillResult{}, invariant.Errorf(c.Label(), now, "fill for line %#x without an outstanding MSHR", lineAddr) //caps:alloc-ok run-aborting error path: a fill without an MSHR ends the simulation
 	}
 	if e.prefetchOnly {
@@ -555,7 +576,6 @@ func (c *Cache) Fill(now int64, lineAddr uint64) (FillResult, error) {
 	if e.converted {
 		c.converted--
 	}
-	delete(c.mshrs, lineAddr)
 
 	set := c.sets[c.setIndex(lineAddr)]
 	// Victim selection: invalid first, then LRU among lines that are not
@@ -615,7 +635,7 @@ func (c *Cache) UnusedPrefetchedLines() int64 {
 }
 
 // OutstandingMSHRs returns the number of in-flight misses.
-func (c *Cache) OutstandingMSHRs() int { return len(c.mshrs) }
+func (c *Cache) OutstandingMSHRs() int { return c.mshrs.len() }
 
 // PrefetchMSHRs returns the number of in-flight misses that were allocated
 // by a prefetch and have not been joined by a demand request (occupancy of

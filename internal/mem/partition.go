@@ -214,7 +214,7 @@ func (p *Partition) Tick(now int64) error {
 		quiet := len(p.fillLines) == 0 && !p.l2.sink.Live(obs.EvResFail) &&
 			!(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
 		if quiet {
-			p.l2.sink.PartResFails(p.ID, p.l2.MSHRsFree() > 0, len(p.retryQ))
+			p.l2.sink.ResFails(obs.DomPart, p.ID, p.l2.MSHRsFree() > 0, int64(len(p.retryQ)))
 		} else {
 			p.replayStalled(now)
 		}

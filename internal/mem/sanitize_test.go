@@ -40,7 +40,7 @@ func wantViolation(t *testing.T, err error, substr string) *invariant.Violation 
 func TestSanitizerCatchesPrefetchCounterCorruption(t *testing.T) {
 	c := sanitizedCache(t)
 	c.Access(1, demandReq(0))
-	c.prefetchOnly = len(c.mshrs) + 1 // corrupt: more tagged than outstanding
+	c.prefetchOnly = c.mshrs.len() + 1 // corrupt: more tagged than outstanding
 	wantViolation(t, c.CheckInvariants(2), "exceed total outstanding")
 }
 
@@ -58,7 +58,9 @@ func TestSanitizerCatchesDemandOverflow(t *testing.T) {
 	// MSHRs than the configuration owns.
 	for i := 0; i <= c.cfg.MSHREntries; i++ {
 		addr := uint64(i) << 10
-		c.mshrs[addr] = &mshrEntry{lineAddr: addr}
+		if !c.mshrs.put(&mshrEntry{lineAddr: addr}) {
+			t.Fatalf("planting MSHR %d: table full", i)
+		}
 	}
 	wantViolation(t, c.CheckInvariants(4), "exceed MSHREntries")
 }
@@ -67,7 +69,9 @@ func TestSanitizerCatchesMissQueueOverflow(t *testing.T) {
 	c := sanitizedCache(t)
 	for i := 0; i < c.cfg.MissQueue; i++ {
 		r := demandReq(uint64(i) << 10)
-		c.mshrs[r.LineAddr] = &mshrEntry{lineAddr: r.LineAddr}
+		if !c.mshrs.put(&mshrEntry{lineAddr: r.LineAddr}) {
+			t.Fatalf("planting MSHR %d: table full", i)
+		}
 		c.missQ = append(c.missQ, r)
 	}
 	// One more queued miss for an already-tracked line: the MSHR population

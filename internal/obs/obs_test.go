@@ -17,7 +17,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.WarpDispatch(1, 0, 0, 0)
 	s.WarpStallBegin(1, 0, 0)
 	s.WarpStallEnd(2, 0, 0)
-	s.CycleClass(1, 0, CycleIssue)
+	s.CycleClass(1, 0, CycleIssue, 1)
 	s.WarpBarrier(1, 0, 0, 0)
 	s.WarpFinish(1, 0, 0)
 	s.SchedPromote(1, 0, 0)
@@ -39,7 +39,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.MSHRMerge(1, DomPart, 0, 0x80)
 	s.MSHRConvert(1, 0, 0x80)
 	s.ResFail(1, DomSM, 0, 0x80, true)
-	s.PartResFails(0, true, 3)
+	s.ResFails(DomPart, 0, true, 3)
 	s.LoadIssue(1, 0, 0, 0, 1, 1, 0x80, false)
 	s.MemAccess(1, DomSM, 0, 0, 0, 1, 0x80, AccessHit, false)
 	s.QueueSample(1, DomSM, 0, QueueL1MSHR, 3)
@@ -232,8 +232,8 @@ func TestConsumerSeesAllEventsIncludingCycleClass(t *testing.T) {
 	s.Attach(&c)
 	s.CTALaunch(0, 0, 0)
 	s.WarpStallBegin(1, 0, 0)
-	s.WarpStallEnd(5, 0, 0)        // over the trace cap: dropped from trace, not from consumers
-	s.CycleClass(6, 0, CycleIssue) // never buffered, streamed only
+	s.WarpStallEnd(5, 0, 0)           // over the trace cap: dropped from trace, not from consumers
+	s.CycleClass(6, 0, CycleIssue, 1) // never buffered, streamed only
 	if s.Trace().Len() != 2 || s.Trace().Dropped() != 1 {
 		t.Fatalf("trace len=%d dropped=%d, want 2/1", s.Trace().Len(), s.Trace().Dropped())
 	}
@@ -273,7 +273,7 @@ func TestKindFilterSkipsDeclinedKinds(t *testing.T) {
 	s.WarpStallBegin(1, 0, 0)           // wanted
 	s.WarpStallEnd(5, 0, 0)             // declined
 	s.ResFail(6, DomSM, 0, 0x80, false) // declined — the high-rate kind the filter exists for
-	s.CycleClass(7, 0, CycleIssue)      // declined via the same filter
+	s.CycleClass(7, 0, CycleIssue, 1)   // declined via the same filter
 	if len(c.events) != 1 || c.events[0].Kind != EvWarpStallBegin {
 		t.Fatalf("filtered consumer saw %d events %v, want exactly one EvWarpStallBegin", len(c.events), c.events)
 	}
@@ -391,7 +391,7 @@ func TestSampleKinds(t *testing.T) {
 func TestWriteCSVFullSnapshot(t *testing.T) {
 	s := New(Config{SMs: 1, Partitions: 1, Channels: 1})
 	s.PrefDrop(1, 0, 0, 7, 0x80, DropSetFull)
-	s.CycleClass(1, 0, CycleMemStructural)
+	s.CycleClass(1, 0, CycleMemStructural, 1)
 	s.PickOutcome(1, 0, 2, PickDemoteLongLatency)
 	s.CTAPhase(1, 0, 0, CTAPhaseFirstIssue)
 	s.TableOp(1, 0, -1, 7, TableDistFill)
@@ -520,7 +520,7 @@ func fireEveryHook(s *Sink) {
 	s.WarpDispatch(1, 0, 0, 0)
 	s.WarpStallBegin(1, 0, 0)
 	s.WarpStallEnd(2, 0, 0)
-	s.CycleClass(2, 0, CycleIssue)
+	s.CycleClass(2, 0, CycleIssue, 1)
 	s.WarpBarrier(2, 0, 0, 0)
 	s.SchedPromote(2, 0, 0)
 	s.SchedDemote(2, 0, 0)
@@ -592,16 +592,16 @@ func TestDeadKindStillCounts(t *testing.T) {
 	}
 
 	// The bulk entry adds to the same counters ResFail does, per label.
-	dead.PartResFails(0, false, 5)
-	dead.PartResFails(0, true, 2)
-	dead.PartResFails(1, true, 9) // no such partition: ignored
+	dead.ResFails(DomPart, 0, false, 5)
+	dead.ResFails(DomPart, 0, true, 2)
+	dead.ResFails(DomPart, 1, true, 9) // no such partition: ignored
 	for i := 0; i < 5; i++ {
 		all.ResFail(9, DomPart, 0, 0x80, false)
 	}
 	all.ResFail(9, DomPart, 0, 0x80, true)
 	all.ResFail(9, DomPart, 0, 0x80, true)
 	if got, want := dead.Snapshot(), all.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("PartResFails disagrees with per-event ResFail\n got: %v\nwant: %v", got, want)
+		t.Errorf("ResFails disagrees with per-event ResFail\n got: %v\nwant: %v", got, want)
 	}
 }
 
@@ -636,5 +636,84 @@ func TestKindLiveness(t *testing.T) {
 	}
 	if s.Live(numKinds) {
 		t.Fatal("out-of-range kind reported live")
+	}
+}
+
+// runFolder folds the cycle-class stream and nothing else, declaring that
+// it takes runs (obs.RunFolder), the way capsprof's collector does.
+type runFolder struct {
+	cycles [NumCycleClasses]int64
+	events int
+}
+
+func (f *runFolder) Consume(e Event) {
+	f.cycles[e.Arg] += e.Cycles()
+	f.events++
+}
+func (f *runFolder) WantsKind(k Kind) bool { return k == EvCycleClass }
+func (f *runFolder) FoldsCycleRuns() bool  { return true }
+
+// TestFoldable pins when a sink takes bulk cycle credits: with no
+// receiver for EvResFail and only run-folding cycle-class consumers.
+// Anything that would see a settled run's events out of their per-cycle
+// order — a trace, staging, an EvResFail subscriber, a consumer keeping
+// the class stream — turns it off.
+func TestFoldable(t *testing.T) {
+	var nilSink *Sink
+	if !nilSink.Foldable() {
+		t.Fatal("a nil sink is not foldable")
+	}
+	folding := New(Config{SMs: 1})
+	folding.Attach(&runFolder{})
+	folding.Attach(&kindConsumer{want: map[Kind]bool{EvLoadIssue: true}})
+	if !folding.Foldable() {
+		t.Fatal("a sink with a run folder and an unrelated subscriber is not foldable")
+	}
+	traced := New(Config{SMs: 1, Trace: true})
+	staged := New(Config{SMs: 1})
+	staged.EnableStaging()
+	resFail := New(Config{SMs: 1})
+	resFail.Attach(&kindConsumer{want: map[Kind]bool{EvResFail: true}})
+	keeper := New(Config{SMs: 1})
+	keeper.Attach(&kindConsumer{want: map[Kind]bool{EvCycleClass: true}})
+	for name, s := range map[string]*Sink{"traced": traced, "staged": staged, "resfail": resFail, "class keeper": keeper} {
+		if s.Foldable() {
+			t.Errorf("%s sink is foldable", name)
+		}
+	}
+}
+
+// A run reported in one call counts exactly as its cycles reported one by
+// one, in the counters and in a run-folding consumer, and survives the
+// parallel staging round trip with its length.
+func TestCycleClassRunFoldsAsItsLength(t *testing.T) {
+	single, bulk := New(Config{SMs: 1}), New(Config{SMs: 1})
+	fs, fb := &runFolder{}, &runFolder{}
+	single.Attach(fs)
+	bulk.Attach(fb)
+	for c := int64(10); c < 17; c++ {
+		single.CycleClass(c, 0, CycleMemStructural, 1)
+	}
+	single.CycleClass(17, 0, CycleIdle, 1)
+	bulk.CycleClass(10, 0, CycleMemStructural, 7)
+	bulk.CycleClass(17, 0, CycleIdle, 1)
+	if !reflect.DeepEqual(bulk.Snapshot(), single.Snapshot()) {
+		t.Errorf("bulk counters differ from per-cycle ones\n got: %v\nwant: %v", bulk.Snapshot(), single.Snapshot())
+	}
+	if fb.cycles != fs.cycles || fb.events != 2 || fs.events != 8 {
+		t.Errorf("folded %v in %d events, per-cycle %v in %d", fb.cycles, fb.events, fs.cycles, fs.events)
+	}
+
+	staged := New(Config{SMs: 1})
+	staged.EnableStaging()
+	fst := &runFolder{}
+	staged.Attach(fst)
+	staged.StageBegin()
+	staged.CycleClass(10, 0, CycleMemStructural, 7)
+	staged.CycleClass(17, 0, CycleIdle, 1)
+	staged.StageEnd()
+	staged.StageReplay(0)
+	if !reflect.DeepEqual(staged.Snapshot(), single.Snapshot()) || fst.cycles != fs.cycles {
+		t.Errorf("staged run replayed as %v, want %v", fst.cycles, fs.cycles)
 	}
 }

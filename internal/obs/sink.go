@@ -91,8 +91,10 @@ type Sink struct {
 	byKind      [numKinds][]Consumer
 
 	// live marks the kinds that have a receiver (see Live); refreshLive
-	// derives it whenever a receiver is added.
-	live [numKinds]bool
+	// derives it whenever a receiver is added, together with foldable
+	// (see Foldable).
+	live     [numKinds]bool
+	foldable bool
 
 	cyclesG   *Gauge
 	prefDist  *Histogram
@@ -119,6 +121,15 @@ type Consumer interface {
 // everything.
 type StreamFilter interface {
 	WantsCycleClass() bool
+}
+
+// RunFolder is an optional Consumer refinement for the per-cycle class
+// stream: a consumer that folds an EvCycleClass event as Event.Cycles()
+// cycles, and does not depend on the order of those events across SMs,
+// returns true. Consumers that don't implement it are taken to keep each
+// cycle's event in order (a flight recorder with KeepCycleClass).
+type RunFolder interface {
+	FoldsCycleRuns() bool
 }
 
 // KindFilter is an optional Consumer refinement: a consumer that folds
@@ -222,7 +233,21 @@ func (s *Sink) refreshLive() {
 	for k := range s.live {
 		s.live[k] = s.trace != nil || s.stage != nil || len(s.byKind[k]) > 0
 	}
+	s.foldable = !s.live[EvResFail]
+	for _, c := range s.cycleStream {
+		if f, ok := c.(RunFolder); !ok || !f.FoldsCycleRuns() {
+			s.foldable = false
+		}
+	}
 }
+
+// Foldable reports whether the simulator may report a run of identical
+// quiet SM cycles in bulk: one CycleClass call for the run and one ResFails
+// count for its reservation fails. That holds while EvResFail has no
+// receiver and every cycle-class consumer folds runs (RunFolder); either
+// kind of receiver would otherwise see the run's events out of their
+// per-cycle order. True on a nil sink.
+func (s *Sink) Foldable() bool { return s == nil || s.foldable }
 
 // Live reports whether events of kind k have a receiver: the trace, the
 // parallel staging lanes, or a subscribed consumer. False on a nil sink.
@@ -440,21 +465,28 @@ func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
 	s.sm[sm].warpStallEnd.Inc()
 }
 
-// CycleClass attributes one SM cycle to its stall-stack bucket. This is
-// the highest-rate hook in the system (one call per SM per cycle), so it
-// updates a pre-resolved counter and streams to consumers only — the
-// bounded trace buffer never sees it.
-func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass) {
+// CycleClass attributes the n SM cycles from cycle on to one stall-stack
+// bucket: the counter grows by n and consumers receive one EvCycleClass
+// event whose Val is the run length (0 for a single cycle, see
+// Event.Cycles). This is the highest-rate hook in the system — an SM
+// reports every cycle it ticks, coalescing runs of one class only while
+// the sink is Foldable — so it updates a pre-resolved counter and streams
+// to consumers only: the bounded trace buffer never sees it.
+func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
 	if s == nil || !s.smOK(sm) || class >= NumCycleClasses {
 		return
 	}
+	var run int64
+	if n > 1 {
+		run = n
+	}
 	if st := s.stage; st != nil && st.on {
-		s.stageEvent(Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class)})
+		s.stageEvent(Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run})
 		return
 	}
-	s.sm[sm].cycleClass[class].Inc()
+	s.sm[sm].cycleClass[class].Add(n)
 	if len(s.cycleStream) > 0 {
-		e := Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class)}
+		e := Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run}
 		for _, c := range s.cycleStream {
 			c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
 
@@ -783,15 +815,18 @@ func (s *Sink) ResFail(cycle int64, dom Domain, track int, addr uint64, queueFul
 	m.resFail(queueFull).Inc()
 }
 
-// PartResFails counts n reservation failures at L2 slice part in one call,
+// ResFails counts n reservation failures at an L1 or L2 cache in one call,
 // labelled as ResFail labels them. It builds no events, so it is only for
 // callers that have checked EvResFail is dead (see Live): the L2
-// partition's frozen retry queue, whose every replay is a proven fail.
-func (s *Sink) PartResFails(part int, queueFull bool, n int) {
-	if s == nil || !s.partOK(part) {
+// partition's frozen retry queue, whose every replay is a proven fail, and
+// an SM settling a stall-replay window in bulk.
+func (s *Sink) ResFails(dom Domain, track int, queueFull bool, n int64) {
+	if s == nil {
 		return
 	}
-	s.part[part].resFail(queueFull).Add(int64(n))
+	if m := s.cache(dom, track); m != nil {
+		m.resFail(queueFull).Add(n)
+	}
 }
 
 // RowHit records a DRAM row-buffer hit on a channel; bank is the serviced

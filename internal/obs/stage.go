@@ -165,6 +165,6 @@ func (s *Sink) applyEvent(e Event) {
 		class, pref := UnpackAccess(e.Arg)
 		s.MemAccess(c, e.Dom, t, int(e.Warp), int(e.CTA), e.PC, e.Addr, class, pref)
 	case EvCycleClass:
-		s.CycleClass(c, t, CycleClass(e.Arg))
+		s.CycleClass(c, t, CycleClass(e.Arg), e.Cycles())
 	}
 }

@@ -463,7 +463,9 @@ func (o TableOp) String() string {
 // QueueKind for EvQueueSample, DRAM bank for EvRowHit/EvRowMiss, 1 for an
 // indirect load on EvLoadIssue); Val carries the kind-specific magnitude
 // (prefetch-to-demand distance in cycles for EvPrefConsume, warp-in-CTA
-// index for EvLoadIssue, sampled depth for EvQueueSample).
+// index for EvLoadIssue, sampled depth for EvQueueSample, and the run
+// length for EvCycleClass: 0 for a single cycle, n > 1 for a run of n
+// consecutive cycles of one class an SM reported at once; see Cycles).
 type Event struct {
 	Cycle int64
 	Addr  uint64
@@ -476,6 +478,10 @@ type Event struct {
 	Dom   Domain
 	Arg   uint8
 }
+
+// Cycles returns how many SM cycles an EvCycleClass event attributes to
+// its class: its run length Val, or 1 for a single-cycle event (Val 0).
+func (e Event) Cycles() int64 { return max(e.Val, 1) }
 
 // Trace is a bounded, append-only event buffer. When the cap is reached,
 // further events are counted but not stored (silent truncation would read

@@ -66,6 +66,11 @@ func NewCollector(numSMs int) *Collector {
 
 var _ obs.Consumer = (*Collector)(nil)
 var _ obs.KindFilter = (*Collector)(nil)
+var _ obs.RunFolder = (*Collector)(nil)
+
+// FoldsCycleRuns implements obs.RunFolder: the stall stack only sums each
+// SM's cycles per class, so a settled run folds as its length.
+func (c *Collector) FoldsCycleRuns() bool { return true }
 
 // WantsKind implements obs.KindFilter: exactly the kinds the Consume switch
 // folds. Declining the rest keeps them dead on a sink with no other
@@ -120,7 +125,7 @@ func (c *Collector) Consume(e obs.Event) {
 	case obs.EvCycleClass:
 		sm := int(e.Track)
 		if sm >= 0 && sm < len(c.classes) && int(e.Arg) < int(obs.NumCycleClasses) {
-			c.classes[sm][e.Arg]++
+			c.classes[sm][e.Arg] += e.Cycles()
 		}
 	case obs.EvPrefCandidate:
 		if l := c.pcLedger(e.PC); l != nil {

@@ -30,6 +30,7 @@ func (g *GPU) DumpNow(reason flight.Reason, msg string) *flight.Dump {
 	if g.flight == nil {
 		return nil
 	}
+	g.settle()
 	h := flight.Header{
 		Reason:       reason,
 		Message:      msg,

@@ -72,6 +72,9 @@ type GPU struct {
 	// snk is the run's observability sink (nil when disabled).
 	snk *obs.Sink
 
+	// tickEvery disables window skipping (see options.tickEvery).
+	tickEvery bool
+
 	// Parallel-tick state (workers > 1): the lazily started worker pool
 	// and the precheck scratch counting per-partition interconnect demand.
 	workers    int
@@ -162,12 +165,13 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 
 	st := &stats.Sim{}
 	g := &GPU{cfg: cfg, kernel: k, st: st, snk: opt.sink,
-		flight:   opt.flight,
-		onDump:   opt.onDump,
-		beatMask: beat - 1,
-		watchdog: opt.watchdogCycles,
-		injectAt: opt.injectViolation,
-		prefName: opt.prefetcher,
+		flight:    opt.flight,
+		onDump:    opt.onDump,
+		beatMask:  beat - 1,
+		watchdog:  opt.watchdogCycles,
+		injectAt:  opt.injectViolation,
+		prefName:  opt.prefetcher,
+		tickEvery: opt.tickEvery,
 	}
 	if g.watchdog == 0 {
 		g.watchdog = DefaultWatchdogCycles
@@ -222,6 +226,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		}
 		g.sms[i] = newSM(i, cfg, k, sc, pf, g.icnt, shard, g.requestDispatch)
 		g.sms[i].idleSkipOn = opt.idleSkip
+		g.sms[i].clock = &g.cycle
 		g.sms[i].hprof = g.hprof.SMProf(i)
 		g.sms[i].AttachObs(opt.sink)
 	}
@@ -293,16 +298,33 @@ func (g *GPU) requestDispatch(smID int) {
 	g.dispatchReq = append(g.dispatchReq, smID)
 }
 
-// Stats exposes the run's counters, draining the per-SM shards into the
-// global struct first so callers always see complete totals. Safe to call
-// mid-run between Steps (shards zero as they drain, so the merge is not
-// double-counted), but not from another goroutine during one.
+// Stats exposes the run's counters, settling every SM's skipped window
+// cycles and draining the per-SM shards into the global struct first so
+// callers always see complete totals. Safe to call mid-run between Steps
+// (shards zero as they drain, so the merge is not double-counted), but not
+// from another goroutine during one.
 func (g *GPU) Stats() *stats.Sim {
+	g.settle()
 	for i := range g.shards {
 		g.st.AddFrom(&g.shards[i])
 	}
 	return g.st
 }
+
+// settle applies every SM's skipped window cycles up to the current cycle
+// (see SM.settle) and reports their pending cycle-class runs, so state
+// and metrics read between Steps are complete.
+func (g *GPU) settle() {
+	for _, sm := range g.sms {
+		sm.settle(g.cycle)
+		sm.flushRuns()
+	}
+}
+
+// skipping reports whether this Step may leave SMs inside their windows
+// unticked: always, unless the sink cannot take bulk credits or the
+// every-SM reference is selected (see fastforward.go).
+func (g *GPU) skipping() bool { return !g.tickEvery && g.snk.Foldable() }
 
 // Instructions returns the number of warp instructions issued so far
 // without forcing a shard merge: the Run loop's instruction cap, the
@@ -386,8 +408,10 @@ func (g *GPU) Step() error {
 		if g.nextCTA >= g.kernel.NumCTAs() {
 			break
 		}
-		if slot := g.sms[smID].FreeCTASlot(); slot >= 0 {
-			g.sms[smID].LaunchCTA(slot, g.nextCTA)
+		sm := g.sms[smID]
+		if slot := sm.FreeCTASlot(); slot >= 0 {
+			sm.settle(now + 1) // the launch wakes the SM: close its window at this cycle
+			sm.LaunchCTA(slot, g.nextCTA)
 			g.nextCTA++
 		}
 	}
@@ -406,7 +430,11 @@ func (g *GPU) Step() error {
 // comparable across serial and parallel runs.
 func (g *GPU) tickSerial(now int64) error {
 	timed := g.hprof.Sampling()
+	skip := g.skipping()
 	for _, sm := range g.sms {
+		if skip && sm.asleep(now) {
+			continue
+		}
 		var t0 int64
 		if timed {
 			t0 = g.hprof.Clock()
@@ -459,17 +487,18 @@ func (g *GPU) RequestStop() { g.stopReq.Store(true) }
 // stopping (SIGQUIT semantics). Safe to call from another goroutine.
 func (g *GPU) RequestDump() { g.dumpReq.Store(true) }
 
-// Close releases the worker pool's goroutines and finalizes the host
-// profiler (wall-clock span plus the schedulers' stall-replay cost). It
-// is idempotent and a no-op for serial GPUs without a profiler. Run
-// closes itself; Close matters for GPUs built with WithWorkers(n > 1) or
-// WithHostProf and stepped manually (the determinism harness, lockstep
+// Close releases the worker pool's goroutines, settles every SM (see
+// settle) and finalizes the host profiler (wall-clock span plus the
+// schedulers' stall-replay cost). It is idempotent. Run closes itself;
+// Close matters for GPUs built with WithWorkers(n > 1), WithHostProf or a
+// sink and stepped manually (the determinism harness, lockstep
 // bisection).
 func (g *GPU) Close() {
 	if g.pool != nil {
 		g.pool.stop()
 		g.pool = nil
 	}
+	g.settle() // the skip ledger and the sink count every settled cycle
 	if g.hprof != nil && !g.hprofDone {
 		g.hprofDone = true
 		g.hprof.Finish()

@@ -19,8 +19,10 @@ type stateHasher interface {
 // checkpoint sensitive to any divergence in core-side state, not just the
 // end-of-run counters.
 func (sm *SM) HashState(h hash.Hash64) {
-	// The stall replay defers scheduler cursor movement (see stallTicks);
-	// fold the cursor's true position, not its lazy one.
+	// Window cycles the GPU skipped are settled first, and the stall
+	// replay defers scheduler cursor movement (see stallTicks); fold the
+	// cursor's true position, not its lazy one.
+	sm.settle(*sm.clock)
 	sm.flushStallTicks()
 	var buf [8]byte
 	word := func(v uint64) {

@@ -8,6 +8,7 @@ import (
 	"caps/internal/config"
 	"caps/internal/kernels"
 	"caps/internal/obs"
+	"caps/internal/profile"
 	"caps/internal/stats"
 )
 
@@ -180,3 +181,45 @@ func benchObs(b *testing.B, mk func(config.GPUConfig) *obs.Sink) {
 		}
 	}
 }
+
+// benchLens is the shared body of the per-lens overhead pairs
+// (BenchmarkMemLensOverhead, BenchmarkSchedLensOverhead,
+// BenchmarkProfileOverhead and their No* baselines): MM-CAPS with
+// idle-skip on a metrics-only sink, with attach adding the lens under
+// test. Both sides of a pair pay for the sink, so the pair isolates the
+// lens; BenchmarkObsMetricsOverhead against BenchmarkObsDisabledOverhead
+// prices the sink itself. attach may return options or attach a consumer
+// to snk directly; nil attaches nothing.
+func benchLens(b *testing.B, attach func(cfg config.GPUConfig, snk *obs.Sink) []Option) {
+	cfg := obsConfig()
+	k, err := kernels.ByAbbr("MM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		snk := NewSink(cfg, false, 0)
+		opts := []Option{WithPrefetcher("caps"), WithIdleSkip(), WithObs(snk)}
+		if attach != nil {
+			opts = append(opts, attach(cfg, snk)...)
+		}
+		g, err := New(cfg, k, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProfileOverhead / BenchmarkNoProfileOverhead price capsprof's
+// stall-stack collector, whose per-SM cycle-class fold is the sink's
+// highest-rate stream (see benchLens).
+func BenchmarkProfileOverhead(b *testing.B) {
+	benchLens(b, func(cfg config.GPUConfig, snk *obs.Sink) []Option {
+		snk.Attach(profile.NewCollector(cfg.NumSMs))
+		return nil
+	})
+}
+func BenchmarkNoProfileOverhead(b *testing.B) { benchLens(b, nil) }

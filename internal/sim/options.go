@@ -39,6 +39,10 @@ type options struct {
 	// lenses are the streaming profilers riding the obs event stream
 	// (WithMemLens, WithSchedLens), attached in option order.
 	lenses []obs.Consumer
+	// tickEvery makes Step tick every SM on every cycle, settling window
+	// cycles one tick at a time: the reference the window-skip
+	// differential test compares against. Tests alone set it.
+	tickEvery bool
 }
 
 // WithPrefetcher selects a registered prefetcher by name ("none", "caps",
@@ -155,10 +159,12 @@ func WithSchedLens(c *schedlens.Collector) Option {
 // WithIdleSkip enables idle-cycle fast-forward (see fastforward.go). Per
 // SM, a tick that proves itself a no-op caches a sleep window and every
 // tick inside it short-circuits past the scheduler scan; a structural
-// stall whose cycles are provably identical replays in O(1) per cycle, in
-// the SMs and in the L2 partitions. Every cycle still executes a Step, so
-// beats, caps and per-cycle events land exactly where they would without
-// it, and statistics and state hashes are bit-identical.
+// stall whose cycles are provably identical replays in O(1), in the SMs
+// and in the L2 partitions, and an SM inside a full-sleep or stall-replay
+// window is not ticked at all until the window ends or a response
+// arrives. Every cycle still executes a Step, so beats, caps and
+// per-cycle events land exactly where they would without it, and
+// statistics and state hashes are bit-identical.
 func WithIdleSkip() Option {
 	return func(o *options) { o.idleSkip = true }
 }

@@ -39,6 +39,10 @@ type smPool struct {
 	// worker owning that shard, so the pool needs no extra synchronization.
 	hp *hostprof.Profiler
 
+	// skip lets workers leave SMs inside their windows unticked this
+	// cycle (GPU.skipping); set before the hand-off, which orders it.
+	skip bool
+
 	stopped bool
 }
 
@@ -84,6 +88,10 @@ func (p *smPool) worker(w int) {
 // On sampled steps the tick is timed into worker w's busy slot and the
 // SM's duration EWMA.
 func (p *smPool) tickOne(sm *SM, w int, now int64) {
+	if p.skip && sm.asleep(now) {
+		p.issued[sm.id] = 0
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics[sm.id] = r
@@ -99,7 +107,8 @@ func (p *smPool) tickOne(sm *SM, w int, now int64) {
 }
 
 // tick runs one parallel SM phase: fan out, tick shard 0 inline, barrier.
-func (p *smPool) tick(now int64) {
+func (p *smPool) tick(now int64, skip bool) {
+	p.skip = skip
 	for _, ch := range p.start {
 		ch <- now
 	}
@@ -151,7 +160,7 @@ func (g *GPU) stepSMs(now int64) error {
 	for _, sm := range g.sms {
 		sm.staged = true
 	}
-	g.pool.tick(now)
+	g.pool.tick(now, g.skipping())
 	for _, sm := range g.sms {
 		sm.staged = false
 	}

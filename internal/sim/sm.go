@@ -6,6 +6,7 @@ import (
 
 	"caps/internal/config"
 	"caps/internal/hostprof"
+	"caps/internal/invariant"
 	"caps/internal/kernels"
 	"caps/internal/mem"
 	"caps/internal/obs"
@@ -116,10 +117,10 @@ type SM struct {
 	// idleUntil caches trySleep's full-sleep verdict from the last full
 	// tick (issueBound plus empty LSU/store/prefetch/miss queues): for
 	// every cycle strictly below it the whole tick pipeline is provably a
-	// no-op unless a fill arrives, so Tick short-circuits right after
-	// acceptResponses. sleepClass is the stall-stack class each slept cycle
-	// records — constant across the window because nothing in its inputs
-	// changes on a no-op cycle.
+	// no-op unless a fill arrives, so the cycle only settles (settle) and
+	// the GPU need not tick the SM at all. sleepClass is the stall-stack
+	// class each slept cycle records — constant across the window because
+	// nothing in its inputs changes on a no-op cycle.
 	//
 	// issueIdleUntil caches the weaker issueBound verdict (quiescent
 	// scheduler, no warp eligible before that cycle): the memory pipes
@@ -132,11 +133,11 @@ type SM struct {
 	// for every cycle strictly below it the whole tick is the one stall
 	// pattern that dominates memory-saturated phases — the LSU head replays
 	// a reservation fail against a full MSHR file while every warp the
-	// scheduler can pick sits at a load the full LSU queue rejects. Tick
-	// replays that cycle's exact deltas (two counters, the ResFail event,
-	// the stall-cycle and stall-class accounting, and the scheduler-cursor
-	// evolution via sched.StallRunner) in O(1) instead of running the
-	// pipeline. stallPicks distinguishes the flavor where Picks succeed and
+	// scheduler can pick sits at a load the full LSU queue rejects. settle
+	// applies any number of such cycles' exact deltas (two counters, the
+	// ResFail count, the stall-cycle and stall-class accounting, and the
+	// scheduler-cursor evolution via sched.StallRunner) in O(1) instead of
+	// running the pipeline. stallPicks distinguishes the flavor where Picks succeed and
 	// fail in execute (IssueWidth extra MemStalls plus cursor movement) from
 	// the one where every Pick returns -1; stallSched is the scheduler's
 	// StallRunner, cached so the replay avoids a per-cycle type assertion.
@@ -162,6 +163,26 @@ type SM struct {
 	stallSR        sched.StallRunner // sched's StallRunner side, nil if none
 	stallTicks     int
 	sleepRetryAt   int64
+
+	// winFrom is the open window's first cycle not yet settled (see
+	// settle). clock points at the GPU's cycle counter, so readers outside
+	// a tick (HashState) can settle the SM up to the machine's current
+	// cycle. settleErr latches a breach the sanitizer's window-premise
+	// audit found, reported through the preallocated sanSettle so the
+	// audit allocates nothing; Tick returns it.
+	winFrom   int64
+	clock     *int64
+	settleErr error
+	sanSettle invariant.Violation
+
+	// runClass, runFrom and runLen are the pending run of identical
+	// cycle classes reportClass has not yet handed to a Foldable sink, and
+	// runResFails the L1 reservation fails settle credited in bulk (see
+	// flushRuns).
+	runClass    obs.CycleClass
+	runFrom     int64
+	runLen      int64
+	runResFails int64
 
 	// hprof is this SM's always-on fast-forward ledger (nil without
 	// WithHostProf): slept-cycle tallies, windows opened, and per-reason
@@ -230,6 +251,7 @@ func newSM(id int, cfg config.GPUConfig, k *kernels.Kernel, sc sched.Scheduler,
 	if cfg.CheckInvariants {
 		sm.sanitize = true
 		sm.sanComp = fmt.Sprintf("SM[%d]", id)
+		sm.sanSettle.Component = sm.sanComp
 		sm.sanSlots = make([]int, 0, len(sm.warps))
 		sm.l1.EnableSanitizer(fmt.Sprintf("L1[%d]", id))
 	}
@@ -365,6 +387,13 @@ func (sm *SM) Prefetcher() prefetch.Prefetcher { return sm.pref }
 //
 //caps:hotpath //caps:isolated
 func (sm *SM) Tick(now int64) (int, error) {
+	// Settle the window cycles the GPU skipped since this SM last ticked
+	// (see fastforward.go); under the sanitizer the settlement audits the
+	// window's premise over them.
+	sm.settle(now)
+	if sm.settleErr != nil {
+		return 0, sm.settleErr
+	}
 	sm.nowCache = now
 	sm.memStallEv = false
 	if sm.schedClock != nil {
@@ -375,56 +404,13 @@ func (sm *SM) Tick(now int64) (int, error) {
 			return 0, err
 		}
 	}
-	if now < sm.idleUntil {
-		// Asleep: the last full tick proved (trySleep) that every cycle
-		// before idleUntil is a no-op unless a fill arrives, and
-		// acceptResponses above just cancelled the window if one did. Record
-		// exactly what the full pipeline records on such a cycle — one stall
-		// cycle while warps are live, plus the cached stall-stack class —
-		// and return without touching the queues or the scheduler.
-		if sm.liveWarps > 0 {
-			sm.st.StallCycles++ //caps:shared-sync stats-reduce
-
-		}
-		if sm.hprof != nil {
-			sm.hprof.FullSleepCycles++
-		}
-		if sm.snk != nil {
-			sm.snk.CycleClass(now, sm.id, sm.sleepClass)
-		}
-		return 0, nil
-	}
-	if now < sm.stallUntil {
-		// Structural-stall replay: the last full tick proved (tryStallReplay)
-		// that until stallUntil every cycle repeats the same pattern — the
-		// empty store and miss queues stay no-ops, the LSU head's access is
-		// rejected by the full MSHR file, and the issue stage's Picks either
-		// all return warps whose loads the full LSU queue refuses or all
-		// return -1. Apply that cycle's exact deltas without running the
-		// pipeline; acceptResponses above cancelled the window if anything
-		// that could change the pattern arrived.
-		g := sm.lsuQ[0]
-		sm.l1.ReplayResFail(now, g.addrs[g.idx], false)
-		sm.st.ReservationFails++ //caps:shared-sync stats-reduce
-		sm.st.MemStalls++
-		sm.memStallEv = true
-		if sm.stallPicks {
-			sm.st.MemStalls += int64(sm.cfg.IssueWidth) //caps:shared-sync stats-reduce
-
-			// StallTick is associative (the cursor walk is linear in the
-			// pick count), so the per-cycle ticks batch into one deferred
-			// call; flushStallTicks runs it before anything can observe
-			// scheduler state — a full tick, a wake, or a state hash.
-			sm.stallTicks += sm.cfg.IssueWidth
-		}
-		sm.st.StallCycles++ //caps:shared-sync stats-reduce
-
-		if sm.hprof != nil {
-			sm.hprof.StallReplayCycles++
-		}
-		if sm.snk != nil {
-			sm.snk.CycleClass(now, sm.id, obs.CycleMemStructural)
-		}
+	if now < sm.idleUntil || now < sm.stallUntil {
+		// Asleep or stall-replaying: the last full tick proved (trySleep,
+		// tryStallReplay) that every cycle before the window's end repeats
+		// constant deltas unless a fill arrives, and acceptResponses above
+		// just cancelled the window if one did. Settle this cycle the way
+		// the GPU settles the cycles it skips.
+		sm.settle(now + 1)
 		return 0, nil
 	}
 	sm.flushStallTicks()
@@ -449,7 +435,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 		issued = sm.issue(now)
 	}
 	if sm.snk != nil {
-		sm.snk.CycleClass(now, sm.id, sm.classifyCycle(issued))
+		sm.reportClass(now, sm.classifyCycle(issued), 1)
 	}
 	sm.admitPrefetches(now)
 	if sm.sanitize {
