@@ -39,7 +39,7 @@ race-smoke:
 	$(GO) test -race ./internal/sim ./internal/mem ./internal/sched \
 		./internal/core ./internal/prefetch ./internal/obs ./internal/stats
 	GOMAXPROCS=4 $(GO) run -race ./cmd/capsim -bench MM -prefetch caps \
-		-insts 50000 -workers 4 -idle-skip
+		-insts 50000 -workers 4
 
 # Replays a benchmark subset twice with the invariant sanitizer on and
 # compares state hashes (see internal/invariant/determinism).
@@ -81,9 +81,9 @@ flight-smoke:
 # gates the machinery (read, compare, context match), not the numbers.
 hostprof-smoke:
 	$(GO) run ./cmd/capsim -bench MM -prefetch caps -insts 50000 \
-		-workers 4 -idle-skip -hostprof /tmp/caps-host-a.json
+		-workers 4 -hostprof /tmp/caps-host-a.json
 	$(GO) run ./cmd/capsim -bench MM -prefetch caps -insts 50000 \
-		-workers 4 -idle-skip -hostprof /tmp/caps-host-b.json
+		-workers 4 -hostprof /tmp/caps-host-b.json
 	$(GO) run ./cmd/capsprof host /tmp/caps-host-a.json -validate
 	$(GO) run ./cmd/capsprof host /tmp/caps-host-a.json \
 		-html /tmp/caps-host-a.html
@@ -98,7 +98,7 @@ hostprof-smoke:
 # deterministic and executor-invariant, so the diff must be empty.
 memlens-smoke:
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
-		-workers 4 -idle-skip -memlens /tmp/caps-mem-a.json 2>/dev/null
+		-workers 4 -memlens /tmp/caps-mem-a.json 2>/dev/null
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
 		-memlens /tmp/caps-mem-b.json 2>/dev/null
 	$(GO) run ./cmd/capsprof mem /tmp/caps-mem-a.json
@@ -108,13 +108,13 @@ memlens-smoke:
 # End-to-end scheduler-observability smoke test: the same CAPS run twice
 # with the scheduler/CTA profiler on (capsim -schedlens; the profile must
 # reconcile exactly against stats.Sim or capsim exits 1) under different
-# executor settings — parallel + idle-skip vs serial. Every schedlens
+# executor settings — parallel vs serial. Every schedlens
 # emission fires at an executor-invariant state transition, so the two
 # profiles must be byte-identical (cmp), not merely diff-clean; the text
 # and HTML renderings and the sched-diff gate run on top of that.
 schedlens-smoke:
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
-		-workers 4 -idle-skip -schedlens /tmp/caps-sched-a.json 2>/dev/null
+		-workers 4 -schedlens /tmp/caps-sched-a.json 2>/dev/null
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
 		-schedlens /tmp/caps-sched-b.json 2>/dev/null
 	cmp /tmp/caps-sched-a.json /tmp/caps-sched-b.json
@@ -129,13 +129,14 @@ bench-json:
 	$(GO) run ./cmd/capsweep -insts 200000 -bench-json BENCH_caps.json
 
 # Regenerates BENCH_speed.json: serial-vs-tuned wall-clock for every
-# benchmark (the tuned side runs 2 tick workers with idle-cycle skip; both
-# sides must finish with identical cycle/instruction counts or the build
+# benchmark (both sides run the per-SM fast-forward, the tuned side on 2
+# tick workers, so the ratio isolates the parallel executor; both sides
+# must finish with identical cycle/instruction counts or the build
 # fails). `capsprof speed-diff` against the committed copy gates a >20%
 # speedup regression — the comparison is on speedup ratios, so it holds
 # across machines of different absolute speed.
 speed-bench:
-	$(GO) run ./cmd/capsweep -insts 200000 -workers 2 -idle-skip \
+	$(GO) run ./cmd/capsweep -insts 200000 -workers 2 \
 		-speed-json /tmp/caps-speed.json
 	$(GO) run ./cmd/capsprof speed-diff BENCH_speed.json /tmp/caps-speed.json
 

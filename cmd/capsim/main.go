@@ -7,7 +7,7 @@
 //	capsim -bench MM -prefetch caps -trace out.json -metrics out.csv
 //	capsim -bench CNV -prefetch caps -profile out.profile.json
 //	capsim -bench MM -prefetch caps -cpuprofile cpu.pprof
-//	capsim -bench MM -prefetch caps -workers 4 -idle-skip -hostprof out.host.json
+//	capsim -bench MM -prefetch caps -workers 4 -hostprof out.host.json
 //	capsim -bench BFS -prefetch caps -memlens out.mem.json
 //	capsim -bench BFS -prefetch caps -sched pas -schedlens out.sched.json
 //	capsim -list

@@ -57,7 +57,7 @@ func TestMetricsIndependentOfLenses(t *testing.T) {
 	metrics := func(name string, extra ...string) []byte {
 		t.Helper()
 		out := filepath.Join(dir, name+".csv")
-		args := append([]string{"-bench", "MM", "-prefetch", "caps", "-insts", "20000", "-idle-skip", "-metrics", out}, extra...)
+		args := append([]string{"-bench", "MM", "-prefetch", "caps", "-insts", "20000", "-metrics", out}, extra...)
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run(%q) = %d\nstderr:\n%s", args, code, &stderr)

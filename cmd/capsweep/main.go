@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceDir   = fs.String("trace-dir", "", "write a Chrome trace + metrics CSV per run into this directory")
 		profileDir = fs.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
 		benchJSON  = fs.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
-		speedJSON  = fs.String("speed-json", "", "time every benchmark serial-vs-tuned (-workers/-idle-skip), verify identical stats, write BENCH_speed.json-style timings to this file, then exit")
+		speedJSON  = fs.String("speed-json", "", "time every benchmark serial-vs-tuned (-workers), verify identical stats, write BENCH_speed.json-style timings to this file, then exit")
 		storeDir   = fs.String("store", "", "record every completed run (stats + profile) into this run store directory (see capsd)")
 		flightDir  = fs.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
 	)
@@ -100,11 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "capsweep:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %s (%d benchmarks, aggregate speedup %.2fx at workers=%d idle-skip=%v)\n",
-			*speedJSON, len(rep.Entries), rep.Speedup, rep.Workers, rep.IdleSkip)
+		fmt.Fprintf(stdout, "wrote %s (%d benchmarks, aggregate speedup %.2fx at workers=%d)\n",
+			*speedJSON, len(rep.Entries), rep.Speedup, rep.Workers)
 		return 0
 	}
-	// -workers/-idle-skip reach every run; suite parallelism derates to
+	// -workers reaches every run; suite parallelism derates to
 	// GOMAXPROCS/workers unless -par pins it explicitly.
 	opts := sf.SuiteOptions(*par)
 	if len(benchList) > 0 {

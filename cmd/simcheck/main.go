@@ -225,8 +225,8 @@ func (o output) lintModule(mode string, opts modeOpts) int {
 
 // checkDeterminism replays each benchmark twice under the sanitizer. CAPS
 // benchmarks run on the prefetch-aware scheduler, mirroring the paper's
-// evaluation pairing; a no-prefetch baseline rides along for contrast. An
-// idle-skip leg then holds BFS-CAPS with the fast-forward to its plain run.
+// evaluation pairing; a no-prefetch baseline rides along for contrast. A
+// memory-bound leg then replays BFS-CAPS at the default SM count.
 // With every > 0 the whole periodic checkpoint series is compared, not
 // just the final hash, so a transient divergence that happens to cancel
 // out by the end still fails the gate.
@@ -262,19 +262,21 @@ func (o output) checkDeterminism(benches []string, insts, every int64) int {
 			fmt.Fprintf(o.stdout, "%-6s %-5s reproducible (state hash %#016x)\n", b, pf, h)
 		}
 	}
-	// The idle-skip leg. At 4 SMs the L2 slices never fill their MSHR
-	// files, so no retry queue stalls and its sleep goes unchecked above;
+	// The memory-bound leg. At 4 SMs the L2 slices never fill their MSHR
+	// files, so no retry queue stalls and its sleep goes unaudited above;
 	// BFS at the default 15 SMs stalls them and spends most SM-cycles in
-	// skipped windows. Its checkpoint series must equal the plain run's.
-	skipCfg := config.Default()
-	skipCfg.MaxInsts = insts
+	// skipped windows. Both runs' sanitizers audit every skipped partition
+	// tick (Partition.CheckSkip) and every settled SM window, and the two
+	// checkpoint series must be identical.
+	memCfg := config.Default()
+	memCfg.MaxInsts = insts
 	opt := []sim.Option{sim.WithPrefetcher("caps"), sim.WithScheduler(determinism.SchedulerFor("caps"))}
-	if n, h, err := determinism.CheckIdleSkip(skipCfg, "BFS", every, opt...); err != nil {
-		fmt.Fprintf(o.stderr, "simcheck: BFS/caps idle-skip: %v\n", err)
+	if n, h, err := determinism.CheckSeries(memCfg, "BFS", every, opt...); err != nil {
+		fmt.Fprintf(o.stderr, "simcheck: BFS/caps at %d SMs: %v\n", memCfg.NumSMs, err)
 		failed = true
 	} else {
-		fmt.Fprintf(o.stdout, "%-6s %-5s idle-skip matches plain at %d SMs (%d checkpoints, state hash %#016x)\n",
-			"BFS", "caps", skipCfg.NumSMs, n, h)
+		fmt.Fprintf(o.stdout, "%-6s %-5s reproducible at %d SMs (%d checkpoints, state hash %#016x)\n",
+			"BFS", "caps", memCfg.NumSMs, n, h)
 	}
 	if failed {
 		return 1

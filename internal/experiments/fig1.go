@@ -23,7 +23,7 @@ import (
 // boundary (matrixMul has 8 warps per CTA).
 //
 // The trace is folded from the EvLoadIssue event stream, so opts may pick
-// any executor (sim.WithWorkers, sim.WithIdleSkip): the table is identical.
+// any executor (sim.WithWorkers): the table is identical.
 // Figure 1's own prefetcher and sink are applied after opts.
 func Figure1(cfg config.GPUConfig, maxDistance int, opts ...sim.Option) (*stats.Table, error) {
 	if maxDistance <= 0 {

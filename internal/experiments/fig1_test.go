@@ -13,8 +13,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestFigure1Golden pins Figure 1's table byte for byte on a small MM run,
-// serially and on the 2-worker executor with idle-skip: the fold sees the
-// same load stream whatever the executor, so both must match the golden.
+// serially and on the 2-worker executor: the fold sees the same load
+// stream whatever the executor, so both must match the golden.
 // Regenerate with `go test ./internal/experiments -run Figure1Golden -update`
 // only after a change that is meant to move the figure.
 func TestFigure1Golden(t *testing.T) {
@@ -26,7 +26,7 @@ func TestFigure1Golden(t *testing.T) {
 		opts []sim.Option
 	}{
 		{"serial", nil},
-		{"workers2-idleskip", []sim.Option{sim.WithWorkers(2), sim.WithIdleSkip()}},
+		{"workers2", []sim.Option{sim.WithWorkers(2)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tab, err := Figure1(cfg, 10, tc.opts...)

@@ -7,18 +7,15 @@ import (
 	"caps/internal/sim"
 )
 
-// SimFlags is the shared -workers / -idle-skip flag pair, so capsim and
-// capsweep expose the parallel-tick knobs with one spelling and one
-// default. Both default to the serial configuration: the flags are an
-// opt-in speed tool, never a silent behavior change.
+// SimFlags is the shared -workers flag, so capsim and capsweep expose the
+// parallel-tick knob with one spelling and one default. It defaults to the
+// serial configuration: the flag is an opt-in speed tool, never a silent
+// behavior change.
 type SimFlags struct {
 	// Workers is the per-run SM tick worker count (sim.WithWorkers).
 	// 1 means the classic serial tick; 0 lets the simulator pick
 	// (GOMAXPROCS, capped at the SM count).
 	Workers int
-
-	// IdleSkip enables idle-cycle fast-forward (sim.WithIdleSkip).
-	IdleSkip bool
 }
 
 // AddSimFlags registers the shared simulator-speed flags on fs and returns
@@ -26,7 +23,6 @@ type SimFlags struct {
 func AddSimFlags(fs *flag.FlagSet) *SimFlags {
 	f := &SimFlags{}
 	fs.IntVar(&f.Workers, "workers", 1, "SM tick worker goroutines per simulation (1 = serial, 0 = one per CPU)")
-	fs.BoolVar(&f.IdleSkip, "idle-skip", false, "fast-forward cycles where no SM, queue or DRAM event can fire")
 	return f
 }
 
@@ -35,9 +31,6 @@ func (f *SimFlags) SimOptions() []sim.Option {
 	var opts []sim.Option
 	if f.Workers != 1 {
 		opts = append(opts, sim.WithWorkers(f.Workers))
-	}
-	if f.IdleSkip {
-		opts = append(opts, sim.WithIdleSkip())
 	}
 	return opts
 }
@@ -69,7 +62,7 @@ func (f *SimFlags) Parallelism(requested int) int {
 }
 
 // SuiteOptions bundles the flags into suite options: every run gets the
-// worker/idle-skip settings, and the suite parallelism is derated per
+// worker setting, and the suite parallelism is derated per
 // Parallelism. requested is the explicit -par value (0 = unset).
 func (f *SimFlags) SuiteOptions(requested int) []Option {
 	opts := []Option{WithRunOptions(f.SimOptions()...)}

@@ -11,14 +11,14 @@ import (
 func TestAddSimFlagsSharedSpelling(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := AddSimFlags(fs)
-	if err := fs.Parse([]string{"-workers=4", "-idle-skip"}); err != nil {
+	if err := fs.Parse([]string{"-workers=4"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Workers != 4 || !f.IdleSkip {
-		t.Fatalf("parsed SimFlags = %+v, want Workers=4 IdleSkip=true", *f)
+	if f.Workers != 4 {
+		t.Fatalf("parsed SimFlags = %+v, want Workers=4", *f)
 	}
-	if n := len(f.SimOptions()); n != 2 {
-		t.Errorf("SimOptions returned %d options, want workers + idle-skip", n)
+	if n := len(f.SimOptions()); n != 1 {
+		t.Errorf("SimOptions returned %d options, want workers", n)
 	}
 	serial := &SimFlags{Workers: 1}
 	if n := len(serial.SimOptions()); n != 0 {
@@ -66,7 +66,7 @@ func TestSuiteRunOptionsPreserveStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &SimFlags{Workers: 2, IdleSkip: true}
+	f := &SimFlags{Workers: 2}
 	tuned, err := NewSuite(cfg, f.SuiteOptions(0)...).Run(key)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestBuildSpeedReportIdentityGate(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 20_000
 	cfg.NumSMs = 4
-	f := &SimFlags{Workers: 2, IdleSkip: true}
+	f := &SimFlags{Workers: 2}
 	rep, err := BuildSpeedReport(cfg, []string{"MM"}, f)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestBuildSpeedReportIdentityGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Workers != rep.Workers || back.IdleSkip != rep.IdleSkip || len(back.Entries) != len(rep.Entries) {
+	if back.Workers != rep.Workers || len(back.Entries) != len(rep.Entries) {
 		t.Errorf("roundtrip mismatch: %+v vs %+v", back, rep)
 	}
 }

@@ -34,13 +34,13 @@ type SpeedEntry struct {
 }
 
 // SpeedReport is the committed BENCH_speed.json artifact: per-benchmark
-// wall-clock for the serial configuration (workers=1, no idle skip)
-// against the tuned one, plus the aggregate speedup. `capsprof speed-diff`
+// wall-clock for the serial configuration (workers=1) against the tuned
+// one, plus the aggregate speedup. Both sides run the per-SM
+// fast-forward, so the ratio isolates the parallel executor. `capsprof speed-diff`
 // compares the Speedup columns of two reports, so the gate is robust to
 // the absolute machine speed of whoever regenerates the file.
 type SpeedReport struct {
 	Workers  int   `json:"workers"`
-	IdleSkip bool  `json:"idle_skip"`
 	MaxInsts int64 `json:"max_insts"`
 
 	// Host records the machine the report was generated on (go version,
@@ -82,8 +82,8 @@ func timedRun(cfg config.GPUConfig, bench string, hp *hostprof.Profiler, opts ..
 	return st.Cycles, st.Instructions, ms, nil
 }
 
-// BuildSpeedReport times every benchmark twice — once serial (workers=1,
-// no idle skip), once with the flag-selected tuning — and verifies the
+// BuildSpeedReport times every benchmark twice — once serial (workers=1),
+// once with the flag-selected tuning — and verifies the
 // pair finished with bit-identical cycle and instruction counts before
 // recording the speedup. benches empty means the full Table IV set.
 func BuildSpeedReport(cfg config.GPUConfig, benches []string, f *SimFlags) (*SpeedReport, error) {
@@ -93,8 +93,8 @@ func BuildSpeedReport(cfg config.GPUConfig, benches []string, f *SimFlags) (*Spe
 		}
 	}
 	cfg = config.Derive(cfg, config.Overrides{Scheduler: SchedulerFor("caps")})
-	host := hostprof.CaptureContext(f.Workers, f.IdleSkip)
-	rep := &SpeedReport{Workers: f.Workers, IdleSkip: f.IdleSkip, MaxInsts: cfg.MaxInsts, Host: &host}
+	host := hostprof.CaptureContext(f.Workers, true)
+	rep := &SpeedReport{Workers: f.Workers, MaxInsts: cfg.MaxInsts, Host: &host}
 	for _, b := range benches {
 		bc, bi, bms, err := timedRun(cfg, b, nil)
 		if err != nil {
@@ -109,8 +109,8 @@ func BuildSpeedReport(cfg config.GPUConfig, benches []string, f *SimFlags) (*Spe
 			return nil, err
 		}
 		if bc != tc || bi != ti {
-			return nil, fmt.Errorf("experiments: %s: tuned run diverged from serial: cycles %d vs %d, instructions %d vs %d (workers=%d idleSkip=%v)",
-				b, bc, tc, bi, ti, f.Workers, f.IdleSkip)
+			return nil, fmt.Errorf("experiments: %s: tuned run diverged from serial: cycles %d vs %d, instructions %d vs %d (workers=%d)",
+				b, bc, tc, bi, ti, f.Workers)
 		}
 		e := SpeedEntry{Bench: b, Cycles: bc, Instructions: bi, BaseMS: bms, TunedMS: tms,
 			Host: hp.Build(b, "caps").Breakdown()}

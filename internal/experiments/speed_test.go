@@ -11,7 +11,7 @@ import (
 // speedReport hand-builds a report with the given per-bench and aggregate
 // speedups — the diff gate compares ratios only, so nothing else matters.
 func speedReport(aggregate float64, speedups map[string]float64) *SpeedReport {
-	r := &SpeedReport{Workers: 8, IdleSkip: true, Speedup: aggregate}
+	r := &SpeedReport{Workers: 8, Speedup: aggregate}
 	for _, b := range []string{"MM", "STE", "CNV"} {
 		if s, ok := speedups[b]; ok {
 			r.Entries = append(r.Entries, SpeedEntry{Bench: b, Speedup: s})

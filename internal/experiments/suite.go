@@ -250,7 +250,7 @@ func WithFlight(dir string, onErr func(RunKey, error)) Option {
 }
 
 // WithRunOptions appends functional simulator options (sim.WithWorkers,
-// sim.WithIdleSkip, ...) to every run. They apply after the suite's own
+// sim.WithProgressEvery, ...) to every run. They apply after the suite's own
 // settings, so they win conflicts; that also makes them the hook for
 // per-run knobs the suite has no dedicated option for (the watchdog
 // window, the progress beat, fault injection in tests). Overriding the

@@ -88,7 +88,10 @@ type Context struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
-	IdleSkip   bool   `json:"idle_skip"`
+	// IdleSkip records whether the run used the per-SM fast-forward. The
+	// simulator always does and records true; a profile from before the
+	// fast-forward became the only executor path may carry false.
+	IdleSkip bool `json:"idle_skip"`
 }
 
 // CaptureContext snapshots the current host plus the run's executor
@@ -195,12 +198,12 @@ func New(sampleEvery int64) *Profiler {
 
 // Init sizes the profiler for a run: the resolved SM and worker counts
 // plus the host context. The simulator calls it from sim.New; nil-safe.
-func (p *Profiler) Init(numSMs, workers int, idleSkip bool) {
+func (p *Profiler) Init(numSMs, workers int) {
 	if p == nil {
 		return
 	}
 	p.epoch = time.Now() //simcheck:allow detlint — wall time is the measurement itself; it never reaches simulator state
-	p.ctx = CaptureContext(workers, idleSkip)
+	p.ctx = CaptureContext(workers, true)
 	p.workerBusy = make([]int64, workers)
 	p.workerTicks = make([]int64, workers)
 	p.stepBusy = make([]int64, workers)

@@ -38,7 +38,7 @@ func TestNewRoundsSamplePeriodToPowerOfTwo(t *testing.T) {
 
 func TestBeginStepSamplesOneStepInEvery(t *testing.T) {
 	p := New(64)
-	p.Init(1, 1, false)
+	p.Init(1, 1)
 	var sampled []int64
 	for step := int64(1); step <= 130; step++ {
 		if p.BeginStep() {
@@ -62,7 +62,7 @@ func TestBeginStepSamplesOneStepInEvery(t *testing.T) {
 
 func TestBeginStepEveryOneSamplesEveryStep(t *testing.T) {
 	p := New(1)
-	p.Init(1, 1, false)
+	p.Init(1, 1)
 	for step := 1; step <= 10; step++ {
 		if !p.BeginStep() {
 			t.Fatalf("step %d not sampled with every=1", step)
@@ -78,7 +78,7 @@ func TestBeginStepEveryOneSamplesEveryStep(t *testing.T) {
 // profile that satisfies its own accounting invariants end to end.
 func TestDrivenProfilerBuildsValidProfile(t *testing.T) {
 	p := New(1)
-	p.Init(2, 2, true)
+	p.Init(2, 2)
 	p.Start()
 	for step := 0; step < 50; step++ {
 		if !p.BeginStep() {
@@ -155,7 +155,7 @@ func TestOutlierStepIsNotExtrapolated(t *testing.T) {
 	const stall = 20 * time.Millisecond
 	run := func(every int64) *Profile {
 		p := New(every)
-		p.Init(1, 1, false)
+		p.Init(1, 1)
 		p.Start()
 		for step := int64(1); step <= 4*every; step++ {
 			if !p.BeginStep() {
@@ -201,7 +201,7 @@ func TestOutlierStepIsNotExtrapolated(t *testing.T) {
 
 func TestFinishIsIdempotentAndStartRequired(t *testing.T) {
 	p := New(1)
-	p.Init(1, 1, false)
+	p.Init(1, 1)
 	// Finish before Start is a no-op.
 	p.Finish()
 	if p.done || p.wallNS != 0 {
@@ -517,7 +517,7 @@ func TestContextMismatch(t *testing.T) {
 // a nil profiler — the serial, unprofiled run pays one branch.
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
-	p.Init(4, 2, true)
+	p.Init(4, 2)
 	p.Start()
 	p.Finish()
 	if p.BeginStep() {
@@ -544,7 +544,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 
 func TestSMProfOutOfRange(t *testing.T) {
 	p := New(1)
-	p.Init(2, 1, false)
+	p.Init(2, 1)
 	if sp := p.SMProf(2); sp != nil {
 		t.Error("out-of-range SMProf returned a ledger")
 	}

@@ -140,7 +140,7 @@ var Host = &Lens{
 			return func(w io.Writer) error { return hp.WriteHTML(w, sp) }, 0
 		}
 	},
-	// Context mismatches (different machine, worker count, idle-skip
+	// Context mismatches (different machine, worker count, fast-forward
 	// setting) print first: they usually explain a wall-clock regression.
 	Diff: func(fs *flag.FlagSet) func(base, cur Profile, w io.Writer) []lens.Regression {
 		var th hostprof.Thresholds // zero fields fall back to hostprof defaults

@@ -89,19 +89,10 @@ type Partition struct {
 	// is already a single failed push per tick while the channel is full.
 	// Demand retries appended while the verdict holds have just proven its
 	// conditions, so they extend the window. Derived state, excluded from
-	// determinism hashes. stallReplayOn arms the verdict; it stays off
-	// unless the run opted into the idle-skip fast paths
-	// (sim.WithIdleSkip), keeping the baseline configuration on the plain
-	// per-cycle pipeline.
-	retryStalled  bool
-	stallReplayOn bool
-	fillLines     []uint64
+	// determinism hashes.
+	retryStalled bool
+	fillLines    []uint64
 }
-
-// EnableStallReplay arms the stalled-retry replay fast path (see the
-// retryStalled field); the simulator calls it when the run was built with
-// the idle-skip option. Results are bit-identical either way.
-func (p *Partition) EnableStallReplay() { p.stallReplayOn = true }
 
 // NewPartition builds one partition slice.
 func NewPartition(id int, g config.GPUConfig, dram *DRAMChannel, ic *Interconnect, st *stats.Sim) *Partition {
@@ -247,7 +238,7 @@ func (p *Partition) Tick(now int64) error {
 			p.retryQ = append(p.retryQ, queued{seq: p.seq, req: r}) //caps:alloc-ok capacity converges to the peak retry backlog
 		}
 	}
-	if p.stallReplayOn && !p.retryStalled && len(p.retryQ) > 0 {
+	if !p.retryStalled && len(p.retryQ) > 0 {
 		p.retryStalled = p.retriesStalled()
 	}
 	if len(p.retryQ) > 0 && !p.retryQuiet() {

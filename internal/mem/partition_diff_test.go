@@ -17,7 +17,10 @@ import (
 // after every tick: events, stats, L2 state, responses toward the SMs, DRAM
 // completions and idleness. In its gated mode the Partition rig ticks its
 // DRAM channel and partitions only when they are due, as GPU.Step does,
-// while the reference still ticks every unit on every cycle.
+// while the reference still ticks every unit on every cycle. Partition's
+// stalled-retry verdict is always armed; the reference's is armed only in
+// the stallReplay=true modes, so the stallReplay=false modes hold
+// Partition to the plain per-cycle retry walk.
 
 // partitionUnit is the subset of the partition API the harness drives.
 type partitionUnit interface {
@@ -25,7 +28,6 @@ type partitionUnit interface {
 	DeliverFromDRAM(now int64, r *Request) error
 	L2() *Cache
 	AttachObs(s *obs.Sink)
-	EnableStallReplay()
 	Idle() bool
 }
 
@@ -105,12 +107,13 @@ func newDiffRig(cfg config.GPUConfig, ref, stallReplay bool, sink sinkMode) *dif
 	}
 	for i := range d.parts {
 		if ref {
-			d.parts[i] = newRefPartition(i, cfg, d.dram, d.ic, d.st)
+			rp := newRefPartition(i, cfg, d.dram, d.ic, d.st)
+			if stallReplay {
+				rp.EnableStallReplay()
+			}
+			d.parts[i] = rp
 		} else {
 			d.parts[i] = NewPartition(i, cfg, d.dram, d.ic, d.st)
-		}
-		if stallReplay {
-			d.parts[i].EnableStallReplay()
 		}
 		if snk != nil {
 			d.parts[i].AttachObs(snk)
@@ -282,11 +285,11 @@ func matchReference(t *testing.T, cfg config.GPUConfig, gated, stall bool, sink 
 		// The script must back both queues up and drain them
 		// again, or the comparison proves little about the
 		// replay order.
-		if cov.storeDrains < 3 || cov.retryDrains < 1 || (stall && cov.stalledTicks == 0) {
+		if cov.storeDrains < 3 || cov.retryDrains < 1 || cov.stalledTicks == 0 {
 			t.Fatalf("seed %d: traffic too tame: %+v", seed, cov)
 		}
 		// A stalled retry queue sleeps only when no sink counts its fails.
-		if gated && (got.skips == 0 || stall && sink == noSink && got.slept == 0) {
+		if gated && (got.skips == 0 || sink == noSink && got.slept == 0) {
 			t.Fatalf("seed %d: the gated rig skipped too little: %d skips, %d over stalled retries", seed, got.skips, got.slept)
 		}
 	}

@@ -41,10 +41,9 @@ type refPartition struct {
 	// are exempt from the verdict and always replay for real. Demand
 	// retries appended while the verdict holds have just proven its
 	// conditions, so they extend the window. Derived state, excluded from
-	// determinism hashes. stallReplayOn arms the verdict; it stays off
-	// unless the run opted into the idle-skip fast paths
-	// (sim.WithIdleSkip), keeping the baseline configuration on the plain
-	// per-cycle pipeline.
+	// determinism hashes. stallReplayOn arms the verdict; off, the
+	// reference replays every retry for real each tick, the plain
+	// per-cycle walk Partition (always armed) is also held to.
 	retryStalled  bool
 	stallReplayOn bool
 	fillLines     []uint64
@@ -56,9 +55,8 @@ type refPartition struct {
 	storeRetries int
 }
 
-// EnableStallReplay arms the stalled-retry replay fast path (see the
-// retryStalled field); the simulator calls it when the run was built with
-// the idle-skip option. Results are bit-identical either way.
+// EnableStallReplay arms the reference's stalled-retry replay fast path
+// (see the retryStalled field). Results are bit-identical either way.
 func (p *refPartition) EnableStallReplay() { p.stallReplayOn = true }
 
 // newRefPartition builds one partition slice.

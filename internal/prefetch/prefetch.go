@@ -49,7 +49,9 @@ type Candidate struct {
 // Prefetcher is the per-SM prefetch engine interface.
 type Prefetcher interface {
 	Name() string
-	// OnLoad observes a demand load and may generate prefetches.
+	// OnLoad observes a demand load and may generate prefetches. The
+	// caller reuses *obs and obs.Addrs for its next load: implementations
+	// must not retain the pointer or the Addrs slice past the call.
 	OnLoad(obs *Observation) []Candidate
 	// OnMiss observes a demand L1 miss (NLP/LAP trigger on misses).
 	OnMiss(now int64, lineAddr uint64, pc uint32) []Candidate

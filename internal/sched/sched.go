@@ -57,7 +57,7 @@ type Scheduler interface {
 // Quiescer is implemented by schedulers that can prove an idle cycle is a
 // pure no-op: when Quiescent returns true and no warp is eligible, a Pick
 // this cycle would return -1 without mutating any state the determinism
-// hashes cover. The idle fast-forward (sim.WithIdleSkip) may only sleep
+// hashes cover. The simulator's idle fast-forward may only sleep
 // through an SM's cycles while its scheduler is quiescent; schedulers that do
 // not implement the interface are conservatively never skipped.
 type Quiescer interface {
@@ -608,10 +608,17 @@ func (s *TwoLevel) Pick(now int64, v View) int {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		slot := s.ready[(s.rr+i)%n]
+	// Walk the ring once from rr with a wrapping index, dividing once per
+	// Pick rather than per scanned entry: a demotion shrinks the ready
+	// queue without moving rr, so rr may sit past its end.
+	j := s.rr % n
+	for range n {
+		slot := s.ready[j]
+		if j++; j == n {
+			j = 0
+		}
 		if v.Eligible(slot) {
-			s.rr = (s.rr + i + 1) % n
+			s.rr = j
 			return slot
 		}
 	}

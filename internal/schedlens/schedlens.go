@@ -14,7 +14,8 @@
 //
 // Every emission site schedlens subscribes to is an executor-invariant
 // state transition (see obs.PickOutcome), so the folded profile is
-// byte-identical across workers and idle-skip settings.
+// byte-identical across worker counts and with or without the per-SM
+// fast-forward.
 package schedlens
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"caps/internal/config"
@@ -17,6 +18,25 @@ import (
 // converged capacity) the per-cycle paths must not allocate. A regression
 // here means an allocation crept onto a //caps:hotpath route that the
 // annotations no longer honestly describe.
+
+// requireNoAllocs runs f once to warm up, then runs times more and
+// requires the heap to have allocated nothing over all of them. It counts
+// total mallocs rather than testing.AllocsPerRun's per-call average,
+// which integer-divides: one object every few calls reads as zero.
+func requireNoAllocs(t *testing.T, what string, runs int, f func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%s allocated %d objects over %d calls, want 0", what, n, runs)
+	}
+}
 
 // reusedStride is a kernels.AddressFn that owns one reused buffer, so the
 // address-generation contract ("addrgen closures own their result buffers")
@@ -75,7 +95,8 @@ func TestStepAllocsSteadyState(t *testing.T) {
 		t.Fatal("machine drained during warm-up; kernel too short for a steady-state measurement")
 	}
 	var stepErr error
-	avg := testing.AllocsPerRun(500, func() {
+	insts := g.Instructions()
+	requireNoAllocs(t, "GPU.Step in steady state", 500, func() {
 		if err := g.Step(); err != nil {
 			stepErr = err
 		}
@@ -86,8 +107,8 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	if g.Done() {
 		t.Fatal("machine drained during measurement")
 	}
-	if avg != 0 {
-		t.Errorf("GPU.Step allocates %.2f objects/cycle in steady state, want 0", avg)
+	if g.Instructions() == insts {
+		t.Fatal("no instruction issued during measurement; the loads' path went unmeasured")
 	}
 }
 
@@ -127,13 +148,10 @@ func TestTwoLevelPickAllocs(t *testing.T) {
 		churn(int64(i))
 	}
 	now := int64(1000)
-	avg := testing.AllocsPerRun(500, func() {
+	requireNoAllocs(t, "TwoLevel Pick/demote/wake", 500, func() {
 		churn(now)
 		now++
 	})
-	if avg != 0 {
-		t.Errorf("TwoLevel Pick/demote/wake allocates %.2f objects/cycle, want 0", avg)
-	}
 }
 
 // TestPASDryRefillAllocs churns PAS with most pending warps blocked: every
@@ -169,13 +187,10 @@ func TestPASDryRefillAllocs(t *testing.T) {
 		churn(int64(i))
 	}
 	now := int64(1000)
-	avg := testing.AllocsPerRun(500, func() {
+	requireNoAllocs(t, "PAS Pick/demote/wake with dry refills", 500, func() {
 		churn(now)
 		now++
 	})
-	if avg != 0 {
-		t.Errorf("PAS Pick/demote/wake with dry refills allocates %.2f objects/cycle, want 0", avg)
-	}
 }
 
 // TestCacheMissFillAllocs cycles one cache through its full miss path —
@@ -204,13 +219,10 @@ func TestCacheMissFillAllocs(t *testing.T) {
 		step(int64(i))
 	}
 	now := int64(1000)
-	avg := testing.AllocsPerRun(500, func() {
+	requireNoAllocs(t, "Access/PopMiss/Fill", 500, func() {
 		step(now)
 		now++
 	})
-	if avg != 0 {
-		t.Errorf("Access/PopMiss/Fill allocates %.2f objects/round, want 0", avg)
-	}
 }
 
 // TestCAPSOnLoadAllocs replays the paper's steady-state pattern — leading
@@ -242,12 +254,9 @@ func TestCAPSOnLoadAllocs(t *testing.T) {
 		round(i*10, i)
 	}
 	now, iter := int64(10_000), int64(1000)
-	avg := testing.AllocsPerRun(500, func() {
+	requireNoAllocs(t, "CAPS.OnLoad", 500, func() {
 		round(now, iter)
 		now += 10
 		iter++
 	})
-	if avg != 0 {
-		t.Errorf("CAPS.OnLoad allocates %.2f objects/round, want 0", avg)
-	}
 }

@@ -1,11 +1,10 @@
 package sim
 
-import (
-	"caps/internal/obs"
-	"caps/internal/sched"
-)
+import "caps/internal/obs"
 
-// Idle-cycle fast-forward (WithIdleSkip) works per SM.
+// Idle-cycle fast-forward works per SM and runs on every simulation; the
+// plain per-cycle pipeline, where no window ever opens, survives only as
+// the reference the differential tests compare against.
 //
 // Sleep: at the end of a tick that issued nothing, the SM caches how long
 // its issue stage is provably dead (trySleep). Two windows nest: the
@@ -40,9 +39,9 @@ import (
 // SM's clock (nowCache, the scheduler's ObsTick) at its last tick: only
 // Tick advances it, and the one reader outside a tick, a CTA launch,
 // follows a tick of the same SM at that cycle (the retiring CTA asked for
-// it). On BFS-CAPS with idle-skip 86% of SM-cycles (51% on CNV) sit in
-// such windows, so bulk credits pay per SM where the removed whole-GPU
-// clock jump, which covered 0.55% of steps, did not.
+// it). On BFS-CAPS 86% of SM-cycles (51% on CNV) sit in such windows,
+// so bulk credits pay per SM where the removed whole-GPU clock jump,
+// which covered 0.55% of steps, did not.
 //
 // Skipping is derived, not configured: it is on unless the run's sink
 // cannot take bulk credits (obs.Sink.Foldable). A receiver of EvResFail —
@@ -54,8 +53,8 @@ import (
 // audits each settled span's premise (auditSettle).
 //
 // Every cycle still executes a GPU.Step, so beats, caps and the memory
-// units land exactly as without the option, and state hashes and
-// statistics are bit-identical either way.
+// units land exactly as on the per-cycle pipeline, and state hashes and
+// statistics are bit-identical to it.
 
 // asleep reports whether the GPU may skip this SM's tick at now: the cycle
 // lies inside a full-sleep or stall-replay window and no response for the
@@ -316,8 +315,7 @@ func (sm *SM) tryStallReplay(now int64) {
 // replaying LSU head or draining miss queue leaves the verdict intact,
 // which is exactly the window the issue sleep exploits.
 func (sm *SM) issueBound(now int64) (int64, bool) {
-	q, ok := sm.sched.(sched.Quiescer)
-	if !ok || !q.Quiescent(sm) {
+	if sm.quiescer == nil || !sm.quiescer.Quiescent(sm) {
 		return 0, false
 	}
 	bound := gateNever

@@ -14,7 +14,7 @@ func TestTrySleepRejectsOneCycleWindow(t *testing.T) {
 	cfg := tinyConfig()
 	// LRR is unconditionally quiescent, so the window length alone decides.
 	cfg.Scheduler = config.SchedLRR
-	g, err := New(cfg, tinyKernel(2), WithIdleSkip())
+	g, err := New(cfg, tinyKernel(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		opt.sink.EnableStaging()
 	}
 	g.hprof = opt.hostProf
-	g.hprof.Init(cfg.NumSMs, g.workers, opt.idleSkip)
+	g.hprof.Init(cfg.NumSMs, g.workers)
 	g.icnt = mem.NewInterconnect(cfg.NumSMs, cfg.NumPartitions, cfg.ICNTQueue, cfg.ICNTLatency, cfg.ICNTWidth)
 
 	g.drams = make([]*mem.DRAMChannel, cfg.DRAM.Channels)
@@ -207,9 +207,6 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	for i := range g.parts {
 		g.parts[i] = mem.NewPartition(i, cfg, g.drams[i%cfg.DRAM.Channels], g.icnt, st)
 		g.parts[i].AttachObs(opt.sink)
-		if opt.idleSkip {
-			g.parts[i].EnableStallReplay()
-		}
 	}
 
 	g.sms = make([]*SM, cfg.NumSMs)
@@ -225,7 +222,10 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 			return nil, err
 		}
 		g.sms[i] = newSM(i, cfg, k, sc, pf, g.icnt, shard, g.requestDispatch)
-		g.sms[i].idleSkipOn = opt.idleSkip
+		if opt.noFastForward {
+			// Without these capabilities no window can be proven.
+			g.sms[i].stallSR, g.sms[i].quiescer = nil, nil
+		}
 		g.sms[i].clock = &g.cycle
 		g.sms[i].hprof = g.hprof.SMProf(i)
 		g.sms[i].AttachObs(opt.sink)

@@ -13,18 +13,18 @@ import (
 
 // Attaching a memlens collector must leave simulated state untouched —
 // same stats hash, same cycle count — across the executor configurations
-// that matter: serial and parallel ticking, with and without the idle
-// fast-forward.
+// that matter: serial and parallel ticking, on the fast-forward and on
+// the plain per-cycle reference.
 func TestMemLensPreservesSimState(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, idleSkip bool, ml *memlens.Collector) (uint64, int64) {
+	run := func(workers int, fastForward bool, ml *memlens.Collector) (uint64, int64) {
 		opts := []Option{WithPrefetcher("caps"), WithWorkers(workers)}
-		if idleSkip {
-			opts = append(opts, WithIdleSkip())
+		if !fastForward {
+			opts = append(opts, withoutFastForward())
 		}
 		if ml != nil {
 			opts = append(opts, WithMemLens(ml))
@@ -41,12 +41,12 @@ func TestMemLensPreservesSimState(t *testing.T) {
 		return st.Hash64(), g.Cycle()
 	}
 	for _, workers := range []int{1, 8} {
-		for _, idleSkip := range []bool{false, true} {
-			h0, c0 := run(workers, idleSkip, nil)
-			h1, c1 := run(workers, idleSkip, memlens.ForConfig(cfg))
+		for _, fastForward := range []bool{false, true} {
+			h0, c0 := run(workers, fastForward, nil)
+			h1, c1 := run(workers, fastForward, memlens.ForConfig(cfg))
 			if h1 != h0 || c1 != c0 {
-				t.Errorf("workers=%d idleSkip=%v: memlens run diverged: hash %#x/%#x cycle %d/%d",
-					workers, idleSkip, h1, h0, c1, c0)
+				t.Errorf("workers=%d fastForward=%v: memlens run diverged: hash %#x/%#x cycle %d/%d",
+					workers, fastForward, h1, h0, c1, c0)
 			}
 		}
 	}
@@ -66,7 +66,7 @@ func TestMemLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 	var base *memlens.Profile
 	for _, workers := range []int{1, 8} {
 		ml := memlens.ForConfig(cfg)
-		g, err := New(cfg, k, WithPrefetcher("caps"), WithWorkers(workers), WithIdleSkip(), WithMemLens(ml))
+		g, err := New(cfg, k, WithPrefetcher("caps"), WithWorkers(workers), WithMemLens(ml))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestMemLensValidatesAllBenchmarks(t *testing.T) {
 		t.Run(k.Abbr, func(t *testing.T) {
 			t.Parallel()
 			ml := memlens.ForConfig(cfg)
-			g, err := New(cfg, k, WithPrefetcher("caps"), WithIdleSkip(), WithMemLens(ml))
+			g, err := New(cfg, k, WithPrefetcher("caps"), WithMemLens(ml))
 			if err != nil {
 				t.Fatal(err)
 			}

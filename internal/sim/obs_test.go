@@ -184,8 +184,8 @@ func benchObs(b *testing.B, mk func(config.GPUConfig) *obs.Sink) {
 
 // benchLens is the shared body of the per-lens overhead pairs
 // (BenchmarkMemLensOverhead, BenchmarkSchedLensOverhead,
-// BenchmarkProfileOverhead and their No* baselines): MM-CAPS with
-// idle-skip on a metrics-only sink, with attach adding the lens under
+// BenchmarkProfileOverhead and their No* baselines): MM-CAPS on a
+// metrics-only sink, with attach adding the lens under
 // test. Both sides of a pair pay for the sink, so the pair isolates the
 // lens; BenchmarkObsMetricsOverhead against BenchmarkObsDisabledOverhead
 // prices the sink itself. attach may return options or attach a consumer
@@ -199,7 +199,7 @@ func benchLens(b *testing.B, attach func(cfg config.GPUConfig, snk *obs.Sink) []
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		snk := NewSink(cfg, false, 0)
-		opts := []Option{WithPrefetcher("caps"), WithIdleSkip(), WithObs(snk)}
+		opts := []Option{WithPrefetcher("caps"), WithObs(snk)}
 		if attach != nil {
 			opts = append(opts, attach(cfg, snk)...)
 		}

@@ -14,7 +14,6 @@ import (
 //	g, err := sim.New(cfg, kernel,
 //		sim.WithPrefetcher("caps"),
 //		sim.WithWorkers(8),
-//		sim.WithIdleSkip(),
 //		sim.WithObs(snk))
 //
 // Options compose left to right: a later option overrides an earlier one
@@ -34,7 +33,6 @@ type options struct {
 	injectViolation   int64
 	perturbPrefetchAt int64
 	workers           int
-	idleSkip          bool
 	hostProf          *hostprof.Profiler
 	// lenses are the streaming profilers riding the obs event stream
 	// (WithMemLens, WithSchedLens), attached in option order.
@@ -43,6 +41,11 @@ type options struct {
 	// cycles one tick at a time: the reference the window-skip
 	// differential test compares against. Tests alone set it.
 	tickEvery bool
+	// noFastForward keeps every SM on the plain per-cycle pipeline: no
+	// sleep or stall-replay window ever opens (see fastforward.go). The
+	// reference the fast-forward differential tests compare against;
+	// tests alone set it.
+	noFastForward bool
 }
 
 // WithPrefetcher selects a registered prefetcher by name ("none", "caps",
@@ -156,15 +159,10 @@ func WithSchedLens(c *schedlens.Collector) Option {
 	}
 }
 
-// WithIdleSkip enables idle-cycle fast-forward (see fastforward.go). Per
-// SM, a tick that proves itself a no-op caches a sleep window and every
-// tick inside it short-circuits past the scheduler scan; a structural
-// stall whose cycles are provably identical replays in O(1), in the SMs
-// and in the L2 partitions, and an SM inside a full-sleep or stall-replay
-// window is not ticked at all until the window ends or a response
-// arrives. Every cycle still executes a Step, so beats, caps and
-// per-cycle events land exactly where they would without it, and
-// statistics and state hashes are bit-identical.
+// WithIdleSkip is a no-op kept for callers written when the idle-cycle
+// fast-forward (see fastforward.go) was opt-in; every run now uses it.
+//
+// Deprecated: the fast-forward is always on. Drop the option.
 func WithIdleSkip() Option {
-	return func(o *options) { o.idleSkip = true }
+	return func(*options) {}
 }

@@ -16,18 +16,18 @@ import (
 
 // Attaching a schedlens collector must leave simulated state untouched —
 // same stats hash, same cycle count — across the executor configurations
-// that matter: serial and parallel ticking, with and without the idle
-// fast-forward.
+// that matter: serial and parallel ticking, on the fast-forward and on
+// the plain per-cycle reference.
 func TestSchedLensPreservesSimState(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, idleSkip bool, sl *schedlens.Collector) (uint64, int64) {
+	run := func(workers int, fastForward bool, sl *schedlens.Collector) (uint64, int64) {
 		opts := []Option{WithPrefetcher("caps"), WithWorkers(workers)}
-		if idleSkip {
-			opts = append(opts, WithIdleSkip())
+		if !fastForward {
+			opts = append(opts, withoutFastForward())
 		}
 		if sl != nil {
 			opts = append(opts, WithSchedLens(sl))
@@ -44,12 +44,12 @@ func TestSchedLensPreservesSimState(t *testing.T) {
 		return st.Hash64(), g.Cycle()
 	}
 	for _, workers := range []int{1, 8} {
-		for _, idleSkip := range []bool{false, true} {
-			h0, c0 := run(workers, idleSkip, nil)
-			h1, c1 := run(workers, idleSkip, schedlens.ForConfig(cfg))
+		for _, fastForward := range []bool{false, true} {
+			h0, c0 := run(workers, fastForward, nil)
+			h1, c1 := run(workers, fastForward, schedlens.ForConfig(cfg))
 			if h1 != h0 || c1 != c0 {
-				t.Errorf("workers=%d idleSkip=%v: schedlens run diverged: hash %#x/%#x cycle %d/%d",
-					workers, idleSkip, h1, h0, c1, c0)
+				t.Errorf("workers=%d fastForward=%v: schedlens run diverged: hash %#x/%#x cycle %d/%d",
+					workers, fastForward, h1, h0, c1, c0)
 			}
 		}
 	}
@@ -69,13 +69,13 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 	}
 	var base []byte
 	for _, ex := range []struct {
-		workers  int
-		idleSkip bool
+		workers     int
+		fastForward bool
 	}{{1, false}, {1, true}, {8, false}, {8, true}} {
 		sl := schedlens.ForConfig(cfg)
 		opts := []Option{WithPrefetcher("caps"), WithWorkers(ex.workers), WithSchedLens(sl)}
-		if ex.idleSkip {
-			opts = append(opts, WithIdleSkip())
+		if !ex.fastForward {
+			opts = append(opts, withoutFastForward())
 		}
 		g, err := New(cfg, k, opts...)
 		if err != nil {
@@ -88,11 +88,11 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 		g.Close()
 		p := sl.Build(schedlens.Meta{Bench: "MM", Prefetcher: "caps", Scheduler: "pas", Cycles: g.Cycle()})
 		if err := p.Validate(st); err != nil {
-			t.Errorf("workers=%d idleSkip=%v: %v", ex.workers, ex.idleSkip, err)
+			t.Errorf("workers=%d fastForward=%v: %v", ex.workers, ex.fastForward, err)
 		}
 		if p.Timelines.Retires == 0 || p.LeadingWarp.Anchored == 0 {
-			t.Errorf("workers=%d idleSkip=%v: empty fold: retires=%d anchored=%d",
-				ex.workers, ex.idleSkip, p.Timelines.Retires, p.LeadingWarp.Anchored)
+			t.Errorf("workers=%d fastForward=%v: empty fold: retires=%d anchored=%d",
+				ex.workers, ex.fastForward, p.Timelines.Retires, p.LeadingWarp.Anchored)
 		}
 		enc, err := json.Marshal(p)
 		if err != nil {
@@ -103,8 +103,8 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(enc, base) {
-			t.Errorf("workers=%d idleSkip=%v: profile bytes differ from serial/no-skip build (%d vs %d bytes)",
-				ex.workers, ex.idleSkip, len(enc), len(base))
+			t.Errorf("workers=%d fastForward=%v: profile bytes differ from the serial plain-pipeline build (%d vs %d bytes)",
+				ex.workers, ex.fastForward, len(enc), len(base))
 		}
 	}
 }
@@ -123,7 +123,7 @@ func TestSchedLensValidatesAllBenchmarks(t *testing.T) {
 		t.Run(k.Abbr, func(t *testing.T) {
 			t.Parallel()
 			sl := schedlens.ForConfig(cfg)
-			g, err := New(cfg, k, WithPrefetcher("caps"), WithIdleSkip(), WithSchedLens(sl))
+			g, err := New(cfg, k, WithPrefetcher("caps"), WithSchedLens(sl))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,9 +110,9 @@ type SM struct {
 	sanSlots []int
 	sanNext  int64
 
-	// idleSkipOn enables the per-SM sleep fast paths (set when the run was
-	// built WithIdleSkip). Two cached verdicts, both derived state that is
-	// recomputed on wake and excluded from state hashes:
+	// The per-SM fast-forward's cached verdicts (see fastforward.go), all
+	// derived state that is recomputed on wake and excluded from state
+	// hashes:
 	//
 	// idleUntil caches trySleep's full-sleep verdict from the last full
 	// tick (issueBound plus empty LSU/store/prefetch/miss queues): for
@@ -153,7 +153,6 @@ type SM struct {
 	// backoff. Purely a wall-clock heuristic — trySleep has no observable
 	// effect, so delaying it cannot change results. Derived state,
 	// excluded from determinism hashes.
-	idleSkipOn     bool
 	idleUntil      int64
 	issueIdleUntil int64
 	sleepClass     obs.CycleClass
@@ -161,6 +160,7 @@ type SM struct {
 	stallPicks     bool
 	stallSched     sched.StallRunner
 	stallSR        sched.StallRunner // sched's StallRunner side, nil if none
+	quiescer       sched.Quiescer    // sched's Quiescer side, nil if none
 	stallTicks     int
 	sleepRetryAt   int64
 
@@ -207,6 +207,7 @@ type SM struct {
 
 	nowCache int64
 	addrBuf  []uint64
+	loadObs  prefetch.Observation // the OnLoad argument, reused per load
 }
 
 func newSM(id int, cfg config.GPUConfig, k *kernels.Kernel, sc sched.Scheduler,
@@ -244,10 +245,11 @@ func newSM(id int, cfg config.GPUConfig, k *kernels.Kernel, sc sched.Scheduler,
 		sm.warps[i].slot = i
 		sm.gate[i] = gateNever
 	}
-	// Resolve the scheduler's stall-replay capability once; tryStallReplay
-	// runs on every failed-issue tick and the repeated interface assertion
-	// is measurable there.
+	// Resolve the scheduler's sleep and stall-replay capabilities once;
+	// trySleep runs on every failed-issue tick and the repeated interface
+	// assertions are measurable there.
 	sm.stallSR, _ = sc.(sched.StallRunner)
+	sm.quiescer, _ = sc.(sched.Quiescer)
 	if cfg.CheckInvariants {
 		sm.sanitize = true
 		sm.sanComp = fmt.Sprintf("SM[%d]", id)
@@ -447,7 +449,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 	// Re-evaluate sleep only at a window's edge: while issueIdleUntil still
 	// covers the next cycle the cached verdict stands and the scan would be
 	// pure overhead.
-	if sm.idleSkipOn && issued == 0 && now+1 >= sm.issueIdleUntil && now >= sm.sleepRetryAt {
+	if issued == 0 && now+1 >= sm.issueIdleUntil && now >= sm.sleepRetryAt {
 		sm.trySleep(now)
 	}
 	return issued, nil
@@ -903,7 +905,10 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 			return true
 		}
 		sm.snk.LoadIssue(now, sm.id, w.slot, w.ctaID, w.warpInCTA, pcOf(in.Load), addrs[0], spec.Indirect)
-		obs := prefetch.Observation{
+		// The observation lives in the SM: its address would otherwise
+		// escape to the heap through the Prefetcher interface on every
+		// load.
+		sm.loadObs = prefetch.Observation{
 			Now:         now,
 			SMID:        sm.id,
 			PC:          pcOf(in.Load),
@@ -917,7 +922,7 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 			Addrs:       addrs,
 			Indirect:    spec.Indirect,
 		}
-		for _, c := range sm.pref.OnLoad(&obs) {
+		for _, c := range sm.pref.OnLoad(&sm.loadObs) {
 			sm.enqueuePrefetch(now, c)
 		}
 		w.outstanding += len(addrs)

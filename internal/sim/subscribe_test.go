@@ -80,14 +80,15 @@ func TestUnsubscribedKindsCountTheSame(t *testing.T) {
 		cfg.Scheduler = config.SchedPAS
 		cfg.MaxInsts = 30_000
 		// Every run is compared with the first of its kind: counters and
-		// the stats hash with the plain metrics-only run, profiles with the
-		// first run that built them. The executor is invisible to all of
-		// them, so idle-skip runs are held to the plain ones too.
+		// the stats hash with the metrics-only run on the plain per-cycle
+		// pipeline, profiles with the first run that built them. The
+		// executor is invisible to all of them, so fast-forward runs are
+		// held to the plain ones too.
 		var base, profRef, lensRef *subscribeRun
-		for _, idleSkip := range []bool{false, true} {
+		for _, fastForward := range []bool{false, true} {
 			for _, a := range []string{"metrics", "profile", "lenses", "catch-all"} {
-				name := fmt.Sprintf("%s idleSkip=%v %s", bench, idleSkip, a)
-				r := runSubscribed(t, cfg, k, idleSkip, a)
+				name := fmt.Sprintf("%s fastForward=%v %s", bench, fastForward, a)
+				r := runSubscribed(t, cfg, k, fastForward, a)
 				if base == nil {
 					base = r
 					for _, key := range []string{"l1/mshr", "l2/mshr", "l2/queue"} {
@@ -128,12 +129,12 @@ func TestUnsubscribedKindsCountTheSame(t *testing.T) {
 }
 
 // runSubscribed runs k with a sink and the named attachment.
-func runSubscribed(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, idleSkip bool, attach string) *subscribeRun {
+func runSubscribed(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, fastForward bool, attach string) *subscribeRun {
 	t.Helper()
 	snk := NewSink(cfg, false, 0)
 	opts := []Option{WithPrefetcher("caps"), WithObs(snk)}
-	if idleSkip {
-		opts = append(opts, WithIdleSkip())
+	if !fastForward {
+		opts = append(opts, withoutFastForward())
 	}
 	var (
 		col *profile.Collector

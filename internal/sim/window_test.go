@@ -22,6 +22,13 @@ import (
 // cycle, settling its window cycles one tick at a time (options.tickEvery).
 func withTickEverySM() Option { return func(o *options) { o.tickEvery = true } }
 
+// withoutFastForward selects the plain per-cycle pipeline: no SM ever
+// opens a sleep or stall-replay window (options.noFastForward), so every
+// cycle runs the full tick. It is the reference the fast-forward is held
+// to; the L2 partitions' stalled-retry verdict has its own reference in
+// internal/mem (refPartition).
+func withoutFastForward() Option { return func(o *options) { o.noFastForward = true } }
+
 // windowRun is everything one run of the window-skip differential yields.
 type windowRun struct {
 	stats    uint64
@@ -58,14 +65,16 @@ func windowStateHash(g *GPU) uint64 {
 }
 
 // runWindowed steps k to the instruction cap under CAPS with a host
-// profiler and opts, in one of the differential's variants: "bare" (no
-// sink), "lensed" (capsprof, memlens and schedlens on a metrics sink) or
-// "workers" (two SM workers, no sink).
+// profiler, the sanitizer and opts, in one of the differential's
+// variants: "bare" (no sink), "lensed" (capsprof, memlens and schedlens on
+// a metrics sink) or "workers" (two SM workers, no sink). The sanitizer
+// audits every settled window span and every skipped partition tick.
 func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option) *windowRun {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Scheduler = config.SchedPAS
 	cfg.MaxInsts = 30_000
+	cfg.CheckInvariants = true
 	hp := hostprof.New(hostprof.DefaultSampleEvery)
 	opts = append(opts, WithPrefetcher("caps"), WithHostProf(hp))
 	var (
@@ -124,20 +133,20 @@ func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option
 	return r
 }
 
-// TestWindowSkipMatchesPerCycle is the differential for window
-// settlement: leaving SMs unticked inside their full-sleep and
-// stall-replay windows, and settling the skipped cycles in bulk, must be
-// indistinguishable from ticking every SM on every cycle — statistics,
-// the checkpoint hash series, the hostprof skip ledger, the capsprof
-// stall stacks, the lens profiles and every metric — with no sink, with
-// the lenses attached, and on two SM workers. The every-SM reference
-// settles one cycle per tick through the same routine, so the run without
-// idle-skip, where no window ever opens, is held to the same outputs too:
-// a delta settle drops or miscounts shows against it. BFS and LPS spend
-// most SM-cycles in stall-replay windows, JC1 and CNV mix them with full
-// ticks.
+// TestWindowSkipMatchesPerCycle is the differential for the per-SM
+// fast-forward and its window settlement: leaving SMs unticked inside
+// their full-sleep and stall-replay windows, and settling the skipped
+// cycles in bulk, must be indistinguishable from ticking every SM on
+// every cycle, and both from the plain per-cycle pipeline where no window
+// opens — statistics, the checkpoint hash series, the capsprof stall
+// stacks, the lens profiles and every metric — with no sink, with the
+// lenses attached, and on two SM workers. The windowed run and the
+// every-SM reference must also agree on the hostprof skip ledger. BFS and
+// LPS spend most SM-cycles in stall-replay windows, JC1 and CNV mix them
+// with full ticks, and MM and MRQ spend about a third of theirs in stall
+// replay (MM) and full sleep (MRQ).
 func TestWindowSkipMatchesPerCycle(t *testing.T) {
-	for _, bench := range []string{"BFS", "LPS", "JC1", "CNV"} {
+	for _, bench := range []string{"BFS", "LPS", "JC1", "CNV", "MM", "MRQ"} {
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
 			k, err := kernels.ByAbbr(bench)
@@ -147,15 +156,20 @@ func TestWindowSkipMatchesPerCycle(t *testing.T) {
 			// The plain runs: one without a sink (the executor is
 			// invisible to every output, so the workers variant shares
 			// it) and one with the lenses.
-			plainBare := runWindowed(t, k, "bare")
-			plainLensed := runWindowed(t, k, "lensed")
+			plainBare := runWindowed(t, k, "bare", withoutFastForward())
+			plainLensed := runWindowed(t, k, "lensed", withoutFastForward())
+			for _, plain := range []*windowRun{plainBare, plainLensed} {
+				if w := plain.skip.FullSleepCycles + plain.skip.StallReplayCycles; w != 0 || plain.skipped != 0 {
+					t.Fatalf("the plain reference settled %d window cycles and skipped %d SM ticks", w, plain.skipped)
+				}
+			}
 			for _, variant := range []string{"bare", "lensed", "workers"} {
 				plain := plainBare
 				if variant == "lensed" {
 					plain = plainLensed
 				}
-				ref := runWindowed(t, k, variant, WithIdleSkip(), withTickEverySM())
-				got := runWindowed(t, k, variant, WithIdleSkip())
+				ref := runWindowed(t, k, variant, withTickEverySM())
+				got := runWindowed(t, k, variant)
 				compareWindowed(t, variant, plain, ref, got)
 			}
 		})
@@ -207,6 +221,57 @@ func stallStack(p *profile.Profile) map[string]int64 {
 	return p.StallStack
 }
 
+// TestFastForwardSeriesWithClampsActive holds the fast-forward to the
+// plain pipeline at 4 SMs, under CAPS and without a prefetcher, with a
+// 512-cycle beat and a cycle cap that cuts the run mid-flight: the state
+// hash series up to the cap and the final statistics must be
+// bit-identical, so windows still open at the cap settle exactly.
+func TestFastForwardSeriesWithClampsActive(t *testing.T) {
+	for _, c := range []struct {
+		bench, pf string
+		sched     config.SchedulerKind
+	}{{"STE", "caps", config.SchedPAS}, {"MM", "caps", config.SchedPAS}, {"MM", "none", config.SchedTwoLevel}} {
+		cfg := config.Default()
+		cfg.NumSMs = 4
+		cfg.Scheduler = c.sched
+		cfg.MaxCycle = 12_000
+		k, err := kernels.ByAbbr(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := func(opts ...Option) (hashes []uint64, stats uint64, skipped int) {
+			g, err := New(cfg, k, append(opts, WithPrefetcher(c.pf), WithProgressEvery(512))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !g.Done() && g.Cycle() < cfg.MaxCycle {
+				for _, sm := range g.sms {
+					if g.skipping() && sm.asleep(g.cycle) {
+						skipped++
+					}
+				}
+				if err := g.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if g.Cycle()%512 == 0 {
+					hashes = append(hashes, windowStateHash(g))
+				}
+			}
+			g.Close()
+			return append(hashes, windowStateHash(g)), g.Stats().Hash64(), skipped
+		}
+		plain, plainStats, _ := series(withoutFastForward())
+		got, gotStats, skipped := series()
+		if skipped == 0 {
+			t.Errorf("%s/%s: no SM tick was skipped; the comparison exercises nothing", c.bench, c.pf)
+		}
+		if gotStats != plainStats || !reflect.DeepEqual(got, plain) {
+			t.Errorf("%s/%s: fast-forward diverged from the plain pipeline (stats %#x vs %#x, %d vs %d checkpoints)",
+				c.bench, c.pf, gotStats, plainStats, len(got), len(plain))
+		}
+	}
+}
+
 // A window end that outlives its premise must not be settled silently:
 // under the sanitizer the settled span's audit names the SM and the cycle.
 // Each case opens a window by hand, the staleness a missed wake would
@@ -231,7 +296,7 @@ func TestSanitizerCatchesStaleWindowEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := New(cfg, k, WithPrefetcher("caps"), WithIdleSkip())
+		g, err := New(cfg, k, WithPrefetcher("caps"))
 		if err != nil {
 			t.Fatal(err)
 		}
