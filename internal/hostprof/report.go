@@ -197,7 +197,14 @@ func (pr *Profile) writeJoined(b *strings.Builder, sim *profile.Profile) error {
 	for name := range sim.StallStack {
 		names = append(names, name)
 	}
-	sort.Slice(names, func(i, j int) bool { return sim.StallStack[names[i]] > sim.StallStack[names[j]] })
+	// Largest first; equal classes (several are often zero) by name, so
+	// the page does not follow the map's iteration order.
+	sort.Slice(names, func(i, j int) bool {
+		if a, b := sim.StallStack[names[i]], sim.StallStack[names[j]]; a != b {
+			return a > b
+		}
+		return names[i] < names[j]
+	})
 	labels := make([]string, len(names))
 	ms := make([]float64, len(names))
 	b.WriteString("<table><tr><th>cycle class</th><th>sim cycles</th><th>share</th><th>host ms</th></tr>\n")

@@ -135,6 +135,11 @@ type Cache struct {
 	sinkDom obs.Domain
 	sinkID  int
 
+	// heldMSHRFails and heldQueueFails are the reservation fails counted
+	// but not yet reported to the sink, by ResFail's label (see
+	// HoldResFails). Observation only, excluded from determinism hashes.
+	heldMSHRFails, heldQueueFails int64
+
 	// Sanitizer state (see internal/invariant). When enabled, every
 	// Access/Fill/PopMiss re-audits the MSHR and miss-queue accounting and
 	// latches the first violation for the owning tick loop to surface.
@@ -462,15 +467,15 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 	usePool := req.Kind == Prefetch && c.prefetchPool > 0
 	if usePool {
 		if c.prefetchOnly >= c.prefetchPool {
-			c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, false)
+			c.resFail(now, req.LineAddr, false)
 			return AccessResult{Outcome: ResFailMSHR}
 		}
 	} else if c.mshrs.len()-c.prefetchOnly >= c.cfg.MSHREntries {
-		c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, false)
+		c.resFail(now, req.LineAddr, false)
 		return AccessResult{Outcome: ResFailMSHR}
 	}
 	if len(c.missQ) >= c.cfg.MissQueue {
-		c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, true)
+		c.resFail(now, req.LineAddr, true)
 		return AccessResult{Outcome: ResFailQueue}
 	}
 	if c.mshrs.full() {
@@ -479,7 +484,7 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 		// any reservation fail, so it replays; the sanitizer's bound check
 		// reports the refusal.
 		c.tableRefusals++
-		c.sink.ResFail(now, c.sinkDom, c.sinkID, req.LineAddr, false)
+		c.resFail(now, req.LineAddr, false)
 		return AccessResult{Outcome: ResFailMSHR}
 	}
 	c.sink.MSHRAlloc(now, c.sinkDom, c.sinkID, req.LineAddr, usePool)
@@ -505,12 +510,49 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 // touching cache state. The structural-stall replays call it in place of
 // an Access whose fail outcome is already known, so counters and any
 // subscribed event stream match a run that presents the doomed request
-// every cycle; with EvResFail dead (no trace, staging or subscriber) the
-// sink only bumps the counter.
+// every cycle.
 //
 //caps:hotpath
 func (c *Cache) ReplayResFail(now int64, lineAddr uint64, queue bool) {
-	c.sink.ResFail(now, c.sinkDom, c.sinkID, lineAddr, queue)
+	c.resFail(now, lineAddr, queue)
+}
+
+// resFail records one reservation fail: an EvResFail event when something
+// receives the kind, and otherwise only a held count (HoldResFails).
+func (c *Cache) resFail(now int64, lineAddr uint64, queue bool) {
+	if c.sink.Live(obs.EvResFail) {
+		c.sink.ResFail(now, c.sinkDom, c.sinkID, lineAddr, queue)
+		return
+	}
+	c.HoldResFails(queue, 1)
+}
+
+// HoldResFails counts n reservation fails, labelled as ResFail labels
+// them, without an event: the fails of a settled span, or any fail while
+// EvResFail has no receiver, whose only trace is the sink's counter. The
+// cache holds them until FlushResFails, so a fail costs one add rather
+// than a sink call. Callers other than resFail must have checked that
+// EvResFail is dead (see obs.Sink.Live).
+func (c *Cache) HoldResFails(queue bool, n int64) {
+	if queue {
+		c.heldQueueFails += n
+	} else {
+		c.heldMSHRFails += n
+	}
+}
+
+// FlushResFails hands the held fails to the sink's counters, one
+// Sink.ResFails call per label. The owner settles it before anything
+// reads the sink (SM.flushRuns, Partition.Settle).
+func (c *Cache) FlushResFails() {
+	if c.heldMSHRFails > 0 {
+		c.sink.ResFails(c.sinkDom, c.sinkID, false, c.heldMSHRFails)
+		c.heldMSHRFails = 0
+	}
+	if c.heldQueueFails > 0 {
+		c.sink.ResFails(c.sinkDom, c.sinkID, true, c.heldQueueFails)
+		c.heldQueueFails = 0
+	}
 }
 
 // MissQueueFull reports whether the outgoing miss queue is at capacity, in

@@ -92,6 +92,15 @@ type Partition struct {
 	// determinism hashes.
 	retryStalled bool
 	fillLines    []uint64
+
+	// A quiet retry queue (see retryQuiet) replays one proven fail per
+	// retry on every cycle, ticked or slept, and touches nothing but the
+	// sink's reservation-fail counters, so the partition owes the sink a
+	// count instead of a walk: the L2 slice holds it (Cache.HoldResFails)
+	// until Settle. quietFrom is the first quiet cycle not yet counted
+	// (maxCycle while the queue is not quiet). Derived state, excluded
+	// from determinism hashes.
+	quietFrom int64
 }
 
 // NewPartition builds one partition slice.
@@ -108,6 +117,7 @@ func NewPartition(id int, g config.GPUConfig, dram *DRAMChannel, ic *Interconnec
 		ic:             ic,
 		inbox:          ic.toPart[id],
 		acceptPerCycle: g.ICNTWidth,
+		quietFrom:      maxCycle,
 	}
 }
 
@@ -148,12 +158,60 @@ func (p *Partition) CheckSkip(now int64) error {
 	return nil
 }
 
-// retryQuiet reports whether replaying the retry queue is a no-op: the
-// stalled-retry verdict holds, no fill or open reservation voids it, and
-// with no sink attached the proven fails it replays are counted nowhere.
+// retryQuiet reports whether replaying the retry queue only counts fails:
+// the stalled-retry verdict holds, no fill or open reservation voids it,
+// and nothing receives EvResFail events, so every replay is one proven
+// fail the partition may count in bulk (see quietFrom) without a tick.
 func (p *Partition) retryQuiet() bool {
-	return p.retryStalled && p.l2.sink == nil && len(p.fillLines) == 0 &&
+	return p.retryStalled && !p.l2.sink.Live(obs.EvResFail) && len(p.fillLines) == 0 &&
 		!(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
+}
+
+// settleQuiet counts the proven fails of the quiet cycles from quietFrom
+// up to, not including, upTo: one per queued retry and cycle, labelled as
+// replayStalled labels them. Only Tick and DeliverFromDRAM change the
+// queue, the MSHR file or the miss queue, and both settle first, so the
+// state read here held through every cycle of the span. Under the
+// sanitizer the span's premise is audited first (auditQuiet).
+func (p *Partition) settleQuiet(upTo int64) {
+	// The check inlines into every Tick; the span's work does not.
+	if p.quietFrom < upTo {
+		p.settleSpan(upTo)
+	}
+}
+
+// settleSpan is settleQuiet's work for the quiet cycles before upTo.
+func (p *Partition) settleSpan(upTo int64) {
+	if p.l2.sanitize && p.l2.violation == nil {
+		p.l2.violation = p.auditQuiet(upTo - 1)
+	}
+	p.countQuiet(upTo - p.quietFrom)
+	p.quietFrom = upTo
+}
+
+// countQuiet counts the fails of n quiet cycles.
+func (p *Partition) countQuiet(n int64) {
+	p.l2.HoldResFails(p.l2.MSHRsFree() > 0, n*int64(len(p.retryQ)))
+}
+
+// auditQuiet checks that the quiet premise settleQuiet relies on held
+// through cycle last: a non-empty queue under a quiet verdict, and every
+// retried line still neither cached nor in flight, so each replay would
+// indeed have failed. A breach means a stale verdict.
+func (p *Partition) auditQuiet(last int64) error {
+	if len(p.retryQ) == 0 || !p.retryQuiet() || !p.retriesStalled() {
+		return invariant.Errorf(p.l2.Label(), last, "quiet retry cycles settled over %d retries the verdict does not cover", len(p.retryQ))
+	}
+	return nil
+}
+
+// Settle counts the quiet cycles before now and reports every fail the L2
+// slice holds to the sink (Cache.FlushResFails). GPU.settle calls it
+// before anything reads the sink; a breach the sanitizer found while
+// settling is latched on the L2 slice (SanitizerErr).
+func (p *Partition) Settle(now int64) {
+	p.settleQuiet(now)
+	p.l2.FlushResFails()
 }
 
 // Tick advances the partition one cycle. DRAM channels are ticked
@@ -162,6 +220,8 @@ func (p *Partition) retryQuiet() bool {
 // is the first invariant violation detected by the sanitizer (nil when
 // checking is disabled or the partition is healthy).
 func (p *Partition) Tick(now int64) error {
+	// Count the quiet cycles the GPU skipped since the last tick.
+	p.settleQuiet(now)
 	// Send matured L2 hits back through the interconnect; the rest set the
 	// wake cycle, which hits queued later in this tick can only lower.
 	out := p.hitPipe[:0]
@@ -199,13 +259,9 @@ func (p *Partition) Tick(now int64) error {
 		// With no fill to look at and no reservation open, every demand
 		// replay is a proven reservation fail. Unless something receives
 		// EvResFail events, its only effect is one counter per retry, so
-		// count them in one call instead of walking the queue: the label
-		// is replayStalled's, and the MSHR count cannot change without
-		// an access.
-		quiet := len(p.fillLines) == 0 && !p.l2.sink.Live(obs.EvResFail) &&
-			!(p.l2.MSHRsFree() > 0 && !p.l2.MissQueueFull())
-		if quiet {
-			p.l2.sink.ResFails(obs.DomPart, p.ID, p.l2.MSHRsFree() > 0, int64(len(p.retryQ)))
+		// count them instead of walking the queue.
+		if p.retryQuiet() {
+			p.countQuiet(1)
 		} else {
 			p.replayStalled(now)
 		}
@@ -241,8 +297,15 @@ func (p *Partition) Tick(now int64) error {
 	if !p.retryStalled && len(p.retryQ) > 0 {
 		p.retryStalled = p.retriesStalled()
 	}
-	if len(p.retryQ) > 0 && !p.retryQuiet() {
-		p.wakeAt = now + 1
+	// A quiet queue needs no tick: its next cycles are counted from
+	// quietFrom when the partition next settles.
+	p.quietFrom = maxCycle
+	if len(p.retryQ) > 0 {
+		if p.retryQuiet() {
+			p.quietFrom = now + 1
+		} else {
+			p.wakeAt = now + 1
+		}
 	}
 	if p.l2.sanitize {
 		if err := p.checkQueues(now); err != nil {
@@ -435,6 +498,8 @@ func (p *Partition) checkQueues(now int64) error {
 // for every waiter. A fill without a matching L2 MSHR is a routing bug and
 // is surfaced as an invariant violation.
 func (p *Partition) DeliverFromDRAM(now int64, r *Request) error {
+	// The fill ends a quiet span: count it under the state it held.
+	p.settleQuiet(now)
 	// The fill frees an MSHR and installs a line: a queued retry may now
 	// hit, merge or allocate. Its effect is precisely known, so instead of
 	// voiding the stalled-retry verdict (and replaying the whole queue for

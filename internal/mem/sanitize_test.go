@@ -226,6 +226,20 @@ func TestPartitionSanitizerCatchesSleepingRetries(t *testing.T) {
 	wantViolation(t, p.CheckSkip(5), "1 queued retries that need a walk")
 }
 
+// TestPartitionSanitizerCatchesStaleQuietSpan plants a quiet span over a
+// retry no stalled-retry verdict covers, the staleness a missed settle
+// would leave behind: the next tick counts the span's fails, and its audit
+// must report it under the slice's label at the span's last cycle.
+func TestPartitionSanitizerCatchesStaleQuietSpan(t *testing.T) {
+	p := sanitizedPartition(t)
+	p.retryQ = append(p.retryQ, queued{seq: 1, req: demandReq(0)})
+	p.quietFrom = 2
+	v := wantViolation(t, p.Tick(6), "quiet retry cycles settled over 1 retries")
+	if v.Component != "L2[0]" || v.Cycle != 5 {
+		t.Errorf("violation at %s cycle %d, want L2[0] cycle 5", v.Component, v.Cycle)
+	}
+}
+
 // TestDRAMSanitizerCatchesServiceOrder breaks the in-service FIFO's finish
 // order, which head-only completion relies on; the next issue's audit must
 // report it under the channel's label.

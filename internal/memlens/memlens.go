@@ -35,15 +35,24 @@ const (
 const reuseSampleEvery = 64
 
 // anchor is the first (warpInCTA, addr) observation of a (PC, CTA) pair:
-// it defines that CTA's base address θ for the PC.
+// it defines that CTA's base address θ for the PC. set marks a slot of the
+// CTA-indexed table that holds one.
 type anchor struct {
 	warp int32
+	set  bool
 	addr uint64
 }
+
+// denseCTAs bounds the CTA ids a PC's anchor table indexes directly; the
+// rare id outside [0, denseCTAs) keeps its anchor in a map instead. Grids
+// have a few thousand CTAs, so the table is the anchors' only home.
+const denseCTAs = 1 << 16
 
 // pcState accumulates one load PC's address-structure and prefetch
 // timeliness evidence.
 type pcState struct {
+	pc uint32
+
 	// Address structure. Every non-indirect observation after a CTA's
 	// anchor is tested against addr == θ(CTA) + Δ·(warpInCTA - anchorWarp);
 	// Δ is the majority vote over the implied per-observation strides
@@ -55,9 +64,15 @@ type pcState struct {
 	unexplained  int64
 	delta        int64
 	deltaVotes   int64
-	anchorByCTA  map[int32]anchor
 	truncAnchors int64
 	residual     [lens.Buckets]int64 // log2 |addr - predicted| of unexplained obs
+
+	// byCTA is the CTA-indexed anchor table, grown on demand, farCTAs
+	// holds the anchors of ids past it, and held counts the anchors both
+	// hold against maxAnchors.
+	byCTA   []anchor
+	farCTAs map[int32]*anchor
+	held    int
 
 	// Prefetch timeliness per PC.
 	prefAdmits   int64
@@ -91,17 +106,21 @@ type lineKey struct {
 }
 
 // reuseFilterSlots sizes the counting presence filter in front of the
-// tracked-line map: 64K byte-counters against ≤maxTracked (4096) live
-// keys keeps the expected load per slot at 1/16, so almost every
-// untracked access resolves with one multiply and one byte load instead
-// of a map probe — the map probe was the collector's single largest cost.
+// tracked-line map: each tracked key marks two of 64K slots, so with
+// ≤maxTracked (4096) live keys at most one slot in eight is marked and an
+// untracked line finds both its slots marked about one time in 70 (one in
+// 16 with a single slot), resolving almost every access with one multiply
+// and two bit tests instead of a map probe — the map probe was the
+// collector's single largest cost. The tests read an 8 KiB bitmap of the
+// non-zero slots, which stays in the host's L1 cache where the 64 KiB of
+// byte counters behind it would not.
 const reuseFilterSlots = 1 << 16
 
-// slot hashes the key into the filter (Fibonacci hashing on the line
-// address with the track folded in; top 16 bits).
-func (k lineKey) slot() uint32 {
+// slots hashes the key to its two filter slots (Fibonacci hashing on the
+// line address with the track folded in; the top two 16-bit fields).
+func (k lineKey) slots() (uint32, uint32) {
 	h := (k.line ^ (uint64(uint16(k.track)) << 48)) * 0x9E3779B97F4A7C15
-	return uint32(h >> 48)
+	return uint32(h >> 48), uint32(h>>32) & (reuseFilterSlots - 1)
 }
 
 // reuseLevel is one cache level's reuse-distance sampler: a deterministic
@@ -110,7 +129,8 @@ func (k lineKey) slot() uint32 {
 type reuseLevel struct {
 	accesses []int64 // per-track running access index
 	tracked  map[lineKey]int64
-	filter   []uint8 // counting filter over tracked keys; 0 ⇒ definitely absent
+	filter   []uint8  // counting filter over tracked keys' slots, saturating at 255
+	nonzero  []uint64 // one bit per filter slot, set while it counts a key
 	sampled  int64
 	reused   int64
 	trunc    int64
@@ -122,6 +142,7 @@ func newReuseLevel(tracks int) reuseLevel {
 		accesses: make([]int64, tracks),
 		tracked:  make(map[lineKey]int64, maxTracked),
 		filter:   make([]uint8, reuseFilterSlots),
+		nonzero:  make([]uint64, reuseFilterSlots/64),
 	}
 }
 
@@ -132,17 +153,14 @@ func (r *reuseLevel) fold(track int16, line uint64) {
 	r.accesses[track]++
 	idx := r.accesses[track]
 	k := lineKey{track: track, line: line}
-	slot := k.slot()
-	if r.filter[slot] != 0 {
+	s1, s2 := k.slots()
+	if r.marked(s1) && r.marked(s2) {
 		if at, ok := r.tracked[k]; ok {
 			r.reused++
 			r.hist.Observe(idx - at)
 			delete(r.tracked, k) // one-shot: first reuse closes the observation
-			// A slot saturated at 255 stays put: its delete history is
-			// unknowable, and an overstated count only costs a map probe.
-			if r.filter[slot] < 255 {
-				r.filter[slot]--
-			}
+			r.unmark(s1)
+			r.unmark(s2)
 			return
 		}
 	}
@@ -155,8 +173,30 @@ func (r *reuseLevel) fold(track int16, line uint64) {
 	}
 	r.sampled++
 	r.tracked[k] = idx //caps:alloc-ok bounded by maxTracked; slots recycle on reuse
-	if r.filter[slot] < 255 {
-		r.filter[slot]++
+	r.mark(s1)
+	r.mark(s2)
+}
+
+// marked reports whether filter slot s counts a tracked key.
+func (r *reuseLevel) marked(s uint32) bool { return r.nonzero[s/64]&(1<<(s%64)) != 0 }
+
+// mark counts one more tracked key in slot s.
+func (r *reuseLevel) mark(s uint32) {
+	if r.filter[s] < 255 {
+		r.filter[s]++
+	}
+	r.nonzero[s/64] |= 1 << (s % 64)
+}
+
+// unmark counts one tracked key out of slot s. A slot saturated at 255
+// stays put: its delete history is unknowable, and an overstated count
+// only costs a map probe.
+func (r *reuseLevel) unmark(s uint32) {
+	if n := r.filter[s]; n < 255 {
+		r.filter[s] = n - 1
+		if n == 1 {
+			r.nonzero[s/64] &^= 1 << (s % 64)
+		}
 	}
 }
 
@@ -175,10 +215,10 @@ type Collector struct {
 
 	pcs      map[uint32]*pcState
 	truncPCs int64
-	// One-entry pcLedger cache: static loads cluster on a handful of hot
-	// PCs, and every load/prefetch event starts with the same lookup.
-	lastPC  uint32
-	lastPCS *pcState
+	// pcCache is a direct-mapped cache in front of pcs: kernels have a
+	// handful of static loads, every load and prefetch event starts with
+	// this lookup, and the events of different PCs interleave.
+	pcCache [pcCacheSlots]*pcState
 
 	pref        map[prefKey]prefLine
 	truncPref   int64
@@ -221,7 +261,7 @@ func NewCollector(cfg Config) *Collector {
 	return &Collector{
 		cfg:     cfg,
 		pcs:     make(map[uint32]*pcState),
-		pref:    make(map[prefKey]prefLine, maxInPref),
+		pref:    make(map[prefKey]prefLine),
 		l1Reuse: newReuseLevel(cfg.SMs),
 		l2Reuse: newReuseLevel(cfg.Partitions),
 		banks:   make([]bankStat, cfg.Channels*cfg.Banks),
@@ -263,22 +303,26 @@ func (c *Collector) WantsKind(k obs.Kind) bool {
 	return false
 }
 
+// pcCacheSlots sizes Collector.pcCache; the simulator numbers load PCs
+// from 1, so kernels with up to this many static loads never miss it.
+const pcCacheSlots = 256
+
 // pcLedger returns the state for a load PC, or nil once the cap is hit.
 func (c *Collector) pcLedger(pc uint32) *pcState {
-	if c.lastPCS != nil && c.lastPC == pc {
-		return c.lastPCS
-	}
-	if s, ok := c.pcs[pc]; ok {
-		c.lastPC, c.lastPCS = pc, s
+	slot := &c.pcCache[pc%pcCacheSlots]
+	if s := *slot; s != nil && s.pc == pc {
 		return s
 	}
-	if len(c.pcs) >= maxPCs {
-		c.truncPCs++
-		return nil
+	s, ok := c.pcs[pc]
+	if !ok {
+		if len(c.pcs) >= maxPCs {
+			c.truncPCs++
+			return nil
+		}
+		s = &pcState{pc: pc} //caps:alloc-ok bounded by maxPCs; kernels have a handful of static loads
+		c.pcs[pc] = s
 	}
-	s := &pcState{anchorByCTA: make(map[int32]anchor)} //caps:alloc-ok bounded by maxPCs; kernels have a handful of static loads
-	c.pcs[pc] = s
-	c.lastPC, c.lastPCS = pc, s
+	*slot = s
 	return s
 }
 
@@ -372,13 +416,14 @@ func (c *Collector) foldLoad(e obs.Event) {
 		s.indirect++
 		return
 	}
-	a, ok := s.anchorByCTA[e.CTA]
-	if !ok {
-		if len(s.anchorByCTA) >= maxAnchors {
+	a := s.anchorOf(e.CTA)
+	if a == nil {
+		if s.held >= maxAnchors {
 			s.truncAnchors++
 			return
 		}
-		s.anchorByCTA[e.CTA] = anchor{warp: int32(e.Val), addr: e.Addr} //caps:alloc-ok bounded by maxAnchors per PC
+		s.held++
+		*s.newAnchor(e.CTA) = anchor{warp: int32(e.Val), set: true, addr: e.Addr} //caps:alloc-ok bounded by maxAnchors per PC
 		s.anchors++
 		return
 	}
@@ -387,7 +432,7 @@ func (c *Collector) foldLoad(e obs.Event) {
 		// Same warp re-issuing the load (loop iteration): the per-iteration
 		// stride is a different axis than Δ; re-anchor so iteration i's
 		// warps are compared against each other.
-		s.anchorByCTA[e.CTA] = anchor{warp: int32(e.Val), addr: e.Addr}
+		a.addr = e.Addr
 		s.anchors++
 		return
 	}
@@ -422,6 +467,36 @@ func (c *Collector) foldLoad(e obs.Event) {
 		r = -r
 	}
 	s.residual[bits.Len64(uint64(r))]++
+}
+
+// anchorOf returns cta's anchor, or nil when the PC has none for it.
+func (s *pcState) anchorOf(cta int32) *anchor {
+	if uint32(cta) < uint32(len(s.byCTA)) {
+		if a := &s.byCTA[cta]; a.set {
+			return a
+		}
+		return nil
+	}
+	return s.farCTAs[cta]
+}
+
+// newAnchor returns the empty slot for cta's first anchor, growing the
+// table (at least doubling it, up to denseCTAs) to cover a new id.
+func (s *pcState) newAnchor(cta int32) *anchor {
+	if uint32(cta) < denseCTAs {
+		if int(cta) >= len(s.byCTA) {
+			grown := make([]anchor, min(max(int(cta)+1, 2*len(s.byCTA), 64), denseCTAs))
+			copy(grown, s.byCTA)
+			s.byCTA = grown
+		}
+		return &s.byCTA[cta]
+	}
+	if s.farCTAs == nil {
+		s.farCTAs = make(map[int32]*anchor)
+	}
+	a := &anchor{}
+	s.farCTAs[cta] = a
+	return a
 }
 
 // foldAccess routes one accepted cache access to its level's reuse sampler

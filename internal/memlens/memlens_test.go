@@ -54,6 +54,44 @@ func TestThetaDeltaExplainsAffineStream(t *testing.T) {
 	}
 }
 
+// TestAnchorTableTruncatesAtCap pins the per-PC anchor bound: a PC anchors
+// at most maxAnchors CTAs, counting later new CTAs as truncated, while
+// anchored CTAs — ids the dense table covers, ids past it, and negative
+// ids alike — keep being tested and re-anchored.
+func TestAnchorTableTruncatesAtCap(t *testing.T) {
+	c := testCollector()
+	const pc = 0x40
+	// θ(cta) = 0x10000·(cta mod 1024), Δ = 128.
+	theta := func(cta int32) uint64 { return 0x10000 * uint64(uint32(cta)%1024) }
+	ids := []int32{-1, denseCTAs, 1 << 30}
+	for cta := int32(0); cta < maxAnchors-3; cta++ {
+		ids = append(ids, cta)
+	}
+	for _, cta := range ids {
+		c.Consume(loadEvent(pc, cta, 0, theta(cta), false))
+	}
+	// The table is full: new CTAs, dense or not, are turned away.
+	for _, cta := range []int32{maxAnchors, maxAnchors + 1, denseCTAs + 1, -2} {
+		c.Consume(loadEvent(pc, cta, 0, theta(cta), false))
+	}
+	// Every anchored CTA still tests its warps against its own θ.
+	for _, cta := range []int32{-1, 0, 7, maxAnchors - 4, denseCTAs, 1 << 30} {
+		for w := int32(1); w < 3; w++ {
+			c.Consume(loadEvent(pc, cta, w, theta(cta)+128*uint64(w), false))
+		}
+	}
+	// A same-warp re-issue re-anchors in place.
+	c.Consume(loadEvent(pc, 1<<30, 0, theta(1<<30)+0x800, false))
+	got := c.Build(Meta{Bench: "cap"}).AddrStructure.PCs[0]
+	if got.Anchors != maxAnchors+1 || got.TruncatedAnchors != 4 {
+		t.Fatalf("anchors=%d truncated=%d, want %d/4", got.Anchors, got.TruncatedAnchors, maxAnchors+1)
+	}
+	// 12 tested warps: the first only seeds Δ, the other 11 match it.
+	if got.Explained != 11 || got.Unexplained != 0 || got.Delta != 128 {
+		t.Fatalf("explained=%d unexplained=%d delta=%d, want 11/0/128", got.Explained, got.Unexplained, got.Delta)
+	}
+}
+
 func TestThetaDeltaRejectsRandomStream(t *testing.T) {
 	c := testCollector()
 	// A deterministic but non-affine address stream (quadratic in warp).
@@ -142,6 +180,43 @@ func TestReuseSampling(t *testing.T) {
 	}
 	if mean := l1.Hist.Mean; mean != n {
 		t.Fatalf("mean reuse interval %.1f, want %d", mean, n)
+	}
+}
+
+// TestReuseFilterSharesSlots tracks two lines whose keys share a filter
+// slot: closing the first line's observation must leave the slot marked
+// for the second, whose reuse is still found.
+func TestReuseFilterSharesSlots(t *testing.T) {
+	first := map[uint32]uint64{}
+	var a, b uint64
+	for line := uint64(0); b == 0; line += 128 {
+		s, _ := lineKey{line: line}.slots()
+		if prev, ok := first[s]; ok {
+			a, b = prev, line
+		}
+		first[s] = line
+	}
+	c := testCollector()
+	filler := uint64(1) << 40
+	touch := func(line uint64) { c.Consume(memAccess(obs.DomSM, 0, line, obs.AccessHit, false)) }
+	// Access n·reuseSampleEvery is sampled: a at 64, b at 128.
+	for _, line := range []uint64{a, b} {
+		for i := 1; i < reuseSampleEvery; i++ {
+			touch(filler)
+			filler += 128
+		}
+		touch(line)
+	}
+	touch(a)
+	touch(b)
+	var l1 ReuseLevel
+	for _, r := range c.Build(Meta{}).Reuse {
+		if r.Level == "L1" {
+			l1 = r
+		}
+	}
+	if l1.Sampled != 2 || l1.Reused != 2 {
+		t.Fatalf("sampled=%d reused=%d, want 2/2 (lines %#x and %#x share a slot)", l1.Sampled, l1.Reused, a, b)
 	}
 }
 

@@ -124,10 +124,12 @@ type StreamFilter interface {
 }
 
 // RunFolder is an optional Consumer refinement for the per-cycle class
-// stream: a consumer that folds an EvCycleClass event as Event.Cycles()
-// cycles, and does not depend on the order of those events across SMs,
-// returns true. Consumers that don't implement it are taken to keep each
-// cycle's event in order (a flight recorder with KeepCycleClass).
+// stream: a consumer that only sums each SM's cycles per class, folding
+// an EvCycleClass event as Event.Cycles() cycles whatever its cycle stamp
+// and order, returns true. The simulator then reports each SM's cycles of
+// one class in bulk, however many runs they came in. Consumers that don't
+// implement it are taken to keep each cycle's event in order (a flight
+// recorder with KeepCycleClass).
 type RunFolder interface {
 	FoldsCycleRuns() bool
 }
@@ -241,12 +243,12 @@ func (s *Sink) refreshLive() {
 	}
 }
 
-// Foldable reports whether the simulator may report a run of identical
-// quiet SM cycles in bulk: one CycleClass call for the run and one ResFails
-// count for its reservation fails. That holds while EvResFail has no
-// receiver and every cycle-class consumer folds runs (RunFolder); either
-// kind of receiver would otherwise see the run's events out of their
-// per-cycle order. True on a nil sink.
+// Foldable reports whether the simulator may report SM cycles in bulk:
+// one CycleClass call for an SM's pending cycles of a class and one
+// ResFails count for the reservation fails of the cycles it skipped. That
+// holds while EvResFail has no receiver and every cycle-class consumer
+// sums (RunFolder); either kind of receiver would otherwise see the
+// cycles' events out of their per-cycle order. True on a nil sink.
 func (s *Sink) Foldable() bool { return s == nil || s.foldable }
 
 // Live reports whether events of kind k have a receiver: the trace, the
@@ -357,11 +359,18 @@ func (s *Sink) emitStream(e Event) {
 // post stages e, or emits it when the sink is not staging, and reports
 // whether it was staged: a staged hook leaves its counters to the replay.
 func (s *Sink) post(e Event) bool {
-	if s.stageEvent(e) {
+	if s.staging() && s.stageEvent(e) {
 		return true
 	}
 	s.emit(e)
 	return false
+}
+
+// staging reports whether the parallel SM phase is parking hooks in the
+// staging lanes; hooks test it before handing an event to stageEvent.
+func (s *Sink) staging() bool {
+	st := s.stage
+	return st != nil && st.on
 }
 
 // cache returns the counter block of an L1 (DomSM) or an L2 slice
@@ -465,13 +474,14 @@ func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
 	s.sm[sm].warpStallEnd.Inc()
 }
 
-// CycleClass attributes the n SM cycles from cycle on to one stall-stack
-// bucket: the counter grows by n and consumers receive one EvCycleClass
-// event whose Val is the run length (0 for a single cycle, see
-// Event.Cycles). This is the highest-rate hook in the system — an SM
-// reports every cycle it ticks, coalescing runs of one class only while
-// the sink is Foldable — so it updates a pre-resolved counter and streams
-// to consumers only: the bounded trace buffer never sees it.
+// CycleClass attributes n SM cycles, the first at cycle, to one
+// stall-stack bucket: the counter grows by n and consumers receive one
+// EvCycleClass event whose Val is n (0 for a single cycle, see
+// Event.Cycles). The n cycles are one contiguous run unless the sink is
+// Foldable, where an SM sums its cycles per class until it is settled.
+// Without that, this is the highest-rate hook in the system — an SM
+// reports every cycle it ticks — so it updates a pre-resolved counter and
+// streams to consumers only: the bounded trace buffer never sees it.
 func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
 	if s == nil || !s.smOK(sm) || class >= NumCycleClasses {
 		return
@@ -480,7 +490,7 @@ func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
 	if n > 1 {
 		run = n
 	}
-	if st := s.stage; st != nil && st.on {
+	if s.staging() {
 		s.stageEvent(Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run})
 		return
 	}
@@ -738,7 +748,7 @@ func (s *Sink) MemAccess(cycle int64, dom Domain, track, warpSlot, cta int, pc u
 	}
 	if s.live[EvMemAccess] {
 		e := Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)}
-		if s.stageEvent(e) {
+		if s.staging() && s.stageEvent(e) {
 			return
 		}
 		s.emitStream(e)
@@ -817,9 +827,10 @@ func (s *Sink) ResFail(cycle int64, dom Domain, track int, addr uint64, queueFul
 
 // ResFails counts n reservation failures at an L1 or L2 cache in one call,
 // labelled as ResFail labels them. It builds no events, so it is only for
-// callers that have checked EvResFail is dead (see Live): the L2
-// partition's frozen retry queue, whose every replay is a proven fail, and
-// an SM settling a stall-replay window in bulk.
+// callers that have checked EvResFail is dead (see Live): a cache handing
+// over the fails it held back (mem.Cache.FlushResFails) — single fails,
+// an L2 partition's quiet retry cycles and an SM's settled stall-replay
+// spans.
 func (s *Sink) ResFails(dom Domain, track int, queueFull bool, n int64) {
 	if s == nil {
 		return

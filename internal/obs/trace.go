@@ -480,7 +480,7 @@ type Event struct {
 }
 
 // Cycles returns how many SM cycles an EvCycleClass event attributes to
-// its class: its run length Val, or 1 for a single-cycle event (Val 0).
+// its class: Val, or 1 for a single-cycle event (Val 0).
 func (e Event) Cycles() int64 { return max(e.Val, 1) }
 
 // Trace is a bounded, append-only event buffer. When the cap is reached,

@@ -69,7 +69,7 @@ var _ obs.KindFilter = (*Collector)(nil)
 var _ obs.RunFolder = (*Collector)(nil)
 
 // FoldsCycleRuns implements obs.RunFolder: the stall stack only sums each
-// SM's cycles per class, so a settled run folds as its length.
+// SM's cycles per class, so an event folds as its cycle count.
 func (c *Collector) FoldsCycleRuns() bool { return true }
 
 // WantsKind implements obs.KindFilter: exactly the kinds the Consume switch

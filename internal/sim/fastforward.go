@@ -28,9 +28,9 @@ import "caps/internal/obs"
 // deltas are constant, so they are applied in closed form: settle(upTo)
 // adds n cycles' worth of stall cycles, reservation fails, memory stalls,
 // deferred scheduler ticks and hostprof window cycles, and credits the
-// sink one cycle-class run and the run's reservation fails, which the SM
-// holds back and merges with its next runs until a reader settles the
-// GPU (reportClass, flushRuns). Tick
+// sink the span's cycle class and reservation fails, which the SM holds
+// back in per-class tallies until a reader settles the GPU (reportClass,
+// flushRuns). Tick
 // settles a window cycle it runs as settle(now+1), and the GPU does not
 // tick an SM at all while the cycle is inside its window and no response
 // for it is ready (GPU.tickSerial, smPool.tickOne): the next Tick, and
@@ -113,7 +113,7 @@ func (sm *SM) settleSpan(from, end int64) {
 		g := sm.lsuQ[0]
 		sm.l1.ReplayResFail(from, g.addrs[g.idx], false)
 	} else {
-		sm.runResFails += n
+		sm.l1.HoldResFails(false, n)
 	}
 	sm.st.ReservationFails += n
 	sm.st.MemStalls += n
@@ -136,10 +136,9 @@ func (sm *SM) settleSpan(from, end int64) {
 }
 
 // reportClass attributes the n cycles from `from` on to class. On a
-// Foldable sink it extends the SM's pending run when the class continues
-// it, and reports the pending run only when the class changes or a
-// reader settles the GPU (flushRuns); any other sink receives each
-// call as it comes.
+// Foldable sink it adds them to the SM's pending tally for the class, which
+// reaches the sink only when a reader settles the GPU (flushRuns); any
+// other sink receives each call as it comes.
 //
 //caps:hotpath
 func (sm *SM) reportClass(from int64, class obs.CycleClass, n int64) {
@@ -147,31 +146,24 @@ func (sm *SM) reportClass(from int64, class obs.CycleClass, n int64) {
 		sm.snk.CycleClass(from, sm.id, class, n)
 		return
 	}
-	if sm.runLen > 0 && class == sm.runClass && from == sm.runFrom+sm.runLen {
-		sm.runLen += n
-		return
+	if sm.classCycles[class] == 0 {
+		sm.classFrom[class] = from
 	}
-	sm.flushClassRun()
-	sm.runClass, sm.runFrom, sm.runLen = class, from, n
+	sm.classCycles[class] += n
 }
 
-// flushRuns hands the sink what the SM holds back from a Foldable sink:
-// the pending cycle-class run and the count of reservation fails settled
-// in bulk. GPU.settle calls it before anything reads the sink.
+// flushRuns hands the sink what the SM holds back from it: one
+// cycle-class event per class with pending cycles, stamped with the first
+// of them, and the reservation fails its L1 holds (Cache.FlushResFails).
+// GPU.settle calls it before anything reads the sink.
 func (sm *SM) flushRuns() {
-	sm.flushClassRun()
-	if sm.runResFails > 0 {
-		sm.snk.ResFails(obs.DomSM, sm.id, false, sm.runResFails)
-		sm.runResFails = 0
+	for c, n := range sm.classCycles {
+		if n > 0 {
+			sm.snk.CycleClass(sm.classFrom[c], sm.id, obs.CycleClass(c), n)
+			sm.classCycles[c] = 0
+		}
 	}
-}
-
-// flushClassRun reports the SM's pending cycle-class run, if any.
-func (sm *SM) flushClassRun() {
-	if sm.runLen > 0 {
-		sm.snk.CycleClass(sm.runFrom, sm.id, sm.runClass, sm.runLen)
-		sm.runLen = 0
-	}
+	sm.l1.FlushResFails()
 }
 
 // auditSettle checks, under the sanitizer, that the window premise settle
@@ -339,21 +331,5 @@ func (sm *SM) skipClass() obs.CycleClass {
 		}
 		return obs.CycleIdle
 	}
-	barrier := false
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if !w.active || w.finished {
-			continue
-		}
-		if w.waitLoad {
-			return obs.CycleEmptyReady
-		}
-		if w.atBarrier {
-			barrier = true
-		}
-	}
-	if barrier {
-		return obs.CycleBarrier
-	}
-	return obs.CycleEmptyReady
+	return sm.blockedClass()
 }

@@ -72,8 +72,14 @@ type GPU struct {
 	// snk is the run's observability sink (nil when disabled).
 	snk *obs.Sink
 
-	// tickEvery disables window skipping (see options.tickEvery).
-	tickEvery bool
+	// tickEvery disables window skipping (see options.tickEvery), and
+	// tickEveryPart partition wake gating (options.tickEveryPart).
+	tickEvery     bool
+	tickEveryPart bool
+
+	// partTicks counts the partition ticks Step ran: the measure of the
+	// memory units' wake gating the differential tests compare.
+	partTicks int64
 
 	// Parallel-tick state (workers > 1): the lazily started worker pool
 	// and the precheck scratch counting per-partition interconnect demand.
@@ -165,13 +171,14 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 
 	st := &stats.Sim{}
 	g := &GPU{cfg: cfg, kernel: k, st: st, snk: opt.sink,
-		flight:    opt.flight,
-		onDump:    opt.onDump,
-		beatMask:  beat - 1,
-		watchdog:  opt.watchdogCycles,
-		injectAt:  opt.injectViolation,
-		prefName:  opt.prefetcher,
-		tickEvery: opt.tickEvery,
+		flight:        opt.flight,
+		onDump:        opt.onDump,
+		beatMask:      beat - 1,
+		watchdog:      opt.watchdogCycles,
+		injectAt:      opt.injectViolation,
+		prefName:      opt.prefetcher,
+		tickEvery:     opt.tickEvery,
+		tickEveryPart: opt.tickEveryPart,
 	}
 	if g.watchdog == 0 {
 		g.watchdog = DefaultWatchdogCycles
@@ -312,12 +319,16 @@ func (g *GPU) Stats() *stats.Sim {
 }
 
 // settle applies every SM's skipped window cycles up to the current cycle
-// (see SM.settle) and reports their pending cycle-class runs, so state
-// and metrics read between Steps are complete.
+// (see SM.settle) and hands the sink what the SMs and partitions hold back
+// from it (SM.flushRuns, Partition.Settle), so state and metrics read
+// between Steps are complete.
 func (g *GPU) settle() {
 	for _, sm := range g.sms {
 		sm.settle(g.cycle)
 		sm.flushRuns()
+	}
+	for _, p := range g.parts {
+		p.Settle(g.cycle)
 	}
 }
 
@@ -377,11 +388,13 @@ func (g *GPU) Step() error {
 			return err
 		}
 	}
+	every, audit := g.tickEveryPart, g.cfg.CheckInvariants
 	for _, p := range g.parts {
 		var err error
-		if p.Due(now) {
+		if every || p.Due(now) {
+			g.partTicks++
 			err = p.Tick(now)
-		} else if g.cfg.CheckInvariants {
+		} else if audit {
 			err = p.CheckSkip(now)
 		}
 		if err != nil {
@@ -570,7 +583,10 @@ func (g *GPU) Run() (*stats.Sim, error) {
 			return g.Stats(), err
 		}
 	}
-	g.finalAccounting()
+	if err := g.finalAccounting(); err != nil {
+		g.emitDump(flight.ReasonViolation, err.Error())
+		return g.Stats(), err
+	}
 	return g.Stats(), nil
 }
 
@@ -595,10 +611,25 @@ func (g *GPU) sampleQueues() {
 }
 
 // finalAccounting collects end-of-run statistics (never-used prefetched
-// lines still resident in the L1s) and closes out the observability sink.
-func (g *GPU) finalAccounting() {
+// lines still resident in the L1s), settles the machine and closes out the
+// observability sink. It returns a breach the sanitizer found while
+// settling the last windows and quiet spans, which no later tick would
+// report.
+func (g *GPU) finalAccounting() error {
 	for _, sm := range g.sms {
 		g.st.PrefUnusedAtEnd += sm.L1().UnusedPrefetchedLines()
 	}
+	g.settle()
 	g.snk.RunDone(g.cycle)
+	for _, sm := range g.sms {
+		if sm.settleErr != nil {
+			return sm.settleErr
+		}
+	}
+	for _, p := range g.parts {
+		if err := p.L2().SanitizerErr(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -5,38 +5,23 @@ import (
 	"testing"
 	"time"
 
+	"caps/internal/config"
 	"caps/internal/hostprof"
 	"caps/internal/kernels"
+	"caps/internal/obs"
 )
 
-// BenchmarkHostProfOverhead / BenchmarkNoHostProfOverhead are the gate for
-// the tentpole's overhead budget: the profiled run must stay within 2% of
-// the unprofiled one (compare with benchstat). The profiler's always-on
-// cost is one nil test plus an integer increment per step; the clock is
-// read only on sampled steps (1 in DefaultSampleEvery).
-func BenchmarkHostProfOverhead(b *testing.B) {
-	benchHostProf(b, func() *hostprof.Profiler { return hostprof.New(hostprof.DefaultSampleEvery) })
-}
-func BenchmarkNoHostProfOverhead(b *testing.B) {
-	benchHostProf(b, func() *hostprof.Profiler { return nil })
-}
+// BenchmarkHostProfOverhead / BenchmarkNoHostProfOverhead price the host
+// profiler against the same run on a metrics-only sink (see benchLens);
+// the budget is 2%. The profiler's always-on cost is one nil test plus an
+// integer increment per step; the clock is read only on sampled steps (1
+// in DefaultSampleEvery).
+func BenchmarkHostProfOverhead(b *testing.B)   { benchLens(b, obsConfig(), "MM", attachHostProf) }
+func BenchmarkNoHostProfOverhead(b *testing.B) { benchLens(b, obsConfig(), "MM", nil) }
 
-func benchHostProf(b *testing.B, mk func() *hostprof.Profiler) {
-	cfg := obsConfig()
-	k, err := kernels.ByAbbr("MM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := New(cfg, k, WithPrefetcher("caps"), WithHostProf(mk()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := g.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+// attachHostProf attaches a host profiler (benchLens).
+func attachHostProf(config.GPUConfig, *obs.Sink) []Option {
+	return []Option{WithHostProf(hostprof.New(hostprof.DefaultSampleEvery))}
 }
 
 // TestHostProfOverhead is the same gate as the benchmark pair in test

@@ -137,12 +137,13 @@ func TestMemLensValidatesAllBenchmarks(t *testing.T) {
 // (see benchLens); the budget is 2%. The collector's cost is one Consume
 // call per memory event — map lookups on bounded maps and fixed-size
 // histogram increments, no allocation past the ledger caps.
-func BenchmarkMemLensOverhead(b *testing.B) {
-	benchLens(b, func(cfg config.GPUConfig, _ *obs.Sink) []Option {
-		return []Option{WithMemLens(memlens.ForConfig(cfg))}
-	})
+func BenchmarkMemLensOverhead(b *testing.B)   { benchLens(b, obsConfig(), "MM", attachMemLens) }
+func BenchmarkNoMemLensOverhead(b *testing.B) { benchLens(b, obsConfig(), "MM", nil) }
+
+// attachMemLens attaches a memlens collector (benchLens).
+func attachMemLens(cfg config.GPUConfig, _ *obs.Sink) []Option {
+	return []Option{WithMemLens(memlens.ForConfig(cfg))}
 }
-func BenchmarkNoMemLensOverhead(b *testing.B) { benchLens(b, nil) }
 
 // TestMemLensOverhead is a coarser gate in test form, opt-in via
 // CAPS_MEMLENS_OVERHEAD=1 (wall-clock assertions on shared CI machines

@@ -155,18 +155,18 @@ func TestTracingPreservesDeterminism(t *testing.T) {
 // BenchmarkObsMetricsOverhead / -trace variants with benchstat; the nil
 // path is the one under the PR's <=2% budget.
 func BenchmarkObsDisabledOverhead(b *testing.B) {
-	benchObs(b, func(config.GPUConfig) *obs.Sink { return nil })
+	benchObs(b, obsConfig(), "MM", func(config.GPUConfig) *obs.Sink { return nil })
 }
 func BenchmarkObsMetricsOverhead(b *testing.B) {
-	benchObs(b, func(c config.GPUConfig) *obs.Sink { return NewSink(c, false, 0) })
+	benchObs(b, obsConfig(), "MM", func(c config.GPUConfig) *obs.Sink { return NewSink(c, false, 0) })
 }
 func BenchmarkObsTracingOverhead(b *testing.B) {
-	benchObs(b, func(c config.GPUConfig) *obs.Sink { return NewSink(c, true, 0) })
+	benchObs(b, obsConfig(), "MM", func(c config.GPUConfig) *obs.Sink { return NewSink(c, true, 0) })
 }
 
-func benchObs(b *testing.B, mk func(config.GPUConfig) *obs.Sink) {
-	cfg := obsConfig()
-	k, err := kernels.ByAbbr("MM")
+// benchObs runs bench under CAPS on cfg with the sink mk builds.
+func benchObs(b *testing.B, cfg config.GPUConfig, bench string, mk func(config.GPUConfig) *obs.Sink) {
+	k, err := kernels.ByAbbr(bench)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,15 +184,15 @@ func benchObs(b *testing.B, mk func(config.GPUConfig) *obs.Sink) {
 
 // benchLens is the shared body of the per-lens overhead pairs
 // (BenchmarkMemLensOverhead, BenchmarkSchedLensOverhead,
-// BenchmarkProfileOverhead and their No* baselines): MM-CAPS on a
-// metrics-only sink, with attach adding the lens under
-// test. Both sides of a pair pay for the sink, so the pair isolates the
-// lens; BenchmarkObsMetricsOverhead against BenchmarkObsDisabledOverhead
+// BenchmarkProfileOverhead, BenchmarkHostProfOverhead and their No*
+// baselines, and BenchmarkBFSLensOverhead): bench under CAPS on cfg with a
+// metrics-only sink, with attach adding the lens under test. Both sides of
+// a pair pay for the sink, so the pair isolates the lens;
+// BenchmarkObsMetricsOverhead against BenchmarkObsDisabledOverhead
 // prices the sink itself. attach may return options or attach a consumer
 // to snk directly; nil attaches nothing.
-func benchLens(b *testing.B, attach func(cfg config.GPUConfig, snk *obs.Sink) []Option) {
-	cfg := obsConfig()
-	k, err := kernels.ByAbbr("MM")
+func benchLens(b *testing.B, cfg config.GPUConfig, bench string, attach func(cfg config.GPUConfig, snk *obs.Sink) []Option) {
+	k, err := kernels.ByAbbr(bench)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,12 +214,49 @@ func benchLens(b *testing.B, attach func(cfg config.GPUConfig, snk *obs.Sink) []
 }
 
 // BenchmarkProfileOverhead / BenchmarkNoProfileOverhead price capsprof's
-// stall-stack collector, whose per-SM cycle-class fold is the sink's
-// highest-rate stream (see benchLens).
+// stall-stack collector: its cycle-class fold and prefetch ledgers (see
+// benchLens).
 func BenchmarkProfileOverhead(b *testing.B) {
-	benchLens(b, func(cfg config.GPUConfig, snk *obs.Sink) []Option {
-		snk.Attach(profile.NewCollector(cfg.NumSMs))
-		return nil
-	})
+	benchLens(b, obsConfig(), "MM", attachProfile)
 }
-func BenchmarkNoProfileOverhead(b *testing.B) { benchLens(b, nil) }
+func BenchmarkNoProfileOverhead(b *testing.B) { benchLens(b, obsConfig(), "MM", nil) }
+
+// attachProfile attaches capsprof's stall-stack collector (benchLens).
+func attachProfile(cfg config.GPUConfig, snk *obs.Sink) []Option {
+	snk.Attach(profile.NewCollector(cfg.NumSMs))
+	return nil
+}
+
+// bfsLensConfig is the memory-bound lens workload: BFS-CAPS at the full 15
+// SMs, whose L2 partitions already hold stalled retry queues in the first
+// 26k cycles (MM at 2 SMs never fills one), capped to keep one run under
+// 100 ms on a 2-CPU host. A metrics sink halves its partition ticks there
+// (111k to 50k) by letting quiet retry queues sleep.
+func bfsLensConfig() config.GPUConfig {
+	cfg := config.Default()
+	cfg.Scheduler = config.SchedPAS
+	cfg.MaxInsts = 15_000
+	return cfg
+}
+
+// BenchmarkBFSLensOverhead prices the sink and each lens on bfsLensConfig:
+// nosink against sink prices the metrics-only sink, and sink against each
+// lens prices that lens on the sink (see benchLens).
+func BenchmarkBFSLensOverhead(b *testing.B) {
+	cfg := bfsLensConfig()
+	b.Run("nosink", func(b *testing.B) {
+		benchObs(b, cfg, "BFS", func(config.GPUConfig) *obs.Sink { return nil })
+	})
+	for _, l := range []struct {
+		name   string
+		attach func(config.GPUConfig, *obs.Sink) []Option
+	}{
+		{"sink", nil},
+		{"profile", attachProfile},
+		{"memlens", attachMemLens},
+		{"schedlens", attachSchedLens},
+		{"hostprof", attachHostProf},
+	} {
+		b.Run(l.name, func(b *testing.B) { benchLens(b, cfg, "BFS", l.attach) })
+	}
+}

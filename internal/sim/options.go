@@ -41,6 +41,11 @@ type options struct {
 	// cycles one tick at a time: the reference the window-skip
 	// differential test compares against. Tests alone set it.
 	tickEvery bool
+	// tickEveryPart makes Step tick every L2 partition on every cycle,
+	// due or not, so a quiet retry queue counts its fails one tick at a
+	// time: the reference the quiet-span differential compares against.
+	// Tests alone set it.
+	tickEveryPart bool
 	// noFastForward keeps every SM on the plain per-cycle pipeline: no
 	// sleep or stall-replay window ever opens (see fastforward.go). The
 	// reference the fast-forward differential tests compare against;

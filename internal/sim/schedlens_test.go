@@ -202,12 +202,13 @@ func TestSchedLensComposesWithTraceAndMemLens(t *testing.T) {
 // call per subscribed event — array increments, a one-entry ledger cache
 // in front of a bounded map, fixed-size histogram buckets, no allocation
 // past the CTA-ledger cap.
-func BenchmarkSchedLensOverhead(b *testing.B) {
-	benchLens(b, func(cfg config.GPUConfig, _ *obs.Sink) []Option {
-		return []Option{WithSchedLens(schedlens.ForConfig(cfg))}
-	})
+func BenchmarkSchedLensOverhead(b *testing.B)   { benchLens(b, obsConfig(), "MM", attachSchedLens) }
+func BenchmarkNoSchedLensOverhead(b *testing.B) { benchLens(b, obsConfig(), "MM", nil) }
+
+// attachSchedLens attaches a schedlens collector (benchLens).
+func attachSchedLens(cfg config.GPUConfig, _ *obs.Sink) []Option {
+	return []Option{WithSchedLens(schedlens.ForConfig(cfg))}
 }
-func BenchmarkNoSchedLensOverhead(b *testing.B) { benchLens(b, nil) }
 
 // TestSchedLensOverhead is a coarser gate in test form, opt-in via
 // CAPS_SCHEDLENS_OVERHEAD=1 (wall-clock assertions on shared CI machines
