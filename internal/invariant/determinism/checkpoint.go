@@ -100,6 +100,11 @@ func CheckpointRun(cfg config.GPUConfig, bench string, every int64, opts ...sim.
 		}
 	}
 	cps = append(cps, Checkpoint{Cycle: r.g.Cycle(), Hash: r.hash()})
+	// Close settles the last windows and quiet spans, auditing them under
+	// the sanitizer.
+	if err := r.g.Close(); err != nil {
+		return cps, fmt.Errorf("determinism: %s: %w", bench, err)
+	}
 	return cps, nil
 }
 

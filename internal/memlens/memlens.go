@@ -43,9 +43,9 @@ type anchor struct {
 	addr uint64
 }
 
-// denseCTAs bounds the CTA ids a PC's anchor table indexes directly; the
-// rare id outside [0, denseCTAs) keeps its anchor in a map instead. Grids
-// have a few thousand CTAs, so the table is the anchors' only home.
+// denseCTAs bounds the CTA ids a PC's anchor table indexes. The simulator
+// stamps ids in [0, NumCTAs), and grids have a few thousand CTAs; an id
+// outside [0, denseCTAs) is counted as a truncated anchor.
 const denseCTAs = 1 << 16
 
 // pcState accumulates one load PC's address-structure and prefetch
@@ -67,12 +67,10 @@ type pcState struct {
 	truncAnchors int64
 	residual     [lens.Buckets]int64 // log2 |addr - predicted| of unexplained obs
 
-	// byCTA is the CTA-indexed anchor table, grown on demand, farCTAs
-	// holds the anchors of ids past it, and held counts the anchors both
-	// hold against maxAnchors.
-	byCTA   []anchor
-	farCTAs map[int32]*anchor
-	held    int
+	// byCTA is the CTA-indexed anchor table, grown on demand, and held
+	// counts the anchors it holds against maxAnchors.
+	byCTA []anchor
+	held  int
 
 	// Prefetch timeliness per PC.
 	prefAdmits   int64
@@ -418,7 +416,7 @@ func (c *Collector) foldLoad(e obs.Event) {
 	}
 	a := s.anchorOf(e.CTA)
 	if a == nil {
-		if s.held >= maxAnchors {
+		if s.held >= maxAnchors || uint32(e.CTA) >= denseCTAs {
 			s.truncAnchors++
 			return
 		}
@@ -475,28 +473,20 @@ func (s *pcState) anchorOf(cta int32) *anchor {
 		if a := &s.byCTA[cta]; a.set {
 			return a
 		}
-		return nil
 	}
-	return s.farCTAs[cta]
+	return nil
 }
 
-// newAnchor returns the empty slot for cta's first anchor, growing the
-// table (at least doubling it, up to denseCTAs) to cover a new id.
+// newAnchor returns the empty slot for the first anchor of cta, an id in
+// [0, denseCTAs), growing the table (at least doubling it, up to
+// denseCTAs) to cover it.
 func (s *pcState) newAnchor(cta int32) *anchor {
-	if uint32(cta) < denseCTAs {
-		if int(cta) >= len(s.byCTA) {
-			grown := make([]anchor, min(max(int(cta)+1, 2*len(s.byCTA), 64), denseCTAs))
-			copy(grown, s.byCTA)
-			s.byCTA = grown
-		}
-		return &s.byCTA[cta]
+	if int(cta) >= len(s.byCTA) {
+		grown := make([]anchor, min(max(int(cta)+1, 2*len(s.byCTA), 64), denseCTAs))
+		copy(grown, s.byCTA)
+		s.byCTA = grown
 	}
-	if s.farCTAs == nil {
-		s.farCTAs = make(map[int32]*anchor)
-	}
-	a := &anchor{}
-	s.farCTAs[cta] = a
-	return a
+	return &s.byCTA[cta]
 }
 
 // foldAccess routes one accepted cache access to its level's reuse sampler

@@ -463,9 +463,10 @@ func (o TableOp) String() string {
 // QueueKind for EvQueueSample, DRAM bank for EvRowHit/EvRowMiss, 1 for an
 // indirect load on EvLoadIssue); Val carries the kind-specific magnitude
 // (prefetch-to-demand distance in cycles for EvPrefConsume, warp-in-CTA
-// index for EvLoadIssue, sampled depth for EvQueueSample, and the run
-// length for EvCycleClass: 0 for a single cycle, n > 1 for a run of n
-// consecutive cycles of one class an SM reported at once; see Cycles).
+// index for EvLoadIssue, sampled depth for EvQueueSample, and the cycle
+// count for EvCycleClass: 0 for a single cycle, n > 1 for n cycles of one
+// class an SM reported at once, contiguous unless the sink is Foldable;
+// see Cycles and Sink.CycleClass).
 type Event struct {
 	Cycle int64
 	Addr  uint64

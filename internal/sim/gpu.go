@@ -77,10 +77,6 @@ type GPU struct {
 	tickEvery     bool
 	tickEveryPart bool
 
-	// partTicks counts the partition ticks Step ran: the measure of the
-	// memory units' wake gating the differential tests compare.
-	partTicks int64
-
 	// Parallel-tick state (workers > 1): the lazily started worker pool
 	// and the precheck scratch counting per-partition interconnect demand.
 	workers    int
@@ -392,7 +388,6 @@ func (g *GPU) Step() error {
 	for _, p := range g.parts {
 		var err error
 		if every || p.Due(now) {
-			g.partTicks++
 			err = p.Tick(now)
 		} else if audit {
 			err = p.CheckSkip(now)
@@ -502,11 +497,12 @@ func (g *GPU) RequestDump() { g.dumpReq.Store(true) }
 
 // Close releases the worker pool's goroutines, settles every SM (see
 // settle) and finalizes the host profiler (wall-clock span plus the
-// schedulers' stall-replay cost). It is idempotent. Run closes itself;
-// Close matters for GPUs built with WithWorkers(n > 1), WithHostProf or a
-// sink and stepped manually (the determinism harness, lockstep
-// bisection).
-func (g *GPU) Close() {
+// schedulers' stall-replay cost). It returns a breach the sanitizer found
+// while settling (settledErr), which no later Step reports. It is
+// idempotent. Run closes itself; Close matters for GPUs built with
+// WithWorkers(n > 1), WithHostProf or a sink and stepped manually (the
+// determinism harness, lockstep bisection).
+func (g *GPU) Close() error {
 	if g.pool != nil {
 		g.pool.stop()
 		g.pool = nil
@@ -522,6 +518,7 @@ func (g *GPU) Close() {
 			}
 		}
 	}
+	return g.settledErr()
 }
 
 // Run executes until the workload drains or a cap is reached. It returns
@@ -612,15 +609,20 @@ func (g *GPU) sampleQueues() {
 
 // finalAccounting collects end-of-run statistics (never-used prefetched
 // lines still resident in the L1s), settles the machine and closes out the
-// observability sink. It returns a breach the sanitizer found while
-// settling the last windows and quiet spans, which no later tick would
-// report.
+// observability sink. It returns settledErr.
 func (g *GPU) finalAccounting() error {
 	for _, sm := range g.sms {
 		g.st.PrefUnusedAtEnd += sm.L1().UnusedPrefetchedLines()
 	}
 	g.settle()
 	g.snk.RunDone(g.cycle)
+	return g.settledErr()
+}
+
+// settledErr returns a breach the sanitizer latched while settling SM
+// windows or L2 quiet spans (SM.auditSettle, Partition.Settle); the last
+// spans of a run are settled by no Step, so only Close and Run report them.
+func (g *GPU) settledErr() error {
 	for _, sm := range g.sms {
 		if sm.settleErr != nil {
 			return sm.settleErr

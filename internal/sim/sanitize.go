@@ -16,7 +16,7 @@ const sanitizeStride = 16
 //   - the L1's MSHR and miss-queue accounting (delegated to mem.Cache),
 //   - warp/CTA population counters against the warp contexts,
 //   - waiting warps really have outstanding memory accesses, and every
-//     warp's issue gate and the blocked-warp tallies match the contexts,
+//     warp's issue gate matches its context,
 //   - the prefetch queue and its dedup index agree,
 //   - two-level/PAS ready+pending queues partition the live warp set with
 //     no duplicates, and leading-warp marks are unique per CTA,
@@ -37,17 +37,11 @@ func (sm *SM) checkInvariants(now int64) error {
 	}
 	sm.sanNext = now + sanitizeStride
 
-	live, ctas, waiting, barrier := 0, 0, 0, 0
+	live, ctas := 0, 0
 	for i := range sm.warps {
 		w := &sm.warps[i]
 		if w.active && !w.finished {
 			live++
-			if w.waitLoad {
-				waiting++
-			}
-			if w.atBarrier {
-				barrier++
-			}
 		}
 		if w.outstanding < 0 {
 			return invariant.Errorf(comp, now, "warp slot %d has negative outstanding accesses (%d)", i, w.outstanding)
@@ -61,10 +55,6 @@ func (sm *SM) checkInvariants(now int64) error {
 	}
 	if live != sm.liveWarps {
 		return invariant.Errorf(comp, now, "liveWarps counter (%d) disagrees with warp contexts (%d live)", sm.liveWarps, live)
-	}
-	if waiting != sm.waitingWarps || barrier != sm.barrierWarps {
-		return invariant.Errorf(comp, now, "blocked-warp tallies (%d waiting, %d at a barrier) disagree with warp contexts (%d, %d)",
-			sm.waitingWarps, sm.barrierWarps, waiting, barrier)
 	}
 	for i := range sm.ctas {
 		if sm.ctas[i].active {

@@ -51,7 +51,7 @@ type SM struct {
 	// busyUntil while it can issue, and gateNever while it is inactive,
 	// finished, at a barrier or waiting on a load. Eligible, Blocked and
 	// the fast-forward bound scans read only the gate; every write to a
-	// field it derives from is followed by regate (or made by setBusy).
+	// field it derives from is followed by regate.
 	gate []int64
 
 	sched sched.Scheduler
@@ -75,12 +75,6 @@ type SM struct {
 
 	activeCTAs int
 	liveWarps  int
-
-	// waitingWarps and barrierWarps count the live warps waiting on a load
-	// and at a barrier, the two blockers cycle classification tells apart
-	// (blockedClass); regate keeps them with the gate.
-	waitingWarps int
-	barrierWarps int
 
 	// snk is the observability sink (nil when disabled; every call is
 	// nil-safe). schedClock, when the scheduler supports it, receives the
@@ -334,48 +328,8 @@ func (sm *SM) LaunchCTA(slot, ctaID int) {
 const gateNever = int64(math.MaxInt64)
 
 // regate recomputes w's issue gate from its context; it follows every
-// write to active, finished, atBarrier, waitLoad or busyUntil, except an
-// issuing warp's new busyUntil, which setBusy writes. A warp is counted in
-// the blocked-warp tallies only while its gate is gateNever, so a gate
-// that stays open skips the recount.
-func (sm *SM) regate(w *warpState) {
-	g := gateOf(w)
-	if g == gateNever || sm.gate[w.slot] == gateNever {
-		sm.recount(w)
-	}
-	sm.gate[w.slot] = g
-}
-
-// setBusy starts a multi-cycle op on the issuing warp w: an issuing warp
-// is live and blocked by nothing, so its gate is the op's end and the
-// blocked-warp tallies stay as they are. It is regate for the most
-// frequent write, small enough to inline.
-func (sm *SM) setBusy(w *warpState, until int64) {
-	w.busyUntil = until
-	sm.gate[w.slot] = until
-}
-
-// recount moves w in and out of the blocked-warp tallies to match its
-// context.
-func (sm *SM) recount(w *warpState) {
-	live := w.active && !w.finished
-	if waiting := live && w.waitLoad; waiting != w.inWaiting {
-		w.inWaiting = waiting
-		sm.waitingWarps += tally(waiting)
-	}
-	if barrier := live && w.atBarrier; barrier != w.inBarrier {
-		w.inBarrier = barrier
-		sm.barrierWarps += tally(barrier)
-	}
-}
-
-// tally is a tally's change when a warp joins (+1) or leaves (-1) it.
-func tally(joins bool) int {
-	if joins {
-		return 1
-	}
-	return -1
-}
+// write to active, finished, atBarrier, waitLoad or busyUntil.
+func (sm *SM) regate(w *warpState) { sm.gate[w.slot] = gateOf(w) }
 
 // gateOf is the issue gate w's context implies (see SM.gate).
 func gateOf(w *warpState) int64 {
@@ -844,9 +798,23 @@ func (sm *SM) classifyCycle(issued int) obs.CycleClass {
 // blockedClass classifies a stalled cycle of an SM with live warps and no
 // structural stall: a memory wait when any live warp waits on a load, a
 // barrier when none does but one is at a barrier, and otherwise an empty
-// ready queue (warps mid multi-cycle ops), the memory wait's bucket.
+// ready queue (warps mid multi-cycle ops), the memory wait's bucket. Only
+// a sink's cycle classes call it, so bare runs never pay its warp scan.
 func (sm *SM) blockedClass() obs.CycleClass {
-	if sm.waitingWarps == 0 && sm.barrierWarps > 0 {
+	barrier := false
+	for i := range sm.warps {
+		w := &sm.warps[i]
+		if !w.active || w.finished {
+			continue
+		}
+		if w.waitLoad {
+			return obs.CycleEmptyReady
+		}
+		if w.atBarrier {
+			barrier = true
+		}
+	}
+	if barrier {
 		return obs.CycleBarrier
 	}
 	return obs.CycleEmptyReady
@@ -860,12 +828,14 @@ func (sm *SM) execute(now int64, w *warpState) bool {
 	in := &sm.kernel.Program[w.pc]
 	switch in.Kind {
 	case kernels.OpCompute:
-		sm.setBusy(w, now+int64(in.Latency))
+		w.busyUntil = now + int64(in.Latency)
+		sm.regate(w)
 		w.pc++
 		sm.st.ALUOps++
 
 	case kernels.OpShared:
-		sm.setBusy(w, now+int64(in.Latency))
+		w.busyUntil = now + int64(in.Latency)
+		sm.regate(w)
 		w.pc++
 		sm.st.SharedMemOps++
 

@@ -34,11 +34,6 @@ type warpState struct {
 	outstanding int   // memory accesses in flight
 	waitLoad    bool  // blocked until outstanding == 0
 	atBarrier   bool
-
-	// inWaiting and inBarrier record whether SM.recount last counted this
-	// warp in the SM's waitingWarps and barrierWarps tallies; reset leaves
-	// them alone, since they describe the tallies, not the context.
-	inWaiting, inBarrier bool
 }
 
 // reset prepares the slot for a newly dispatched CTA.

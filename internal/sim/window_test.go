@@ -114,7 +114,9 @@ func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option
 			t.Fatal(err)
 		}
 	}
-	g.Close()
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st := g.Stats()
 	r.stats = st.Hash64()
 	r.hashes = append(r.hashes, windowStateHash(g))
@@ -257,7 +259,9 @@ func TestFastForwardSeriesWithClampsActive(t *testing.T) {
 					hashes = append(hashes, windowStateHash(g))
 				}
 			}
-			g.Close()
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
 			return append(hashes, windowStateHash(g)), g.Stats().Hash64(), skipped
 		}
 		plain, plainStats, _ := series(withoutFastForward())
@@ -277,15 +281,21 @@ func TestFastForwardSeriesWithClampsActive(t *testing.T) {
 // Each case opens a window by hand, the staleness a missed wake would
 // leave behind, over an SM whose state breaks the window's premise: a
 // full sleep over queued loads, and a stall replay facing free MSHRs (at
-// the run's start the L1s are empty).
+// the run's start the L1s are empty). A Step reports the breach when it
+// ends the window; when the run stops one cycle into it, Close must.
 func TestSanitizerCatchesStaleWindowEnd(t *testing.T) {
+	sleep := func(sm *SM, end int64) { sm.idleUntil = end }
+	stall := func(sm *SM, end int64) { sm.stallUntil = end }
 	cases := []struct {
 		name  string
 		plant func(sm *SM, end int64)
 		msg   string
+		close bool // stop after one cycle and take Close's error
 	}{
-		{"full-sleep", func(sm *SM, end int64) { sm.idleUntil = end }, "full-sleep window settled with queued"},
-		{"stall-replay", func(sm *SM, end int64) { sm.stallUntil = end }, "stall-replay window settled with a free MSHR"},
+		{"full-sleep", sleep, "full-sleep window settled with queued", false},
+		{"stall-replay", stall, "stall-replay window settled with a free MSHR", false},
+		{"full-sleep at close", sleep, "full-sleep window settled with queued", true},
+		{"stall-replay at close", stall, "stall-replay window settled with a free MSHR", true},
 	}
 	for _, c := range cases {
 		cfg := config.Default()
@@ -316,10 +326,18 @@ func TestSanitizerCatchesStaleWindowEnd(t *testing.T) {
 		planted, end := g.cycle, g.cycle+200
 		victim.winFrom = planted
 		c.plant(victim, end)
-		for i := 0; i < 400 && err == nil; i++ {
-			err = g.Step()
+		if c.close {
+			// The victim sleeps through this cycle, so only Close settles it.
+			if err := g.Step(); err != nil {
+				t.Fatalf("%s: the step into the window reported %v", c.name, err)
+			}
+			err = g.Close()
+		} else {
+			for i := 0; i < 400 && err == nil; i++ {
+				err = g.Step()
+			}
+			g.Close()
 		}
-		g.Close()
 		var v *invariant.Violation
 		if !errors.As(err, &v) {
 			t.Fatalf("%s: stale window end planted at cycle %d went unreported (err %v)", c.name, planted, err)
