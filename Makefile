@@ -12,9 +12,9 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # -mode=all runs the per-package suite (detlint, cyclelint, statlint) plus
-# the module-wide call-graph analyzers (hotlint, isolint). hotlint/isolint
-# findings not covered by SIMCHECK_BASELINE fail the build — the baseline
-# is a ratchet: counts may go down, never up (-update-baseline tightens it).
+# the module-wide call-graph analyzer (hotlint). hotlint findings not
+# covered by SIMCHECK_BASELINE fail the build — the baseline is a ratchet:
+# counts may go down, never up (-update-baseline tightens it).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/simcheck -mode=all ./...
@@ -31,15 +31,12 @@ race:
 simbench-check:
 	cd simbench && $(GO) vet ./... && $(GO) test ./...
 
-# Fast race-detector pass over the packages the parallel core touches: the
-# tick path and everything the isolint inventory marks as GPU-shared, plus
-# one end-to-end multi-worker run so the barrier itself executes under the
-# race detector. Full-module race coverage stays in `make race` / CI.
+# Fast race-detector pass over the tick path's packages. One run ticks on
+# one goroutine; the suite's concurrent runs are raced by cmd/capsweep's
+# test under `make race` and CI's full `go test -race ./...`.
 race-smoke:
 	$(GO) test -race ./internal/sim ./internal/mem ./internal/sched \
 		./internal/core ./internal/prefetch ./internal/obs ./internal/stats
-	GOMAXPROCS=4 $(GO) run -race ./cmd/capsim -bench MM -prefetch caps \
-		-insts 50000 -workers 4
 
 # Replays a benchmark subset twice with the invariant sanitizer on and
 # compares state hashes (see internal/invariant/determinism).
@@ -72,18 +69,18 @@ profile-smoke:
 flight-smoke:
 	$(GO) run ./cmd/capscope smoke
 
-# End-to-end host-profiling smoke test: one short parallel run with the
-# wall-clock self-profiler on (capsim -hostprof), the written profile
-# re-validated by `capsprof host -validate` (phase times must sum to the
-# run's wall-clock within the sampling tolerance) and rendered to HTML,
-# then host-diff'd against a second identical run. Wall-clock noise between
-# two short runs is real, so the diff runs with loose thresholds — it
-# gates the machinery (read, compare, context match), not the numbers.
+# End-to-end host-profiling smoke test: one short run with the wall-clock
+# self-profiler on (capsim -hostprof), the written profile re-validated by
+# `capsprof host -validate` (phase times must sum to the run's wall-clock
+# within the sampling tolerance) and rendered to HTML, then host-diff'd
+# against a second identical run. Wall-clock noise between two short runs
+# is real, so the diff runs with loose thresholds — it gates the machinery
+# (read, compare, context match), not the numbers.
 hostprof-smoke:
 	$(GO) run ./cmd/capsim -bench MM -prefetch caps -insts 50000 \
-		-workers 4 -hostprof /tmp/caps-host-a.json
+		-hostprof /tmp/caps-host-a.json
 	$(GO) run ./cmd/capsim -bench MM -prefetch caps -insts 50000 \
-		-workers 4 -hostprof /tmp/caps-host-b.json
+		-hostprof /tmp/caps-host-b.json
 	$(GO) run ./cmd/capsprof host /tmp/caps-host-a.json -validate
 	$(GO) run ./cmd/capsprof host /tmp/caps-host-a.json \
 		-html /tmp/caps-host-a.html
@@ -93,12 +90,12 @@ hostprof-smoke:
 # End-to-end memory-observability smoke test: one short CAPS run with the
 # memory-hierarchy profiler on (capsim -memlens; the profile must reconcile
 # exactly against stats.Sim or capsim exits 1), the profile rendered as
-# text and HTML by `capsprof mem`, then mem-diff'd against a second run of
-# the same benchmark with different executor settings — the fold is
-# deterministic and executor-invariant, so the diff must be empty.
+# text and HTML by `capsprof mem`, then mem-diff'd against a second,
+# identical run — a determinism check: the fold is deterministic, so the
+# diff must be empty.
 memlens-smoke:
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
-		-workers 4 -memlens /tmp/caps-mem-a.json 2>/dev/null
+		-memlens /tmp/caps-mem-a.json 2>/dev/null
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
 		-memlens /tmp/caps-mem-b.json 2>/dev/null
 	$(GO) run ./cmd/capsprof mem /tmp/caps-mem-a.json
@@ -107,14 +104,13 @@ memlens-smoke:
 
 # End-to-end scheduler-observability smoke test: the same CAPS run twice
 # with the scheduler/CTA profiler on (capsim -schedlens; the profile must
-# reconcile exactly against stats.Sim or capsim exits 1) under different
-# executor settings — parallel vs serial. Every schedlens
-# emission fires at an executor-invariant state transition, so the two
-# profiles must be byte-identical (cmp), not merely diff-clean; the text
-# and HTML renderings and the sched-diff gate run on top of that.
+# reconcile exactly against stats.Sim or capsim exits 1). The two runs are
+# identical, so this is a determinism check: the profiles must be
+# byte-identical (cmp), not merely diff-clean; the text and HTML
+# renderings and the sched-diff gate run on top of that.
 schedlens-smoke:
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
-		-workers 4 -schedlens /tmp/caps-sched-a.json 2>/dev/null
+		-schedlens /tmp/caps-sched-a.json 2>/dev/null
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
 		-schedlens /tmp/caps-sched-b.json 2>/dev/null
 	cmp /tmp/caps-sched-a.json /tmp/caps-sched-b.json
@@ -128,15 +124,16 @@ schedlens-smoke:
 bench-json:
 	$(GO) run ./cmd/capsweep -insts 200000 -bench-json BENCH_caps.json
 
-# Regenerates BENCH_speed.json: serial-vs-tuned wall-clock for every
-# benchmark (both sides run the per-SM fast-forward, the tuned side on 2
-# tick workers, so the ratio isolates the parallel executor; both sides
-# must finish with identical cycle/instruction counts or the build
-# fails). `capsprof speed-diff` against the committed copy gates a >20%
-# speedup regression — the comparison is on speedup ratios, so it holds
-# across machines of different absolute speed.
+# Times every benchmark for BENCH_speed.json: the median wall-clock of
+# three round-robin serial runs per benchmark, with its hostprof breakdown
+# (every repeat must simulate the same cycles and instructions or the
+# build fails). `capsprof speed-diff` against the committed copy fails on
+# a changed cycle or instruction count or a >20% wall-time rise; wall
+# times only compare between like hosts, so it also warns on a host
+# context mismatch. Copy /tmp/caps-speed.json over BENCH_speed.json to
+# regenerate the committed record.
 speed-bench:
-	$(GO) run ./cmd/capsweep -insts 200000 -workers 2 \
+	$(GO) run ./cmd/capsweep -insts 200000 \
 		-speed-json /tmp/caps-speed.json
 	$(GO) run ./cmd/capsprof speed-diff BENCH_speed.json /tmp/caps-speed.json
 

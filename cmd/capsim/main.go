@@ -7,7 +7,7 @@
 //	capsim -bench MM -prefetch caps -trace out.json -metrics out.csv
 //	capsim -bench CNV -prefetch caps -profile out.profile.json
 //	capsim -bench MM -prefetch caps -cpuprofile cpu.pprof
-//	capsim -bench MM -prefetch caps -workers 4 -hostprof out.host.json
+//	capsim -bench MM -prefetch caps -hostprof out.host.json
 //	capsim -bench BFS -prefetch caps -memlens out.mem.json
 //	capsim -bench BFS -prefetch caps -sched pas -schedlens out.sched.json
 //	capsim -list
@@ -27,7 +27,6 @@ import (
 
 	"caps/internal/config"
 	"caps/internal/energy"
-	"caps/internal/experiments"
 	"caps/internal/flight"
 	"caps/internal/kernels"
 	"caps/internal/lenses"
@@ -75,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, l := range lenses.All {
 		lensOut[i] = fs.String(l.Flag, "", l.SimUsage)
 	}
-	sf := experiments.AddSimFlags(fs)
 	switch err := fs.Parse(args); {
 	case errors.Is(err, flag.ErrHelp):
 		return 0
@@ -164,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			opts = append(opts, opt)
 		}
 	}
-	opts = append(opts, sf.SimOptions()...)
 	var dumpPath string
 	if *flightOut != "" {
 		opts = append(opts, sim.WithFlight(sim.NewFlightRecorder(cfg)),

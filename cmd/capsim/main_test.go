@@ -27,6 +27,7 @@ func TestRun(t *testing.T) {
 		{name: "list", args: []string{"-list"}, code: 0, stdout: "prefetchers:"},
 		{name: "help", args: []string{"-h"}, code: 0, stderr: "-bench"},
 		{name: "bad flag", args: []string{"-bogus"}, code: 2, stderr: "-bogus"},
+		{name: "workers is gone", args: []string{"-workers", "2"}, code: 2, stderr: "provided but not defined: -workers"},
 		{name: "unknown bench", args: []string{"-bench", "NOPE", "-insts", "5000"}, code: 2, stderr: "NOPE"},
 		{name: "unknown prefetcher", args: []string{"-prefetch", "nope"}, code: 2, stderr: `unknown prefetcher "nope"`},
 		{name: "unknown scheduler", args: []string{"-sched", "nope"}, code: 2, stderr: `unknown scheduler "nope"`},

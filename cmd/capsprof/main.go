@@ -20,9 +20,9 @@
 // and 2 on a usage error or an input it cannot load — wire it into CI
 // after a sweep to turn perf eyeballing into a gate. The other -diff
 // subcommands share the contract.
-// speed-diff does the same for simulator wall-clock speedups (capsweep
-// -speed-json): it compares base-vs-tuned speedup ratios, so the gate
-// holds even when the two reports come from machines of different speeds.
+// speed-diff does the same for simulator wall-clock (capsweep -speed-json):
+// it fails when a benchmark simulates different work or its wall time
+// rose past the tolerance, so compare reports from comparable hosts.
 package main
 
 import (
@@ -134,9 +134,9 @@ func usage(w io.Writer) {
 
   capsprof speed-diff <base-speed.json> <current-speed.json> [-tolerance frac]
       compare two capsweep -speed-json reports and exit 1 when any
-      benchmark's (or the aggregate) serial-vs-tuned speedup fell more
-      than the tolerance fraction below the baseline's; host-context
-      mismatches between the reports are printed as warnings
+      benchmark's cycles or instructions differ from the baseline's or
+      its wall time rose more than the tolerance fraction above the
+      baseline's; host-context mismatches are printed as warnings
 `)
 	for _, l := range lenses.All {
 		fmt.Fprint(w, "\n"+l.Help)
@@ -240,7 +240,7 @@ func diff(args []string, stdout, stderr io.Writer) int {
 
 func speedDiff(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("speed-diff", stderr)
-	tol := fs.Float64("tolerance", 0.20, "max fractional speedup drop before failing")
+	tol := fs.Float64("tolerance", 0.20, "max fractional wall-time rise before failing")
 	pos, err := parseArgs(fs, args)
 	if err != nil {
 		return flagExit(err)
@@ -264,7 +264,7 @@ func speedDiff(args []string, stdout, stderr io.Writer) int {
 	}
 	msgs := experiments.DiffSpeed(base, cur, *tol)
 	if len(msgs) == 0 {
-		fmt.Fprintf(stdout, "capsprof speed-diff: no regressions (aggregate %.2fx, baseline %.2fx)\n", cur.Speedup, base.Speedup)
+		fmt.Fprintf(stdout, "capsprof speed-diff: no regressions (%.0f ms, baseline %.0f ms)\n", cur.WallMS, base.WallMS)
 		return 0
 	}
 	fmt.Fprintf(stdout, "capsprof speed-diff: %d regression(s):\n", len(msgs))

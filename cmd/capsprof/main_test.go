@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"caps/internal/config"
+	"caps/internal/experiments"
 	"caps/internal/hostprof"
 	"caps/internal/kernels"
 	"caps/internal/memlens"
@@ -23,6 +24,8 @@ type lensFiles struct {
 	mem, memBad     string
 	sched, schedBad string
 	host, hostBad   string
+	speed, speedBad string // BENCH_speed.json-style reports
+	speedWork       string // the report with one bench's cycles changed
 }
 
 // shortRun is one short MM run under CAPS with capsprof, memlens and
@@ -109,6 +112,17 @@ func writeProfiles(t *testing.T, dir string) lensFiles {
 	must(hp.WriteFile(f.host))
 	hp.WallNS *= 2
 	must(hp.WriteFile(f.hostBad))
+
+	// Speed reports are wall-clock too: hand-built, one bench.
+	rep := &experiments.SpeedReport{MaxInsts: cfg.MaxInsts, WallMS: 100,
+		Entries: []experiments.SpeedEntry{{Bench: "MM", Cycles: st.Cycles, Instructions: st.Instructions, WallMS: 100}}}
+	f.speed, f.speedBad, f.speedWork = path("speed.json"), path("bad.speed.json"), path("work.speed.json")
+	must(rep.WriteFile(f.speed))
+	rep.Entries[0].WallMS, rep.WallMS = 130, 130
+	must(rep.WriteFile(f.speedBad))
+	rep.Entries[0].WallMS, rep.WallMS = 100, 100
+	rep.Entries[0].Cycles++
+	must(rep.WriteFile(f.speedWork))
 	return f
 }
 
@@ -167,6 +181,15 @@ func TestRunExitCodes(t *testing.T) {
 		{"host-diff bad flag", []string{"host-diff", "-bogus", f.host, f.host}, 2},
 		{"host-diff missing file", []string{"host-diff", f.host, missing}, 2},
 		{"host-diff unparsable file", []string{"host-diff", garbage, f.host}, 2},
+
+		{"speed-diff self", []string{"speed-diff", f.speed, f.speed}, 0},
+		{"speed-diff slower", []string{"speed-diff", f.speed, f.speedBad}, 1},
+		{"speed-diff faster", []string{"speed-diff", f.speedBad, f.speed}, 0},
+		{"speed-diff loose tolerance", []string{"speed-diff", "-tolerance", "0.5", f.speed, f.speedBad}, 0},
+		{"speed-diff changed work", []string{"speed-diff", f.speed, f.speedWork}, 1},
+		{"speed-diff one path", []string{"speed-diff", f.speed}, 2},
+		{"speed-diff missing file", []string{"speed-diff", f.speed, missing}, 2},
+		{"speed-diff unparsable file", []string{"speed-diff", garbage, f.speed}, 2},
 
 		{"report html", []string{"report", f.prof, "-html", filepath.Join(dir, "report.html")}, 0},
 		{"report no path", []string{"report"}, 2},

@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceDir   = fs.String("trace-dir", "", "write a Chrome trace + metrics CSV per run into this directory")
 		profileDir = fs.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
 		benchJSON  = fs.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
-		speedJSON  = fs.String("speed-json", "", "time every benchmark serial-vs-tuned (-workers), verify identical stats, write BENCH_speed.json-style timings to this file, then exit")
+		speedJSON  = fs.String("speed-json", "", "time every benchmark (median of three round-robin runs, identical stats required), write BENCH_speed.json-style timings to this file, then exit")
 		storeDir   = fs.String("store", "", "record every completed run (stats + profile) into this run store directory (see capsd)")
 		flightDir  = fs.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
 	)
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, l := range lenses.All {
 		lensDirs[i] = fs.String(l.Flag+"-dir", "", l.SweepUsage)
 	}
-	sf := experiments.AddSimFlags(fs)
 	switch err := fs.Parse(args); {
 	case errors.Is(err, flag.ErrHelp):
 		return 0
@@ -92,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchList = strings.Split(*benches, ",")
 	}
 	if *speedJSON != "" {
-		rep, err := experiments.BuildSpeedReport(cfg, benchList, sf)
+		rep, err := experiments.BuildSpeedReport(cfg, benchList)
 		if err == nil {
 			err = rep.WriteFile(*speedJSON)
 		}
@@ -100,13 +99,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "capsweep:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %s (%d benchmarks, aggregate speedup %.2fx at workers=%d)\n",
-			*speedJSON, len(rep.Entries), rep.Speedup, rep.Workers)
+		fmt.Fprintf(stdout, "wrote %s (%d benchmarks, %.0f ms of median wall time)\n",
+			*speedJSON, len(rep.Entries), rep.WallMS)
 		return 0
 	}
-	// -workers reaches every run; suite parallelism derates to
-	// GOMAXPROCS/workers unless -par pins it explicitly.
-	opts := sf.SuiteOptions(*par)
+	opts := []experiments.Option{experiments.WithParallelism(*par)}
 	if len(benchList) > 0 {
 		opts = append(opts, experiments.WithBenches(benchList))
 	}
@@ -230,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	figures := map[string]func(){
 		"1": func() {
-			t, err := experiments.Figure1(cfg, 10, sf.SimOptions()...)
+			t, err := experiments.Figure1(cfg, 10)
 			if err != nil {
 				fail(err)
 				return

@@ -45,6 +45,7 @@ func TestRun(t *testing.T) {
 		stderr string // substring stderr must contain
 	}{
 		{name: "bad flag", args: []string{"-bogus"}, code: 2, stderr: "-bogus"},
+		{name: "workers is gone", args: []string{"-workers", "2"}, code: 2, stderr: "provided but not defined: -workers"},
 		{name: "help", args: []string{"-h"}, code: 0, stderr: "-memlens-dir"},
 		{name: "nothing to run", args: nil, code: 2, stderr: "-fig"},
 		{name: "lens dirs", args: sweep(filepath.Join(dir, "ok")), code: 0},

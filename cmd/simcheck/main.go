@@ -5,17 +5,14 @@
 //	    (detlint, cyclelint, statlint — see internal/analysis). Exits 1
 //	    if any diagnostic survives //simcheck:allow suppression.
 //
-//	simcheck -mode=hotlint|isolint|all [-baseline file] [-update-baseline] [-inventory]
-//	    Run the call-graph-aware module analyzers: hotlint flags
-//	    heap-allocating constructs reachable from //caps:hotpath roots,
-//	    isolint proves per-SM isolation of everything reachable from
-//	    //caps:isolated roots (see internal/analysis). -mode=all also runs
-//	    the per-package lint suite. Findings are ratcheted against the
-//	    committed baseline (SIMCHECK_BASELINE at the module root):
-//	    anything beyond it exits 1, shrunk debt is reported stale, and
-//	    -update-baseline rewrites the file to the current findings.
-//	    -inventory prints the //caps:shared-sync sync-point inventory —
-//	    the cross-SM touch points a parallel tick must serialize.
+//	simcheck -mode=hotlint|all [-baseline file] [-update-baseline]
+//	    Run the call-graph-aware module analyzer: hotlint flags
+//	    heap-allocating constructs reachable from //caps:hotpath roots
+//	    (see internal/analysis). -mode=all also runs the per-package lint
+//	    suite. Findings are ratcheted against the committed baseline
+//	    (SIMCHECK_BASELINE at the module root): anything beyond it exits
+//	    1, shrunk debt is reported stale, and -update-baseline rewrites
+//	    the file to the current findings.
 //
 //	simcheck -mode=determinism [-benches STE,BFS,MM] [-insts N] [-every K]
 //	    Run each benchmark twice with the invariant sanitizer enabled
@@ -65,13 +62,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mode := fs.String("mode", "lint", "lint, hotlint, isolint, all, determinism or tracecheck")
+	mode := fs.String("mode", "lint", "lint, hotlint, all, determinism or tracecheck")
 	benches := fs.String("benches", "STE,BFS,MM,CP", "determinism mode: comma-separated benchmark abbreviations")
 	insts := fs.Int64("insts", 60_000, "determinism mode: per-run instruction cap (0 = full run)")
 	every := fs.Int64("every", 0, "determinism mode: also compare periodic state-hash checkpoints every N cycles (0 = final hash only)")
-	baseline := fs.String("baseline", "", "hotlint/isolint: ratchet baseline file (default <module root>/"+baselineName+")")
-	updateBaseline := fs.Bool("update-baseline", false, "hotlint/isolint: rewrite the baseline to the current findings and exit")
-	inventory := fs.Bool("inventory", false, "isolint: print the //caps:shared-sync sync-point inventory")
+	baseline := fs.String("baseline", "", "hotlint: ratchet baseline file (default <module root>/"+baselineName+")")
+	updateBaseline := fs.Bool("update-baseline", false, "hotlint: rewrite the baseline to the current findings and exit")
 	switch err := fs.Parse(args); {
 	case errors.Is(err, flag.ErrHelp):
 		return 0
@@ -83,12 +79,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *mode {
 	case "lint":
 		return out.lint()
-	case "hotlint", "isolint", "all":
-		return out.lintModule(*mode, modeOpts{
-			baseline:       *baseline,
-			updateBaseline: *updateBaseline,
-			inventory:      *inventory,
-		})
+	case "hotlint", "all":
+		return out.lintModule(*mode == "all", *baseline, *updateBaseline)
 	case "determinism":
 		if *every > sim.MaxProgressEvery {
 			fmt.Fprintf(stderr, "simcheck: -every %d exceeds the maximum %d\n", *every, sim.MaxProgressEvery)
@@ -98,19 +90,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "tracecheck":
 		return out.checkTraces(fs.Args())
 	default:
-		fmt.Fprintf(stderr, "simcheck: unknown mode %q (want lint, hotlint, isolint, all, determinism or tracecheck)\n", *mode)
+		fmt.Fprintf(stderr, "simcheck: unknown mode %q (want lint, hotlint, all, determinism or tracecheck)\n", *mode)
 		return 2
 	}
 }
 
 // output carries the command's two streams to the modes.
 type output struct{ stdout, stderr io.Writer }
-
-type modeOpts struct {
-	baseline       string
-	updateBaseline bool
-	inventory      bool
-}
 
 // loadPkgs type-checks the enclosing module. Package patterns on the
 // command line are accepted for `go run ./cmd/simcheck ./...` ergonomics
@@ -150,34 +136,25 @@ func (o output) lint() int {
 	return 0
 }
 
-// lintModule runs the module-level analyzers (hotlint/isolint) against the
-// ratchet baseline; -mode=all additionally runs the per-package suite
-// (which is never baselined — it must stay clean outright).
-func (o output) lintModule(mode string, opts modeOpts) int {
+// lintModule runs the module-level analyzers (hotlint) against the
+// ratchet baseline at basePath; withPkg (-mode=all) additionally runs the
+// per-package suite (which is never baselined — it must stay clean
+// outright).
+func (o output) lintModule(withPkg bool, basePath string, update bool) int {
 	root, pkgs, err := loadPkgs()
 	if err != nil {
 		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
-	var analyzers []*analysis.ModuleAnalyzer
-	switch mode {
-	case "hotlint":
-		analyzers = []*analysis.ModuleAnalyzer{analysis.Hotlint}
-	case "isolint":
-		analyzers = []*analysis.ModuleAnalyzer{analysis.Isolint}
-	default:
-		analyzers = analysis.AllModule()
-	}
-	mdiags, err := analysis.CheckModule(pkgs, analyzers)
+	mdiags, err := analysis.CheckModule(pkgs, analysis.AllModule())
 	if err != nil {
 		fmt.Fprintln(o.stderr, "simcheck:", err)
 		return 2
 	}
-	basePath := opts.baseline
 	if basePath == "" {
 		basePath = filepath.Join(root, baselineName)
 	}
-	if opts.updateBaseline {
+	if update {
 		if err := analysis.WriteBaseline(basePath, mdiags); err != nil {
 			fmt.Fprintln(o.stderr, "simcheck:", err)
 			return 2
@@ -196,7 +173,7 @@ func (o output) lintModule(mode string, opts modeOpts) int {
 	}
 
 	var pkgDiags []analysis.Diagnostic
-	if mode == "all" {
+	if withPkg {
 		pkgDiags, err = analysis.Check(pkgs, analysis.All())
 		if err != nil {
 			fmt.Fprintln(o.stderr, "simcheck:", err)
@@ -208,13 +185,6 @@ func (o output) lintModule(mode string, opts modeOpts) int {
 	}
 	for _, d := range kept {
 		fmt.Fprintln(o.stdout, d)
-	}
-	if opts.inventory {
-		inv := analysis.SharedInventory(pkgs)
-		fmt.Fprintf(o.stdout, "# shared-sync inventory: %d touch point(s) the parallel-tick barrier must serialize\n", len(inv))
-		for _, p := range inv {
-			fmt.Fprintf(o.stdout, "%-14s %s:%d\t%s\t%s\n", p.Phase, p.Pos.Filename, p.Pos.Line, p.Func, p.Desc)
-		}
 	}
 	if n := len(kept) + len(pkgDiags); n > 0 {
 		fmt.Fprintf(o.stderr, "simcheck: %d un-baselined finding(s)\n", n)

@@ -28,6 +28,8 @@ func TestRun(t *testing.T) {
 		{name: "bad flag", args: []string{"-bogus"}, code: 2, stderr: "-bogus"},
 		{name: "help", args: []string{"-h"}, code: 0, stderr: "-mode"},
 		{name: "unknown mode", args: []string{"-mode=bogus"}, code: 2, stderr: `unknown mode "bogus"`},
+		{name: "isolint is gone", args: []string{"-mode=isolint"}, code: 2, stderr: `unknown mode "isolint"`},
+		{name: "inventory is gone", args: []string{"-inventory"}, code: 2, stderr: "provided but not defined: -inventory"},
 		{name: "every too large", args: []string{"-mode=determinism", "-every", fmt.Sprint(sim.MaxProgressEvery + 1)},
 			code: 2, stderr: "exceeds the maximum"},
 		{name: "no traces", args: []string{"-mode=tracecheck"}, code: 2, stderr: "at least one trace file"},

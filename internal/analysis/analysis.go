@@ -61,14 +61,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Diagnostic is one finding, positioned in the source. Module analyzers
-// (hotlint, isolint) additionally record the containing function and a
+// (hotlint) additionally record the containing function and a
 // finding category; the pair keys the ratchet baseline, which must survive
 // line-number drift that a position key would not.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Func     string // full name of the containing function ("" for per-package analyzers)
-	Category string // finding class, e.g. "make", "box", "global-write" ("" for per-package analyzers)
+	Category string // finding class, e.g. "make", "box" ("" for per-package analyzers)
 	Message  string
 }
 

@@ -46,10 +46,10 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 }
 
 // RunModule loads dir as a fixture package and applies a module analyzer
-// (hotlint/isolint) to it as a one-package module, comparing diagnostics
+// (hotlint) to it as a one-package module, comparing diagnostics
 // with the fixture's want annotations. The fixture's //caps: annotations
 // are collected exactly as they would be on the real module, so fixtures
-// exercise roots, suppressions and shared marks end to end.
+// exercise roots and suppressions end to end.
 func RunModule(t *testing.T, a *analysis.ModuleAnalyzer, dir string) {
 	t.Helper()
 	root, err := analysis.FindModuleRoot(dir)

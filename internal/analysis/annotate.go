@@ -15,37 +15,19 @@ import (
 //	    hotlint walks the call graph from every root and flags
 //	    heap-allocating constructs in everything reachable.
 //
-//	//caps:isolated
-//	    On a function's doc comment: the function is a parallel-tick root.
-//	    isolint proves per-SM isolation for everything reachable from it —
-//	    no writes to package-level or GPU-shared state without a declared
-//	    barrier phase.
-//
 //	//caps:alloc-ok <reason>
 //	    On a statement line (trailing, or the line above): the allocation
 //	    at this site is accepted — the reason is mandatory. On a call site
 //	    it also prunes the hotlint walk into that callee (cold or
 //	    amortized subtrees are cordoned off at their entry call).
 //
-//	//caps:shared <label>
-//	    On a type declaration or struct field: values of this type (or
-//	    reached through this field) are GPU-shared across SMs. isolint
-//	    flags every reachable write through a shared-marked type/field.
-//
-//	//caps:shared-sync <barrier-phase>
-//	    On a write site, or on a function's doc comment (covering every
-//	    shared write inside it): the write is serialized at the named
-//	    barrier phase of the future parallel tick. Suppresses the isolint
-//	    finding and records the site in the sync-point inventory
-//	    (`simcheck -mode=isolint -inventory`).
-//
 // Multiple directives may share one comment: each `//caps:` segment starts
-// a new directive, e.g. `x() //caps:alloc-ok pooled //caps:shared-sync obs`.
+// a new directive, e.g. `//caps:hotpath //caps:alloc-ok pooled`.
 
 // Directive is one parsed //caps:<verb> marker.
 type Directive struct {
-	Verb string // "hotpath", "isolated", "alloc-ok", "shared", "shared-sync"
-	Arg  string // free text after the verb: reason, phase or label
+	Verb string // "hotpath", "alloc-ok"
+	Arg  string // free text after the verb: the reason
 	Pos  token.Position
 }
 
@@ -54,15 +36,12 @@ type siteKey struct {
 	line int
 }
 
-// Annotations indexes every //caps: directive of a package set three ways:
+// Annotations indexes every //caps: directive of a package set two ways:
 // by site (file:line, with the line-above form registered one line down,
-// mirroring //simcheck:allow), by function (doc-comment directives), and by
-// shared-marked type/field objects.
+// mirroring //simcheck:allow) and by function (doc-comment directives).
 type Annotations struct {
-	site         map[siteKey][]Directive
-	fn           map[*types.Func][]Directive
-	sharedTypes  map[*types.TypeName]string
-	sharedFields map[*types.Var]string
+	site map[siteKey][]Directive
+	fn   map[*types.Func][]Directive
 }
 
 // parseDirectives extracts every caps: directive from one comment's text.
@@ -108,10 +87,8 @@ func groupDirectives(fset *token.FileSet, doc *ast.CommentGroup) []Directive {
 // directives.
 func CollectAnnotations(pkgs []*Package) *Annotations {
 	a := &Annotations{
-		site:         make(map[siteKey][]Directive),
-		fn:           make(map[*types.Func][]Directive),
-		sharedTypes:  make(map[*types.TypeName]string),
-		sharedFields: make(map[*types.Var]string),
+		site: make(map[siteKey][]Directive),
+		fn:   make(map[*types.Func][]Directive),
 	}
 	for _, pkg := range pkgs {
 		fset := pkg.Fset
@@ -128,17 +105,16 @@ func CollectAnnotations(pkgs []*Package) *Annotations {
 				}
 			}
 			for _, decl := range f.Decls {
-				switch decl := decl.(type) {
-				case *ast.FuncDecl:
-					dirs := groupDirectives(fset, decl.Doc)
-					if len(dirs) == 0 {
-						continue
-					}
-					if obj, ok := pkg.Info.Defs[decl.Name].(*types.Func); ok {
-						a.fn[obj] = append(a.fn[obj], dirs...)
-					}
-				case *ast.GenDecl:
-					a.collectShared(pkg, decl)
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				dirs := groupDirectives(fset, fd.Doc)
+				if len(dirs) == 0 {
+					continue
+				}
+				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					a.fn[obj] = append(a.fn[obj], dirs...)
 				}
 			}
 		}
@@ -146,62 +122,10 @@ func CollectAnnotations(pkgs []*Package) *Annotations {
 	return a
 }
 
-// collectShared records //caps:shared marks on type declarations and on
-// struct fields.
-func (a *Annotations) collectShared(pkg *Package, decl *ast.GenDecl) {
-	if decl.Tok != token.TYPE {
-		return
-	}
-	declDirs := groupDirectives(pkg.Fset, decl.Doc)
-	for _, spec := range decl.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		dirs := append(append([]Directive{}, declDirs...), groupDirectives(pkg.Fset, ts.Doc)...)
-		dirs = append(dirs, groupDirectives(pkg.Fset, ts.Comment)...)
-		for _, d := range dirs {
-			if d.Verb != "shared" {
-				continue
-			}
-			if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-				a.sharedTypes[tn] = d.Arg
-			}
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			continue
-		}
-		for _, field := range st.Fields.List {
-			fdirs := append(groupDirectives(pkg.Fset, field.Doc), groupDirectives(pkg.Fset, field.Comment)...)
-			for _, d := range fdirs {
-				if d.Verb != "shared" {
-					continue
-				}
-				for _, name := range field.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						a.sharedFields[v] = d.Arg
-					}
-				}
-			}
-		}
-	}
-}
-
 // At returns the first directive with the given verb siting on pos's line
 // (trailing or line-above comment form).
 func (a *Annotations) At(pos token.Position, verb string) (Directive, bool) {
 	for _, d := range a.site[siteKey{pos.Filename, pos.Line}] {
-		if d.Verb == verb {
-			return d, true
-		}
-	}
-	return Directive{}, false
-}
-
-// OnFunc returns the first doc-comment directive with the given verb on fn.
-func (a *Annotations) OnFunc(fn *types.Func, verb string) (Directive, bool) {
-	for _, d := range a.fn[fn] {
 		if d.Verb == verb {
 			return d, true
 		}
@@ -223,33 +147,4 @@ func (a *Annotations) FuncsWith(verb string) []*types.Func {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
 	return out
-}
-
-// SharedType reports whether t (chasing pointers and named types) is marked
-// //caps:shared, returning the mark's label.
-func (a *Annotations) SharedType(t types.Type) (string, bool) {
-	for i := 0; i < 8 && t != nil; i++ {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Named:
-			if label, ok := a.sharedTypes[u.Obj()]; ok {
-				return label, true
-			}
-			t = u.Underlying()
-		case *types.Slice:
-			t = u.Elem()
-		case *types.Array:
-			t = u.Elem()
-		default:
-			return "", false
-		}
-	}
-	return "", false
-}
-
-// SharedField reports whether the field object carries a //caps:shared mark.
-func (a *Annotations) SharedField(v *types.Var) (string, bool) {
-	label, ok := a.sharedFields[v]
-	return label, ok
 }

@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// The baseline file ratchets structural hotlint/isolint debt: findings
+// The baseline file ratchets structural hotlint debt: findings
 // recorded in it are tolerated, anything beyond it fails the build, and a
 // shrinking finding set makes the recorded entries stale (reported so the
 // baseline gets tightened). Entries are keyed by (analyzer, function,
@@ -115,7 +115,7 @@ func WriteBaseline(path string, diags []Diagnostic) error {
 		return a.Category < b.Category
 	})
 	var sb strings.Builder
-	sb.WriteString("# simcheck ratchet baseline: tolerated hotlint/isolint findings.\n")
+	sb.WriteString("# simcheck ratchet baseline: tolerated hotlint findings.\n")
 	sb.WriteString("# Counts may go down, never up. Regenerate:\n")
 	sb.WriteString("#   go run ./cmd/simcheck -mode=all -update-baseline ./...\n")
 	for _, k := range keys {

@@ -24,37 +24,6 @@ func TestHotlintFixture(t *testing.T) {
 	analysistest.RunModule(t, analysis.Hotlint, filepath.Join("testdata", "hotlint"))
 }
 
-func TestIsolintFixture(t *testing.T) {
-	analysistest.RunModule(t, analysis.Isolint, filepath.Join("testdata", "isolint"))
-}
-
-// TestSharedInventory checks that the isolint fixture's accepted
-// sync points land in the inventory with their barrier phases.
-func TestSharedInventory(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := analysis.LoadFixture(root, filepath.Join("testdata", "isolint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := analysis.SharedInventory([]*analysis.Package{pkg})
-	phases := make(map[string]int)
-	for _, p := range inv {
-		phases[p.Phase]++
-	}
-	// bump's function-level phase covers one write, syncSite's site-level
-	// phase one more, the go statement reaches bump again but reached
-	// functions are walked once; flush's call edge is drain-phase.
-	if phases["stats-reduce"] < 2 {
-		t.Errorf("want >=2 stats-reduce sync points, got %d (inventory %v)", phases["stats-reduce"], inv)
-	}
-	if phases["drain-phase"] != 1 {
-		t.Errorf("want 1 drain-phase sync point, got %d (inventory %v)", phases["drain-phase"], inv)
-	}
-}
-
 // TestBaselineRoundTrip exercises the ratchet: a written baseline absorbs
 // the findings it records, new findings stay fatal, shrinking debt is
 // reported stale.
@@ -62,7 +31,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	diags := []analysis.Diagnostic{
 		{Analyzer: "hotlint", Func: "caps/internal/sim.fn", Category: "make", Message: "m1"},
 		{Analyzer: "hotlint", Func: "caps/internal/sim.fn", Category: "make", Message: "m2"},
-		{Analyzer: "isolint", Func: "caps/internal/sim.fn", Category: "global-write", Message: "g"},
+		{Analyzer: "hotlint", Func: "caps/internal/sim.gn", Category: "box", Message: "b"},
 	}
 	path := filepath.Join(t.TempDir(), "baseline")
 	if err := analysis.WriteBaseline(path, diags); err != nil {

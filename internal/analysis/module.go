@@ -8,10 +8,10 @@ import (
 
 // ModuleAnalyzer is a check that needs the whole module at once — a
 // cross-package call graph, annotation inventory, or any property that a
-// single package's syntax cannot establish. hotlint and isolint are module
-// analyzers: their findings depend on reachability from annotated roots
-// through calls that cross package boundaries (SM.Tick → sched.Pick →
-// obs emit), so the per-package Analyzer shape cannot express them.
+// single package's syntax cannot establish. hotlint is a module analyzer:
+// its findings depend on reachability from annotated roots through calls
+// that cross package boundaries (SM.Tick → sched.Pick → obs emit), so the
+// per-package Analyzer shape cannot express them.
 type ModuleAnalyzer struct {
 	Name string
 	Doc  string
@@ -46,17 +46,16 @@ func (p *ModulePass) Reportf(pos token.Pos, fn, category, format string, args ..
 
 // AllModule returns the module-level analyzer suite in reporting order.
 func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{Hotlint, Isolint}
+	return []*ModuleAnalyzer{Hotlint}
 }
 
 // CheckModule runs each module analyzer over the whole package set and
 // returns the surviving diagnostics sorted by position. The call graph and
 // annotation inventory are built once and shared. //simcheck:allow
 // suppressions apply exactly as they do for per-package analyzers;
-// hotlint/isolint additionally honor their own //caps:alloc-ok and
-// //caps:shared-sync site annotations (those are semantic — they prune the
-// walk or feed the sync-point inventory — so they live in the analyzers,
-// not here).
+// hotlint additionally honors its own //caps:alloc-ok site annotations
+// (those are semantic — they prune the walk — so they live in the
+// analyzer, not here).
 func CheckModule(pkgs []*Package, analyzers []*ModuleAnalyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil

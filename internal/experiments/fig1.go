@@ -22,10 +22,8 @@ import (
 // between the two executions. Accuracy collapses once d crosses the CTA
 // boundary (matrixMul has 8 warps per CTA).
 //
-// The trace is folded from the EvLoadIssue event stream, so opts may pick
-// any executor (sim.WithWorkers): the table is identical.
-// Figure 1's own prefetcher and sink are applied after opts.
-func Figure1(cfg config.GPUConfig, maxDistance int, opts ...sim.Option) (*stats.Table, error) {
+// The trace is folded from the EvLoadIssue event stream.
+func Figure1(cfg config.GPUConfig, maxDistance int) (*stats.Table, error) {
 	if maxDistance <= 0 {
 		maxDistance = 10
 	}
@@ -37,8 +35,7 @@ func Figure1(cfg config.GPUConfig, maxDistance int, opts ...sim.Option) (*stats.
 	fold := &fig1Fold{warps: cfg.MaxWarpsPerSM, streams: make(map[fig1Key][]fig1Rec)}
 	snk := sim.NewSink(cfg, false, 0)
 	snk.Attach(fold)
-	opts = append(opts[:len(opts):len(opts)], sim.WithPrefetcher("none"), sim.WithObs(snk))
-	g, err := sim.New(cfg, kernel, opts...)
+	g, err := sim.New(cfg, kernel, sim.WithPrefetcher("none"), sim.WithObs(snk))
 	if err != nil {
 		return nil, err
 	}

@@ -249,8 +249,8 @@ func WithFlight(dir string, onErr func(RunKey, error)) Option {
 	}
 }
 
-// WithRunOptions appends functional simulator options (sim.WithWorkers,
-// sim.WithProgressEvery, ...) to every run. They apply after the suite's own
+// WithRunOptions appends functional simulator options
+// (sim.WithProgressEvery, ...) to every run. They apply after the suite's own
 // settings, so they win conflicts; that also makes them the hook for
 // per-run knobs the suite has no dedicated option for (the watchdog
 // window, the progress beat, fault injection in tests). Overriding the

@@ -1,8 +1,8 @@
 // Package hostprof attributes the simulator's wall-clock cost — where
 // capsprof (internal/profile) explains every *simulated* cycle, hostprof
 // explains every *host* nanosecond. It is the instrument the executor
-// tuning work steers by: which barrier phase of the parallel Step the time
-// goes to, how evenly the tick workers are loaded, and how much the idle
+// tuning work steers by: which phase of Step the time goes to, what the
+// SM ticks cost and how evenly across SMs, and how much the idle
 // fast-forward actually saves (windows opened vs aborted, cycles skipped
 // vs ticked, replay cost billed to the schedulers).
 //
@@ -26,7 +26,7 @@ import (
 	"time"
 )
 
-// Phase indexes the barrier phases of GPU.Step that sampled wall-clock is
+// Phase indexes the phases of GPU.Step that sampled wall-clock is
 // attributed to. PhaseOther covers Step's bookkeeping outside the three
 // real phases (the idle-wake scan, injection checks); the Profile adds a
 // synthetic "loop" bucket for Run-loop time outside Step entirely (the
@@ -40,11 +40,9 @@ const (
 	// PhaseMem: the serial memory prologue — DRAM channel ticks, response
 	// delivery, and partition (L2) ticks.
 	PhaseMem
-	// PhaseSM: the SM phase — the congestion precheck plus every SM tick,
-	// parallel fan-out and barrier included when workers > 1.
+	// PhaseSM: the SM phase — every SM tick, in SM order.
 	PhaseSM
-	// PhaseCommit: the single-threaded commit — staged interconnect
-	// drains and obs replay in SM order, CTA dispatch, cycle bookkeeping.
+	// PhaseCommit: the step's tail — CTA dispatch and cycle bookkeeping.
 	PhaseCommit
 
 	NumPhases
@@ -87,7 +85,10 @@ type Context struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
+	// Workers is the SM-tick goroutine count. The simulator ticks its SMs
+	// serially and records 1; a profile from before the parallel executor
+	// was removed may carry more.
+	Workers int `json:"workers"`
 	// IdleSkip records whether the run used the per-SM fast-forward. The
 	// simulator always does and records true; a profile from before the
 	// fast-forward became the only executor path may carry false.
@@ -95,9 +96,7 @@ type Context struct {
 }
 
 // CaptureContext snapshots the current host plus the run's executor
-// tuning. workers is the run's tick-worker count — the simulator passes
-// the resolved (clamped) value; report builders pass the requested one,
-// with GOMAXPROCS/NumCPU recording what the machine could actually run.
+// settings (see Context.Workers and Context.IdleSkip).
 func CaptureContext(workers int, idleSkip bool) Context {
 	return Context{
 		GoVersion:  runtime.Version(),
@@ -110,11 +109,7 @@ func CaptureContext(workers int, idleSkip bool) Context {
 	}
 }
 
-// SMProf is one SM's always-on fast-forward ledger. Each instance is
-// owned by the goroutine ticking that SM — the parallel executor assigns
-// SMs to disjoint worker shards — so the increments need no
-// synchronization and stay visible through the barrier that already
-// orders every per-SM write.
+// SMProf is one SM's always-on fast-forward ledger.
 type SMProf struct {
 	// Slept-cycle tallies, one increment per short-circuited tick.
 	FullSleepCycles   int64 `json:"full_sleep_cycles"`
@@ -146,7 +141,7 @@ type Profiler struct {
 	// Step sampling state (owned by the executor goroutine).
 	steps     int64 // Step calls so far
 	sampled   int64 // completed sampled steps
-	sampling  bool  // current step is sampled (workers read it post-barrier-handoff)
+	sampling  bool  // current step is sampled
 	stepStart int64
 	mark      int64
 	phaseNS   [NumPhases]int64 // raw sampled ns per phase, kept steps only
@@ -154,8 +149,8 @@ type Profiler struct {
 	// stepNS, stepBusy and stepTicks hold the current sampled step's spans
 	// until EndStep keeps them or drops the step as an outlier.
 	stepNS    [NumPhases]int64
-	stepBusy  []int64
-	stepTicks []int64
+	stepBusy  int64
+	stepTicks int64
 	outliers  int64 // sampled steps dropped above OutlierStepNS
 	outlierNS int64 // their total wall-clock
 
@@ -167,13 +162,10 @@ type Profiler struct {
 	ctx   Context
 	bench string
 
-	// Per-worker busy time and tick counts on kept sampled steps; slot w
-	// of stepBusy/stepTicks is written only by worker w, and EndStep folds
-	// them in after the barrier.
-	workerBusy  []int64
-	workerTicks []int64
-	// Per-SM tick-duration EWMA (alpha 1/8) over sampled steps; slot i is
-	// written only by the worker that owns SM i.
+	// SM-tick busy time and tick count on kept sampled steps.
+	tickBusy  int64
+	tickCount int64
+	// Per-SM tick-duration EWMA (alpha 1/8) over sampled steps.
 	smEWMA []int64
 	sm     []SMProf
 
@@ -196,18 +188,14 @@ func New(sampleEvery int64) *Profiler {
 	return &Profiler{every: p, mask: p - 1}
 }
 
-// Init sizes the profiler for a run: the resolved SM and worker counts
-// plus the host context. The simulator calls it from sim.New; nil-safe.
-func (p *Profiler) Init(numSMs, workers int) {
+// Init sizes the profiler for a run's SM count and captures the host
+// context. The simulator calls it from sim.New; nil-safe.
+func (p *Profiler) Init(numSMs int) {
 	if p == nil {
 		return
 	}
 	p.epoch = time.Now() //simcheck:allow detlint — wall time is the measurement itself; it never reaches simulator state
-	p.ctx = CaptureContext(workers, true)
-	p.workerBusy = make([]int64, workers)
-	p.workerTicks = make([]int64, workers)
-	p.stepBusy = make([]int64, workers)
-	p.stepTicks = make([]int64, workers)
+	p.ctx = CaptureContext(1, true)
 	p.smEWMA = make([]int64, numSMs)
 	p.sm = make([]SMProf, numSMs)
 
@@ -299,17 +287,15 @@ func (p *Profiler) BeginStep() bool {
 	p.sampling = true
 	// A step that errored out never reached EndStep: drop its spans.
 	p.stepNS = [NumPhases]int64{}
-	clear(p.stepBusy)
-	clear(p.stepTicks)
+	p.stepBusy, p.stepTicks = 0, 0
 	now := p.clock()
 	p.stepStart = now
 	p.mark = now
 	return true
 }
 
-// Sampling reports whether the current step is sampled. Tick workers read
-// it after the cycle hand-off (the channel send orders it after
-// BeginStep's write) to decide whether to time their shard.
+// Sampling reports whether the current step is sampled; the executor
+// times its SM ticks only then.
 //
 //caps:hotpath
 func (p *Profiler) Sampling() bool { return p != nil && p.sampling }
@@ -341,20 +327,17 @@ func (p *Profiler) EndStep(ph Phase) {
 	for i, ns := range p.stepNS {
 		p.phaseNS[i] += ns
 	}
-	for w := range p.stepBusy {
-		p.workerBusy[w] += p.stepBusy[w]
-		p.workerTicks[w] += p.stepTicks[w]
-	}
+	p.tickBusy += p.stepBusy
+	p.tickCount += p.stepTicks
 	p.sampledNS += d
 	p.sampled++
 }
 
-// SMTick records one timed SM tick on a sampled step: ns of busy time for
-// worker w and an EWMA update for the SM. Worker w writes only its own
-// slots; SM i's EWMA is written only by the worker that owns it.
+// SMTick records one timed SM tick on a sampled step: ns of busy time and
+// an EWMA update for the SM.
 //
 //caps:hotpath
-func (p *Profiler) SMTick(smID, w int, ns int64) {
+func (p *Profiler) SMTick(smID int, ns int64) {
 	// The measured span contains roughly one clock-call's worth of read
 	// overhead (the exit of the opening read plus the entry of the closing
 	// one); subtract the calibrated cost so cheap replayed ticks aren't
@@ -363,8 +346,8 @@ func (p *Profiler) SMTick(smID, w int, ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	p.stepBusy[w] += ns
-	p.stepTicks[w]++
+	p.stepBusy += ns
+	p.stepTicks++
 	e := p.smEWMA[smID]
 	if e == 0 {
 		e = ns

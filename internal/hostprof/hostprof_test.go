@@ -38,7 +38,7 @@ func TestNewRoundsSamplePeriodToPowerOfTwo(t *testing.T) {
 
 func TestBeginStepSamplesOneStepInEvery(t *testing.T) {
 	p := New(64)
-	p.Init(1, 1)
+	p.Init(1)
 	var sampled []int64
 	for step := int64(1); step <= 130; step++ {
 		if p.BeginStep() {
@@ -62,7 +62,7 @@ func TestBeginStepSamplesOneStepInEvery(t *testing.T) {
 
 func TestBeginStepEveryOneSamplesEveryStep(t *testing.T) {
 	p := New(1)
-	p.Init(1, 1)
+	p.Init(1)
 	for step := 1; step <= 10; step++ {
 		if !p.BeginStep() {
 			t.Fatalf("step %d not sampled with every=1", step)
@@ -78,7 +78,7 @@ func TestBeginStepEveryOneSamplesEveryStep(t *testing.T) {
 // profile that satisfies its own accounting invariants end to end.
 func TestDrivenProfilerBuildsValidProfile(t *testing.T) {
 	p := New(1)
-	p.Init(2, 2)
+	p.Init(2)
 	p.Start()
 	for step := 0; step < 50; step++ {
 		if !p.BeginStep() {
@@ -88,10 +88,10 @@ func TestDrivenProfilerBuildsValidProfile(t *testing.T) {
 		p.MarkPhase(PhaseMem)
 		start := p.Clock()
 		spin(200)
-		p.SMTick(0, 0, p.Clock()-start)
+		p.SMTick(0, p.Clock()-start)
 		start = p.Clock()
 		spin(200)
-		p.SMTick(1, 1, p.Clock()-start)
+		p.SMTick(1, p.Clock()-start)
 		p.MarkPhase(PhaseSM)
 		p.EndStep(PhaseCommit)
 	}
@@ -114,16 +114,11 @@ func TestDrivenProfilerBuildsValidProfile(t *testing.T) {
 	if last := pr.Phases[len(pr.Phases)-1]; last.Name != PhaseLoop {
 		t.Errorf("last phase bucket %q, want %q", last.Name, PhaseLoop)
 	}
-	if len(pr.Workers) != 2 || len(pr.SMs) != 2 {
-		t.Fatalf("%d workers / %d SMs, want 2/2", len(pr.Workers), len(pr.SMs))
+	if len(pr.Workers) != 1 || len(pr.SMs) != 2 {
+		t.Fatalf("%d worker ledgers / %d SMs, want 1/2", len(pr.Workers), len(pr.SMs))
 	}
-	for _, w := range pr.Workers {
-		if w.Ticks != 50 {
-			t.Errorf("worker %d ticks = %d, want 50", w.ID, w.Ticks)
-		}
-		if w.Util <= 0 || w.Util > 1 {
-			t.Errorf("worker %d util = %v, want in (0, 1]", w.ID, w.Util)
-		}
+	if w := pr.Workers[0]; w.ID != 0 || w.Ticks != 100 || w.Util <= 0 || w.Util > 1 {
+		t.Errorf("tick ledger %+v, want w0 with 100 ticks and util in (0, 1]", w)
 	}
 	for _, sm := range pr.SMs {
 		if sm.TickEWMANS <= 0 {
@@ -155,7 +150,7 @@ func TestOutlierStepIsNotExtrapolated(t *testing.T) {
 	const stall = 20 * time.Millisecond
 	run := func(every int64) *Profile {
 		p := New(every)
-		p.Init(1, 1)
+		p.Init(1)
 		p.Start()
 		for step := int64(1); step <= 4*every; step++ {
 			if !p.BeginStep() {
@@ -167,7 +162,7 @@ func TestOutlierStepIsNotExtrapolated(t *testing.T) {
 			if step == every+1 {
 				time.Sleep(stall) // the second sampled step is descheduled
 			}
-			p.SMTick(0, 0, p.Clock()-start)
+			p.SMTick(0, p.Clock()-start)
 			p.MarkPhase(PhaseSM)
 			p.EndStep(PhaseCommit)
 		}
@@ -201,7 +196,7 @@ func TestOutlierStepIsNotExtrapolated(t *testing.T) {
 
 func TestFinishIsIdempotentAndStartRequired(t *testing.T) {
 	p := New(1)
-	p.Init(1, 1)
+	p.Init(1)
 	// Finish before Start is a no-op.
 	p.Finish()
 	if p.done || p.wallNS != 0 {
@@ -517,7 +512,7 @@ func TestContextMismatch(t *testing.T) {
 // a nil profiler — the serial, unprofiled run pays one branch.
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
-	p.Init(4, 2)
+	p.Init(4)
 	p.Start()
 	p.Finish()
 	if p.BeginStep() {
@@ -544,7 +539,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 
 func TestSMProfOutOfRange(t *testing.T) {
 	p := New(1)
-	p.Init(2, 1)
+	p.Init(2)
 	if sp := p.SMProf(2); sp != nil {
 		t.Error("out-of-range SMProf returned a ledger")
 	}

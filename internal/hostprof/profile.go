@@ -7,8 +7,8 @@ import (
 )
 
 // Profile is the finished host-time attribution for one run: the sampled
-// phase spans extrapolated to the full run, per-worker busy/wait, per-SM
-// tick EWMAs, and the fast-forward ledger. It is what `capsprof host`
+// phase spans extrapolated to the full run, the SM-tick busy/wait ledger,
+// per-SM tick EWMAs, and the fast-forward ledger. It is what `capsprof host`
 // renders and what runstore persists beside the simulated profile.
 type Profile struct {
 	Bench      string  `json:"bench,omitempty"`
@@ -40,6 +40,9 @@ type Profile struct {
 	// between extrapolation and measurement that makes this honest).
 	Phases []PhaseTime `json:"phases"`
 
+	// Workers holds one entry, w0: the serial SM ticks' ledger. It is a
+	// list because profiles from the removed parallel executor held one
+	// entry per tick worker.
 	Workers []Worker `json:"workers"`
 	SMs     []SMTime `json:"sms"`
 	Skip    Skip     `json:"skip"`
@@ -52,8 +55,9 @@ type PhaseTime struct {
 	Share float64 `json:"share"`
 }
 
-// Worker is one tick worker's sampled-step ledger. BusyNS/WaitNS are
-// extrapolated to the full run; Util is busy time over the SM phase.
+// Worker is the SM ticks' sampled-step ledger. BusyNS/WaitNS are
+// extrapolated to the full run; WaitNS is the SM phase's time outside the
+// ticks (skip tests, the loop) and Util is busy time over the SM phase.
 type Worker struct {
 	ID     int     `json:"id"`
 	BusyNS int64   `json:"busy_ns"`
@@ -114,20 +118,10 @@ func (p *Profiler) Build(bench, prefetcher string) *Profile {
 	}
 
 	// The sampled SM-phase span contains every per-tick clock read — two
-	// per timed tick, concurrent across workers — which SMTick's per-tick
-	// correction cannot remove from the span itself. Subtract the wall
-	// share here: 2 reads × calibrated cost × ticks, spread over workers.
-	var totalTicks int64
-	for _, n := range p.workerTicks {
-		totalTicks += n
-	}
-	smPhase := p.phaseNS[PhaseSM]
-	if w := int64(len(p.workerBusy)); w > 0 {
-		smPhase -= 2 * p.clockCost * totalTicks / w
-		if smPhase < 0 {
-			smPhase = 0
-		}
-	}
+	// per timed tick — which SMTick's per-tick correction cannot remove
+	// from the span itself. Subtract them here: 2 reads × calibrated cost
+	// × ticks.
+	smPhase := max(p.phaseNS[PhaseSM]-2*p.clockCost*p.tickCount, 0)
 
 	// Extrapolate sampled spans to the full run.
 	f := 0.0
@@ -162,30 +156,19 @@ func (p *Profiler) Build(bench, prefetcher string) *Profile {
 	}
 	pr.Phases = phases
 
-	// Workers: wait is the (read-corrected) sampled SM-phase span minus the
-	// worker's busy time in it (clamped: the inline shard-0 worker is the
-	// phase's critical path and can exceed the span by measurement
-	// granularity).
-	for w := range p.workerBusy {
-		busy := p.workerBusy[w]
-		wait := smPhase - busy
-		if wait < 0 {
-			wait = 0
-		}
-		wk := Worker{
-			ID:     w,
-			BusyNS: int64(float64(busy) * f),
-			WaitNS: int64(float64(wait) * f),
-			Ticks:  p.workerTicks[w],
-		}
-		if smPhase > 0 {
-			wk.Util = float64(busy) / float64(smPhase)
-			if wk.Util > 1 {
-				wk.Util = 1
-			}
-		}
-		pr.Workers = append(pr.Workers, wk)
+	// The tick ledger: wait is the (read-corrected) sampled SM-phase span
+	// minus the ticks' busy time in it (clamped: the busy time can exceed
+	// the span by measurement granularity).
+	busy := p.tickBusy
+	wk := Worker{
+		BusyNS: int64(float64(busy) * f),
+		WaitNS: int64(float64(max(smPhase-busy, 0)) * f),
+		Ticks:  p.tickCount,
 	}
+	if smPhase > 0 {
+		wk.Util = min(float64(busy)/float64(smPhase), 1)
+	}
+	pr.Workers = []Worker{wk}
 
 	for i := range p.sm {
 		pr.SMs = append(pr.SMs, SMTime{ID: i, TickEWMANS: p.smEWMA[i], SMProf: p.sm[i]})
@@ -263,8 +246,8 @@ func (pr *Profile) Validate(tol float64) error {
 }
 
 // Breakdown is the compact per-run summary committed into
-// BENCH_speed.json entries: phase milliseconds, per-worker utilization,
-// and the SM tick-time imbalance.
+// BENCH_speed.json entries: phase milliseconds, the SM ticks' utilization
+// of the SM phase, and the SM tick-time imbalance.
 type Breakdown struct {
 	PhaseMS      map[string]float64 `json:"phase_ms"`
 	WorkerUtil   []float64          `json:"worker_util"`

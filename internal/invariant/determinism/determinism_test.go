@@ -48,3 +48,24 @@ func TestStateHashDistinguishesRuns(t *testing.T) {
 		t.Error("different run lengths hashed identically; StateHash is too weak")
 	}
 }
+
+// The memory-bound kernels spend their runs where the wake cycles and the
+// fast-forward act — partitions and DRAM channels skipped between events,
+// stalled retry queues asleep, SMs in stall replay and settled in bulk —
+// so their checkpoint series must reproduce across two runs with the
+// sanitizer auditing every skipped partition tick, every settled SM
+// window and the DRAM completion order. The runs use the full Table III
+// SM count: four SMs never back the twelve L2 slices' MSHR files up, so
+// their retry queues would never stall and sleep. The fast-forward's
+// equality with the plain per-cycle pipeline is sim's
+// TestWindowSkipMatchesPerCycle.
+func TestFastForwardSeriesMemoryBound(t *testing.T) {
+	cfg := config.Default()
+	cfg.MaxInsts = 30_000
+	base := []sim.Option{sim.WithPrefetcher("caps"), sim.WithScheduler(SchedulerFor("caps"))}
+	for _, bench := range []string{"BFS", "LPS", "JC1"} {
+		if _, _, err := CheckSeries(cfg, bench, 2048, base...); err != nil {
+			t.Error(err)
+		}
+	}
+}

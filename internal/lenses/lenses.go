@@ -85,8 +85,8 @@ type Lens struct {
 // reports and documents the lenses.
 var All = []*Lens{Host, Mem, Sched}
 
-// Host is hostprof: the executor's wall-clock by barrier phase, worker
-// and fast-forward window.
+// Host is hostprof: the executor's wall-clock by Step phase, SM tick and
+// fast-forward window.
 var Host = &Lens{
 	Name:       "host",
 	Noun:       "host",

@@ -408,11 +408,6 @@ func (c *Cache) MSHRsFree() int { return c.cfg.MSHREntries - (c.mshrs.len() - c.
 // MissQueueLen returns the current depth of the outgoing miss queue.
 func (c *Cache) MissQueueLen() int { return len(c.missQ) }
 
-// MissQueueAt returns the i-th queued miss without popping it. The
-// parallel tick's congestion precheck walks the queue to count each
-// request's destination partition before any SM ticks.
-func (c *Cache) MissQueueAt(i int) *Request { return c.missQ[i] }
-
 // Access presents one request to the cache. On MissNew the request is
 // appended to the miss queue (drain it with PopMiss). On MissMerged the
 // request is parked on the in-flight MSHR and will be returned by Fill.

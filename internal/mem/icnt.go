@@ -16,8 +16,6 @@ type icntPkt struct {
 // headAt caches the head packet's readyAt (maxCycle when empty): packets
 // enter in readyAt order, so nothing is deliverable before it, and the
 // receivers' due checks read it instead of the ring.
-//
-//caps:shared interconnect
 type fifo struct {
 	items   []icntPkt
 	head, n int
@@ -34,8 +32,6 @@ func newFifo(capacity, latency, width int) *fifo {
 }
 
 // push enqueues a request; it reports false when the queue is full.
-//
-//caps:shared-sync icnt-queues
 func (f *fifo) push(now int64, r *Request) bool {
 	if f.n >= len(f.items) {
 		return false
@@ -54,8 +50,6 @@ func (f *fifo) push(now int64, r *Request) bool {
 
 // pop dequeues the oldest request whose latency has elapsed, respecting the
 // per-cycle bandwidth; nil when nothing is deliverable this cycle.
-//
-//caps:shared-sync icnt-queues
 func (f *fifo) pop(now int64) *Request {
 	if now < f.headAt {
 		return nil
@@ -86,17 +80,12 @@ func (f *fifo) pop(now int64) *Request {
 
 func (f *fifo) len() int { return f.n }
 
-// free returns the remaining queue capacity.
-func (f *fifo) free() int { return len(f.items) - f.n }
-
 // maxCycle is the "no scheduled event" sentinel (math.MaxInt64 without
 // the import).
 const maxCycle = int64(^uint64(0) >> 1)
 
 // Interconnect is the full crossbar: one request queue per partition and
 // one response queue per SM.
-//
-//caps:shared interconnect
 type Interconnect struct {
 	toPart []*fifo
 	toSM   []*fifo
@@ -141,11 +130,6 @@ func (ic *Interconnect) PushToSM(now int64, r *Request) bool {
 func (ic *Interconnect) PopForSM(now int64, sm int) *Request {
 	return ic.toSM[sm].pop(now)
 }
-
-// FreeToPartition reports the remaining queue slots toward a partition:
-// the parallel tick's congestion precheck compares it against the worst
-// case the SM phase could push this cycle.
-func (ic *Interconnect) FreeToPartition(part int) int { return ic.toPart[part].free() }
 
 // PendingToPartition reports the queued request count for a partition.
 func (ic *Interconnect) PendingToPartition(part int) int { return ic.toPart[part].len() }

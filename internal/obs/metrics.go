@@ -53,8 +53,6 @@ func labelString(labels []Label) string {
 // single-goroutine per run). Like stats.Sim counters, obs counters
 // accumulate monotonically at the collection site; corrections belong in
 // this package behind a documented accessor, never at a hook site.
-//
-//caps:shared observability
 type Counter struct {
 	name   string
 	labels []Label
@@ -62,13 +60,9 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//caps:shared-sync obs-metrics
 func (c *Counter) Inc() { c.v++ }
 
 // Add adds n (n must be non-negative to preserve monotonicity).
-//
-//caps:shared-sync obs-metrics
 func (c *Counter) Add(n int64) { c.v += n }
 
 // Value returns the current count.
@@ -78,8 +72,6 @@ func (c *Counter) Value() int64 { return c.v }
 func (c *Counter) Name() string { return c.name }
 
 // Gauge is a point-in-time value (e.g. final cycle count, queue depth).
-//
-//caps:shared observability
 type Gauge struct {
 	name   string
 	labels []Label
@@ -87,8 +79,6 @@ type Gauge struct {
 }
 
 // Set overwrites the gauge.
-//
-//caps:shared-sync obs-metrics
 func (g *Gauge) Set(v int64) { g.v = v }
 
 // Value returns the current value.
@@ -96,8 +86,6 @@ func (g *Gauge) Value() int64 { return g.v }
 
 // Histogram is a fixed-geometry linear-bucket histogram. Observe is
 // allocation-free: the bucket slice is sized at registration.
-//
-//caps:shared observability
 type Histogram struct {
 	name        string
 	labels      []Label
@@ -109,8 +97,6 @@ type Histogram struct {
 }
 
 // Observe records one sample; negatives clamp to bucket zero.
-//
-//caps:shared-sync obs-metrics
 func (h *Histogram) Observe(v int64) {
 	h.total++
 	h.sum += v

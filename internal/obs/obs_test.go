@@ -45,7 +45,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.QueueSample(1, DomSM, 0, QueueL1MSHR, 3)
 	s.RowHit(1, 0, 0, 0x80)
 	s.RowMiss(1, 0, 0, 0x80)
-	s.DemandLatency(0, 100)
+	s.DemandLatency(100)
 	s.Attach(nil)
 	s.RunDone(42)
 	if s.Trace() != nil || s.Snapshot() != nil || s.Live(EvResFail) {
@@ -399,7 +399,7 @@ func TestWriteCSVFullSnapshot(t *testing.T) {
 	s.LoadIssue(3, 0, 0, 0, 0, 7, 0x80, false)
 	s.MemAccess(3, DomSM, 0, 0, 0, 7, 0x80, AccessMissMerged, false)
 	s.MemAccess(4, DomPart, 0, 0, 0, 7, 0x80, AccessMissNew, true)
-	s.DemandLatency(0, 42)
+	s.DemandLatency(42)
 	s.RunDone(10)
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, s.Snapshot()); err != nil {
@@ -562,7 +562,7 @@ func TestDeadKindStillCounts(t *testing.T) {
 	dead := New(cfg)
 	for k := Kind(0); k < numKinds; k++ {
 		if dead.Live(k) {
-			t.Fatalf("%v live on a sink with no trace, staging or consumer", k)
+			t.Fatalf("%v live on a sink with no trace or consumer", k)
 		}
 	}
 	fireEveryHook(dead)
@@ -605,8 +605,8 @@ func TestDeadKindStillCounts(t *testing.T) {
 	}
 }
 
-// TestKindLiveness pins when a kind is live: with a trace, with staging
-// armed, or once a consumer subscribed to it attaches.
+// TestKindLiveness pins when a kind is live: with a trace, or once a
+// consumer subscribed to it attaches.
 func TestKindLiveness(t *testing.T) {
 	var nilSink *Sink
 	if nilSink.Live(EvResFail) {
@@ -627,11 +627,9 @@ func TestKindLiveness(t *testing.T) {
 	}
 
 	traced := New(Config{SMs: 1, Trace: true})
-	staged := New(Config{SMs: 1})
-	staged.EnableStaging()
 	for k := Kind(0); k < numKinds; k++ {
-		if !traced.Live(k) || !staged.Live(k) {
-			t.Fatalf("%v: live with trace %v, with staging %v; want both", k, traced.Live(k), staged.Live(k))
+		if !traced.Live(k) {
+			t.Fatalf("%v dead on a traced sink", k)
 		}
 	}
 	if s.Live(numKinds) {
@@ -656,7 +654,7 @@ func (f *runFolder) FoldsCycleRuns() bool  { return true }
 // TestFoldable pins when a sink takes bulk cycle credits: with no
 // receiver for EvResFail and only run-folding cycle-class consumers.
 // Anything that would see a settled run's events out of their per-cycle
-// order — a trace, staging, an EvResFail subscriber, a consumer keeping
+// order — a trace, an EvResFail subscriber, a consumer keeping
 // the class stream — turns it off.
 func TestFoldable(t *testing.T) {
 	var nilSink *Sink
@@ -670,13 +668,11 @@ func TestFoldable(t *testing.T) {
 		t.Fatal("a sink with a run folder and an unrelated subscriber is not foldable")
 	}
 	traced := New(Config{SMs: 1, Trace: true})
-	staged := New(Config{SMs: 1})
-	staged.EnableStaging()
 	resFail := New(Config{SMs: 1})
 	resFail.Attach(&kindConsumer{want: map[Kind]bool{EvResFail: true}})
 	keeper := New(Config{SMs: 1})
 	keeper.Attach(&kindConsumer{want: map[Kind]bool{EvCycleClass: true}})
-	for name, s := range map[string]*Sink{"traced": traced, "staged": staged, "resfail": resFail, "class keeper": keeper} {
+	for name, s := range map[string]*Sink{"traced": traced, "resfail": resFail, "class keeper": keeper} {
 		if s.Foldable() {
 			t.Errorf("%s sink is foldable", name)
 		}
@@ -684,8 +680,7 @@ func TestFoldable(t *testing.T) {
 }
 
 // A run reported in one call counts exactly as its cycles reported one by
-// one, in the counters and in a run-folding consumer, and survives the
-// parallel staging round trip with its length.
+// one, in the counters and in a run-folding consumer.
 func TestCycleClassRunFoldsAsItsLength(t *testing.T) {
 	single, bulk := New(Config{SMs: 1}), New(Config{SMs: 1})
 	fs, fb := &runFolder{}, &runFolder{}
@@ -702,18 +697,5 @@ func TestCycleClassRunFoldsAsItsLength(t *testing.T) {
 	}
 	if fb.cycles != fs.cycles || fb.events != 2 || fs.events != 8 {
 		t.Errorf("folded %v in %d events, per-cycle %v in %d", fb.cycles, fb.events, fs.cycles, fs.events)
-	}
-
-	staged := New(Config{SMs: 1})
-	staged.EnableStaging()
-	fst := &runFolder{}
-	staged.Attach(fst)
-	staged.StageBegin()
-	staged.CycleClass(10, 0, CycleMemStructural, 7)
-	staged.CycleClass(17, 0, CycleIdle, 1)
-	staged.StageEnd()
-	staged.StageReplay(0)
-	if !reflect.DeepEqual(staged.Snapshot(), single.Snapshot()) || fst.cycles != fs.cycles {
-		t.Errorf("staged run replayed as %v, want %v", fst.cycles, fs.cycles)
 	}
 }

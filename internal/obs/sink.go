@@ -56,28 +56,19 @@ type chanMetrics struct {
 
 // Sink is the per-run observability hub. One Sink serves one GPU; shared
 // state (counters, histograms, trace, consumers) is only ever touched from
-// the simulation goroutine, so updates are unsynchronized. Under parallel
-// SM ticking (sim.WithWorkers) that contract is preserved by staging: DomSM
-// hooks fired from worker goroutines park events in per-SM lanes (see
-// stage.go) and the single-threaded commit phase replays them in SM order.
-// Every method is safe on a nil *Sink and returns immediately, which is
-// how disabled observability stays within its <=2% budget: hook sites pay
-// one nil check and nothing else.
+// the simulation goroutine, so updates are unsynchronized. Every method
+// is safe on a nil *Sink and returns immediately, which is how disabled
+// observability stays within its <=2% budget: hook sites pay one nil
+// check and nothing else.
 //
 // Subscription: an event kind with no receiver costs only its counter. A
-// kind is live while the sink traces, stages, or has a consumer subscribed
-// to it (see KindFilter); a hook for a dead kind updates its counter and
-// builds no Event, so a metrics-only sink pays counter increments alone.
-//
-//caps:shared observability
+// kind is live while the sink traces or has a consumer subscribed to it
+// (see KindFilter); a hook for a dead kind updates its counter and builds
+// no Event, so a metrics-only sink pays counter increments alone.
 type Sink struct {
 	cfg   Config
 	reg   *Registry
 	trace *Trace
-
-	// stage is nil until EnableStaging; serial runs never pay more than
-	// this one pointer check per hook.
-	stage *stageState
 
 	// consumers receive every emitted event in emission order (streaming
 	// profilers; see internal/profile). They hold bounded state of their
@@ -138,7 +129,7 @@ type RunFolder interface {
 // only a subset of event kinds declares the subset here, and the sink
 // drops it from the dispatch lists of every kind it declines — the
 // declined kinds then cost it nothing, not even the interface call. A kind
-// every consumer declines (with no trace and no staging) is dead: its
+// every consumer declines (with no trace) is dead: its
 // hooks update their counters and build no Event at all, and the
 // simulator may skip work whose only product is such events (the L2
 // partition's frozen retry walk). Complements StreamFilter, which
@@ -229,11 +220,11 @@ func New(cfg Config) *Sink {
 	return s
 }
 
-// refreshLive re-derives the per-kind liveness table; New, Attach and
-// EnableStaging call it, so it is fixed before the first simulated cycle.
+// refreshLive re-derives the per-kind liveness table; New and Attach call
+// it, so it is fixed before the first simulated cycle.
 func (s *Sink) refreshLive() {
 	for k := range s.live {
-		s.live[k] = s.trace != nil || s.stage != nil || len(s.byKind[k]) > 0
+		s.live[k] = s.trace != nil || len(s.byKind[k]) > 0
 	}
 	s.foldable = !s.live[EvResFail]
 	for _, c := range s.cycleStream {
@@ -251,8 +242,8 @@ func (s *Sink) refreshLive() {
 // cycles' events out of their per-cycle order. True on a nil sink.
 func (s *Sink) Foldable() bool { return s == nil || s.foldable }
 
-// Live reports whether events of kind k have a receiver: the trace, the
-// parallel staging lanes, or a subscribed consumer. False on a nil sink.
+// Live reports whether events of kind k have a receiver: the trace or a
+// subscribed consumer. False on a nil sink.
 func (s *Sink) Live(k Kind) bool {
 	return s != nil && k < numKinds && s.live[k]
 }
@@ -338,8 +329,7 @@ func (s *Sink) emit(e Event) {
 		s.trace.Append(e)
 	}
 	for _, c := range s.byKind[e.Kind] {
-		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
-
+		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
 	}
 }
 
@@ -351,26 +341,8 @@ func (s *Sink) emit(e Event) {
 //caps:hotpath
 func (s *Sink) emitStream(e Event) {
 	for _, c := range s.byKind[e.Kind] {
-		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
-
+		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
 	}
-}
-
-// post stages e, or emits it when the sink is not staging, and reports
-// whether it was staged: a staged hook leaves its counters to the replay.
-func (s *Sink) post(e Event) bool {
-	if s.staging() && s.stageEvent(e) {
-		return true
-	}
-	s.emit(e)
-	return false
-}
-
-// staging reports whether the parallel SM phase is parking hooks in the
-// staging lanes; hooks test it before handing an event to stageEvent.
-func (s *Sink) staging() bool {
-	st := s.stage
-	return st != nil && st.on
 }
 
 // cache returns the counter block of an L1 (DomSM) or an L2 slice
@@ -420,8 +392,8 @@ func (s *Sink) CTALaunch(cycle int64, sm, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvCTALaunch] && s.post(Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)}) {
-		return
+	if s.live[EvCTALaunch] {
+		s.emit(Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
 	}
 	s.sm[sm].ctaLaunch.Inc()
 }
@@ -431,8 +403,8 @@ func (s *Sink) CTAFinish(cycle int64, sm, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvCTAFinish] && s.post(Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)}) {
-		return
+	if s.live[EvCTAFinish] {
+		s.emit(Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
 	}
 	s.sm[sm].ctaFinish.Inc()
 }
@@ -442,8 +414,8 @@ func (s *Sink) WarpDispatch(cycle int64, sm, warpSlot, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvWarpDispatch] && s.post(Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)}) {
-		return
+	if s.live[EvWarpDispatch] {
+		s.emit(Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
 	}
 	s.sm[sm].warpDispatch.Inc()
 }
@@ -456,8 +428,8 @@ func (s *Sink) WarpStallBegin(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvWarpStallBegin] && s.post(Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
-		return
+	if s.live[EvWarpStallBegin] {
+		s.emit(Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
 	s.sm[sm].warpStallBegin.Inc()
 }
@@ -468,8 +440,8 @@ func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvWarpStallEnd] && s.post(Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
-		return
+	if s.live[EvWarpStallEnd] {
+		s.emit(Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
 	s.sm[sm].warpStallEnd.Inc()
 }
@@ -490,16 +462,11 @@ func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
 	if n > 1 {
 		run = n
 	}
-	if s.staging() {
-		s.stageEvent(Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run})
-		return
-	}
 	s.sm[sm].cycleClass[class].Add(n)
 	if len(s.cycleStream) > 0 {
 		e := Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run}
 		for _, c := range s.cycleStream {
-			c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder) //caps:shared-sync obs-consumers
-
+			c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
 		}
 	}
 }
@@ -509,8 +476,8 @@ func (s *Sink) WarpBarrier(cycle int64, sm, warpSlot, cta int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvWarpBarrier] && s.post(Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)}) {
-		return
+	if s.live[EvWarpBarrier] {
+		s.emit(Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
 	}
 	s.sm[sm].warpBarrier.Inc()
 }
@@ -520,8 +487,8 @@ func (s *Sink) WarpFinish(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvWarpFinish] && s.post(Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
-		return
+	if s.live[EvWarpFinish] {
+		s.emit(Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
 	s.sm[sm].warpFinish.Inc()
 }
@@ -533,8 +500,8 @@ func (s *Sink) SchedPromote(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvSchedPromote] && s.post(Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
-		return
+	if s.live[EvSchedPromote] {
+		s.emit(Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
 	s.sm[sm].schedPromote.Inc()
 }
@@ -544,8 +511,8 @@ func (s *Sink) SchedDemote(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvSchedDemote] && s.post(Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
-		return
+	if s.live[EvSchedDemote] {
+		s.emit(Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
 	s.sm[sm].schedDemote.Inc()
 }
@@ -555,8 +522,8 @@ func (s *Sink) SchedWakeup(cycle int64, sm, warpSlot int) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvSchedWakeup] && s.post(Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1}) {
-		return
+	if s.live[EvSchedWakeup] {
+		s.emit(Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
 	s.sm[sm].schedWakeup.Inc()
 }
@@ -570,8 +537,8 @@ func (s *Sink) PickOutcome(cycle int64, sm, warpSlot int, o PickOutcome) {
 	if s == nil || !s.smOK(sm) || o >= numPickOutcomes {
 		return
 	}
-	if s.live[EvPickOutcome] && s.post(Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)}) {
-		return
+	if s.live[EvPickOutcome] {
+		s.emit(Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)})
 	}
 	s.sm[sm].pickOutcome[o].Inc()
 }
@@ -583,8 +550,8 @@ func (s *Sink) CTAPhase(cycle int64, sm, cta int, p CTAPhase) {
 	if s == nil || !s.smOK(sm) || p >= numCTAPhases {
 		return
 	}
-	if s.live[EvCTAPhase] && s.post(Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)}) {
-		return
+	if s.live[EvCTAPhase] {
+		s.emit(Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)})
 	}
 	s.sm[sm].ctaPhase[p].Inc()
 }
@@ -596,8 +563,8 @@ func (s *Sink) TableOp(cycle int64, sm, cta int, pc uint32, op TableOp) {
 	if s == nil || !s.smOK(sm) || op >= numTableOps {
 		return
 	}
-	if s.live[EvTableOp] && s.post(Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)}) {
-		return
+	if s.live[EvTableOp] {
+		s.emit(Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)})
 	}
 	s.sm[sm].tableOp[op].Inc()
 }
@@ -609,8 +576,8 @@ func (s *Sink) DistAlloc(cycle int64, sm int, pc uint32) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvDistAlloc] && s.post(Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc}) {
-		return
+	if s.live[EvDistAlloc] {
+		s.emit(Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc})
 	}
 	s.sm[sm].distAlloc.Inc()
 }
@@ -621,8 +588,8 @@ func (s *Sink) PerCTAFill(cycle int64, sm, cta int, pc uint32) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPerCTAFill] && s.post(Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc}) {
-		return
+	if s.live[EvPerCTAFill] {
+		s.emit(Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc})
 	}
 	s.sm[sm].perCTAFill.Inc()
 }
@@ -636,8 +603,8 @@ func (s *Sink) PrefCandidate(cycle int64, sm, warpSlot, cta int, pc uint32, addr
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPrefCandidate] && s.post(Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)}) {
-		return
+	if s.live[EvPrefCandidate] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)})
 	}
 	s.sm[sm].prefCandidate.Inc()
 }
@@ -648,8 +615,8 @@ func (s *Sink) PrefDrop(cycle int64, sm, cta int, pc uint32, addr uint64, reason
 	if s == nil || !s.smOK(sm) || reason >= numDropReasons {
 		return
 	}
-	if s.live[EvPrefDrop] && s.post(Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)}) {
-		return
+	if s.live[EvPrefDrop] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)})
 	}
 	s.sm[sm].prefDrop[reason].Inc()
 }
@@ -660,8 +627,8 @@ func (s *Sink) PrefAdmit(cycle int64, sm, warpSlot, cta int, pc uint32, addr uin
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPrefAdmit] && s.post(Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr}) {
-		return
+	if s.live[EvPrefAdmit] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr})
 	}
 	s.sm[sm].prefAdmit.Inc()
 }
@@ -671,8 +638,8 @@ func (s *Sink) PrefFill(cycle int64, sm, warpSlot int, pc uint32, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPrefFill] && s.post(Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr}) {
-		return
+	if s.live[EvPrefFill] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr})
 	}
 	s.sm[sm].prefFill.Inc()
 }
@@ -684,8 +651,8 @@ func (s *Sink) PrefConsume(cycle int64, sm, warpSlot, cta int, pc uint32, addr u
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPrefConsume] && s.post(Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance}) {
-		return
+	if s.live[EvPrefConsume] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance})
 	}
 	s.sm[sm].prefConsume.Inc()
 	s.prefDist.Observe(distance)
@@ -697,8 +664,8 @@ func (s *Sink) PrefLate(cycle int64, sm int, pc uint32, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPrefLate] && s.post(Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr}) {
-		return
+	if s.live[EvPrefLate] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
 	}
 	s.sm[sm].prefLate.Inc()
 }
@@ -709,8 +676,8 @@ func (s *Sink) PrefEarlyEvict(cycle int64, sm int, pc uint32, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvPrefEarlyEvict] && s.post(Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr}) {
-		return
+	if s.live[EvPrefEarlyEvict] {
+		s.emit(Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
 	}
 	s.sm[sm].prefEarlyEvict.Inc()
 }
@@ -726,8 +693,8 @@ func (s *Sink) LoadIssue(cycle int64, sm, warpSlot, cta, warpInCTA int, pc uint3
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvLoadIssue] && s.post(Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: bit(indirect)}) {
-		return
+	if s.live[EvLoadIssue] {
+		s.emit(Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: bit(indirect)})
 	}
 	s.sm[sm].loadIssue.Inc()
 }
@@ -747,11 +714,7 @@ func (s *Sink) MemAccess(cycle int64, dom Domain, track, warpSlot, cta int, pc u
 		return
 	}
 	if s.live[EvMemAccess] {
-		e := Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)}
-		if s.staging() && s.stageEvent(e) {
-			return
-		}
-		s.emitStream(e)
+		s.emitStream(Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)})
 	}
 	m.access[class].Inc()
 }
@@ -776,8 +739,8 @@ func (s *Sink) MSHRAlloc(cycle int64, dom Domain, track int, addr uint64, prefet
 	if m == nil {
 		return
 	}
-	if s.live[EvMSHRAlloc] && s.post(Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(prefetch)}) {
-		return
+	if s.live[EvMSHRAlloc] {
+		s.emit(Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(prefetch)})
 	}
 	m.mshrAlloc.Inc()
 }
@@ -791,8 +754,8 @@ func (s *Sink) MSHRMerge(cycle int64, dom Domain, track int, addr uint64) {
 	if m == nil {
 		return
 	}
-	if s.live[EvMSHRMerge] && s.post(Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr}) {
-		return
+	if s.live[EvMSHRMerge] {
+		s.emit(Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr})
 	}
 	m.mshrMerge.Inc()
 }
@@ -803,8 +766,8 @@ func (s *Sink) MSHRConvert(cycle int64, sm int, addr uint64) {
 	if s == nil || !s.smOK(sm) {
 		return
 	}
-	if s.live[EvMSHRConvert] && s.post(Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr}) {
-		return
+	if s.live[EvMSHRConvert] {
+		s.emit(Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr})
 	}
 	s.sm[sm].mshrConvert.Inc()
 }
@@ -819,8 +782,8 @@ func (s *Sink) ResFail(cycle int64, dom Domain, track int, addr uint64, queueFul
 	if m == nil {
 		return
 	}
-	if s.live[EvResFail] && s.post(Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(queueFull)}) {
-		return
+	if s.live[EvResFail] {
+		s.emit(Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(queueFull)})
 	}
 	m.resFail(queueFull).Inc()
 }
@@ -865,14 +828,9 @@ func (s *Sink) RowMiss(cycle int64, ch, bank int, addr uint64) {
 	}
 }
 
-// DemandLatency feeds the demand round-trip latency histogram; sm is the
-// observing SM (it addresses the staging lane under parallel ticking — the
-// histogram itself is unlabelled).
-func (s *Sink) DemandLatency(sm int, lat int64) {
+// DemandLatency feeds the demand round-trip latency histogram.
+func (s *Sink) DemandLatency(lat int64) {
 	if s == nil {
-		return
-	}
-	if s.stageLatency(sm, lat) {
 		return
 	}
 	s.demandLat.Observe(lat)

@@ -487,8 +487,6 @@ func (e Event) Cycles() int64 { return max(e.Val, 1) }
 // Trace is a bounded, append-only event buffer. When the cap is reached,
 // further events are counted but not stored (silent truncation would read
 // as "nothing happened after cycle N"; the exporter surfaces the count).
-//
-//caps:shared observability
 type Trace struct {
 	events  []Event
 	cap     int
@@ -510,8 +508,6 @@ func NewTrace(capEvents int) *Trace {
 }
 
 // Append records one event, or counts it as dropped once the buffer is full.
-//
-//caps:shared-sync obs-trace
 func (t *Trace) Append(e Event) {
 	if len(t.events) >= t.cap {
 		t.dropped++

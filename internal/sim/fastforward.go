@@ -33,7 +33,7 @@ import "caps/internal/obs"
 // flushRuns). Tick
 // settles a window cycle it runs as settle(now+1), and the GPU does not
 // tick an SM at all while the cycle is inside its window and no response
-// for it is ready (GPU.tickSerial, smPool.tickOne): the next Tick, and
+// for it is ready (GPU.tickSerial): the next Tick, and
 // every reader of SM state (LaunchCTA, GPU.Stats, HashState, the flight
 // dump, Close), settles the skipped cycles first. Settling leaves the
 // SM's clock (nowCache, the scheduler's ObsTick) at its last tick: only
@@ -45,12 +45,12 @@ import "caps/internal/obs"
 //
 // Skipping is derived, not configured: it is on unless the run's sink
 // cannot take bulk credits (obs.Sink.Foldable). A receiver of EvResFail —
-// a trace, staging for parallel ticks, a subscriber — or a consumer that
-// keeps each EvCycleClass event in order (a flight recorder with
-// KeepCycleClass) would see a settled run's events late and out of their
-// per-cycle order, so such runs tick every SM on every cycle and settle
-// one cycle per tick. Under the sanitizer skipping stays on and settle
-// audits each settled span's premise (auditSettle).
+// a trace or a subscriber — or a consumer that keeps each EvCycleClass
+// event in order (a flight recorder with KeepCycleClass) would see a
+// settled run's events late and out of their per-cycle order, so such runs
+// tick every SM on every cycle and settle one cycle per tick. Under the
+// sanitizer skipping stays on and settle audits each settled span's
+// premise (auditSettle).
 //
 // Every cycle still executes a GPU.Step, so beats, caps and the memory
 // units land exactly as on the per-cycle pipeline, and state hashes and
@@ -81,8 +81,6 @@ func (sm *SM) settle(upTo int64) {
 }
 
 // settleSpan is settle's work for the window cycles [from, end).
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) settleSpan(from, end int64) {
 	if sm.sanitize {
 		if msg := sm.auditSettle(end - 1); msg != "" {

@@ -35,7 +35,7 @@ func (g *GPU) DumpNow(reason flight.Reason, msg string) *flight.Dump {
 		Reason:       reason,
 		Message:      msg,
 		Cycle:        g.cycle,
-		Instructions: g.insts,
+		Instructions: g.st.Instructions,
 		Bench:        g.kernel.Abbr,
 		Prefetcher:   g.prefName,
 		Scheduler:    string(g.cfg.Scheduler),
@@ -59,7 +59,7 @@ func (g *GPU) emitDump(reason flight.Reason, msg string) {
 // machineState snapshots what a post-mortem needs from every SM: per-warp
 // scheduler state, MSHR occupancy and queue depths at the moment of death.
 func (g *GPU) machineState() *flight.MachineState {
-	ms := &flight.MachineState{Cycle: g.cycle, Instructions: g.insts}
+	ms := &flight.MachineState{Cycle: g.cycle, Instructions: g.st.Instructions}
 	ms.SMs = make([]flight.SMSnapshot, len(g.sms))
 	for i, sm := range g.sms {
 		ms.SMs[i] = sm.snapshot()

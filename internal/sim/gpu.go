@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"caps/internal/config"
@@ -54,18 +53,6 @@ type GPU struct {
 	nextCTA int
 	cycle   int64
 
-	// insts is the running instruction total (the sum of every Tick's
-	// issued count). It equals st.Instructions after a shard merge, but is
-	// maintained inline so the Run loop's caps, the watchdog and the
-	// flight snapshot never force a merge mid-run.
-	insts int64
-
-	// shards are the per-SM stats shards: SM i and its prefetcher write
-	// shards[i], the serial phases (partitions, DRAM, the GPU itself)
-	// write st directly, and Stats drains the shards into st. Addition is
-	// associative, so totals are bit-identical to the old single struct.
-	shards []stats.Sim
-
 	// dispatchReq queues SMs whose CTA completed and want a new one.
 	dispatchReq []int
 
@@ -76,12 +63,6 @@ type GPU struct {
 	// tickEveryPart partition wake gating (options.tickEveryPart).
 	tickEvery     bool
 	tickEveryPart bool
-
-	// Parallel-tick state (workers > 1): the lazily started worker pool
-	// and the precheck scratch counting per-partition interconnect demand.
-	workers    int
-	pool       *smPool
-	partDemand []int
 
 	// hprof is the optional wall-clock self-profiler (WithHostProf); nil
 	// costs one branch per step. It observes only — no simulator state
@@ -116,7 +97,7 @@ func NewSink(cfg config.GPUConfig, trace bool, traceCap int) *obs.Sink {
 }
 
 // New builds a GPU for one kernel run. Configuration arrives as functional
-// options (WithPrefetcher, WithWorkers, ...).
+// options (WithPrefetcher, WithObs, ...).
 func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) {
 	var opt options
 	for _, op := range opts {
@@ -179,23 +160,8 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	if g.watchdog == 0 {
 		g.watchdog = DefaultWatchdogCycles
 	}
-	g.workers = max(opt.workers, 1)
-	if g.workers > cfg.NumSMs {
-		g.workers = cfg.NumSMs
-	}
-	// Workers beyond the CPUs actually available cannot run concurrently;
-	// they only add barrier hand-offs to every cycle. Results are worker-
-	// count-independent by construction, so the clamp is invisible except
-	// in wall-clock.
-	if p := runtime.GOMAXPROCS(0); g.workers > p {
-		g.workers = p
-	}
-	g.partDemand = make([]int, cfg.NumPartitions)
-	if g.workers > 1 {
-		opt.sink.EnableStaging()
-	}
 	g.hprof = opt.hostProf
-	g.hprof.Init(cfg.NumSMs, g.workers)
+	g.hprof.Init(cfg.NumSMs)
 	g.icnt = mem.NewInterconnect(cfg.NumSMs, cfg.NumPartitions, cfg.ICNTQueue, cfg.ICNTLatency, cfg.ICNTWidth)
 
 	g.drams = make([]*mem.DRAMChannel, cfg.DRAM.Channels)
@@ -213,10 +179,8 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	}
 
 	g.sms = make([]*SM, cfg.NumSMs)
-	g.shards = make([]stats.Sim, cfg.NumSMs)
 	for i := range g.sms {
-		shard := &g.shards[i]
-		pf, err := prefetch.New(opt.prefetcher, cfg, shard)
+		pf, err := prefetch.New(opt.prefetcher, cfg, st)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +188,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		if err != nil {
 			return nil, err
 		}
-		g.sms[i] = newSM(i, cfg, k, sc, pf, g.icnt, shard, g.requestDispatch)
+		g.sms[i] = newSM(i, cfg, k, sc, pf, g.icnt, st, g.requestDispatch)
 		if opt.noFastForward {
 			// Without these capabilities no window can be proven.
 			g.sms[i].stallSR, g.sms[i].quiescer = nil, nil
@@ -302,15 +266,10 @@ func (g *GPU) requestDispatch(smID int) {
 }
 
 // Stats exposes the run's counters, settling every SM's skipped window
-// cycles and draining the per-SM shards into the global struct first so
-// callers always see complete totals. Safe to call mid-run between Steps
-// (shards zero as they drain, so the merge is not double-counted), but not
-// from another goroutine during one.
+// cycles first so callers always see complete totals. Safe to call mid-run
+// between Steps, but not from another goroutine during one.
 func (g *GPU) Stats() *stats.Sim {
 	g.settle()
-	for i := range g.shards {
-		g.st.AddFrom(&g.shards[i])
-	}
 	return g.st
 }
 
@@ -333,10 +292,9 @@ func (g *GPU) settle() {
 // every-SM reference is selected (see fastforward.go).
 func (g *GPU) skipping() bool { return !g.tickEvery && g.snk.Foldable() }
 
-// Instructions returns the number of warp instructions issued so far
-// without forcing a shard merge: the Run loop's instruction cap, the
-// watchdog and the flight snapshot poll it every cycle.
-func (g *GPU) Instructions() int64 { return g.insts }
+// Instructions returns the number of warp instructions issued so far.
+// Skipped window cycles issue nothing, so it needs no settle.
+func (g *GPU) Instructions() int64 { return g.st.Instructions }
 
 // Cycle returns the current simulated cycle.
 func (g *GPU) Cycle() int64 { return g.cycle }
@@ -355,8 +313,8 @@ func (g *GPU) Partitions() []*mem.Partition { return g.parts }
 // When a host profiler is attached, sampled steps bill their wall-clock
 // to the hostprof phases at the boundaries marked below: the injection
 // check to PhaseOther, the DRAM/partition prologue to PhaseMem, the SM
-// ticks (serial or staged) to PhaseSM, and the commit tail — staged
-// drains, CTA dispatch, cycle bookkeeping — to PhaseCommit.
+// ticks to PhaseSM, and the commit tail — CTA dispatch and cycle
+// bookkeeping — to PhaseCommit.
 // A step that errors out abandons its sample (only EndStep completes one),
 // keeping error paths free of accounting branches.
 func (g *GPU) Step() error {
@@ -399,17 +357,11 @@ func (g *GPU) Step() error {
 	if sampled {
 		g.hprof.MarkPhase(hostprof.PhaseMem)
 	}
-	if g.workers > 1 {
-		if err := g.stepSMs(now); err != nil {
-			return err
-		}
-	} else {
-		if err := g.tickSerial(now); err != nil {
-			return err
-		}
-		if sampled {
-			g.hprof.MarkPhase(hostprof.PhaseSM)
-		}
+	if err := g.tickSerial(now); err != nil {
+		return err
+	}
+	if sampled {
+		g.hprof.MarkPhase(hostprof.PhaseSM)
 	}
 	// Demand-driven CTA dispatch for CTAs that completed this cycle.
 	for _, smID := range g.dispatchReq {
@@ -432,10 +384,9 @@ func (g *GPU) Step() error {
 	return nil
 }
 
-// tickSerial runs the SM phase on the caller's goroutine in SM order —
-// the workers==1 path and stepSMs' congestion fallback. On sampled steps
-// each tick's duration is billed to worker 0, keeping per-SM EWMAs
-// comparable across serial and parallel runs.
+// tickSerial runs the SM phase in SM order, leaving SMs inside their
+// windows unticked when skipping allows. On sampled steps each tick's
+// duration feeds the host profiler's SM-tick ledger and per-SM EWMAs.
 func (g *GPU) tickSerial(now int64) error {
 	timed := g.hprof.Sampling()
 	skip := g.skipping()
@@ -447,11 +398,10 @@ func (g *GPU) tickSerial(now int64) error {
 		if timed {
 			t0 = g.hprof.Clock()
 		}
-		issued, err := sm.Tick(now)
+		err := sm.Tick(now)
 		if timed {
-			g.hprof.SMTick(sm.id, 0, g.hprof.Clock()-t0)
+			g.hprof.SMTick(sm.id, g.hprof.Clock()-t0)
 		}
-		g.insts += int64(issued)
 		if err != nil {
 			return err
 		}
@@ -495,18 +445,13 @@ func (g *GPU) RequestStop() { g.stopReq.Store(true) }
 // stopping (SIGQUIT semantics). Safe to call from another goroutine.
 func (g *GPU) RequestDump() { g.dumpReq.Store(true) }
 
-// Close releases the worker pool's goroutines, settles every SM (see
-// settle) and finalizes the host profiler (wall-clock span plus the
-// schedulers' stall-replay cost). It returns a breach the sanitizer found
-// while settling (settledErr), which no later Step reports. It is
-// idempotent. Run closes itself; Close matters for GPUs built with
-// WithWorkers(n > 1), WithHostProf or a sink and stepped manually (the
+// Close settles every SM (see settle) and finalizes the host profiler
+// (wall-clock span plus the schedulers' stall-replay cost). It returns a
+// breach the sanitizer found while settling (settledErr), which no later
+// Step reports. It is idempotent. Run closes itself; Close matters for
+// GPUs built with WithHostProf or a sink and stepped manually (the
 // determinism harness, lockstep bisection).
 func (g *GPU) Close() error {
-	if g.pool != nil {
-		g.pool.stop()
-		g.pool = nil
-	}
 	g.settle() // the skip ledger and the sink count every settled cycle
 	if g.hprof != nil && !g.hprofDone {
 		g.hprofDone = true
@@ -546,7 +491,7 @@ func (g *GPU) Run() (*stats.Sim, error) {
 	lastInsts := int64(-1)
 	lastProgress := int64(0)
 	for !g.Done() {
-		if g.cfg.MaxInsts > 0 && g.insts >= g.cfg.MaxInsts {
+		if g.cfg.MaxInsts > 0 && g.st.Instructions >= g.cfg.MaxInsts {
 			break
 		}
 		if g.cfg.MaxCycle > 0 && g.cycle >= g.cfg.MaxCycle {
@@ -560,7 +505,7 @@ func (g *GPU) Run() (*stats.Sim, error) {
 		// stop/dump request polls (one mask test per cycle otherwise).
 		if g.cycle&g.beatMask == 0 {
 			if g.snk != nil {
-				g.snk.Progress(g.cycle, g.insts)
+				g.snk.Progress(g.cycle, g.st.Instructions)
 				g.sampleQueues()
 			}
 			if g.stopReq.Load() {
@@ -570,8 +515,8 @@ func (g *GPU) Run() (*stats.Sim, error) {
 				g.emitDump(flight.ReasonSignal, "dump requested")
 			}
 		}
-		if g.insts != lastInsts {
-			lastInsts = g.insts
+		if g.st.Instructions != lastInsts {
+			lastInsts = g.st.Instructions
 			lastProgress = g.cycle
 		} else if g.watchdog > 0 && g.cycle-lastProgress > g.watchdog {
 			err := fmt.Errorf("sim: no forward progress for %d cycles at cycle %d (%s)",
@@ -591,8 +536,7 @@ func (g *GPU) Run() (*stats.Sim, error) {
 // occupancy and pending interconnect responses per SM, L2 MSHR occupancy
 // and pending interconnect requests per partition, and the command-queue
 // depth per DRAM channel. Run calls it on the progress beat, so occupancy
-// percentiles are comparable across executor configurations. It runs
-// outside the staged SM phase, so samples need no staging.
+// percentiles are comparable across executor configurations.
 func (g *GPU) sampleQueues() {
 	for i, sm := range g.sms {
 		g.snk.QueueSample(g.cycle, obs.DomSM, i, obs.QueueL1MSHR, sm.L1().OutstandingMSHRs())

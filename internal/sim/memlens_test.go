@@ -12,17 +12,16 @@ import (
 )
 
 // Attaching a memlens collector must leave simulated state untouched —
-// same stats hash, same cycle count — across the executor configurations
-// that matter: serial and parallel ticking, on the fast-forward and on
-// the plain per-cycle reference.
+// same stats hash, same cycle count — on the fast-forward and on the
+// plain per-cycle reference.
 func TestMemLensPreservesSimState(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, fastForward bool, ml *memlens.Collector) (uint64, int64) {
-		opts := []Option{WithPrefetcher("caps"), WithWorkers(workers)}
+	run := func(fastForward bool, ml *memlens.Collector) (uint64, int64) {
+		opts := []Option{WithPrefetcher("caps")}
 		if !fastForward {
 			opts = append(opts, withoutFastForward())
 		}
@@ -40,23 +39,20 @@ func TestMemLensPreservesSimState(t *testing.T) {
 		g.Close()
 		return st.Hash64(), g.Cycle()
 	}
-	for _, workers := range []int{1, 8} {
-		for _, fastForward := range []bool{false, true} {
-			h0, c0 := run(workers, fastForward, nil)
-			h1, c1 := run(workers, fastForward, memlens.ForConfig(cfg))
-			if h1 != h0 || c1 != c0 {
-				t.Errorf("workers=%d fastForward=%v: memlens run diverged: hash %#x/%#x cycle %d/%d",
-					workers, fastForward, h1, h0, c1, c0)
-			}
+	for _, fastForward := range []bool{false, true} {
+		h0, c0 := run(fastForward, nil)
+		h1, c1 := run(fastForward, memlens.ForConfig(cfg))
+		if h1 != h0 || c1 != c0 {
+			t.Errorf("fastForward=%v: memlens run diverged: hash %#x/%#x cycle %d/%d",
+				fastForward, h1, h0, c1, c0)
 		}
 	}
 }
 
 // The profile a run produces must reconcile exactly with the run's
 // statistics — every accepted access, prefetch lifecycle event and DRAM
-// row outcome accounted — and the fold must be identical across executor
-// configurations (the staged replay hands the collector the same event
-// stream in the same SM order the serial tick produces).
+// row outcome accounted — and the fold must be identical on the
+// fast-forward and on the plain per-cycle reference.
 func TestMemLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
@@ -64,9 +60,13 @@ func TestMemLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base *memlens.Profile
-	for _, workers := range []int{1, 8} {
+	for _, fastForward := range []bool{true, false} {
 		ml := memlens.ForConfig(cfg)
-		g, err := New(cfg, k, WithPrefetcher("caps"), WithWorkers(workers), WithMemLens(ml))
+		opts := []Option{WithPrefetcher("caps"), WithMemLens(ml)}
+		if !fastForward {
+			opts = append(opts, withoutFastForward())
+		}
+		g, err := New(cfg, k, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,18 +77,18 @@ func TestMemLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 		g.Close()
 		p := ml.Build(memlens.Meta{Bench: "MM", Prefetcher: "caps", Cycles: g.Cycle()})
 		if err := p.Validate(st); err != nil {
-			t.Errorf("workers=%d: %v", workers, err)
+			t.Errorf("fastForward=%v: %v", fastForward, err)
 		}
 		if p.Reconcile.Loads == 0 || p.AddrStructure.ExplainedFrac == 0 {
-			t.Errorf("workers=%d: empty fold: loads=%d explained=%.3f",
-				workers, p.Reconcile.Loads, p.AddrStructure.ExplainedFrac)
+			t.Errorf("fastForward=%v: empty fold: loads=%d explained=%.3f",
+				fastForward, p.Reconcile.Loads, p.AddrStructure.ExplainedFrac)
 		}
-		if workers == 1 {
+		if fastForward {
 			base = p
 			continue
 		}
 		if p.Reconcile != base.Reconcile {
-			t.Errorf("reconcile block differs across executors:\n  serial   %+v\n  parallel %+v",
+			t.Errorf("reconcile block differs across executors:\n  fast-forward %+v\n  plain        %+v",
 				base.Reconcile, p.Reconcile)
 		}
 		if p.Timeliness.Admits != base.Timeliness.Admits || p.Timeliness.Consumes != base.Timeliness.Consumes {

@@ -228,14 +228,15 @@ func attachProfile(cfg config.GPUConfig, snk *obs.Sink) []Option {
 }
 
 // bfsLensConfig is the memory-bound lens workload: BFS-CAPS at the full 15
-// SMs, whose L2 partitions already hold stalled retry queues in the first
-// 26k cycles (MM at 2 SMs never fills one), capped to keep one run under
-// 100 ms on a 2-CPU host. A metrics sink halves its partition ticks there
-// (111k to 50k) by letting quiet retry queues sleep.
+// SMs, whose L2 partitions hold stalled retry queues (MM at 2 SMs never
+// fills one). At 60k instructions it runs 149k cycles with 6.97M L2
+// reservation fails (TestQuietPartitionsMatchEveryCycle's run), long enough
+// for the quiet spans a metrics sink lets sleep to dominate the memory
+// phase: its partitions are due 208k times of 1.79M partition-cycles.
 func bfsLensConfig() config.GPUConfig {
 	cfg := config.Default()
 	cfg.Scheduler = config.SchedPAS
-	cfg.MaxInsts = 15_000
+	cfg.MaxInsts = 60_000
 	return cfg
 }
 

@@ -13,7 +13,6 @@ import (
 //
 //	g, err := sim.New(cfg, kernel,
 //		sim.WithPrefetcher("caps"),
-//		sim.WithWorkers(8),
 //		sim.WithObs(snk))
 //
 // Options compose left to right: a later option overrides an earlier one
@@ -32,7 +31,6 @@ type options struct {
 	watchdogCycles    int64
 	injectViolation   int64
 	perturbPrefetchAt int64
-	workers           int
 	hostProf          *hostprof.Profiler
 	// lenses are the streaming profilers riding the obs event stream
 	// (WithMemLens, WithSchedLens), attached in option order.
@@ -114,23 +112,9 @@ func WithPerturbPrefetchAt(cycle int64) Option {
 	return func(o *options) { o.perturbPrefetchAt = cycle }
 }
 
-// WithWorkers ticks SMs on n goroutines inside each Step: workers tick
-// disjoint SM shards in parallel, then a single-threaded commit phase
-// drains the staged cross-SM effects (interconnect pushes, obs events,
-// CTA-dispatch requests) in fixed SM order, so state hashes and statistics
-// are bit-identical to the serial tick at any worker count. n is clamped
-// to [1, min(NumSMs, GOMAXPROCS)] — workers beyond the CPUs actually
-// available cannot run concurrently and would only add barrier hand-offs;
-// 1 (the default) keeps the classic serial path with zero overhead. A GPU
-// stepped manually with n > 1 owns a worker pool — call Close when done
-// with it (Run does so automatically).
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
-}
-
 // WithHostProf attaches a wall-clock self-profiler (see internal/hostprof):
-// sampled monotonic-clock attribution of host time to the executor's
-// barrier phases, per-worker busy/wait, per-SM tick-duration EWMAs, and
+// sampled monotonic-clock attribution of host time to the phases of
+// Step, the SM-tick busy time, per-SM tick-duration EWMAs, and
 // the fast-forward window/abort ledger. The profiler observes and never
 // feeds back — statistics, determinism hashes and every report are
 // bit-identical with or without it. Call p.Build after the run (Run
@@ -169,5 +153,13 @@ func WithSchedLens(c *schedlens.Collector) Option {
 //
 // Deprecated: the fast-forward is always on. Drop the option.
 func WithIdleSkip() Option {
+	return func(*options) {}
+}
+
+// WithWorkers is a no-op kept for callers written when SMs could tick on
+// a pool of goroutines; every run now ticks its SMs serially.
+//
+// Deprecated: the simulator has one serial executor. Drop the option.
+func WithWorkers(int) Option {
 	return func(*options) {}
 }

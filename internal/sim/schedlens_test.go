@@ -15,17 +15,16 @@ import (
 )
 
 // Attaching a schedlens collector must leave simulated state untouched —
-// same stats hash, same cycle count — across the executor configurations
-// that matter: serial and parallel ticking, on the fast-forward and on
-// the plain per-cycle reference.
+// same stats hash, same cycle count — on the fast-forward and on the
+// plain per-cycle reference.
 func TestSchedLensPreservesSimState(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, fastForward bool, sl *schedlens.Collector) (uint64, int64) {
-		opts := []Option{WithPrefetcher("caps"), WithWorkers(workers)}
+	run := func(fastForward bool, sl *schedlens.Collector) (uint64, int64) {
+		opts := []Option{WithPrefetcher("caps")}
 		if !fastForward {
 			opts = append(opts, withoutFastForward())
 		}
@@ -43,24 +42,22 @@ func TestSchedLensPreservesSimState(t *testing.T) {
 		g.Close()
 		return st.Hash64(), g.Cycle()
 	}
-	for _, workers := range []int{1, 8} {
-		for _, fastForward := range []bool{false, true} {
-			h0, c0 := run(workers, fastForward, nil)
-			h1, c1 := run(workers, fastForward, schedlens.ForConfig(cfg))
-			if h1 != h0 || c1 != c0 {
-				t.Errorf("workers=%d fastForward=%v: schedlens run diverged: hash %#x/%#x cycle %d/%d",
-					workers, fastForward, h1, h0, c1, c0)
-			}
+	for _, fastForward := range []bool{false, true} {
+		h0, c0 := run(fastForward, nil)
+		h1, c1 := run(fastForward, schedlens.ForConfig(cfg))
+		if h1 != h0 || c1 != c0 {
+			t.Errorf("fastForward=%v: schedlens run diverged: hash %#x/%#x cycle %d/%d",
+				fastForward, h1, h0, c1, c0)
 		}
 	}
 }
 
 // The profile must reconcile counter-exactly with the run's statistics,
-// and the built profile must be byte-identical across every executor
-// configuration — every schedlens emission fires at a state-transition
-// site the staged replay visits in the same SM order the serial tick
-// does, so not just the counters but the full JSON encoding (timelines,
-// histograms, per-SM vectors) must match bit for bit.
+// and the built profile must be byte-identical on the fast-forward and on
+// the plain per-cycle reference — every schedlens emission fires at a
+// state transition both visit in the same order, so not just the counters
+// but the full JSON encoding (timelines, histograms, per-SM vectors) must
+// match bit for bit.
 func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 	cfg := obsConfig()
 	k, err := kernels.ByAbbr("MM")
@@ -68,13 +65,10 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base []byte
-	for _, ex := range []struct {
-		workers     int
-		fastForward bool
-	}{{1, false}, {1, true}, {8, false}, {8, true}} {
+	for _, fastForward := range []bool{false, true} {
 		sl := schedlens.ForConfig(cfg)
-		opts := []Option{WithPrefetcher("caps"), WithWorkers(ex.workers), WithSchedLens(sl)}
-		if !ex.fastForward {
+		opts := []Option{WithPrefetcher("caps"), WithSchedLens(sl)}
+		if !fastForward {
 			opts = append(opts, withoutFastForward())
 		}
 		g, err := New(cfg, k, opts...)
@@ -88,11 +82,11 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 		g.Close()
 		p := sl.Build(schedlens.Meta{Bench: "MM", Prefetcher: "caps", Scheduler: "pas", Cycles: g.Cycle()})
 		if err := p.Validate(st); err != nil {
-			t.Errorf("workers=%d fastForward=%v: %v", ex.workers, ex.fastForward, err)
+			t.Errorf("fastForward=%v: %v", fastForward, err)
 		}
 		if p.Timelines.Retires == 0 || p.LeadingWarp.Anchored == 0 {
-			t.Errorf("workers=%d fastForward=%v: empty fold: retires=%d anchored=%d",
-				ex.workers, ex.fastForward, p.Timelines.Retires, p.LeadingWarp.Anchored)
+			t.Errorf("fastForward=%v: empty fold: retires=%d anchored=%d",
+				fastForward, p.Timelines.Retires, p.LeadingWarp.Anchored)
 		}
 		enc, err := json.Marshal(p)
 		if err != nil {
@@ -103,8 +97,8 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(enc, base) {
-			t.Errorf("workers=%d fastForward=%v: profile bytes differ from the serial plain-pipeline build (%d vs %d bytes)",
-				ex.workers, ex.fastForward, len(enc), len(base))
+			t.Errorf("profile bytes differ from the plain-pipeline build (%d vs %d bytes)",
+				len(enc), len(base))
 		}
 	}
 }

@@ -87,15 +87,6 @@ type SM struct {
 	// the next one (demand-driven distribution).
 	onCTADone func(smID int)
 
-	// staged redirects this tick's cross-SM effects into per-SM lanes for
-	// the parallel Step's commit phase: interconnect pushes land in icLane
-	// and CTA-completion dispatch requests are counted in stagedDispatch,
-	// both drained in fixed SM order after the barrier (see parallel.go).
-	// Off (the default) on the serial path, so nothing changes there.
-	staged         bool
-	icLane         []*mem.Request
-	stagedDispatch int
-
 	// memStallEv latches "a memory structural stall happened this cycle"
 	// (LSU replay after a reservation fail, or a full LSU/store queue) so
 	// cycle classification can separate structural stalls from an
@@ -183,9 +174,8 @@ type SM struct {
 
 	// hprof is this SM's always-on fast-forward ledger (nil without
 	// WithHostProf): slept-cycle tallies, windows opened, and per-reason
-	// window aborts. Written only by the goroutine ticking this SM (the
-	// barrier orders the writes), read after the run — pure observation,
-	// excluded from determinism hashes like the windows themselves.
+	// window aborts. Read after the run — pure observation, excluded from
+	// determinism hashes like the windows themselves.
 	hprof *hostprof.SMProf
 
 	// perturbAt arms the one-shot divergence-test perturbation
@@ -373,25 +363,22 @@ func (sm *SM) L1() *mem.Cache { return sm.l1 }
 // through it to mutate CAP table state).
 func (sm *SM) Prefetcher() prefetch.Prefetcher { return sm.pref }
 
-// Tick advances the SM one cycle. It returns the number of instructions
-// issued (the GPU uses it for the instruction cap) and the first invariant
+// Tick advances the SM one cycle. It returns the first invariant
 // violation detected this cycle (always nil unless Config.CheckInvariants
 // is set, except for fills without an MSHR, which are structural bugs and
 // always surface).
 //
-// Tick is the per-cycle hot path (hotlint root) and the unit the future
-// parallel core runs concurrently across SMs (isolint root): everything
-// it reaches must be allocation-free and write only SM-owned state, with
-// every exception annotated and ratcheted.
+// Tick is the per-cycle hot path (hotlint root): everything it reaches
+// must be allocation-free, with every exception annotated and ratcheted.
 //
-//caps:hotpath //caps:isolated
-func (sm *SM) Tick(now int64) (int, error) {
+//caps:hotpath
+func (sm *SM) Tick(now int64) error {
 	// Settle the window cycles the GPU skipped since this SM last ticked
 	// (see fastforward.go); under the sanitizer the settlement audits the
 	// window's premise over them.
 	sm.settle(now)
 	if sm.settleErr != nil {
-		return 0, sm.settleErr
+		return sm.settleErr
 	}
 	sm.nowCache = now
 	sm.memStallEv = false
@@ -400,7 +387,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 	}
 	if sm.ic.ResponseReady(now, sm.id) {
 		if err := sm.acceptResponses(now); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if now < sm.idleUntil || now < sm.stallUntil {
@@ -410,7 +397,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 		// just cancelled the window if one did. Settle this cycle the way
 		// the GPU settles the cycles it skips.
 		sm.settle(now + 1)
-		return 0, nil
+		return nil
 	}
 	sm.flushStallTicks()
 	sm.drainStores(now)
@@ -424,8 +411,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 		// run a failed Pick. Record its only effect — a stall cycle while
 		// warps are live — without the scan.
 		if sm.liveWarps > 0 {
-			sm.st.StallCycles++ //caps:shared-sync stats-reduce
-
+			sm.st.StallCycles++
 		}
 		if sm.hprof != nil {
 			sm.hprof.IssueSleepCycles++
@@ -440,7 +426,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 	if sm.sanitize {
 		if err := sm.checkInvariants(now); err != nil { //caps:alloc-ok sanitizer cordon: the audit runs only under CheckInvariants
 
-			return issued, err
+			return err
 		}
 	}
 	// Re-evaluate sleep only at a window's edge: while issueIdleUntil still
@@ -449,7 +435,7 @@ func (sm *SM) Tick(now int64) (int, error) {
 	if issued == 0 && now+1 >= sm.issueIdleUntil && now >= sm.sleepRetryAt {
 		sm.trySleep(now)
 	}
-	return issued, nil
+	return nil
 }
 
 // wakeReason tags why a sleep/stall window is being voided, for the
@@ -540,39 +526,7 @@ func (sm *SM) recycleLSUGroup(g *lsuGroup) {
 	sm.lsuFree = append(sm.lsuFree, g) //caps:alloc-ok free-list capacity converges to lsuQueueCap
 }
 
-// pushToPartition forwards one request toward its memory partition. On the
-// serial path it is a direct interconnect push; during a staged parallel
-// tick the request parks in the SM's commit lane instead and the push is
-// unconditionally accepted — the pre-tick congestion check (icntPrecheck)
-// reserved room for every request this SM could emit this cycle.
-func (sm *SM) pushToPartition(now int64, r *mem.Request) bool {
-	if sm.staged {
-		sm.icLane = append(sm.icLane, r) //caps:alloc-ok commit lane retains capacity; bounded by storeQueueCap + the L1 miss queue
-		return true
-	}
-	return sm.ic.PushToPartition(now, r)
-}
-
-// addIcntDemand accumulates, per partition, the worst-case number of
-// interconnect pushes this SM's next tick can perform: every buffered
-// store, every queued L1 miss, and one new miss from the LSU head access.
-func (sm *SM) addIcntDemand(d []int) {
-	for _, r := range sm.storeQ {
-		d[r.Partition]++
-	}
-	for i, n := 0, sm.l1.MissQueueLen(); i < n; i++ {
-		d[sm.l1.MissQueueAt(i).Partition]++
-	}
-	if len(sm.lsuQ) > 0 {
-		g := sm.lsuQ[0]
-		a := g.addrs[g.idx]
-		d[mem.PartitionOf(a, sm.cfg.PartitionChunkBytes, sm.cfg.NumPartitions)]++
-	}
-}
-
 // acceptResponses drains fills returning from the interconnect.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) acceptResponses(now int64) error {
 	for i := 0; i < respPerCycle; i++ {
 		r := sm.ic.PopForSM(now, sm.id)
@@ -595,7 +549,7 @@ func (sm *SM) acceptResponses(now int64) error {
 			case mem.Demand:
 				sm.st.DemandLatencySum += now - w.IssueCycle
 				sm.st.DemandLatencyCount++
-				sm.snk.DemandLatency(sm.id, now-w.IssueCycle)
+				sm.snk.DemandLatency(now - w.IssueCycle)
 				ws := &sm.warps[w.WarpSlot]
 				if ws.active && ws.outstanding > 0 {
 					ws.outstanding--
@@ -636,12 +590,10 @@ func (sm *SM) acceptResponses(now int64) error {
 }
 
 // drainStores pushes buffered stores into the interconnect.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) drainStores(now int64) {
 	for len(sm.storeQ) > 0 {
 		r := sm.storeQ[0]
-		if !sm.pushToPartition(now, r) {
+		if !sm.ic.PushToPartition(now, r) {
 			return
 		}
 		sm.st.CoreToMemRequests++
@@ -651,8 +603,6 @@ func (sm *SM) drainStores(now int64) {
 }
 
 // pumpLSU presents the head load group's next coalesced access to L1.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) pumpLSU(now int64) {
 	if len(sm.lsuQ) == 0 {
 		return
@@ -724,15 +674,13 @@ func (sm *SM) pumpLSU(now int64) {
 }
 
 // drainMisses moves L1 miss-queue entries into the interconnect.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) drainMisses(now int64) {
 	for {
 		head := sm.l1.PeekMiss()
 		if head == nil {
 			return
 		}
-		if !sm.pushToPartition(now, head) {
+		if !sm.ic.PushToPartition(now, head) {
 			return
 		}
 		sm.l1.PopMiss()
@@ -741,8 +689,6 @@ func (sm *SM) drainMisses(now int64) {
 }
 
 // issue asks the scheduler for warps and executes their next instruction.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) issue(now int64) int {
 	issued := 0
 	for i := 0; i < sm.cfg.IssueWidth; i++ {
@@ -822,8 +768,6 @@ func (sm *SM) blockedClass() obs.CycleClass {
 
 // execute runs one instruction of the warp; it returns false when the
 // instruction could not issue (structural stall) so the warp retries.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) execute(now int64, w *warpState) bool {
 	in := &sm.kernel.Program[w.pc]
 	switch in.Kind {
@@ -994,8 +938,7 @@ func (sm *SM) addrCtx(w *warpState, load int, iter int64) kernels.AddrCtx {
 // writing them into dst (typically a recycled LSU-group buffer) so the
 // per-issue copy the old signature forced is gone.
 func (sm *SM) genAddrs(dst []uint64, w *warpState, loadIdx int, iter int64) []uint64 {
-	raw := sm.kernel.Loads[loadIdx].Gen(sm.addrCtx(w, loadIdx, iter)) //caps:alloc-ok addrgen closures own their result buffers (kernels API) //caps:shared-sync addrgen
-
+	raw := sm.kernel.Loads[loadIdx].Gen(sm.addrCtx(w, loadIdx, iter)) //caps:alloc-ok addrgen closures own their result buffers (kernels API)
 	out := dst[:0]
 	for _, a := range raw {
 		a = mem.LineAddrOf(a, sm.cfg.L1.LineBytes)
@@ -1026,8 +969,6 @@ func (sm *SM) markBaseReady(now int64, w *warpState) {
 
 // finishWarp retires a warp; when the whole CTA is done the GPU is told so
 // it can dispatch the next CTA to this SM (demand-driven distribution).
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) finishWarp(w *warpState) {
 	w.finished = true
 	w.active = false
@@ -1050,21 +991,14 @@ func (sm *SM) finishWarp(w *warpState) {
 		sm.st.CTAsDone++
 		sm.snk.CTAFinish(sm.nowCache, sm.id, w.ctaID)
 		sm.snk.CTAPhase(sm.nowCache, sm.id, w.ctaID, obs.CTAPhaseRetire)
-		if sm.staged {
-			// Parallel tick: the dispatch request is replayed in SM order
-			// by the commit phase, matching the serial dispatchReq order.
-			sm.stagedDispatch++
-		} else if sm.onCTADone != nil {
-			sm.onCTADone(sm.id) //caps:alloc-ok CTA dispatch runs at CTA, not cycle, granularity //caps:shared-sync cta-dispatch
-
+		if sm.onCTADone != nil {
+			sm.onCTADone(sm.id) //caps:alloc-ok CTA dispatch runs at CTA, not cycle, granularity
 		}
 	}
 }
 
 // enqueuePrefetch admits a candidate into the bounded prefetch queue with
 // line-level deduplication.
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) enqueuePrefetch(now int64, c prefetch.Candidate) {
 	c.Addr = mem.LineAddrOf(c.Addr, sm.cfg.L1.LineBytes)
 	if c.GenCycle == 0 {
@@ -1103,8 +1037,6 @@ func (sm *SM) enqueuePrefetch(now int64, c prefetch.Candidate) {
 // MSHRs, stale candidates are discarded, and a candidate whose target warp
 // slot has been re-assigned to another CTA is dead (its prediction was for
 // the departed CTA).
-//
-//caps:shared-sync stats-reduce
 func (sm *SM) admitPrefetches(now int64) {
 	admitted := 0
 	for len(sm.prefQ) > 0 && admitted < prefPerCycle {

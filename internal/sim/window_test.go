@@ -66,8 +66,8 @@ func windowStateHash(g *GPU) uint64 {
 
 // runWindowed steps k to the instruction cap under CAPS with a host
 // profiler, the sanitizer and opts, in one of the differential's
-// variants: "bare" (no sink), "lensed" (capsprof, memlens and schedlens on
-// a metrics sink) or "workers" (two SM workers, no sink). The sanitizer
+// variants: "bare" (no sink) or "lensed" (capsprof, memlens and schedlens
+// on a metrics sink). The sanitizer
 // audits every settled window span and every skipped partition tick.
 func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option) *windowRun {
 	t.Helper()
@@ -83,15 +83,12 @@ func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option
 		ml  *memlens.Collector
 		sl  *schedlens.Collector
 	)
-	switch variant {
-	case "lensed":
+	if variant == "lensed" {
 		snk = NewSink(cfg, false, 0)
 		col = profile.NewCollector(cfg.NumSMs)
 		snk.Attach(col)
 		ml, sl = memlens.ForConfig(cfg), schedlens.ForConfig(cfg)
 		opts = append(opts, WithObs(snk), WithMemLens(ml), WithSchedLens(sl))
-	case "workers":
-		opts = append(opts, WithWorkers(2))
 	}
 	g, err := New(cfg, k, opts...)
 	if err != nil {
@@ -141,8 +138,8 @@ func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option
 // cycles in bulk, must be indistinguishable from ticking every SM on
 // every cycle, and both from the plain per-cycle pipeline where no window
 // opens — statistics, the checkpoint hash series, the capsprof stall
-// stacks, the lens profiles and every metric — with no sink, with the
-// lenses attached, and on two SM workers. The windowed run and the
+// stacks, the lens profiles and every metric — with no sink and with the
+// lenses attached. The windowed run and the
 // every-SM reference must also agree on the hostprof skip ledger. BFS and
 // LPS spend most SM-cycles in stall-replay windows, JC1 and CNV mix them
 // with full ticks, and MM and MRQ spend about a third of theirs in stall
@@ -155,20 +152,10 @@ func TestWindowSkipMatchesPerCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The plain runs: one without a sink (the executor is
-			// invisible to every output, so the workers variant shares
-			// it) and one with the lenses.
-			plainBare := runWindowed(t, k, "bare", withoutFastForward())
-			plainLensed := runWindowed(t, k, "lensed", withoutFastForward())
-			for _, plain := range []*windowRun{plainBare, plainLensed} {
+			for _, variant := range []string{"bare", "lensed"} {
+				plain := runWindowed(t, k, variant, withoutFastForward())
 				if w := plain.skip.FullSleepCycles + plain.skip.StallReplayCycles; w != 0 || plain.skipped != 0 {
-					t.Fatalf("the plain reference settled %d window cycles and skipped %d SM ticks", w, plain.skipped)
-				}
-			}
-			for _, variant := range []string{"bare", "lensed", "workers"} {
-				plain := plainBare
-				if variant == "lensed" {
-					plain = plainLensed
+					t.Fatalf("%s: the plain reference settled %d window cycles and skipped %d SM ticks", variant, w, plain.skipped)
 				}
 				ref := runWindowed(t, k, variant, withTickEverySM())
 				got := runWindowed(t, k, variant)

@@ -15,10 +15,7 @@ import (
 )
 
 // Sim aggregates every counter for one simulation run. One instance is
-// shared by every SM and memory partition of the GPU, which makes each
-// counter bump a cross-SM write the parallel core must serialize.
-//
-//caps:shared run-stats
+// shared by every SM, prefetcher and memory partition of the GPU.
 type Sim struct {
 	// Progress.
 	Cycles       int64
@@ -90,8 +87,6 @@ type Sim struct {
 // leaving it counted would double-bill the replayed access. Corrections
 // live here as accessors so that counters stay monotonic at every call
 // site outside this package (simcheck's statlint pass enforces that).
-//
-//caps:shared-sync stats-reduce
 func (s *Sim) UncountDemandReplay() {
 	s.DemandAccesses--
 	s.L1Accesses--
@@ -123,12 +118,10 @@ func (s *Sim) Hash64() uint64 {
 }
 
 // AddFrom drains src into s: every int64 counter is added to s's matching
-// field and zeroed in src, so repeated merges never double count. The GPU
-// gives each SM (and its prefetcher) a private shard and drains them into
-// the run total on Stats() — addition is associative and commutative, so
-// the totals are bit-identical to the single shared struct the shards
-// replaced, at any worker count. Reflection keeps the merge in sync with
-// the field set exactly as Hash64 does.
+// field and zeroed in src, so repeated merges never double count. It sums
+// several runs' totals (the benchmark harness under simbench/ does).
+// Reflection keeps the merge in sync with the field set exactly as Hash64
+// does.
 func (s *Sim) AddFrom(src *Sim) {
 	dv := reflect.ValueOf(s).Elem()
 	sv := reflect.ValueOf(src).Elem()
