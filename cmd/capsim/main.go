@@ -33,7 +33,6 @@ import (
 	"caps/internal/obs"
 	"caps/internal/prefetch"
 	"caps/internal/profile"
-	"caps/internal/runstore"
 	"caps/internal/sched"
 	"caps/internal/sim"
 	"caps/internal/stats"
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profOut   = fs.String("profile", "", "write a capsprof profile JSON (stall stacks + per-PC ledger) to this file")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile of the simulator itself to this file")
-		storeDir  = fs.String("store", "", "record the completed run (stats + profile) into this run store directory (see capsd)")
 		flightOut = fs.String("flight", "", "attach a flight recorder and write its black box (JSONL, see capscope) to this file when the run dies or SIGQUIT arrives")
 		watchdog  = fs.Int64("watchdog", 0, "abort when no instruction retires for this many cycles (0 = default, negative = off)")
 		beat      = fs.Int64("beat", 0, "progress-beat / watchdog-poll period in cycles, rounded to a power of two (0 = default 8192)")
@@ -145,10 +143,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var snk *obs.Sink
 	var col *profile.Collector
-	if *traceOut != "" || *metOut != "" || *profOut != "" || *storeDir != "" {
+	if *traceOut != "" || *metOut != "" || *profOut != "" {
 		snk = sim.NewSink(cfg, *traceOut != "", obs.DefaultTraceCap)
 	}
-	if *profOut != "" || *storeDir != "" {
+	if *profOut != "" {
 		col = profile.NewCollector(cfg.NumSMs)
 		snk.Attach(col)
 	}
@@ -162,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			opts = append(opts, opt)
 		}
 	}
-	var dumpPath string
 	if *flightOut != "" {
 		opts = append(opts, sim.WithFlight(sim.NewFlightRecorder(cfg)),
 			sim.WithOnDump(func(d *flight.Dump) {
@@ -170,7 +167,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintln(stderr, "capsim: flight:", err)
 					return
 				}
-				dumpPath = *flightOut
 				fmt.Fprintf(stderr, "capsim: flight dump (%s) written to %s\n", d.Header.Reason, *flightOut)
 			}))
 	}
@@ -181,8 +177,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Graceful signals: first SIGINT asks the run to stop at the next beat
-	// (partial stats flushed, store closed cleanly); a second one kills the
-	// process. SIGQUIT requests a flight dump without stopping.
+	// (partial stats and the requested output files are still written); a
+	// second one kills the process. SIGQUIT requests a flight dump without
+	// stopping.
 	sigCh := make(chan os.Signal, 4)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGQUIT)
 	defer signal.Stop(sigCh)
@@ -204,13 +201,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	st, err := g.Run()
 	aborted := err != nil
-	abortReason := ""
 	exitCode := 0
 	if aborted {
-		abortReason = err.Error()
 		exitCode = 1
 		if errors.Is(err, sim.ErrInterrupted) {
-			abortReason = "interrupted"
 			exitCode = 130
 		}
 		fmt.Fprintln(stderr, "capsim:", err)
@@ -263,7 +257,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// validate: a partial run legitimately has prefetches and stores in
 	// flight, and can sit outside hostprof's sampling-coverage tolerance.
 	label := lenses.Run{Bench: k.Abbr, Prefetcher: *pf, Scheduler: string(cfg.Scheduler)}
-	lensProfs := make([]lenses.Profile, len(lenses.All))
 	for i, l := range lenses.All {
 		if builds[i] == nil {
 			continue
@@ -282,36 +275,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := p.WriteText(stderr); err != nil {
 			fmt.Fprintf(stderr, "capsim: %s: %v\n", l.Flag, err)
 			return 1
-		}
-		lensProfs[i] = p
-	}
-	if *storeDir != "" {
-		store, err := runstore.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "capsim: store:", err)
-			return 1
-		}
-		rec := runstore.NewRecord(cfg, k.Abbr, *pf, st, prof)
-		if aborted {
-			rec.MarkAborted(abortReason, dumpPath)
-		}
-		for i, p := range lensProfs {
-			if p != nil {
-				if err := rec.AttachLens(lenses.All[i].Name, p); err != nil {
-					fmt.Fprintln(stderr, "capsim: store:", err)
-					return 1
-				}
-			}
-		}
-		id, dup, err := store.Put(rec)
-		if err != nil {
-			fmt.Fprintln(stderr, "capsim: store:", err)
-			return 1
-		}
-		if dup {
-			fmt.Fprintf(stdout, "stored: %s (unchanged, deduplicated)\n", id)
-		} else {
-			fmt.Fprintf(stdout, "stored: %s\n", id)
 		}
 	}
 	if *memProf != "" {

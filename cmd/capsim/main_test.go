@@ -28,6 +28,7 @@ func TestRun(t *testing.T) {
 		{name: "help", args: []string{"-h"}, code: 0, stderr: "-bench"},
 		{name: "bad flag", args: []string{"-bogus"}, code: 2, stderr: "-bogus"},
 		{name: "workers is gone", args: []string{"-workers", "2"}, code: 2, stderr: "provided but not defined: -workers"},
+		{name: "store is gone", args: []string{"-store", "x"}, code: 2, stderr: "provided but not defined: -store"},
 		{name: "unknown bench", args: []string{"-bench", "NOPE", "-insts", "5000"}, code: 2, stderr: "NOPE"},
 		{name: "unknown prefetcher", args: []string{"-prefetch", "nope"}, code: 2, stderr: `unknown prefetcher "nope"`},
 		{name: "unknown scheduler", args: []string{"-sched", "nope"}, code: 2, stderr: `unknown scheduler "nope"`},

@@ -26,7 +26,6 @@ import (
 	"caps/internal/lenses"
 	"caps/internal/obs"
 	"caps/internal/profile"
-	"caps/internal/runstore"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
@@ -56,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profileDir = fs.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
 		benchJSON  = fs.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
 		speedJSON  = fs.String("speed-json", "", "time every benchmark (median of three round-robin runs, identical stats required), write BENCH_speed.json-style timings to this file, then exit")
-		storeDir   = fs.String("store", "", "record every completed run (stats + profile) into this run store directory (see capsd)")
 		flightDir  = fs.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
 	)
 	lensDirs := make([]*string, len(lenses.All))
@@ -140,17 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			},
 		))
-	}
-	if *storeDir != "" {
-		store, err := runstore.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "capsweep:", err)
-			return 1
-		}
-		opts = append(opts, experiments.WithRunStore(store, func(k experiments.RunKey, err error) {
-			fmt.Fprintf(stderr, "capsweep: store %s: %v\n", k.Name(), err)
-			failed.Store(true)
-		}))
 	}
 	if *flightDir != "" {
 		opts = append(opts, experiments.WithFlight(*flightDir, func(k experiments.RunKey, err error) {

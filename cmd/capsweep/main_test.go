@@ -46,6 +46,7 @@ func TestRun(t *testing.T) {
 	}{
 		{name: "bad flag", args: []string{"-bogus"}, code: 2, stderr: "-bogus"},
 		{name: "workers is gone", args: []string{"-workers", "2"}, code: 2, stderr: "provided but not defined: -workers"},
+		{name: "store is gone", args: []string{"-store", "x"}, code: 2, stderr: "provided but not defined: -store"},
 		{name: "help", args: []string{"-h"}, code: 0, stderr: "-memlens-dir"},
 		{name: "nothing to run", args: nil, code: 2, stderr: "-fig"},
 		{name: "lens dirs", args: sweep(filepath.Join(dir, "ok")), code: 0},

@@ -96,7 +96,7 @@ func TestScopes(t *testing.T) {
 			[]string{"caps/internal/sim", "caps/internal/core", "caps/internal/sched", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/internal/lens", "caps/internal/lenses", "caps/cmd/capscope"},
 			[]string{"caps/internal/stats", "caps/internal/analysis"}},
 		{analysis.Statlint,
-			[]string{"caps/internal/mem", "caps/internal/prefetch", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/internal/lens", "caps/internal/lenses", "caps/cmd/capsd"},
+			[]string{"caps/internal/mem", "caps/internal/prefetch", "caps/internal/experiments", "caps/internal/memlens", "caps/internal/schedlens", "caps/internal/lens", "caps/internal/lenses", "caps/cmd/capsprof"},
 			[]string{"caps/internal/stats", "caps/internal/kernels"}},
 	}
 	for _, tc := range cases {

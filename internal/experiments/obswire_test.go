@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"caps/internal/config"
-	"caps/internal/runstore"
+	"caps/internal/flight"
 	"caps/internal/sim"
 )
 
@@ -28,65 +27,15 @@ func TestRunKeyName(t *testing.T) {
 	}
 }
 
-// TestWithRunStore checks that completed runs land in the store with a
-// profile attached, and that memoized re-runs do not store twice.
-func TestWithRunStore(t *testing.T) {
-	cfg := config.Default()
-	cfg.MaxInsts = 40_000
-	store, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hookErrs []error
-	s := NewSuite(cfg, WithBenches([]string{"MM"}),
-		WithRunStore(store, func(_ RunKey, err error) { hookErrs = append(hookErrs, err) }))
-	k := PrefetcherKey("MM", "caps")
-	if _, err := s.Run(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(k); err != nil { // memoized: must not re-store
-		t.Fatal(err)
-	}
-	if len(hookErrs) > 0 {
-		t.Fatalf("store hooks reported errors: %v", hookErrs)
-	}
-	entries := store.List(runstore.Query{})
-	if len(entries) != 1 {
-		t.Fatalf("store has %d entries, want 1: %+v", len(entries), entries)
-	}
-	e := entries[0]
-	if e.Bench != "MM" || e.Prefetcher != "caps" || e.Scheduler != "pas" {
-		t.Errorf("stored identity wrong: %+v", e)
-	}
-	if !e.HasProfile {
-		t.Error("stored run is missing its profile")
-	}
-	rec, err := store.Get(e.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Profile == nil || rec.Profile.TotalCycles != rec.Cycles {
-		t.Errorf("stored profile inconsistent: %+v", rec.Profile)
-	}
-	if rec.Stats == nil || rec.Stats.IPC() != rec.IPC {
-		t.Errorf("stored stats inconsistent")
-	}
-}
-
 // TestAbortedRunLeavesInspectableTrail drives the whole post-mortem chain
 // through the suite: an injected invariant violation kills the run, the
-// flight recorder dumps its black box, the run store keeps an ABORTED
-// record pointing at the dump.
+// flight recorder leaves its black box under the run's name, the dump's
+// header says why and which run died, and Failures names the run.
 func TestAbortedRunLeavesInspectableTrail(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 60_000
 	flightDir := t.TempDir()
-	store, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := NewSuite(cfg, WithBenches([]string{"MM"}),
-		WithRunStore(store, func(k RunKey, err error) { t.Errorf("store hook %s: %v", k.Name(), err) }),
 		WithFlight(flightDir, func(k RunKey, err error) { t.Errorf("flight hook %s: %v", k.Name(), err) }),
 		WithRunOptions(sim.WithInjectViolation(2000)),
 	)
@@ -95,31 +44,23 @@ func TestAbortedRunLeavesInspectableTrail(t *testing.T) {
 		t.Fatal("injected violation did not fail the run")
 	}
 
-	wantDump := filepath.Join(flightDir, k.Name()+".flight.jsonl")
-	if _, err := os.Stat(wantDump); err != nil {
-		t.Fatalf("no flight dump written: %v", err)
-	}
-
-	entries := store.List(runstore.Query{})
-	if len(entries) != 1 {
-		t.Fatalf("store has %d entries, want 1: %+v", len(entries), entries)
-	}
-	e := entries[0]
-	if !e.Aborted {
-		t.Errorf("stored record not marked aborted: %+v", e)
-	}
-	rec, err := store.Get(e.ID)
+	d, err := flight.ReadFile(filepath.Join(flightDir, "MM-caps-pas.flight.jsonl"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("no readable flight dump: %v", err)
 	}
-	if !strings.Contains(rec.AbortReason, "violation") {
-		t.Errorf("abort reason %q does not name the violation", rec.AbortReason)
+	h := d.Header
+	if h.Reason != flight.ReasonViolation {
+		t.Errorf("dump reason %q, want %q", h.Reason, flight.ReasonViolation)
 	}
-	if rec.FlightDump != wantDump {
-		t.Errorf("stored flight dump %q, want %q", rec.FlightDump, wantDump)
+	if h.Bench != "MM" || h.Prefetcher != "caps" {
+		t.Errorf("dump names run %s/%s, want MM/caps", h.Bench, h.Prefetcher)
 	}
-	if rec.Profile != nil {
-		t.Errorf("aborted record carries a profile; cycle accounting is only valid for completed runs")
+	fails := s.Failures()
+	if len(fails) != 1 || fails[0].Key != k {
+		t.Fatalf("Failures() = %+v, want the one run %s", fails, k.Name())
+	}
+	if !strings.Contains(fails[0].Err.Error(), "violation") {
+		t.Errorf("failure %q does not name the violation", fails[0].Err)
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"caps/internal/kernels"
 	"caps/internal/lenses"
 	"caps/internal/obs"
-	"caps/internal/profile"
-	"caps/internal/runstore"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
@@ -69,18 +67,11 @@ type Suite struct {
 	// empty means all sixteen. Tests and quick benches use subsets.
 	benches []string
 
-	// Observability plumbing: newSink (WithObs) builds a per-run sink
-	// before the simulation; attach hooks (WithRunStore) decorate that
-	// sink with consumers; runDone hooks receive the sink
-	// afterwards together with the run's statistics. runFail hooks fire
-	// instead of runDone when a started run dies (interrupt, invariant
-	// violation, watchdog), with the partial stats, the error, and the
-	// flight-dump path if a black box was written. When only attach hooks
-	// are present a plain metrics sink is created automatically.
+	// Observability plumbing (WithObs): newSink builds a per-run sink
+	// before the simulation; runDone, when set, receives the sink
+	// afterwards together with the completed run's statistics.
 	newSink func(RunKey) *obs.Sink
-	attach  []func(RunKey, *obs.Sink)
-	runDone []func(RunKey, *obs.Sink, *stats.Sim)
-	runFail []func(RunKey, *obs.Sink, *stats.Sim, error, string)
+	runDone func(RunKey, *obs.Sink, *stats.Sim)
 
 	// flightDir, when set (WithFlight), attaches a flight recorder to
 	// every run and writes "<dir>/<name>.flight.jsonl" if the run dies.
@@ -91,11 +82,8 @@ type Suite struct {
 	// suite's own prefetcher, sink, lens and flight-recorder options.
 	runOpts []sim.Option
 
-	// lenses (WithLens) ride every run in registration order; each
-	// completed run's built profiles are kept in profiles for Profile and
-	// the run-store attach. Under mu.
-	lenses   []*suiteLens
-	profiles map[profileKey]lenses.Profile
+	// lenses (WithLens) ride every run in registration order.
+	lenses []*suiteLens
 
 	// stopped flips when Interrupt is called; running tracks in-flight
 	// GPUs so the interrupt can reach them.
@@ -135,73 +123,7 @@ func WithBenches(benches []string) Option {
 func WithObs(newSink func(RunKey) *obs.Sink, runDone func(RunKey, *obs.Sink, *stats.Sim)) Option {
 	return func(s *Suite) {
 		s.newSink = newSink
-		if runDone != nil {
-			s.runDone = append(s.runDone, runDone)
-		}
-	}
-}
-
-// WithRunStore records every completed run into store: a per-run profile
-// collector is attached so the stored record carries a full capsprof
-// profile (making any two stored runs diff-able with `capsd diff`), and
-// the finished run is Put with its config hash and git revision. Store
-// write errors are reported through onErr (may be nil to ignore them);
-// they never fail the simulation itself.
-func WithRunStore(store *runstore.Store, onErr func(RunKey, error)) Option {
-	return func(s *Suite) {
-		// Warm's workers run concurrently; pair sink→collector through a
-		// mutex-guarded map keyed by the (unique, memoized) RunKey.
-		var mu sync.Mutex
-		collectors := make(map[RunKey]*profile.Collector)
-		s.attach = append(s.attach, func(k RunKey, snk *obs.Sink) {
-			col := profile.NewCollector(s.configFor(k).NumSMs)
-			snk.Attach(col)
-			mu.Lock()
-			collectors[k] = col
-			mu.Unlock()
-		})
-		s.runDone = append(s.runDone, func(k RunKey, snk *obs.Sink, st *stats.Sim) {
-			mu.Lock()
-			col := collectors[k]
-			delete(collectors, k)
-			mu.Unlock()
-			cfg := s.configFor(k)
-			var p *profile.Profile
-			if col != nil {
-				m := profile.Meta{Bench: k.Bench, Prefetcher: k.Prefetch, Scheduler: string(cfg.Scheduler), SMs: cfg.NumSMs}
-				built, err := col.Build(m, st)
-				if err != nil && onErr != nil {
-					onErr(k, err)
-				}
-				p = built
-			}
-			rec := runstore.NewRecord(cfg, k.Bench, k.Prefetch, st, p)
-			for _, sl := range s.lenses {
-				if lp := s.Profile(k, sl.Name); lp != nil {
-					if err := rec.AttachLens(sl.Name, lp); err != nil && onErr != nil {
-						onErr(k, err)
-					}
-				}
-			}
-			if _, _, err := store.Put(rec); err != nil && onErr != nil {
-				onErr(k, err)
-			}
-		})
-		// Aborted runs are stored too — marked, under a separate dedup key,
-		// with the flight-dump path when one was written — so a crashed
-		// sweep leaves an inspectable trail (`capsd ls` shows ABORTED, show
-		// points at the black box). No profile: the collector's cycle
-		// accounting only reconciles for completed runs.
-		s.runFail = append(s.runFail, func(k RunKey, snk *obs.Sink, st *stats.Sim, runErr error, dump string) {
-			mu.Lock()
-			delete(collectors, k)
-			mu.Unlock()
-			cfg := s.configFor(k)
-			rec := runstore.NewRecord(cfg, k.Bench, k.Prefetch, st, nil).MarkAborted(runErr.Error(), dump)
-			if _, _, err := store.Put(rec); err != nil && onErr != nil {
-				onErr(k, err)
-			}
-		})
+		s.runDone = runDone
 	}
 }
 
@@ -212,30 +134,15 @@ type suiteLens struct {
 	done func(RunKey, lenses.Profile)
 }
 
-// profileKey addresses one lens profile of one run.
-type profileKey struct {
-	run  RunKey
-	lens string
-}
-
 // WithLens attaches l (see internal/lenses) to every run; attach each lens
 // once. fn — optional — receives each successful run's built profile
-// (capsweep writes it to the lens's -dir); the profile is also retained
-// for Profile and attached to stored records under WithRunStore. A profile
-// that fails its Validate fails the run: the fold is an instrumentation
-// bug, not a result to store silently wrong. A Timed lens is the exception
+// (capsweep writes it to the lens's -dir). A profile that fails its
+// Validate fails the run: the fold is an instrumentation bug, not a result
+// to write out silently wrong. A Timed lens is the exception
 // — its check is statistical, so the profile is kept unvalidated. Lenses
 // only observe: cycles, hashes and BENCH_caps.json stay bit-identical.
 func WithLens(l *lenses.Lens, fn func(RunKey, lenses.Profile)) Option {
 	return func(s *Suite) { s.lenses = append(s.lenses, &suiteLens{Lens: l, done: fn}) }
-}
-
-// Profile returns the named lens profile of a completed run, or nil if the
-// run hasn't finished or the lens wasn't attached.
-func (s *Suite) Profile(k RunKey, lens string) lenses.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.profiles[profileKey{k, lens}]
 }
 
 // WithFlight attaches a flight recorder to every run; a run that dies
@@ -268,7 +175,6 @@ func NewSuite(cfg config.GPUConfig, opts ...Option) *Suite {
 		cache:       make(map[RunKey]*stats.Sim),
 		failures:    make(map[RunKey]error),
 		running:     make(map[RunKey]*sim.GPU),
-		profiles:    make(map[profileKey]lenses.Profile),
 	}
 	for _, o := range opts {
 		o(s)
@@ -333,14 +239,6 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 	if s.newSink != nil {
 		snk = s.newSink(k)
 	}
-	if snk == nil && len(s.attach) > 0 {
-		// Attach-only observability (run store): a plain metrics sink, no
-		// trace buffer.
-		snk = sim.NewSink(s.configFor(k), false, 0)
-	}
-	for _, hook := range s.attach {
-		hook(k, snk)
-	}
 	opts := []sim.Option{sim.WithPrefetcher(k.Prefetch), sim.WithObs(snk)}
 	builds := make([]func(lenses.Run, *stats.Sim) lenses.Profile, len(s.lenses))
 	for i, sl := range s.lenses {
@@ -348,17 +246,12 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 		opt, builds[i] = sl.Attach(s.configFor(k))
 		opts = append(opts, opt)
 	}
-	var dumpPath string // set by OnDump (same goroutine, inside g.Run)
 	if s.flightDir != "" {
 		onDump := func(d *flight.Dump) {
 			path := filepath.Join(s.flightDir, k.Name()+".flight.jsonl")
-			if werr := d.WriteFile(path); werr != nil {
-				if s.flightErr != nil {
-					s.flightErr(k, werr)
-				}
-				return
+			if werr := d.WriteFile(path); werr != nil && s.flightErr != nil {
+				s.flightErr(k, werr)
 			}
-			dumpPath = path
 		}
 		opts = append(opts, sim.WithFlight(sim.NewFlightRecorder(s.configFor(k))), sim.WithOnDump(onDump))
 	}
@@ -382,16 +275,8 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 	s.mu.Unlock()
 
 	if err != nil {
-		err = fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, err)
-		if snk != nil {
-			for _, hook := range s.runFail {
-				hook(k, snk, g.Stats(), err, dumpPath)
-			}
-		}
-		return nil, err
+		return nil, fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, err)
 	}
-	// Build before the runDone hooks so WithRunStore's record sees the
-	// profiles.
 	run := lenses.Run{Bench: k.Bench, Prefetcher: k.Prefetch, Scheduler: string(s.configFor(k).Scheduler)}
 	for i, sl := range s.lenses {
 		p := builds[i](run, st)
@@ -400,17 +285,12 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", k.Bench, k.Prefetch, verr)
 			}
 		}
-		s.mu.Lock()
-		s.profiles[profileKey{k, sl.Name}] = p
-		s.mu.Unlock()
 		if sl.done != nil {
 			sl.done(k, p)
 		}
 	}
-	if snk != nil {
-		for _, hook := range s.runDone {
-			hook(k, snk, st)
-		}
+	if snk != nil && s.runDone != nil {
+		s.runDone(k, snk, st)
 	}
 	return st, nil
 }

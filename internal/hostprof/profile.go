@@ -9,7 +9,7 @@ import (
 // Profile is the finished host-time attribution for one run: the sampled
 // phase spans extrapolated to the full run, the SM-tick busy/wait ledger,
 // per-SM tick EWMAs, and the fast-forward ledger. It is what `capsprof host`
-// renders and what runstore persists beside the simulated profile.
+// renders and what capsweep -hostprof-dir writes beside the simulated profile.
 type Profile struct {
 	Bench      string  `json:"bench,omitempty"`
 	Prefetcher string  `json:"prefetcher,omitempty"`

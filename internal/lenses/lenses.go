@@ -2,13 +2,12 @@
 // ride along one simulation and leave one profile behind (hostprof,
 // memlens, schedlens). Every surface that drives a lens loops over All —
 // capsim's output flags, capsweep's per-run directories, the experiments
-// Suite, the run store and capsprof's show and diff subcommands — so a new
-// lens is its own package plus one entry here.
+// Suite and capsprof's show and diff subcommands — so a new lens is its own
+// package plus one entry here.
 //
 // capsprof's stall-stack profile (internal/profile) is not a registry
-// lens: its diff also reads BENCH_caps.json, its record field is part of
-// the run store's content address, and its regressions print in their own
-// format.
+// lens: its diff also reads BENCH_caps.json, and its regressions print in
+// their own format.
 package lenses
 
 import (
@@ -45,8 +44,7 @@ type ShowStep func(p Profile, path string, stdout, stderr io.Writer) (html func(
 
 // Lens describes one lens to every surface that drives it.
 type Lens struct {
-	// Name is the capsprof subcommand (and Name+"-diff") and the run
-	// store's key for the profile.
+	// Name is the capsprof subcommand (and Name+"-diff").
 	Name string
 	// Flag is capsim's output flag and the label of its diagnostics;
 	// capsweep's flag is Flag+"-dir".

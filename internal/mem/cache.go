@@ -122,10 +122,6 @@ type Cache struct {
 	prefetchOnly int // current prefetch-only entries
 	converted    int // prefetch entries a demand merged into, still outstanding
 
-	// tableRefusals counts accesses refused because the MSHR table had no
-	// free slot, which the admission bounds rule out (see Access).
-	tableRefusals int
-
 	setShift uint64
 	setMask  uint64
 
@@ -257,9 +253,6 @@ func (c *Cache) checkBounds(now int64) error {
 	outstanding := c.mshrs.len()
 	admitted := outstanding - c.prefetchOnly - c.converted
 	switch {
-	case c.tableRefusals > 0:
-		return invariant.Errorf(c.Label(), now, "MSHR table full: %d accesses refused at %d entries",
-			c.tableRefusals, outstanding)
 	case c.prefetchOnly < 0:
 		return invariant.Errorf(c.Label(), now, "prefetch-only MSHR count is negative (%d)", c.prefetchOnly)
 	case c.converted < 0:
@@ -472,15 +465,6 @@ func (c *Cache) Access(now int64, req *Request) AccessResult {
 	if len(c.missQ) >= c.cfg.MissQueue {
 		c.resFail(now, req.LineAddr, true)
 		return AccessResult{Outcome: ResFailQueue}
-	}
-	if c.mshrs.full() {
-		// Unreachable while the admission checks above hold: the table has
-		// mshrLoadFactor slots per admissible entry. Reject the access like
-		// any reservation fail, so it replays; the sanitizer's bound check
-		// reports the refusal.
-		c.tableRefusals++
-		c.resFail(now, req.LineAddr, false)
-		return AccessResult{Outcome: ResFailMSHR}
 	}
 	c.sink.MSHRAlloc(now, c.sinkDom, c.sinkID, req.LineAddr, usePool)
 	e := c.newEntry(req.LineAddr)

@@ -1,13 +1,13 @@
 package mem
 
-// mshrTable is a cache's MSHR file keyed by line address: a fixed-size
+// mshrTable is a cache's MSHR file keyed by line address: an
 // open-addressed hash table with linear probing and backward-shift
 // deletion, so lookups never chase tombstones and a delete leaves every
 // probe chain exactly as a fresh insert sequence would. A slot holds the
 // entry itself (nil when empty) and the key is the entry's lineAddr, which
-// keeps the table at one word per slot. Capacity is a power of two fixed
-// at construction (see newMSHRTable) and never grows; the cache's
-// admission checks keep the population far below it.
+// keeps the table at one word per slot. Capacity is a power of two sized
+// at construction (see newMSHRTable); put doubles it when the population
+// passes half of it, which on the default configurations never happens.
 type mshrTable struct {
 	slots []*mshrEntry
 	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
@@ -53,19 +53,30 @@ func (t *mshrTable) find(key uint64) int {
 // get returns key's entry, or nil.
 func (t *mshrTable) get(key uint64) *mshrEntry { return t.slots[t.find(key)] }
 
-// full reports whether put would refuse: one slot always stays empty, so
-// every probe run ends and find terminates on any key.
-func (t *mshrTable) full() bool { return t.n+1 >= len(t.slots) }
-
-// put inserts e under its lineAddr, which must be absent. It reports
-// false, and changes nothing, when the table is full.
-func (t *mshrTable) put(e *mshrEntry) bool {
-	if t.full() {
-		return false
+// put inserts e under its lineAddr, which must be absent. The cache's
+// admission checks bound the demand and prefetch-pool entries, but not the
+// prefetch entries a demand merge converted (the merge frees their pool
+// slot), so on a small MSHR file the population can outgrow the initial
+// size: past half full, the table doubles first. That also keeps a slot
+// empty, so every probe run ends.
+func (t *mshrTable) put(e *mshrEntry) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
 	}
 	t.slots[t.find(e.lineAddr)] = e
 	t.n++
-	return true
+}
+
+// grow doubles the table and reinserts every entry.
+func (t *mshrTable) grow() {
+	old := t.slots
+	t.slots = make([]*mshrEntry, 2*len(old)) //caps:alloc-ok grows only when converted prefetch entries outnumber the admissible MSHRs, never at the default configurations
+	t.shift--
+	for _, e := range old {
+		if e != nil {
+			t.slots[t.find(e.lineAddr)] = e
+		}
+	}
 }
 
 // del removes key's entry, if any, and returns it. Backward-shift

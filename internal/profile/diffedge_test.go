@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Edge-case coverage for the diff gate: the comparisons capsd/capsprof run
-// against arbitrary stored records must stay total — no NaN, no Inf, no
+// Edge-case coverage for the diff gate: the comparisons capsprof runs
+// against arbitrary profile files must stay total — no NaN, no Inf, no
 // panic — whatever shape the two profiles are in.
 
-// emptyProfile is what a run stored without any collector activity looks
+// emptyProfile is what a run profiled without any collector activity looks
 // like: metadata only, every counter zero, no ledgers.
 func emptyProfile() *Profile {
 	return &Profile{Meta: Meta{Bench: "MM", Prefetcher: "none", Scheduler: "tlv"}}

@@ -347,3 +347,45 @@ func TestNewRejectsOversizedProgressEvery(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyMSHRFileRunsClean runs a machine whose L1 owns one demand MSHR
+// and one prefetch-buffer entry. Demand merges convert prefetch-only
+// entries and free their pool slots, so admission does not bound the
+// converted population, and these runs outgrow the MSHR table's initial
+// eight slots. The table must grow rather than refuse accesses, with the
+// sanitizer clean.
+func TestTinyMSHRFileRunsClean(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumSMs = 3
+	cfg.MaxCTAsPerSM = 1
+	cfg.IssueWidth = 1
+	cfg.L1.MSHREntries = 1
+	cfg.L1.MissQueue = 1
+	cfg.L2.MissQueue = 1
+	cfg.DRAM.Channels = 2
+	cfg.DRAM.BanksPerChannel = 1
+	cfg.ICNTLatency = 0
+	cfg.ICNTWidth = 1
+	cfg.PrefetchTableSize = 1
+	cfg.PrefetchBufferEntries = 1
+	cfg.MaxInsts = 8000
+	cfg.CheckInvariants = true
+	for _, c := range []struct{ bench, pf string }{
+		{"MM", "caps"}, {"JC1", "caps"}, {"HST", "caps"}, {"MRQ", "inter"},
+	} {
+		t.Run(c.bench+"-"+c.pf, func(t *testing.T) {
+			k, err := kernels.ByAbbr(c.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := cfg
+			if c.pf == "caps" {
+				cfg.Scheduler = config.SchedPAS
+			}
+			st := runTiny(t, cfg, k, WithPrefetcher(c.pf))
+			if st.Instructions < cfg.MaxInsts {
+				t.Fatalf("run stopped at %d instructions, want %d", st.Instructions, cfg.MaxInsts)
+			}
+		})
+	}
+}
