@@ -65,6 +65,8 @@ func TestGolden(t *testing.T) {
 		{"MM-caps-pas.host.txt", hp.WriteText},
 		{"MM-caps-pas.host.html", func(w io.Writer) error { return hp.WriteHTML(w, nil) }},
 		{"MM-caps-pas.host-joined.html", func(w io.Writer) error { return hp.WriteHTML(w, prof) }},
+		{"MM-caps-pas.profile.json", jsonOf(prof.WriteFile)},
+		{"MM-caps-pas.profile.html", func(w io.Writer) error { return profile.WriteHTML(w, prof) }},
 	}
 	for _, f := range files {
 		t.Run(f.name, func(t *testing.T) {
