@@ -51,16 +51,21 @@ trace-smoke:
 		-trace /tmp/caps-trace.json -metrics /tmp/caps-metrics.csv
 	$(GO) run ./cmd/simcheck -mode=tracecheck /tmp/caps-trace.json
 
-# End-to-end profiling smoke test: run the same benchmark twice with the
-# stall-stack profiler on, then diff the two profiles — identical runs must
-# produce zero regressions (also exercises the HTML report path).
+# End-to-end stall-stack smoke test: the same CAPS run twice with the
+# stall-stack profiler on (capsim -profile; the stacks must sum to the run's
+# cycles or capsim exits 1). The fold is deterministic, so the profiles
+# must be byte-identical (cmp); the stall-diff gate and the HTML report run
+# on top of that, and bench-diff gates the committed BENCH_caps.json
+# against itself.
 profile-smoke:
 	$(GO) run ./cmd/capsim -bench CNV -prefetch caps -insts 50000 \
-		-profile /tmp/caps-prof-a.json
+		-profile /tmp/caps-prof-a.json 2>/dev/null
 	$(GO) run ./cmd/capsim -bench CNV -prefetch caps -insts 50000 \
-		-profile /tmp/caps-prof-b.json
-	$(GO) run ./cmd/capsprof diff /tmp/caps-prof-a.json /tmp/caps-prof-b.json
-	$(GO) run ./cmd/capsprof report /tmp/caps-prof-a.json -html /tmp/caps-prof-a.html
+		-profile /tmp/caps-prof-b.json 2>/dev/null
+	cmp /tmp/caps-prof-a.json /tmp/caps-prof-b.json
+	$(GO) run ./cmd/capsprof stall-diff /tmp/caps-prof-a.json /tmp/caps-prof-b.json
+	$(GO) run ./cmd/capsprof stall /tmp/caps-prof-a.json -html /tmp/caps-prof-a.html
+	$(GO) run ./cmd/capsprof bench-diff BENCH_caps.json BENCH_caps.json
 
 # End-to-end flight-recorder smoke test, run fully in-process by capscope:
 # a synthetic invariant violation must abort the run, produce a black-box
@@ -119,8 +124,9 @@ schedlens-smoke:
 	$(GO) run ./cmd/capsprof sched-diff /tmp/caps-sched-a.json /tmp/caps-sched-b.json
 
 # Regenerates BENCH_caps.json: headline IPC + prefetch metrics for every
-# benchmark under the CAPS configuration. capsprof diff accepts the file as
-# a baseline, turning the committed numbers into a regression gate.
+# benchmark under the CAPS configuration. capsprof bench-diff gates a fresh
+# report or a profile against it, turning the committed numbers into a
+# regression gate.
 bench-json:
 	$(GO) run ./cmd/capsweep -insts 200000 -bench-json BENCH_caps.json
 

@@ -32,7 +32,6 @@ import (
 	"caps/internal/lenses"
 	"caps/internal/obs"
 	"caps/internal/prefetch"
-	"caps/internal/profile"
 	"caps/internal/sched"
 	"caps/internal/sim"
 	"caps/internal/stats"
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eEnergy   = fs.Bool("energy", false, "print the energy breakdown")
 		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto) to this file")
 		metOut    = fs.String("metrics", "", "write the metrics snapshot as CSV to this file")
-		profOut   = fs.String("profile", "", "write a capsprof profile JSON (stall stacks + per-PC ledger) to this file")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile of the simulator itself to this file")
 		flightOut = fs.String("flight", "", "attach a flight recorder and write its black box (JSONL, see capscope) to this file when the run dies or SIGQUIT arrives")
@@ -142,13 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var snk *obs.Sink
-	var col *profile.Collector
-	if *traceOut != "" || *metOut != "" || *profOut != "" {
+	if *traceOut != "" || *metOut != "" {
 		snk = sim.NewSink(cfg, *traceOut != "", obs.DefaultTraceCap)
-	}
-	if *profOut != "" {
-		col = profile.NewCollector(cfg.NumSMs)
-		snk.Attach(col)
 	}
 	opts := []sim.Option{sim.WithPrefetcher(*pf), sim.WithObs(snk),
 		sim.WithProgressEvery(*beat), sim.WithWatchdogCycles(*watchdog)}
@@ -232,23 +225,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return obs.WriteCSV(f, snk.Snapshot())
 		}); err != nil {
 			fmt.Fprintln(stderr, "capsim: metrics:", err)
-			return 1
-		}
-	}
-	var prof *profile.Profile
-	if col != nil && !aborted {
-		// An aborted run's stall stacks are mid-cycle partial; the profile
-		// validator would reject them, so only completed runs build one.
-		meta := profile.Meta{Bench: k.Abbr, Prefetcher: *pf, Scheduler: string(cfg.Scheduler), SMs: cfg.NumSMs}
-		prof, err = col.Build(meta, st)
-		if err != nil {
-			fmt.Fprintln(stderr, "capsim: profile:", err)
-			return 1
-		}
-	}
-	if *profOut != "" {
-		if err := prof.WriteFile(*profOut); err != nil {
-			fmt.Fprintln(stderr, "capsim: profile:", err)
 			return 1
 		}
 	}

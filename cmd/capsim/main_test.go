@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"caps/internal/lenses"
 	"caps/internal/sim"
 )
 
@@ -16,6 +17,8 @@ import (
 // on stderr.
 func TestRun(t *testing.T) {
 	short := []string{"-bench", "MM", "-prefetch", "caps", "-insts", "5000"}
+	// An aborted run still writes its lens profiles, unvalidated.
+	aborted := filepath.Join(t.TempDir(), "aborted.profile.json")
 	cases := []struct {
 		name   string
 		args   []string
@@ -33,6 +36,8 @@ func TestRun(t *testing.T) {
 		{name: "unknown prefetcher", args: []string{"-prefetch", "nope"}, code: 2, stderr: `unknown prefetcher "nope"`},
 		{name: "unknown scheduler", args: []string{"-sched", "nope"}, code: 2, stderr: `unknown scheduler "nope"`},
 		{name: "beat out of range", args: []string{"-beat", fmt.Sprint(sim.MaxProgressEvery + 1)}, code: 2, stderr: "exceeds the maximum"},
+		{name: "aborted run", args: []string{"-bench", "MM", "-prefetch", "caps", "-insts", "20000", "-watchdog", "50", "-profile", aborted},
+			code: 1, stdout: "MM  prefetch=caps", stderr: "no forward progress"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,6 +52,9 @@ func TestRun(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", c.stderr, &stderr)
 			}
 		})
+	}
+	if _, err := lenses.Stall.Load(aborted); err != nil {
+		t.Errorf("the aborted run's profile does not load: %v", err)
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"caps/internal/hostprof"
-	"caps/internal/memlens"
+	"caps/internal/lenses"
 	"caps/internal/profile"
-	"caps/internal/schedlens"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
@@ -26,13 +26,6 @@ const goldenDir = "testdata/golden"
 // regenerate the files after a deliberate change in lens output.
 func TestGolden(t *testing.T) {
 	r := runMM(t)
-	st := r.st
-	mp := r.ml.Build(memlens.Meta{Bench: "MM", Prefetcher: "caps", Cycles: st.Cycles})
-	sp := r.sl.Build(schedlens.Meta{Bench: "MM", Prefetcher: "caps", Scheduler: string(r.cfg.Scheduler), Cycles: st.Cycles})
-	prof, err := r.col.Build(profile.Meta{Bench: "MM", Prefetcher: "caps", Scheduler: string(r.cfg.Scheduler), SMs: r.cfg.NumSMs}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hp, err := hostprof.ReadFile(filepath.Join(goldenDir, "MM-caps-pas.host.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -52,22 +45,24 @@ func TestGolden(t *testing.T) {
 			return err
 		}
 	}
-	files := []struct {
+	type file struct {
 		name  string
 		write func(io.Writer) error
-	}{
-		{"MM-caps-pas.mem.json", jsonOf(mp.WriteFile)},
-		{"MM-caps-pas.mem.txt", mp.WriteText},
-		{"MM-caps-pas.mem.html", mp.WriteHTML},
-		{"MM-caps-pas.sched.json", jsonOf(sp.WriteFile)},
-		{"MM-caps-pas.sched.txt", sp.WriteText},
-		{"MM-caps-pas.sched.html", sp.WriteHTML},
-		{"MM-caps-pas.host.txt", hp.WriteText},
-		{"MM-caps-pas.host.html", func(w io.Writer) error { return hp.WriteHTML(w, nil) }},
-		{"MM-caps-pas.host-joined.html", func(w io.Writer) error { return hp.WriteHTML(w, prof) }},
-		{"MM-caps-pas.profile.json", jsonOf(prof.WriteFile)},
-		{"MM-caps-pas.profile.html", func(w io.Writer) error { return profile.WriteHTML(w, prof) }},
 	}
+	var files []file
+	for _, l := range simLenses {
+		p := r.profs[l.Name]
+		stem := "MM-caps-pas" + strings.TrimSuffix(l.Suffix, ".json")
+		files = append(files,
+			file{stem + ".json", jsonOf(p.WriteFile)},
+			file{stem + ".txt", p.WriteText},
+			file{stem + ".html", p.(interface{ WriteHTML(io.Writer) error }).WriteHTML})
+	}
+	prof := r.profs[lenses.Stall.Name].(*profile.Profile)
+	files = append(files,
+		file{"MM-caps-pas.host.txt", hp.WriteText},
+		file{"MM-caps-pas.host.html", func(w io.Writer) error { return hp.WriteHTML(w, nil) }},
+		file{"MM-caps-pas.host-joined.html", func(w io.Writer) error { return hp.WriteHTML(w, prof) }})
 	for _, f := range files {
 		t.Run(f.name, func(t *testing.T) {
 			var got bytes.Buffer

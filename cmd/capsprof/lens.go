@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"caps/internal/lens"
 	"caps/internal/lenses"
 )
 
@@ -67,7 +68,12 @@ func lensDiff(l *lenses.Lens, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	regs := gate(profs[0], profs[1], stdout)
+	return printRegressions(name, gate(profs[0], profs[1], stdout), stdout)
+}
+
+// printRegressions lists a gate's findings under the subcommand's name and
+// returns its exit status: 1 for any regression, 0 for none.
+func printRegressions(name string, regs []lens.Regression, stdout io.Writer) int {
 	if len(regs) == 0 {
 		fmt.Fprintf(stdout, "capsprof %s: no regressions\n", name)
 		return 0

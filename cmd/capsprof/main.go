@@ -1,13 +1,13 @@
-// Command capsprof interprets profiles produced by capsim -profile /
-// capsweep -profile-dir: it renders human-readable reports and gates
+// Command capsprof interprets the lens profiles capsim and capsweep write
+// (see internal/lenses): it renders human-readable reports and gates
 // performance regressions in CI.
 //
 // Usage:
 //
-//	capsprof report run.profile.json -html report.html [-json normalized.json]
-//	capsprof diff base.profile.json cur.profile.json [-ipc 0.01] [-stall 0.01]
-//	capsprof diff BENCH_caps.json cur.profile.json
-//	capsprof diff BENCH_caps.json BENCH_new.json
+//	capsprof stall run.profile.json [-html report.html]
+//	capsprof stall-diff base.profile.json cur.profile.json [-ipc 0.01] [-stall 0.01]
+//	capsprof bench-diff BENCH_caps.json cur.profile.json
+//	capsprof bench-diff BENCH_caps.json BENCH_new.json
 //	capsprof speed-diff BENCH_speed.json BENCH_speed_new.json [-tolerance 0.2]
 //	capsprof host run.host.json [-html report.html] [-profile run.profile.json] [-validate]
 //	capsprof host-diff base.host.json cur.host.json
@@ -16,10 +16,12 @@
 //	capsprof sched run.sched.json [-html report.html]
 //	capsprof sched-diff base.sched.json cur.sched.json
 //
-// diff exits 1 when any metric regresses past its threshold, 0 otherwise,
-// and 2 on a usage error or an input it cannot load — wire it into CI
-// after a sweep to turn perf eyeballing into a gate. The other -diff
-// subcommands share the contract.
+// Every -diff subcommand exits 1 when any metric regresses past its
+// threshold, 0 otherwise, and 2 on a usage error or an input it cannot
+// load — wire it into CI after a sweep to turn perf eyeballing into a gate.
+// bench-diff gates against a committed BENCH_caps.json (capsweep
+// -bench-json): a report against a report over their common benchmarks,
+// or a profile against its benchmark's row.
 // speed-diff does the same for simulator wall-clock (capsweep -speed-json):
 // it fails when a benchmark simulates different work or its wall time
 // rose past the tolerance, so compare reports from comparable hosts.
@@ -51,10 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sub, args := args[0], args[1:]
 	switch sub {
-	case "report":
-		return report(args, stdout, stderr)
-	case "diff":
-		return diff(args, stdout, stderr)
+	case "bench-diff":
+		return benchDiff(args, stdout, stderr)
 	case "speed-diff":
 		return speedDiff(args, stdout, stderr)
 	case "-h", "--help", "help":
@@ -95,7 +95,7 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 }
 
 // parseArgs runs fs over args but, unlike flag's default, keeps going after
-// positional arguments so `capsprof report run.json -html out.html` works.
+// positional arguments so `capsprof stall run.json -html out.html` works.
 // It returns the positional arguments in order, or the flag error.
 func parseArgs(fs *flag.FlagSet, args []string) ([]string, error) {
 	var pos []string
@@ -124,13 +124,10 @@ func flagExit(err error) int {
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
-  capsprof report <profile.json> [-html out.html] [-json out.json]
-      render a self-contained HTML report (stall-stack SVGs, per-PC ledger)
-      and/or re-emit the normalized profile JSON
-
-  capsprof diff <base> <current> [-ipc frac] [-stall frac] [-coverage abs] [-accuracy abs]
-      compare two profiles (or a BENCH_caps.json baseline against a profile
-      or another bench report) and exit 1 on any regression past thresholds
+  capsprof bench-diff <BENCH_caps.json> <bench-report|profile.json> [-ipc frac] [-coverage abs] [-accuracy abs]
+      compare a bench report (capsweep -bench-json) or a stall-stack
+      profile against a committed bench report and exit 1 on any headline
+      regression past thresholds
 
   capsprof speed-diff <base-speed.json> <current-speed.json> [-tolerance frac]
       compare two capsweep -speed-json reports and exit 1 when any
@@ -143,52 +140,10 @@ func usage(w io.Writer) {
 	}
 }
 
-func report(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("report", stderr)
-	htmlOut := fs.String("html", "", "write the HTML report to this file (default: <profile>.html)")
-	jsonOut := fs.String("json", "", "re-emit the normalized profile JSON to this file")
-	pos, err := parseArgs(fs, args)
-	if err != nil {
-		return flagExit(err)
-	}
-	if len(pos) != 1 {
-		fmt.Fprintln(stderr, "capsprof report: need exactly one profile JSON path")
-		return 2
-	}
-	path := pos[0]
-	p, err := profile.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "capsprof:", err)
-		return 2
-	}
-	out := *htmlOut
-	if out == "" {
-		out = path + ".html"
-	}
-	if err := writeFile(out, func(w io.Writer) error { return profile.WriteHTML(w, p) }); err != nil {
-		fmt.Fprintln(stderr, "capsprof:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s (%s/%s, %d cycles, %d PCs)\n", out, p.Meta.Bench, p.Meta.Prefetcher, p.TotalCycles, len(p.PCs))
-	if p.TruncatedPCs > 0 || p.TruncatedCTAs > 0 {
-		fmt.Fprintf(stderr, "capsprof report: WARNING: ledger cap reached — %d PC and %d CTA events uncounted; per-PC/per-CTA tables understate activity\n",
-			p.TruncatedPCs, p.TruncatedCTAs)
-	}
-	if *jsonOut != "" {
-		if err := p.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(stderr, "capsprof:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
-	}
-	return 0
-}
-
-func diff(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("diff", stderr)
+func benchDiff(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("bench-diff", stderr)
 	th := profile.DefaultThresholds()
 	fs.Float64Var(&th.IPCFrac, "ipc", th.IPCFrac, "max fractional IPC drop")
-	fs.Float64Var(&th.StallFrac, "stall", th.StallFrac, "max absolute stall-share increase per bucket")
 	fs.Float64Var(&th.CoverageAbs, "coverage", th.CoverageAbs, "max absolute coverage drop")
 	fs.Float64Var(&th.AccuracyAbs, "accuracy", th.AccuracyAbs, "max absolute accuracy drop")
 	pos, err := parseArgs(fs, args)
@@ -196,46 +151,15 @@ func diff(args []string, stdout, stderr io.Writer) int {
 		return flagExit(err)
 	}
 	if len(pos) != 2 {
-		fmt.Fprintln(stderr, "capsprof diff: need <base> and <current> paths")
+		fmt.Fprintln(stderr, "capsprof bench-diff: need a <BENCH_caps.json> base and a <current> path")
 		return 2
 	}
-	base, err := profile.ReadBaseline(pos[0])
+	regs, err := profile.GateBench(pos[0], pos[1], th)
 	if err != nil {
 		fmt.Fprintln(stderr, "capsprof:", err)
 		return 2
 	}
-	cur, err := profile.ReadBaseline(pos[1])
-	if err != nil {
-		fmt.Fprintln(stderr, "capsprof:", err)
-		return 2
-	}
-
-	var regs []profile.Regression
-	switch {
-	case base.Profile != nil && cur.Profile != nil:
-		regs = profile.Diff(base.Profile, cur.Profile, th)
-	case base.Bench != nil && cur.Profile != nil:
-		regs, err = profile.DiffBench(base.Bench, cur.Profile, th)
-		if err != nil {
-			fmt.Fprintln(stderr, "capsprof:", err)
-			return 2
-		}
-	case base.Bench != nil && cur.Bench != nil:
-		regs = profile.DiffBenchReports(base.Bench, cur.Bench, th)
-	default:
-		fmt.Fprintln(stderr, "capsprof: a full profile cannot baseline a bench report (swap the arguments)")
-		return 2
-	}
-
-	if len(regs) == 0 {
-		fmt.Fprintln(stdout, "capsprof diff: no regressions")
-		return 0
-	}
-	fmt.Fprintf(stdout, "capsprof diff: %d regression(s):\n", len(regs))
-	for _, r := range regs {
-		fmt.Fprintln(stdout, "  "+r.String())
-	}
-	return 1
+	return printRegressions("bench-diff", regs, stdout)
 }
 
 func speedDiff(args []string, stdout, stderr io.Writer) int {

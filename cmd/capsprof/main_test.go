@@ -10,6 +10,7 @@ import (
 	"caps/internal/experiments"
 	"caps/internal/hostprof"
 	"caps/internal/kernels"
+	"caps/internal/lenses"
 	"caps/internal/memlens"
 	"caps/internal/profile"
 	"caps/internal/schedlens"
@@ -26,16 +27,21 @@ type lensFiles struct {
 	host, hostBad   string
 	speed, speedBad string // BENCH_speed.json-style reports
 	speedWork       string // the report with one bench's cycles changed
+	bench, benchBad string // BENCH_caps.json-style reports of the run's IPC, and halved
+	benchNoMM       string // a report that does not list the run's benchmark
 }
 
-// shortRun is one short MM run under CAPS with capsprof, memlens and
-// schedlens attached: the run every test in this package reads.
+// simLenses are the lenses whose profiles the short run builds: every
+// registry lens but hostprof, whose wall-clock profile cannot be pinned.
+var simLenses = []*lenses.Lens{lenses.Stall, lenses.Mem, lenses.Sched}
+
+// shortRun is one short MM run under CAPS with simLenses attached: the run
+// every test in this package reads. profs holds each lens's profile by
+// lens name.
 type shortRun struct {
-	cfg config.GPUConfig
-	st  *stats.Sim
-	col *profile.Collector
-	ml  *memlens.Collector
-	sl  *schedlens.Collector
+	cfg   config.GPUConfig
+	st    *stats.Sim
+	profs map[string]lenses.Profile
 }
 
 func runMM(t *testing.T) shortRun {
@@ -47,11 +53,14 @@ func runMM(t *testing.T) shortRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snk := sim.NewSink(cfg, false, 0)
-	col := profile.NewCollector(cfg.NumSMs)
-	snk.Attach(col)
-	ml, sl := memlens.ForConfig(cfg), schedlens.ForConfig(cfg)
-	g, err := sim.New(cfg, k, sim.WithPrefetcher("caps"), sim.WithObs(snk), sim.WithMemLens(ml), sim.WithSchedLens(sl))
+	opts := []sim.Option{sim.WithPrefetcher("caps")}
+	builds := make([]func(lenses.Run, *stats.Sim) lenses.Profile, len(simLenses))
+	for i, l := range simLenses {
+		var opt sim.Option
+		opt, builds[i] = l.Attach(cfg)
+		opts = append(opts, opt)
+	}
+	g, err := sim.New(cfg, k, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,16 @@ func runMM(t *testing.T) shortRun {
 		t.Fatal(err)
 	}
 	g.Close()
-	return shortRun{cfg: cfg, st: st, col: col, ml: ml, sl: sl}
+	r := shortRun{cfg: cfg, st: st, profs: make(map[string]lenses.Profile)}
+	run := lenses.Run{Bench: "MM", Prefetcher: "caps", Scheduler: string(cfg.Scheduler)}
+	for i, l := range simLenses {
+		p := builds[i](run, st)
+		if err := l.Validate(p, st); err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		r.profs[l.Name] = p
+	}
+	return r
 }
 
 // writeProfiles writes each profile of the short run, then a copy with its
@@ -68,7 +86,7 @@ func runMM(t *testing.T) shortRun {
 func writeProfiles(t *testing.T, dir string) lensFiles {
 	t.Helper()
 	r := runMM(t)
-	cfg, st, col, ml, sl := r.cfg, r.st, r.col, r.ml, r.sl
+	cfg, st := r.cfg, r.st
 
 	f := lensFiles{}
 	path := func(name string) string { return filepath.Join(dir, name) }
@@ -79,14 +97,21 @@ func writeProfiles(t *testing.T, dir string) lensFiles {
 		}
 	}
 
-	p, err := col.Build(profile.Meta{Bench: "MM", Prefetcher: "caps", Scheduler: string(cfg.Scheduler), SMs: cfg.NumSMs}, st)
-	must(err)
+	p := r.profs[lenses.Stall.Name].(*profile.Profile)
 	f.prof, f.profBad = path("run.profile.json"), path("bad.profile.json")
 	must(p.WriteFile(f.prof))
+	row := profile.BenchMetrics{IPC: p.IPC, Coverage: p.Coverage, Accuracy: p.Accuracy}
+	rep := &profile.BenchReport{Prefetcher: "caps", Scheduler: "pas", Benchmarks: map[string]profile.BenchMetrics{"MM": row}}
+	f.bench, f.benchBad, f.benchNoMM = path("bench.json"), path("bad.bench.json"), path("nomm.bench.json")
+	must(rep.WriteFile(f.bench))
 	p.IPC /= 2
 	must(p.WriteFile(f.profBad))
+	rep.Benchmarks["MM"] = profile.BenchMetrics{IPC: p.IPC, Coverage: row.Coverage, Accuracy: row.Accuracy}
+	must(rep.WriteFile(f.benchBad))
+	rep.Benchmarks = map[string]profile.BenchMetrics{"CNV": row}
+	must(rep.WriteFile(f.benchNoMM))
 
-	mp := ml.Build(memlens.Meta{Bench: "MM", Prefetcher: "caps", Cycles: st.Cycles})
+	mp := r.profs[lenses.Mem.Name].(*memlens.Profile)
 	if mp.Locality.RowHitRate == 0 {
 		t.Fatal("memlens profile has no row hits to regress")
 	}
@@ -95,7 +120,7 @@ func writeProfiles(t *testing.T, dir string) lensFiles {
 	mp.Locality.RowHitRate /= 2
 	must(mp.WriteFile(f.memBad))
 
-	sp := sl.Build(schedlens.Meta{Bench: "MM", Prefetcher: "caps", Scheduler: string(cfg.Scheduler), Cycles: st.Cycles})
+	sp := r.profs[lenses.Sched.Name].(*schedlens.Profile)
 	if sp.Table.DistHitRate == 0 {
 		t.Fatal("schedlens profile has no DIST hits to regress")
 	}
@@ -114,27 +139,34 @@ func writeProfiles(t *testing.T, dir string) lensFiles {
 	must(hp.WriteFile(f.hostBad))
 
 	// Speed reports are wall-clock too: hand-built, one bench.
-	rep := &experiments.SpeedReport{MaxInsts: cfg.MaxInsts, WallMS: 100,
+	speed := &experiments.SpeedReport{MaxInsts: cfg.MaxInsts, WallMS: 100,
 		Entries: []experiments.SpeedEntry{{Bench: "MM", Cycles: st.Cycles, Instructions: st.Instructions, WallMS: 100}}}
 	f.speed, f.speedBad, f.speedWork = path("speed.json"), path("bad.speed.json"), path("work.speed.json")
-	must(rep.WriteFile(f.speed))
-	rep.Entries[0].WallMS, rep.WallMS = 130, 130
-	must(rep.WriteFile(f.speedBad))
-	rep.Entries[0].WallMS, rep.WallMS = 100, 100
-	rep.Entries[0].Cycles++
-	must(rep.WriteFile(f.speedWork))
+	must(speed.WriteFile(f.speed))
+	speed.Entries[0].WallMS, speed.WallMS = 130, 130
+	must(speed.WriteFile(f.speedBad))
+	speed.Entries[0].WallMS, speed.WallMS = 100, 100
+	speed.Entries[0].Cycles++
+	must(speed.WriteFile(f.speedWork))
 	return f
 }
 
 // TestRunExitCodes pins the exit contract of the regression gates and the
 // report subcommands: 0 when clean, 1 only for a regression past threshold
 // or a failed check, 2 for a usage error or an input that cannot be loaded.
+// The stall lens's rows keep their short names: the "diff" rows drive
+// stall-diff, the "report" rows stall.
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	f := writeProfiles(t, dir)
 	missing := filepath.Join(dir, "missing.json")
 	garbage := filepath.Join(dir, "garbage.json")
 	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A JSON null, what encoding a nil profile writes, loads nowhere.
+	null := filepath.Join(dir, "null.json")
+	if err := os.WriteFile(null, []byte("null\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,15 +179,26 @@ func TestRunExitCodes(t *testing.T) {
 		{"help", []string{"help"}, 0},
 		{"unknown subcommand", []string{"bogus"}, 2},
 
-		{"diff self", []string{"diff", f.prof, f.prof}, 0},
-		{"diff regression", []string{"diff", f.prof, f.profBad}, 1},
-		{"diff improvement", []string{"diff", f.profBad, f.prof}, 0},
-		{"diff loose threshold", []string{"diff", "-ipc", "0.9", f.prof, f.profBad}, 0},
-		{"diff one path", []string{"diff", f.prof}, 2},
-		{"diff bad flag", []string{"diff", "-bogus", f.prof, f.prof}, 2},
-		{"diff -h", []string{"diff", "-h"}, 0},
-		{"diff missing file", []string{"diff", f.prof, missing}, 2},
-		{"diff unparsable file", []string{"diff", garbage, f.prof}, 2},
+		{"diff self", []string{"stall-diff", f.prof, f.prof}, 0},
+		{"diff regression", []string{"stall-diff", f.prof, f.profBad}, 1},
+		{"diff improvement", []string{"stall-diff", f.profBad, f.prof}, 0},
+		{"diff loose threshold", []string{"stall-diff", "-ipc", "0.9", f.prof, f.profBad}, 0},
+		{"diff one path", []string{"stall-diff", f.prof}, 2},
+		{"diff bad flag", []string{"stall-diff", "-bogus", f.prof, f.prof}, 2},
+		{"diff -h", []string{"stall-diff", "-h"}, 0},
+		{"diff missing file", []string{"stall-diff", f.prof, missing}, 2},
+		{"diff unparsable file", []string{"stall-diff", garbage, f.prof}, 2},
+		{"diff bench report", []string{"stall-diff", f.bench, f.prof}, 2},
+
+		{"bench-diff self", []string{"bench-diff", f.bench, f.bench}, 0},
+		{"bench-diff regression", []string{"bench-diff", f.bench, f.benchBad}, 1},
+		{"bench-diff profile", []string{"bench-diff", f.bench, f.prof}, 0},
+		{"bench-diff profile regression", []string{"bench-diff", f.bench, f.profBad}, 1},
+		{"bench-diff profile as base", []string{"bench-diff", f.prof, f.bench}, 2},
+		{"bench-diff unlisted benchmark", []string{"bench-diff", f.benchNoMM, f.prof}, 2},
+		{"bench-diff one path", []string{"bench-diff", f.bench}, 2},
+		{"bench-diff missing file", []string{"bench-diff", f.bench, missing}, 2},
+		{"bench-diff null file", []string{"bench-diff", f.bench, null}, 2},
 
 		{"mem-diff self", []string{"mem-diff", f.mem, f.mem}, 0},
 		{"mem-diff regression", []string{"mem-diff", f.mem, f.memBad}, 1},
@@ -164,6 +207,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"mem-diff bad flag", []string{"mem-diff", "-bogus", f.mem, f.mem}, 2},
 		{"mem-diff missing file", []string{"mem-diff", missing, f.mem}, 2},
 		{"mem-diff unparsable file", []string{"mem-diff", f.mem, garbage}, 2},
+		{"mem-diff null file", []string{"mem-diff", f.mem, null}, 2},
 
 		{"sched-diff self", []string{"sched-diff", f.sched, f.sched}, 0},
 		{"sched-diff regression", []string{"sched-diff", f.sched, f.schedBad}, 1},
@@ -191,10 +235,14 @@ func TestRunExitCodes(t *testing.T) {
 		{"speed-diff missing file", []string{"speed-diff", f.speed, missing}, 2},
 		{"speed-diff unparsable file", []string{"speed-diff", garbage, f.speed}, 2},
 
-		{"report html", []string{"report", f.prof, "-html", filepath.Join(dir, "report.html")}, 0},
-		{"report no path", []string{"report"}, 2},
-		{"report missing file", []string{"report", missing}, 2},
-		{"report unparsable file", []string{"report", garbage}, 2},
+		{"report html", []string{"stall", f.prof, "-html", filepath.Join(dir, "report.html")}, 0},
+		{"stall text", []string{"stall", f.prof}, 0},
+		{"report no path", []string{"stall"}, 2},
+		{"report missing file", []string{"stall", missing}, 2},
+		{"report unparsable file", []string{"stall", garbage}, 2},
+		{"stall null file", []string{"stall", null}, 2},
+		{"report is gone", []string{"report", f.prof}, 2},
+		{"diff is gone", []string{"diff", f.prof, f.prof}, 2},
 
 		{"host text", []string{"host", f.host}, 0},
 		{"host html joined", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", f.prof}, 0},
@@ -204,6 +252,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"host missing file", []string{"host", missing}, 2},
 		{"host unparsable file", []string{"host", garbage}, 2},
 		{"host missing join", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", missing}, 2},
+		{"host null join", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", null}, 2},
 
 		{"mem text", []string{"mem", f.mem}, 0},
 		{"mem html", []string{"mem", f.mem, "-html", filepath.Join(dir, "mem.html")}, 0},

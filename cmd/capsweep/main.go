@@ -25,7 +25,6 @@ import (
 	"caps/internal/experiments"
 	"caps/internal/lenses"
 	"caps/internal/obs"
-	"caps/internal/profile"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
@@ -43,19 +42,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("capsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig        = fs.String("fig", "", "comma-separated figures to regenerate: 1, 4, 10, 11, 12, 13, 14a, 14b, 15")
-		table      = fs.String("table", "", "table to regenerate: 1, 2, 3, 4")
-		abl        = fs.String("ablation", "", "ablation to run: tables, buffer, threshold, wakeup, occupancy")
-		all        = fs.Bool("all", false, "regenerate every figure and table")
-		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		insts      = fs.Int64("insts", 0, "override the per-run instruction cap")
-		par        = fs.Int("par", 0, "parallel simulations (default: GOMAXPROCS)")
-		benches    = fs.String("benches", "", "comma-separated benchmark subset (default: all 16)")
-		traceDir   = fs.String("trace-dir", "", "write a Chrome trace + metrics CSV per run into this directory")
-		profileDir = fs.String("profile-dir", "", "write a capsprof profile JSON per run into this directory")
-		benchJSON  = fs.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
-		speedJSON  = fs.String("speed-json", "", "time every benchmark (median of three round-robin runs, identical stats required), write BENCH_speed.json-style timings to this file, then exit")
-		flightDir  = fs.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
+		fig       = fs.String("fig", "", "comma-separated figures to regenerate: 1, 4, 10, 11, 12, 13, 14a, 14b, 15")
+		table     = fs.String("table", "", "table to regenerate: 1, 2, 3, 4")
+		abl       = fs.String("ablation", "", "ablation to run: tables, buffer, threshold, wakeup, occupancy")
+		all       = fs.Bool("all", false, "regenerate every figure and table")
+		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		insts     = fs.Int64("insts", 0, "override the per-run instruction cap")
+		par       = fs.Int("par", 0, "parallel simulations (default: GOMAXPROCS)")
+		benches   = fs.String("benches", "", "comma-separated benchmark subset (default: all 16)")
+		traceDir  = fs.String("trace-dir", "", "write a Chrome trace + metrics CSV per run into this directory")
+		benchJSON = fs.String("bench-json", "", "run the CAPS suite and write BENCH_caps.json-style metrics to this file, then exit")
+		speedJSON = fs.String("speed-json", "", "time every benchmark (median of three round-robin runs, identical stats required), write BENCH_speed.json-style timings to this file, then exit")
+		flightDir = fs.String("flight-dir", "", "attach a flight recorder to every run; a run that dies leaves <dir>/<run>.flight.jsonl (see capscope)")
 	)
 	lensDirs := make([]*string, len(lenses.All))
 	for i, l := range lenses.All {
@@ -70,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// failed marks a sweep that lost a run or an output; Warm's workers set
 	// it concurrently.
 	var failed atomic.Bool
-	for _, dir := range append([]*string{traceDir, profileDir, flightDir}, lensDirs...) {
+	for _, dir := range append([]*string{traceDir, flightDir}, lensDirs...) {
 		if *dir == "" {
 			continue
 		}
@@ -105,36 +103,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(benchList) > 0 {
 		opts = append(opts, experiments.WithBenches(benchList))
 	}
-	if *traceDir != "" || *profileDir != "" {
-		// Warm's workers run concurrently, so the sink→collector pairing is
-		// kept in a mutex-guarded map keyed by the (unique, memoized) RunKey.
-		var mu sync.Mutex
-		collectors := make(map[experiments.RunKey]*profile.Collector)
+	if *traceDir != "" {
 		opts = append(opts, experiments.WithObs(
-			func(k experiments.RunKey) *obs.Sink {
-				snk := sim.NewSink(cfg, *traceDir != "", obs.DefaultTraceCap)
-				if *profileDir != "" {
-					col := profile.NewCollector(cfg.NumSMs)
-					snk.Attach(col)
-					mu.Lock()
-					collectors[k] = col
-					mu.Unlock()
-				}
-				return snk
-			},
-			func(k experiments.RunKey, s *obs.Sink, st *stats.Sim) {
-				if *traceDir != "" {
-					if err := exportRun(*traceDir, k, s); err != nil {
-						fmt.Fprintln(stderr, "capsweep: trace export:", err)
-					}
-				}
-				if *profileDir != "" {
-					mu.Lock()
-					col := collectors[k]
-					mu.Unlock()
-					if err := exportProfile(*profileDir, cfg, k, col, st); err != nil {
-						fmt.Fprintln(stderr, "capsweep: profile export:", err)
-					}
+			func(experiments.RunKey) *obs.Sink { return sim.NewSink(cfg, true, obs.DefaultTraceCap) },
+			func(k experiments.RunKey, s *obs.Sink) {
+				if err := exportRun(*traceDir, k, s); err != nil {
+					fmt.Fprintln(stderr, "capsweep: trace export:", err)
 				}
 			},
 		))
@@ -382,21 +356,6 @@ func exportRun(dir string, k experiments.RunKey, s *obs.Sink) error {
 		return err
 	}
 	return mf.Close()
-}
-
-// exportProfile builds and writes <dir>/<run>.profile.json for one
-// completed simulation.
-func exportProfile(dir string, cfg config.GPUConfig, k experiments.RunKey,
-	col *profile.Collector, st *stats.Sim) error {
-	if col == nil {
-		return fmt.Errorf("%s: no collector registered", k.Name())
-	}
-	meta := profile.Meta{Bench: k.Bench, Prefetcher: k.Prefetch, Scheduler: string(k.Scheduler), SMs: cfg.NumSMs}
-	p, err := col.Build(meta, st)
-	if err != nil {
-		return err
-	}
-	return p.WriteFile(filepath.Join(dir, k.Name()+".profile.json"))
 }
 
 // lockedWriter serializes writes to w: Warm's workers report per-run

@@ -7,8 +7,8 @@ import (
 
 // BuildBenchReport runs the CAPS configuration over the suite's benchmark
 // set and folds the headline metrics into a machine-readable BenchReport
-// (the BENCH_caps.json perf trajectory; capsprof diff accepts it as a
-// baseline). Runs are parallelized and memoized through the suite, so a
+// (the BENCH_caps.json perf trajectory; capsprof bench-diff gates against
+// it). Runs are parallelized and memoized through the suite, so a
 // caller that already warmed the cache pays nothing extra.
 func (s *Suite) BuildBenchReport() (*profile.BenchReport, error) {
 	benches := s.benchNames()

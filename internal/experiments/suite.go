@@ -68,10 +68,10 @@ type Suite struct {
 	benches []string
 
 	// Observability plumbing (WithObs): newSink builds a per-run sink
-	// before the simulation; runDone, when set, receives the sink
-	// afterwards together with the completed run's statistics.
+	// before the simulation; runDone, when set, receives the sink after
+	// the run completed.
 	newSink func(RunKey) *obs.Sink
-	runDone func(RunKey, *obs.Sink, *stats.Sim)
+	runDone func(RunKey, *obs.Sink)
 
 	// flightDir, when set (WithFlight), attaches a flight recorder to
 	// every run and writes "<dir>/<name>.flight.jsonl" if the run dies.
@@ -116,11 +116,11 @@ func WithBenches(benches []string) Option {
 
 // WithObs attaches per-run observability: newSink is called before each
 // simulation to build that run's sink (return nil to skip a run), and
-// runDone — optional — receives the sink and the finished run's stats, for
-// exporting traces, metrics, or profiles. Memoized (cached) runs do not
-// re-invoke either hook. Both callbacks may run concurrently from Warm's
-// workers and must be safe for that.
-func WithObs(newSink func(RunKey) *obs.Sink, runDone func(RunKey, *obs.Sink, *stats.Sim)) Option {
+// runDone — optional — receives the sink once the run completed, for
+// exporting traces or metrics (lens profiles ride WithLens). Memoized
+// (cached) runs do not re-invoke either hook. Both callbacks may run
+// concurrently from Warm's workers and must be safe for that.
+func WithObs(newSink func(RunKey) *obs.Sink, runDone func(RunKey, *obs.Sink)) Option {
 	return func(s *Suite) {
 		s.newSink = newSink
 		s.runDone = runDone
@@ -290,7 +290,7 @@ func (s *Suite) runOnce(k RunKey) (*stats.Sim, error) {
 		}
 	}
 	if snk != nil && s.runDone != nil {
-		s.runDone(k, snk, st)
+		s.runDone(k, snk)
 	}
 	return st, nil
 }

@@ -1,9 +1,9 @@
 // Package lens holds what every streaming profiler ("lens") of a run
 // shares: the log2 histogram, the entropy and fraction helpers, the
 // drops-only regression gate, the JSON file round trip and the HTML report
-// scaffolding (page head, bar and histogram charts). memlens, schedlens and
-// hostprof build on it; the capsprof stall-stack profile keeps its own
-// Regression and diff format. It imports nothing from the simulator.
+// scaffolding (page head, bar and histogram charts). The stall-stack
+// profile, memlens, schedlens and hostprof build on it. It imports nothing
+// from the simulator.
 package lens
 
 import (
@@ -170,17 +170,21 @@ func WriteFile(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadFile loads a P written by WriteFile; pkg prefixes a parse error.
+// ReadFile loads a P written by WriteFile; pkg prefixes a parse error. A
+// JSON null is an error, not an empty profile.
 func ReadFile[P any](path, pkg string) (*P, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var p P
+	var p *P
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("%s: parse %s: %w", pkg, path, err)
 	}
-	return &p, nil
+	if p == nil {
+		return nil, fmt.Errorf("%s: %s holds no profile (JSON null)", pkg, path)
+	}
+	return p, nil
 }
 
 // WriteHead opens a self-contained HTML report in b: the page head with

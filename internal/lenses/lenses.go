@@ -1,13 +1,9 @@
 // Package lenses is the registry of per-run lenses: the profilers that
-// ride along one simulation and leave one profile behind (hostprof,
-// memlens, schedlens). Every surface that drives a lens loops over All —
-// capsim's output flags, capsweep's per-run directories, the experiments
-// Suite and capsprof's show and diff subcommands — so a new lens is its own
-// package plus one entry here.
-//
-// capsprof's stall-stack profile (internal/profile) is not a registry
-// lens: its diff also reads BENCH_caps.json, and its regressions print in
-// their own format.
+// ride along one simulation and leave one profile behind (the stall-stack
+// profile, hostprof, memlens, schedlens). Every surface that drives a lens
+// loops over All — capsim's output flags, capsweep's per-run directories,
+// the experiments Suite and capsprof's show and diff subcommands — so a
+// new lens is its own package plus one entry here.
 package lenses
 
 import (
@@ -81,7 +77,64 @@ type Lens struct {
 
 // All is the registry, in the order every surface attaches, builds,
 // reports and documents the lenses.
-var All = []*Lens{Host, Mem, Sched}
+var All = []*Lens{Stall, Host, Mem, Sched}
+
+// Stall is the stall-stack profile (internal/profile): each SM's cycles by
+// stall class, and the prefetch ledger per load PC and per CTA.
+var Stall = &Lens{
+	Name:       "stall",
+	Noun:       "stall-stack",
+	Flag:       "profile",
+	Suffix:     ".profile.json",
+	SimUsage:   "write a capsprof profile JSON (stall stacks + per-PC ledger) to this file; a text report goes to stderr",
+	SweepUsage: "fold every run's stall stacks and prefetch ledger and write <dir>/<run>.profile.json (see capsprof stall)",
+	Help: `  capsprof stall <run.profile.json> [-html out.html]
+      render a stall-stack profile (capsim -profile, capsweep
+      -profile-dir): headline metrics, the stall-cycle stack and the top
+      load PCs as text, or a self-contained HTML report with every SM's
+      stack and the full per-PC and per-CTA prefetch ledger
+
+  capsprof stall-diff <base.profile.json> <current.profile.json> [-ipc frac] [-stall|-coverage|-accuracy abs]
+      compare two stall-stack profiles and exit 1 on an IPC drop, a
+      stall-share rise, or a prefetch coverage or accuracy drop past
+      thresholds
+`,
+	Attach: func(cfg config.GPUConfig) (sim.Option, func(Run, *stats.Sim) Profile) {
+		c := profile.NewCollector(cfg.NumSMs)
+		return sim.WithConsumer(c), func(r Run, st *stats.Sim) Profile {
+			// Build's error is Validate's verdict; surfaces validate only
+			// completed runs.
+			p, _ := c.Build(profile.Meta{Bench: r.Bench, Prefetcher: r.Prefetcher, Scheduler: r.Scheduler, SMs: cfg.NumSMs}, st)
+			return p
+		}
+	},
+	Validate: func(p Profile, st *stats.Sim) error { return p.(*profile.Profile).Validate(st) },
+	Load:     load(profile.ReadFile),
+	Summary: func(p Profile) string {
+		sp := p.(*profile.Profile)
+		return fmt.Sprintf("%s/%s, %d cycles, %d PCs", sp.Meta.Bench, sp.Meta.Prefetcher, sp.TotalCycles, len(sp.PCs))
+	},
+	Show: func(*flag.FlagSet) ShowStep {
+		return func(p Profile, path string, _, stderr io.Writer) (func(io.Writer) error, int) {
+			sp := p.(*profile.Profile)
+			if sp.TruncatedPCs > 0 || sp.TruncatedCTAs > 0 {
+				fmt.Fprintf(stderr, "capsprof stall: %s: WARNING: ledger cap reached — %d PC and %d CTA events uncounted; per-PC/per-CTA tables understate activity\n",
+					path, sp.TruncatedPCs, sp.TruncatedCTAs)
+			}
+			return sp.WriteHTML, 0
+		}
+	},
+	Diff: func(fs *flag.FlagSet) func(base, cur Profile, w io.Writer) []lens.Regression {
+		th := profile.DefaultThresholds()
+		fs.Float64Var(&th.IPCFrac, "ipc", th.IPCFrac, "max fractional IPC drop")
+		fs.Float64Var(&th.StallFrac, "stall", th.StallFrac, "max absolute stall-share increase per bucket")
+		fs.Float64Var(&th.CoverageAbs, "coverage", th.CoverageAbs, "max absolute coverage drop")
+		fs.Float64Var(&th.AccuracyAbs, "accuracy", th.AccuracyAbs, "max absolute accuracy drop")
+		return func(base, cur Profile, _ io.Writer) []lens.Regression {
+			return profile.Diff(base.(*profile.Profile), cur.(*profile.Profile), th)
+		}
+	},
+}
 
 // Host is hostprof: the executor's wall-clock by Step phase, SM tick and
 // fast-forward window.
@@ -90,12 +143,13 @@ var Host = &Lens{
 	Noun:       "host",
 	Flag:       "hostprof",
 	Suffix:     ".host.json",
-	SimUsage:   "self-profile the executor's wall-clock (phase/worker/skip attribution) and write the host profile JSON to this file; a text report goes to stderr",
+	SimUsage:   "self-profile the executor's wall-clock (Step phases, SM ticks, fast-forward windows) and write the host profile JSON to this file; a text report goes to stderr",
 	SweepUsage: "self-profile every run's executor wall-clock and write <dir>/<run>.host.json (see capsprof host)",
 	Help: `  capsprof host <run.host.json> [-html out.html] [-profile run.profile.json] [-validate]
       render a wall-clock self-profile (capsim -hostprof, capsweep
-      -hostprof-dir): phase/worker/skip attribution as text, or a
-      self-contained HTML report; -profile joins the run's CPI stack in
+      -hostprof-dir): the serial tick loop's time by Step phase, SM tick
+      and fast-forward window as text, or a self-contained HTML report;
+      -profile joins the run's stall stack in
 
   capsprof host-diff <base.host.json> <current.host.json> [-wall|-phase|-util frac]
       compare two host profiles and exit 1 on wall-clock, phase-share
@@ -112,10 +166,10 @@ var Host = &Lens{
 	Load: load(hostprof.ReadFile),
 	Summary: func(p Profile) string {
 		hp := p.(*hostprof.Profile)
-		return fmt.Sprintf("%s/%s, %d workers", hp.Bench, hp.Prefetcher, len(hp.Workers))
+		return fmt.Sprintf("%s/%s, %.1f ms wall over %d steps", hp.Bench, hp.Prefetcher, float64(hp.WallNS)/1e6, hp.Steps)
 	},
 	Show: func(fs *flag.FlagSet) ShowStep {
-		join := fs.String("profile", "", "join this capsprof profile JSON into the HTML report")
+		join := fs.String("profile", "", "join this stall-stack profile JSON into the HTML report")
 		validate := fs.Bool("validate", false, "check accounting invariants (phase sum, sampling coverage)")
 		tol := fs.Float64("tolerance", hostprof.DefaultTolerance, "sampling-coverage tolerance for -validate")
 		return func(p Profile, path string, stdout, stderr io.Writer) (func(io.Writer) error, int) {
@@ -176,7 +230,7 @@ var Mem = &Lens{
 `,
 	Attach: func(cfg config.GPUConfig) (sim.Option, func(Run, *stats.Sim) Profile) {
 		c := memlens.ForConfig(cfg)
-		return sim.WithMemLens(c), func(r Run, st *stats.Sim) Profile {
+		return sim.WithConsumer(c), func(r Run, st *stats.Sim) Profile {
 			return c.Build(memlens.Meta{Bench: r.Bench, Prefetcher: r.Prefetcher, Cycles: st.Cycles})
 		}
 	},
@@ -221,7 +275,7 @@ var Sched = &Lens{
 `,
 	Attach: func(cfg config.GPUConfig) (sim.Option, func(Run, *stats.Sim) Profile) {
 		c := schedlens.ForConfig(cfg)
-		return sim.WithSchedLens(c), func(r Run, st *stats.Sim) Profile {
+		return sim.WithConsumer(c), func(r Run, st *stats.Sim) Profile {
 			return c.Build(schedlens.Meta{Bench: r.Bench, Prefetcher: r.Prefetcher, Scheduler: r.Scheduler, Cycles: st.Cycles})
 		}
 	},

@@ -3,11 +3,14 @@ package lenses
 import (
 	"bytes"
 	"flag"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"caps/internal/config"
 	"caps/internal/kernels"
+	"caps/internal/profile"
 	"caps/internal/sim"
 	"caps/internal/stats"
 )
@@ -82,6 +85,23 @@ func TestRegistry(t *testing.T) {
 		gate := l.Diff(flag.NewFlagSet(l.Name+"-diff", flag.ContinueOnError))
 		if regs := gate(got, got, &text); len(regs) != 0 {
 			t.Errorf("%s: self-diff gated %v", l.Name, regs)
+		}
+	}
+}
+
+// TestStallShowWarnsOnTruncation requires capsprof stall to say when the
+// per-PC or per-CTA ledger hit its cap, since the tables then understate
+// activity; an untruncated profile renders without the warning.
+func TestStallShowWarnsOnTruncation(t *testing.T) {
+	for _, trunc := range []int64{0, 3} {
+		p := &profile.Profile{StallStack: map[string]int64{}, TruncatedPCs: trunc}
+		var stderr bytes.Buffer
+		render, code := Stall.Show(flag.NewFlagSet("stall", flag.ContinueOnError))(p, "p.json", io.Discard, &stderr)
+		if code != 0 || render == nil {
+			t.Fatalf("show step exited %d", code)
+		}
+		if got := strings.Contains(stderr.String(), "ledger cap reached"); got != (trunc > 0) {
+			t.Errorf("truncated %d: warning printed = %v:\n%s", trunc, got, &stderr)
 		}
 	}
 }

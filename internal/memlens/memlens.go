@@ -204,7 +204,7 @@ type bankStat struct {
 }
 
 // Collector is the streaming memory-hierarchy profiler. Attach it before
-// the first simulated cycle (sim.WithMemLens), Build its Profile after the run
+// the first simulated cycle (sim.WithConsumer), Build its Profile after the run
 // and Validate that against the run's statistics; internal/lenses does all
 // three. It implements obs.StreamFilter to decline the cycle-class stream,
 // so the sink never constructs per-cycle events on its behalf.

@@ -1,15 +1,15 @@
 // Package profile folds the obs event stream into CPI-style stall-cycle
 // stacks and a per-load-PC prefetch ledger, entirely online: the Collector
 // is an obs.Consumer with bounded memory, so profiling a 30M-cycle run
-// never buffers the trace. Build validates the core invariant — every SM
-// cycle is attributed to exactly one stall-stack bucket, and per SM the
-// buckets sum to the run's total cycles — and renders an immutable Profile
-// that can be serialized, diffed against another run (the CI perf gate),
-// or rendered as an HTML report.
+// never buffers the trace. Build renders an immutable Profile that can be
+// serialized, diffed against another run (the CI perf gate), or rendered
+// as a text or HTML report; Profile.Validate checks the core invariant —
+// every SM cycle is attributed to exactly one stall-stack bucket, and per
+// SM the buckets sum to the run's total cycles. It is the stall lens of
+// the registry (internal/lenses).
 package profile
 
 import (
-	"fmt"
 	"sort"
 
 	"caps/internal/obs"
@@ -35,11 +35,11 @@ type ledger struct {
 	distanceSum int64
 }
 
-// Collector is the streaming profiler. Attach it to a sink before the
-// first simulated cycle:
+// Collector is the streaming profiler. Attach it before the first
+// simulated cycle:
 //
 //	col := profile.NewCollector(cfg.NumSMs)
-//	snk.Attach(col)
+//	g, err := sim.New(cfg, k, sim.WithConsumer(col))
 //	... run ...
 //	p, err := col.Build(meta, st)
 type Collector struct {
@@ -175,14 +175,13 @@ func (c *Collector) Consume(e obs.Event) {
 	}
 }
 
-// Build validates the stall-stack invariant against the run's statistics
-// and renders the folded state as a Profile. The collector stays usable
-// (Build does not reset it), but a profile is a snapshot: keep feeding
-// events and Build again for a later view.
+// Build renders the folded state as a Profile and checks it against the
+// run's statistics (Profile.Validate). The profile is returned even when
+// the check fails: an aborted run's stacks are partial, and its profile is
+// still worth writing. The collector stays usable (Build does not reset
+// it), but a profile is a snapshot: keep feeding events and Build again for
+// a later view.
 func (c *Collector) Build(meta Meta, st *stats.Sim) (*Profile, error) {
-	if st == nil {
-		return nil, fmt.Errorf("profile: Build needs the run's stats")
-	}
 	p := &Profile{
 		Meta:            meta,
 		TotalCycles:     st.Cycles,
@@ -198,16 +197,10 @@ func (c *Collector) Build(meta Meta, st *stats.Sim) (*Profile, error) {
 	}
 	for sm := range c.classes {
 		stack := SMStack{SM: sm, Classes: make(map[string]int64, int(obs.NumCycleClasses))}
-		var sum int64
 		for cl := obs.CycleClass(0); cl < obs.NumCycleClasses; cl++ {
 			n := c.classes[sm][cl]
-			sum += n
 			stack.Classes[cl.String()] = n
 			p.StallStack[cl.String()] += n
-		}
-		if sum != st.Cycles {
-			return nil, fmt.Errorf("profile: SM %d stall stack sums to %d cycles, run has %d — a cycle went unclassified or double-counted",
-				sm, sum, st.Cycles)
 		}
 		p.SMs = append(p.SMs, stack)
 	}
@@ -229,7 +222,7 @@ func (c *Collector) Build(meta Meta, st *stats.Sim) (*Profile, error) {
 	for _, cta := range ctaKeys {
 		p.CTAs = append(p.CTAs, CTAEntry{CTA: cta, LedgerCounts: c.ctas[cta].counts()})
 	}
-	return p, nil
+	return p, p.Validate(st)
 }
 
 // counts converts the internal accumulator into the exported JSON shape

@@ -32,18 +32,6 @@ func DefaultThresholds() Thresholds {
 	return Thresholds{IPCFrac: 0.01, StallFrac: 0.01, CoverageAbs: 0.02, AccuracyAbs: 0.02}
 }
 
-// Regression is one metric that moved past its threshold.
-type Regression struct {
-	Metric  string  // e.g. "ipc", "stall_share[mem_structural]"
-	Base    float64 // baseline value
-	Cur     float64 // current value
-	Allowed float64 // the threshold that was exceeded
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%-30s base=%.4f cur=%.4f (allowed %.4f)", r.Metric, r.Base, r.Cur, r.Allowed)
-}
-
 // stallShare returns class's fraction of the profile's classified cycles.
 func stallShare(p *Profile, class string) float64 {
 	var total int64
@@ -58,10 +46,10 @@ func stallShare(p *Profile, class string) float64 {
 
 // Diff compares cur against base and returns every regression past the
 // thresholds. Improvements never regress; only movement in the bad
-// direction (IPC/coverage/accuracy down, stall share up) counts.
-func Diff(base, cur *Profile, th Thresholds) []Regression {
-	var out []Regression
-	out = append(out, diffHeadline("", headline(base), headline(cur), th)...)
+// direction (IPC/coverage/accuracy down, stall share up) counts. A
+// regression's Dimension names the metric ("ipc", "stall_share[idle]").
+func Diff(base, cur *Profile, th Thresholds) []lens.Regression {
+	regs := diffHeadline(nil, "", headline(base), headline(cur), th)
 	for c := obs.CycleClass(0); c < obs.NumCycleClasses; c++ {
 		if c == obs.CycleIssue {
 			continue // more issue cycles is the good direction
@@ -69,34 +57,28 @@ func Diff(base, cur *Profile, th Thresholds) []Regression {
 		name := c.String()
 		b, v := stallShare(base, name), stallShare(cur, name)
 		if v-b > th.StallFrac {
-			out = append(out, Regression{Metric: "stall_share[" + name + "]", Base: b, Cur: v, Allowed: th.StallFrac})
+			regs = append(regs, lens.Regression{Dimension: "stall_share[" + name + "]",
+				Detail: fmt.Sprintf("%s share of cycles rose %.1f points", name, (v-b)*100), Base: b, Cur: v})
 		}
 	}
-	return out
+	return regs
 }
 
-// headlineMetrics are the scalar metrics shared by profiles and bench
-// report entries, so one comparison covers both baseline formats.
-type headlineMetrics struct {
-	ipc, coverage, accuracy float64
+// headline is a profile's bench-report row, as far as the gate reads it:
+// profiles and reports share one headline comparison.
+func headline(p *Profile) BenchMetrics {
+	return BenchMetrics{IPC: p.IPC, Coverage: p.Coverage, Accuracy: p.Accuracy}
 }
 
-func headline(p *Profile) headlineMetrics {
-	return headlineMetrics{ipc: p.IPC, coverage: p.Coverage, accuracy: p.Accuracy}
-}
-
-func diffHeadline(prefix string, base, cur headlineMetrics, th Thresholds) []Regression {
-	var out []Regression
-	if base.ipc > 0 && (base.ipc-cur.ipc)/base.ipc > th.IPCFrac {
-		out = append(out, Regression{Metric: prefix + "ipc", Base: base.ipc, Cur: cur.ipc, Allowed: th.IPCFrac})
+// diffHeadline appends the headline regressions (IPC, prefetch coverage
+// and accuracy) to regs, each Dimension prefixed with prefix.
+func diffHeadline(regs []lens.Regression, prefix string, base, cur BenchMetrics, th Thresholds) []lens.Regression {
+	if base.IPC > 0 && (base.IPC-cur.IPC)/base.IPC > th.IPCFrac {
+		regs = append(regs, lens.Regression{Dimension: prefix + "ipc",
+			Detail: fmt.Sprintf("IPC dropped %.1f%%", (base.IPC-cur.IPC)/base.IPC*100), Base: base.IPC, Cur: cur.IPC})
 	}
-	if base.coverage-cur.coverage > th.CoverageAbs {
-		out = append(out, Regression{Metric: prefix + "coverage", Base: base.coverage, Cur: cur.coverage, Allowed: th.CoverageAbs})
-	}
-	if base.accuracy-cur.accuracy > th.AccuracyAbs {
-		out = append(out, Regression{Metric: prefix + "accuracy", Base: base.accuracy, Cur: cur.accuracy, Allowed: th.AccuracyAbs})
-	}
-	return out
+	regs = lens.Drop(regs, prefix+"coverage", "prefetch coverage", base.Coverage, cur.Coverage, th.CoverageAbs)
+	return lens.Drop(regs, prefix+"accuracy", "prefetch accuracy", base.Accuracy, cur.Accuracy, th.AccuracyAbs)
 }
 
 // BenchMetrics is one benchmark's row in BENCH_caps.json.
@@ -112,7 +94,7 @@ type BenchMetrics struct {
 
 // BenchReport is the machine-readable perf trajectory (BENCH_caps.json):
 // headline metrics for every benchmark under one prefetcher/scheduler
-// configuration. capsprof diff accepts it as a baseline.
+// configuration. capsprof bench-diff gates against it.
 type BenchReport struct {
 	Prefetcher string                  `json:"prefetcher"`
 	Scheduler  string                  `json:"scheduler"`
@@ -123,75 +105,93 @@ type BenchReport struct {
 // WriteFile writes the report to path, keys sorted by encoding/json.
 func (r *BenchReport) WriteFile(path string) error { return lens.WriteFile(path, r) }
 
-func benchHeadline(m BenchMetrics) headlineMetrics {
-	return headlineMetrics{ipc: m.IPC, coverage: m.Coverage, accuracy: m.Accuracy}
-}
-
-// DiffBench compares a profile against the matching benchmark row of a
+// diffBench compares a profile against the matching benchmark row of a
 // bench report (stall stacks are absent from reports, so only headline
 // metrics are gated).
-func DiffBench(base *BenchReport, cur *Profile, th Thresholds) ([]Regression, error) {
+func diffBench(base *BenchReport, cur *Profile, th Thresholds) ([]lens.Regression, error) {
 	row, ok := base.Benchmarks[cur.Meta.Bench]
 	if !ok {
 		return nil, fmt.Errorf("profile: baseline report has no benchmark %q", cur.Meta.Bench)
 	}
-	return diffHeadline("", benchHeadline(row), headline(cur), th), nil
+	return diffHeadline(nil, "", row, headline(cur), th), nil
 }
 
-// DiffBenchReports compares two bench reports benchmark by benchmark over
-// their common set.
-func DiffBenchReports(base, cur *BenchReport, th Thresholds) []Regression {
+// diffBenchReports compares two bench reports benchmark by benchmark over
+// their common set; each Dimension is prefixed with the benchmark
+// ("MM.ipc").
+func diffBenchReports(base, cur *BenchReport, th Thresholds) []lens.Regression {
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks { //simcheck:allow detlint keys sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var out []Regression
+	var regs []lens.Regression
 	for _, name := range names {
-		b, ok := base.Benchmarks[name]
-		if !ok {
-			continue
+		if b, ok := base.Benchmarks[name]; ok {
+			regs = diffHeadline(regs, name+".", b, cur.Benchmarks[name], th)
 		}
-		out = append(out, diffHeadline(name+".", benchHeadline(b), benchHeadline(cur.Benchmarks[name]), th)...)
 	}
-	return out
+	return regs
 }
 
-// Baseline is either a full Profile or a BenchReport row set — the two
-// document shapes capsprof diff accepts. Exactly one field is non-nil.
-type Baseline struct {
+// GateBench is capsprof bench-diff: it gates the document at curPath — a
+// bench report or a profile — against the bench report at basePath. An
+// error is an input that cannot be compared: unreadable, a profile as the
+// base, or a profile of a benchmark the report does not list.
+func GateBench(basePath, curPath string, th Thresholds) ([]lens.Regression, error) {
+	base, err := readBaseline(basePath)
+	if err != nil {
+		return nil, err
+	}
+	if base.Bench == nil {
+		return nil, fmt.Errorf("%s: a profile cannot baseline a bench report (pass the bench report first)", basePath)
+	}
+	cur, err := readBaseline(curPath)
+	if err != nil {
+		return nil, err
+	}
+	if cur.Bench != nil {
+		return diffBenchReports(base.Bench, cur.Bench, th), nil
+	}
+	return diffBench(base.Bench, cur.Profile, th)
+}
+
+// baseline is either a full Profile or a BenchReport row set — the two
+// document shapes capsprof bench-diff accepts. Exactly one field is
+// non-nil.
+type baseline struct {
 	Profile *Profile
 	Bench   *BenchReport
 }
 
-// ReadBaseline sniffs path's document shape: profiles carry a "meta"
+// readBaseline sniffs path's document shape: profiles carry a "meta"
 // object, bench reports a "benchmarks" object.
-func ReadBaseline(path string) (Baseline, error) {
+func readBaseline(path string) (baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Baseline{}, err
+		return baseline{}, err
 	}
 	var probe struct {
 		Meta       *json.RawMessage `json:"meta"`
 		Benchmarks *json.RawMessage `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return Baseline{}, fmt.Errorf("%s: not a JSON document: %w", path, err)
+		return baseline{}, fmt.Errorf("%s: not a JSON document: %w", path, err)
 	}
 	switch {
 	case probe.Meta != nil:
 		var p Profile
 		if err := json.Unmarshal(data, &p); err != nil {
-			return Baseline{}, fmt.Errorf("%s: parse profile: %w", path, err)
+			return baseline{}, fmt.Errorf("%s: parse profile: %w", path, err)
 		}
-		return Baseline{Profile: &p}, nil
+		return baseline{Profile: &p}, nil
 	case probe.Benchmarks != nil:
 		var r BenchReport
 		if err := json.Unmarshal(data, &r); err != nil {
-			return Baseline{}, fmt.Errorf("%s: parse bench report: %w", path, err)
+			return baseline{}, fmt.Errorf("%s: parse bench report: %w", path, err)
 		}
-		return Baseline{Bench: &r}, nil
+		return baseline{Bench: &r}, nil
 	default:
-		return Baseline{}, fmt.Errorf("%s: neither a profile (no \"meta\") nor a bench report (no \"benchmarks\")", path)
+		return baseline{}, fmt.Errorf("%s: neither a profile (no \"meta\") nor a bench report (no \"benchmarks\")", path)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"caps/internal/lens"
 )
 
 // Edge-case coverage for the diff gate: the comparisons capsprof runs
@@ -16,12 +18,12 @@ func emptyProfile() *Profile {
 	return &Profile{Meta: Meta{Bench: "MM", Prefetcher: "none", Scheduler: "tlv"}}
 }
 
-func assertFinite(t *testing.T, regs []Regression) {
+func assertFinite(t *testing.T, regs []lens.Regression) {
 	t.Helper()
 	for _, r := range regs {
-		for name, v := range map[string]float64{"base": r.Base, "cur": r.Cur, "allowed": r.Allowed} {
+		for name, v := range map[string]float64{"base": r.Base, "cur": r.Cur} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("regression %s has non-finite %s value %v", r.Metric, name, v)
+				t.Errorf("regression %s has non-finite %s value %v", r.Dimension, name, v)
 			}
 		}
 	}
@@ -47,7 +49,7 @@ func TestDiffEmptyBase(t *testing.T) {
 	regs := Diff(emptyProfile(), cur, DefaultThresholds())
 	assertFinite(t, regs)
 	for _, r := range regs {
-		if r.Metric == "ipc" {
+		if r.Dimension == "ipc" {
 			t.Errorf("zero-IPC base produced an ipc regression: %+v", r)
 		}
 	}
@@ -69,7 +71,7 @@ func TestDiffEmptyCurrent(t *testing.T) {
 	assertFinite(t, regs)
 	want := map[string]bool{"ipc": true, "coverage": true, "accuracy": true}
 	for _, r := range regs {
-		delete(want, r.Metric)
+		delete(want, r.Dimension)
 	}
 	if len(want) != 0 {
 		t.Errorf("missing expected headline regressions %v in %v", want, regs)
@@ -111,7 +113,7 @@ func TestDiffZeroCycleRun(t *testing.T) {
 	regs := Diff(base, zero, DefaultThresholds())
 	assertFinite(t, regs)
 	for _, r := range regs {
-		if strings.HasPrefix(r.Metric, "stall_share") {
+		if strings.HasPrefix(r.Dimension, "stall_share") {
 			t.Errorf("zero-cycle run produced a stall-share regression: %+v", r)
 		}
 	}
@@ -125,7 +127,7 @@ func TestDiffBenchMissingBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := &BenchReport{Benchmarks: map[string]BenchMetrics{"OTHER": {IPC: 1}}}
-	if _, err := DiffBench(base, cur, DefaultThresholds()); err == nil {
-		t.Fatal("DiffBench accepted a baseline without the profile's benchmark")
+	if _, err := diffBench(base, cur, DefaultThresholds()); err == nil {
+		t.Fatal("diffBench accepted a baseline without the profile's benchmark")
 	}
 }

@@ -1,10 +1,11 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
+
+	"caps/internal/lens"
+	"caps/internal/obs"
+	"caps/internal/stats"
 )
 
 // Meta identifies the run a profile was taken from.
@@ -55,7 +56,7 @@ type SMStack struct {
 // Profile is one run's complete attribution: headline metrics, the
 // machine-wide and per-SM stall stacks, and the per-PC / per-CTA prefetch
 // ledgers. It is the JSON document capsim -profile writes and capsprof
-// consumes.
+// stall reads.
 type Profile struct {
 	Meta            Meta             `json:"meta"`
 	TotalCycles     int64            `json:"total_cycles"`
@@ -73,45 +74,32 @@ type Profile struct {
 	TruncatedCTAs   int64            `json:"truncated_ctas,omitempty"`
 }
 
-// WriteJSON serializes the profile, indented for diff-friendliness.
-func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+// Validate checks the stall-stack invariant against the run's statistics:
+// per SM, the buckets sum to the run's cycles. Only a completed run must
+// hold it; an aborted run stops mid-cycle.
+func (p *Profile) Validate(st *stats.Sim) error {
+	for _, sm := range p.SMs {
+		var sum int64
+		for c := obs.CycleClass(0); c < obs.NumCycleClasses; c++ {
+			sum += sm.Classes[c.String()]
+		}
+		if sum != st.Cycles {
+			return fmt.Errorf("profile: SM %d stall stack sums to %d cycles, run has %d — a cycle went unclassified or double-counted",
+				sm.SM, sum, st.Cycles)
+		}
+	}
+	return nil
 }
 
-// WriteFile writes the profile to path.
-func (p *Profile) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// WriteFile writes the profile to path as indented JSON.
+func (p *Profile) WriteFile(path string) error { return lens.WriteFile(path, p) }
 
-// ReadJSON parses a profile document.
-func ReadJSON(r io.Reader) (*Profile, error) {
-	var p Profile
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("profile: parse: %w", err)
-	}
-	return &p, nil
-}
-
-// ReadFile loads a profile from path.
+// ReadFile loads a profile written by WriteFile. A JSON object without a
+// stall stack — a bench report, say — is not a profile.
 func ReadFile(path string) (*Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	p, err := lens.ReadFile[Profile](path, "profile")
+	if err == nil && p.StallStack == nil {
+		return nil, fmt.Errorf("profile: %s has no stall stack", path)
 	}
-	defer f.Close()
-	p, err := ReadJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
+	return p, err
 }

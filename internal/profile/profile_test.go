@@ -2,6 +2,8 @@ package profile
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,8 +76,17 @@ func TestCollectorBuild(t *testing.T) {
 func TestBuildRejectsUnbalancedStack(t *testing.T) {
 	c, st := feed(t)
 	st.Cycles = 5 // the collector only saw 3 classified cycles per SM
-	if _, err := c.Build(testMeta(), st); err == nil {
+	p, err := c.Build(testMeta(), st)
+	if err == nil {
 		t.Fatal("Build accepted a stall stack that does not sum to Cycles")
+	}
+	// The partial profile still comes back, and Validate gives the same
+	// verdict: an aborted run writes it unvalidated.
+	if p == nil || p.TotalCycles != 5 || len(p.SMs) != 2 {
+		t.Fatalf("Build returned %+v with its error, want the partial profile", p)
+	}
+	if verr := p.Validate(st); verr == nil || verr.Error() != err.Error() {
+		t.Fatalf("Validate = %v, want Build's error %v", verr, err)
 	}
 }
 
@@ -85,11 +96,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "run.profile.json")
+	if err := p.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	q, err := ReadJSON(&buf)
+	q, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestDiffFlagsInjectedIPCRegression(t *testing.T) {
 	cur := *base
 	cur.IPC = base.IPC * 0.9 // 10% drop against a 1% gate
 	regs := Diff(base, &cur, DefaultThresholds())
-	if len(regs) != 1 || regs[0].Metric != "ipc" {
+	if len(regs) != 1 || regs[0].Dimension != "ipc" {
 		t.Fatalf("regressions = %v, want exactly [ipc]", regs)
 	}
 }
@@ -143,7 +154,7 @@ func TestDiffFlagsStallShareShift(t *testing.T) {
 	regs := Diff(base, &cur, DefaultThresholds())
 	found := false
 	for _, r := range regs {
-		if r.Metric == "stall_share[mem_structural]" {
+		if r.Dimension == "stall_share[mem_structural]" {
 			found = true
 		}
 	}
@@ -178,7 +189,7 @@ func TestBenchReportDiff(t *testing.T) {
 			"MM": {IPC: cur.IPC, Coverage: cur.Coverage, Accuracy: cur.Accuracy},
 		},
 	}
-	regs, err := DiffBench(base, cur, DefaultThresholds())
+	regs, err := diffBench(base, cur, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +197,14 @@ func TestBenchReportDiff(t *testing.T) {
 		t.Fatalf("matching baseline produced regressions: %v", regs)
 	}
 	base.Benchmarks["MM"] = BenchMetrics{IPC: cur.IPC * 2}
-	regs, err = DiffBench(base, cur, DefaultThresholds())
+	regs, err = diffBench(base, cur, DefaultThresholds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 1 || regs[0].Metric != "ipc" {
+	if len(regs) != 1 || regs[0].Dimension != "ipc" {
 		t.Fatalf("regressions = %v, want [ipc]", regs)
 	}
-	if _, err := DiffBench(base, &Profile{Meta: Meta{Bench: "nope"}}, DefaultThresholds()); err == nil {
+	if _, err := diffBench(base, &Profile{Meta: Meta{Bench: "nope"}}, DefaultThresholds()); err == nil {
 		t.Fatal("missing benchmark in baseline not reported")
 	}
 }
@@ -205,8 +216,8 @@ func TestDiffBenchReports(t *testing.T) {
 	cur := &BenchReport{Benchmarks: map[string]BenchMetrics{
 		"MM": {IPC: 0.5}, "CNV": {IPC: 2.0}, "BFS": {IPC: 1.0},
 	}}
-	regs := DiffBenchReports(base, cur, DefaultThresholds())
-	if len(regs) != 1 || regs[0].Metric != "MM.ipc" {
+	regs := diffBenchReports(base, cur, DefaultThresholds())
+	if len(regs) != 1 || regs[0].Dimension != "MM.ipc" {
 		t.Fatalf("regressions = %v, want [MM.ipc]", regs)
 	}
 }
@@ -218,21 +229,28 @@ func TestReadBaselineSniffsFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profPath := dir + "/run.profile.json"
+	profPath := filepath.Join(dir, "run.profile.json")
 	if err := p.WriteFile(profPath); err != nil {
 		t.Fatal(err)
 	}
-	benchPath := dir + "/bench.json"
+	benchPath := filepath.Join(dir, "bench.json")
 	r := &BenchReport{Benchmarks: map[string]BenchMetrics{"MM": {IPC: 1}}}
 	if err := r.WriteFile(benchPath); err != nil {
 		t.Fatal(err)
 	}
 
-	if b, err := ReadBaseline(profPath); err != nil || b.Profile == nil || b.Bench != nil {
+	if b, err := readBaseline(profPath); err != nil || b.Profile == nil || b.Bench != nil {
 		t.Fatalf("profile sniff failed: %+v, %v", b, err)
 	}
-	if b, err := ReadBaseline(benchPath); err != nil || b.Bench == nil || b.Profile != nil {
+	if b, err := readBaseline(benchPath); err != nil || b.Bench == nil || b.Profile != nil {
 		t.Fatalf("bench sniff failed: %+v, %v", b, err)
+	}
+	nullPath := filepath.Join(dir, "null.json")
+	if err := os.WriteFile(nullPath, []byte("null\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := readBaseline(nullPath); err == nil {
+		t.Fatalf("a JSON null sniffed as %+v", b)
 	}
 }
 
@@ -243,7 +261,7 @@ func TestWriteHTML(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteHTML(&buf, p); err != nil {
+	if err := p.WriteHTML(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

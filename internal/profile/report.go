@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"html"
 	"io"
+	"sort"
 	"strings"
 
 	"caps/internal/obs"
@@ -20,11 +21,45 @@ var classColors = [obs.NumCycleClasses]string{
 	obs.CycleIdle:          "#cfd8dc",
 }
 
+// topPCs is how many load PCs WriteText lists.
+const topPCs = 5
+
+// WriteText renders a terminal summary: the headline metrics, the
+// machine-wide stall stack as shares of SM cycles, and the load PCs with
+// the most prefetch candidates.
+func (p *Profile) WriteText(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "stall profile: %s / %s / %s  (%d cycles, %d SMs)\n",
+		p.Meta.Bench, p.Meta.Prefetcher, p.Meta.Scheduler, p.TotalCycles, len(p.SMs))
+	fmt.Fprintf(&b, "  IPC %.4f over %d instructions; prefetch coverage %.1f%%, accuracy %.1f%%, early-evict %.1f%%, mean distance %.0f cy\n",
+		p.IPC, p.Instructions, p.Coverage*100, p.Accuracy*100, p.EarlyEvictRatio*100, p.MeanDistance)
+	b.WriteString("  stall stack (share of SM cycles):\n")
+	for c := obs.CycleClass(0); c < obs.NumCycleClasses; c++ {
+		name := c.String()
+		fmt.Fprintf(&b, "    %-16s %12d  %5.1f%%\n", name, p.StallStack[name], stallShare(p, name)*100)
+	}
+	pcs := append([]PCEntry(nil), p.PCs...)
+	sort.SliceStable(pcs, func(i, j int) bool { return pcs[i].Candidates > pcs[j].Candidates })
+	if len(pcs) > topPCs {
+		pcs = pcs[:topPCs]
+	}
+	fmt.Fprintf(&b, "  top load PCs by prefetch candidates (%d of %d):\n", len(pcs), len(p.PCs))
+	for _, e := range pcs {
+		fmt.Fprintf(&b, "    pc %#06x: %8d candidates  %8d admits  %8d consumes  accuracy %5.1f%%  mean distance %.0f cy\n",
+			e.PC, e.Candidates, e.Admits, e.Consumes, e.Accuracy*100, e.MeanDistance)
+	}
+	if p.TruncatedPCs > 0 || p.TruncatedCTAs > 0 {
+		fmt.Fprintf(&b, "  WARNING: ledger cap reached — %d PC and %d CTA events uncounted\n", p.TruncatedPCs, p.TruncatedCTAs)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // WriteHTML renders a self-contained report: headline metrics, an SVG
 // stall stack per SM (plus the machine aggregate), and the per-PC prefetch
 // ledger table. No external assets, so the file can be archived with run
 // results and opened anywhere.
-func WriteHTML(w io.Writer, p *Profile) error {
+func (p *Profile) WriteHTML(w io.Writer) error {
 	var b strings.Builder
 	title := fmt.Sprintf("capsprof — %s / %s / %s", p.Meta.Bench, p.Meta.Prefetcher, p.Meta.Scheduler)
 	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>")

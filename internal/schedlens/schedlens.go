@@ -42,7 +42,7 @@ type ctaRec struct {
 }
 
 // Collector is the streaming scheduler/CTA-decision profiler. Attach it before
-// the first simulated cycle (sim.WithSchedLens), Build its Profile after the run
+// the first simulated cycle (sim.WithConsumer), Build its Profile after the run
 // and Validate that against the run's statistics; internal/lenses does all
 // three. It implements obs.StreamFilter to decline the cycle-class stream,
 // so the sink never constructs per-cycle events on its behalf.

@@ -26,7 +26,7 @@ func TestMemLensPreservesSimState(t *testing.T) {
 			opts = append(opts, withoutFastForward())
 		}
 		if ml != nil {
-			opts = append(opts, WithMemLens(ml))
+			opts = append(opts, WithConsumer(ml))
 		}
 		g, err := New(cfg, k, opts...)
 		if err != nil {
@@ -62,7 +62,7 @@ func TestMemLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 	var base *memlens.Profile
 	for _, fastForward := range []bool{true, false} {
 		ml := memlens.ForConfig(cfg)
-		opts := []Option{WithPrefetcher("caps"), WithMemLens(ml)}
+		opts := []Option{WithPrefetcher("caps"), WithConsumer(ml)}
 		if !fastForward {
 			opts = append(opts, withoutFastForward())
 		}
@@ -115,7 +115,7 @@ func TestMemLensValidatesAllBenchmarks(t *testing.T) {
 		t.Run(k.Abbr, func(t *testing.T) {
 			t.Parallel()
 			ml := memlens.ForConfig(cfg)
-			g, err := New(cfg, k, WithPrefetcher("caps"), WithMemLens(ml))
+			g, err := New(cfg, k, WithPrefetcher("caps"), WithConsumer(ml))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func BenchmarkNoMemLensOverhead(b *testing.B) { benchLens(b, obsConfig(), "MM", 
 
 // attachMemLens attaches a memlens collector (benchLens).
 func attachMemLens(cfg config.GPUConfig, _ *obs.Sink) []Option {
-	return []Option{WithMemLens(memlens.ForConfig(cfg))}
+	return []Option{WithConsumer(memlens.ForConfig(cfg))}
 }
 
 // TestMemLensOverhead is a coarser gate in test form, opt-in via
@@ -163,7 +163,7 @@ func TestMemLensOverhead(t *testing.T) {
 	run := func(attach bool) time.Duration {
 		opts := []Option{WithPrefetcher("caps")}
 		if attach {
-			opts = append(opts, WithMemLens(memlens.ForConfig(cfg)))
+			opts = append(opts, WithConsumer(memlens.ForConfig(cfg)))
 		}
 		g, err := New(cfg, k, opts...)
 		if err != nil {

@@ -33,7 +33,7 @@ type options struct {
 	perturbPrefetchAt int64
 	hostProf          *hostprof.Profiler
 	// lenses are the streaming profilers riding the obs event stream
-	// (WithMemLens, WithSchedLens), attached in option order.
+	// (WithConsumer), attached in option order.
 	lenses []obs.Consumer
 	// tickEvery makes Step tick every SM on every cycle, settling window
 	// cycles one tick at a time: the reference the window-skip
@@ -123,12 +123,12 @@ func WithHostProf(p *hostprof.Profiler) Option {
 	return func(o *options) { o.hostProf = p }
 }
 
-// WithMemLens attaches a memory-hierarchy lens (see internal/memlens) to
-// the obs event stream, creating a metrics-only sink when the run has
-// none. It declines the per-cycle class stream and only observes: results
-// are bit-identical with or without it. Size the collector with
-// memlens.ForConfig(cfg); a nil collector attaches nothing.
-func WithMemLens(c *memlens.Collector) Option {
+// WithConsumer attaches a streaming profiler (a lens collector: the
+// stall-stack profile, memlens, schedlens) to the obs event stream,
+// creating a metrics-only sink when the run has none. Consumers attach in
+// option order and only observe: results are bit-identical with or
+// without them. A nil consumer attaches nothing.
+func WithConsumer(c obs.Consumer) Option {
 	return func(o *options) {
 		if c != nil {
 			o.lenses = append(o.lenses, c)
@@ -136,16 +136,26 @@ func WithMemLens(c *memlens.Collector) Option {
 	}
 }
 
-// WithSchedLens attaches a scheduler/CTA-decision lens (see
-// internal/schedlens) exactly as WithMemLens attaches memlens. Size the
-// collector with schedlens.ForConfig(cfg); a nil collector attaches
-// nothing.
-func WithSchedLens(c *schedlens.Collector) Option {
-	return func(o *options) {
-		if c != nil {
-			o.lenses = append(o.lenses, c)
-		}
+// WithMemLens attaches a memlens collector through WithConsumer; a nil
+// collector attaches nothing.
+//
+// Deprecated: use WithConsumer.
+func WithMemLens(c *memlens.Collector) Option {
+	if c == nil {
+		return nil
 	}
+	return WithConsumer(c)
+}
+
+// WithSchedLens attaches a schedlens collector through WithConsumer; a nil
+// collector attaches nothing.
+//
+// Deprecated: use WithConsumer.
+func WithSchedLens(c *schedlens.Collector) Option {
+	if c == nil {
+		return nil
+	}
+	return WithConsumer(c)
 }
 
 // WithIdleSkip is a no-op kept for callers written when the idle-cycle

@@ -29,7 +29,7 @@ func TestSchedLensPreservesSimState(t *testing.T) {
 			opts = append(opts, withoutFastForward())
 		}
 		if sl != nil {
-			opts = append(opts, WithSchedLens(sl))
+			opts = append(opts, WithConsumer(sl))
 		}
 		g, err := New(cfg, k, opts...)
 		if err != nil {
@@ -67,7 +67,7 @@ func TestSchedLensReconcilesAndIsExecutorInvariant(t *testing.T) {
 	var base []byte
 	for _, fastForward := range []bool{false, true} {
 		sl := schedlens.ForConfig(cfg)
-		opts := []Option{WithPrefetcher("caps"), WithSchedLens(sl)}
+		opts := []Option{WithPrefetcher("caps"), WithConsumer(sl)}
 		if !fastForward {
 			opts = append(opts, withoutFastForward())
 		}
@@ -117,7 +117,7 @@ func TestSchedLensValidatesAllBenchmarks(t *testing.T) {
 		t.Run(k.Abbr, func(t *testing.T) {
 			t.Parallel()
 			sl := schedlens.ForConfig(cfg)
-			g, err := New(cfg, k, WithPrefetcher("caps"), WithSchedLens(sl))
+			g, err := New(cfg, k, WithPrefetcher("caps"), WithConsumer(sl))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func BenchmarkNoSchedLensOverhead(b *testing.B) { benchLens(b, obsConfig(), "MM"
 
 // attachSchedLens attaches a schedlens collector (benchLens).
 func attachSchedLens(cfg config.GPUConfig, _ *obs.Sink) []Option {
-	return []Option{WithSchedLens(schedlens.ForConfig(cfg))}
+	return []Option{WithConsumer(schedlens.ForConfig(cfg))}
 }
 
 // TestSchedLensOverhead is a coarser gate in test form, opt-in via
@@ -222,7 +222,7 @@ func TestSchedLensOverhead(t *testing.T) {
 	run := func(attach bool) time.Duration {
 		opts := []Option{WithPrefetcher("caps")}
 		if attach {
-			opts = append(opts, WithSchedLens(schedlens.ForConfig(cfg)))
+			opts = append(opts, WithConsumer(schedlens.ForConfig(cfg)))
 		}
 		g, err := New(cfg, k, opts...)
 		if err != nil {

@@ -148,7 +148,7 @@ func runSubscribed(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, fastFo
 		snk.Attach(col)
 		if attach == "lenses" {
 			ml, sl = memlens.ForConfig(cfg), schedlens.ForConfig(cfg)
-			opts = append(opts, WithMemLens(ml), WithSchedLens(sl))
+			opts = append(opts, WithConsumer(ml), WithConsumer(sl))
 		}
 	case "catch-all":
 		cnt = &resFailCounter{n: map[string]int64{}}
@@ -177,4 +177,35 @@ func runSubscribed(t *testing.T, cfg config.GPUConfig, k *kernels.Kernel, fastFo
 		r.fails = cnt.n
 	}
 	return r
+}
+
+// TestLensOptionsAttach pins the consumer options: WithConsumer and its
+// typed forwarders attach a collector (creating the run's sink), and a nil
+// collector through any of them attaches nothing.
+func TestLensOptionsAttach(t *testing.T) {
+	cfg := obsConfig()
+	k, err := kernels.ByAbbr("MM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(cfg, k, WithConsumer(nil), WithMemLens(nil), WithSchedLens(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.snk != nil {
+		t.Fatal("nil collectors created a sink")
+	}
+	for _, opt := range []Option{
+		WithConsumer(profile.NewCollector(cfg.NumSMs)),
+		WithMemLens(memlens.ForConfig(cfg)),
+		WithSchedLens(schedlens.ForConfig(cfg)),
+	} {
+		g, err := New(cfg, k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.snk == nil {
+			t.Error("a collector attached no sink")
+		}
+	}
 }

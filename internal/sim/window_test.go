@@ -88,7 +88,7 @@ func runWindowed(t *testing.T, k *kernels.Kernel, variant string, opts ...Option
 		col = profile.NewCollector(cfg.NumSMs)
 		snk.Attach(col)
 		ml, sl = memlens.ForConfig(cfg), schedlens.ForConfig(cfg)
-		opts = append(opts, WithObs(snk), WithMemLens(ml), WithSchedLens(sl))
+		opts = append(opts, WithObs(snk), WithConsumer(ml), WithConsumer(sl))
 	}
 	g, err := New(cfg, k, opts...)
 	if err != nil {
