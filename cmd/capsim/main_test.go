@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,6 +58,52 @@ func TestRun(t *testing.T) {
 	}
 	if _, err := lenses.Stall.Load(aborted); err != nil {
 		t.Errorf("the aborted run's profile does not load: %v", err)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/MM-caps-20k.metrics.csv")
+
+// mmTraceSHA256 is the digest of the -trace Chrome JSON of the run
+// TestMetricsAndTracePinned makes (about 11 MB, too large to commit).
+const mmTraceSHA256 = "99c4e1b04d0fbd27bcfec334dbbbc670c713f8db44d2a8397c196de909797572"
+
+// TestMetricsAndTracePinned pins the observability output of a 20k MM
+// CAPS run byte for byte: the -metrics CSV against a committed golden
+// file and the -trace JSON by its SHA-256. Run `go test ./cmd/capsim -run
+// TestMetricsAndTracePinned -update` to rewrite the CSV after a deliberate
+// change in the counters; a deliberate trace change updates the digest.
+func TestMetricsAndTracePinned(t *testing.T) {
+	dir := t.TempDir()
+	csv, trace := filepath.Join(dir, "m.csv"), filepath.Join(dir, "t.json")
+	args := []string{"-bench", "MM", "-prefetch", "caps", "-insts", "20000", "-metrics", csv, "-trace", trace}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%q) = %d\nstderr:\n%s", args, code, &stderr)
+	}
+	got, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "MM-caps-20k.metrics.csv")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-metrics CSV differs from %s (%d bytes, want %d)", golden, len(got), len(want))
+	}
+	tr, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(tr)
+	if d := hex.EncodeToString(sum[:]); d != mmTraceSHA256 {
+		t.Errorf("-trace JSON digest = %s, want %s (%d bytes)", d, mmTraceSHA256, len(tr))
 	}
 }
 
