@@ -152,8 +152,8 @@ func BenchmarkTableIV(b *testing.B) {
 // flight recorder against BenchmarkNoFlightRecorder: the same run, same
 // metrics sink, with and without the black box attached. The recorder
 // budget is <2% — its hot path is one ring store per event, no
-// allocation, and it opts out of the per-SM-per-cycle EvCycleClass
-// stream (obs.StreamFilter).
+// allocation, and its obs.KindFilter declines the per-SM-per-cycle
+// EvCycleClass stream.
 func BenchmarkFlightRecorder(b *testing.B)   { benchFlightRun(b, true) }
 func BenchmarkNoFlightRecorder(b *testing.B) { benchFlightRun(b, false) }
 

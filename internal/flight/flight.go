@@ -153,9 +153,6 @@ func makeRings(backing []obs.Event, n, per int) ([]ring, []obs.Event) {
 // Consume implements obs.Consumer: route the event to its unit's ring.
 // This is the recorder's hot path — no allocation, no map, one store.
 func (r *Recorder) Consume(e obs.Event) {
-	if e.Kind == obs.EvCycleClass && !r.cfg.KeepCycleClass {
-		return
-	}
 	t := int(e.Track)
 	switch {
 	case t < 0:
@@ -169,15 +166,17 @@ func (r *Recorder) Consume(e obs.Event) {
 	}
 }
 
-// WantsCycleClass implements obs.StreamFilter: unless configured to keep
-// them, the recorder asks the sink not to construct the per-SM-per-cycle
-// EvCycleClass events at all — that stream alone would otherwise dominate
-// the recorder's overhead for events it immediately discards.
-func (r *Recorder) WantsCycleClass() bool { return r.cfg.KeepCycleClass }
+// WantsKind implements obs.KindFilter: unless configured to keep them,
+// the recorder declines EvCycleClass, so the sink never constructs the
+// per-SM-per-cycle events at all — that stream alone would otherwise
+// dominate the recorder's overhead. Every other kind is kept.
+func (r *Recorder) WantsKind(k obs.Kind) bool {
+	return k != obs.EvCycleClass || r.cfg.KeepCycleClass
+}
 
 var (
-	_ obs.Consumer     = (*Recorder)(nil)
-	_ obs.StreamFilter = (*Recorder)(nil)
+	_ obs.Consumer   = (*Recorder)(nil)
+	_ obs.KindFilter = (*Recorder)(nil)
 )
 
 // Config returns the recorder's (default-filled) configuration.

@@ -34,12 +34,14 @@ func TestRingRotationKeepsNewestOldestFirst(t *testing.T) {
 
 func TestConsumeRoutesByDomainAndDropsCycleClass(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{SMs: 2, Partitions: 1, Channels: 1, PerSM: 8, PerPart: 8, PerChan: 8, PerRun: 8})
+	snk := obs.New(obs.Config{SMs: 2, Partitions: 1, Channels: 1})
+	snk.Attach(rec)
 	rec.Consume(smEvent(1, 0, obs.EvWarpDispatch, 0))
 	rec.Consume(smEvent(2, 1, obs.EvWarpDispatch, 0))
 	rec.Consume(obs.Event{Cycle: 3, Kind: obs.EvRowHit, Dom: obs.DomDRAM, Track: 0})
 	rec.Consume(obs.Event{Cycle: 4, Kind: obs.EvMSHRAlloc, Dom: obs.DomPart, Track: 0})
 	rec.Consume(obs.Event{Cycle: 5, Kind: obs.EvProgress, Track: -1})
-	rec.Consume(smEvent(6, 0, obs.EvCycleClass, 0))   // dropped by default
+	snk.CycleClass(6, 0, obs.CycleIssue, 1)           // declined by default (WantsKind)
 	rec.Consume(smEvent(7, 9, obs.EvWarpDispatch, 0)) // out-of-range track: dropped
 
 	got := rec.Events()
@@ -53,7 +55,9 @@ func TestConsumeRoutesByDomainAndDropsCycleClass(t *testing.T) {
 	}
 
 	keep := NewRecorder(RecorderConfig{SMs: 1, PerSM: 8, PerPart: 8, PerChan: 8, PerRun: 8, KeepCycleClass: true})
-	keep.Consume(smEvent(1, 0, obs.EvCycleClass, 0))
+	keepSnk := obs.New(obs.Config{SMs: 1})
+	keepSnk.Attach(keep)
+	keepSnk.CycleClass(1, 0, obs.CycleIssue, 1)
 	if n := len(keep.Events()); n != 1 {
 		t.Errorf("KeepCycleClass recorder kept %d events, want 1", n)
 	}

@@ -1,5 +1,7 @@
 package obs
 
+import "strconv"
+
 // Config sizes a Sink for one GPU: one metrics block and one trace track
 // per SM, memory partition and DRAM channel.
 type Config struct {
@@ -14,44 +16,88 @@ type Config struct {
 	TraceCap int
 }
 
-// cacheMetrics is the counter block of one cache: an SM's L1 (inside
-// smMetrics) or one L2 slice.
-type cacheMetrics struct {
-	mshrAlloc, mshrMerge      *Counter
-	resFailMSHR, resFailQueue *Counter
-	access                    [NumAccessClasses]*Counter
+// kindRow is one event kind's entry in the record table: the counter
+// family it bumps in each domain, the qualifier label its Arg selects, and
+// whether the bounded trace buffer keeps it.
+type kindRow struct {
+	// family names the counter family per domain, "" where the kind is not
+	// counted. A counted kind's event for a domain without a family or for
+	// a unit the sink does not have is dropped.
+	family [numDomains]string
+	// key and values are the qualifier label: Arg (the access class of a
+	// PackAccess-encoded Arg when access is set) indexes values, and an
+	// event whose Arg is past the end is dropped. A kind without values
+	// carries no label in Arg.
+	key    string
+	values []string
+	access bool
+	// stream kinds bypass the trace buffer: they fire per SM cycle, per
+	// cache access or per progress beat and would displace the lifecycle
+	// history from a bounded trace. Consumers still receive them.
+	stream bool
 }
 
-// resFail picks the reservation-fail counter for ResFail's label.
-func (m *cacheMetrics) resFail(queueFull bool) *Counter {
-	if queueFull {
-		return m.resFailQueue
+// family shorthands: counted on the SM only, and at both cache levels
+// (an SM's L1, an L2 slice).
+func smFamily(name string) [numDomains]string {
+	return [numDomains]string{DomSM: name}
+}
+func cacheFamily(l1, l2 string) [numDomains]string {
+	return [numDomains]string{DomSM: l1, DomPart: l2}
+}
+
+// kinds is the record table: every counter is a function of its event.
+var kinds = [numKinds]kindRow{
+	EvCTALaunch:      {family: smFamily("cta_launch_total")},
+	EvCTAFinish:      {family: smFamily("cta_finish_total")},
+	EvWarpDispatch:   {family: smFamily("warp_dispatch_total")},
+	EvWarpStallBegin: {family: smFamily("warp_stall_begin_total")},
+	EvWarpStallEnd:   {family: smFamily("warp_stall_end_total")},
+	EvWarpBarrier:    {family: smFamily("warp_barrier_total")},
+	EvWarpFinish:     {family: smFamily("warp_finish_total")},
+	EvSchedPromote:   {family: smFamily("sched_promote_total")},
+	EvSchedDemote:    {family: smFamily("sched_demote_total")},
+	EvSchedWakeup:    {family: smFamily("sched_wakeup_total")},
+	EvDistAlloc:      {family: smFamily("caps_dist_alloc_total")},
+	EvPerCTAFill:     {family: smFamily("caps_percta_fill_total")},
+	EvPrefCandidate:  {family: smFamily("pref_candidate_total")},
+	EvPrefDrop:       {family: smFamily("pref_drop_total"), key: "reason", values: dropNames[:]},
+	EvPrefAdmit:      {family: smFamily("pref_admit_total")},
+	EvPrefFill:       {family: smFamily("pref_fill_total")},
+	EvPrefConsume:    {family: smFamily("pref_consume_total")},
+	EvPrefLate:       {family: smFamily("pref_late_total")},
+	EvPrefEarlyEvict: {family: smFamily("pref_early_evict_total")},
+	EvMSHRAlloc:      {family: cacheFamily("l1_mshr_alloc_total", "l2_mshr_alloc_total")},
+	EvMSHRMerge:      {family: cacheFamily("l1_mshr_merge_total", "l2_mshr_merge_total")},
+	EvMSHRConvert:    {family: smFamily("l1_mshr_convert_total")},
+	EvResFail:        {family: cacheFamily("l1_resfail_total", "l2_resfail_total"), key: "kind", values: []string{"mshr", "queue"}},
+	EvLoadIssue:      {family: smFamily("load_issue_total")},
+	EvMemAccess:      {family: cacheFamily("l1_access_total", "l2_access_total"), key: "outcome", values: accessClassNames[:], access: true, stream: true},
+	EvRowHit:         {family: [numDomains]string{DomDRAM: "dram_row_hit_total"}},
+	EvRowMiss:        {family: [numDomains]string{DomDRAM: "dram_row_miss_total"}},
+	EvCycleClass:     {family: smFamily("sm_cycle_class_total"), key: "class", values: cycleClassNames[:], stream: true},
+	EvQueueSample:    {key: "queue", values: queueKindNames[:]},
+	EvProgress:       {stream: true},
+	EvPickOutcome:    {family: smFamily("sched_pick_total"), key: "outcome", values: pickOutcomeNames[:]},
+	EvCTAPhase:       {family: smFamily("cta_phase_total"), key: "phase", values: ctaPhaseNames[:]},
+	EvTableOp:        {family: smFamily("caps_table_op_total"), key: "op", values: tableOpNames[:]},
+}
+
+// unitKeys label each domain's unit in a counter's name.
+var unitKeys = [numDomains]string{DomSM: "sm", DomPart: "part", DomDRAM: "chan"}
+
+// labels is the number of counters the kind keeps per unit.
+func (r *kindRow) labels() int { return max(len(r.values), 1) }
+
+// label is the qualifier index an event's Arg selects.
+func (r *kindRow) label(arg uint8) int {
+	switch {
+	case r.values == nil:
+		return 0
+	case r.access:
+		arg &^= accessPrefBit
 	}
-	return m.resFailMSHR
-}
-
-// smMetrics is the per-SM counter block.
-type smMetrics struct {
-	cacheMetrics
-	ctaLaunch, ctaFinish                   *Counter
-	warpDispatch, warpBarrier, warpFinish  *Counter
-	warpStallBegin, warpStallEnd           *Counter
-	schedPromote, schedDemote, schedWakeup *Counter
-	distAlloc, perCTAFill                  *Counter
-	pickOutcome                            [numPickOutcomes]*Counter
-	ctaPhase                               [numCTAPhases]*Counter
-	tableOp                                [numTableOps]*Counter
-	prefCandidate, prefAdmit, prefFill     *Counter
-	prefConsume, prefLate, prefEarlyEvict  *Counter
-	prefDrop                               [numDropReasons]*Counter
-	cycleClass                             [NumCycleClasses]*Counter
-	mshrConvert                            *Counter
-	loadIssue                              *Counter
-}
-
-// chanMetrics is the per-DRAM-channel counter block.
-type chanMetrics struct {
-	rowHit, rowMiss *Counter
+	return int(arg)
 }
 
 // Sink is the per-run observability hub. One Sink serves one GPU; shared
@@ -61,25 +107,25 @@ type chanMetrics struct {
 // observability stays within its <=2% budget: hook sites pay one nil
 // check and nothing else.
 //
-// Subscription: an event kind with no receiver costs only its counter. A
-// kind is live while the sink traces or has a consumer subscribed to it
-// (see KindFilter); a hook for a dead kind updates its counter and builds
-// no Event, so a metrics-only sink pays counter increments alone.
+// Every hook builds its Event and hands it to record, which bumps the
+// counter the kinds table names for it and passes the event on while the
+// kind is live: the trace or a consumer subscribed to it (see KindFilter).
+// A metrics-only sink pays the event literal and the counter increment.
 type Sink struct {
 	cfg   Config
 	reg   *Registry
 	trace *Trace
 
-	// consumers receive every emitted event in emission order (streaming
-	// profilers; see internal/profile). They hold bounded state of their
-	// own — the sink never buffers on their behalf. cycleStream is the
-	// subset that wants EvCycleClass (see StreamFilter): the per-SM-per-cycle
-	// firehose is only constructed when someone will fold it. byKind holds
-	// the subscriber list per event kind (see KindFilter): emit dispatches
-	// each event only to consumers that will fold its kind.
-	consumers   []Consumer
-	cycleStream []Consumer
-	byKind      [numKinds][]Consumer
+	// byKind holds the consumers of each event kind (see KindFilter), in
+	// attach order. Consumers hold bounded state of their own — the sink
+	// never buffers on their behalf.
+	byKind [numKinds][]Consumer
+
+	// counters[k][d] holds kind k's counters in domain d, unit-major: unit
+	// u's counter for label index i is at u*labels+i. counted marks the
+	// kinds with a family in some domain.
+	counters [numKinds][numDomains][]*Counter
+	counted  [numKinds]bool
 
 	// live marks the kinds that have a receiver (see Live); refreshLive
 	// derives it whenever a receiver is added, together with foldable
@@ -90,28 +136,16 @@ type Sink struct {
 	cyclesG   *Gauge
 	prefDist  *Histogram
 	demandLat *Histogram
-
-	sm   []smMetrics
-	part []cacheMetrics // one per L2 slice
-	ch   []chanMetrics
 }
 
 // Consumer is a streaming event observer attached to a Sink. Consume is
 // called synchronously from the simulation goroutine for every event, in
 // emission order (cycle-monotonic per track); implementations must not
-// retain the simulator's attention — fold the event and return. High-rate
-// events that bypass the trace buffer (EvCycleClass) still reach consumers.
+// retain the simulator's attention — fold the event and return. Kinds that
+// bypass the trace buffer (EvCycleClass, EvMemAccess, EvProgress) still
+// reach consumers.
 type Consumer interface {
 	Consume(e Event)
-}
-
-// StreamFilter is an optional Consumer refinement: a consumer that would
-// discard EvCycleClass anyway (the flight recorder, by default) returns
-// false and the sink skips constructing the per-SM-per-cycle event for it
-// entirely. Consumers that don't implement the interface receive
-// everything.
-type StreamFilter interface {
-	WantsCycleClass() bool
 }
 
 // RunFolder is an optional Consumer refinement for the per-cycle class
@@ -125,23 +159,22 @@ type RunFolder interface {
 	FoldsCycleRuns() bool
 }
 
-// KindFilter is an optional Consumer refinement: a consumer that folds
-// only a subset of event kinds declares the subset here, and the sink
-// drops it from the dispatch lists of every kind it declines — the
-// declined kinds then cost it nothing, not even the interface call. A kind
-// every consumer declines (with no trace) is dead: its
-// hooks update their counters and build no Event at all, and the
-// simulator may skip work whose only product is such events (the L2
-// partition's frozen retry walk). Complements StreamFilter, which
-// additionally gates *construction* of the per-cycle EvCycleClass event.
+// KindFilter is the one Consumer opt-out: a consumer that folds only a
+// subset of event kinds declares the subset here, and the sink drops it
+// from the dispatch lists of every kind it declines — the declined kinds
+// then cost it nothing, not even the interface call. A kind every consumer
+// declines (with no trace) is dead: its hooks update their counters and
+// pass the event no further, and the simulator may skip work whose only
+// product is such events (the L2 partition's frozen retry walk). Declining
+// EvCycleClass spares the sink building the per-SM-per-cycle event at all.
 // WantsKind is consulted once per kind at Attach time and must be pure.
 // Consumers that don't implement the interface receive everything.
 type KindFilter interface {
 	WantsKind(k Kind) bool
 }
 
-// New builds a sink, registering the full per-unit metric set up front so
-// hot-path updates never touch the registry.
+// New builds a sink, registering every counter the kinds table names up
+// front so hot-path updates never touch the registry.
 func New(cfg Config) *Sink {
 	s := &Sink{cfg: cfg, reg: NewRegistry()}
 	if cfg.Trace {
@@ -151,70 +184,24 @@ func New(cfg Config) *Sink {
 	s.prefDist = s.reg.Histogram("pref_distance_cycles", 100, 20)
 	s.demandLat = s.reg.Histogram("demand_latency_cycles", 100, 20)
 
-	s.sm = make([]smMetrics, cfg.SMs)
-	for i := range s.sm {
-		l := Label{Key: "sm", Value: itoa(i)}
-		m := &s.sm[i]
-		m.ctaLaunch = s.reg.Counter("cta_launch_total", l)
-		m.ctaFinish = s.reg.Counter("cta_finish_total", l)
-		m.warpDispatch = s.reg.Counter("warp_dispatch_total", l)
-		m.warpStallBegin = s.reg.Counter("warp_stall_begin_total", l)
-		m.warpStallEnd = s.reg.Counter("warp_stall_end_total", l)
-		m.warpBarrier = s.reg.Counter("warp_barrier_total", l)
-		m.warpFinish = s.reg.Counter("warp_finish_total", l)
-		m.schedPromote = s.reg.Counter("sched_promote_total", l)
-		m.schedDemote = s.reg.Counter("sched_demote_total", l)
-		m.schedWakeup = s.reg.Counter("sched_wakeup_total", l)
-		m.distAlloc = s.reg.Counter("caps_dist_alloc_total", l)
-		m.perCTAFill = s.reg.Counter("caps_percta_fill_total", l)
-		for o := PickOutcome(0); o < numPickOutcomes; o++ {
-			m.pickOutcome[o] = s.reg.Counter("sched_pick_total", l, Label{Key: "outcome", Value: o.String()})
+	units := [numDomains]int{DomSM: cfg.SMs, DomPart: cfg.Partitions, DomDRAM: cfg.Channels}
+	for k := range kinds {
+		row := &kinds[k]
+		for d, name := range row.family {
+			if name == "" {
+				continue
+			}
+			s.counted[k] = true
+			for u := range units[d] {
+				unit := Label{Key: unitKeys[d], Value: strconv.Itoa(u)}
+				if row.values == nil {
+					s.counters[k][d] = append(s.counters[k][d], s.reg.Counter(name, unit))
+				}
+				for _, v := range row.values {
+					s.counters[k][d] = append(s.counters[k][d], s.reg.Counter(name, unit, Label{Key: row.key, Value: v}))
+				}
+			}
 		}
-		for p := CTAPhase(0); p < numCTAPhases; p++ {
-			m.ctaPhase[p] = s.reg.Counter("cta_phase_total", l, Label{Key: "phase", Value: p.String()})
-		}
-		for o := TableOp(0); o < numTableOps; o++ {
-			m.tableOp[o] = s.reg.Counter("caps_table_op_total", l, Label{Key: "op", Value: o.String()})
-		}
-		m.prefCandidate = s.reg.Counter("pref_candidate_total", l)
-		m.prefAdmit = s.reg.Counter("pref_admit_total", l)
-		m.prefFill = s.reg.Counter("pref_fill_total", l)
-		m.prefConsume = s.reg.Counter("pref_consume_total", l)
-		m.prefLate = s.reg.Counter("pref_late_total", l)
-		m.prefEarlyEvict = s.reg.Counter("pref_early_evict_total", l)
-		for r := DropReason(0); r < numDropReasons; r++ {
-			m.prefDrop[r] = s.reg.Counter("pref_drop_total", l, Label{Key: "reason", Value: r.String()})
-		}
-		for c := CycleClass(0); c < NumCycleClasses; c++ {
-			m.cycleClass[c] = s.reg.Counter("sm_cycle_class_total", l, Label{Key: "class", Value: c.String()})
-		}
-		m.mshrAlloc = s.reg.Counter("l1_mshr_alloc_total", l)
-		m.mshrMerge = s.reg.Counter("l1_mshr_merge_total", l)
-		m.mshrConvert = s.reg.Counter("l1_mshr_convert_total", l)
-		m.resFailMSHR = s.reg.Counter("l1_resfail_total", l, Label{Key: "kind", Value: "mshr"})
-		m.resFailQueue = s.reg.Counter("l1_resfail_total", l, Label{Key: "kind", Value: "queue"})
-		m.loadIssue = s.reg.Counter("load_issue_total", l)
-		for a := AccessClass(0); a < NumAccessClasses; a++ {
-			m.access[a] = s.reg.Counter("l1_access_total", l, Label{Key: "outcome", Value: a.String()})
-		}
-	}
-	s.part = make([]cacheMetrics, cfg.Partitions)
-	for i := range s.part {
-		l := Label{Key: "part", Value: itoa(i)}
-		m := &s.part[i]
-		m.mshrAlloc = s.reg.Counter("l2_mshr_alloc_total", l)
-		m.mshrMerge = s.reg.Counter("l2_mshr_merge_total", l)
-		m.resFailMSHR = s.reg.Counter("l2_resfail_total", l, Label{Key: "kind", Value: "mshr"})
-		m.resFailQueue = s.reg.Counter("l2_resfail_total", l, Label{Key: "kind", Value: "queue"})
-		for a := AccessClass(0); a < NumAccessClasses; a++ {
-			m.access[a] = s.reg.Counter("l2_access_total", l, Label{Key: "outcome", Value: a.String()})
-		}
-	}
-	s.ch = make([]chanMetrics, cfg.Channels)
-	for i := range s.ch {
-		l := Label{Key: "chan", Value: itoa(i)}
-		s.ch[i].rowHit = s.reg.Counter("dram_row_hit_total", l)
-		s.ch[i].rowMiss = s.reg.Counter("dram_row_miss_total", l)
 	}
 	s.refreshLive()
 	return s
@@ -227,7 +214,7 @@ func (s *Sink) refreshLive() {
 		s.live[k] = s.trace != nil || len(s.byKind[k]) > 0
 	}
 	s.foldable = !s.live[EvResFail]
-	for _, c := range s.cycleStream {
+	for _, c := range s.byKind[EvCycleClass] {
 		if f, ok := c.(RunFolder); !ok || !f.FoldsCycleRuns() {
 			s.foldable = false
 		}
@@ -256,30 +243,6 @@ func bit(b bool) uint8 {
 	return 0
 }
 
-// itoa avoids strconv for the tiny ids used in labels (also keeps the
-// import set minimal).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // Trace exposes the event buffer (nil when tracing is disabled).
 func (s *Sink) Trace() *Trace {
 	if s == nil {
@@ -303,63 +266,64 @@ func (s *Sink) Attach(c Consumer) {
 	if s == nil || c == nil {
 		return
 	}
-	s.consumers = append(s.consumers, c)
 	kf, filtered := c.(KindFilter)
-	for k := Kind(0); k < numKinds; k++ {
+	for k := range numKinds {
 		if !filtered || kf.WantsKind(k) {
 			s.byKind[k] = append(s.byKind[k], c)
-		}
-	}
-	// The per-cycle stream is gated by both refinements: StreamFilter (the
-	// historical opt-out) and KindFilter declining EvCycleClass.
-	if f, ok := c.(StreamFilter); !ok || f.WantsCycleClass() {
-		if !filtered || kf.WantsKind(EvCycleClass) {
-			s.cycleStream = append(s.cycleStream, c)
 		}
 	}
 	s.refreshLive()
 }
 
-// emit is on the hot path: every observability hook funnels through it
-// (or emitStream) once per event, including the per-cycle CycleClass.
-//
-//caps:hotpath
-func (s *Sink) emit(e Event) {
-	if s.trace != nil {
-		s.trace.Append(e)
+// counter returns kind k's counter for one unit of domain d and one label
+// index, or nil when the sink has no such unit. The label index must be
+// below the kind's label count.
+func (s *Sink) counter(k Kind, d Domain, unit, label int) *Counter {
+	if d >= numDomains || unit < 0 {
+		return nil
 	}
-	for _, c := range s.byKind[e.Kind] {
-		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
-	}
-}
-
-// emitStream feeds consumers only, bypassing the trace buffer. Per-cycle
-// events (EvCycleClass fires once per SM per cycle) would displace the
-// whole lifecycle history from a bounded trace; profilers fold them
-// instead.
-//
-//caps:hotpath
-func (s *Sink) emitStream(e Event) {
-	for _, c := range s.byKind[e.Kind] {
-		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
-	}
-}
-
-// cache returns the counter block of an L1 (DomSM) or an L2 slice
-// (DomPart), or nil for an unknown domain or unit.
-func (s *Sink) cache(dom Domain, track int) *cacheMetrics {
-	switch {
-	case dom == DomSM && s.smOK(track):
-		return &s.sm[track].cacheMetrics
-	case dom == DomPart && s.partOK(track):
-		return &s.part[track]
+	cs := s.counters[k][d]
+	if i := unit*kinds[k].labels() + label; i < len(cs) {
+		return cs[i]
 	}
 	return nil
 }
 
-func (s *Sink) smOK(sm int) bool  { return sm >= 0 && sm < len(s.sm) }
-func (s *Sink) partOK(p int) bool { return p >= 0 && p < len(s.part) }
-func (s *Sink) chanOK(c int) bool { return c >= 0 && c < len(s.ch) }
+// record is the one path every hook's event takes. It drops an event
+// whose unit or enum value is out of range, bumps the event's counter,
+// and, while the kind is live, appends it to the trace (unless the kind
+// bypasses it) and hands it to the kind's consumers. It reports whether
+// the event was in range.
+//
+//caps:hotpath
+func (s *Sink) record(e Event) bool {
+	row := &kinds[e.Kind]
+	label := row.label(e.Arg)
+	if label >= row.labels() {
+		return false
+	}
+	if s.counted[e.Kind] {
+		c := s.counter(e.Kind, e.Dom, int(e.Track), label)
+		if c == nil {
+			return false
+		}
+		c.Inc()
+	}
+	if s.live[e.Kind] {
+		if s.trace != nil && !row.stream {
+			s.trace.Append(e)
+		}
+		s.dispatch(e)
+	}
+	return true
+}
+
+// dispatch hands e to the consumers of its kind.
+func (s *Sink) dispatch(e Event) {
+	for _, c := range s.byKind[e.Kind] {
+		c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
+	}
+}
 
 // RunDone records end-of-run totals (final cycle count).
 func (s *Sink) RunDone(cycle int64) {
@@ -373,51 +337,36 @@ func (s *Sink) RunDone(cycle int64) {
 // few thousand cycles so the cycle gauge advances and streaming consumers
 // (the flight recorder) learn the current instruction count without
 // touching run state. Stream-only — the bounded trace buffer never sees it
-// — and a no-op beyond the gauge store when no consumer is attached, so it
-// changes nothing observable at end of run.
+// — so it changes nothing observable at end of run.
 func (s *Sink) Progress(cycle, instructions int64) {
 	if s == nil {
 		return
 	}
 	s.cyclesG.Set(cycle)
-	if len(s.byKind[EvProgress]) > 0 {
-		s.emitStream(Event{Cycle: cycle, Kind: EvProgress, Dom: DomSM, Track: -1, Warp: -1, CTA: -1, Val: instructions})
-	}
+	s.record(Event{Cycle: cycle, Kind: EvProgress, Dom: DomSM, Track: -1, Warp: -1, CTA: -1, Val: instructions})
 }
 
 // ---------------------------------------------------- warp/CTA lifecycle ----
 
 // CTALaunch records a CTA being placed on an SM.
 func (s *Sink) CTALaunch(cycle int64, sm, cta int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
 	}
-	if s.live[EvCTALaunch] {
-		s.emit(Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
-	}
-	s.sm[sm].ctaLaunch.Inc()
 }
 
 // CTAFinish records the last warp of a CTA retiring.
 func (s *Sink) CTAFinish(cycle int64, sm, cta int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
 	}
-	if s.live[EvCTAFinish] {
-		s.emit(Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
-	}
-	s.sm[sm].ctaFinish.Inc()
 }
 
 // WarpDispatch records a warp context activating.
 func (s *Sink) WarpDispatch(cycle int64, sm, warpSlot, cta int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
 	}
-	if s.live[EvWarpDispatch] {
-		s.emit(Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
-	}
-	s.sm[sm].warpDispatch.Inc()
 }
 
 // WarpStallBegin records a warp entering a memory-wait stall run (it
@@ -425,25 +374,17 @@ func (s *Sink) WarpDispatch(cycle int64, sm, warpSlot, cta int) {
 // regardless of its length, keeping trace volume proportional to stall
 // *transitions*, not stalled cycles.
 func (s *Sink) WarpStallBegin(cycle int64, sm, warpSlot int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
-	if s.live[EvWarpStallBegin] {
-		s.emit(Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
-	}
-	s.sm[sm].warpStallBegin.Inc()
 }
 
 // WarpStallEnd records the matching end of a stall run: the warp's last
 // outstanding load returned and it is schedulable again.
 func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
-	if s.live[EvWarpStallEnd] {
-		s.emit(Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
-	}
-	s.sm[sm].warpStallEnd.Inc()
 }
 
 // CycleClass attributes n SM cycles, the first at cycle, to one
@@ -452,80 +393,61 @@ func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
 // Event.Cycles). The n cycles are one contiguous run unless the sink is
 // Foldable, where an SM sums its cycles per class until it is settled.
 // Without that, this is the highest-rate hook in the system — an SM
-// reports every cycle it ticks — so it updates a pre-resolved counter and
-// streams to consumers only: the bounded trace buffer never sees it.
+// reports every cycle it ticks — so it builds the event only when a
+// consumer takes the class stream, and the trace buffer never sees it.
 func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
-	if s == nil || !s.smOK(sm) || class >= NumCycleClasses {
+	if s == nil || class >= NumCycleClasses {
 		return
 	}
-	var run int64
-	if n > 1 {
-		run = n
+	c := s.counter(EvCycleClass, DomSM, sm, int(class))
+	if c == nil {
+		return
 	}
-	s.sm[sm].cycleClass[class].Add(n)
-	if len(s.cycleStream) > 0 {
-		e := Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run}
-		for _, c := range s.cycleStream {
-			c.Consume(e) //caps:alloc-ok consumers fold events into their own bounded state (profilers, lenses, flight recorder)
+	c.Add(n)
+	if len(s.byKind[EvCycleClass]) > 0 {
+		var run int64
+		if n > 1 {
+			run = n
 		}
+		s.dispatch(Event{Cycle: cycle, Kind: EvCycleClass, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Arg: uint8(class), Val: run})
 	}
 }
 
 // WarpBarrier records a warp arriving at a CTA barrier.
 func (s *Sink) WarpBarrier(cycle int64, sm, warpSlot, cta int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
 	}
-	if s.live[EvWarpBarrier] {
-		s.emit(Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
-	}
-	s.sm[sm].warpBarrier.Inc()
 }
 
 // WarpFinish records a warp retiring.
 func (s *Sink) WarpFinish(cycle int64, sm, warpSlot int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
-	if s.live[EvWarpFinish] {
-		s.emit(Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
-	}
-	s.sm[sm].warpFinish.Inc()
 }
 
 // ------------------------------------------------- scheduler transitions ----
 
 // SchedPromote records a warp moving from the pending to the ready queue.
 func (s *Sink) SchedPromote(cycle int64, sm, warpSlot int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
-	if s.live[EvSchedPromote] {
-		s.emit(Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
-	}
-	s.sm[sm].schedPromote.Inc()
 }
 
 // SchedDemote records a warp leaving the ready queue on a long-latency op.
 func (s *Sink) SchedDemote(cycle int64, sm, warpSlot int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
-	if s.live[EvSchedDemote] {
-		s.emit(Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
-	}
-	s.sm[sm].schedDemote.Inc()
 }
 
 // SchedWakeup records an eager prefetch wake-up promotion (PAS, §V-A).
 func (s *Sink) SchedWakeup(cycle int64, sm, warpSlot int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
 	}
-	if s.live[EvSchedWakeup] {
-		s.emit(Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
-	}
-	s.sm[sm].schedWakeup.Inc()
 }
 
 // PickOutcome records one classified scheduler decision (see the
@@ -534,64 +456,44 @@ func (s *Sink) SchedWakeup(cycle int64, sm, warpSlot int) {
 // identical across executor configurations (the fast-forward windows elide
 // Pick calls but never transitions).
 func (s *Sink) PickOutcome(cycle int64, sm, warpSlot int, o PickOutcome) {
-	if s == nil || !s.smOK(sm) || o >= numPickOutcomes {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)})
 	}
-	if s.live[EvPickOutcome] {
-		s.emit(Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)})
-	}
-	s.sm[sm].pickOutcome[o].Inc()
 }
 
 // CTAPhase records one CTA lifetime transition (launch → first-issue →
 // base-established → drain → retire). Each phase fires at most once per
 // CTA.
 func (s *Sink) CTAPhase(cycle int64, sm, cta int, p CTAPhase) {
-	if s == nil || !s.smOK(sm) || p >= numCTAPhases {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)})
 	}
-	if s.live[EvCTAPhase] {
-		s.emit(Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)})
-	}
-	s.sm[sm].ctaPhase[p].Inc()
 }
 
 // TableOp records one CAPS prediction-table operation on the DIST (per-PC)
 // or CAP (per-CTA) table; cta is -1 for DIST ops, pc is the load PC that
 // keyed the entry.
 func (s *Sink) TableOp(cycle int64, sm, cta int, pc uint32, op TableOp) {
-	if s == nil || !s.smOK(sm) || op >= numTableOps {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)})
 	}
-	if s.live[EvTableOp] {
-		s.emit(Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)})
-	}
-	s.sm[sm].tableOp[op].Inc()
 }
 
 // ----------------------------------------------------- prefetch lifecycle ----
 
 // DistAlloc records a CAPS DIST table entry allocation for a load PC.
 func (s *Sink) DistAlloc(cycle int64, sm int, pc uint32) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc})
 	}
-	if s.live[EvDistAlloc] {
-		s.emit(Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc})
-	}
-	s.sm[sm].distAlloc.Inc()
 }
 
 // PerCTAFill records a CTA's leading warp registering its base-address
 // vector in the PerCTA table.
 func (s *Sink) PerCTAFill(cycle int64, sm, cta int, pc uint32) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc})
 	}
-	if s.live[EvPerCTAFill] {
-		s.emit(Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc})
-	}
-	s.sm[sm].perCTAFill.Inc()
 }
 
 // PrefCandidate records one generated prefetch candidate entering the SM's
@@ -600,86 +502,58 @@ func (s *Sink) PerCTAFill(cycle int64, sm, cta int, pc uint32) {
 // no anchor concept) and rides in Val for schedlens' leading-warp
 // attribution.
 func (s *Sink) PrefCandidate(cycle int64, sm, warpSlot, cta int, pc uint32, addr uint64, seedWarp int) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)})
 	}
-	if s.live[EvPrefCandidate] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)})
-	}
-	s.sm[sm].prefCandidate.Inc()
 }
 
 // PrefDrop records a candidate discarded before doing useful work; cta is
 // the candidate's target CTA (-1 when the drop site no longer knows it).
 func (s *Sink) PrefDrop(cycle int64, sm, cta int, pc uint32, addr uint64, reason DropReason) {
-	if s == nil || !s.smOK(sm) || reason >= numDropReasons {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)})
 	}
-	if s.live[EvPrefDrop] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)})
-	}
-	s.sm[sm].prefDrop[reason].Inc()
 }
 
 // PrefAdmit records a prefetch miss admitted into L1 and sent to memory;
 // cta is the target CTA the candidate was generated for.
 func (s *Sink) PrefAdmit(cycle int64, sm, warpSlot, cta int, pc uint32, addr uint64) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr})
 	}
-	if s.live[EvPrefAdmit] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr})
-	}
-	s.sm[sm].prefAdmit.Inc()
 }
 
 // PrefFill records a prefetched line installing into L1.
 func (s *Sink) PrefFill(cycle int64, sm, warpSlot int, pc uint32, addr uint64) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr})
 	}
-	if s.live[EvPrefFill] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr})
-	}
-	s.sm[sm].prefFill.Inc()
 }
 
 // PrefConsume records the first demand hit on a prefetched line; cta is
 // the consuming warp's CTA and distance is demand cycle minus prefetch
-// issue cycle (Fig. 14b), carried in Event.Val.
+// issue cycle (Fig. 14b), carried in Event.Val and fed to the
+// prefetch-distance histogram.
 func (s *Sink) PrefConsume(cycle int64, sm, warpSlot, cta int, pc uint32, addr uint64, distance int64) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil && s.record(Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance}) {
+		s.prefDist.Observe(distance)
 	}
-	if s.live[EvPrefConsume] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance})
-	}
-	s.sm[sm].prefConsume.Inc()
-	s.prefDist.Observe(distance)
 }
 
 // PrefLate records a demand access merging into an in-flight prefetch
 // (late-but-useful prefetch).
 func (s *Sink) PrefLate(cycle int64, sm int, pc uint32, addr uint64) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
 	}
-	if s.live[EvPrefLate] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
-	}
-	s.sm[sm].prefLate.Inc()
 }
 
 // PrefEarlyEvict records a prefetched line evicted before any demand use
 // (Fig. 14a numerator).
 func (s *Sink) PrefEarlyEvict(cycle int64, sm int, pc uint32, addr uint64) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
 	}
-	if s.live[EvPrefEarlyEvict] {
-		s.emit(Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
-	}
-	s.sm[sm].prefEarlyEvict.Inc()
 }
 
 // ------------------------------------------------------- memory system ----
@@ -690,13 +564,9 @@ func (s *Sink) PrefEarlyEvict(cycle int64, sm int, pc uint32, addr uint64) {
 // decomposition needs (addr ≈ θ(CTA) + Δ·warpInCTA, paper Fig. 6) in one
 // event. indirect marks loads whose address depends on loaded data.
 func (s *Sink) LoadIssue(cycle int64, sm, warpSlot, cta, warpInCTA int, pc uint32, addr uint64, indirect bool) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: bit(indirect)})
 	}
-	if s.live[EvLoadIssue] {
-		s.emit(Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: bit(indirect)})
-	}
-	s.sm[sm].loadIssue.Inc()
 }
 
 // MemAccess records one *accepted* cache access (hit, new miss, or merge)
@@ -706,86 +576,49 @@ func (s *Sink) LoadIssue(cycle int64, sm, warpSlot, cta, warpInCTA int, pc uint3
 // totals. High-rate: streams to consumers only, the bounded trace buffer
 // never sees it (EvCycleClass precedent).
 func (s *Sink) MemAccess(cycle int64, dom Domain, track, warpSlot, cta int, pc uint32, addr uint64, class AccessClass, prefetch bool) {
-	if s == nil || class >= NumAccessClasses {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)})
 	}
-	m := s.cache(dom, track)
-	if m == nil {
-		return
-	}
-	if s.live[EvMemAccess] {
-		s.emitStream(Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)})
-	}
-	m.access[class].Inc()
 }
 
 // QueueSample records one memory-system queue depth (Event.Val) observed at
 // a progress beat. Beats fire on the same cycles with or without idle
 // fast-forward, so sampled occupancy distributions are executor-invariant.
 func (s *Sink) QueueSample(cycle int64, dom Domain, track int, q QueueKind, depth int) {
-	if s == nil || q >= NumQueueKinds || !s.live[EvQueueSample] {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvQueueSample, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Arg: uint8(q), Val: int64(depth)})
 	}
-	s.emit(Event{Cycle: cycle, Kind: EvQueueSample, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Arg: uint8(q), Val: int64(depth)})
 }
 
 // MSHRAlloc records a new MSHR allocation at an L1 (DomSM) or L2 (DomPart)
 // cache; prefetch marks prefetch-buffer allocations.
 func (s *Sink) MSHRAlloc(cycle int64, dom Domain, track int, addr uint64, prefetch bool) {
-	if s == nil {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(prefetch)})
 	}
-	m := s.cache(dom, track)
-	if m == nil {
-		return
-	}
-	if s.live[EvMSHRAlloc] {
-		s.emit(Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(prefetch)})
-	}
-	m.mshrAlloc.Inc()
 }
 
 // MSHRMerge records a request merging into an in-flight MSHR.
 func (s *Sink) MSHRMerge(cycle int64, dom Domain, track int, addr uint64) {
-	if s == nil {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr})
 	}
-	m := s.cache(dom, track)
-	if m == nil {
-		return
-	}
-	if s.live[EvMSHRMerge] {
-		s.emit(Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr})
-	}
-	m.mshrMerge.Inc()
 }
 
 // MSHRConvert records a demand merge converting a prefetch-only MSHR into a
 // demand-serving one (only the L1 has a prefetch buffer).
 func (s *Sink) MSHRConvert(cycle int64, sm int, addr uint64) {
-	if s == nil || !s.smOK(sm) {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr})
 	}
-	if s.live[EvMSHRConvert] {
-		s.emit(Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr})
-	}
-	s.sm[sm].mshrConvert.Inc()
 }
 
 // ResFail records a reservation failure (no MSHR, or miss queue full when
 // queueFull is set) at an L1 or L2 cache.
 func (s *Sink) ResFail(cycle int64, dom Domain, track int, addr uint64, queueFull bool) {
-	if s == nil {
-		return
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(queueFull)})
 	}
-	m := s.cache(dom, track)
-	if m == nil {
-		return
-	}
-	if s.live[EvResFail] {
-		s.emit(Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(queueFull)})
-	}
-	m.resFail(queueFull).Inc()
 }
 
 // ResFails counts n reservation failures at an L1 or L2 cache in one call,
@@ -798,8 +631,8 @@ func (s *Sink) ResFails(dom Domain, track int, queueFull bool, n int64) {
 	if s == nil {
 		return
 	}
-	if m := s.cache(dom, track); m != nil {
-		m.resFail(queueFull).Add(n)
+	if c := s.counter(EvResFail, dom, track, int(bit(queueFull))); c != nil {
+		c.Add(n)
 	}
 }
 
@@ -807,24 +640,16 @@ func (s *Sink) ResFails(dom Domain, track int, queueFull bool, n int64) {
 // bank index (Event.Arg), so locality profilers can split hit rates and
 // access spread per bank.
 func (s *Sink) RowHit(cycle int64, ch, bank int, addr uint64) {
-	if s == nil || !s.chanOK(ch) {
-		return
-	}
-	s.ch[ch].rowHit.Inc()
-	if s.live[EvRowHit] {
-		s.emit(Event{Cycle: cycle, Kind: EvRowHit, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvRowHit, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
 	}
 }
 
 // RowMiss records a DRAM row activation (row miss or cold row) on a
 // channel's bank (Event.Arg).
 func (s *Sink) RowMiss(cycle int64, ch, bank int, addr uint64) {
-	if s == nil || !s.chanOK(ch) {
-		return
-	}
-	s.ch[ch].rowMiss.Inc()
-	if s.live[EvRowMiss] {
-		s.emit(Event{Cycle: cycle, Kind: EvRowMiss, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+	if s != nil {
+		s.record(Event{Cycle: cycle, Kind: EvRowMiss, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
 	}
 }
 

@@ -266,8 +266,12 @@ func (a AccessClass) String() string {
 const accessPrefBit = 0x4
 
 // PackAccess encodes an access class plus the demand/prefetch flag into an
-// Event.Arg byte; UnpackAccess reverses it.
+// Event.Arg byte; UnpackAccess reverses it. An out-of-range class packs to
+// a byte whose class is out of range too, never to a valid class.
 func PackAccess(class AccessClass, prefetch bool) uint8 {
+	if class >= NumAccessClasses {
+		return 0xff
+	}
 	b := uint8(class)
 	if prefetch {
 		b |= accessPrefBit

@@ -44,7 +44,7 @@ type ctaRec struct {
 // Collector is the streaming scheduler/CTA-decision profiler. Attach it before
 // the first simulated cycle (sim.WithConsumer), Build its Profile after the run
 // and Validate that against the run's statistics; internal/lenses does all
-// three. It implements obs.StreamFilter to decline the cycle-class stream,
+// three. Its obs.KindFilter declines the cycle-class stream among others,
 // so the sink never constructs per-cycle events on its behalf.
 type Collector struct {
 	cfg Config
@@ -109,13 +109,7 @@ func ForConfig(cfg config.GPUConfig) *Collector {
 }
 
 var _ obs.Consumer = (*Collector)(nil)
-var _ obs.StreamFilter = (*Collector)(nil)
 var _ obs.KindFilter = (*Collector)(nil)
-
-// WantsCycleClass opts out of the per-SM-per-cycle class stream: schedlens
-// needs none of it, and subscribing would force the executor to keep
-// constructing it.
-func (c *Collector) WantsCycleClass() bool { return false }
 
 // WantsKind implements obs.KindFilter: the sink drops the collector from
 // the dispatch lists of every kind the Consume switch would discard —
