@@ -159,10 +159,16 @@ func (r *Registry) claim(name string, labels []Label) {
 
 // Counter registers and returns a new counter.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	r.claim(name, labels)
 	c := &Counter{name: name, labels: labels}
-	r.counters = append(r.counters, c)
+	r.add(c)
 	return c
+}
+
+// add registers a counter its caller allocated (the sink keeps each event
+// kind's counters in one array).
+func (r *Registry) add(c *Counter) {
+	r.claim(c.name, c.labels)
+	r.counters = append(r.counters, c)
 }
 
 // Gauge registers and returns a new gauge.

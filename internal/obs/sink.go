@@ -86,18 +86,30 @@ var kinds = [numKinds]kindRow{
 // unitKeys label each domain's unit in a counter's name.
 var unitKeys = [numDomains]string{DomSM: "sm", DomPart: "part", DomDRAM: "chan"}
 
-// labels is the number of counters the kind keeps per unit.
-func (r *kindRow) labels() int { return max(len(r.values), 1) }
+// kindState is what record needs of one kind, derived from its kinds row
+// by New and kept in one place so an event costs few dependent loads.
+type kindState struct {
+	// counters[d] holds the kind's counters in domain d, unit-major: unit
+	// u's counter for label index i is at u*labels+i.
+	counters [numDomains][]Counter
+	labels   int   // counters per unit: the qualifier values, or 1
+	argMask  uint8 // Arg&argMask is the label index (0 for an unlabelled kind)
+	counted  bool  // the kind has a family in some domain
+	stream   bool  // the kind bypasses the trace buffer
+	live     bool  // the kind has a receiver (see Live)
+}
 
-// label is the qualifier index an event's Arg selects.
-func (r *kindRow) label(arg uint8) int {
-	switch {
-	case r.values == nil:
-		return 0
-	case r.access:
-		arg &^= accessPrefBit
+// counter returns the kind's counter for one unit of domain d and one
+// label index below labels, or nil when the sink has no such unit.
+func (k *kindState) counter(d Domain, unit, label int) *Counter {
+	if d >= numDomains || unit < 0 {
+		return nil
 	}
-	return int(arg)
+	cs := k.counters[d]
+	if i := unit*k.labels + label; i < len(cs) {
+		return &cs[i]
+	}
+	return nil
 }
 
 // Sink is the per-run observability hub. One Sink serves one GPU; shared
@@ -121,16 +133,10 @@ type Sink struct {
 	// never buffers on their behalf.
 	byKind [numKinds][]Consumer
 
-	// counters[k][d] holds kind k's counters in domain d, unit-major: unit
-	// u's counter for label index i is at u*labels+i. counted marks the
-	// kinds with a family in some domain.
-	counters [numKinds][numDomains][]*Counter
-	counted  [numKinds]bool
-
-	// live marks the kinds that have a receiver (see Live); refreshLive
-	// derives it whenever a receiver is added, together with foldable
-	// (see Foldable).
-	live     [numKinds]bool
+	// kind holds each kind's counters and record settings; refreshLive
+	// derives their live flags whenever a receiver is added, together with
+	// foldable (see Foldable).
+	kind     [numKinds]kindState
 	foldable bool
 
 	cyclesG   *Gauge
@@ -186,21 +192,29 @@ func New(cfg Config) *Sink {
 
 	units := [numDomains]int{DomSM: cfg.SMs, DomPart: cfg.Partitions, DomDRAM: cfg.Channels}
 	for k := range kinds {
-		row := &kinds[k]
+		row, ks := &kinds[k], &s.kind[k]
+		ks.labels, ks.argMask, ks.stream = max(len(row.values), 1), 0xff, row.stream
+		switch {
+		case row.values == nil:
+			ks.argMask = 0
+		case row.access:
+			ks.argMask &^= accessPrefBit
+		}
 		for d, name := range row.family {
 			if name == "" {
 				continue
 			}
-			s.counted[k] = true
-			for u := range units[d] {
-				unit := Label{Key: unitKeys[d], Value: strconv.Itoa(u)}
-				if row.values == nil {
-					s.counters[k][d] = append(s.counters[k][d], s.reg.Counter(name, unit))
+			ks.counted = true
+			cs := make([]Counter, units[d]*ks.labels)
+			for i := range cs {
+				labels := []Label{{Key: unitKeys[d], Value: strconv.Itoa(i / ks.labels)}}
+				if row.values != nil {
+					labels = append(labels, Label{Key: row.key, Value: row.values[i%ks.labels]})
 				}
-				for _, v := range row.values {
-					s.counters[k][d] = append(s.counters[k][d], s.reg.Counter(name, unit, Label{Key: row.key, Value: v}))
-				}
+				cs[i] = Counter{name: name, labels: labels}
+				s.reg.add(&cs[i])
 			}
+			ks.counters[d] = cs
 		}
 	}
 	s.refreshLive()
@@ -210,10 +224,10 @@ func New(cfg Config) *Sink {
 // refreshLive re-derives the per-kind liveness table; New and Attach call
 // it, so it is fixed before the first simulated cycle.
 func (s *Sink) refreshLive() {
-	for k := range s.live {
-		s.live[k] = s.trace != nil || len(s.byKind[k]) > 0
+	for k := range s.kind {
+		s.kind[k].live = s.trace != nil || len(s.byKind[k]) > 0
 	}
-	s.foldable = !s.live[EvResFail]
+	s.foldable = !s.kind[EvResFail].live
 	for _, c := range s.byKind[EvCycleClass] {
 		if f, ok := c.(RunFolder); !ok || !f.FoldsCycleRuns() {
 			s.foldable = false
@@ -232,7 +246,7 @@ func (s *Sink) Foldable() bool { return s == nil || s.foldable }
 // Live reports whether events of kind k have a receiver: the trace or a
 // subscribed consumer. False on a nil sink.
 func (s *Sink) Live(k Kind) bool {
-	return s != nil && k < numKinds && s.live[k]
+	return s != nil && k < numKinds && s.kind[k].live
 }
 
 // bit encodes a hook's boolean argument in Event.Arg.
@@ -275,20 +289,6 @@ func (s *Sink) Attach(c Consumer) {
 	s.refreshLive()
 }
 
-// counter returns kind k's counter for one unit of domain d and one label
-// index, or nil when the sink has no such unit. The label index must be
-// below the kind's label count.
-func (s *Sink) counter(k Kind, d Domain, unit, label int) *Counter {
-	if d >= numDomains || unit < 0 {
-		return nil
-	}
-	cs := s.counters[k][d]
-	if i := unit*kinds[k].labels() + label; i < len(cs) {
-		return cs[i]
-	}
-	return nil
-}
-
 // record is the one path every hook's event takes. It drops an event
 // whose unit or enum value is out of range, bumps the event's counter,
 // and, while the kind is live, appends it to the trace (unless the kind
@@ -297,20 +297,20 @@ func (s *Sink) counter(k Kind, d Domain, unit, label int) *Counter {
 //
 //caps:hotpath
 func (s *Sink) record(e Event) bool {
-	row := &kinds[e.Kind]
-	label := row.label(e.Arg)
-	if label >= row.labels() {
+	k := &s.kind[e.Kind]
+	label := int(e.Arg & k.argMask)
+	if label >= k.labels {
 		return false
 	}
-	if s.counted[e.Kind] {
-		c := s.counter(e.Kind, e.Dom, int(e.Track), label)
+	if k.counted {
+		c := k.counter(e.Dom, int(e.Track), label)
 		if c == nil {
 			return false
 		}
 		c.Inc()
 	}
-	if s.live[e.Kind] {
-		if s.trace != nil && !row.stream {
+	if k.live {
+		if s.trace != nil && !k.stream {
 			s.trace.Append(e)
 		}
 		s.dispatch(e)
@@ -399,7 +399,7 @@ func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
 	if s == nil || class >= NumCycleClasses {
 		return
 	}
-	c := s.counter(EvCycleClass, DomSM, sm, int(class))
+	c := s.kind[EvCycleClass].counter(DomSM, sm, int(class))
 	if c == nil {
 		return
 	}
@@ -631,7 +631,7 @@ func (s *Sink) ResFails(dom Domain, track int, queueFull bool, n int64) {
 	if s == nil {
 		return
 	}
-	if c := s.counter(EvResFail, dom, track, int(bit(queueFull))); c != nil {
+	if c := s.kind[EvResFail].counter(dom, track, int(bit(queueFull))); c != nil {
 		c.Add(n)
 	}
 }

@@ -17,17 +17,16 @@ const (
 )
 
 // String implements fmt.Stringer.
-func (d Domain) String() string {
-	switch d {
-	case DomSM:
-		return "SM"
-	case DomPart:
-		return "Part"
-	case DomDRAM:
-		return "DRAM"
-	default:
-		return fmt.Sprintf("domain(%d)", uint8(d))
+func (d Domain) String() string { return enumName(domainNames[:], d, "domain") }
+
+var domainNames = [numDomains]string{DomSM: "SM", DomPart: "Part", DomDRAM: "DRAM"}
+
+// enumName returns names[v], or kind(v) for a value past the table.
+func enumName[T ~uint8](names []string, v T, kind string) string {
+	if int(v) < len(names) {
+		return names[v]
 	}
+	return fmt.Sprintf("%s(%d)", kind, uint8(v))
 }
 
 // Kind is the typed event identifier.
@@ -113,12 +112,7 @@ var kindNames = [numKinds]string{
 }
 
 // String implements fmt.Stringer.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
+func (k Kind) String() string { return enumName(kindNames[:], k, "kind") }
 
 // category groups kinds for the exporter's "cat" field so Perfetto can
 // filter by subsystem.
@@ -178,12 +172,7 @@ var cycleClassNames = [NumCycleClasses]string{
 }
 
 // String implements fmt.Stringer.
-func (c CycleClass) String() string {
-	if int(c) < len(cycleClassNames) {
-		return cycleClassNames[c]
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
+func (c CycleClass) String() string { return enumName(cycleClassNames[:], c, "class") }
 
 // DropReason classifies why a prefetch candidate was discarded before (or
 // at) L1 admission. It mirrors the stats.Sim PrefDrop* breakdown.
@@ -219,12 +208,7 @@ var dropNames = [numDropReasons]string{
 }
 
 // String implements fmt.Stringer.
-func (r DropReason) String() string {
-	if int(r) < len(dropNames) {
-		return dropNames[r]
-	}
-	return fmt.Sprintf("reason(%d)", uint8(r))
-}
+func (r DropReason) String() string { return enumName(dropNames[:], r, "reason") }
 
 // AccessClass classifies an accepted cache access (EvMemAccess). Rejected
 // accesses (reservation fails) are not access classes: they already emit
@@ -255,12 +239,7 @@ var accessClassNames = [NumAccessClasses]string{
 }
 
 // String implements fmt.Stringer.
-func (a AccessClass) String() string {
-	if int(a) < len(accessClassNames) {
-		return accessClassNames[a]
-	}
-	return fmt.Sprintf("access(%d)", uint8(a))
-}
+func (a AccessClass) String() string { return enumName(accessClassNames[:], a, "access") }
 
 // accessPrefBit marks a prefetch access in a packed EvMemAccess Arg.
 const accessPrefBit = 0x4
@@ -310,12 +289,7 @@ var queueKindNames = [NumQueueKinds]string{
 }
 
 // String implements fmt.Stringer.
-func (q QueueKind) String() string {
-	if int(q) < len(queueKindNames) {
-		return queueKindNames[q]
-	}
-	return fmt.Sprintf("queue(%d)", uint8(q))
-}
+func (q QueueKind) String() string { return enumName(queueKindNames[:], q, "queue") }
 
 // PickOutcome classifies one scheduler decision (EvPickOutcome Arg). The
 // outcomes are emitted at state-transition sites — queue refills, long-
@@ -366,12 +340,7 @@ var pickOutcomeNames = [numPickOutcomes]string{
 }
 
 // String implements fmt.Stringer.
-func (o PickOutcome) String() string {
-	if int(o) < len(pickOutcomeNames) {
-		return pickOutcomeNames[o]
-	}
-	return fmt.Sprintf("outcome(%d)", uint8(o))
-}
+func (o PickOutcome) String() string { return enumName(pickOutcomeNames[:], o, "outcome") }
 
 // CTAPhase marks one transition in a CTA's lifetime (EvCTAPhase Arg):
 // launch → first-issue → leading-warp-base-established → drain → retire.
@@ -403,12 +372,7 @@ var ctaPhaseNames = [numCTAPhases]string{
 }
 
 // String implements fmt.Stringer.
-func (p CTAPhase) String() string {
-	if int(p) < len(ctaPhaseNames) {
-		return ctaPhaseNames[p]
-	}
-	return fmt.Sprintf("phase(%d)", uint8(p))
-}
+func (p CTAPhase) String() string { return enumName(ctaPhaseNames[:], p, "phase") }
 
 // TableOp classifies one CAPS prediction-table operation (EvTableOp Arg)
 // on the per-PC DIST table or the per-CTA CAP table: fills, hits,
@@ -452,12 +416,7 @@ var tableOpNames = [numTableOps]string{
 }
 
 // String implements fmt.Stringer.
-func (o TableOp) String() string {
-	if int(o) < len(tableOpNames) {
-		return tableOpNames[o]
-	}
-	return fmt.Sprintf("tableop(%d)", uint8(o))
-}
+func (o TableOp) String() string { return enumName(tableOpNames[:], o, "tableop") }
 
 // Event is one cycle-stamped trace record. Fields are a compact union:
 // Warp/CTA/PC/Addr are meaningful per Kind and -1/0 otherwise; Arg carries
