@@ -72,13 +72,26 @@ type DRAMConfig struct {
 	ExtraLatency int
 }
 
+// Bounds from the observability event encoding (internal/obs Event): a
+// unit's id rides in the int16 Event.Track of its trace events, and a DRAM
+// bank's id in the uint8 Event.Arg of its row hits and misses. A larger
+// machine would file its events under wrapped ids.
+const (
+	MaxUnits           = 1<<15 - 1 // bounds NumSMs, NumPartitions and DRAM.Channels
+	MaxBanksPerChannel = 1 << 8
+)
+
 // Validate reports a descriptive error for impossible DRAM parameters.
 func (d DRAMConfig) Validate() error {
 	switch {
 	case d.Channels <= 0:
 		return fmt.Errorf("dram: Channels must be positive, got %d", d.Channels)
+	case d.Channels > MaxUnits:
+		return fmt.Errorf("dram: Channels must be at most %d, got %d", MaxUnits, d.Channels)
 	case d.BanksPerChannel <= 0:
 		return fmt.Errorf("dram: BanksPerChannel must be positive, got %d", d.BanksPerChannel)
+	case d.BanksPerChannel > MaxBanksPerChannel:
+		return fmt.Errorf("dram: BanksPerChannel must be at most %d, got %d", MaxBanksPerChannel, d.BanksPerChannel)
 	case d.QueueEntries <= 0:
 		return fmt.Errorf("dram: QueueEntries must be positive, got %d", d.QueueEntries)
 	case d.ClockMHz <= 0:
@@ -221,6 +234,8 @@ func (g GPUConfig) Validate() error {
 	switch {
 	case g.NumSMs <= 0:
 		return fmt.Errorf("NumSMs must be positive, got %d", g.NumSMs)
+	case g.NumSMs > MaxUnits:
+		return fmt.Errorf("NumSMs must be at most %d, got %d", MaxUnits, g.NumSMs)
 	case g.SIMTWidth <= 0:
 		return fmt.Errorf("SIMTWidth must be positive, got %d", g.SIMTWidth)
 	case g.MaxWarpsPerSM <= 0:
@@ -235,6 +250,8 @@ func (g GPUConfig) Validate() error {
 		return fmt.Errorf("ReadyQueueSize must be positive, got %d", g.ReadyQueueSize)
 	case g.NumPartitions <= 0:
 		return fmt.Errorf("NumPartitions must be positive, got %d", g.NumPartitions)
+	case g.NumPartitions > MaxUnits:
+		return fmt.Errorf("NumPartitions must be at most %d, got %d", MaxUnits, g.NumPartitions)
 	case g.PartitionChunkBytes <= 0 || g.PartitionChunkBytes&(g.PartitionChunkBytes-1) != 0:
 		return fmt.Errorf("PartitionChunkBytes must be a positive power of two, got %d", g.PartitionChunkBytes)
 	case g.ICNTLatency < 0:

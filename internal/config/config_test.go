@@ -101,12 +101,49 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"zero pf accesses":   func(c *GPUConfig) { c.PrefetchMaxAccesses = 0 },
 		"zero pf table":      func(c *GPUConfig) { c.PrefetchTableSize = 0 },
 		"zero mispredict":    func(c *GPUConfig) { c.MispredictThreshold = 0 },
+		// The event encoding's bounds (see MaxUnits).
+		"SMs past int16":        func(c *GPUConfig) { c.NumSMs = MaxUnits + 1 },
+		"partitions past int16": func(c *GPUConfig) { c.NumPartitions = 6 * 5462 },
+		"channels past int16":   func(c *GPUConfig) { c.DRAM.Channels = MaxUnits + 1; c.NumPartitions = MaxUnits + 1 },
+		"banks past uint8":      func(c *GPUConfig) { c.DRAM.BanksPerChannel = MaxBanksPerChannel * 2 },
 	}
 	for name, mutate := range mutations {
 		cfg := Default()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a broken config", name)
+		}
+	}
+}
+
+// TestValidateBoundsEventEncoding pins each event-encoding bound to its own
+// error one past the largest accepted value, which passes: no unit or bank
+// id may wrap in an Event. The channel bound is checked on the DRAM block
+// alone, since a whole config with that many channels has at least as many
+// partitions and trips their bound first.
+func TestValidateBoundsEventEncoding(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*GPUConfig, int)
+		max   int
+	}{
+		{"NumSMs", func(c *GPUConfig, n int) { c.NumSMs = n }, MaxUnits},
+		{"NumPartitions", func(c *GPUConfig, n int) { c.NumPartitions = n; c.DRAM.Channels = 1 }, MaxUnits},
+		{"Channels", func(c *GPUConfig, n int) { c.DRAM.Channels = n }, MaxUnits},
+		{"BanksPerChannel", func(c *GPUConfig, n int) { c.DRAM.BanksPerChannel = n }, MaxBanksPerChannel},
+	} {
+		validate := GPUConfig.Validate
+		if c.field == "Channels" {
+			validate = func(g GPUConfig) error { return g.DRAM.Validate() }
+		}
+		cfg := Default()
+		c.set(&cfg, c.max)
+		if err := validate(cfg); err != nil {
+			t.Errorf("%s = %d rejected: %v", c.field, c.max, err)
+		}
+		c.set(&cfg, c.max+1)
+		if err := validate(cfg); err == nil || !strings.Contains(err.Error(), c.field+" must be at most") {
+			t.Errorf("%s = %d: Validate returned %v, want a bound error naming %s", c.field, c.max+1, err, c.field)
 		}
 	}
 }
