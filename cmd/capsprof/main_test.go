@@ -216,6 +216,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"sched-diff bad flag", []string{"sched-diff", "-bogus", f.sched, f.sched}, 2},
 		{"sched-diff missing file", []string{"sched-diff", f.sched, missing}, 2},
 		{"sched-diff unparsable file", []string{"sched-diff", garbage, f.sched}, 2},
+		{"sched-diff stall profiles", []string{"sched-diff", f.prof, f.prof}, 2},
 
 		{"host-diff self", []string{"host-diff", f.host, f.host}, 0},
 		{"host-diff regression", []string{"host-diff", f.host, f.hostBad}, 1},
@@ -251,6 +252,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"host no path", []string{"host"}, 2},
 		{"host missing file", []string{"host", missing}, 2},
 		{"host unparsable file", []string{"host", garbage}, 2},
+		{"host memlens profile", []string{"host", f.mem}, 2},
 		{"host missing join", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", missing}, 2},
 		{"host null join", []string{"host", f.host, "-html", filepath.Join(dir, "host.html"), "-profile", null}, 2},
 
@@ -259,6 +261,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"mem no path", []string{"mem"}, 2},
 		{"mem missing file", []string{"mem", missing}, 2},
 		{"mem unparsable file", []string{"mem", garbage}, 2},
+		{"mem bench report", []string{"mem", f.bench}, 2},
 
 		{"sched text", []string{"sched", f.sched}, 0},
 		{"sched html", []string{"sched", f.sched, "-html", filepath.Join(dir, "sched.html")}, 0},

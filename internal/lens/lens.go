@@ -171,15 +171,22 @@ func WriteFile(path string, v any) error {
 }
 
 // ReadFile loads a P written by WriteFile; pkg prefixes a parse error. A
-// JSON null is an error, not an empty profile.
+// JSON null is an error, not an empty profile, and so is a field P does
+// not have: another lens's profile or a bench report is not a P.
 func ReadFile[P any](path, pkg string) (*P, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var p *P
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("%s: parse %s: %w", pkg, path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%s: parse %s: data after the profile", pkg, path)
 	}
 	if p == nil {
 		return nil, fmt.Errorf("%s: %s holds no profile (JSON null)", pkg, path)
