@@ -92,17 +92,18 @@ hostprof-smoke:
 	$(GO) run ./cmd/capsprof host-diff /tmp/caps-host-a.json \
 		/tmp/caps-host-b.json -wall 2.0 -util 0.5
 
-# End-to-end memory-observability smoke test: one short CAPS run with the
-# memory-hierarchy profiler on (capsim -memlens; the profile must reconcile
-# exactly against stats.Sim or capsim exits 1), the profile rendered as
-# text and HTML by `capsprof mem`, then mem-diff'd against a second,
-# identical run — a determinism check: the fold is deterministic, so the
-# diff must be empty.
+# End-to-end memory-observability smoke test: the same CAPS run twice with
+# the memory-hierarchy profiler on (capsim -memlens; the profile must
+# reconcile exactly against stats.Sim or capsim exits 1). The two runs are
+# identical, so this is a determinism check: the profiles must be
+# byte-identical (cmp), not merely diff-clean; the text and HTML
+# renderings and the mem-diff gate run on top of that.
 memlens-smoke:
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
 		-memlens /tmp/caps-mem-a.json 2>/dev/null
 	$(GO) run ./cmd/capsim -bench BFS -prefetch caps -insts 50000 \
 		-memlens /tmp/caps-mem-b.json 2>/dev/null
+	cmp /tmp/caps-mem-a.json /tmp/caps-mem-b.json
 	$(GO) run ./cmd/capsprof mem /tmp/caps-mem-a.json
 	$(GO) run ./cmd/capsprof mem /tmp/caps-mem-a.json -html /tmp/caps-mem-a.html
 	$(GO) run ./cmd/capsprof mem-diff /tmp/caps-mem-a.json /tmp/caps-mem-b.json
