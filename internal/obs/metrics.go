@@ -14,10 +14,10 @@
 // Every counter is a function of its event: one table (kinds, in sink.go)
 // names, per event kind, the counter family in each domain, the qualifier
 // label the event's Arg selects and whether the kind bypasses the trace
-// buffer. Each typed hook builds its Event and hands it to the one record
-// path, which counts it and passes it on to the trace and the consumers
-// subscribed to its kind; obs.KindFilter is the only way a consumer
-// declines kinds.
+// buffer. Each typed hook hands its event to the one record path, which
+// counts it and, while anything receives the kind, passes it on to the
+// trace and the consumers subscribed to it; obs.KindFilter is the only way
+// a consumer declines kinds.
 //
 // Metric naming scheme: snake_case families ending in _total for counters
 // (Prometheus convention), with at most one label identifying the hardware

@@ -119,10 +119,10 @@ func (k *kindState) counter(d Domain, unit, label int) *Counter {
 // observability stays within its <=2% budget: hook sites pay one nil
 // check and nothing else.
 //
-// Every hook builds its Event and hands it to record, which bumps the
-// counter the kinds table names for it and passes the event on while the
-// kind is live: the trace or a consumer subscribed to it (see KindFilter).
-// A metrics-only sink pays the event literal and the counter increment.
+// Every hook hands its event's fields to record, which bumps the counter
+// the kinds table names for it and builds the Event only while the kind is
+// live: the trace or a consumer subscribed to it (see KindFilter). A
+// metrics-only sink pays counter increments alone.
 type Sink struct {
 	cfg   Config
 	reg   *Registry
@@ -170,9 +170,8 @@ type RunFolder interface {
 // from the dispatch lists of every kind it declines — the declined kinds
 // then cost it nothing, not even the interface call. A kind every consumer
 // declines (with no trace) is dead: its hooks update their counters and
-// pass the event no further, and the simulator may skip work whose only
-// product is such events (the L2 partition's frozen retry walk). Declining
-// EvCycleClass spares the sink building the per-SM-per-cycle event at all.
+// build no Event at all, and the simulator may skip work whose only
+// product is such events (the L2 partition's frozen retry walk).
 // WantsKind is consulted once per kind at Attach time and must be pure.
 // Consumers that don't implement the interface receive everything.
 type KindFilter interface {
@@ -291,25 +290,31 @@ func (s *Sink) Attach(c Consumer) {
 
 // record is the one path every hook's event takes. It drops an event
 // whose unit or enum value is out of range, bumps the event's counter,
-// and, while the kind is live, appends it to the trace (unless the kind
-// bypasses it) and hands it to the kind's consumers. It reports whether
-// the event was in range.
+// and, while the kind is live, builds the Event, appends it to the trace
+// (unless the kind bypasses it) and hands it to the kind's consumers. It
+// reports whether the event was in range. The arguments are the Event's
+// fields, those that route it first: Kind, Dom, the unit (Track) and Arg,
+// then Cycle, Warp, CTA, PC, Addr and Val; -1 marks no warp or CTA. Taking
+// fields rather than an Event keeps a dead kind from building one: a
+// struct argument is assembled in a temporary and copied, which costs more
+// than the counter.
 //
 //caps:hotpath
-func (s *Sink) record(e Event) bool {
-	k := &s.kind[e.Kind]
-	label := int(e.Arg & k.argMask)
+func (s *Sink) record(kind Kind, dom Domain, unit int, arg uint8, cycle int64, warp, cta int, pc uint32, addr uint64, val int64) bool {
+	k := &s.kind[kind]
+	label := int(arg & k.argMask)
 	if label >= k.labels {
 		return false
 	}
 	if k.counted {
-		c := k.counter(e.Dom, int(e.Track), label)
+		c := k.counter(dom, unit, label)
 		if c == nil {
 			return false
 		}
 		c.Inc()
 	}
 	if k.live {
+		e := Event{Cycle: cycle, Kind: kind, Dom: dom, Track: int16(unit), Warp: int32(warp), CTA: int32(cta), PC: pc, Addr: addr, Val: val, Arg: arg}
 		if s.trace != nil && !k.stream {
 			s.trace.Append(e)
 		}
@@ -343,7 +348,7 @@ func (s *Sink) Progress(cycle, instructions int64) {
 		return
 	}
 	s.cyclesG.Set(cycle)
-	s.record(Event{Cycle: cycle, Kind: EvProgress, Dom: DomSM, Track: -1, Warp: -1, CTA: -1, Val: instructions})
+	s.record(EvProgress, DomSM, -1, 0, cycle, -1, -1, 0, 0, instructions)
 }
 
 // ---------------------------------------------------- warp/CTA lifecycle ----
@@ -351,21 +356,21 @@ func (s *Sink) Progress(cycle, instructions int64) {
 // CTALaunch records a CTA being placed on an SM.
 func (s *Sink) CTALaunch(cycle int64, sm, cta int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvCTALaunch, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
+		s.record(EvCTALaunch, DomSM, sm, 0, cycle, -1, cta, 0, 0, 0)
 	}
 }
 
 // CTAFinish records the last warp of a CTA retiring.
 func (s *Sink) CTAFinish(cycle int64, sm, cta int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvCTAFinish, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta)})
+		s.record(EvCTAFinish, DomSM, sm, 0, cycle, -1, cta, 0, 0, 0)
 	}
 }
 
 // WarpDispatch records a warp context activating.
 func (s *Sink) WarpDispatch(cycle int64, sm, warpSlot, cta int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvWarpDispatch, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
+		s.record(EvWarpDispatch, DomSM, sm, 0, cycle, warpSlot, cta, 0, 0, 0)
 	}
 }
 
@@ -375,7 +380,7 @@ func (s *Sink) WarpDispatch(cycle int64, sm, warpSlot, cta int) {
 // *transitions*, not stalled cycles.
 func (s *Sink) WarpStallBegin(cycle int64, sm, warpSlot int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvWarpStallBegin, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
+		s.record(EvWarpStallBegin, DomSM, sm, 0, cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
@@ -383,7 +388,7 @@ func (s *Sink) WarpStallBegin(cycle int64, sm, warpSlot int) {
 // outstanding load returned and it is schedulable again.
 func (s *Sink) WarpStallEnd(cycle int64, sm, warpSlot int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvWarpStallEnd, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
+		s.record(EvWarpStallEnd, DomSM, sm, 0, cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
@@ -416,14 +421,14 @@ func (s *Sink) CycleClass(cycle int64, sm int, class CycleClass, n int64) {
 // WarpBarrier records a warp arriving at a CTA barrier.
 func (s *Sink) WarpBarrier(cycle int64, sm, warpSlot, cta int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvWarpBarrier, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta)})
+		s.record(EvWarpBarrier, DomSM, sm, 0, cycle, warpSlot, cta, 0, 0, 0)
 	}
 }
 
 // WarpFinish records a warp retiring.
 func (s *Sink) WarpFinish(cycle int64, sm, warpSlot int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvWarpFinish, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
+		s.record(EvWarpFinish, DomSM, sm, 0, cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
@@ -432,21 +437,21 @@ func (s *Sink) WarpFinish(cycle int64, sm, warpSlot int) {
 // SchedPromote records a warp moving from the pending to the ready queue.
 func (s *Sink) SchedPromote(cycle int64, sm, warpSlot int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvSchedPromote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
+		s.record(EvSchedPromote, DomSM, sm, 0, cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
 // SchedDemote records a warp leaving the ready queue on a long-latency op.
 func (s *Sink) SchedDemote(cycle int64, sm, warpSlot int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvSchedDemote, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
+		s.record(EvSchedDemote, DomSM, sm, 0, cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
 // SchedWakeup records an eager prefetch wake-up promotion (PAS, §V-A).
 func (s *Sink) SchedWakeup(cycle int64, sm, warpSlot int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvSchedWakeup, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1})
+		s.record(EvSchedWakeup, DomSM, sm, 0, cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
@@ -457,7 +462,7 @@ func (s *Sink) SchedWakeup(cycle int64, sm, warpSlot int) {
 // Pick calls but never transitions).
 func (s *Sink) PickOutcome(cycle int64, sm, warpSlot int, o PickOutcome) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPickOutcome, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, Arg: uint8(o)})
+		s.record(EvPickOutcome, DomSM, sm, uint8(o), cycle, warpSlot, -1, 0, 0, 0)
 	}
 }
 
@@ -466,7 +471,7 @@ func (s *Sink) PickOutcome(cycle int64, sm, warpSlot int, o PickOutcome) {
 // CTA.
 func (s *Sink) CTAPhase(cycle int64, sm, cta int, p CTAPhase) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvCTAPhase, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), Arg: uint8(p)})
+		s.record(EvCTAPhase, DomSM, sm, uint8(p), cycle, -1, cta, 0, 0, 0)
 	}
 }
 
@@ -475,7 +480,7 @@ func (s *Sink) CTAPhase(cycle int64, sm, cta int, p CTAPhase) {
 // keyed the entry.
 func (s *Sink) TableOp(cycle int64, sm, cta int, pc uint32, op TableOp) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvTableOp, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Arg: uint8(op)})
+		s.record(EvTableOp, DomSM, sm, uint8(op), cycle, -1, cta, pc, 0, 0)
 	}
 }
 
@@ -484,7 +489,7 @@ func (s *Sink) TableOp(cycle int64, sm, cta int, pc uint32, op TableOp) {
 // DistAlloc records a CAPS DIST table entry allocation for a load PC.
 func (s *Sink) DistAlloc(cycle int64, sm int, pc uint32) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvDistAlloc, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc})
+		s.record(EvDistAlloc, DomSM, sm, 0, cycle, -1, -1, pc, 0, 0)
 	}
 }
 
@@ -492,7 +497,7 @@ func (s *Sink) DistAlloc(cycle int64, sm int, pc uint32) {
 // vector in the PerCTA table.
 func (s *Sink) PerCTAFill(cycle int64, sm, cta int, pc uint32) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPerCTAFill, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc})
+		s.record(EvPerCTAFill, DomSM, sm, 0, cycle, -1, cta, pc, 0, 0)
 	}
 }
 
@@ -503,7 +508,7 @@ func (s *Sink) PerCTAFill(cycle int64, sm, cta int, pc uint32) {
 // attribution.
 func (s *Sink) PrefCandidate(cycle int64, sm, warpSlot, cta int, pc uint32, addr uint64, seedWarp int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPrefCandidate, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(seedWarp)})
+		s.record(EvPrefCandidate, DomSM, sm, 0, cycle, warpSlot, cta, pc, addr, int64(seedWarp))
 	}
 }
 
@@ -511,7 +516,7 @@ func (s *Sink) PrefCandidate(cycle int64, sm, warpSlot, cta int, pc uint32, addr
 // the candidate's target CTA (-1 when the drop site no longer knows it).
 func (s *Sink) PrefDrop(cycle int64, sm, cta int, pc uint32, addr uint64, reason DropReason) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPrefDrop, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: int32(cta), PC: pc, Addr: addr, Arg: uint8(reason)})
+		s.record(EvPrefDrop, DomSM, sm, uint8(reason), cycle, -1, cta, pc, addr, 0)
 	}
 }
 
@@ -519,14 +524,14 @@ func (s *Sink) PrefDrop(cycle int64, sm, cta int, pc uint32, addr uint64, reason
 // cta is the target CTA the candidate was generated for.
 func (s *Sink) PrefAdmit(cycle int64, sm, warpSlot, cta int, pc uint32, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPrefAdmit, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr})
+		s.record(EvPrefAdmit, DomSM, sm, 0, cycle, warpSlot, cta, pc, addr, 0)
 	}
 }
 
 // PrefFill records a prefetched line installing into L1.
 func (s *Sink) PrefFill(cycle int64, sm, warpSlot int, pc uint32, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPrefFill, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: -1, PC: pc, Addr: addr})
+		s.record(EvPrefFill, DomSM, sm, 0, cycle, warpSlot, -1, pc, addr, 0)
 	}
 }
 
@@ -535,7 +540,7 @@ func (s *Sink) PrefFill(cycle int64, sm, warpSlot int, pc uint32, addr uint64) {
 // issue cycle (Fig. 14b), carried in Event.Val and fed to the
 // prefetch-distance histogram.
 func (s *Sink) PrefConsume(cycle int64, sm, warpSlot, cta int, pc uint32, addr uint64, distance int64) {
-	if s != nil && s.record(Event{Cycle: cycle, Kind: EvPrefConsume, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: distance}) {
+	if s != nil && s.record(EvPrefConsume, DomSM, sm, 0, cycle, warpSlot, cta, pc, addr, distance) {
 		s.prefDist.Observe(distance)
 	}
 }
@@ -544,7 +549,7 @@ func (s *Sink) PrefConsume(cycle int64, sm, warpSlot, cta int, pc uint32, addr u
 // (late-but-useful prefetch).
 func (s *Sink) PrefLate(cycle int64, sm int, pc uint32, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPrefLate, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
+		s.record(EvPrefLate, DomSM, sm, 0, cycle, -1, -1, pc, addr, 0)
 	}
 }
 
@@ -552,7 +557,7 @@ func (s *Sink) PrefLate(cycle int64, sm int, pc uint32, addr uint64) {
 // (Fig. 14a numerator).
 func (s *Sink) PrefEarlyEvict(cycle int64, sm int, pc uint32, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvPrefEarlyEvict, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, PC: pc, Addr: addr})
+		s.record(EvPrefEarlyEvict, DomSM, sm, 0, cycle, -1, -1, pc, addr, 0)
 	}
 }
 
@@ -565,7 +570,7 @@ func (s *Sink) PrefEarlyEvict(cycle int64, sm int, pc uint32, addr uint64) {
 // event. indirect marks loads whose address depends on loaded data.
 func (s *Sink) LoadIssue(cycle int64, sm, warpSlot, cta, warpInCTA int, pc uint32, addr uint64, indirect bool) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvLoadIssue, Dom: DomSM, Track: int16(sm), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Val: int64(warpInCTA), Arg: bit(indirect)})
+		s.record(EvLoadIssue, DomSM, sm, bit(indirect), cycle, warpSlot, cta, pc, addr, int64(warpInCTA))
 	}
 }
 
@@ -577,7 +582,7 @@ func (s *Sink) LoadIssue(cycle int64, sm, warpSlot, cta, warpInCTA int, pc uint3
 // never sees it (EvCycleClass precedent).
 func (s *Sink) MemAccess(cycle int64, dom Domain, track, warpSlot, cta int, pc uint32, addr uint64, class AccessClass, prefetch bool) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvMemAccess, Dom: dom, Track: int16(track), Warp: int32(warpSlot), CTA: int32(cta), PC: pc, Addr: addr, Arg: PackAccess(class, prefetch)})
+		s.record(EvMemAccess, dom, track, PackAccess(class, prefetch), cycle, warpSlot, cta, pc, addr, 0)
 	}
 }
 
@@ -586,7 +591,7 @@ func (s *Sink) MemAccess(cycle int64, dom Domain, track, warpSlot, cta int, pc u
 // fast-forward, so sampled occupancy distributions are executor-invariant.
 func (s *Sink) QueueSample(cycle int64, dom Domain, track int, q QueueKind, depth int) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvQueueSample, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Arg: uint8(q), Val: int64(depth)})
+		s.record(EvQueueSample, dom, track, uint8(q), cycle, -1, -1, 0, 0, int64(depth))
 	}
 }
 
@@ -594,14 +599,14 @@ func (s *Sink) QueueSample(cycle int64, dom Domain, track int, q QueueKind, dept
 // cache; prefetch marks prefetch-buffer allocations.
 func (s *Sink) MSHRAlloc(cycle int64, dom Domain, track int, addr uint64, prefetch bool) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvMSHRAlloc, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(prefetch)})
+		s.record(EvMSHRAlloc, dom, track, bit(prefetch), cycle, -1, -1, 0, addr, 0)
 	}
 }
 
 // MSHRMerge records a request merging into an in-flight MSHR.
 func (s *Sink) MSHRMerge(cycle int64, dom Domain, track int, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvMSHRMerge, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr})
+		s.record(EvMSHRMerge, dom, track, 0, cycle, -1, -1, 0, addr, 0)
 	}
 }
 
@@ -609,7 +614,7 @@ func (s *Sink) MSHRMerge(cycle int64, dom Domain, track int, addr uint64) {
 // demand-serving one (only the L1 has a prefetch buffer).
 func (s *Sink) MSHRConvert(cycle int64, sm int, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvMSHRConvert, Dom: DomSM, Track: int16(sm), Warp: -1, CTA: -1, Addr: addr})
+		s.record(EvMSHRConvert, DomSM, sm, 0, cycle, -1, -1, 0, addr, 0)
 	}
 }
 
@@ -617,7 +622,7 @@ func (s *Sink) MSHRConvert(cycle int64, sm int, addr uint64) {
 // queueFull is set) at an L1 or L2 cache.
 func (s *Sink) ResFail(cycle int64, dom Domain, track int, addr uint64, queueFull bool) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvResFail, Dom: dom, Track: int16(track), Warp: -1, CTA: -1, Addr: addr, Arg: bit(queueFull)})
+		s.record(EvResFail, dom, track, bit(queueFull), cycle, -1, -1, 0, addr, 0)
 	}
 }
 
@@ -641,7 +646,7 @@ func (s *Sink) ResFails(dom Domain, track int, queueFull bool, n int64) {
 // access spread per bank.
 func (s *Sink) RowHit(cycle int64, ch, bank int, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvRowHit, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+		s.record(EvRowHit, DomDRAM, ch, uint8(bank), cycle, -1, -1, 0, addr, 0)
 	}
 }
 
@@ -649,7 +654,7 @@ func (s *Sink) RowHit(cycle int64, ch, bank int, addr uint64) {
 // channel's bank (Event.Arg).
 func (s *Sink) RowMiss(cycle int64, ch, bank int, addr uint64) {
 	if s != nil {
-		s.record(Event{Cycle: cycle, Kind: EvRowMiss, Dom: DomDRAM, Track: int16(ch), Warp: -1, CTA: -1, Addr: addr, Arg: uint8(bank)})
+		s.record(EvRowMiss, DomDRAM, ch, uint8(bank), cycle, -1, -1, 0, addr, 0)
 	}
 }
 
