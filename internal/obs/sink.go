@@ -27,7 +27,7 @@ type kindRow struct {
 	// key and values are the qualifier label: Arg (the access class of a
 	// PackAccess-encoded Arg when access is set) indexes values, and an
 	// event whose Arg is past the end is dropped. A kind without values
-	// carries no label in Arg.
+	// carries no label in Arg; an uncounted kind's values only bound it.
 	key    string
 	values []string
 	access bool
@@ -76,7 +76,7 @@ var kinds = [numKinds]kindRow{
 	EvRowHit:         {family: [numDomains]string{DomDRAM: "dram_row_hit_total"}},
 	EvRowMiss:        {family: [numDomains]string{DomDRAM: "dram_row_miss_total"}},
 	EvCycleClass:     {family: smFamily("sm_cycle_class_total"), key: "class", values: cycleClassNames[:], stream: true},
-	EvQueueSample:    {key: "queue", values: queueKindNames[:]},
+	EvQueueSample:    {values: queueKindNames[:]},
 	EvProgress:       {stream: true},
 	EvPickOutcome:    {family: smFamily("sched_pick_total"), key: "outcome", values: pickOutcomeNames[:]},
 	EvCTAPhase:       {family: smFamily("cta_phase_total"), key: "phase", values: ctaPhaseNames[:]},
