@@ -31,9 +31,11 @@ race:
 simbench-check:
 	cd simbench && $(GO) vet ./... && $(GO) test ./...
 
-# Fast race-detector pass over the tick path's packages. One run ticks on
-# one goroutine; the suite's concurrent runs are raced by cmd/capsweep's
-# test under `make race` and CI's full `go test -race ./...`.
+# Fast race-detector pass over the tick path's packages. An unobserved run
+# ticks its memory domain on a second goroutine beside the SMs, and
+# internal/sim's TestConcurrentRunMatchesSerial races the two; the suite's
+# concurrent runs are raced by cmd/capsweep's test under `make race` and
+# CI's full `go test -race ./...`.
 race-smoke:
 	$(GO) test -race ./internal/sim ./internal/mem ./internal/sched \
 		./internal/core ./internal/prefetch ./internal/obs ./internal/stats

@@ -247,6 +247,26 @@ func (o output) checkDeterminism(benches []string, insts, every int64) int {
 	} else {
 		fmt.Fprintf(o.stdout, "%-6s %-5s reproducible at %d SMs (%d checkpoints, state hash %#016x)\n",
 			"BFS", "caps", memCfg.NumSMs, n, h)
+		// The same run through GPU.Run, which ticks the memory domain on
+		// a second goroutine when the host has a spare processor, must
+		// end on the serial series' final state.
+		got, overlapped, err := determinism.RunToSeriesEnd(memCfg, "BFS", opt...)
+		path := "serial"
+		if overlapped {
+			path = "overlapped"
+		}
+		switch {
+		case err != nil:
+			fmt.Fprintf(o.stderr, "simcheck: BFS/caps %s Run at %d SMs: %v\n", path, memCfg.NumSMs, err)
+			failed = true
+		case got != h:
+			fmt.Fprintf(o.stderr, "simcheck: BFS/caps %s Run at %d SMs ended on state hash %#016x, the serial series on %#016x\n",
+				path, memCfg.NumSMs, got, h)
+			failed = true
+		default:
+			fmt.Fprintf(o.stdout, "%-6s %-5s %s Run matches at %d SMs (state hash %#016x)\n",
+				"BFS", "caps", path, memCfg.NumSMs, got)
+		}
 	}
 	if failed {
 		return 1

@@ -67,51 +67,60 @@ func TestCacheGeometry(t *testing.T) {
 	}
 }
 
+// Each mutation must be rejected by its own check: the error names it,
+// so a row another check happens to reject first proves nothing.
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	mutations := map[string]func(*GPUConfig){
-		"zero SMs":           func(c *GPUConfig) { c.NumSMs = 0 },
-		"zero SIMT":          func(c *GPUConfig) { c.SIMTWidth = 0 },
-		"zero warps":         func(c *GPUConfig) { c.MaxWarpsPerSM = 0 },
-		"zero CTAs":          func(c *GPUConfig) { c.MaxCTAsPerSM = 0 },
-		"CTAs > warps":       func(c *GPUConfig) { c.MaxCTAsPerSM = 100 },
-		"zero issue":         func(c *GPUConfig) { c.IssueWidth = 0 },
-		"zero ready queue":   func(c *GPUConfig) { c.ReadyQueueSize = 0 },
-		"zero partitions":    func(c *GPUConfig) { c.NumPartitions = 0 },
-		"negative icnt":      func(c *GPUConfig) { c.ICNTLatency = -1 },
-		"zero icnt width":    func(c *GPUConfig) { c.ICNTWidth = 0 },
-		"zero icnt queue":    func(c *GPUConfig) { c.ICNTQueue = 0 },
-		"empty scheduler":    func(c *GPUConfig) { c.Scheduler = "" },
-		"line mismatch":      func(c *GPUConfig) { c.L2.LineBytes = 64 },
-		"non-pow2 line":      func(c *GPUConfig) { c.L1.LineBytes = 100; c.L2.LineBytes = 100 },
-		"zero L1 size":       func(c *GPUConfig) { c.L1.SizeKB = 0 },
-		"zero L1 ways":       func(c *GPUConfig) { c.L1.Ways = 0 },
-		"zero L1 mshr":       func(c *GPUConfig) { c.L1.MSHREntries = 0 },
-		"zero L1 missq":      func(c *GPUConfig) { c.L1.MissQueue = 0 },
-		"neg L1 hitlat":      func(c *GPUConfig) { c.L1.HitLatency = -1 },
-		"zero channels":      func(c *GPUConfig) { c.DRAM.Channels = 0 },
-		"zero banks":         func(c *GPUConfig) { c.DRAM.BanksPerChannel = 0 },
-		"zero dram queue":    func(c *GPUConfig) { c.DRAM.QueueEntries = 0 },
-		"zero dram clock":    func(c *GPUConfig) { c.DRAM.ClockMHz = 0 },
-		"zero bus width":     func(c *GPUConfig) { c.DRAM.BusWidthBytes = 0 },
-		"zero burst":         func(c *GPUConfig) { c.DRAM.BurstLength = 0 },
-		"non-pow2 row":       func(c *GPUConfig) { c.DRAM.RowBytes = 1000 },
-		"negative timing":    func(c *GPUConfig) { c.DRAM.TCL = -1 },
-		"negative extra lat": func(c *GPUConfig) { c.DRAM.ExtraLatency = -1 },
-		"part not mult chan": func(c *GPUConfig) { c.NumPartitions = 7 },
-		"zero pf accesses":   func(c *GPUConfig) { c.PrefetchMaxAccesses = 0 },
-		"zero pf table":      func(c *GPUConfig) { c.PrefetchTableSize = 0 },
-		"zero mispredict":    func(c *GPUConfig) { c.MispredictThreshold = 0 },
-		// The event encoding's bounds (see MaxUnits).
-		"SMs past int16":        func(c *GPUConfig) { c.NumSMs = MaxUnits + 1 },
-		"partitions past int16": func(c *GPUConfig) { c.NumPartitions = 6 * 5462 },
-		"channels past int16":   func(c *GPUConfig) { c.DRAM.Channels = MaxUnits + 1; c.NumPartitions = MaxUnits + 1 },
-		"banks past uint8":      func(c *GPUConfig) { c.DRAM.BanksPerChannel = MaxBanksPerChannel * 2 },
-	}
-	for name, mutate := range mutations {
+	for _, c := range []struct {
+		name, want string
+		mutate     func(*GPUConfig)
+	}{
+		{"zero SMs", "NumSMs must be positive", func(c *GPUConfig) { c.NumSMs = 0 }},
+		{"zero SIMT", "SIMTWidth must be positive", func(c *GPUConfig) { c.SIMTWidth = 0 }},
+		{"zero warps", "MaxWarpsPerSM must be positive", func(c *GPUConfig) { c.MaxWarpsPerSM = 0 }},
+		{"zero CTAs", "MaxCTAsPerSM must be positive", func(c *GPUConfig) { c.MaxCTAsPerSM = 0 }},
+		{"CTAs > warps", "cannot exceed MaxWarpsPerSM", func(c *GPUConfig) { c.MaxCTAsPerSM = 100 }},
+		{"zero issue", "IssueWidth must be positive", func(c *GPUConfig) { c.IssueWidth = 0 }},
+		{"zero ready queue", "ReadyQueueSize must be positive", func(c *GPUConfig) { c.ReadyQueueSize = 0 }},
+		{"zero partitions", "NumPartitions must be positive", func(c *GPUConfig) { c.NumPartitions = 0 }},
+		{"non-pow2 chunk", "PartitionChunkBytes must be a positive power of two", func(c *GPUConfig) { c.PartitionChunkBytes = 100 }},
+		{"negative icnt", "ICNTLatency must be non-negative", func(c *GPUConfig) { c.ICNTLatency = -1 }},
+		{"zero icnt width", "ICNTWidth must be positive", func(c *GPUConfig) { c.ICNTWidth = 0 }},
+		{"zero icnt queue", "ICNTQueue must be positive", func(c *GPUConfig) { c.ICNTQueue = 0 }},
+		{"empty scheduler", "Scheduler must be set", func(c *GPUConfig) { c.Scheduler = "" }},
+		{"line mismatch", "line sizes must match", func(c *GPUConfig) { c.L2.LineBytes = 64 }},
+		{"non-pow2 line", "L1: LineBytes must be a positive power of two", func(c *GPUConfig) { c.L1.LineBytes = 100; c.L2.LineBytes = 100 }},
+		{"zero L1 size", "L1: SizeKB must be positive", func(c *GPUConfig) { c.L1.SizeKB = 0 }},
+		{"zero L1 ways", "L1: Ways must be positive", func(c *GPUConfig) { c.L1.Ways = 0 }},
+		{"zero L1 mshr", "L1: MSHREntries must be positive", func(c *GPUConfig) { c.L1.MSHREntries = 0 }},
+		{"zero L1 missq", "L1: MissQueue must be positive", func(c *GPUConfig) { c.L1.MissQueue = 0 }},
+		{"neg L1 hitlat", "L1: HitLatency must be non-negative", func(c *GPUConfig) { c.L1.HitLatency = -1 }},
+		{"zero L2 ways", "L2: Ways must be positive", func(c *GPUConfig) { c.L2.Ways = 0 }},
+		{"zero channels", "dram: Channels must be positive", func(c *GPUConfig) { c.DRAM.Channels = 0 }},
+		{"zero banks", "dram: BanksPerChannel must be positive", func(c *GPUConfig) { c.DRAM.BanksPerChannel = 0 }},
+		{"zero dram queue", "dram: QueueEntries must be positive", func(c *GPUConfig) { c.DRAM.QueueEntries = 0 }},
+		{"zero dram clock", "dram: ClockMHz must be positive", func(c *GPUConfig) { c.DRAM.ClockMHz = 0 }},
+		{"zero bus width", "dram: BusWidthBytes must be positive", func(c *GPUConfig) { c.DRAM.BusWidthBytes = 0 }},
+		{"zero burst", "dram: BurstLength must be positive", func(c *GPUConfig) { c.DRAM.BurstLength = 0 }},
+		{"non-pow2 row", "dram: RowBytes must be a positive power of two", func(c *GPUConfig) { c.DRAM.RowBytes = 1000 }},
+		{"negative timing", "dram: timing parameters must be non-negative", func(c *GPUConfig) { c.DRAM.TCL = -1 }},
+		{"negative extra lat", "dram: ExtraLatency must be non-negative", func(c *GPUConfig) { c.DRAM.ExtraLatency = -1 }},
+		{"part not mult chan", "must be a multiple of DRAM channels", func(c *GPUConfig) { c.NumPartitions = 7 }},
+		{"zero pf accesses", "PrefetchMaxAccesses must be positive", func(c *GPUConfig) { c.PrefetchMaxAccesses = 0 }},
+		{"zero pf table", "PrefetchTableSize must be positive", func(c *GPUConfig) { c.PrefetchTableSize = 0 }},
+		{"negative pf buffer", "PrefetchBufferEntries must be non-negative", func(c *GPUConfig) { c.PrefetchBufferEntries = -1 }},
+		{"zero mispredict", "MispredictThreshold must be positive", func(c *GPUConfig) { c.MispredictThreshold = 0 }},
+		// The event encoding's bounds (see MaxUnits). The DRAM block is
+		// validated before the partition count is checked against it, so
+		// the channel row keeps the default partitions.
+		{"SMs past int16", "NumSMs must be at most", func(c *GPUConfig) { c.NumSMs = MaxUnits + 1 }},
+		{"partitions past int16", "NumPartitions must be at most", func(c *GPUConfig) { c.NumPartitions = 6 * 5462 }},
+		{"channels past int16", "dram: Channels must be at most", func(c *GPUConfig) { c.DRAM.Channels = MaxUnits + 1 }},
+		{"banks past uint8", "dram: BanksPerChannel must be at most", func(c *GPUConfig) { c.DRAM.BanksPerChannel = MaxBanksPerChannel * 2 }},
+	} {
 		cfg := Default()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a broken config", name)
+		c.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate returned %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }
@@ -119,8 +128,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 // TestValidateBoundsEventEncoding pins each event-encoding bound to its own
 // error one past the largest accepted value, which passes: no unit or bank
 // id may wrap in an Event. The channel bound is checked on the DRAM block
-// alone, since a whole config with that many channels has at least as many
-// partitions and trips their bound first.
+// alone, which needs no partition count to match the channels.
 func TestValidateBoundsEventEncoding(t *testing.T) {
 	for _, c := range []struct {
 		field string

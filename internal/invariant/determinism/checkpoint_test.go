@@ -51,6 +51,24 @@ func TestCheckSeriesReproducible(t *testing.T) {
 	}
 }
 
+// A run through GPU.Run, overlapped whenever the host has a spare
+// processor, ends on the state its serial checkpoint series ends on.
+func TestRunEndsOnSeriesHash(t *testing.T) {
+	cfg := checkpointConfig()
+	opts := []sim.Option{sim.WithPrefetcher("caps"), sim.WithScheduler(SchedulerFor("caps"))}
+	cps, err := CheckpointRun(cfg, "BFS", 1024, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := RunToSeriesEnd(cfg, "BFS", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cps[len(cps)-1].Hash; h != want {
+		t.Errorf("Run ended on state hash %#x, its checkpoint series on %#x", h, want)
+	}
+}
+
 // The bisector must pin a seeded one-cycle prefetch perturbation to the
 // exact cycle it fired — the acceptance criterion for the localizer. The
 // firing cycle comes from a probe run with the same seed: the simulator is

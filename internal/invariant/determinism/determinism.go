@@ -61,6 +61,30 @@ func RunOnce(cfg config.GPUConfig, bench string, opts ...sim.Option) (uint64, er
 	return StateHash(g, st), nil
 }
 
+// RunToSeriesEnd simulates one benchmark through GPU.Run and returns the
+// state hash its checkpoint series ends on (CheckpointRun's final sample),
+// with whether Run overlapped the memory domain with the SMs. The series
+// stops before Run's end-of-run accounting, whose only effect on the hash
+// is the count of never-used prefetched lines (stats.Sim.PrefUnusedAtEnd),
+// so that count is left out.
+func RunToSeriesEnd(cfg config.GPUConfig, bench string, opts ...sim.Option) (uint64, bool, error) {
+	k, err := kernels.ByAbbr(bench)
+	if err != nil {
+		return 0, false, err
+	}
+	g, err := sim.New(cfg, k, opts...)
+	if err != nil {
+		return 0, false, fmt.Errorf("determinism: %s: %w", bench, err)
+	}
+	st, err := g.Run()
+	if err != nil {
+		return 0, false, fmt.Errorf("determinism: %s: %w", bench, err)
+	}
+	series := *st
+	series.PrefUnusedAtEnd = 0
+	return StateHash(g, &series), g.Overlapped(), nil
+}
+
 // Check runs the benchmark twice with invariant checking enabled and
 // reports the (identical) hash; a hash mismatch or a sanitizer violation in
 // either run is returned as an error.

@@ -100,3 +100,48 @@ func TestIdle(t *testing.T) {
 		t.Error("drained interconnect should be idle")
 	}
 }
+
+// A shared queue decides each push as the serial order would: a response
+// push at cycle m sees the SMs' pops through m-1, a request push at s the
+// partitions' pops through s. Both sides run on this goroutine here, and
+// each publishes as its domain would.
+func TestSharedPushSeesTheSerialCut(t *testing.T) {
+	ic := NewInterconnect(1, 1, 2, 3, 4)
+	ic.Share()
+	a, b, c := &Request{}, &Request{}, &Request{}
+	if !ic.PushToSM(0, a) || !ic.PushToSM(0, b) {
+		t.Fatal("two responses should fit")
+	}
+	ic.PublishMem(1)
+	ic.PollSM(3)
+	if got := ic.PopForSM(3, 0); got != a {
+		t.Fatalf("SM popped %v at cycle 3, want the first response", got)
+	}
+	ic.PublishSM(4)
+	if ic.PushToSM(3, c) {
+		t.Error("a response push at cycle 3 saw the SM's pop at cycle 3")
+	}
+	if !ic.PushToSM(4, c) {
+		t.Error("a response push at cycle 4 missed the SM's pop at cycle 3")
+	}
+
+	ic = NewInterconnect(1, 1, 1, 3, 4)
+	ic.Share()
+	x, y := &Request{}, &Request{}
+	if !ic.PushToPartition(0, x) {
+		t.Fatal("a request should fit")
+	}
+	ic.PublishSM(1)
+	ic.PublishMem(6) // the partition completed cycles 0-5 without popping x
+	if ic.PushToPartition(5, y) {
+		t.Error("a request push at cycle 5 found room the partition had not made")
+	}
+	ic.PollMem(6)
+	if got := ic.PopForPartition(6, 0); got != x {
+		t.Fatalf("partition popped %v at cycle 6, want the request", got)
+	}
+	ic.PublishMem(7)
+	if !ic.PushToPartition(6, y) {
+		t.Error("a request push at cycle 6 missed the partition's pop at cycle 6")
+	}
+}

@@ -135,7 +135,7 @@ func (p *Partition) AttachObs(s *obs.Sink) {
 // latency, or its miss queue or store FIFO holds work the DRAM channel
 // has room for. On any other cycle Tick is a no-op and the GPU skips it.
 func (p *Partition) Due(now int64) bool {
-	return now >= p.wakeAt || now >= p.inbox.headAt ||
+	return now >= p.wakeAt || p.inbox.ready(now) ||
 		(p.l2.MissQueueLen() > 0 || p.storeHead < len(p.stores)) && !p.dram.Full()
 }
 

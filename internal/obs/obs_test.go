@@ -626,11 +626,22 @@ func TestKindLiveness(t *testing.T) {
 		}
 	}
 
+	// The trace takes every kind but the stream kinds, which bypass it: a
+	// traced sink with no consumer builds no event for those.
 	traced := New(Config{SMs: 1, Trace: true})
 	for k := Kind(0); k < numKinds; k++ {
-		if !traced.Live(k) {
-			t.Fatalf("%v dead on a traced sink", k)
+		if got, want := traced.Live(k), !kinds[k].stream; got != want {
+			t.Fatalf("on a traced sink: Live(%v) = %v, want %v", k, got, want)
 		}
+	}
+	for _, k := range []Kind{EvCycleClass, EvMemAccess, EvProgress} {
+		if traced.Live(k) {
+			t.Fatalf("stream kind %v live on a traced sink with no consumer", k)
+		}
+	}
+	traced.Attach(&kindConsumer{want: map[Kind]bool{EvMemAccess: true}})
+	if !traced.Live(EvMemAccess) || traced.Live(EvCycleClass) {
+		t.Fatal("a memory-access consumer on a traced sink: want EvMemAccess live and EvCycleClass dead")
 	}
 	if s.Live(numKinds) {
 		t.Fatal("out-of-range kind reported live")

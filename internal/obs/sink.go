@@ -221,10 +221,12 @@ func New(cfg Config) *Sink {
 }
 
 // refreshLive re-derives the per-kind liveness table; New and Attach call
-// it, so it is fixed before the first simulated cycle.
+// it, so it is fixed before the first simulated cycle. A kind is live when
+// a consumer takes it, or when the trace does: every kind but the stream
+// kinds, which bypass the trace buffer.
 func (s *Sink) refreshLive() {
 	for k := range s.kind {
-		s.kind[k].live = s.trace != nil || len(s.byKind[k]) > 0
+		s.kind[k].live = len(s.byKind[k]) > 0 || s.trace != nil && !s.kind[k].stream
 	}
 	s.foldable = !s.kind[EvResFail].live
 	for _, c := range s.byKind[EvCycleClass] {
@@ -242,8 +244,9 @@ func (s *Sink) refreshLive() {
 // cycles' events out of their per-cycle order. True on a nil sink.
 func (s *Sink) Foldable() bool { return s == nil || s.foldable }
 
-// Live reports whether events of kind k have a receiver: the trace or a
-// subscribed consumer. False on a nil sink.
+// Live reports whether events of kind k have a receiver: a subscribed
+// consumer, or the trace for a kind that does not bypass it. False on a
+// nil sink.
 func (s *Sink) Live(k Kind) bool {
 	return s != nil && k < numKinds && s.kind[k].live
 }

@@ -44,6 +44,11 @@ type GPU struct {
 	cfg    config.GPUConfig
 	kernel *kernels.Kernel
 	st     *stats.Sim
+	// memSt holds the counters only the DRAM channels and L2 partitions
+	// write (DRAM reads and row hits/misses, stores issued, L2 accesses
+	// and hits), apart from st so the two domains share no cache line
+	// when they run on two goroutines; Stats merges it into st.
+	memSt *stats.Sim
 
 	sms   []*SM
 	icnt  *mem.Interconnect
@@ -63,6 +68,14 @@ type GPU struct {
 	// tickEveryPart partition wake gating (options.tickEveryPart).
 	tickEvery     bool
 	tickEveryPart bool
+
+	// serial keeps Run from overlapping the memory domain with the SMs
+	// (see overlap.go): the test references are serial runs.
+	serial bool
+	// dom is the memory domain's goroutine while Run overlaps it, and
+	// overlapped records that Run did for some part of the run.
+	dom        *domain
+	overlapped bool
 
 	// hprof is the optional wall-clock self-profiler (WithHostProf); nil
 	// costs one branch per step. It observes only — no simulator state
@@ -146,8 +159,8 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	// group-interleaved variant.
 	interleaved := opt.prefetcher == "orch" && cfg.Scheduler == config.SchedTwoLevel
 
-	st := &stats.Sim{}
-	g := &GPU{cfg: cfg, kernel: k, st: st, snk: opt.sink,
+	st, memSt := &stats.Sim{}, &stats.Sim{}
+	g := &GPU{cfg: cfg, kernel: k, st: st, memSt: memSt, snk: opt.sink,
 		flight:        opt.flight,
 		onDump:        opt.onDump,
 		beatMask:      beat - 1,
@@ -156,6 +169,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 		prefName:      opt.prefetcher,
 		tickEvery:     opt.tickEvery,
 		tickEveryPart: opt.tickEveryPart,
+		serial:        opt.serial || opt.tickEvery || opt.tickEveryPart || opt.noFastForward,
 	}
 	if g.watchdog == 0 {
 		g.watchdog = DefaultWatchdogCycles
@@ -166,7 +180,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 
 	g.drams = make([]*mem.DRAMChannel, cfg.DRAM.Channels)
 	for i := range g.drams {
-		g.drams[i] = mem.NewDRAMChannel(cfg, st)
+		g.drams[i] = mem.NewDRAMChannel(cfg, memSt)
 		g.drams[i].AttachObs(opt.sink, i)
 		if cfg.CheckInvariants {
 			g.drams[i].EnableSanitizer(fmt.Sprintf("DRAM[%d]", i))
@@ -174,7 +188,7 @@ func New(cfg config.GPUConfig, k *kernels.Kernel, opts ...Option) (*GPU, error) 
 	}
 	g.parts = make([]*mem.Partition, cfg.NumPartitions)
 	for i := range g.parts {
-		g.parts[i] = mem.NewPartition(i, cfg, g.drams[i%cfg.DRAM.Channels], g.icnt, st)
+		g.parts[i] = mem.NewPartition(i, cfg, g.drams[i%cfg.DRAM.Channels], g.icnt, memSt)
 		g.parts[i].AttachObs(opt.sink)
 	}
 
@@ -266,10 +280,13 @@ func (g *GPU) requestDispatch(smID int) {
 }
 
 // Stats exposes the run's counters, settling every SM's skipped window
-// cycles first so callers always see complete totals. Safe to call mid-run
-// between Steps, but not from another goroutine during one.
+// cycles first and merging the memory units' counters in, so callers
+// always see complete totals. The memory units' counts reach the returned
+// value only through this call: after more Steps, call it again. Safe to
+// call mid-run between Steps, but not from another goroutine during one.
 func (g *GPU) Stats() *stats.Sim {
 	g.settle()
+	g.st.AddFrom(g.memSt)
 	return g.st
 }
 
@@ -305,16 +322,19 @@ func (g *GPU) SMs() []*SM { return g.sms }
 // Partitions exposes the memory partitions (determinism harness, tests).
 func (g *GPU) Partitions() []*mem.Partition { return g.parts }
 
-// Step advances the whole machine one core cycle. The returned error is
-// the first invariant violation any component detected this cycle (see
+// Step advances the whole machine one core cycle: the memory phase, then
+// the SM phase. It is the serial reference: the determinism harness,
+// bisection and every observed run step through it, and an overlapped Run
+// (see overlap.go) reproduces it exactly. The returned error is the first
+// invariant violation any component detected this cycle (see
 // internal/invariant); a violating run's statistics are meaningless, so
 // Run aborts on it.
 //
 // When a host profiler is attached, sampled steps bill their wall-clock
 // to the hostprof phases at the boundaries marked below: the injection
-// check to PhaseOther, the DRAM/partition prologue to PhaseMem, the SM
-// ticks to PhaseSM, and the commit tail — CTA dispatch and cycle
-// bookkeeping — to PhaseCommit.
+// check to PhaseOther, the memory phase to PhaseMem, the SM ticks to
+// PhaseSM, and the commit tail — CTA dispatch and cycle bookkeeping — to
+// PhaseCommit.
 // A step that errors out abandons its sample (only EndStep completes one),
 // keeping error paths free of accounting branches.
 func (g *GPU) Step() error {
@@ -327,8 +347,32 @@ func (g *GPU) Step() error {
 		g.hprof.MarkPhase(hostprof.PhaseOther)
 	}
 	now := g.cycle
-	// The memory units tick only when due (DESIGN §14): a skipped tick is
-	// provably a no-op, and under the sanitizer each skip is audited.
+	if err := g.memPhase(now); err != nil {
+		return err
+	}
+	if sampled {
+		g.hprof.MarkPhase(hostprof.PhaseMem)
+	}
+	if err := g.tickSerial(now); err != nil {
+		return err
+	}
+	if sampled {
+		g.hprof.MarkPhase(hostprof.PhaseSM)
+	}
+	g.dispatch(now)
+	g.cycle++
+	g.st.Cycles++
+	if sampled {
+		g.hprof.EndStep(hostprof.PhaseCommit)
+	}
+	return nil
+}
+
+// memPhase runs the memory domain's cycle now: the DRAM channels, which
+// deliver their fills to the partitions, then the L2 partitions. The
+// memory units tick only when due (DESIGN §14): a skipped tick is
+// provably a no-op, and under the sanitizer each skip is audited.
+func (g *GPU) memPhase(now int64) error {
 	for _, ch := range g.drams {
 		if !ch.Due(now) {
 			continue
@@ -354,16 +398,12 @@ func (g *GPU) Step() error {
 			return err
 		}
 	}
-	if sampled {
-		g.hprof.MarkPhase(hostprof.PhaseMem)
-	}
-	if err := g.tickSerial(now); err != nil {
-		return err
-	}
-	if sampled {
-		g.hprof.MarkPhase(hostprof.PhaseSM)
-	}
-	// Demand-driven CTA dispatch for CTAs that completed this cycle.
+	return nil
+}
+
+// dispatch launches replacement CTAs on the SMs whose CTAs completed this
+// cycle (demand-driven dispatch).
+func (g *GPU) dispatch(now int64) {
 	for _, smID := range g.dispatchReq {
 		if g.nextCTA >= g.kernel.NumCTAs() {
 			break
@@ -376,12 +416,6 @@ func (g *GPU) Step() error {
 		}
 	}
 	g.dispatchReq = g.dispatchReq[:0]
-	g.cycle++
-	g.st.Cycles++
-	if sampled {
-		g.hprof.EndStep(hostprof.PhaseCommit)
-	}
-	return nil
 }
 
 // tickSerial runs the SM phase in SM order, leaving SMs inside their
@@ -409,7 +443,9 @@ func (g *GPU) tickSerial(now int64) error {
 	return nil
 }
 
-// Done reports whether the workload has fully drained.
+// Done reports whether the workload has fully drained. The SMs answer
+// first; only once they are idle does an overlapped run let the memory
+// domain catch up (domain.sync) to read the interconnect and memory units.
 func (g *GPU) Done() bool {
 	if g.nextCTA < g.kernel.NumCTAs() {
 		return false
@@ -419,6 +455,7 @@ func (g *GPU) Done() bool {
 			return false
 		}
 	}
+	g.dom.sync(g.cycle)
 	return g.icnt.Idle() && g.allPartsIdle()
 }
 
@@ -470,7 +507,9 @@ func (g *GPU) Close() error {
 // the collected statistics; an error signals an invariant violation, a
 // hang (forward-progress watchdog) or an interrupt (ErrInterrupted). When
 // a flight recorder is attached, violations, hangs, panics and dump
-// requests each produce a black box through WithOnDump.
+// requests each produce a black box through WithOnDump. An unobserved run
+// may tick its memory domain on a second goroutine (see overlap.go); its
+// results are those of stepping through Step.
 func (g *GPU) Run() (*stats.Sim, error) {
 	defer g.Close()
 	g.hprof.Start()
@@ -488,6 +527,31 @@ func (g *GPU) Run() (*stats.Sim, error) {
 			}
 		}()
 	}
+	busy.Add(1)
+	defer busy.Add(-1)
+	if g.overlap() {
+		defer func() { _ = g.endOverlap() }() // a panicking SM domain still stops the memory goroutine
+	}
+	reason, err := g.loop()
+	if merr := g.endOverlap(); merr != nil {
+		reason, err = flight.ReasonViolation, merr
+	}
+	if err == nil {
+		reason, err = flight.ReasonViolation, g.finalAccounting()
+	}
+	if err != nil && reason != "" {
+		g.emitDump(reason, err.Error())
+	}
+	return g.Stats(), err
+}
+
+// loop is Run's cycle loop: step until the workload drains or a cap is
+// reached (a nil error), or until a step fails, a stop is requested or
+// the watchdog trips, with the dump reason for the error (none for an
+// interrupt). An overlapped run steps its SM domain (domain.Step) and
+// falls back to Step once the process has no spare processor for its
+// memory domain.
+func (g *GPU) loop() (flight.Reason, error) {
 	lastInsts := int64(-1)
 	lastProgress := int64(0)
 	for !g.Done() {
@@ -497,9 +561,18 @@ func (g *GPU) Run() (*stats.Sim, error) {
 		if g.cfg.MaxCycle > 0 && g.cycle >= g.cfg.MaxCycle {
 			break
 		}
-		if err := g.Step(); err != nil {
-			g.emitDump(flight.ReasonViolation, err.Error())
-			return g.Stats(), err
+		var err error
+		if g.dom == nil {
+			err = g.Step()
+		} else if g.cycle&(overlapCheckEvery-1) == 0 && !spareCPU() {
+			if err = g.endOverlap(); err == nil {
+				err = g.Step()
+			}
+		} else {
+			err = g.dom.Step()
+		}
+		if err != nil {
+			return flight.ReasonViolation, err
 		}
 		// The beat: liveness Progress event plus the cross-goroutine
 		// stop/dump request polls (one mask test per cycle otherwise).
@@ -509,7 +582,7 @@ func (g *GPU) Run() (*stats.Sim, error) {
 				g.sampleQueues()
 			}
 			if g.stopReq.Load() {
-				return g.Stats(), ErrInterrupted
+				return "", ErrInterrupted
 			}
 			if g.dumpReq.Swap(false) {
 				g.emitDump(flight.ReasonSignal, "dump requested")
@@ -519,17 +592,11 @@ func (g *GPU) Run() (*stats.Sim, error) {
 			lastInsts = g.st.Instructions
 			lastProgress = g.cycle
 		} else if g.watchdog > 0 && g.cycle-lastProgress > g.watchdog {
-			err := fmt.Errorf("sim: no forward progress for %d cycles at cycle %d (%s)",
+			return flight.ReasonWatchdog, fmt.Errorf("sim: no forward progress for %d cycles at cycle %d (%s)",
 				g.watchdog, g.cycle, g.kernel.Abbr)
-			g.emitDump(flight.ReasonWatchdog, err.Error())
-			return g.Stats(), err
 		}
 	}
-	if err := g.finalAccounting(); err != nil {
-		g.emitDump(flight.ReasonViolation, err.Error())
-		return g.Stats(), err
-	}
-	return g.Stats(), nil
+	return "", nil
 }
 
 // sampleQueues emits one EvQueueSample per memory-system queue: L1 MSHR

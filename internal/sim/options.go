@@ -49,6 +49,10 @@ type options struct {
 	// reference the fast-forward differential tests compare against;
 	// tests alone set it.
 	noFastForward bool
+	// serial keeps Run on Step alone: the memory domain never runs on a
+	// goroutine of its own (see overlap.go). The reference the overlap
+	// differential test compares against; tests alone set it.
+	serial bool
 }
 
 // WithPrefetcher selects a registered prefetcher by name ("none", "caps",

@@ -118,8 +118,9 @@ func (s *Sim) Hash64() uint64 {
 }
 
 // AddFrom drains src into s: every int64 counter is added to s's matching
-// field and zeroed in src, so repeated merges never double count. It sums
-// several runs' totals (the benchmark harness under simbench/ does).
+// field and zeroed in src, so repeated merges never double count. The GPU
+// merges its memory units' counters into the run's this way, and the
+// benchmark harness under simbench/ sums several runs' totals.
 // Reflection keeps the merge in sync with the field set exactly as Hash64
 // does.
 func (s *Sim) AddFrom(src *Sim) {
